@@ -114,14 +114,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_curve(args) -> PlaneCurve:
     text = Path(args.file).read_text().strip() if args.file else args.poly
     variables = PRIMAL_VARS if args.vars == "xyz" else DUAL_VARS
-    curve = PlaneCurve(parse_poly(text, variables))
+    poly = parse_poly(text, variables)
     cap = min(max(args.max_degree, 1), HARD_DEGREE_CAP)
-    if curve.degree > cap:
+    # before PlaneCurve(), whose square-free test is the expensive step
+    if poly.total_degree() > cap:
         raise InvalidParams(
-            f"degree {curve.degree} exceeds the guardrail {cap}"
+            f"degree {poly.total_degree()} exceeds the guardrail {cap}"
             f" (hard cap {HARD_DEGREE_CAP})"
         )
-    return curve
+    return PlaneCurve(poly)
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:

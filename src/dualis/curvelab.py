@@ -29,6 +29,7 @@ from fractions import Fraction
 from . import elimination
 from .errors import (
     InvalidParams,
+    InvariantViolation,
     IrrationalSingularity,
     NotSingular,
     ReducibleCurve,
@@ -94,8 +95,8 @@ class SingularPoint:
     euler_obstruction: int
 
     def __post_init__(self):
-        if self.kind in (NODE, CUSP):
-            assert self.multiplicity == 2 and self.euler_obstruction == 2
+        if self.kind in (NODE, CUSP) and (self.multiplicity, self.euler_obstruction) != (2, 2):
+            raise InvalidParams(f"a {self.kind} has multiplicity and Euler obstruction 2")
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,8 @@ def classify_singularity(curve: PlaneCurve, point) -> SingularPoint:
     chart = next(i for i, c in enumerate(point) if c != 0)
     parts = _lowest_parts(curve.F, point, chart)
     m = min(d for d in parts if d >= 0 and not parts[d].is_zero())
-    assert m >= 2, "a singular point has multiplicity at least 2"
+    if m < 2:
+        raise InvariantViolation(f"singular point {point} has multiplicity {m} < 2")
     if m > 2:
         return SingularPoint(point, OTHER, m, m)
 
@@ -223,7 +225,7 @@ def curve_report(curve: PlaneCurve) -> CurveReport:
     """Invariants of a curve with at most nodes and cusps.
 
     chi uses the normalization rule (a node lowers chi by one, a cusp does
-    not); the closed form for c0m is asserted against the weighted-Euler
+    not); the closed form for c0m is checked against the weighted-Euler
     definition before returning.
     """
     sings = singular_points(curve)
@@ -240,7 +242,8 @@ def curve_report(curve: PlaneCurve) -> CurveReport:
         raise InvalidParams(f"impossible singularity counts: genus {g} < 0")
     chi = 2 - 2 * g - delta
     c0m = chi + sum(s.euler_obstruction - 1 for s in sings)
-    assert c0m == -d * d + 3 * d + 2 * delta + 3 * kappa
+    if c0m != -d * d + 3 * d + 2 * delta + 3 * kappa:
+        raise InvariantViolation(f"c0m = {c0m} disagrees with the node/cusp closed form")
     return CurveReport(d, delta, kappa, others, g, chi, c0m)
 
 

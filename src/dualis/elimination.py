@@ -11,10 +11,13 @@ composed with x-shears) and only reports a number it can certify:
   distinct x-images, which can only undercount (two points sharing an
   x-coordinate).  Each point pair spoils at most one shear, so taking the
   maximum over C(N,2)+1 valid shears certifies the count; hitting the Bezout
-  ceiling d1*d2 certifies immediately.
+  ceiling d1*d2 certifies immediately.  Shears fix the line at infinity, so
+  the tests on it run once per base, and the pair is moved by each base
+  once; the bivariate resultants take the evaluation-interpolation path of
+  `exact.resultant`.
 
 * transversality: all intersection multiplicities equal one exactly when the
-  (degree d1*d2) resultant is square-free in some valid frame.
+  certified distinct count reaches the Bezout number d1*d2.
 
 * singular loci: common zeros of the three partial derivatives.  Pairwise
   resultants are combined by a gcd, rational roots are verified fiber by
@@ -30,7 +33,13 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ChartExhausted, NotTransversal, ReducibleCurve, ZeroInput
+from .errors import (
+    ChartExhausted,
+    InvariantViolation,
+    NotTransversal,
+    ReducibleCurve,
+    ZeroInput,
+)
 from .exact import (
     MultiPoly,
     UniPolyView,
@@ -196,7 +205,8 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
                 acc = acc * r + c
                 out.append(acc)
             out.reverse()
-            assert out[0] == 0
+            if out[0] != 0:
+                raise InvariantViolation(f"deflation by the root {r} left a remainder")
             work = out[1:]
     leftover = len(work) - 1
     return sorted(roots), leftover
@@ -375,7 +385,8 @@ def _affine_system(polys: list, avar: str, bvar: str) -> tuple:
                for w in ring}
         fibers = [p.substitute(sub) for p in nonzero]
         fibers = [p for p in fibers if not p.is_zero()]
-        assert fibers, "shared line should have been caught by the gcd heuristic"
+        if not fibers:
+            raise ReducibleCurve(f"system vanishes on the line {avar} = {a0}")
         if any(p.is_constant() for p in fibers):
             continue  # spurious elimination root
         t = poly_gcd_many(fibers)
@@ -468,29 +479,39 @@ def rational_system_points(polys: list) -> list:
 # counting distinct intersections of two curves
 # ---------------------------------------------------------------------------
 
-def _pair_frame_count(F: MultiPoly, G: MultiPoly, base: Matrix, t: int) -> Optional[tuple]:
-    """(distinct_x_image_count, resultant_squarefree) in one frame, or None."""
-    ring = F.variables
+def _pair_frame_count(Fm: MultiPoly, Gm: MultiPoly, t: int) -> Optional[int]:
+    """Distinct x-images of the intersection in one frame, or None.
+
+    Fm, Gm are the pair moved by a base that passed the shear-independent
+    tests of `_base_usable`; the frame composes that base with the x-shear
+    x -> x + t*y, done here together with the passage to the chart z = 1.
+    """
+    ring = Fm.variables
     x, y, z = ring
-    Fb = apply_matrix(F, mat_mul(base, _shear(t)))
-    Gb = apply_matrix(G, mat_mul(base, _shear(t)))
-    one = {x: 0, y: 1, z: 0}
-    if Fb.evaluate(one) == 0 or Gb.evaluate(one) == 0:
-        return None
-    finf, ginf = _infinity_restriction([Fb, Gb], z)
-    if finf.is_zero() or ginf.is_zero():
-        return None
-    if not poly_gcd(finf, ginf).is_constant():
-        return None  # common zeros at infinity
-    A = Fb.substitute(_chart_substitution(ring, z))
-    B = Gb.substitute(_chart_substitution(ring, z))
+    at_t = {x: t, y: 1, z: 0}
+    if Fm.evaluate(at_t) == 0 or Gm.evaluate(at_t) == 0:
+        return None  # a leading y-coefficient vanishes in this frame
+    xv, yv = MultiPoly.var(ring, x), MultiPoly.var(ring, y)
+    chart = {x: xv + yv * t, y: yv, z: MultiPoly.const(ring, 1)}
+    A = Fm.substitute(chart)
+    B = Gm.substitute(chart)
     R = resultant(UniPolyView(A, y), UniPolyView(B, y))
-    d1, d2 = F.total_degree(), G.total_degree()
-    if R.is_zero() or R.degree_in(x) != d1 * d2:
+    if R.is_zero() or R.degree_in(x) != Fm.total_degree() * Gm.total_degree():
         return None
-    cs = univar_coeffs(R, x)
-    distinct = _sqfree_degree(cs)
-    return distinct, distinct == d1 * d2
+    return _sqfree_degree(univar_coeffs(R, x))
+
+
+def _base_usable(Fm: MultiPoly, Gm: MultiPoly) -> bool:
+    """Shear-independent frame tests for a pair moved by a base.
+
+    x-shears fix the line z = 0 and act on it by an invertible change of
+    coordinates, so a restriction to it that vanishes, or common zeros on
+    it, spoil every shear of the base alike.
+    """
+    finf, ginf = _infinity_restriction([Fm, Gm], Fm.variables[2])
+    if finf.is_zero() or ginf.is_zero():
+        return False
+    return poly_gcd(finf, ginf).is_constant()
 
 
 def _check_pair(F: MultiPoly, G: MultiPoly):
@@ -498,39 +519,6 @@ def _check_pair(F: MultiPoly, G: MultiPoly):
         raise ZeroInput("zero polynomial in curve pair")
     if not poly_gcd(F, G).is_constant():
         raise ReducibleCurve("curves share a component")
-
-
-def transversal_intersection_count(F: MultiPoly, G: MultiPoly) -> int:
-    """Number of intersection points of two transversal plane curves.
-
-    Certified: in some valid frame the degree-(d1*d2) eliminant is
-    square-free, i.e. every intersection multiplicity is one, so the
-    intersection consists of exactly d1*d2 reduced points.  Raises
-    NotTransversal when the schedule finds no such frame.
-    """
-    _check_pair(F, G)
-    n = F.total_degree() * G.total_degree()
-    budget = n * (n - 1) // 2 + 1
-    for base in _BASES:
-        valid = 0
-        t_limit = budget + F.total_degree() + G.total_degree() + 8
-        for t in range(t_limit):
-            got = _pair_frame_count(F, G, base, t)
-            if got is None:
-                continue
-            if got[1]:
-                # square-free eliminant of full degree: n distinct points,
-                # so every intersection multiplicity is one
-                return n
-            valid += 1
-            if valid >= budget:
-                # among `budget` valid shears of one base at least one is
-                # collision-free; there the non-square-free eliminant proves
-                # a multiplicity >= 2 somewhere
-                raise NotTransversal(
-                    f"{F.text()} and {G.text()} do not intersect transversally"
-                )
-    raise ChartExhausted("no usable frame for the transversality check")
 
 
 def distinct_intersection_count(F: MultiPoly, G: MultiPoly) -> int:
@@ -541,23 +529,41 @@ def distinct_intersection_count(F: MultiPoly, G: MultiPoly) -> int:
     early.
     """
     _check_pair(F, G)
-    ceiling = F.total_degree() * G.total_degree()
+    d1, d2 = F.total_degree(), G.total_degree()
+    ceiling = d1 * d2
     needed = ceiling * (ceiling - 1) // 2 + 1
+    t_limit = needed + d1 + d2 + 8
     best = 0
     for base in _BASES:
+        Fm, Gm = apply_matrix(F, base), apply_matrix(G, base)
+        if not _base_usable(Fm, Gm):
+            continue
         valid = 0
-        t = 0
-        t_limit = needed + F.total_degree() + G.total_degree() + 4
-        while valid < needed and t < t_limit:
-            got = _pair_frame_count(F, G, base, t)
-            t += 1
+        for t in range(t_limit):
+            got = _pair_frame_count(Fm, Gm, t)
             if got is None:
                 continue
             valid += 1
-            if got[0] > best:
-                best = got[0]
+            best = max(best, got)
             if best == ceiling:
                 return best
-        if valid >= needed:
-            return best
+            if valid >= needed:
+                # among `needed` valid shears of one base at least one is
+                # collision-free, and there the count is exact
+                return best
     raise ChartExhausted("could not certify a distinct intersection count")
+
+
+def transversal_intersection_count(F: MultiPoly, G: MultiPoly) -> int:
+    """Number of intersection points of two transversal plane curves.
+
+    The curves meet in d1*d2 points counted with multiplicity (Bezout), so
+    they are transversal exactly when the certified distinct count reaches
+    d1*d2.  Raises NotTransversal otherwise.
+    """
+    n = distinct_intersection_count(F, G)
+    if n != F.total_degree() * G.total_degree():
+        raise NotTransversal(
+            f"{F.text()} and {G.text()} do not intersect transversally"
+        )
+    return n

@@ -42,6 +42,10 @@ class DegreeGuardrail(DualisError):
     """The Sylvester matrix would exceed the 64x64 desk-scale limit."""
 
 
+class InvariantViolation(DualisError):
+    """An internal exactness check failed; the result is refused, not trusted."""
+
+
 # --- plane-curve layer ------------------------------------------------------
 
 class ReducibleCurve(DualisError):

@@ -17,11 +17,17 @@ lexicographic order (total degree first, then lex on exponents), which makes
 ``parse(print(p)) == p`` a fixed point.
 
 On top of the polynomial ring the module provides the elimination kernel:
-Sylvester matrices (rows of the first operand first), determinants by
-fraction-free Bareiss elimination over the polynomial ring, resultants,
+Sylvester matrices (rows of the first operand first), resultants,
 discriminants, multivariate gcd by a primitive polynomial remainder sequence,
-and square-free parts.  A hard guardrail refuses Sylvester matrices larger
-than 64x64 so that a degenerate input fails fast instead of hanging.
+and square-free parts.  A resultant whose operands involve at most one
+variable besides the eliminated one is computed by evaluation and
+interpolation: the Sylvester matrix is specialised at integer points, each
+scalar determinant is taken by fraction-free Bareiss over Python ints, and
+exact Newton interpolation rebuilds the polynomial (Collins, J. ACM 18,
+1971).  Operands with more free variables use fraction-free Bareiss
+elimination over the polynomial ring.  A hard guardrail refuses Sylvester
+matrices larger than 64x64 so that a degenerate input fails fast instead of
+hanging.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .errors import (
     DegenerateInput,
     DegreeGuardrail,
     DegreeTooLow,
+    InvariantViolation,
     PolySyntaxError,
     SharedVariableMismatch,
     UnknownVariableError,
@@ -570,7 +577,8 @@ def _pseudo_rem(a: list, b: list) -> list:
         r = [c * lcb for c in r]
         for j in range(n + 1):
             r[j + k] = r[j + k] - top * b[j]
-        assert r[n + k].is_zero()
+        if not r[n + k].is_zero():
+            raise InvariantViolation("pseudo-remainder step left a leading term")
     while len(r) > 1 and r[-1].is_zero():
         r.pop()
     if len(r) == 1 and r[0].is_zero():
@@ -726,11 +734,97 @@ def bareiss_determinant(matrix: list) -> MultiPoly:
     return det if sign == 1 else -det
 
 
+def _int_bareiss_determinant(m: list) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss (in place)."""
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def _determinant_by_interpolation(matrix: list, free: Optional[str]) -> MultiPoly:
+    """Determinant of a matrix whose entries involve at most the variable `free`.
+
+    Each row is scaled to integer coefficients, the determinant is taken by
+    integer Bareiss at the points 0..B, where B (the sum over rows of the
+    largest entry degree) bounds its degree, and the polynomial is rebuilt by
+    Newton interpolation on forward differences.  Specialisation commutes
+    with the determinant, so the result is exact.
+    """
+    ring = matrix[0][0].variables
+    iv = ring.index(free) if free is not None else None
+    rows = []      # per row: entries as {degree in `free`: int coefficient}
+    scale = 1      # product of the row denominators
+    bound = 0
+    for row in matrix:
+        den = 1
+        for entry in row:
+            for c in entry.terms.values():
+                den = den * c.denominator // math.gcd(den, c.denominator)
+        scale *= den
+        int_row = []
+        for entry in row:
+            coeffs = {}
+            for e, c in entry.terms.items():
+                coeffs[0 if iv is None else e[iv]] = c.numerator * (den // c.denominator)
+            int_row.append(coeffs)
+        bound += max((max(cs, default=0) for cs in int_row), default=0)
+        rows.append(int_row)
+
+    values = [
+        _int_bareiss_determinant(
+            [[sum(c * point**k for k, c in cs.items()) for cs in row] for row in rows])
+        for point in range(bound + 1)
+    ]
+
+    # value at v is sum_j (Delta^j D_0) * C(v, j); multiplying by bound! keeps
+    # every falling-factorial coefficient an integer
+    numer = [0] * (bound + 1)
+    falling = [1]          # v (v-1) ... (v-j+1), ascending coefficients
+    weight = math.factorial(bound)
+    for j in range(bound + 1):
+        head = values[0]
+        if head:
+            factor = head * weight
+            for k, c in enumerate(falling):
+                numer[k] += factor * c
+        values = [b - a for a, b in zip(values, values[1:])]
+        if j < bound:
+            weight //= j + 1
+            falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]  # *= (v - j)
+    denom = math.factorial(bound) * scale
+    terms = {}
+    for k, c in enumerate(numer):
+        if c:
+            terms[tuple(k if i == iv else 0 for i in range(len(ring)))] = Fraction(c, denom)
+    return MultiPoly(ring, terms)
+
+
 def resultant(f: UniPolyView, g: UniPolyView) -> MultiPoly:
     """Resultant in the distinguished variable.
 
     Determinant of the Sylvester matrix (f rows first); satisfies
     ``Res(f, g) = lc(f)^deg(g) * prod g(alpha_i)`` over the roots of f.
+    When the operands involve at most one other variable the determinant is
+    computed by evaluation and interpolation over the integers; otherwise by
+    Bareiss elimination over the polynomial ring.
 
     >>> x = ("x",)
     >>> f = parse_poly("x^2 + 1", x)
@@ -738,7 +832,12 @@ def resultant(f: UniPolyView, g: UniPolyView) -> MultiPoly:
     >>> resultant(UniPolyView(f, "x"), UniPolyView(g, "x")).text()
     '4'
     """
-    return bareiss_determinant(sylvester_matrix(f, g))
+    matrix = sylvester_matrix(f, g)
+    free = set(f.poly.used_variables()) | set(g.poly.used_variables())
+    free.discard(f.var)
+    if len(free) <= 1:
+        return _determinant_by_interpolation(matrix, free.pop() if free else None)
+    return bareiss_determinant(matrix)
 
 
 def discriminant(f: UniPolyView) -> MultiPoly:
@@ -757,7 +856,8 @@ def discriminant(f: UniPolyView) -> MultiPoly:
     df = UniPolyView(f.poly.derivative(f.var), f.var)
     res = resultant(f, df)
     quo = try_exact_div(res, f.lc)
-    assert quo is not None, "lc must divide Res(f, f')"
+    if quo is None:
+        raise InvariantViolation("lc(f) does not divide Res(f, f')")
     return quo if (d * (d - 1) // 2) % 2 == 0 else -quo
 
 

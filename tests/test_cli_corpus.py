@@ -1,6 +1,7 @@
 """Harness contracts: file schemas, corpus loading, CLI exit codes, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,16 @@ class TestCli:
         code = run_command(["curve", "analyze", "--poly", "x^9 + y^9 + z^9",
                             "--max-degree", "99"])
         assert code == 2
+
+    @pytest.mark.parametrize("poly", [
+        "x^12*y + y^12*z + z^12*x + x^5*y^4*z^4",
+        "x^7*y + y^7*z + z^7*x + x^3*y^3*z^2",
+    ])
+    def test_degree_cap_runs_before_squarefree_test(self, poly, capsys):
+        start = time.perf_counter()
+        assert run_command(["curve", "analyze", "--poly", poly]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "InvalidParams" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, capsys):
         assert run_command(["plucker", "check", "--s1", "x.json"]) == 2

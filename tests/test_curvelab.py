@@ -11,6 +11,7 @@ from dualis.curvelab import (
     OTHER,
     PRIMAL_VARS,
     PlaneCurve,
+    SingularPoint,
     classify_singularity,
     curve_report,
     line_transversality,
@@ -113,6 +114,11 @@ class TestClassification:
     def test_higher_multiplicity(self):
         s = classify_singularity(curve("y^3*z - x^4"), (0, 0, 1))
         assert s.kind == OTHER and s.multiplicity == 3 and s.euler_obstruction == 3
+
+    def test_node_record_needs_multiplicity_two(self):
+        from dualis.errors import InvalidParams
+        with pytest.raises(InvalidParams):
+            SingularPoint((0, 0, 1), NODE, 3, 3)
 
     def test_not_singular(self):
         with pytest.raises(NotSingular):

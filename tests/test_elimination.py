@@ -14,9 +14,10 @@ from dualis.elimination import (
     mat_transpose,
     normalize_point,
     rational_roots,
+    transversal_intersection_count,
     univar_coeffs,
 )
-from dualis.errors import ReducibleCurve, ZeroInput
+from dualis.errors import NotTransversal, ReducibleCurve, ZeroInput
 from dualis.exact import parse_poly
 
 XYZ = ("x", "y", "z")
@@ -99,6 +100,25 @@ class TestCounting:
         f = parse_poly("x^2 + y^2 - z^2", XYZ)
         g = parse_poly("y - z", XYZ)
         assert distinct_intersection_count(f, g) == 1
+
+    def test_trinodal_quartic_and_polar(self):
+        # the quartic's three nodes sit on the line at infinity z = 0 of
+        # several bases, which must be skipped; the polar of (1, 2, 5) meets
+        # it in the 3 nodes and 6 tangency points
+        f = parse_poly("2*x^2*y^2 + y^2*z^2 + z^2*x^2 - x^2*y*z - x*y^2*z - x*y*z^2", XYZ)
+        polar = f.derivative("x") + f.derivative("y") * 2 + f.derivative("z") * 5
+        assert distinct_intersection_count(f, polar) == 9
+
+    def test_transversal_pair(self):
+        f = parse_poly("x^2 + y^2 - z^2", XYZ)
+        g = parse_poly("x - 2*y", XYZ)
+        assert transversal_intersection_count(f, g) == 2
+
+    def test_tangent_pair_not_transversal(self):
+        f = parse_poly("x^2 + y^2 - z^2", XYZ)
+        g = parse_poly("y - z", XYZ)
+        with pytest.raises(NotTransversal):
+            transversal_intersection_count(f, g)
 
     def test_shared_component_rejected(self):
         f = parse_poly("x*y - x*z", XYZ)

@@ -113,6 +113,65 @@ def _random_uni(rng, max_deg=4):
     return MultiPoly(X, terms)
 
 
+def _random_bivariate(rng, deg_x, deg_y):
+    """Random polynomial in x, y with Fraction coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        e = (rng.randint(0, deg_x), rng.randint(0, deg_y))
+        terms[e] = terms.get(e, 0) + Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    return MultiPoly(("x", "y"), terms)
+
+
+class TestEvaluationPath:
+    """Operands with at most one free variable take the evaluation path of
+    `resultant`; it must equal the ring Bareiss determinant exactly."""
+
+    XY = ("x", "y")
+
+    def _both(self, f, g):
+        fv, gv = UniPolyView(f, "y"), UniPolyView(g, "y")
+        return resultant(fv, gv), bareiss_determinant(sylvester_matrix(fv, gv))
+
+    def test_random_bivariate_pairs(self):
+        rng = random.Random(41)
+        checked = 0
+        while checked < 60:
+            f = _random_bivariate(rng, 3, 3)
+            g = _random_bivariate(rng, 3, 2)
+            if f.is_zero() or g.is_zero() or max(f.degree_in("y"), g.degree_in("y")) < 1:
+                continue
+            fast, ring = self._both(f, g)
+            assert fast == ring
+            checked += 1
+
+    def test_vanishing_leading_coefficients(self):
+        # lc_y(f) vanishes at the evaluation points x = 0, 1 and lc_y(g) at 2, 3
+        f = parse_poly("x^2*y^2 - x*y^2 + 1/2*y - x^3", self.XY)
+        g = parse_poly("x^2*y^3 - 5*x*y^3 + 6*y^3 + 2/3*x*y + 7", self.XY)
+        fast, ring = self._both(f, g)
+        assert not fast.is_zero() and fast == ring
+
+    def test_no_free_variable(self):
+        f = parse_poly("3/2*y^3 - y + 4", self.XY)
+        g = parse_poly("y^2 - 1/3", self.XY)
+        fast, ring = self._both(f, g)
+        assert fast.is_constant() and fast == ring
+
+    def test_zero_resultant(self):
+        common = parse_poly("x*y - 1/2", self.XY)
+        f = common * parse_poly("y + x^2", self.XY)
+        g = common * parse_poly("2*y^2 - x", self.XY)
+        fast, ring = self._both(f, g)
+        assert fast.is_zero() and ring.is_zero()
+
+    def test_one_free_variable_in_a_larger_ring(self):
+        ring3 = ("x", "y", "z")
+        f = parse_poly("y^3 - 2*x*y + 1/7*x^2", ring3)
+        g = parse_poly("3*x*y^2 - x^3 + 5", ring3)
+        fast, ring = self._both(f, g)
+        assert fast.used_variables() == ("x",) and fast == ring
+
+
 class TestBareiss:
     def _cofactor_det(self, m):
         n = len(m)
