@@ -25,13 +25,10 @@ import sys
 from pathlib import Path
 
 from . import charclass, corpus, curvelab, dualgeom, flopcalc
-from .curvelab import DUAL_VARS, PRIMAL_VARS, PlaneCurve
+from .curvelab import DEFAULT_DEGREE_CAP, DUAL_VARS, HARD_DEGREE_CAP, PRIMAL_VARS
 from .errors import DualisError, InvalidParams
-from .exact import format_rational, parse_poly
+from .exact import format_rational
 from .flopcalc import CONORMAL, INTRO, IdentityInstance
-
-HARD_DEGREE_CAP = 8
-DEFAULT_DEGREE_CAP = 6
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,20 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_curve(args) -> PlaneCurve:
-    text = Path(args.file).read_text().strip() if args.file else args.poly
-    variables = PRIMAL_VARS if args.vars == "xyz" else DUAL_VARS
-    poly = parse_poly(text, variables)
-    cap = min(max(args.max_degree, 1), HARD_DEGREE_CAP)
-    # before PlaneCurve(), whose square-free test is the expensive step
-    if poly.total_degree() > cap:
-        raise InvalidParams(
-            f"degree {poly.total_degree()} exceeds the guardrail {cap}"
-            f" (hard cap {HARD_DEGREE_CAP})"
-        )
-    return PlaneCurve(poly)
-
-
 def _emit(payload: dict, fmt: str, text_lines) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -152,7 +135,9 @@ def run_command(argv) -> int:
 
 def _execute(args) -> int:
     if args.command == "curve":
-        curve = _load_curve(args)
+        text = Path(args.file).read_text().strip() if args.file else args.poly
+        variables = PRIMAL_VARS if args.vars == "xyz" else DUAL_VARS
+        curve = curvelab.load_curve(text, variables, args.max_degree)
         if args.subcommand == "analyze":
             points = curvelab.singular_points(curve)
             report = curvelab.curve_report(curve)

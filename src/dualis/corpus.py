@@ -31,14 +31,14 @@ from pathlib import Path
 from typing import Optional
 
 from . import charclass, curvelab, dualgeom, elimination, flopcalc
-from .curvelab import PRIMAL_VARS, PlaneCurve
+from .curvelab import PlaneCurve
 from .errors import (
     DualisError,
     MissingFile,
     NotTransversal,
     SchemaError,
 )
-from .exact import MultiPoly, format_rational, parse_rational, parse_poly
+from .exact import MultiPoly, format_rational, parse_rational
 from .flopcalc import CONORMAL, INTRO, IdentityInstance, VarietyInvariants
 
 CASE_KINDS = (
@@ -242,7 +242,7 @@ def resolve_curve(spec, root: Path, where: str) -> PlaneCurve:
         text = spec["poly"]
     else:
         raise SchemaError(f"{where}: curve spec needs 'file' or 'poly'", field="curve")
-    return PlaneCurve(parse_poly(text, PRIMAL_VARS))
+    return curvelab.load_curve(text)
 
 
 def resolve_package(spec, root: Path, where: str) -> VarietyInvariants:

@@ -18,7 +18,10 @@ available in the node/cusp regime:
 
 Everything is certified: ``singular_points`` counts the geometric singular
 scheme by elimination and refuses to answer when the rational points it found
-do not exhaust that count.
+do not exhaust that count.  Each curve object computes that singular analysis
+(the certified count and the classified rational points) at most once, on
+first use, and every caller reads it from the curve.  ``load_curve`` applies
+the degree guardrail that the CLI and the corpus share.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ from .exact import MultiPoly, is_squarefree, parse_poly, poly_gcd_many
 PRIMAL_VARS = ("x", "y", "z")
 DUAL_VARS = ("u", "v", "w")
 
+#: degree guardrail of ``load_curve``: the default and the most it can be raised to
+DEFAULT_DEGREE_CAP = 6
+HARD_DEGREE_CAP = 8
+
 NODE = "Node"
 CUSP = "Cusp"
 OTHER = "Other"
@@ -49,7 +56,7 @@ OTHER = "Other"
 class PlaneCurve:
     """A reduced plane projective curve V(F), F square-free homogeneous."""
 
-    __slots__ = ("F", "degree")
+    __slots__ = ("F", "degree", "_singular_count", "_rational_singularities")
 
     def __init__(self, F: MultiPoly):
         if F.is_zero():
@@ -64,6 +71,8 @@ class PlaneCurve:
             raise ReducibleCurve(f"{F.text()} has a repeated factor")
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "degree", F.total_degree())
+        object.__setattr__(self, "_singular_count", None)
+        object.__setattr__(self, "_rational_singularities", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("PlaneCurve is immutable")
@@ -85,6 +94,19 @@ class PlaneCurve:
 
     def __repr__(self):
         return f"PlaneCurve({self.F.text()!r})"
+
+
+def load_curve(text: str, variables=PRIMAL_VARS,
+               max_degree: int = DEFAULT_DEGREE_CAP) -> PlaneCurve:
+    """Parse a curve; the cap is checked before PlaneCurve()'s costly square-free test."""
+    poly = parse_poly(text, variables)
+    cap = min(max(max_degree, 1), HARD_DEGREE_CAP)
+    if poly.total_degree() > cap:
+        raise InvalidParams(
+            f"degree {poly.total_degree()} exceeds the guardrail {cap}"
+            f" (hard cap {HARD_DEGREE_CAP})"
+        )
+    return PlaneCurve(poly)
 
 
 @dataclass(frozen=True)
@@ -190,6 +212,17 @@ def _exps(ring, assign: dict) -> tuple:
     return tuple(assign.get(v, 0) for v in ring)
 
 
+def certified_singular_count(curve: PlaneCurve) -> int:
+    """Geometric number of singular points (rational or not)."""
+    if curve._singular_count is None:
+        grads = curve.gradient()
+        if not poly_gcd_many(grads).is_constant():
+            raise ReducibleCurve("partial derivatives share a component")
+        object.__setattr__(curve, "_singular_count",
+                           elimination.certified_singular_count(grads))
+    return curve._singular_count
+
+
 def singular_points(curve: PlaneCurve) -> list:
     """All rational singular points, classified, with a certified total.
 
@@ -198,27 +231,20 @@ def singular_points(curve: PlaneCurve) -> list:
     rational points found the curve has irrational singularities and the
     operation refuses rather than under-report.
     """
-    grads = curve.gradient()
-    if not poly_gcd_many(grads).is_constant():
-        raise ReducibleCurve("partial derivatives share a component")
-    points = elimination.rational_system_points(grads)
-    certified = elimination.certified_singular_count(grads)
-    if certified > len(points):
+    certified = certified_singular_count(curve)
+    if curve._rational_singularities is None:
+        points = elimination.rational_system_points(curve.gradient())
+        object.__setattr__(curve, "_rational_singularities",
+                           tuple(classify_singularity(curve, p) for p in points))
+    found = curve._rational_singularities
+    if certified > len(found):
         raise IrrationalSingularity(
-            f"found {len(points)} rational singular points but the certified "
+            f"found {len(found)} rational singular points but the certified "
             f"count is {certified}"
         )
-    if certified < len(points):  # pragma: no cover - would be an internal bug
+    if certified < len(found):  # pragma: no cover - would be an internal bug
         raise ReducibleCurve("inconsistent singular counts")
-    return [classify_singularity(curve, p) for p in points]
-
-
-def certified_singular_count(curve: PlaneCurve) -> int:
-    """Geometric number of singular points (rational or not)."""
-    grads = curve.gradient()
-    if not poly_gcd_many(grads).is_constant():
-        raise ReducibleCurve("partial derivatives share a component")
-    return elimination.certified_singular_count(grads)
+    return list(found)
 
 
 def curve_report(curve: PlaneCurve) -> CurveReport:

@@ -99,9 +99,10 @@ def _strip_all(poly: MultiPoly, factor: MultiPoly):
         k += 1
 
 
-def _dual_in_chart(curve: PlaneCurve, sing_points) -> tuple | None:
-    """Dual equation in the w-chart, or None when the chart is degenerate."""
-    src = curve.variables
+def _dual_in_chart(F: MultiPoly, sing_points) -> tuple | None:
+    """Dual equation of V(F) in the w-chart, or None when the chart is degenerate."""
+    src = F.variables
+    d = F.total_degree()
     dst = dual_ring(src)
     params = src[:2]
     ring5 = params + dst
@@ -110,19 +111,19 @@ def _dual_in_chart(curve: PlaneCurve, sing_points) -> tuple | None:
     u0 = MultiPoly.var(ring5, dst[0])
     u1 = MultiPoly.var(ring5, dst[1])
     u2 = MultiPoly.var(ring5, dst[2])
-    phi = curve.F.substitute({
+    phi = F.substitute({
         src[0]: p0 * u2,
         src[1]: p1 * u2,
         src[2]: -(u0 * p0 + u1 * p1),
     })
-    if phi.degree_in(params[0]) != curve.degree:
+    if phi.degree_in(params[0]) != d:
         return None  # leading coefficient vanished: first variable divides F
     psi = phi.substitute({
         params[0]: p0,
         params[1]: MultiPoly.const(ring5, 1),
         dst[0]: u0, dst[1]: u1, dst[2]: u2,
     })
-    if psi.degree_in(params[0]) != curve.degree:
+    if psi.degree_in(params[0]) != d:
         return None
     disc = discriminant(UniPolyView(psi, params[0]))
     if disc.is_zero():
@@ -165,7 +166,8 @@ def dual_equation(curve: PlaneCurve) -> DualCurve:
     dst = dual_ring(src)
     sing = [s.point for s in curvelab.singular_points(curve)]
     for matrix in _CHART_SCHEDULE:
-        moved = PlaneCurve(elimination.apply_matrix(curve.F, matrix))
+        # an invertible linear change keeps F square-free: no new PlaneCurve
+        moved = elimination.apply_matrix(curve.F, matrix)
         adj = _adjugate(matrix)
         moved_sing = [
             elimination.normalize_point([

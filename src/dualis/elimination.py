@@ -35,6 +35,7 @@ from typing import Optional, Sequence
 
 from .errors import (
     ChartExhausted,
+    GuardrailExceeded,
     InvariantViolation,
     NotTransversal,
     ReducibleCurve,
@@ -120,31 +121,54 @@ def univar_coeffs(p: MultiPoly, var: str) -> list:
     return coeffs
 
 
-def _divisors_from_factors(factors: dict) -> list:
-    divs = [1]
-    for prime, mult in factors.items():
-        divs = [d * prime**k for d in divs for k in range(mult + 1)]
-        if len(divs) > 20000:
-            break
-    return divs
+#: primes tried as the modulus of the p-adic root search
+_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1)))
 
 
-def _factorize(n: int) -> dict:
-    factors: dict = {}
-    n = abs(n)
-    for p in (2, 3, 5):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    f = 7
-    while f * f <= n and f < 100000:
-        while n % f == 0:
-            factors[f] = factors.get(f, 0) + 1
-            n //= f
-        f += 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
+def _primitive_ints(cs: Sequence[Fraction]) -> list:
+    """Coprime integers proportional to a nonzero list of rationals."""
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in cs]
+    g = math.gcd(*ints)
+    return [a // g for a in ints]
+
+
+def _eval_mod(f: Sequence[int], r: int, m: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * r + c) % m
+    return acc
+
+
+def _root_candidates(f: list) -> set:
+    """Rationals among which every rational root of f lies.
+
+    f is a square-free integer polynomial [c0..cn] with c0 != 0 and n >= 1.
+    A root u/v in lowest terms has u | c0 and v | cn, so cn*u/v is an integer
+    of absolute value at most |cn*c0|.  Modulo a prime p that does not divide
+    cn and at which f has no multiple root, the root reduces to a simple root
+    r; Newton's iteration lifts r to a modulus m > 2|cn*c0|, where the residue
+    of cn*r nearest zero is cn*u/v itself (Loos, SIAM J. Comput. 12, 1983).
+    """
+    lead = f[-1]
+    bound = 2 * abs(lead * f[0])
+    der = [i * c for i, c in enumerate(f)][1:]
+    for p in _PRIMES:
+        if lead % p == 0:
+            continue
+        residues = [r for r in range(p) if _eval_mod(f, r, p) == 0]
+        if any(_eval_mod(der, r, p) == 0 for r in residues):
+            continue
+        candidates = set()
+        for r in residues:
+            m = p
+            while m <= bound:
+                m *= m
+                r = (r - _eval_mod(f, r, m) * pow(_eval_mod(der, r, m), -1, m)) % m
+            c = lead * r % m
+            candidates.add(Fraction(c - m if 2 * c > m else c, lead))
+        return candidates
+    raise GuardrailExceeded(f"no prime below {_PRIMES[-1] + 1} keeps the roots simple")
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
@@ -153,20 +177,14 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
     Returns ``(roots, leftover)`` where roots is the sorted list of distinct
     rational roots and ``leftover`` is the degree of the cofactor after all
     rational linear factors are removed (its roots are irrational/complex).
+    No root is missed: candidates come from `_root_candidates`.
     """
     cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
     if not cs:
         raise ZeroInput("roots of the zero polynomial")
-    den = 1
-    for c in cs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in cs]
-    g = 0
-    for a in ints:
-        g = math.gcd(g, a)
-    ints = [a // g for a in ints]
+    ints = _primitive_ints(cs)
 
     roots = []
     k = 0
@@ -178,15 +196,6 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
     if len(poly) == 1:
         return roots, 0
 
-    cand_num = _divisors_from_factors(_factorize(poly[0]))
-    cand_den = _divisors_from_factors(_factorize(poly[-1]))
-    candidates = set()
-    for n in cand_num:
-        for d in cand_den:
-            q = Fraction(n, d)
-            candidates.add(q)
-            candidates.add(-q)
-
     def horner(p, r):
         acc = Fraction(0)
         for c in reversed(p):
@@ -194,7 +203,9 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
         return acc
 
     work = [Fraction(c) for c in poly]
-    for r in sorted(candidates):
+    repeated = _uni_gcd(work, [c * (i + 1) for i, c in enumerate(work[1:])])
+    sqfree = _primitive_ints(_uni_quo(work, repeated)) if len(repeated) > 1 else poly
+    for r in sorted(_root_candidates(sqfree)):
         while len(work) > 1 and horner(work, r) == 0:
             if r not in roots:
                 roots.append(r)
@@ -234,6 +245,17 @@ def _uni_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
     while a and a[-1] == 0:
         a.pop()
     return a if a else [Fraction(0)]
+
+
+def _uni_quo(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
+    """Quotient of a by b, when b divides a."""
+    a = list(a)
+    q = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in reversed(range(len(q))):
+        q[k] = a[k + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            a[k + i] -= q[k] * c
+    return q
 
 
 def _uni_rem(a, b):
@@ -286,46 +308,12 @@ def binary_distinct_roots(form: MultiPoly, u: str, v: str) -> int:
     return count
 
 
-def binary_rational_roots(form: MultiPoly, u: str, v: str) -> list:
-    """Rational projective roots [u0:v0] of a binary form, as integer pairs."""
-    if form.is_zero():
-        raise ZeroInput("zero binary form")
-    iu = form.variables.index(u)
-    iv = form.variables.index(v)
-    mu = min(e[iu] for e in form.terms)
-    mv = min(e[iv] for e in form.terms)
-    out = []
-    if mu:
-        out.append((0, 1))
-    if mv:
-        out.append((1, 0))
-    sub = {w: (MultiPoly.var(form.variables, w) if w == u else
-               MultiPoly.const(form.variables, 1) if w == v else
-               MultiPoly.var(form.variables, w))
-           for w in form.variables}
-    dehom = form.substitute(sub)
-    cs = univar_coeffs(dehom, u)
-    if len(cs) > 1:
-        roots, _ = rational_roots(cs)
-        for r in roots:
-            if r != 0:
-                out.append((r.numerator, r.denominator))
-    return out
-
-
 def normalize_point(coords: Sequence[Fraction]) -> tuple:
     """Coprime integer coordinates, first nonzero entry positive."""
     fracs = [Fraction(c) for c in coords]
     if all(c == 0 for c in fracs):
         raise ValueError("zero vector is not a projective point")
-    den = 1
-    for c in fracs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in fracs]
-    g = 0
-    for a in ints:
-        g = math.gcd(g, a)
-    ints = [a // g for a in ints]
+    ints = _primitive_ints(fracs)
     for a in ints:
         if a != 0:
             if a < 0:

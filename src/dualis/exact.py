@@ -315,12 +315,6 @@ class MultiPoly:
             out[tuple(e[i] for i in positions)] = c
         return MultiPoly(variables, out)
 
-    def rename_variables(self, variables: Sequence[str]) -> "MultiPoly":
-        variables = tuple(variables)
-        if len(variables) != len(self.variables):
-            raise ValueError("rename needs the same number of variables")
-        return MultiPoly(variables, dict(self.terms))
-
     # --- leading data, content, normalization ---
 
     def leading(self) -> tuple:

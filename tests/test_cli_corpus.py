@@ -18,6 +18,7 @@ from dualis.corpus import (
     load_report,
     package_from_dict,
     run_case,
+    run_corpus,
     save_package,
     save_report,
     standard_package,
@@ -26,6 +27,7 @@ from dualis.curvelab import PlaneCurve
 from dualis.errors import MissingFile, SchemaError
 
 REPO_CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+GOLDEN_REPORT = Path(__file__).resolve().parent / "data" / "corpus_report.json"
 
 
 class TestPackageFiles:
@@ -257,3 +259,22 @@ class TestCli:
         ]}
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         assert run_command(["corpus", "run", str(tmp_path)]) == 1
+
+    def test_corpus_applies_the_cli_degree_cap(self, tmp_path):
+        manifest = {"cases": [
+            {"id": "over-cap", "kind": "CurvePair",
+             "inputs": {"curve1": {"poly": "x^12*y + y^12*z + z^12*x + x^5*y^4*z^4"},
+                        "curve2": {"poly": "x"}}},
+        ]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        start = time.perf_counter()
+        (result,) = run_corpus(tmp_path, include_timing=False).results
+        assert time.perf_counter() - start < 1.0
+        assert result.status == "error"
+        assert result.details["error"].startswith("InvalidParams:")
+
+    def test_shipped_corpus_report_matches_golden_bytes(self, capsys):
+        args = ["corpus", "run", str(REPO_CORPUS), "--format", "json",
+                "--no-timestamps"]
+        assert run_command(args) == 0
+        assert capsys.readouterr().out.encode() == GOLDEN_REPORT.read_bytes()

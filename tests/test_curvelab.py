@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dualis import corpus, dualgeom, elimination
 from dualis.curvelab import (
     CUSP,
     NODE,
@@ -96,6 +97,47 @@ class TestSingularPoints:
                     ]
                     got.add(normalize_point([Fraction(c) for c in coords]))
                 assert got == base, (text, m)
+
+
+class TestAnalysisOnce:
+    """The singular analysis runs once per curve object and is shared."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+        for name in ("rational_system_points", "certified_singular_count"):
+            original = getattr(elimination, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(elimination, name, counted)
+        return counts
+
+    def test_every_consumer_reads_one_analysis(self, calls):
+        c = curve(NODAL)
+        corpus.curve_package(c, "nodal cubic")
+        dualgeom.dual_equation(c)
+        assert dualgeom.dual_degree_oracle(c) == 4
+        assert calls == {"rational_system_points": 1, "certified_singular_count": 1}
+
+    def test_curves_of_one_polynomial_analyse_separately(self, calls):
+        first, second = curve(NODAL), curve(NODAL)
+        assert singular_points(first) == singular_points(second)
+        assert calls == {"rational_system_points": 2, "certified_singular_count": 2}
+
+    def test_returned_list_is_a_copy(self, calls):
+        c = curve(NODAL)
+        pts = singular_points(c)
+        pts.clear()
+        assert [p.point for p in singular_points(c)] == [(0, 0, 1)]
+
+    def test_irrational_singularity_refused_on_every_call(self, calls):
+        c = curve("x^4 - 4*x^2*z^2 + 4*z^4 - y^3*z")
+        for _ in range(2):
+            with pytest.raises(IrrationalSingularity):
+                singular_points(c)
+        assert calls == {"rational_system_points": 1, "certified_singular_count": 1}
 
 
 class TestClassification:

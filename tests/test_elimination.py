@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from dualis import elimination
 from dualis.elimination import (
     apply_matrix,
     binary_distinct_roots,
-    binary_rational_roots,
     certified_singular_count,
     distinct_intersection_count,
     mat_mul,
@@ -17,7 +17,7 @@ from dualis.elimination import (
     transversal_intersection_count,
     univar_coeffs,
 )
-from dualis.errors import NotTransversal, ReducibleCurve, ZeroInput
+from dualis.errors import GuardrailExceeded, NotTransversal, ReducibleCurve, ZeroInput
 from dualis.exact import parse_poly
 
 XYZ = ("x", "y", "z")
@@ -52,22 +52,25 @@ class TestRationalRoots:
         with pytest.raises(ZeroInput):
             rational_roots([Fraction(0)])
 
+    def test_roots_with_prime_factors_beyond_trial_division(self):
+        # (x - 100003)(x - 100019): both primes exceed 10^5
+        roots, leftover = self._roots("x^2 - 200022*x + 10002200057")
+        assert roots == [100003, 100019] and leftover == 0
+
+    def test_refused_when_no_prime_keeps_the_roots_simple(self, monkeypatch):
+        monkeypatch.setattr(elimination, "_PRIMES", (2,))
+        with pytest.raises(GuardrailExceeded):
+            self._roots("x^2 - 200022*x + 10002200057")  # (x + 1)^2 modulo 2
+
 
 class TestBinaryForms:
     def test_distinct_roots_with_axis_factors(self):
         b = parse_poly("x^2*y^4 - x^4*y^2", XYZ)  # x^2 y^2 (y-x)(y+x)
         assert binary_distinct_roots(b, "x", "y") == 4
 
-    def test_rational_projective_roots(self):
-        b = parse_poly("x*y^2 - 4*x^3", XYZ)  # x (y-2x)(y+2x)
-        roots = set(binary_rational_roots(b, "x", "y"))
-        assert (0, 1) in roots          # the factor x
-        assert (1, 2) in roots and (-1, 2) in roots
-
     def test_irrational_roots_counted_but_not_listed(self):
         b = parse_poly("x^2 - 2*y^2", XYZ)
         assert binary_distinct_roots(b, "x", "y") == 2
-        assert binary_rational_roots(b, "x", "y") == []
 
 
 class TestNormalizePoint:
