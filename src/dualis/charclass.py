@@ -18,7 +18,9 @@ are rationals and the final value is checked to be an integer.
 
 The module also assembles full invariant packages for smooth hypersurfaces
 and linear subspaces: the chi values of all generic linear slices, which is
-exactly the data the intersection identities consume.
+exactly the data the intersection identities consume.  Complete
+intersections, Grassmannians and packages above `MAX_AMBIENT_DIM` or
+`MAX_DEGREE` are refused before any work starts.
 """
 
 from __future__ import annotations
@@ -27,12 +29,28 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidParams, NonIntegralResult
+from .errors import GuardrailExceeded, InvalidParams, NonIntegralResult
 from .flopcalc import VarietyInvariants
 
 PROJECTIVE_SPACE = "projective_space"
 QUADRIC = "quadric"
 GRASSMANNIAN = "grassmannian"
+
+#: largest n accepted for complete intersections, Gr(k, n) and packages: the
+#: series work of a package grows like n^3 (a smooth hypersurface package in
+#: P^40 takes about 0.15 s on one Xeon core), and every chi stays far below
+#: the 4300 digits Python converts to decimal text
+MAX_AMBIENT_DIM = 40
+#: largest hypersurface degree accepted
+MAX_DEGREE = 1000
+
+
+def _check_caps(n: int, degrees: Sequence[int] = ()) -> None:
+    # the messages omit the values, which may be too long to print
+    if n > MAX_AMBIENT_DIM:
+        raise GuardrailExceeded(f"n exceeds the cap of {MAX_AMBIENT_DIM}")
+    if any(d > MAX_DEGREE for d in degrees):
+        raise GuardrailExceeded(f"a degree exceeds the cap of {MAX_DEGREE}")
 
 
 class TruncatedSeries:
@@ -129,6 +147,7 @@ def chi_standard(kind: str, *params: int) -> int:
         k, n = params
         if not 0 < k < n:
             raise InvalidParams("Grassmannian needs 0 < k < n")
+        _check_caps(n)
         return math.comb(n, k)
     raise InvalidParams(f"unknown kind {kind!r}")
 
@@ -138,6 +157,7 @@ def chi_smooth_complete_intersection(n: int, degrees: Sequence[int]) -> int:
     degrees = list(degrees)
     if n < 1 or not 1 <= len(degrees) <= n or any(d < 1 for d in degrees):
         raise InvalidParams(f"bad complete-intersection data n={n}, degrees={degrees}")
+    _check_caps(n, degrees)
     order = n + 1
     series = one_plus_h_power(n + 1, order)
     for d in degrees:
@@ -186,6 +206,7 @@ def linear_space_package(n: int, m: int, label: str | None = None) -> VarietyInv
     """
     if not 0 <= m <= n or n < 2:
         raise InvalidParams("linear package needs 0 <= m <= n, n >= 2")
+    _check_caps(n)
     slices = []
     for j in range(n + 1):
         k = m + j - n

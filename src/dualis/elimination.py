@@ -23,6 +23,12 @@ composed with x-shears) and only reports a number it can certify:
   resultants are combined by a gcd, rational roots are verified fiber by
   fiber, and the total from two independent frames must agree.
 
+Univariate work over Q (eliminants, fibers, forms on a line) runs on
+Fraction coefficient lists.  The square-free computation, the gcd with the
+derivative, is written once (`_repeated_part`): `_sqfree_degree` counts
+distinct roots from it, and `rational_roots` takes the square-free part once
+and reports the rational roots together with the number of the others.
+
 Nothing here ever returns a float or an approximation; when a count cannot
 be certified the routine raises.
 """
@@ -31,12 +37,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence
 
 from .errors import (
     ChartExhausted,
     GuardrailExceeded,
-    InvariantViolation,
     NotTransversal,
     ReducibleCurve,
     ZeroInput,
@@ -47,7 +53,6 @@ from .exact import (
     poly_gcd,
     poly_gcd_many,
     resultant,
-    squarefree_part,
 )
 
 Matrix = tuple  # 3x3 integer matrix, rows are tuples
@@ -106,7 +111,7 @@ _BASES = _base_frames()
 
 
 # ---------------------------------------------------------------------------
-# small univariate helpers
+# univariate polynomials over Q, as Fraction coefficient lists [c0..cd]
 # ---------------------------------------------------------------------------
 
 def univar_coeffs(p: MultiPoly, var: str) -> list:
@@ -171,80 +176,67 @@ def _root_candidates(f: list) -> set:
     raise GuardrailExceeded(f"no prime below {_PRIMES[-1] + 1} keeps the roots simple")
 
 
+def _is_root(f: Sequence[int], r: Fraction) -> bool:
+    acc = Fraction(0)
+    for c in reversed(f):
+        acc = acc * r + c
+    return acc == 0
+
+
 def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
-    """All rational roots of a univariate polynomial, plus unresolved degree.
+    """Distinct roots of a nonzero univariate polynomial, rational and not.
 
     Returns ``(roots, leftover)`` where roots is the sorted list of distinct
-    rational roots and ``leftover`` is the degree of the cofactor after all
-    rational linear factors are removed (its roots are irrational/complex).
-    No root is missed: candidates come from `_root_candidates`.
+    rational roots and ``leftover`` the number of distinct irrational or
+    complex roots.  The square-free part is taken once; its roots are simple,
+    so each candidate from `_root_candidates` needs one exact evaluation, and
+    no root is missed.
     """
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        raise ZeroInput("roots of the zero polynomial")
-    ints = _primitive_ints(cs)
-
+    cs = _nonzero(coeffs)
+    ints = _primitive_ints(_uni_quo(cs, _repeated_part(cs)))
+    degree = len(ints) - 1
     roots = []
-    k = 0
-    while ints[k] == 0:
-        k += 1
-    if k > 0:
+    if ints[0] == 0:
         roots.append(Fraction(0))
-    poly = ints[k:]
-    if len(poly) == 1:
-        return roots, 0
-
-    def horner(p, r):
-        acc = Fraction(0)
-        for c in reversed(p):
-            acc = acc * r + c
-        return acc
-
-    work = [Fraction(c) for c in poly]
-    repeated = _uni_gcd(work, [c * (i + 1) for i, c in enumerate(work[1:])])
-    sqfree = _primitive_ints(_uni_quo(work, repeated)) if len(repeated) > 1 else poly
-    for r in sorted(_root_candidates(sqfree)):
-        while len(work) > 1 and horner(work, r) == 0:
-            if r not in roots:
-                roots.append(r)
-            # deflate by (x - r)
-            out = []
-            acc = Fraction(0)
-            for c in reversed(work):
-                acc = acc * r + c
-                out.append(acc)
-            out.reverse()
-            if out[0] != 0:
-                raise InvariantViolation(f"deflation by the root {r} left a remainder")
-            work = out[1:]
-    leftover = len(work) - 1
-    return sorted(roots), leftover
+        ints = ints[1:]  # x divides a square-free polynomial at most once
+    if len(ints) > 1:
+        roots += [r for r in _root_candidates(ints) if _is_root(ints, r)]
+    return sorted(roots), degree - len(roots)
 
 
 def _sqfree_degree(coeffs: Sequence[Fraction]) -> int:
-    """Number of distinct complex roots of a univariate polynomial."""
-    cs = list(coeffs)
+    """Number of distinct complex roots of a nonzero univariate polynomial."""
+    cs = _nonzero(coeffs)
+    return len(cs) - len(_repeated_part(cs))
+
+
+def _repeated_part(cs: list) -> list:
+    """gcd(f, f') for a trimmed nonzero f: dividing it out leaves f square-free."""
+    return _uni_gcd(cs, [i * c for i, c in enumerate(cs)][1:])
+
+
+def _trim(cs: Sequence[Fraction]) -> list:
+    """A copy of cs without trailing zero coefficients."""
+    cs = list(cs)
     while cs and cs[-1] == 0:
         cs.pop()
+    return cs
+
+
+def _nonzero(cs: Sequence[Fraction]) -> list:
+    """cs trimmed; the zero polynomial is refused."""
+    cs = _trim(cs)
     if not cs:
         raise ZeroInput("zero polynomial")
-    if len(cs) == 1:
-        return 0
-    der = [c * (i + 1) for i, c in enumerate(cs[1:])]
-    g = _uni_gcd(cs, der)
-    return (len(cs) - 1) - (len(g) - 1)
+    return cs
 
 
 def _uni_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    a = list(a)
-    b = list(b)
-    while b and any(c != 0 for c in b):
+    """A gcd, up to a constant factor, of two lists not both zero."""
+    a, b = _trim(a), _trim(b)
+    while b:
         a, b = b, _uni_rem(a, b)
-    while a and a[-1] == 0:
-        a.pop()
-    return a if a else [Fraction(0)]
+    return a
 
 
 def _uni_quo(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
@@ -258,24 +250,17 @@ def _uni_quo(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
     return q
 
 
-def _uni_rem(a, b):
-    a = list(a)
-    while b and b[-1] == 0:
-        b = b[:-1]
-    db = len(b) - 1
-    lb = b[-1]
-    while len(a) - 1 >= db and any(c != 0 for c in a):
+def _uni_rem(a: Sequence[Fraction], b: list) -> list:
+    """Remainder of a modulo a trimmed nonzero b."""
+    a = _trim(a)
+    while len(a) >= len(b):
+        q = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= q * c
+        a.pop()
         while a and a[-1] == 0:
             a.pop()
-        if len(a) - 1 < db:
-            break
-        q = a[-1] / lb
-        shift = len(a) - 1 - db
-        for i in range(db + 1):
-            a[shift + i] -= q * b[i]
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
     return a
 
 
@@ -289,23 +274,16 @@ def binary_distinct_roots(form: MultiPoly, u: str, v: str) -> int:
         raise ZeroInput("zero binary form")
     iu = form.variables.index(u)
     iv = form.variables.index(v)
+    if any(k for e in form.terms for i, k in enumerate(e) if i not in (iu, iv)):
+        raise ValueError(f"{form.text()} is not a binary form in {u}, {v}")
     mu = min(e[iu] for e in form.terms)
     mv = min(e[iv] for e in form.terms)
-    count = (1 if mu else 0) + (1 if mv else 0)
-    core = {tuple(
-        k - (mu if i == iu else 0) - (mv if i == iv else 0) if i in (iu, iv) else k
-        for i, k in enumerate(e)
-    ): c for e, c in form.terms.items()}
-    corep = MultiPoly(form.variables, core)
-    sub = {w: (MultiPoly.var(form.variables, w) if w == u else
-               MultiPoly.const(form.variables, 1) if w == v else
-               MultiPoly.var(form.variables, w))
-           for w in form.variables}
-    dehom = corep.substitute(sub)
-    cs = univar_coeffs(dehom, u)
-    if len(cs) > 1:
-        count += _sqfree_degree(cs)
-    return count
+    # u^mu and v^mv give the roots [0:1] and [1:0]; the other roots are those
+    # of the cofactor, which v does not divide, at v = 1
+    cs = [Fraction(0)] * (max(e[iu] for e in form.terms) - mu + 1)
+    for e, c in form.terms.items():
+        cs[e[iu] - mu] += c
+    return (mu > 0) + (mv > 0) + _sqfree_degree(cs)
 
 
 def normalize_point(coords: Sequence[Fraction]) -> tuple:
@@ -347,23 +325,19 @@ def _affine_system(polys: list, avar: str, bvar: str) -> tuple:
     if not shared.is_constant():
         raise ReducibleCurve("system polynomials share a component")
 
-    gens = []
+    gens = [univar_coeffs(p, avar) for p in nonzero if p.degree_in(bvar) == 0]
     b_pos = [p for p in nonzero if p.degree_in(bvar) > 0]
-    for p in nonzero:
-        if p.degree_in(bvar) == 0:
-            gens.append(p)
     for i in range(len(b_pos)):
         for j in range(i + 1, len(b_pos)):
             r = resultant(UniPolyView(b_pos[i], bvar), UniPolyView(b_pos[j], bvar))
             if not r.is_zero():
-                gens.append(r)
+                gens.append(univar_coeffs(r, avar))
     if not gens:
         raise _FrameDegenerate
-    s = poly_gcd_many(gens)
-    if s.is_constant():
+    s = reduce(_uni_gcd, gens)
+    if len(s) == 1:
         return [], 0
-    s = squarefree_part(s, avar)
-    roots, leftover = rational_roots(univar_coeffs(s, avar))
+    roots, leftover = rational_roots(s)
 
     ring = nonzero[0].variables
     points = []
@@ -377,15 +351,12 @@ def _affine_system(polys: list, avar: str, bvar: str) -> tuple:
             raise ReducibleCurve(f"system vanishes on the line {avar} = {a0}")
         if any(p.is_constant() for p in fibers):
             continue  # spurious elimination root
-        t = poly_gcd_many(fibers)
-        if t.is_constant():
+        t = reduce(_uni_gcd, [univar_coeffs(p, bvar) for p in fibers])
+        if len(t) == 1:
             continue
-        t = squarefree_part(t, bvar)
-        cs = univar_coeffs(t, bvar)
-        fiber_total += _sqfree_degree(cs)
-        broots, _ = rational_roots(cs)
-        for b0 in broots:
-            points.append((a0, b0))
+        broots, others = rational_roots(t)
+        fiber_total += len(broots) + others
+        points += [(a0, b0) for b0 in broots]
     certified = fiber_total + leftover
     return points, certified
 

@@ -19,11 +19,12 @@ is invariant under replacing every variety by its projective dual.  The
     (-1)^* (chi(S1 cap S2) - c0m(S1) c0m(S2) / (n+1))
         = chi(S1* cap S2*) - c0m(S1*) c0m(S2*) / (n+1),
 
-with * the sum of the four dimensions.  Both evaluators return the two sides
-as exact rationals.  The corollaries (dual degree, dual c0m, dual
-codimension detection, the quadric-pair identity and the classical Plucker
-formulas for plane curves) are implemented directly from the same package
-data, with every division checked for exactness.
+with * the sum of the four dimensions.  Both forms are stated once, in
+`identity_sides`, which returns the two sides as exact rationals and is used
+by the checker and by the one-unknown solver.  The corollaries (dual
+degree, dual c0m, dual codimension detection, the quadric-pair identity and
+the classical Plucker formulas for plane curves) are implemented directly
+from the same package data, with every division checked for exactness.
 """
 
 from __future__ import annotations
@@ -113,34 +114,6 @@ class VarietyInvariants:
 
 
 @dataclass(frozen=True)
-class ConormalNumbers:
-    """Intersection numbers of the conormal Lagrangian of one package."""
-
-    dim: int
-    c0m: int
-
-    @property
-    def dot_ambient(self) -> int:
-        """C_S . P^n = (-1)^dim(S) c0m(S)."""
-        return _sign(self.dim) * self.c0m
-
-
-def conormal_pairing(chi_cap: int, dim1: int, dim2: int, n: int) -> int:
-    """C_S1 . C_S2 for a transversal pair, from chi of the intersection.
-
-    An empty intersection contributes 0; otherwise the transversal
-    intersection has dimension dim1 + dim2 - n.
-    """
-    if chi_cap == 0:
-        return 0
-    if dim1 + dim2 < n:
-        raise InconsistentPackage(
-            "nonzero chi for an intersection that generic dimension count forbids"
-        )
-    return _sign(dim1 + dim2 - n) * chi_cap
-
-
-@dataclass(frozen=True)
 class FlopCheckReport:
     form: str
     lhs: Fraction
@@ -170,6 +143,29 @@ def flop_defect(a: int, b: int, n: int) -> Fraction:
     if n < 2:
         raise AmbientTooSmall("the flop identity needs n >= 2")
     return Fraction(a * b * _sign(n + 1), n + 1)
+
+
+def identity_sides(form: str, n: int, dims: tuple, chi_cap, c0m_1, c0m_2,
+                   chi_cap_dual, c0m_dual_1, c0m_dual_2) -> tuple:
+    """The two sides ``(lhs, rhs)`` of the flop identity, as exact rationals.
+
+    ``dims`` are (dim S1, dim S2, dim S1*, dim S2*); ``chi_cap`` and
+    ``chi_cap_dual`` are chi of the transversal intersections S1 cap S2 and
+    S1* cap S2*.  An empty intersection has chi 0, whatever its expected
+    dimension.
+    """
+    d1, d2, dd1, dd2 = dims
+    if form == CONORMAL:
+        lhs = _sign(d1 + d2 - n) * chi_cap + flop_defect(
+            _sign(d1) * c0m_1, _sign(d2) * c0m_2, n)
+        rhs = _sign(dd1 + dd2 - n) * chi_cap_dual + flop_defect(
+            _sign(dd1) * c0m_dual_1, _sign(dd2) * c0m_dual_2, n)
+    elif form == INTRO:
+        lhs = _sign(d1 + d2 + dd1 + dd2) * (chi_cap - Fraction(c0m_1 * c0m_2, n + 1))
+        rhs = chi_cap_dual - Fraction(c0m_dual_1 * c0m_dual_2, n + 1)
+    else:
+        raise InvalidParams(f"unknown identity form {form!r}")
+    return Fraction(lhs), Fraction(rhs)
 
 
 def _require_pairable(s1: VarietyInvariants, s2: VarietyInvariants,
@@ -205,26 +201,20 @@ def check_identity(
     _require_pairable(s1, s2, d1, d2)
     n = s1.n
     if form == CONORMAL:
-        lhs = Fraction(conormal_pairing(chi_s1_cap_s2, s1.dim, s2.dim, n)) + flop_defect(
-            ConormalNumbers(s1.dim, s1.c0m).dot_ambient,
-            ConormalNumbers(s2.dim, s2.c0m).dot_ambient,
-            n,
-        )
-        rhs = Fraction(conormal_pairing(chi_d1_cap_d2, d1.dim, d2.dim, n)) + flop_defect(
-            ConormalNumbers(d1.dim, d1.c0m).dot_ambient,
-            ConormalNumbers(d2.dim, d2.c0m).dot_ambient,
-            n,
-        )
-    elif form == INTRO:
-        star = s1.dim + s2.dim + d1.dim + d2.dim
-        lhs = _sign(star) * (chi_s1_cap_s2 - Fraction(s1.c0m * s2.c0m, n + 1))
-        rhs = chi_d1_cap_d2 - Fraction(d1.c0m * d2.c0m, n + 1)
-    else:
-        raise InvalidParams(f"unknown identity form {form!r}")
+        for chi, a, b in ((chi_s1_cap_s2, s1, s2), (chi_d1_cap_d2, d1, d2)):
+            # a nonempty transversal intersection has dimension dim a + dim b - n
+            if chi != 0 and a.dim + b.dim < n:
+                raise InconsistentPackage(
+                    "nonzero chi for an intersection that generic dimension count forbids"
+                )
+    lhs, rhs = identity_sides(
+        form, n, (s1.dim, s2.dim, d1.dim, d2.dim),
+        chi_s1_cap_s2, s1.c0m, s2.c0m, chi_d1_cap_d2, d1.c0m, d2.c0m,
+    )
     return FlopCheckReport(
         form=form,
-        lhs=Fraction(lhs),
-        rhs=Fraction(rhs),
+        lhs=lhs,
+        rhs=rhs,
         holds=lhs == rhs,
         inputs={
             "s1": s1.as_dict(),
@@ -396,26 +386,10 @@ class IdentityInstance:
     form: str = INTRO
 
     def _difference(self, values: dict) -> Fraction:
-        n = self.n
-        d1, d2, dd1, dd2 = self.dims
-        chi = Fraction(values["chi_cap"])
-        a1 = Fraction(values["c0m_1"])
-        a2 = Fraction(values["c0m_2"])
-        chid = Fraction(values["chi_cap_dual"])
-        b1 = Fraction(values["c0m_dual_1"])
-        b2 = Fraction(values["c0m_dual_2"])
-        if self.form == INTRO:
-            lhs = _sign(d1 + d2 + dd1 + dd2) * (chi - Fraction(a1 * a2, n + 1))
-            rhs = chid - Fraction(b1 * b2, n + 1)
-        elif self.form == CONORMAL:
-            lhs = _sign(d1 + d2 + n) * chi + Fraction(
-                _sign(d1) * a1 * _sign(d2) * a2 * _sign(n + 1), n + 1
-            )
-            rhs = _sign(dd1 + dd2 + n) * chid + Fraction(
-                _sign(dd1) * b1 * _sign(dd2) * b2 * _sign(n + 1), n + 1
-            )
-        else:
-            raise InvalidParams(f"unknown identity form {self.form!r}")
+        lhs, rhs = identity_sides(
+            self.form, self.n, self.dims,
+            *(Fraction(values[f]) for f in IDENTITY_FIELDS),
+        )
         return lhs - rhs
 
 

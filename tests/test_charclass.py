@@ -4,6 +4,8 @@ import pytest
 
 from dualis.charclass import (
     GRASSMANNIAN,
+    MAX_AMBIENT_DIM,
+    MAX_DEGREE,
     PROJECTIVE_SPACE,
     QUADRIC,
     TruncatedSeries,
@@ -14,7 +16,7 @@ from dualis.charclass import (
     linear_space_package,
     one_plus_h_power,
 )
-from dualis.errors import InvalidParams
+from dualis.errors import GuardrailExceeded, InvalidParams
 
 
 class TestChiStandard:
@@ -68,6 +70,33 @@ class TestCompleteIntersections:
             chi_smooth_complete_intersection(3, [])
         with pytest.raises(InvalidParams):
             chi_smooth_complete_intersection(3, [0])
+
+
+class TestGuardrails:
+    def test_caps_accept_their_own_values(self):
+        assert chi_standard(GRASSMANNIAN, 2, MAX_AMBIENT_DIM) == 780
+        assert chi_smooth_complete_intersection(2, [MAX_DEGREE]) == -MAX_DEGREE * (MAX_DEGREE - 3)
+        assert hypersurface_package(MAX_AMBIENT_DIM, 2).n == MAX_AMBIENT_DIM
+        # chi of P^n and Q_n costs nothing, whatever n
+        assert chi_standard(PROJECTIVE_SPACE, 10 ** 6) == 10 ** 6 + 1
+        assert chi_standard(QUADRIC, 10 ** 6) == 10 ** 6 + 2
+
+    def test_refused_above_the_caps(self):
+        big = MAX_AMBIENT_DIM + 1
+        for call in (
+            lambda: chi_standard(GRASSMANNIAN, 2, big),
+            lambda: chi_smooth_complete_intersection(big, [2]),
+            lambda: chi_smooth_complete_intersection(3, [2, MAX_DEGREE + 1]),
+            lambda: hypersurface_package(big, 3),
+            lambda: hypersurface_package(3, MAX_DEGREE + 1),
+            lambda: linear_space_package(big, 1),
+        ):
+            with pytest.raises(GuardrailExceeded):
+                call()
+
+    def test_invalid_params_checked_before_the_caps(self):
+        with pytest.raises(InvalidParams):
+            chi_smooth_complete_intersection(10 ** 6, [])
 
 
 class TestSeries:

@@ -192,6 +192,18 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         assert "InvalidParams" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["chi", "std", "--kind", "grassmannian", "-n", "20000", "-k", "10000"],
+        ["chi", "ci", "-n", "3", "--degrees", "9" * 2000],
+        ["chi", "ci", "-n", "5000", "--degrees", "10"],
+    ], ids=["grassmannian", "huge-degree", "huge-ambient"])
+    def test_chi_guardrails(self, argv, capsys):
+        start = time.perf_counter()
+        assert run_command(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "GuardrailExceeded" in err and "Traceback" not in err
+
     def test_usage_error_exit_code(self, capsys):
         assert run_command(["plucker", "check", "--s1", "x.json"]) == 2
 
@@ -272,6 +284,26 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         assert result.status == "error"
         assert result.details["error"].startswith("InvalidParams:")
+
+    def test_corpus_applies_the_chi_guardrails(self, tmp_path):
+        line = {"standard": {"type": "linear", "n": 3, "m": 1}}
+        manifest = {"cases": [
+            {"id": "huge-standard", "kind": "PackagePair",
+             "inputs": {"s1": {"standard": {"type": "hypersurface", "n": 5000, "d": 10}},
+                        "s2": line, "d1": line, "d2": line,
+                        "chi_cap": 0, "chi_cap_dual": 0}},
+            {"id": "huge-ci", "kind": "PackagePair",
+             "inputs": {"s1": line, "s2": line, "d1": line, "d2": line,
+                        "chi_cap": {"ci": {"n": 3, "degrees": [10 ** 2000]}},
+                        "chi_cap_dual": 0}},
+        ]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        start = time.perf_counter()
+        results = run_corpus(tmp_path, include_timing=False).results
+        assert time.perf_counter() - start < 1.0
+        for result in results:
+            assert result.status == "error"
+            assert result.details["error"].startswith("GuardrailExceeded:")
 
     def test_shipped_corpus_report_matches_golden_bytes(self, capsys):
         args = ["corpus", "run", str(REPO_CORPUS), "--format", "json",

@@ -48,6 +48,11 @@ class TestRationalRoots:
         roots, leftover = self._roots("x^3 - 3*x + 2")  # (x-1)^2 (x+2)
         assert roots == [-2, 1] and leftover == 0
 
+    def test_repeated_factors_counted_once(self):
+        # (x^2 - 2)^2 (x - 1) and x^2 (x^2 + 1): leftover counts distinct roots
+        assert self._roots("x^5 - x^4 - 4*x^3 + 4*x^2 + 4*x - 4") == ([1], 2)
+        assert self._roots("x^4 + x^2") == ([0], 2)
+
     def test_zero_polynomial(self):
         with pytest.raises(ZeroInput):
             rational_roots([Fraction(0)])
@@ -71,6 +76,17 @@ class TestBinaryForms:
     def test_irrational_roots_counted_but_not_listed(self):
         b = parse_poly("x^2 - 2*y^2", XYZ)
         assert binary_distinct_roots(b, "x", "y") == 2
+
+    def test_repeated_factors_and_both_axis_roots(self):
+        # x^3 y^2 (x - y)^2 (x^2 - 2 y^2): roots [0:1], [1:0], [1:1] and two
+        # irrational ones
+        b = (parse_poly("x^3*y^2", XYZ) * parse_poly("x - y", XYZ) ** 2
+             * parse_poly("x^2 - 2*y^2", XYZ))
+        assert binary_distinct_roots(b, "x", "y") == 5
+
+    def test_third_variable_rejected(self):
+        with pytest.raises(ValueError):
+            binary_distinct_roots(parse_poly("x^2 - y*z", XYZ), "x", "y")
 
 
 class TestNormalizePoint:

@@ -19,6 +19,7 @@ from dualis.errors import (
 )
 from dualis.flopcalc import (
     CONORMAL,
+    IDENTITY_FIELDS,
     INTRO,
     IdentityInstance,
     VarietyInvariants,
@@ -38,6 +39,8 @@ CONIC = hypersurface_package(2, 2)
 NODAL = VarietyInvariants("nodal cubic", 2, 1, 3, 2, (0, 3, 1), True)
 CUSPIDAL = VarietyInvariants("cuspidal cubic", 2, 1, 3, 3, (0, 3, 2), True)
 QUARTIC = hypersurface_package(2, 4)
+QUADRIC_SURFACE = hypersurface_package(3, 2)
+LINE_IN_P3 = linear_space_package(3, 1)
 
 
 class TestFlopDefect:
@@ -90,13 +93,7 @@ class TestCheckIdentity:
     def test_form_equivalence_sign_factor(self):
         # the two evaluators agree on the verdict, and their left sides
         # differ exactly by (-1)^(n + dim S1* + dim S2*)
-        cases = [
-            (LINE, LINE, POINT, POINT, 1, 0),
-            (LINE, CONIC, POINT, CONIC, 2, 0),
-            (CONIC, CONIC, CONIC, CONIC, 4, 4),
-            (LINE, NODAL, POINT, QUARTIC_DUAL_OF_NODAL, 3, 0),
-        ]
-        for s1, s2, d1, d2, chi, chid in cases:
+        for s1, s2, d1, d2, chi, chid in FORM_CASES:
             a = check_identity(s1, s2, d1, d2, chi, chid, form=CONORMAL)
             b = check_identity(s1, s2, d1, d2, chi, chid, form=INTRO)
             assert a.holds == b.holds
@@ -104,12 +101,63 @@ class TestCheckIdentity:
             assert a.lhs == sign * b.lhs
             assert a.rhs == sign * b.rhs
 
+    def test_solver_recovers_each_field_of_a_holding_instance(self):
+        # the solver and the checker state one identity: blanking any field
+        # of an instance that holds gives the field back, unless it cancels,
+        # which a c0m does exactly when its partner's c0m is 0
+        partner = {"c0m_1": "c0m_2", "c0m_2": "c0m_1",
+                   "c0m_dual_1": "c0m_dual_2", "c0m_dual_2": "c0m_dual_1"}
+        cancelled = 0
+        for s1, s2, d1, d2, chi, chid in FORM_CASES:
+            values = dict(zip(IDENTITY_FIELDS,
+                              (chi, s1.c0m, s2.c0m, chid, d1.c0m, d2.c0m)))
+            for form in (CONORMAL, INTRO):
+                assert check_identity(s1, s2, d1, d2, chi, chid, form=form).holds
+                for field in IDENTITY_FIELDS:
+                    inst = IdentityInstance(
+                        n=s1.n, dims=(s1.dim, s2.dim, d1.dim, d2.dim), form=form,
+                        **{**values, field: None},
+                    )
+                    if field in partner and values[partner[field]] == 0:
+                        cancelled += 1
+                        with pytest.raises(ZeroCoefficient):
+                            solve_unknown(inst)
+                    else:
+                        assert solve_unknown(inst) == values[field]
+        assert cancelled == 2
+
+    def test_conormal_form_refuses_chi_of_a_too_small_intersection(self):
+        # two points of P^2 (dims 0 + 0 < 2) cannot meet transversally in a
+        # nonempty set, on either side of the identity
+        for args in ((POINT, POINT, LINE, LINE, 1, 0),
+                     (LINE, LINE, POINT, POINT, 1, 1)):
+            with pytest.raises(InconsistentPackage):
+                check_identity(*args, form=CONORMAL)
+            check_identity(*args, form=INTRO)  # the intro form has no such refusal
+
 
 #: package of the tricuspidal quartic dual to a nodal cubic, from the
 #: classical counts (4, 0, 3): chi = 2, c0m = 2 + 3 = 5
 QUARTIC_DUAL_OF_NODAL = VarietyInvariants(
     "tricuspidal quartic", 2, 1, 4, 5, (0, 4, 2), True
 )
+
+#: the sextic dual to a smooth cubic, with 9 cusps and genus 1:
+#: chi = 0, c0m = 0 + 9 = 9
+SEXTIC_DUAL_OF_CUBIC = VarietyInvariants(
+    "nine-cuspidal sextic", 2, 1, 6, 9, (0, 6, 0), True
+)
+
+#: instances on which the identity holds in both forms
+FORM_CASES = [
+    (LINE, LINE, POINT, POINT, 1, 0),
+    (LINE, CONIC, POINT, CONIC, 2, 0),
+    (CONIC, CONIC, CONIC, CONIC, 4, 4),
+    (LINE, NODAL, POINT, QUARTIC_DUAL_OF_NODAL, 3, 0),
+    (LINE, hypersurface_package(2, 3), POINT, SEXTIC_DUAL_OF_CUBIC, 3, 0),
+    # in P^3 the duals of a quadric surface and a line are again such a pair
+    (QUADRIC_SURFACE, LINE_IN_P3, QUADRIC_SURFACE, LINE_IN_P3, 2, 2),
+]
 
 
 class TestClassicalPlucker:
