@@ -196,15 +196,6 @@ def _polar(curve: PlaneCurve, witness) -> MultiPoly:
     return gx * witness[0] + gy * witness[1] + gz * witness[2]
 
 
-def _oracle_single(curve: PlaneCurve, witness, singular_count: int) -> int:
-    vals = dict(zip(curve.variables, witness))
-    if curve.F.evaluate(vals) == 0:
-        raise WitnessOnCurve(f"witness {witness} lies on the curve")
-    polar = _polar(curve, witness)
-    distinct = elimination.distinct_intersection_count(curve.F, polar)
-    return distinct - singular_count
-
-
 def dual_degree_oracle(curve: PlaneCurve, witness=None) -> int:
     """Degree of the dual curve, counted through a polar intersection.
 
@@ -218,15 +209,29 @@ def dual_degree_oracle(curve: PlaneCurve, witness=None) -> int:
         raise InvalidParams("dual degree oracle needs a curve of degree >= 2")
     singular_count = curvelab.certified_singular_count(curve)
 
-    def usable(w):
-        vals = dict(zip(curve.variables, w))
-        return curve.F.evaluate(vals) != 0 and not _polar(curve, w).is_zero()
+    def off_curve(w) -> bool:
+        return curve.F.evaluate(dict(zip(curve.variables, w))) != 0
+
+    def polars(witnesses):
+        """(witness, polar) for each witness off the curve whose polar does
+        not vanish; each polar is built once."""
+        for w in witnesses:
+            if off_curve(w):
+                polar = _polar(curve, w)
+                if not polar.is_zero():
+                    yield w, polar
 
     if witness is None:
-        witness = next(w for w in WITNESS_SEQUENCE if usable(w))
-    count = _oracle_single(curve, witness, singular_count)
-    second = next(w for w in WITNESS_SEQUENCE if tuple(w) != tuple(witness) and usable(w))
-    check = _oracle_single(curve, second, singular_count)
+        candidates = polars(WITNESS_SEQUENCE)
+        witness, polar = next(candidates)
+    else:
+        if not off_curve(witness):
+            raise WitnessOnCurve(f"witness {witness} lies on the curve")
+        polar = _polar(curve, witness)
+        candidates = polars(w for w in WITNESS_SEQUENCE if tuple(w) != tuple(witness))
+    second, second_polar = next(candidates)
+    count = elimination.distinct_intersection_count(curve.F, polar) - singular_count
+    check = elimination.distinct_intersection_count(curve.F, second_polar) - singular_count
     if count != check:
         raise NonGenericWitness(
             f"witnesses {witness} and {second} disagree: {count} vs {check}"

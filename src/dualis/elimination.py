@@ -6,15 +6,18 @@ projective coordinate frames (a base change moving the line at infinity,
 composed with x-shears) and only reports a number it can certify:
 
 * pairs of curves: in a frame where no solutions sit at infinity and the
-  leading y-coefficients are constants, the resultant factors over the
+  leading y-coefficients are constants, the resultant R factors over the
   intersection points with multiplicities.  Its square-free degree counts
   distinct x-images, which can only undercount (two points sharing an
-  x-coordinate).  Each point pair spoils at most one shear, so taking the
-  maximum over C(N,2)+1 valid shears certifies the count; hitting the Bezout
-  ceiling d1*d2 certifies immediately.  Shears fix the line at infinity, so
-  the tests on it run once per base, and the pair is moved by each base
-  once; the bivariate resultants take the evaluation-interpolation path of
-  `exact.resultant`.
+  x-coordinate).  The first frame whose R is coprime to the first principal
+  subresultant coefficient psc_1 certifies the count at once: no fibre there
+  carries two points (González-Vega & El Kahoui, J. Complexity 12, 1996).
+  Where that test fails, the frame is a plain valid shear; each point pair
+  spoils at most one shear, so the maximum over C(N,2)+1 valid shears is
+  exact, and hitting the Bezout ceiling N = d1*d2 is exact immediately.
+  Shears fix the line at infinity, so the tests on it run once per base,
+  and the pair is moved by each base once; the bivariate determinants take
+  the evaluation-interpolation path of `exact`.
 
 * transversality: all intersection multiplicities equal one exactly when the
   certified distinct count reaches the Bezout number d1*d2.
@@ -50,6 +53,7 @@ from .errors import (
 from .exact import (
     MultiPoly,
     UniPolyView,
+    first_subresultant_coefficient,
     poly_gcd,
     poly_gcd_many,
     resultant,
@@ -280,10 +284,16 @@ def binary_distinct_roots(form: MultiPoly, u: str, v: str) -> int:
     mv = min(e[iv] for e in form.terms)
     # u^mu and v^mv give the roots [0:1] and [1:0]; the other roots are those
     # of the cofactor, which v does not divide, at v = 1
-    cs = [Fraction(0)] * (max(e[iu] for e in form.terms) - mu + 1)
+    return (mu > 0) + (mv > 0) + _sqfree_degree(_dehomogenised(form, u)[mu:])
+
+
+def _dehomogenised(form: MultiPoly, u: str) -> list:
+    """Coefficient list [c0..cd] in u of a binary form of degree d in u, v, at v = 1."""
+    iu = form.variables.index(u)
+    cs = [Fraction(0)] * (form.total_degree() + 1)
     for e, c in form.terms.items():
-        cs[e[iu] - mu] += c
-    return (mu > 0) + (mv > 0) + _sqfree_degree(cs)
+        cs[e[iu]] += c
+    return cs
 
 
 def normalize_point(coords: Sequence[Fraction]) -> tuple:
@@ -438,12 +448,17 @@ def rational_system_points(polys: list) -> list:
 # counting distinct intersections of two curves
 # ---------------------------------------------------------------------------
 
-def _pair_frame_count(Fm: MultiPoly, Gm: MultiPoly, t: int) -> Optional[int]:
+def _pair_frame_count(Fm: MultiPoly, Gm: MultiPoly, t: int) -> Optional[tuple]:
     """Distinct x-images of the intersection in one frame, or None.
 
     Fm, Gm are the pair moved by a base that passed the shear-independent
     tests of `_base_usable`; the frame composes that base with the x-shear
     x -> x + t*y, done here together with the passage to the chart z = 1.
+    An accepted frame gives ``(count, certified)``: certified when no root
+    of the eliminant R carries two intersection points, so that count is
+    exact.  The y-leading coefficients are constants, so specialising x
+    commutes with the subresultants, and a fibre carries two points only
+    if R and psc_1 both vanish there.
     """
     ring = Fm.variables
     x, y, z = ring
@@ -452,12 +467,17 @@ def _pair_frame_count(Fm: MultiPoly, Gm: MultiPoly, t: int) -> Optional[int]:
         return None  # a leading y-coefficient vanishes in this frame
     xv, yv = MultiPoly.var(ring, x), MultiPoly.var(ring, y)
     chart = {x: xv + yv * t, y: yv, z: MultiPoly.const(ring, 1)}
-    A = Fm.substitute(chart)
-    B = Gm.substitute(chart)
-    R = resultant(UniPolyView(A, y), UniPolyView(B, y))
+    A = UniPolyView(Fm.substitute(chart), y)
+    B = UniPolyView(Gm.substitute(chart), y)
+    R = resultant(A, B)
     if R.is_zero() or R.degree_in(x) != Fm.total_degree() * Gm.total_degree():
         return None
-    return _sqfree_degree(univar_coeffs(R, x))
+    eliminant = univar_coeffs(R, x)
+    certified = min(A.degree, B.degree) <= 1  # common roots of a linear operand are simple
+    if not certified:
+        psc1 = univar_coeffs(first_subresultant_coefficient(A, B), x)
+        certified = len(_uni_gcd(eliminant, psc1)) == 1
+    return _sqfree_degree(eliminant), certified
 
 
 def _base_usable(Fm: MultiPoly, Gm: MultiPoly) -> bool:
@@ -465,48 +485,57 @@ def _base_usable(Fm: MultiPoly, Gm: MultiPoly) -> bool:
 
     x-shears fix the line z = 0 and act on it by an invertible change of
     coordinates, so a restriction to it that vanishes, or common zeros on
-    it, spoil every shear of the base alike.
+    it, spoil every shear of the base alike.  The two binary forms share a
+    zero [x:1] when their dehomogenised coefficient lists have a common
+    root, and the zero [1:0] when both lose their x^d term.
     """
-    finf, ginf = _infinity_restriction([Fm, Gm], Fm.variables[2])
+    x, _, z = Fm.variables
+    finf, ginf = _infinity_restriction([Fm, Gm], z)
     if finf.is_zero() or ginf.is_zero():
         return False
-    return poly_gcd(finf, ginf).is_constant()
-
-
-def _check_pair(F: MultiPoly, G: MultiPoly):
-    if F.is_zero() or G.is_zero():
-        raise ZeroInput("zero polynomial in curve pair")
-    if not poly_gcd(F, G).is_constant():
-        raise ReducibleCurve("curves share a component")
+    f, g = _dehomogenised(finf, x), _dehomogenised(ginf, x)
+    if f[-1] == 0 and g[-1] == 0:
+        return False
+    return len(_uni_gcd(f, g)) == 1
 
 
 def distinct_intersection_count(F: MultiPoly, G: MultiPoly) -> int:
     """Number of distinct intersection points (no transversality assumed).
 
-    Maximum of the square-free eliminant degree over enough valid shears that
-    at least one is collision-free; hitting the Bezout ceiling certifies
-    early.
+    The count of the first certified frame (see `_pair_frame_count`).  A
+    frame whose certificate fails is a plain valid shear: its square-free
+    eliminant degree can only undercount, each pair of points spoils at
+    most one shear, so the maximum over C(N,2)+1 valid shears of one base is
+    exact, and reaching the Bezout ceiling N = d1*d2 is exact at once.
     """
-    _check_pair(F, G)
+    if F.is_zero() or G.is_zero():
+        raise ZeroInput("zero polynomial in curve pair")
     d1, d2 = F.total_degree(), G.total_degree()
     ceiling = d1 * d2
     needed = ceiling * (ceiling - 1) // 2 + 1
     t_limit = needed + d1 + d2 + 8
     best = 0
+    shared_checked = False
     for base in _BASES:
         Fm, Gm = apply_matrix(F, base), apply_matrix(G, base)
         if not _base_usable(Fm, Gm):
+            # a shared component spoils every base, so the first failing
+            # base decides it; an accepted frame excludes it, as R != 0
+            if not shared_checked and not poly_gcd(F, G).is_constant():
+                raise ReducibleCurve("curves share a component")
+            shared_checked = True
             continue
         valid = 0
         for t in range(t_limit):
             got = _pair_frame_count(Fm, Gm, t)
             if got is None:
                 continue
+            count, certified = got
+            if certified:
+                return count
             valid += 1
-            best = max(best, got)
-            if best == ceiling:
-                return best
-            if valid >= needed:
+            best = max(best, count)
+            if best == ceiling or valid >= needed:
                 # among `needed` valid shears of one base at least one is
                 # collision-free, and there the count is exact
                 return best

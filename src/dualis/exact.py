@@ -25,7 +25,10 @@ interpolation: the Sylvester matrix is specialised at integer points, each
 scalar determinant is taken by fraction-free Bareiss over Python ints, and
 exact Newton interpolation rebuilds the polynomial (Collins, J. ACM 18,
 1971).  Operands with more free variables use fraction-free Bareiss
-elimination over the polynomial ring.  A hard guardrail refuses Sylvester
+elimination over the polynomial ring.  The first principal subresultant
+coefficient psc_1, the determinant of a submatrix of the Sylvester matrix,
+takes the same two paths; together with the resultant it tells where two
+polynomials share more than one root.  A hard guardrail refuses Sylvester
 matrices larger than 64x64 so that a degenerate input fails fast instead of
 hanging.
 """
@@ -826,7 +829,34 @@ def resultant(f: UniPolyView, g: UniPolyView) -> MultiPoly:
     >>> resultant(UniPolyView(f, "x"), UniPolyView(g, "x")).text()
     '4'
     """
+    return _determinant(sylvester_matrix(f, g), f, g)
+
+
+def first_subresultant_coefficient(f: UniPolyView, g: UniPolyView) -> MultiPoly:
+    """First principal subresultant coefficient psc_1 in the distinguished variable.
+
+    The determinant of the n-1 shifted rows of f and the m-1 shifted rows of
+    g (m = deg f, n = deg g, both at least 2), cut to their first m+n-2
+    columns: the Sylvester matrix without its last row of each operand and
+    its last two columns.  Where the leading coefficients do not vanish,
+    the two specialised operands have a gcd of degree at least 2 exactly
+    when both the resultant and psc_1 vanish (González-Vega & El Kahoui,
+    J. Complexity 12, 1996).
+    """
     matrix = sylvester_matrix(f, g)
+    m, n = f.degree, g.degree
+    if min(m, n) < 2:
+        raise DegreeTooLow("first subresultant needs both degrees >= 2")
+    rows = matrix[:n - 1] + matrix[n:n + m - 1]
+    return _determinant([row[:m + n - 2] for row in rows], f, g)
+
+
+def _determinant(matrix: list, f: UniPolyView, g: UniPolyView) -> MultiPoly:
+    """Determinant of a matrix built from the coefficients of f and g.
+
+    By evaluation and interpolation when the operands involve at most one
+    variable besides the distinguished one, by ring Bareiss otherwise.
+    """
     free = set(f.poly.used_variables()) | set(g.poly.used_variables())
     free.discard(f.var)
     if len(free) <= 1:

@@ -1,6 +1,9 @@
 """Harness contracts: file schemas, corpus loading, CLI exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -26,7 +29,8 @@ from dualis.corpus import (
 from dualis.curvelab import PlaneCurve
 from dualis.errors import MissingFile, SchemaError
 
-REPO_CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+REPO_CORPUS = REPO_ROOT / "corpus"
 GOLDEN_REPORT = Path(__file__).resolve().parent / "data" / "corpus_report.json"
 
 
@@ -310,3 +314,25 @@ class TestCli:
                 "--no-timestamps"]
         assert run_command(args) == 0
         assert capsys.readouterr().out.encode() == GOLDEN_REPORT.read_bytes()
+
+
+class TestModuleEntryPoint:
+    """``python -m dualis.cli`` runs the same command line as ``dualis``."""
+
+    def _run(self, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        return subprocess.run([sys.executable, "-m", "dualis.cli", *args],
+                              capture_output=True, env=env, timeout=120)
+
+    def test_corpus_run_prints_the_golden_report(self):
+        done = self._run("corpus", "run", str(REPO_CORPUS), "--format", "json",
+                         "--no-timestamps")
+        assert done.returncode == 0
+        assert done.stdout == GOLDEN_REPORT.read_bytes()
+
+    def test_over_cap_curve_exits_2(self):
+        done = self._run("curve", "analyze", "--poly", "x^7 + y^7 + z^7")
+        assert done.returncode == 2
+        assert b"degree" in done.stderr

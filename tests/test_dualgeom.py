@@ -166,6 +166,23 @@ class TestDualDegreeOracle:
         assert (r.d, r.delta, r.kappa, r.chi, r.c0m) == (4, 3, 0, -1, 2)
         assert dual_degree_oracle(c) == 6
 
+    def test_each_witness_polar_built_once(self, monkeypatch):
+        from dualis import dualgeom
+
+        calls = []
+        polar = dualgeom._polar
+
+        def counted(c, w):
+            calls.append(tuple(w))
+            return polar(c, w)
+
+        monkeypatch.setattr(dualgeom, "_polar", counted)
+        assert dual_degree_oracle(curve(NODAL)) == 4
+        assert len(calls) == 2 and len(set(calls)) == 2
+        calls.clear()
+        assert dual_degree_oracle(curve(NODAL), witness=(1, 2, 5)) == 4
+        assert len(calls) == 2 and calls[0] == (1, 2, 5)
+
     def test_witness_on_curve(self):
         with pytest.raises(WitnessOnCurve):
             dual_degree_oracle(curve(CUSPIDAL), witness=(0, 0, 1))

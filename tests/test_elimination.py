@@ -1,5 +1,7 @@
 """Unit tests for the counting and root-finding helpers."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from dualis.elimination import (
     univar_coeffs,
 )
 from dualis.errors import GuardrailExceeded, NotTransversal, ReducibleCurve, ZeroInput
-from dualis.exact import parse_poly
+from dualis.exact import MultiPoly, parse_poly
 
 XYZ = ("x", "y", "z")
 
@@ -145,8 +147,95 @@ class TestCounting:
         with pytest.raises(ReducibleCurve):
             distinct_intersection_count(f, g)
 
+    @pytest.mark.parametrize("shared", ["z", "x^2 + y^2 - z^2"], ids=["line", "conic"])
+    def test_shared_component_refused_at_the_first_base(self, shared, monkeypatch):
+        common = parse_poly(shared, XYZ)
+        f = common * parse_poly("x^2 - 3*y*z", XYZ)
+        g = common * parse_poly("y + 2*x - 5*z", XYZ)
+        bases = []
+        usable = elimination._base_usable
+
+        def counted(*args):
+            bases.append(usable(*args))
+            return bases[-1]
+
+        monkeypatch.setattr(elimination, "_base_usable", counted)
+        start = time.perf_counter()
+        with pytest.raises(ReducibleCurve):
+            distinct_intersection_count(f, g)
+        assert time.perf_counter() - start < 1.0
+        assert bases == [False]
+
     def test_singular_count_of_three_concurrent_lines(self):
         # xyz(x+y+z)? no: x*y*(x+y-z) is three lines with three double points
         f = parse_poly("x*y*z", XYZ)
         parts = [f.derivative(v) for v in XYZ]
         assert certified_singular_count(parts) == 3
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _line_product(lines):
+    x, y, z = (MultiPoly.var(XYZ, v) for v in XYZ)
+    out = MultiPoly.const(XYZ, 1)
+    for a, b, c in lines:
+        out = out * (x * a + y * b + z * c)
+    return out
+
+
+class TestFrameCertificate:
+    """A frame certifies its count only when no eliminant root carries two
+    intersection points; otherwise the shear schedule still decides."""
+
+    def test_fibre_with_two_points_is_not_certified(self):
+        # the four points (+-1, +-1, 1) sit two by two on the vertical lines
+        # x = +-1 of the t = 0 frame, where the eliminant has only 2 roots
+        f = parse_poly("x^2 + y^2 - 2*z^2", XYZ)
+        g = parse_poly("x^2 - y^2", XYZ)
+        assert elimination._pair_frame_count(f, g, 0) == (2, False)
+        assert distinct_intersection_count(f, g) == 4
+
+    def test_generic_frame_certifies_at_once(self, monkeypatch):
+        f = parse_poly("2*x^2*y^2 + y^2*z^2 + z^2*x^2 - x^2*y*z - x*y^2*z - x*y*z^2", XYZ)
+        polar = f.derivative("x") + f.derivative("y") * 2 + f.derivative("z") * 5
+        frames = []
+        step = elimination._pair_frame_count
+
+        def counted(*args):
+            frames.append(step(*args))
+            return frames[-1]
+
+        monkeypatch.setattr(elimination, "_pair_frame_count", counted)
+        assert distinct_intersection_count(f, polar) == 9
+        # the shear schedule alone needs 67 valid frames for N = 12
+        assert frames[-1] == (9, True) and len(frames) <= 3
+
+    def test_line_arrangements_against_cross_products(self):
+        # products of distinct integer lines, sharing no line; in every other
+        # pair two lines of each product pass through one point p, so p's
+        # fibre carries a double common root in every frame, no frame
+        # certifies, and the count comes from the shear schedule
+        rng = random.Random(57)
+
+        def small():
+            v = (0, 0, 0)
+            while v == (0, 0, 0):
+                v = tuple(rng.randint(-3, 3) for _ in range(3))
+            return v
+
+        for trial in range(16):
+            p = small()
+            lines = []
+            while len(lines) < 6:
+                concurrent = trial % 2 and len(lines) in (0, 1, 3, 4)
+                line = _cross(p, small()) if concurrent else small()
+                if line != (0, 0, 0) and normalize_point(line) not in lines:
+                    lines.append(normalize_point(line))
+            fewest = 2 if trial % 2 else 1
+            first = lines[:rng.randint(fewest, 3)]
+            second = lines[3:3 + rng.randint(fewest, 3)]
+            points = {normalize_point(_cross(u, v)) for u in first for v in second}
+            got = distinct_intersection_count(_line_product(first), _line_product(second))
+            assert got == len(points), (first, second)

@@ -16,6 +16,7 @@ from dualis.exact import (
     UniPolyView,
     bareiss_determinant,
     discriminant,
+    first_subresultant_coefficient,
     parse_poly,
     poly_gcd,
     resultant,
@@ -170,6 +171,114 @@ class TestEvaluationPath:
         g = parse_poly("3*x*y^2 - x^3 + 5", ring3)
         fast, ring = self._both(f, g)
         assert fast.used_variables() == ("x",) and fast == ring
+
+
+class TestFirstSubresultant:
+    """psc_1 against the gcd of the specialised operands.
+
+    Where the y-leading coefficients are constants, A(a, y) and B(a, y) have
+    a gcd of degree at least 2 exactly when Res_y(A, B) and psc_1 both vanish
+    at a.  Each pair plants a common factor on one fibre x = a: a quadratic
+    (gcd degree 2) in half of them, a linear one (gcd degree 1, so only the
+    resultant vanishes) in the other half.
+    """
+
+    FIBRES = range(-4, 5)
+
+    def _random_in_x(self, rng, ring, deg):
+        x = MultiPoly.var(ring, "x")
+        return sum((x ** k * rng.randint(-3, 3) for k in range(deg + 1)),
+                   MultiPoly.zero(ring))
+
+    def _random_monic_y(self, rng, ring, deg):
+        y = MultiPoly.var(ring, "y")
+        return y ** deg + sum((y ** k * rng.randint(-4, 4) for k in range(deg)),
+                              MultiPoly.zero(ring))
+
+    def _planted_pair(self, rng, ring, m, n, a, shared):
+        """A, B of y-degrees m, n with constant y-leading coefficients whose
+        fibres at x = a share a factor of degree `shared`."""
+        y = MultiPoly.var(ring, "y")
+        x = MultiPoly.var(ring, "x")
+        common = self._random_monic_y(rng, ring, shared)
+        out = []
+        for d in (m, n):
+            tail = sum((y ** k * self._random_in_x(rng, ring, 2) for k in range(d)),
+                       MultiPoly.zero(ring))
+            lead = rng.choice([-3, -2, -1, 1, 2, 3])
+            out.append(common * self._random_monic_y(rng, ring, d - shared) * lead
+                       + (x - a) * tail)
+        return out
+
+    def _gcd_degree(self, f, g, point):
+        ring = f.variables
+        sub = {v: MultiPoly.const(ring, point[v]) if v in point else MultiPoly.var(ring, v)
+               for v in ring}
+        return poly_gcd(f.substitute(sub), g.substitute(sub)).degree_in("y")
+
+    def _check_fibres(self, A, B, points):
+        Av, Bv = UniPolyView(A, "y"), UniPolyView(B, "y")
+        R = resultant(Av, Bv)
+        psc1 = first_subresultant_coefficient(Av, Bv)
+        seen = set()
+        for point in points:
+            both_vanish = R.evaluate({**point, "y": 0}) == 0 and \
+                psc1.evaluate({**point, "y": 0}) == 0
+            degree = self._gcd_degree(A, B, point)
+            assert (degree >= 2) == both_vanish, (A.text(), B.text(), point)
+            seen.add(degree)
+        return seen
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (3, 2), (2, 4)])
+    def test_planted_fibres_one_free_variable(self, m, n):
+        rng = random.Random(100 * m + n)
+        ring = ("x", "y")
+        seen = set()
+        for trial in range(10):
+            a = rng.choice(self.FIBRES)
+            A, B = self._planted_pair(rng, ring, m, n, a, 2 if trial % 2 else 1)
+            seen |= self._check_fibres(A, B, [{"x": b} for b in self.FIBRES])
+        assert {0, 1, 2} <= seen
+
+    def test_planted_fibres_second_free_variable(self):
+        # a free variable s besides x takes the ring Bareiss path; psc_1 must
+        # also specialise to the evaluation-path psc_1 of each s-slice
+        rng = random.Random(7)
+        ring = ("x", "y", "s")
+        s = MultiPoly.var(ring, "s")
+        seen = set()
+        for trial in range(6):
+            a = rng.choice(self.FIBRES)
+            m, n = (3, 2) if trial % 3 else (2, 2)
+            A, B = self._planted_pair(rng, ring, m, n, a, 2 if trial % 2 else 1)
+            x, y = MultiPoly.var(ring, "x"), MultiPoly.var(ring, "y")
+            A = A + s * y * (x - a) * rng.randint(1, 3)
+            B = B - s * s * (x - a)
+            psc1 = first_subresultant_coefficient(UniPolyView(A, "y"), UniPolyView(B, "y"))
+            assert "s" in psc1.used_variables()
+            for s0 in (-1, 0, 2):
+                at = {v: MultiPoly.const(ring, s0) if v == "s" else MultiPoly.var(ring, v)
+                      for v in ring}
+                sliced = first_subresultant_coefficient(
+                    UniPolyView(A.substitute(at), "y"), UniPolyView(B.substitute(at), "y"))
+                assert psc1.substitute(at) == sliced
+            seen |= self._check_fibres(
+                A, B, [{"x": b, "s": s0} for b in self.FIBRES for s0 in (-1, 0, 2)])
+        assert {0, 1, 2} <= seen
+
+    def test_quadratics_by_hand(self):
+        # (y - a)(y - b) against (y - a)(y - c): psc_1 = b - c
+        ring = ("y", "a", "b", "c")
+        f = parse_poly("y^2 - a*y - b*y + a*b", ring)
+        g = parse_poly("y^2 - a*y - c*y + a*c", ring)
+        assert first_subresultant_coefficient(UniPolyView(f, "y"), UniPolyView(g, "y")) \
+            == parse_poly("b - c", ring)
+
+    def test_linear_operand_refused(self):
+        f = parse_poly("x^3 + 1", X)
+        with pytest.raises(DegreeTooLow):
+            first_subresultant_coefficient(UniPolyView(f, "x"),
+                                           UniPolyView(parse_poly("x - 2", X), "x"))
 
 
 class TestBareiss:
