@@ -1,16 +1,19 @@
 """Projective dual curves from first principles.
 
-The dual of a plane curve C = V(F) is the closure of its tangent lines in
-the dual plane.  It is computed by elimination: a line with coordinates
-(u, v, w), w != 0, meets the curve where the binary form
+The dual of a plane curve C = V(F) of degree d is the closure of its
+tangent lines in the dual plane.  It is computed by elimination: a line
+with coordinates (u, v, w), w != 0, meets the curve where the binary form
 
     phi(x, y) = F(x*w, y*w, -(u*x + v*y))
 
 vanishes, so the lines meeting C with a repeated contact are cut out by the
-discriminant of phi in x.  The discriminant also picks up extraneous
-components with known provenance, which are stripped in a fixed order:
+discriminant of phi(x, 1) in x, a form of degree 2d(d-1) in (u, v, w).  It
+is computed on the chart w = 1, with two free variables, and homogenised
+back.  It also picks up extraneous components with known provenance, which
+are stripped in a fixed order:
 
-    1. all powers of w (lines through the chart's center of projection),
+    1. all powers of w (lines through the chart's center of projection):
+       2d(d-1) minus the degree of the chart discriminant,
     2. for every singular point s of C, all powers of the dual line
        s0*u + s1*v + s2*w (every line through a singular point meets C
        doubly there),
@@ -100,35 +103,25 @@ def _strip_all(poly: MultiPoly, factor: MultiPoly):
 
 
 def _dual_in_chart(F: MultiPoly, sing_points) -> tuple | None:
-    """Dual equation of V(F) in the w-chart, or None when the chart is degenerate."""
+    """Dual equation of V(F) from the chart w = 1, or None when the chart is degenerate."""
     src = F.variables
     d = F.total_degree()
     dst = dual_ring(src)
-    params = src[:2]
-    ring5 = params + dst
-    p0 = MultiPoly.var(ring5, params[0])
-    p1 = MultiPoly.var(ring5, params[1])
-    u0 = MultiPoly.var(ring5, dst[0])
-    u1 = MultiPoly.var(ring5, dst[1])
-    u2 = MultiPoly.var(ring5, dst[2])
-    phi = F.substitute({
-        src[0]: p0 * u2,
-        src[1]: p1 * u2,
-        src[2]: -(u0 * p0 + u1 * p1),
+    ring = src[:1] + dst
+    x = MultiPoly.var(ring, src[0])
+    psi = F.substitute({
+        src[0]: x,
+        src[1]: MultiPoly.const(ring, 1),
+        src[2]: -(MultiPoly.var(ring, dst[0]) * x + MultiPoly.var(ring, dst[1])),
     })
-    if phi.degree_in(params[0]) != d:
-        return None  # leading coefficient vanished: first variable divides F
-    psi = phi.substitute({
-        params[0]: p0,
-        params[1]: MultiPoly.const(ring5, 1),
-        dst[0]: u0, dst[1]: u1, dst[2]: u2,
-    })
-    if psi.degree_in(params[0]) != d:
-        return None
-    disc = discriminant(UniPolyView(psi, params[0]))
+    if psi.degree_in(src[0]) != d:
+        return None  # the x^d coefficient F(1, 0, -u) vanished: y divides F
+    disc = discriminant(UniPolyView(psi, src[0]))
     if disc.is_zero():
         return None
-    disc = disc.restrict_variables(dst)
+    # restore w: the discriminant is a form of degree 2d(d-1)
+    disc = MultiPoly(dst, {(a, b, 2 * d * (d - 1) - a - b): c
+                           for (_, a, b, _), c in disc.terms.items()})
 
     removed = []
     w = MultiPoly.var(dst, dst[2])

@@ -377,10 +377,10 @@ def _chart_substitution(ring, chart_var):
 
 
 def _infinity_restriction(polys: list, chart_var: str) -> list:
-    ring = polys[0].variables
-    sub = {w: (MultiPoly.zero(ring) if w == chart_var else MultiPoly.var(ring, w))
-           for w in ring}
-    return [p.substitute(sub) for p in polys]
+    """Each polynomial at chart_var = 0: the terms free of chart_var."""
+    i = polys[0].variables.index(chart_var)
+    return [MultiPoly(p.variables, {e: c for e, c in p.terms.items() if not e[i]})
+            for p in polys]
 
 
 def singular_system_frame_total(polys: list, frame: Matrix) -> int:

@@ -19,18 +19,16 @@ lexicographic order (total degree first, then lex on exponents), which makes
 On top of the polynomial ring the module provides the elimination kernel:
 Sylvester matrices (rows of the first operand first), resultants,
 discriminants, multivariate gcd by a primitive polynomial remainder sequence,
-and square-free parts.  A resultant whose operands involve at most one
-variable besides the eliminated one is computed by evaluation and
-interpolation: the Sylvester matrix is specialised at integer points, each
+and square-free parts.  Every determinant is computed by evaluation and
+interpolation, whatever the number of free variables: the matrix is
+specialised at the points of an integer grid bounded per variable, each
 scalar determinant is taken by fraction-free Bareiss over Python ints, and
-exact Newton interpolation rebuilds the polynomial (Collins, J. ACM 18,
-1971).  Operands with more free variables use fraction-free Bareiss
-elimination over the polynomial ring.  The first principal subresultant
-coefficient psc_1, the determinant of a submatrix of the Sylvester matrix,
-takes the same two paths; together with the resultant it tells where two
-polynomials share more than one root.  A hard guardrail refuses Sylvester
-matrices larger than 64x64 so that a degenerate input fails fast instead of
-hanging.
+exact Newton interpolation along each axis rebuilds the polynomial (Collins,
+J. ACM 18, 1971).  The first principal subresultant coefficient psc_1, the
+determinant of a submatrix of the Sylvester matrix, takes the same path;
+together with the resultant it tells where two polynomials share more than
+one root.  A hard guardrail refuses Sylvester matrices larger than 64x64 so
+that a degenerate input fails fast instead of hanging.
 """
 
 from __future__ import annotations
@@ -56,6 +54,9 @@ Exponents = tuple  # tuple[int, ...], one entry per variable
 
 SYLVESTER_LIMIT = 64
 
+#: longest exponent accepted by parse_poly, in digits
+EXPONENT_DIGITS = 6
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -65,12 +66,17 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _clipped(text: str) -> str:
+    """Input text for an error message, cut to 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` into a Fraction."""
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise PolySyntaxError(f"bad rational literal {text!r}") from exc
+        raise PolySyntaxError(f"bad rational literal {_clipped(text)}") from exc
 
 
 def _grad_lex_key(exps: Exponents):
@@ -429,7 +435,7 @@ def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
         if i >= n:
             raise PolySyntaxError("dangling sign")
         if not first and not saw_sign:
-            raise PolySyntaxError(f"missing +/- before {tokens[i]!r}")
+            raise PolySyntaxError(f"missing +/- before {_clipped(tokens[i])}")
         first = False
 
         coeff = Fraction(sign)
@@ -446,18 +452,22 @@ def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
                 i += 1
             elif re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
                 if tok not in variables:
-                    raise UnknownVariableError(f"unknown variable {tok!r}")
+                    raise UnknownVariableError(f"unknown variable {_clipped(tok)}")
                 k = 1
                 i += 1
                 if i < n and tokens[i] == "^":
                     i += 1
                     if i >= n or not re.fullmatch(r"\d+", tokens[i]):
                         raise PolySyntaxError("expected integer exponent after '^'")
-                    k = int(tokens[i])
+                    digits = tokens[i].lstrip("0")
+                    if len(digits) > EXPONENT_DIGITS:
+                        raise PolySyntaxError(
+                            f"exponent of {len(digits)} digits exceeds {EXPONENT_DIGITS} digits")
+                    k = int(digits or "0")
                     i += 1
                 exps[variables.index(tok)] += k
             else:
-                raise PolySyntaxError(f"unexpected token {tok!r}")
+                raise PolySyntaxError(f"unexpected token {_clipped(tok)}")
             if i < n and tokens[i] == "*":
                 i += 1
                 expect_factor = True
@@ -671,7 +681,7 @@ def is_squarefree(f: MultiPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Sylvester, Bareiss, resultants
+# Sylvester matrices, determinants, resultants
 # ---------------------------------------------------------------------------
 
 def sylvester_matrix(f: UniPolyView, g: UniPolyView) -> list:
@@ -696,39 +706,6 @@ def sylvester_matrix(f: UniPolyView, g: UniPolyView) -> list:
     for i in range(m):
         rows.append([zero] * i + gc + [zero] * (size - n - 1 - i))
     return rows
-
-
-def bareiss_determinant(matrix: list) -> MultiPoly:
-    """Determinant by fraction-free Bareiss elimination.
-
-    Intermediate divisions are exact in the polynomial ring, which keeps
-    entries from blowing up into deeply nested rationals.
-    """
-    n = len(matrix)
-    if n == 0:
-        raise ZeroInput("empty matrix")
-    ring = matrix[0][0].variables
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = MultiPoly.const(ring, 1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return MultiPoly.zero(ring)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * pivot - m[i][k] * m[k][j]
-                m[i][j] = exact_div(num, prev)
-            m[i][k] = MultiPoly.zero(ring)
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
 
 
 def _int_bareiss_determinant(m: list) -> int:
@@ -756,45 +733,16 @@ def _int_bareiss_determinant(m: list) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _determinant_by_interpolation(matrix: list, free: Optional[str]) -> MultiPoly:
-    """Determinant of a matrix whose entries involve at most the variable `free`.
+def _newton_numerators(values: list) -> list:
+    """Integer numerators of the polynomial through (0, v_0), ..., (B, v_B).
 
-    Each row is scaled to integer coefficients, the determinant is taken by
-    integer Bareiss at the points 0..B, where B (the sum over rows of the
-    largest entry degree) bounds its degree, and the polynomial is rebuilt by
-    Newton interpolation on forward differences.  Specialisation commutes
-    with the determinant, so the result is exact.
+    Entry k is bound! times the coefficient of t^k, B = len(values) - 1:
+    the value at t is sum_j (Delta^j v_0) * C(t, j), and multiplying by B!
+    keeps every falling-factorial coefficient an integer.
     """
-    ring = matrix[0][0].variables
-    iv = ring.index(free) if free is not None else None
-    rows = []      # per row: entries as {degree in `free`: int coefficient}
-    scale = 1      # product of the row denominators
-    bound = 0
-    for row in matrix:
-        den = 1
-        for entry in row:
-            for c in entry.terms.values():
-                den = den * c.denominator // math.gcd(den, c.denominator)
-        scale *= den
-        int_row = []
-        for entry in row:
-            coeffs = {}
-            for e, c in entry.terms.items():
-                coeffs[0 if iv is None else e[iv]] = c.numerator * (den // c.denominator)
-            int_row.append(coeffs)
-        bound += max((max(cs, default=0) for cs in int_row), default=0)
-        rows.append(int_row)
-
-    values = [
-        _int_bareiss_determinant(
-            [[sum(c * point**k for k, c in cs.items()) for cs in row] for row in rows])
-        for point in range(bound + 1)
-    ]
-
-    # value at v is sum_j (Delta^j D_0) * C(v, j); multiplying by bound! keeps
-    # every falling-factorial coefficient an integer
+    bound = len(values) - 1
     numer = [0] * (bound + 1)
-    falling = [1]          # v (v-1) ... (v-j+1), ascending coefficients
+    falling = [1]          # t (t-1) ... (t-j+1), ascending coefficients
     weight = math.factorial(bound)
     for j in range(bound + 1):
         head = values[0]
@@ -805,13 +753,78 @@ def _determinant_by_interpolation(matrix: list, free: Optional[str]) -> MultiPol
         values = [b - a for a, b in zip(values, values[1:])]
         if j < bound:
             weight //= j + 1
-            falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]  # *= (v - j)
-    denom = math.factorial(bound) * scale
-    terms = {}
-    for k, c in enumerate(numer):
-        if c:
-            terms[tuple(k if i == iv else 0 for i in range(len(ring)))] = Fraction(c, denom)
-    return MultiPoly(ring, terms)
+            falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]  # *= (t - j)
+    return numer
+
+
+def determinant(matrix: list) -> MultiPoly:
+    """Determinant of a square matrix of MultiPoly entries, by evaluation and
+    interpolation (Collins, J. ACM 18, 1971).
+
+    Each row is scaled to integer coefficients.  For every variable that
+    occurs in the entries, the sum over rows of the largest entry degree in
+    it bounds the degree of the determinant; the determinant is taken by
+    integer Bareiss at every point of the grid 0..B_1 x ... x 0..B_k and
+    rebuilt by Newton interpolation on forward differences along each axis
+    in turn.  Specialisation commutes with the determinant, so the result is
+    exact.
+    """
+    if not matrix:
+        raise ZeroInput("empty matrix")
+    ring = matrix[0][0].variables
+    free = [i for i in range(len(ring))
+            if any(e[i] for row in matrix for entry in row for e in entry.terms)]
+    monomials: dict = {}   # exponents in the free variables -> index
+    cells: dict = {}       # distinct integer entry -> index
+    rows = []              # per row: the cell index of each entry
+    scale = 1              # product of the row denominators
+    bounds = [0] * len(free)
+    for row in matrix:
+        den = math.lcm(*(c.denominator for entry in row for c in entry.terms.values()))
+        scale *= den
+        used = set()
+        indices = []
+        for entry in row:
+            cell = []
+            for e, c in entry.terms.items():
+                key = tuple([e[i] for i in free])
+                used.add(key)
+                cell.append((monomials.setdefault(key, len(monomials)),
+                             c.numerator * (den // c.denominator)))
+            indices.append(cells.setdefault(tuple(cell), len(cells)))
+        bounds = [b + max((key[a] for key in used), default=0) for a, b in enumerate(bounds)]
+        rows.append(indices)
+
+    # the values of every monomial at each grid point, last axis fastest
+    keys = list(monomials)
+    grid = [[1] * len(keys)]
+    for axis, bound in enumerate(bounds):
+        grid = [[m * point ** key[axis] for m, key in zip(at, keys)]
+                for at in grid for point in range(bound + 1)]
+    values = []
+    for at in grid:
+        cell_values = [sum(c * at[j] for j, c in cell) for cell in cells]
+        values.append(_int_bareiss_determinant(
+            [[cell_values[k] for k in row] for row in rows]))
+
+    # interpolate along each axis in turn, on every grid line parallel to it
+    stride = 1
+    for bound in reversed(bounds):
+        size = bound + 1
+        for start in range(len(values)):
+            if start // stride % size == 0:
+                span = slice(start, start + size * stride, stride)
+                values[span] = _newton_numerators(values[span])
+        stride *= size
+
+    denom = scale
+    for bound in bounds:
+        denom *= math.factorial(bound)
+    exponents = [[0] * len(ring)]
+    for i, bound in zip(free, bounds):
+        exponents = [e[:i] + [k] + e[i + 1:] for e in exponents for k in range(bound + 1)]
+    return MultiPoly(ring, {tuple(e): Fraction(c, denom)
+                            for e, c in zip(exponents, values) if c})
 
 
 def resultant(f: UniPolyView, g: UniPolyView) -> MultiPoly:
@@ -819,9 +832,8 @@ def resultant(f: UniPolyView, g: UniPolyView) -> MultiPoly:
 
     Determinant of the Sylvester matrix (f rows first); satisfies
     ``Res(f, g) = lc(f)^deg(g) * prod g(alpha_i)`` over the roots of f.
-    When the operands involve at most one other variable the determinant is
-    computed by evaluation and interpolation over the integers; otherwise by
-    Bareiss elimination over the polynomial ring.
+    The determinant is computed by evaluation and interpolation over the
+    integers (see :func:`determinant`).
 
     >>> x = ("x",)
     >>> f = parse_poly("x^2 + 1", x)
@@ -829,7 +841,7 @@ def resultant(f: UniPolyView, g: UniPolyView) -> MultiPoly:
     >>> resultant(UniPolyView(f, "x"), UniPolyView(g, "x")).text()
     '4'
     """
-    return _determinant(sylvester_matrix(f, g), f, g)
+    return determinant(sylvester_matrix(f, g))
 
 
 def first_subresultant_coefficient(f: UniPolyView, g: UniPolyView) -> MultiPoly:
@@ -841,27 +853,15 @@ def first_subresultant_coefficient(f: UniPolyView, g: UniPolyView) -> MultiPoly:
     its last two columns.  Where the leading coefficients do not vanish,
     the two specialised operands have a gcd of degree at least 2 exactly
     when both the resultant and psc_1 vanish (González-Vega & El Kahoui,
-    J. Complexity 12, 1996).
+    J. Complexity 12, 1996).  The determinant is computed by evaluation and
+    interpolation, like the resultant's.
     """
     matrix = sylvester_matrix(f, g)
     m, n = f.degree, g.degree
     if min(m, n) < 2:
         raise DegreeTooLow("first subresultant needs both degrees >= 2")
     rows = matrix[:n - 1] + matrix[n:n + m - 1]
-    return _determinant([row[:m + n - 2] for row in rows], f, g)
-
-
-def _determinant(matrix: list, f: UniPolyView, g: UniPolyView) -> MultiPoly:
-    """Determinant of a matrix built from the coefficients of f and g.
-
-    By evaluation and interpolation when the operands involve at most one
-    variable besides the distinguished one, by ring Bareiss otherwise.
-    """
-    free = set(f.poly.used_variables()) | set(g.poly.used_variables())
-    free.discard(f.var)
-    if len(free) <= 1:
-        return _determinant_by_interpolation(matrix, free.pop() if free else None)
-    return bareiss_determinant(matrix)
+    return determinant([row[:m + n - 2] for row in rows])
 
 
 def discriminant(f: UniPolyView) -> MultiPoly:

@@ -336,3 +336,16 @@ class TestModuleEntryPoint:
         done = self._run("curve", "analyze", "--poly", "x^7 + y^7 + z^7")
         assert done.returncode == 2
         assert b"degree" in done.stderr
+
+    @pytest.mark.parametrize("poly", [
+        "x^" + "9" * 4400 + " + y^2*z",     # int() refuses more than 4300 digits
+        "9" * 5000 + "/0*x^2 + y^2*z",
+    ], ids=["huge-exponent", "huge-bad-coefficient"])
+    def test_huge_literal_exits_2_without_echo(self, poly):
+        start = time.perf_counter()
+        done = self._run("curve", "analyze", "--poly", poly)
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2
+        assert done.stderr.startswith(b"error: PolySyntaxError")
+        assert b"Traceback" not in done.stderr
+        assert len(done.stderr) < 200

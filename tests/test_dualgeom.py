@@ -17,7 +17,7 @@ from dualis.errors import (
     NonGenericWitness,
     WitnessOnCurve,
 )
-from dualis.exact import MultiPoly, parse_poly
+from dualis.exact import MultiPoly, UniPolyView, discriminant, parse_poly
 
 CONIC = "y^2 - x*z"
 SPHERE = "x^2 + y^2 + z^2"
@@ -82,6 +82,42 @@ def _quadric_dual_oracle(text):
     return MultiPoly(DUAL_VARS, terms).primitive()
 
 
+def _chart_form(text):
+    """F(x, 1, -(u*x + v)): the binary form whose discriminant in x is the
+    dual discriminant on the chart w = 1."""
+    ring = ("x",) + DUAL_VARS
+    x = MultiPoly.var(ring, "x")
+    return parse_poly(text, PRIMAL_VARS).substitute({
+        "x": x,
+        "y": MultiPoly.const(ring, 1),
+        "z": -(MultiPoly.var(ring, "u") * x + MultiPoly.var(ring, "v")),
+    })
+
+
+class TestChartDiscriminant:
+    @pytest.mark.parametrize("text", ["x^5 + y^4*z + x*y*z^3 + z^5", "x^6 + y^6 + z^6"])
+    def test_against_sympy(self, text):
+        sympy = pytest.importorskip("sympy")
+        psi = _chart_form(text)
+        symbols = sympy.symbols(psi.variables)
+        expr = sympy.sympify(psi.text().replace("^", "**"),
+                             locals=dict(zip(psi.variables, symbols)))
+        want = sympy.Poly(sympy.discriminant(expr, symbols[0]), *symbols)
+        got = discriminant(UniPolyView(psi, "x"))
+        assert got.total_degree() > 0
+        assert got == MultiPoly(psi.variables, {
+            e: Fraction(int(c.p), int(c.q)) for e, c in want.terms()})
+
+    @pytest.mark.parametrize("text", DEGREE_LE_3_CORPUS)
+    def test_stripped_power_of_w(self, text):
+        # the discriminant is a form of degree 2d(d-1), so w divides it
+        # 2d(d-1) - deg(chart discriminant) times
+        d = curve(text).degree
+        chart = discriminant(UniPolyView(_chart_form(text), "x"))
+        stripped = dict((f.text(), k) for f, k in dual_equation(curve(text)).removed_factors)
+        assert stripped.get("w", 0) == 2 * d * (d - 1) - chart.total_degree()
+
+
 class TestDualEquation:
     def test_conic_against_inverse_matrix_oracle(self):
         got = dual_equation(curve(CONIC))
@@ -115,7 +151,7 @@ class TestDualEquation:
     def test_cusp_strips_ninth_power_of_w(self):
         got = dual_equation(curve(CUSPIDAL))
         stripped = {(f.text(), k) for f, k in got.removed_factors}
-        assert ("w", 9) in stripped
+        assert stripped == {("w", 9)}
 
     def test_degree_one_refused(self):
         with pytest.raises(InvalidParams):

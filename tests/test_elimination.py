@@ -90,6 +90,19 @@ class TestBinaryForms:
         with pytest.raises(ValueError):
             binary_distinct_roots(parse_poly("x^2 - y*z", XYZ), "x", "y")
 
+    def test_infinity_restriction_is_substitution(self):
+        rng = random.Random(83)
+        for chart_var in XYZ:
+            sub = {v: MultiPoly.zero(XYZ) if v == chart_var else MultiPoly.var(XYZ, v)
+                   for v in XYZ}
+            for _ in range(20):
+                polys = [MultiPoly(XYZ, {tuple(rng.randint(0, 3) for _ in XYZ):
+                                         Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                         for _ in range(rng.randint(0, 6))})
+                         for _ in range(2)]
+                assert elimination._infinity_restriction(polys, chart_var) == \
+                    [p.substitute(sub) for p in polys]
+
 
 class TestNormalizePoint:
     def test_clears_denominators_and_sign(self):

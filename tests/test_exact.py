@@ -57,6 +57,22 @@ class TestParsing:
         with pytest.raises(PolySyntaxError):
             parse_poly("3.5*x", XYZ)
 
+    def test_huge_exponent_refused_before_conversion(self):
+        with pytest.raises(PolySyntaxError, match="exponent of 4400 digits"):
+            parse_poly("x^" + "9" * 4400 + " + y^2*z", XYZ)
+        with pytest.raises(PolySyntaxError):
+            parse_poly("x^1000000", XYZ)
+        assert parse_poly("x^999999", XYZ).total_degree() == 999999
+        assert parse_poly("x^" + "0" * 5000 + "2", XYZ) == parse_poly("x^2", XYZ)
+
+    def test_long_literal_not_echoed(self):
+        with pytest.raises(PolySyntaxError) as info:
+            parse_poly("9" * 5000 + "/0*x", XYZ)
+        assert len(str(info.value)) < 120
+        with pytest.raises(UnknownVariableError) as info:
+            parse_poly("x + " + "t" * 5000, XYZ)
+        assert len(str(info.value)) < 120
+
     def test_print_parse_fixed_point(self):
         rng = random.Random(20250810)
         for _ in range(50):

@@ -10,11 +10,12 @@ from dualis.errors import (
     DegreeGuardrail,
     DegreeTooLow,
     SharedVariableMismatch,
+    ZeroInput,
 )
 from dualis.exact import (
     MultiPoly,
     UniPolyView,
-    bareiss_determinant,
+    determinant,
     discriminant,
     first_subresultant_coefficient,
     parse_poly,
@@ -123,15 +124,43 @@ def _random_bivariate(rng, deg_x, deg_y):
     return MultiPoly(("x", "y"), terms)
 
 
+def _cofactor_det(m):
+    """Determinant by cofactor expansion along the first row."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    ring = m[0][0].variables
+    total = MultiPoly.zero(ring)
+    for j in range(n):
+        if m[0][j].is_zero():
+            continue
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = m[0][j] * _cofactor_det(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+def _sympy_det(m):
+    """Determinant by SymPy's Matrix.det, read back into the ring of m."""
+    sympy = pytest.importorskip("sympy")
+    ring = m[0][0].variables
+    symbols = sympy.symbols(ring)
+    matrix = sympy.Matrix([[sympy.sympify(entry.text().replace("^", "**"),
+                                          locals=dict(zip(ring, symbols)))
+                            for entry in row] for row in m])
+    det = sympy.Poly(matrix.det(method="berkowitz"), *symbols)
+    return MultiPoly(ring, {e: Fraction(int(c.p), int(c.q)) for e, c in det.terms()})
+
+
 class TestEvaluationPath:
-    """Operands with at most one free variable take the evaluation path of
-    `resultant`; it must equal the ring Bareiss determinant exactly."""
+    """`resultant` of operands with at most one free variable must equal
+    the cofactor expansion of the Sylvester matrix exactly."""
 
     XY = ("x", "y")
 
     def _both(self, f, g):
         fv, gv = UniPolyView(f, "y"), UniPolyView(g, "y")
-        return resultant(fv, gv), bareiss_determinant(sylvester_matrix(fv, gv))
+        return resultant(fv, gv), _cofactor_det(sylvester_matrix(fv, gv))
 
     def test_random_bivariate_pairs(self):
         rng = random.Random(41)
@@ -241,8 +270,9 @@ class TestFirstSubresultant:
         assert {0, 1, 2} <= seen
 
     def test_planted_fibres_second_free_variable(self):
-        # a free variable s besides x takes the ring Bareiss path; psc_1 must
-        # also specialise to the evaluation-path psc_1 of each s-slice
+        # a free variable s besides x makes the interpolation grid
+        # two-dimensional; psc_1 must also specialise to the one-axis psc_1
+        # of each s-slice
         rng = random.Random(7)
         ring = ("x", "y", "s")
         s = MultiPoly.var(ring, "s")
@@ -282,17 +312,7 @@ class TestFirstSubresultant:
 
 
 class TestBareiss:
-    def _cofactor_det(self, m):
-        n = len(m)
-        if n == 1:
-            return m[0][0]
-        ring = m[0][0].variables
-        total = MultiPoly.zero(ring)
-        for j in range(n):
-            minor = [row[:j] + row[j + 1:] for row in m[1:]]
-            term = m[0][j] * self._cofactor_det(minor)
-            total = total + (term if j % 2 == 0 else -term)
-        return total
+    """`determinant` takes an integer Bareiss determinant at each grid point."""
 
     def test_against_cofactor_expansion(self):
         rng = random.Random(31)
@@ -309,11 +329,75 @@ class TestBareiss:
                     ]
                     for _ in range(size)
                 ]
-                assert bareiss_determinant(m) == self._cofactor_det(m)
+                assert determinant(m) == _cofactor_det(m)
 
     def test_singular_matrix(self):
         one = MultiPoly.const(X, 1)
-        assert bareiss_determinant([[one, one], [one, one]]).is_zero()
+        assert determinant([[one, one], [one, one]]).is_zero()
+
+
+class TestDeterminant:
+    """The one determinant path against cofactor expansion and SymPy."""
+
+    RINGS = {0: ("x",), 1: ("x", "s"), 2: ("x", "s", "t"), 3: ("x", "s", "t", "r")}
+
+    def _random_entry(self, rng, ring, free):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            e = tuple(rng.randint(0, 2) if 0 < i <= free else 0 for i in range(len(ring)))
+            terms[e] = terms.get(e, 0) + Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return MultiPoly(ring, terms)
+
+    def _check(self, m):
+        det = determinant(m)
+        assert det == _cofactor_det(m)
+        assert det == _sympy_det(m)
+        return det
+
+    @pytest.mark.parametrize("free", [0, 1, 2, 3])
+    def test_random_fraction_matrices(self, free):
+        rng = random.Random(50 + free)
+        ring = self.RINGS[free]
+        used = set()
+        for size in (1, 2, 3, 4):
+            for _ in range(4 if free < 3 else 2):
+                m = [[self._random_entry(rng, ring, free) for _ in range(size)]
+                     for _ in range(size)]
+                used |= set(self._check(m).used_variables())
+        assert len(used) == free
+
+    def test_zero_row(self):
+        ring = self.RINGS[2]
+        zero = MultiPoly.zero(ring)
+        m = [[parse_poly("s^2 - 1/3*t", ring), parse_poly("2", ring)],
+             [zero, zero]]
+        assert self._check(m).is_zero()
+
+    def test_needed_row_swap(self):
+        # a zero pivot at every grid point forces Bareiss to swap rows
+        ring = self.RINGS[1]
+        m = [[parse_poly(text, ring) for text in row] for row in (
+            ("0", "s", "1/2"),
+            ("3", "s^2 - 1", "s"),
+            ("-1", "2/5", "s + 7"),
+        )]
+        assert not self._check(m).is_zero()
+
+    def test_singular_matrices(self):
+        rng = random.Random(61)
+        ring = self.RINGS[2]
+        for size in (2, 3, 4):
+            rows = [[self._random_entry(rng, ring, 2) for _ in range(size)]
+                    for _ in range(size - 1)]
+            # the last row is a polynomial combination of the others
+            weights = [parse_poly(text, ring) for text in ("s - 1", "1/2*t", "3")]
+            last = [sum((w * row[j] for w, row in zip(weights, rows)), MultiPoly.zero(ring))
+                    for j in range(size)]
+            assert self._check(rows + [last]).is_zero()
+
+    def test_empty_matrix_refused(self):
+        with pytest.raises(ZeroInput):
+            determinant([])
 
 
 class TestDiscriminant:
