@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedSingularity,
     ZeroInput,
 )
-from .exact import MultiPoly, is_squarefree, parse_poly, poly_gcd_many
+from .exact import MultiPoly, is_squarefree, parse_poly
 
 PRIMAL_VARS = ("x", "y", "z")
 DUAL_VARS = ("u", "v", "w")
@@ -215,11 +215,8 @@ def _exps(ring, assign: dict) -> tuple:
 def certified_singular_count(curve: PlaneCurve) -> int:
     """Geometric number of singular points (rational or not)."""
     if curve._singular_count is None:
-        grads = curve.gradient()
-        if not poly_gcd_many(grads).is_constant():
-            raise ReducibleCurve("partial derivatives share a component")
         object.__setattr__(curve, "_singular_count",
-                           elimination.certified_singular_count(grads))
+                           elimination.certified_singular_count(curve.F))
     return curve._singular_count
 
 
@@ -227,7 +224,7 @@ def singular_points(curve: PlaneCurve) -> list:
     """All rational singular points, classified, with a certified total.
 
     The geometric number of singular points is counted by elimination
-    (cross-checked in independent frames); if it exceeds the number of
+    (certified in one frame in generic position); if it exceeds the number of
     rational points found the curve has irrational singularities and the
     operation refuses rather than under-report.
     """
@@ -242,8 +239,8 @@ def singular_points(curve: PlaneCurve) -> list:
             f"found {len(found)} rational singular points but the certified "
             f"count is {certified}"
         )
-    if certified < len(found):  # pragma: no cover - would be an internal bug
-        raise ReducibleCurve("inconsistent singular counts")
+    if certified < len(found):
+        raise InvariantViolation("inconsistent singular counts")
     return list(found)
 
 

@@ -36,6 +36,7 @@ from fractions import Fraction
 
 from . import curvelab, elimination
 from .curvelab import DUAL_VARS, PRIMAL_VARS, PlaneCurve
+from .elimination import WITNESS_SEQUENCE
 from .errors import (
     ChartExhausted,
     GuardrailExceeded,
@@ -44,12 +45,6 @@ from .errors import (
     WitnessOnCurve,
 )
 from .exact import MultiPoly, UniPolyView, discriminant, radical, try_exact_div
-
-#: deterministic witness points for polar constructions
-WITNESS_SEQUENCE = (
-    (1, 2, 5), (3, 7, 2), (2, 5, 11), (7, 3, 13),
-    (5, 1, 3), (1, 1, 7), (11, 2, 3), (2, 9, 5),
-)
 
 #: schedule of rational coordinate changes for degenerate charts
 _CHART_SCHEDULE = (

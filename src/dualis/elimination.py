@@ -7,30 +7,27 @@ composed with x-shears) and only reports a number it can certify:
 
 * pairs of curves: in a frame where no solutions sit at infinity and the
   leading y-coefficients are constants, the resultant R factors over the
-  intersection points with multiplicities.  Its square-free degree counts
-  distinct x-images, which can only undercount (two points sharing an
-  x-coordinate).  The first frame whose R is coprime to the first principal
-  subresultant coefficient psc_1 certifies the count at once: no fibre there
-  carries two points (González-Vega & El Kahoui, J. Complexity 12, 1996).
-  Where that test fails, the frame is a plain valid shear; each point pair
-  spoils at most one shear, so the maximum over C(N,2)+1 valid shears is
-  exact, and hitting the Bezout ceiling N = d1*d2 is exact immediately.
+  intersection points with multiplicities.  The frame step splits its
+  square-free part into classes Phi_k, the roots where psc_k is the first
+  nonzero principal subresultant coefficient, and accepts the frame only
+  when the k-th subresultant is a k-th power on each class: then every root
+  carries one point, at y = -s_{k,k-1} / (k * s_kk), and the distinct count
+  is the square-free degree of R (González-Vega & El Kahoui, J. Complexity
+  12, 1996; Bouzidi, Lazard, Pouget & Rouillier, J. Symb. Comput. 68, 2015).
   Shears fix the line at infinity, so the tests on it run once per base,
-  and the pair is moved by each base once; the bivariate determinants take
-  the evaluation-interpolation path of `exact`.
+  and the pair is moved by each base once.
 
 * transversality: all intersection multiplicities equal one exactly when the
   certified distinct count reaches the Bezout number d1*d2.
 
-* singular loci: common zeros of the three partial derivatives.  Pairwise
-  resultants are combined by a gcd, rational roots are verified fiber by
-  fiber, and the total from two independent frames must agree.
+* singular loci: counted in the first accepted frame of F and a polar,
+  where the two affine partials of F vanish at the one point over a root of
+  R.  Rational singular points are verified fiber by fiber.
 
 Univariate work over Q (eliminants, fibers, forms on a line) runs on
-Fraction coefficient lists.  The square-free computation, the gcd with the
-derivative, is written once (`_repeated_part`): `_sqfree_degree` counts
-distinct roots from it, and `rational_roots` takes the square-free part once
-and reports the rational roots together with the number of the others.
+Fraction coefficient lists; their gcd is a primitive remainder sequence over
+the integers.  The square-free part is written once (`_sqfree_part`), for
+the frame step, binary forms and `rational_roots`.
 
 Nothing here ever returns a float or an approximation; when a count cannot
 be certified the routine raises.
@@ -41,6 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+from itertools import chain, product
 from typing import Optional, Sequence
 
 from .errors import (
@@ -53,10 +51,9 @@ from .errors import (
 from .exact import (
     MultiPoly,
     UniPolyView,
-    first_subresultant_coefficient,
     poly_gcd,
-    poly_gcd_many,
     resultant,
+    subresultant_coefficient,
 )
 
 Matrix = tuple  # 3x3 integer matrix, rows are tuples
@@ -90,10 +87,6 @@ def apply_matrix(poly: MultiPoly, m: Matrix) -> MultiPoly:
 _IDENT: Matrix = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _shear(t: int) -> Matrix:
-    return ((1, t, 0), (0, 1, 0), (0, 0, 1))
-
-
 def _base_frames() -> list:
     """Deterministic bases: permutations composed with infinity-line shifts."""
     swaps = [
@@ -112,6 +105,12 @@ def _base_frames() -> list:
 
 
 _BASES = _base_frames()
+
+#: deterministic witness points for polar constructions
+WITNESS_SEQUENCE = (
+    (1, 2, 5), (3, 7, 2), (2, 5, 11), (7, 3, 13),
+    (5, 1, 3), (1, 1, 7), (11, 2, 3), (2, 9, 5),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +195,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
     so each candidate from `_root_candidates` needs one exact evaluation, and
     no root is missed.
     """
-    cs = _nonzero(coeffs)
-    ints = _primitive_ints(_uni_quo(cs, _repeated_part(cs)))
+    ints = _primitive_ints(_sqfree_part(_nonzero(coeffs)))
     degree = len(ints) - 1
     roots = []
     if ints[0] == 0:
@@ -208,15 +206,9 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
     return sorted(roots), degree - len(roots)
 
 
-def _sqfree_degree(coeffs: Sequence[Fraction]) -> int:
-    """Number of distinct complex roots of a nonzero univariate polynomial."""
-    cs = _nonzero(coeffs)
-    return len(cs) - len(_repeated_part(cs))
-
-
-def _repeated_part(cs: list) -> list:
-    """gcd(f, f') for a trimmed nonzero f: dividing it out leaves f square-free."""
-    return _uni_gcd(cs, [i * c for i, c in enumerate(cs)][1:])
+def _sqfree_part(cs: list) -> list:
+    """f / gcd(f, f') for a trimmed nonzero f: its distinct linear factors."""
+    return _uni_quo(cs, _uni_gcd(cs, [i * c for i, c in enumerate(cs)][1:]))
 
 
 def _trim(cs: Sequence[Fraction]) -> list:
@@ -236,11 +228,24 @@ def _nonzero(cs: Sequence[Fraction]) -> list:
 
 
 def _uni_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    """A gcd, up to a constant factor, of two lists not both zero."""
+    """A gcd, up to a constant factor, of two lists not both zero, as
+    Fractions: a primitive remainder sequence over the integers."""
     a, b = _trim(a), _trim(b)
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a
+    a, b = _primitive_ints(a), _primitive_ints(b)
     while b:
-        a, b = b, _uni_rem(a, b)
-    return a
+        while len(a) >= len(b):  # a <- a multiple of a, minus a multiple of b
+            g = math.gcd(a[-1], b[-1])
+            top, shift = a[-1] // g, len(a) - len(b)
+            a = [c * (b[-1] // g) for c in a]
+            for i, c in enumerate(b):
+                a[shift + i] -= top * c
+            a = _trim(a)
+        a, b = b, (_primitive_ints(a) if a else [])
+    return [Fraction(c) for c in a]
 
 
 def _uni_quo(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
@@ -253,19 +258,6 @@ def _uni_quo(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
             a[k + i] -= q[k] * c
     return q
 
-
-def _uni_rem(a: Sequence[Fraction], b: list) -> list:
-    """Remainder of a modulo a trimmed nonzero b."""
-    a = _trim(a)
-    while len(a) >= len(b):
-        q = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= q * c
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +276,7 @@ def binary_distinct_roots(form: MultiPoly, u: str, v: str) -> int:
     mv = min(e[iv] for e in form.terms)
     # u^mu and v^mv give the roots [0:1] and [1:0]; the other roots are those
     # of the cofactor, which v does not divide, at v = 1
-    return (mu > 0) + (mv > 0) + _sqfree_degree(_dehomogenised(form, u)[mu:])
+    return (mu > 0) + (mv > 0) + len(_sqfree_part(_nonzero(_dehomogenised(form, u)[mu:]))) - 1
 
 
 def _dehomogenised(form: MultiPoly, u: str) -> list:
@@ -311,29 +303,21 @@ def normalize_point(coords: Sequence[Fraction]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# affine system solving (for singular loci)
+# rational common zeros of a system (for singular loci)
 # ---------------------------------------------------------------------------
 
 class _FrameDegenerate(Exception):
     """Internal: this frame cannot be used; try the next one."""
 
 
-def _affine_system(polys: list, avar: str, bvar: str) -> tuple:
-    """Distinct-solution data for a system of polynomials in (avar, bvar).
-
-    Returns ``(rational_points, certified_count)`` where rational_points is a
-    list of (Fraction, Fraction) pairs and certified_count includes solutions
-    with irrational coordinates (each unresolved x-value counted once; the
-    caller cross-checks via a second frame).
-    """
+def _affine_system(polys: list, avar: str, bvar: str) -> list:
+    """Rational common zeros, as (Fraction, Fraction) pairs, of a system of
+    polynomials in (avar, bvar)."""
     nonzero = [p for p in polys if not p.is_zero()]
     if not nonzero:
         raise ReducibleCurve("system vanishes identically")
     if any(p.is_constant() for p in nonzero):
-        return [], 0
-    shared = poly_gcd_many(nonzero)
-    if not shared.is_constant():
-        raise ReducibleCurve("system polynomials share a component")
+        return []
 
     gens = [univar_coeffs(p, avar) for p in nonzero if p.degree_in(bvar) == 0]
     b_pos = [p for p in nonzero if p.degree_in(bvar) > 0]
@@ -346,13 +330,11 @@ def _affine_system(polys: list, avar: str, bvar: str) -> tuple:
         raise _FrameDegenerate
     s = reduce(_uni_gcd, gens)
     if len(s) == 1:
-        return [], 0
-    roots, leftover = rational_roots(s)
+        return []
 
     ring = nonzero[0].variables
     points = []
-    fiber_total = 0
-    for a0 in roots:
+    for a0 in rational_roots(s)[0]:
         sub = {w: (MultiPoly.const(ring, a0) if w == avar else MultiPoly.var(ring, w))
                for w in ring}
         fibers = [p.substitute(sub) for p in nonzero]
@@ -362,18 +344,9 @@ def _affine_system(polys: list, avar: str, bvar: str) -> tuple:
         if any(p.is_constant() for p in fibers):
             continue  # spurious elimination root
         t = reduce(_uni_gcd, [univar_coeffs(p, bvar) for p in fibers])
-        if len(t) == 1:
-            continue
-        broots, others = rational_roots(t)
-        fiber_total += len(broots) + others
-        points += [(a0, b0) for b0 in broots]
-    certified = fiber_total + leftover
-    return points, certified
-
-
-def _chart_substitution(ring, chart_var):
-    return {w: (MultiPoly.const(ring, 1) if w == chart_var else MultiPoly.var(ring, w))
-            for w in ring}
+        if len(t) > 1:
+            points += [(a0, b0) for b0 in rational_roots(t)[0]]
+    return points
 
 
 def _infinity_restriction(polys: list, chart_var: str) -> list:
@@ -383,46 +356,6 @@ def _infinity_restriction(polys: list, chart_var: str) -> list:
             for p in polys]
 
 
-def singular_system_frame_total(polys: list, frame: Matrix) -> int:
-    """Distinct common zeros of a homogeneous system in one projective frame."""
-    moved = [apply_matrix(p, frame) for p in polys]
-    moved = [p for p in moved if not p.is_zero()]
-    if not moved:
-        raise ReducibleCurve("all system polynomials vanish")
-    ring = moved[0].variables
-    x, y, z = ring
-
-    inf = [p for p in _infinity_restriction(moved, z) if not p.is_zero()]
-    if not inf:
-        raise ReducibleCurve("system vanishes on a whole line")
-    ginf = poly_gcd_many(inf)
-    inf_count = 0 if ginf.is_constant() else binary_distinct_roots(ginf, x, y)
-
-    affine = [p.substitute(_chart_substitution(ring, z)) for p in moved]
-    _, aff_count = _affine_system(affine, x, y)
-    return aff_count + inf_count
-
-
-def certified_singular_count(polys: list, max_frames: int = 40) -> int:
-    """Distinct common zeros in P^2, certified by agreement of two frames."""
-    totals: dict = {}
-    tried = 0
-    for base in _BASES:
-        for t in (0, 1, 2):
-            if tried >= max_frames:
-                raise ChartExhausted("no two frames agree on the singular count")
-            frame = mat_mul(base, _shear(t))
-            tried += 1
-            try:
-                total = singular_system_frame_total(polys, frame)
-            except _FrameDegenerate:
-                continue
-            totals[total] = totals.get(total, 0) + 1
-            if totals[total] >= 2:
-                return total
-    raise ChartExhausted("no two frames agree on the singular count")
-
-
 def rational_system_points(polys: list) -> list:
     """All rational projective common zeros, from all three affine charts."""
     nz = [p for p in polys if not p.is_zero()]
@@ -430,12 +363,13 @@ def rational_system_points(polys: list) -> list:
         raise ReducibleCurve("all system polynomials vanish")
     ring = nz[0].variables
     found = set()
-    for chart in range(3):
-        chart_var = ring[chart]
+    for chart_var in ring:
         others = [v for v in ring if v != chart_var]
-        affine = [p.substitute(_chart_substitution(ring, chart_var)) for p in nz]
+        at_one = {w: MultiPoly.const(ring, 1) if w == chart_var else MultiPoly.var(ring, w)
+                  for w in ring}
+        affine = [p.substitute(at_one) for p in nz]
         try:
-            pts, _ = _affine_system(affine, others[0], others[1])
+            pts = _affine_system(affine, others[0], others[1])
         except _FrameDegenerate:
             continue
         for a0, b0 in pts:
@@ -445,20 +379,66 @@ def rational_system_points(polys: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# counting distinct intersections of two curves
+# counting distinct intersections and singular points
 # ---------------------------------------------------------------------------
 
-def _pair_frame_count(Fm: MultiPoly, Gm: MultiPoly, t: int) -> Optional[tuple]:
-    """Distinct x-images of the intersection in one frame, or None.
+class _Frame:
+    """An accepted frame: the pair A, B in y after the shear and the chart
+    z = 1, and the square-free eliminant split into its nonconstant classes
+    ``classes[k]`` = Phi_k.  Over a root of Phi_k the fibres meet at one
+    point, the root beta of L_k = k*s_kk*y + s_{k,k-1}."""
+
+    __slots__ = ("A", "B", "classes", "_coefficients")
+
+    def __init__(self, A: UniPolyView, B: UniPolyView):
+        self.A, self.B = A, B
+        self.classes: dict = {}
+        self._coefficients: dict = {}
+
+    def count(self) -> int:
+        """Distinct intersection points: each root of R carries one."""
+        return sum(len(phi) - 1 for phi in self.classes.values())
+
+    def coefficient(self, k: int, j: int) -> MultiPoly:
+        """s_{k,j}, computed once; at the lower operand's degree S_k is that operand."""
+        if (k, j) not in self._coefficients:
+            low = min(self.A, self.B, key=lambda view: view.degree)
+            self._coefficients[k, j] = (low.coeffs[j] if k == low.degree else
+                                        subresultant_coefficient(self.A, self.B, k, j))
+        return self._coefficients[k, j]
+
+    def line(self, k: int) -> UniPolyView:
+        """L_k, whose root is beta on the roots of Phi_k."""
+        y = self.A.var
+        lead = MultiPoly.var(self.A.poly.variables, y) * self.coefficient(k, k) * k
+        return UniPolyView(lead + self.coefficient(k, k - 1), y)
+
+    def is_power(self, k: int, phi: list) -> bool:
+        """Is S_k a k-th power on the roots of phi?  Its (k-1)-th y-derivative
+        is (k-1)! L_k; it is when phi divides Res_y(d^j S_k, L_k), j < k-1."""
+        ring = self.A.poly.variables
+        x, y = ring[0], self.A.var
+        yv = MultiPoly.var(ring, y)
+        S = sum((yv ** j * self.coefficient(k, j) for j in range(k + 1)), MultiPoly.zero(ring))
+        line = self.line(k)
+        for _ in range(k - 1):
+            if len(_uni_gcd(phi, univar_coeffs(resultant(UniPolyView(S, y), line), x))) < len(phi):
+                return False
+            S = S.derivative(y)
+        return True
+
+
+def _pair_frame_count(Fm: MultiPoly, Gm: MultiPoly, t: int) -> Optional[_Frame]:
+    """The frame of the pair at shear t, or None when it is not accepted.
 
     Fm, Gm are the pair moved by a base that passed the shear-independent
     tests of `_base_usable`; the frame composes that base with the x-shear
     x -> x + t*y, done here together with the passage to the chart z = 1.
-    An accepted frame gives ``(count, certified)``: certified when no root
-    of the eliminant R carries two intersection points, so that count is
-    exact.  The y-leading coefficients are constants, so specialising x
-    commutes with the subresultants, and a fibre carries two points only
-    if R and psc_1 both vanish there.
+    The y-leading coefficients are constants, so specialising x commutes
+    with the subresultants: over a root of R the fibres have a gcd of
+    degree k exactly where psc_1..psc_{k-1} vanish and psc_k does not, and
+    S_k is that gcd up to a constant.  The frame is accepted when on every
+    class that gcd has one root (see `_Frame.is_power`).
     """
     ring = Fm.variables
     x, y, z = ring
@@ -467,17 +447,21 @@ def _pair_frame_count(Fm: MultiPoly, Gm: MultiPoly, t: int) -> Optional[tuple]:
         return None  # a leading y-coefficient vanishes in this frame
     xv, yv = MultiPoly.var(ring, x), MultiPoly.var(ring, y)
     chart = {x: xv + yv * t, y: yv, z: MultiPoly.const(ring, 1)}
-    A = UniPolyView(Fm.substitute(chart), y)
-    B = UniPolyView(Gm.substitute(chart), y)
-    R = resultant(A, B)
+    frame = _Frame(UniPolyView(Fm.substitute(chart), y), UniPolyView(Gm.substitute(chart), y))
+    R = resultant(frame.A, frame.B)
     if R.is_zero() or R.degree_in(x) != Fm.total_degree() * Gm.total_degree():
         return None
-    eliminant = univar_coeffs(R, x)
-    certified = min(A.degree, B.degree) <= 1  # common roots of a linear operand are simple
-    if not certified:
-        psc1 = univar_coeffs(first_subresultant_coefficient(A, B), x)
-        certified = len(_uni_gcd(eliminant, psc1)) == 1
-    return _sqfree_degree(eliminant), certified
+    rem = _sqfree_part(univar_coeffs(R, x))
+    for k in range(1, min(frame.A.degree, frame.B.degree) + 1):
+        if len(rem) == 1:
+            break
+        common = _uni_gcd(rem, univar_coeffs(frame.coefficient(k, k), x))
+        phi, rem = _uni_quo(rem, common), common
+        if len(phi) > 1:
+            if k >= 2 and not frame.is_power(k, phi):
+                return None  # some fibre of this class carries two points
+            frame.classes[k] = phi
+    return frame
 
 
 def _base_usable(Fm: MultiPoly, Gm: MultiPoly) -> bool:
@@ -499,47 +483,69 @@ def _base_usable(Fm: MultiPoly, Gm: MultiPoly) -> bool:
     return len(_uni_gcd(f, g)) == 1
 
 
-def distinct_intersection_count(F: MultiPoly, G: MultiPoly) -> int:
-    """Number of distinct intersection points (no transversality assumed).
+def _accepted_frame(F: MultiPoly, G: MultiPoly, coprime: bool = False) -> _Frame:
+    """The first accepted frame of the pair (see `_pair_frame_count`).
 
-    The count of the first certified frame (see `_pair_frame_count`).  A
-    frame whose certificate fails is a plain valid shear: its square-free
-    eliminant degree can only undercount, each pair of points spoils at
-    most one shear, so the maximum over C(N,2)+1 valid shears of one base is
-    exact, and reaching the Bezout ceiling N = d1*d2 is exact at once.
+    Each pair of the at most N = d1*d2 points shares an x-coordinate in at
+    most one shear of a usable base, and a frame where no two points do is
+    accepted, so one of C(N,2)+1 valid shears is; at most d1 + d2 shears
+    lose a leading y-coefficient.
     """
     if F.is_zero() or G.is_zero():
         raise ZeroInput("zero polynomial in curve pair")
     d1, d2 = F.total_degree(), G.total_degree()
-    ceiling = d1 * d2
-    needed = ceiling * (ceiling - 1) // 2 + 1
-    t_limit = needed + d1 + d2 + 8
-    best = 0
-    shared_checked = False
+    t_limit = d1 * d2 * (d1 * d2 - 1) // 2 + 1 + d1 + d2 + 8
     for base in _BASES:
         Fm, Gm = apply_matrix(F, base), apply_matrix(G, base)
         if not _base_usable(Fm, Gm):
             # a shared component spoils every base, so the first failing
-            # base decides it; an accepted frame excludes it, as R != 0
-            if not shared_checked and not poly_gcd(F, G).is_constant():
+            # base decides it unless the caller proved the pair coprime;
+            # an accepted frame excludes it, as R != 0
+            if not coprime and not poly_gcd(F, G).is_constant():
                 raise ReducibleCurve("curves share a component")
-            shared_checked = True
+            coprime = True
             continue
-        valid = 0
         for t in range(t_limit):
-            got = _pair_frame_count(Fm, Gm, t)
-            if got is None:
-                continue
-            count, certified = got
-            if certified:
-                return count
-            valid += 1
-            best = max(best, count)
-            if best == ceiling or valid >= needed:
-                # among `needed` valid shears of one base at least one is
-                # collision-free, and there the count is exact
-                return best
+            frame = _pair_frame_count(Fm, Gm, t)
+            if frame is not None:
+                return frame
     raise ChartExhausted("could not certify a distinct intersection count")
+
+
+def distinct_intersection_count(F: MultiPoly, G: MultiPoly) -> int:
+    """Number of distinct intersection points (no transversality assumed),
+    read from the first accepted frame."""
+    return _accepted_frame(F, G).count()
+
+
+def certified_singular_count(F: MultiPoly) -> int:
+    """Distinct singular points of the curve of a square-free form F.
+
+    A witness w with F(w) != 0 makes F and its polar P_w coprime: a shared
+    component would be a cone with vertex w, so it would contain w.  The
+    singular points lie on both curves, and in the first accepted frame of
+    the pair every common zero is affine and the only one over its root
+    alpha of R, at (alpha, beta(alpha)).  On a class Phi_k it is singular
+    where both affine partials of the moved F vanish at y = beta, that is
+    where their resultants against L_k vanish.
+    """
+    if F.is_zero():
+        raise ZeroInput("the zero form defines no curve")
+    ring = F.variables
+    # no nonzero form of degree d vanishes on all of {0..d}^3
+    grid = product(range(F.total_degree() + 1), repeat=3)
+    w = next(p for p in chain(WITNESS_SEQUENCE, grid) if F.evaluate(dict(zip(ring, p))) != 0)
+    polar = sum((F.derivative(v) * c for v, c in zip(ring, w)), MultiPoly.zero(ring))
+    frame = _accepted_frame(F, polar, coprime=True)
+    x, y = ring[0], frame.A.var
+    partials = [UniPolyView(p, y) for p in (frame.A.poly.derivative(x), frame.A.poly.derivative(y))
+                if not p.is_zero()]
+    count = 0
+    for k, phi in frame.classes.items():
+        line = frame.line(k)
+        singular = reduce(_uni_gcd, (univar_coeffs(resultant(p, line), x) for p in partials), phi)
+        count += len(singular) - 1
+    return count
 
 
 def transversal_intersection_count(F: MultiPoly, G: MultiPoly) -> int:

@@ -24,11 +24,11 @@ interpolation, whatever the number of free variables: the matrix is
 specialised at the points of an integer grid bounded per variable, each
 scalar determinant is taken by fraction-free Bareiss over Python ints, and
 exact Newton interpolation along each axis rebuilds the polynomial (Collins,
-J. ACM 18, 1971).  The first principal subresultant coefficient psc_1, the
-determinant of a submatrix of the Sylvester matrix, takes the same path;
-together with the resultant it tells where two polynomials share more than
-one root.  A hard guardrail refuses Sylvester matrices larger than 64x64 so
-that a degenerate input fails fast instead of hanging.
+J. ACM 18, 1971).  The subresultant coefficients s_{k,j}, determinants of
+submatrices of the Sylvester matrix, take the same path; they tell where two
+polynomials share k roots and what the common factor is.  A hard guardrail
+refuses Sylvester matrices larger than 64x64 so that a degenerate input
+fails fast instead of hanging.
 """
 
 from __future__ import annotations
@@ -844,24 +844,25 @@ def resultant(f: UniPolyView, g: UniPolyView) -> MultiPoly:
     return determinant(sylvester_matrix(f, g))
 
 
-def first_subresultant_coefficient(f: UniPolyView, g: UniPolyView) -> MultiPoly:
-    """First principal subresultant coefficient psc_1 in the distinguished variable.
+def subresultant_coefficient(f: UniPolyView, g: UniPolyView, k: int, j: int) -> MultiPoly:
+    """Coefficient s_{k,j} of the j-th power in the k-th subresultant S_k.
 
-    The determinant of the n-1 shifted rows of f and the m-1 shifted rows of
-    g (m = deg f, n = deg g, both at least 2), cut to their first m+n-2
-    columns: the Sylvester matrix without its last row of each operand and
-    its last two columns.  Where the leading coefficients do not vanish,
-    the two specialised operands have a gcd of degree at least 2 exactly
-    when both the resultant and psc_1 vanish (González-Vega & El Kahoui,
-    J. Complexity 12, 1996).  The determinant is computed by evaluation and
-    interpolation, like the resultant's.
+    The determinant of the first n-k shifted rows of f and the first m-k of
+    g (m = deg f, n = deg g, 0 <= j <= k < min(m, n)) in the Sylvester
+    matrix, cut to their first m+n-2k-1 columns and the column of the j-th
+    power in S_k.  psc_k = s_{k,k} is principal, psc_0 the resultant.  Where
+    the leading coefficients do not vanish, the specialised operands have a
+    gcd of degree k exactly when psc_0..psc_{k-1} vanish and psc_k does not,
+    and S_k specialises to psc_k times that monic gcd (González-Vega & El
+    Kahoui, J. Complexity 12, 1996).  Evaluated like the resultant.
     """
     matrix = sylvester_matrix(f, g)
     m, n = f.degree, g.degree
-    if min(m, n) < 2:
-        raise DegreeTooLow("first subresultant needs both degrees >= 2")
-    rows = matrix[:n - 1] + matrix[n:n + m - 1]
-    return determinant([row[:m + n - 2] for row in rows])
+    if not 0 <= j <= k < min(m, n):
+        raise DegreeTooLow(f"s_{k},{j} needs 0 <= j <= k < min(deg f, deg g) = {min(m, n)}")
+    columns = list(range(m + n - 2 * k - 1)) + [m + n - 1 - k - j]
+    rows = matrix[:n - k] + matrix[n:n + m - k]
+    return determinant([[row[c] for c in columns] for row in rows])
 
 
 def discriminant(f: UniPolyView) -> MultiPoly:

@@ -337,6 +337,29 @@ class TestModuleEntryPoint:
         assert done.returncode == 2
         assert b"degree" in done.stderr
 
+    #: six lines, 15 crossings of which 12 are irrational
+    SIX_LINES = ("x^4*y^2 - x^4*y*z - 2*x^3*y^3 + 2*x^3*y^2*z + x^2*y^4 - x^2*y^3*z"
+                 " - 5*x^2*y^2*z^2 + 5*x^2*y*z^3 + 4*x*y^3*z^2 - 4*x*y^2*z^3"
+                 " - 2*y^4*z^2 + 2*y^3*z^3 + 6*y^2*z^4 - 6*y*z^5")
+
+    def test_line_arrangement_has_dual_degree_0(self):
+        done = self._run("curve", "dual-degree", "--poly", self.SIX_LINES)
+        assert done.returncode == 0
+        assert done.stdout.strip() == b"0"
+
+    def test_line_arrangement_analysis_names_every_crossing(self):
+        done = self._run("curve", "analyze", "--poly", self.SIX_LINES)
+        assert done.returncode == 2
+        assert done.stderr.startswith(b"error: IrrationalSingularity")
+        assert b"count is 15" in done.stderr
+
+    def test_triple_points_dual_degree_in_time(self):
+        start = time.perf_counter()
+        done = self._run("curve", "dual-degree", "--poly", "x^3*y^3 + y^3*z^3 + z^3*x^3")
+        assert time.perf_counter() - start < 2.0
+        assert done.returncode == 0
+        assert done.stdout.strip() == b"12"
+
     @pytest.mark.parametrize("poly", [
         "x^" + "9" * 4400 + " + y^2*z",     # int() refuses more than 4300 digits
         "9" * 5000 + "/0*x^2 + y^2*z",

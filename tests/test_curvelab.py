@@ -21,6 +21,7 @@ from dualis.curvelab import (
 )
 from dualis.elimination import apply_matrix, normalize_point
 from dualis.errors import (
+    InvariantViolation,
     IrrationalSingularity,
     NotSingular,
     NotTransversal,
@@ -97,6 +98,13 @@ class TestSingularPoints:
                     ]
                     got.add(normalize_point([Fraction(c) for c in coords]))
                 assert got == base, (text, m)
+
+
+class TestInconsistentCounts:
+    def test_more_rational_points_than_the_count_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(elimination, "certified_singular_count", lambda F: 0)
+        with pytest.raises(InvariantViolation):
+            singular_points(curve(NODAL))
 
 
 class TestAnalysisOnce:

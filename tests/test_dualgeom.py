@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from dualis.curvelab import DUAL_VARS, PRIMAL_VARS, PlaneCurve, curve_report
+from dualis.curvelab import (
+    DUAL_VARS,
+    PRIMAL_VARS,
+    PlaneCurve,
+    certified_singular_count,
+    curve_report,
+)
 from dualis.dualgeom import (
     biduality_check,
     dual_curve_report,
@@ -277,3 +283,20 @@ class TestDualCurveReport:
             assert got.g == curve_report(c).g, text
             checked += 1
         assert checked >= 4
+
+
+class TestOracleOnSpecialSingularities:
+    def test_line_arrangement_has_no_dual_lines(self):
+        # six lines, 12 of their 15 crossings irrational: the polar meets the
+        # curve only in the crossings, and the dual is six points
+        six = ("x^4*y^2 - x^4*y*z - 2*x^3*y^3 + 2*x^3*y^2*z + x^2*y^4 - x^2*y^3*z"
+               " - 5*x^2*y^2*z^2 + 5*x^2*y*z^3 + 4*x*y^3*z^2 - 4*x*y^2*z^3"
+               " - 2*y^4*z^2 + 2*y^3*z^3 + 6*y^2*z^4 - 6*y*z^5")
+        assert dual_degree_oracle(curve(six)) == 0
+
+    def test_three_ordinary_triple_points(self):
+        # the polar has a double point at each triple point, so every fibre
+        # gcd there has degree 2; 30 - 3*(mu + m - 1) = 30 - 3*6
+        c = curve("x^3*y^3 + y^3*z^3 + z^3*x^3")
+        assert certified_singular_count(c) == 3
+        assert dual_degree_oracle(c) == 12

@@ -180,10 +180,32 @@ class TestCounting:
         assert bases == [False]
 
     def test_singular_count_of_three_concurrent_lines(self):
-        # xyz(x+y+z)? no: x*y*(x+y-z) is three lines with three double points
+        # x*y*z is three lines in general position, meeting two by two in
+        # three double points; x^3 + y^3 is three lines through [0:0:1],
+        # which is their one (triple) singular point
         f = parse_poly("x*y*z", XYZ)
-        parts = [f.derivative(v) for v in XYZ]
-        assert certified_singular_count(parts) == 3
+        assert certified_singular_count(f) == 3
+        assert certified_singular_count(parse_poly("x^3 + y^3", XYZ)) == 1
+
+    @pytest.mark.parametrize("conic", ["5*x*z - z^2 + y^2", "5*y*z - 2*z^2 + x^2"],
+                             ids=["vertical", "horizontal"])
+    def test_smooth_point_with_one_vanishing_partial(self, conic):
+        # the tangent of the conic at [1:0:5] (at [0:2:5]) is the line
+        # 5x = z (5y = 2z) through the first witness (1, 2, 5), so the polar
+        # passes there and one affine partial vanishes, but not both
+        assert certified_singular_count(parse_poly(conic, XYZ)) == 0
+
+    def test_singular_count_needs_no_trivariate_gcd(self):
+        # x (x - z)(x + y + z)(x + 2y - z)(x^2 - 3y^2 + 2z^2): 6 crossings of
+        # the lines and 8 line-conic points.  The first base fails on this
+        # curve and its polar, and the pair is coprime by the choice of the
+        # witness, so no gcd of the two forms is taken (it does not finish
+        # in 40 s)
+        f = (parse_poly("x^2 - x*z", XYZ) * parse_poly("x + y + z", XYZ)
+             * parse_poly("x + 2*y - z", XYZ) * parse_poly("x^2 - 3*y^2 + 2*z^2", XYZ))
+        start = time.perf_counter()
+        assert certified_singular_count(f) == 14
+        assert time.perf_counter() - start < 5.0
 
 
 def _cross(u, v):
@@ -199,15 +221,15 @@ def _line_product(lines):
 
 
 class TestFrameCertificate:
-    """A frame certifies its count only when no eliminant root carries two
-    intersection points; otherwise the shear schedule still decides."""
+    """A frame is accepted only when no eliminant root carries two
+    intersection points; otherwise the next shear is tried."""
 
     def test_fibre_with_two_points_is_not_certified(self):
         # the four points (+-1, +-1, 1) sit two by two on the vertical lines
         # x = +-1 of the t = 0 frame, where the eliminant has only 2 roots
         f = parse_poly("x^2 + y^2 - 2*z^2", XYZ)
         g = parse_poly("x^2 - y^2", XYZ)
-        assert elimination._pair_frame_count(f, g, 0) == (2, False)
+        assert elimination._pair_frame_count(f, g, 0) is None
         assert distinct_intersection_count(f, g) == 4
 
     def test_generic_frame_certifies_at_once(self, monkeypatch):
@@ -222,14 +244,16 @@ class TestFrameCertificate:
 
         monkeypatch.setattr(elimination, "_pair_frame_count", counted)
         assert distinct_intersection_count(f, polar) == 9
-        # the shear schedule alone needs 67 valid frames for N = 12
-        assert frames[-1] == (9, True) and len(frames) <= 3
+        # C(12, 2) + 1 = 67 valid frames bound the search for N = 12; a
+        # generic frame is accepted at once
+        assert frames[-1] is not None and frames[-1].count() == 9 and len(frames) <= 3
 
     def test_line_arrangements_against_cross_products(self):
         # products of distinct integer lines, sharing no line; in every other
         # pair two lines of each product pass through one point p, so p's
-        # fibre carries a double common root in every frame, no frame
-        # certifies, and the count comes from the shear schedule
+        # fibre carries a double common root in every frame, and the frame
+        # is accepted only when that double root is the fibre's one point.
+        # The singular points of each product are its pairwise crossings
         rng = random.Random(57)
 
         def small():
@@ -252,3 +276,67 @@ class TestFrameCertificate:
             points = {normalize_point(_cross(u, v)) for u in first for v in second}
             got = distinct_intersection_count(_line_product(first), _line_product(second))
             assert got == len(points), (first, second)
+            for part in (first, second):
+                crossings = {normalize_point(_cross(u, v))
+                             for i, u in enumerate(part) for v in part[i + 1:]}
+                assert certified_singular_count(_line_product(part)) == len(crossings), part
+
+
+#: (x^2 - 2z^2)((x - y)^2 - 3z^2) y (y - z): four points share each x = +-sqrt(2)
+#: in one frame and each x - y = +-sqrt(3) in the next
+SIX_LINES = ("x^4*y^2 - x^4*y*z - 2*x^3*y^3 + 2*x^3*y^2*z + x^2*y^4 - x^2*y^3*z"
+             " - 5*x^2*y^2*z^2 + 5*x^2*y*z^3 + 4*x*y^3*z^2 - 4*x*y^2*z^3 - 2*y^4*z^2"
+             " + 2*y^3*z^3 + 6*y^2*z^4 - 6*y*z^5")
+
+
+class TestSingularCountOfConjugateLines:
+    """Products of lines with quadratic-conjugate coefficients are rational
+    forms whose singular points are the pairwise crossings of the lines,
+    most of them irrational; SymPy counts those crossings independently."""
+
+    @staticmethod
+    def _form(sympy, lines):
+        X, Y, Z = sympy.symbols("x y z")
+        product = sympy.expand(sympy.Mul(*(a * X + b * Y + c * Z for a, b, c in lines)))
+        terms = sympy.Poly(product, X, Y, Z, domain="QQ").terms()
+        return MultiPoly(XYZ, {e: Fraction(int(c.p), int(c.q)) for e, c in terms})
+
+    @staticmethod
+    def _crossings(sympy, lines):
+        points = []
+        for i, u in enumerate(lines):
+            for v in lines[i + 1:]:
+                p = sympy.Matrix(u).cross(sympy.Matrix(v))
+                if not any(all(sympy.expand(c) == 0 for c in p.cross(q)) for q in points):
+                    points.append(p)
+        return len(points)
+
+    def test_six_lines(self):
+        sympy = pytest.importorskip("sympy")
+        r2, r3 = sympy.sqrt(2), sympy.sqrt(3)
+        lines = [(1, 0, -r2), (1, 0, r2), (1, -1, -r3), (1, -1, r3), (0, 1, 0), (0, 1, -1)]
+        f = self._form(sympy, lines)
+        assert f == parse_poly(SIX_LINES, XYZ)
+        assert self._crossings(sympy, lines) == 15
+        assert certified_singular_count(f) == 15
+
+    @pytest.mark.parametrize("collide", [True, False], ids=["two-frame-collisions", "generic"])
+    def test_seeded_arrangements(self, collide):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(61 + collide)
+        for _ in range(4):
+            d, e = (sympy.sqrt(rng.choice((2, 3, 5, 7))) for _ in range(2))
+            if collide:
+                # x = a +- b*d, x - y = c +- g*e and two rational y = r: each
+                # irrational line carries four points of one x in its frame
+                a, b, c, g = (rng.choice((-2, -1, 1, 2, 3)) for _ in range(4))
+                r1, r2 = rng.sample(range(-3, 4), 2)
+                lines = [(1, 0, -a - b * d), (1, 0, -a + b * d),
+                         (1, -1, -c - g * e), (1, -1, -c + g * e), (0, 1, -r1), (0, 1, -r2)]
+            else:
+                lines = [(0, 1, rng.randint(-3, 3)), (1, rng.randint(-3, 3), rng.randint(-3, 3))]
+                for root in (d, e):
+                    u, v = ([rng.randint(-3, 3) for _ in range(3)] for _ in range(2))
+                    lines += [tuple(p + q * s * root for p, q in zip(u, v)) for s in (1, -1)]
+            f = self._form(sympy, lines)
+            assert certified_singular_count(f) == self._crossings(sympy, lines), lines

@@ -17,11 +17,11 @@ from dualis.exact import (
     UniPolyView,
     determinant,
     discriminant,
-    first_subresultant_coefficient,
     parse_poly,
     poly_gcd,
     resultant,
     squarefree_part,
+    subresultant_coefficient,
     sylvester_matrix,
 )
 
@@ -248,7 +248,7 @@ class TestFirstSubresultant:
     def _check_fibres(self, A, B, points):
         Av, Bv = UniPolyView(A, "y"), UniPolyView(B, "y")
         R = resultant(Av, Bv)
-        psc1 = first_subresultant_coefficient(Av, Bv)
+        psc1 = subresultant_coefficient(Av, Bv, 1, 1)
         seen = set()
         for point in points:
             both_vanish = R.evaluate({**point, "y": 0}) == 0 and \
@@ -284,13 +284,13 @@ class TestFirstSubresultant:
             x, y = MultiPoly.var(ring, "x"), MultiPoly.var(ring, "y")
             A = A + s * y * (x - a) * rng.randint(1, 3)
             B = B - s * s * (x - a)
-            psc1 = first_subresultant_coefficient(UniPolyView(A, "y"), UniPolyView(B, "y"))
+            psc1 = subresultant_coefficient(UniPolyView(A, "y"), UniPolyView(B, "y"), 1, 1)
             assert "s" in psc1.used_variables()
             for s0 in (-1, 0, 2):
                 at = {v: MultiPoly.const(ring, s0) if v == "s" else MultiPoly.var(ring, v)
                       for v in ring}
-                sliced = first_subresultant_coefficient(
-                    UniPolyView(A.substitute(at), "y"), UniPolyView(B.substitute(at), "y"))
+                sliced = subresultant_coefficient(
+                    UniPolyView(A.substitute(at), "y"), UniPolyView(B.substitute(at), "y"), 1, 1)
                 assert psc1.substitute(at) == sliced
             seen |= self._check_fibres(
                 A, B, [{"x": b, "s": s0} for b in self.FIBRES for s0 in (-1, 0, 2)])
@@ -301,14 +301,65 @@ class TestFirstSubresultant:
         ring = ("y", "a", "b", "c")
         f = parse_poly("y^2 - a*y - b*y + a*b", ring)
         g = parse_poly("y^2 - a*y - c*y + a*c", ring)
-        assert first_subresultant_coefficient(UniPolyView(f, "y"), UniPolyView(g, "y")) \
+        assert subresultant_coefficient(UniPolyView(f, "y"), UniPolyView(g, "y"), 1, 1) \
             == parse_poly("b - c", ring)
 
     def test_linear_operand_refused(self):
         f = parse_poly("x^3 + 1", X)
         with pytest.raises(DegreeTooLow):
-            first_subresultant_coefficient(UniPolyView(f, "x"),
-                                           UniPolyView(parse_poly("x - 2", X), "x"))
+            subresultant_coefficient(UniPolyView(f, "x"),
+                                     UniPolyView(parse_poly("x - 2", X), "x"), 1, 1)
+
+
+class TestSubresultantCoefficients:
+    """s_{k,j} against the gcd of the specialised operands.
+
+    Where the y-leading coefficients are constants and the fibres at x = a
+    have a gcd of degree k, psc_1..psc_{k-1} vanish at a, psc_k does not,
+    and S_k(a, y) = sum_j s_{k,j}(a) y^j is proportional to that gcd.  Each
+    pair plants a common factor of degree 1, 2 or 3 on one fibre.
+    """
+
+    XY = ("x", "y")
+
+    def test_planted_fibres(self):
+        rng = random.Random(23)
+        ring = ("x", "y")
+        y = MultiPoly.var(ring, "y")
+        planted_pair = TestFirstSubresultant()._planted_pair
+        seen = set()
+        for trial in range(12):
+            m, n = rng.choice([(4, 4), (5, 4), (4, 5)])
+            a = rng.choice(TestFirstSubresultant.FIBRES)
+            A, B = planted_pair(rng, ring, m, n, a, 1 + trial % 3)
+            Av, Bv = UniPolyView(A, "y"), UniPolyView(B, "y")
+            fibre = {"x": MultiPoly.const(ring, a), "y": y}
+            common = poly_gcd(A.substitute(fibre), B.substitute(fibre))
+            k = common.degree_in("y")
+            at = {"x": a, "y": 0}
+            assert all(subresultant_coefficient(Av, Bv, i, i).evaluate(at) == 0
+                       for i in range(min(k, m, n)))
+            if k == min(m, n):  # the lower operand's fibre divides the other
+                continue
+            assert subresultant_coefficient(Av, Bv, k, k).evaluate(at) != 0
+            S = sum((y ** j * subresultant_coefficient(Av, Bv, k, j) for j in range(k + 1)),
+                    MultiPoly.zero(ring))
+            assert S.substitute(fibre).primitive() == common
+            seen.add(k)
+        assert seen == {1, 2, 3}
+
+    def test_zeroth_is_the_resultant(self):
+        f = parse_poly("x^3 - 2*x*y + y^2", self.XY)
+        g = parse_poly("3*x^2*y - x + 5", self.XY)
+        fv, gv = UniPolyView(f, "x"), UniPolyView(g, "x")
+        assert subresultant_coefficient(fv, gv, 0, 0) == resultant(fv, gv)
+
+    @pytest.mark.parametrize("k, j", [(1, 2), (2, 0), (0, -1), (-1, -1)])
+    def test_indices_out_of_range_refused(self, k, j):
+        f = parse_poly("x^3 + 1", X)
+        g = parse_poly("x^2 - 2", X)
+        with pytest.raises(DegreeTooLow):
+            subresultant_coefficient(UniPolyView(f, "x"), UniPolyView(g, "x"), k, j)
 
 
 class TestBareiss:
