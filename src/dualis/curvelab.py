@@ -98,7 +98,7 @@ class PlaneCurve:
 
 def load_curve(text: str, variables=PRIMAL_VARS,
                max_degree: int = DEFAULT_DEGREE_CAP) -> PlaneCurve:
-    """Parse a curve; the cap is checked before PlaneCurve()'s costly square-free test."""
+    """Parse a curve; the cap is checked before PlaneCurve()'s square-free test."""
     poly = parse_poly(text, variables)
     cap = min(max(max_degree, 1), HARD_DEGREE_CAP)
     if poly.total_degree() > cap:

@@ -13,11 +13,14 @@ back.  It also picks up extraneous components with known provenance, which
 are stripped in a fixed order:
 
     1. all powers of w (lines through the chart's center of projection):
-       2d(d-1) minus the degree of the chart discriminant,
+       2d(d-1) minus the degree of the chart discriminant, which is
+       homogenised to its own degree,
     2. for every singular point s of C, all powers of the dual line
        s0*u + s1*v + s2*w (every line through a singular point meets C
        doubly there),
-    3. the square-free part of what remains.
+    3. the square-free part of what remains.  Usually the remainder is
+       already square-free, which ``exact.is_squarefree`` proves on a pencil
+       of lines; only when that fails does the trivariate ``radical`` run.
 
 If the chart is degenerate for the given curve (e.g. the curve passes
 through a coordinate point in a way that kills the leading coefficient), a
@@ -36,7 +39,6 @@ from fractions import Fraction
 
 from . import curvelab, elimination
 from .curvelab import DUAL_VARS, PRIMAL_VARS, PlaneCurve
-from .elimination import WITNESS_SEQUENCE
 from .errors import (
     ChartExhausted,
     GuardrailExceeded,
@@ -44,7 +46,15 @@ from .errors import (
     NonGenericWitness,
     WitnessOnCurve,
 )
-from .exact import MultiPoly, UniPolyView, discriminant, radical, try_exact_div
+from .exact import (
+    WITNESS_SEQUENCE,
+    MultiPoly,
+    UniPolyView,
+    discriminant,
+    is_squarefree,
+    radical,
+    try_exact_div,
+)
 
 #: schedule of rational coordinate changes for degenerate charts
 _CHART_SCHEDULE = (
@@ -114,15 +124,14 @@ def _dual_in_chart(F: MultiPoly, sing_points) -> tuple | None:
     disc = discriminant(UniPolyView(psi, src[0]))
     if disc.is_zero():
         return None
-    # restore w: the discriminant is a form of degree 2d(d-1)
-    disc = MultiPoly(dst, {(a, b, 2 * d * (d - 1) - a - b): c
-                           for (_, a, b, _), c in disc.terms.items()})
+    # restore w to the chart discriminant's own degree: the discriminant is a
+    # form of degree 2d(d-1), so the rest of that degree is a power of w
+    top = disc.total_degree()
+    disc = MultiPoly(dst, {(a, b, top - a - b): c for (_, a, b, _), c in disc.terms.items()})
 
     removed = []
-    w = MultiPoly.var(dst, dst[2])
-    disc, k = _strip_all(disc, w)
-    if k:
-        removed.append((w, k))
+    if top < 2 * d * (d - 1):
+        removed.append((MultiPoly.var(dst, dst[2]), 2 * d * (d - 1) - top))
     for s in sing_points:
         line = (
             MultiPoly.var(dst, dst[0]) * s[0]
@@ -134,11 +143,11 @@ def _dual_in_chart(F: MultiPoly, sing_points) -> tuple | None:
             removed.append((line, k))
     if disc.is_constant():
         return None
+    if is_squarefree(disc):
+        return disc.primitive(), removed
     rad = radical(disc)
-    if rad.total_degree() != disc.total_degree():
-        cofactor = try_exact_div(disc, rad)
-        removed.append((cofactor.primitive(), 1))
-    return rad.primitive(), removed
+    removed.append((try_exact_div(disc, rad).primitive(), 1))
+    return rad, removed
 
 
 def dual_equation(curve: PlaneCurve) -> DualCurve:

@@ -25,9 +25,10 @@ composed with x-shears) and only reports a number it can certify:
   R.  Rational singular points are verified fiber by fiber.
 
 Univariate work over Q (eliminants, fibers, forms on a line) runs on
-Fraction coefficient lists; their gcd is a primitive remainder sequence over
-the integers.  The square-free part is written once (`_sqfree_part`), for
-the frame step, binary forms and `rational_roots`.
+Fraction coefficient lists; their gcd is the primitive remainder sequence
+of `exact`.  The square-free part is written once (`_sqfree_part`), for
+the frame step, binary forms and `rational_roots`.  No trivariate gcd runs
+here: a pair is proved coprime on a pencil of lines (`exact.forms_coprime`).
 
 Nothing here ever returns a float or an approximation; when a count cannot
 be certified the routine raises.
@@ -38,7 +39,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, product
 from typing import Optional, Sequence
 
 from .errors import (
@@ -51,7 +51,11 @@ from .errors import (
 from .exact import (
     MultiPoly,
     UniPolyView,
-    poly_gcd,
+    _primitive_ints,
+    _trim,
+    _uni_gcd,
+    forms_coprime,
+    point_off,
     resultant,
     subresultant_coefficient,
 )
@@ -106,12 +110,6 @@ def _base_frames() -> list:
 
 _BASES = _base_frames()
 
-#: deterministic witness points for polar constructions
-WITNESS_SEQUENCE = (
-    (1, 2, 5), (3, 7, 2), (2, 5, 11), (7, 3, 13),
-    (5, 1, 3), (1, 1, 7), (11, 2, 3), (2, 9, 5),
-)
-
 
 # ---------------------------------------------------------------------------
 # univariate polynomials over Q, as Fraction coefficient lists [c0..cd]
@@ -131,14 +129,6 @@ def univar_coeffs(p: MultiPoly, var: str) -> list:
 
 #: primes tried as the modulus of the p-adic root search
 _PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1)))
-
-
-def _primitive_ints(cs: Sequence[Fraction]) -> list:
-    """Coprime integers proportional to a nonzero list of rationals."""
-    den = math.lcm(*(c.denominator for c in cs))
-    ints = [int(c * den) for c in cs]
-    g = math.gcd(*ints)
-    return [a // g for a in ints]
 
 
 def _eval_mod(f: Sequence[int], r: int, m: int) -> int:
@@ -211,41 +201,12 @@ def _sqfree_part(cs: list) -> list:
     return _uni_quo(cs, _uni_gcd(cs, [i * c for i, c in enumerate(cs)][1:]))
 
 
-def _trim(cs: Sequence[Fraction]) -> list:
-    """A copy of cs without trailing zero coefficients."""
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
 def _nonzero(cs: Sequence[Fraction]) -> list:
     """cs trimmed; the zero polynomial is refused."""
     cs = _trim(cs)
     if not cs:
         raise ZeroInput("zero polynomial")
     return cs
-
-
-def _uni_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    """A gcd, up to a constant factor, of two lists not both zero, as
-    Fractions: a primitive remainder sequence over the integers."""
-    a, b = _trim(a), _trim(b)
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return a
-    a, b = _primitive_ints(a), _primitive_ints(b)
-    while b:
-        while len(a) >= len(b):  # a <- a multiple of a, minus a multiple of b
-            g = math.gcd(a[-1], b[-1])
-            top, shift = a[-1] // g, len(a) - len(b)
-            a = [c * (b[-1] // g) for c in a]
-            for i, c in enumerate(b):
-                a[shift + i] -= top * c
-            a = _trim(a)
-        a, b = b, (_primitive_ints(a) if a else [])
-    return [Fraction(c) for c in a]
 
 
 def _uni_quo(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
@@ -257,7 +218,6 @@ def _uni_quo(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
         for i, c in enumerate(b):
             a[k + i] -= q[k] * c
     return q
-
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +461,7 @@ def _accepted_frame(F: MultiPoly, G: MultiPoly, coprime: bool = False) -> _Frame
             # a shared component spoils every base, so the first failing
             # base decides it unless the caller proved the pair coprime;
             # an accepted frame excludes it, as R != 0
-            if not coprime and not poly_gcd(F, G).is_constant():
+            if not coprime and not forms_coprime(F, G):
                 raise ReducibleCurve("curves share a component")
             coprime = True
             continue
@@ -532,9 +492,7 @@ def certified_singular_count(F: MultiPoly) -> int:
     if F.is_zero():
         raise ZeroInput("the zero form defines no curve")
     ring = F.variables
-    # no nonzero form of degree d vanishes on all of {0..d}^3
-    grid = product(range(F.total_degree() + 1), repeat=3)
-    w = next(p for p in chain(WITNESS_SEQUENCE, grid) if F.evaluate(dict(zip(ring, p))) != 0)
+    w = point_off([F])
     polar = sum((F.derivative(v) * c for v, c in zip(ring, w)), MultiPoly.zero(ring))
     frame = _accepted_frame(F, polar, coprime=True)
     x, y = ring[0], frame.A.var

@@ -49,7 +49,7 @@ class InvariantViolation(DualisError):
 # --- plane-curve layer ------------------------------------------------------
 
 class ReducibleCurve(DualisError):
-    """A repeated or shared component was detected by the gcd heuristic."""
+    """A repeated or shared component was detected."""
 
 
 class IrrationalSingularity(DualisError):

@@ -29,6 +29,15 @@ submatrices of the Sylvester matrix, take the same path; they tell where two
 polynomials share k roots and what the common factor is.  A hard guardrail
 refuses Sylvester matrices larger than 64x64 so that a degenerate input
 fails fast instead of hanging.
+
+Whether a ternary form is square-free, and whether two share a component,
+is decided on a pencil of lines through a point off their curves: each line
+restricts the forms to integer univariate polynomials, and one line with a
+constant gcd proves the answer, while d(d-1) + 1 failing lines (d1*d2 + 1
+for a pair) prove the opposite.  The univariate toolkit (trim, primitive integers, the
+primitive remainder sequence) lives here too.  The trivariate gcd,
+``poly_gcd``, is public API and the fallback of ``radical``; no count and no
+curve check calls it.
 """
 
 from __future__ import annotations
@@ -36,12 +45,14 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import chain, count, islice, product
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     DegenerateInput,
     DegreeGuardrail,
     DegreeTooLow,
+    InvalidParams,
     InvariantViolation,
     PolySyntaxError,
     SharedVariableMismatch,
@@ -568,6 +579,47 @@ def divides(g: MultiPoly, f: MultiPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# univariate polynomials over Q, as coefficient lists [c0..cd]
+# ---------------------------------------------------------------------------
+
+def _trim(cs: Sequence[Fraction]) -> list:
+    """A copy of cs without trailing zero coefficients."""
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _primitive_ints(cs: Sequence[Fraction]) -> list:
+    """Coprime integers proportional to a nonzero list of rationals."""
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in cs]
+    g = math.gcd(*ints)
+    return [a // g for a in ints]
+
+
+def _uni_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
+    """A gcd, up to a constant factor, of two lists not both zero, as
+    Fractions: a primitive remainder sequence over the integers."""
+    a, b = _trim(a), _trim(b)
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a
+    a, b = _primitive_ints(a), _primitive_ints(b)
+    while b:
+        while len(a) >= len(b):  # a <- a multiple of a, minus a multiple of b
+            g = math.gcd(a[-1], b[-1])
+            top, shift = a[-1] // g, len(a) - len(b)
+            a = [c * (b[-1] // g) for c in a]
+            for i, c in enumerate(b):
+                a[shift + i] -= top * c
+            a = _trim(a)
+        a, b = b, (_primitive_ints(a) if a else [])
+    return [Fraction(c) for c in a]
+
+
+# ---------------------------------------------------------------------------
 # multivariate gcd (primitive PRS)
 # ---------------------------------------------------------------------------
 
@@ -671,13 +723,6 @@ def radical(f: MultiPoly) -> MultiPoly:
     polys = [f] + [f.derivative(v) for v in f.used_variables()]
     g = poly_gcd_many(polys)
     return exact_div(f, g).primitive()
-
-
-def is_squarefree(f: MultiPoly) -> bool:
-    if f.is_zero():
-        return False
-    polys = [f] + [f.derivative(v) for v in f.used_variables()]
-    return poly_gcd_many(polys).is_constant()
 
 
 # ---------------------------------------------------------------------------
@@ -910,3 +955,99 @@ def squarefree_part(f: Union[MultiPoly, UniPolyView], var: Optional[str] = None)
         return poly.primitive()
     g = poly_gcd(poly, d)
     return exact_div(poly, g).primitive()
+
+
+# ---------------------------------------------------------------------------
+# square-freeness and coprimality of ternary forms, on a pencil of lines
+# ---------------------------------------------------------------------------
+
+#: deterministic witness points: polar constructions and pencil centres
+WITNESS_SEQUENCE = (
+    (1, 2, 5), (3, 7, 2), (2, 5, 11), (7, 3, 13),
+    (5, 1, 3), (1, 1, 7), (11, 2, 3), (2, 9, 5),
+)
+
+
+def point_off(forms: Sequence[MultiPoly]) -> tuple:
+    """The first point of WITNESS_SEQUENCE, then of the grid {0..D}^3, at
+    which none of the nonzero ternary forms vanishes, D the sum of their
+    degrees.  Their product is a nonzero form of degree D, and no such form
+    vanishes on all of the grid, so the search ends."""
+    ring = forms[0].variables
+    grid = product(range(sum(f.total_degree() for f in forms) + 1), repeat=3)
+    return next(p for p in chain(WITNESS_SEQUENCE, grid)
+                if all(f.evaluate(dict(zip(ring, p))) != 0 for f in forms))
+
+
+def _ternary_form(f: MultiPoly) -> int:
+    """The degree of f, refused unless f is a homogeneous form in three variables."""
+    if len(f.variables) != 3 or not f.is_homogeneous():
+        raise InvalidParams(f"{f.text()} is not a homogeneous form in three variables")
+    return f.total_degree()
+
+
+def _on_pencil(forms: Sequence[MultiPoly]):
+    """For a = 0, 1, ..., the forms restricted to the a-th line of a pencil.
+
+    The pencil is centred at p = `point_off(forms)`.  With p_k != 0 and i, j
+    the other indices, q_a = e_i + a*e_j, and the lines through p and q_a
+    are distinct for distinct a.  A form F of degree d restricts to
+    F(s*p + q_a), of degree d in s with leading coefficient F(p) != 0; it is
+    evaluated at s = 0..d on F scaled to integer coefficients and
+    interpolated, and each line yields one integer coefficient list per
+    form, proportional to that restriction.
+    """
+    p = point_off(forms)
+    k = next(n for n, c in enumerate(p) if c)
+    i, j = (n for n in range(3) if n != k)
+    scaled = []
+    for F in forms:
+        den = math.lcm(*(c.denominator for c in F.terms.values()))
+        scaled.append((F.total_degree(),
+                       [(e, c.numerator * (den // c.denominator)) for e, c in F.terms.items()]))
+    for a in count():
+        q = [0, 0, 0]
+        q[i], q[j] = 1, a
+        restricted = []
+        for d, terms in scaled:
+            values = []
+            for s in range(d + 1):
+                point = [s * pc + qc for pc, qc in zip(p, q)]
+                x, y, z = ([r ** m for m in range(d + 1)] for r in point)
+                values.append(sum(c * x[e[0]] * y[e[1]] * z[e[2]] for e, c in terms))
+            restricted.append(_newton_numerators(values))
+        yield restricted
+
+
+def is_squarefree(f: MultiPoly) -> bool:
+    """Is the ternary form f square-free?  Decided on the pencil of `_on_pencil`.
+
+    True at the first line a in 0..d(d-1) where gcd(f_a, f_a') is constant,
+    and False when every one fails.  A square factor H^2 of f has H(p) != 0,
+    so it restricts to the square of a nonconstant polynomial on every line.
+    For square-free f, a repeated root of f_a is a point of V(f, P_p) with P_p
+    the polar of p; f(p) != 0 makes f and P_p coprime, so they share at most
+    d(d-1) points, and each lies on one line of the pencil.
+    """
+    d = _ternary_form(f)
+    if f.is_zero():
+        return False
+    return any(len(_uni_gcd(fa, [n * c for n, c in enumerate(fa)][1:])) == 1
+               for (fa,) in islice(_on_pencil([f]), d * (d - 1) + 1))
+
+
+def forms_coprime(f: MultiPoly, g: MultiPoly) -> bool:
+    """Do the nonzero ternary forms f and g share no component?
+
+    True at the first line a in 0..d1*d2 of the pencil of `_on_pencil` where
+    the restrictions have a constant gcd, and False when every one fails.  A
+    shared component does not vanish at p, so it restricts to a common
+    nonconstant factor on every line.  Coprime forms share at most d1*d2
+    points, none of them p, and each lies on one line of the pencil.
+    """
+    f._check_ring(g)
+    bound = _ternary_form(f) * _ternary_form(g)
+    if f.is_zero() or g.is_zero():
+        raise ZeroInput("coprimality of the zero form")
+    return any(len(_uni_gcd(fa, ga)) == 1
+               for fa, ga in islice(_on_pencil([f, g]), bound + 1))

@@ -28,6 +28,7 @@ from dualis.corpus import (
 )
 from dualis.curvelab import PlaneCurve
 from dualis.errors import MissingFile, SchemaError
+from dualis.exact import parse_poly
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPO_CORPUS = REPO_ROOT / "corpus"
@@ -359,6 +360,48 @@ class TestModuleEntryPoint:
         assert time.perf_counter() - start < 2.0
         assert done.returncode == 0
         assert done.stdout.strip() == b"12"
+
+    #: x(x - z)(x + y + z)(x + 2y - z)(x^2 - 3y^2 + 2z^2), expanded
+    FOUR_LINES_AND_CONIC = (
+        "x^6 + 3*x^5*y - x^5*z - x^4*y^2 - 2*x^4*y*z + x^4*z^2 - 9*x^3*y^3"
+        " + x^3*y^2*z + 5*x^3*y*z^2 - x^3*z^3 - 6*x^2*y^4 + 6*x^2*y^3*z"
+        " + 7*x^2*y^2*z^2 - 4*x^2*y*z^3 - 2*x^2*z^4 + 6*x*y^4*z + 3*x*y^3*z^2"
+        " - 7*x*y^2*z^3 - 2*x*y*z^4 + 2*x*z^5")
+
+    def _json_in_time(self, *args):
+        start = time.perf_counter()
+        done = self._run(*args, "--format", "json")
+        assert time.perf_counter() - start < 2.0
+        assert done.returncode == 0
+        return json.loads(done.stdout)
+
+    def test_smooth_sextic_analysis_in_time(self):
+        got = self._json_in_time("curve", "analyze", "--poly",
+                                 "x^6 + y^5*z + x^2*y^2*z^2 + z^6 + x*y^5")
+        assert got["report"]["g"] == 10 and got["singular_points"] == []
+
+    def test_smooth_cubic_dual_in_time(self):
+        got = self._json_in_time("curve", "dual", "--poly", "x^3 - 2*y^2*z + 3*x*z^2 - y*z^2")
+        assert got["degree"] == 6
+        # the tangent line at the rational point [0:1:0] has coordinates
+        # grad F(0, 1, 0) = (0, 0, -2)
+        assert parse_poly(got["dual"], ("u", "v", "w")).evaluate({"u": 0, "v": 0, "w": -2}) == 0
+
+    @pytest.mark.parametrize("poly, degree", [
+        ("x^5 + y^4*z + x*y*z^3 + z^5", 20),
+        ("x^6 + y^6 + z^6", 30),
+    ], ids=["quintic", "fermat-sextic"])
+    def test_smooth_dual_in_time(self, poly, degree):
+        # a smooth curve of degree d has class d(d - 1)
+        assert self._json_in_time("curve", "dual", "--poly", poly)["degree"] == degree
+
+    def test_four_lines_and_conic_dual_degree_in_time(self):
+        # lines have class 0 and the conic class 2
+        start = time.perf_counter()
+        done = self._run("curve", "dual-degree", "--poly", self.FOUR_LINES_AND_CONIC)
+        assert time.perf_counter() - start < 2.0
+        assert done.returncode == 0
+        assert done.stdout.strip() == b"2"
 
     @pytest.mark.parametrize("poly", [
         "x^" + "9" * 4400 + " + y^2*z",     # int() refuses more than 4300 digits

@@ -1,21 +1,30 @@
 """Tests for the exact scalar and polynomial layer."""
 
 import random
+import time
 from fractions import Fraction
+from functools import reduce
+from itertools import product
 
 import pytest
 
 from dualis.errors import (
+    InvalidParams,
     PolySyntaxError,
+    SharedVariableMismatch,
     UnknownVariableError,
     ZeroInput,
 )
 from dualis.exact import (
+    WITNESS_SEQUENCE,
     MultiPoly,
     UniPolyView,
     divides,
     exact_div,
+    forms_coprime,
+    is_squarefree,
     parse_poly,
+    point_off,
     poly_gcd,
     radical,
     try_exact_div,
@@ -185,6 +194,145 @@ class TestDivisionAndGcd:
     def test_radical_zero_input(self):
         with pytest.raises(ZeroInput):
             radical(MultiPoly.zero(XYZ))
+
+
+def _linear(coeffs):
+    return sum((MultiPoly.var(XYZ, v) * c for v, c in zip(XYZ, coeffs)), MultiPoly.zero(XYZ))
+
+
+def _random_form(rng, degree):
+    """A nonzero ternary form with small coefficients, some of them fractions."""
+    while True:
+        form = MultiPoly(XYZ, {e: Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                               for e in product(range(degree + 1), repeat=3)
+                               if sum(e) == degree and rng.random() < 0.6})
+        if not form.is_zero():
+            return form
+
+
+def _witness_lines(rng):
+    """Four lines, each through two points of WITNESS_SEQUENCE: their
+    product vanishes at every witness."""
+    points = list(WITNESS_SEQUENCE)
+    rng.shuffle(points)
+    return [_linear([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]]) for a, b in zip(points[::2], points[1::2])]
+
+
+def _sympy_poly(sympy, form):
+    return sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator) for e, c in form.terms.items()},
+        *sympy.symbols(XYZ))
+
+
+class TestPencilCertificates:
+    """Square-freeness and coprimality decided on a pencil of lines."""
+
+    #: the first witness, p = (1, 2, 5), is off every curve below; with
+    #: k = 0 the pencil lines join p to q_a = (0, 1, a), so line 0 is
+    #: z = 5x and line 1 is z = 3x + y
+    LINE_0 = _linear([-5, 0, 1])
+    LINE_1 = _linear([-3, -1, 1])
+
+    def test_squarefree_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(29)
+        reached_grid = planted = 0
+        for _ in range(40):
+            factors = [_random_form(rng, rng.randint(1, 2)) for _ in range(rng.randint(1, 2))]
+            if rng.random() < 0.5:
+                lines = _witness_lines(rng)
+                factors += lines
+                reached_grid += 1
+                if rng.random() < 0.5:
+                    factors.append(rng.choice(lines))  # a square through two witnesses
+                    planted += 1
+            if rng.random() < 0.4:
+                square = _random_form(rng, rng.randint(1, 2))
+                factors += [square, square]
+                planted += 1
+            F = reduce(lambda a, b: a * b, factors)
+            assert is_squarefree(F) == _sympy_poly(sympy, F).is_sqf, F.text()
+        assert reached_grid >= 10 and planted >= 10
+
+    def test_coprime_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(31)
+        shared = 0
+        for _ in range(40):
+            F = _random_form(rng, rng.randint(1, 3))
+            G = _random_form(rng, rng.randint(1, 3))
+            if rng.random() < 0.5:
+                # together the two forms vanish at every witness
+                lines = _witness_lines(rng)
+                F, G = F * lines[0] * lines[1], G * lines[2] * lines[3]
+                if rng.random() < 0.5:
+                    G = G * lines[0]  # a shared line through two witnesses
+                    shared += 1
+            if rng.random() < 0.3:
+                common = _random_form(rng, rng.randint(1, 2))
+                F, G = F * common, G * common
+                shared += 1
+            gcd = sympy.gcd(_sympy_poly(sympy, F), _sympy_poly(sympy, G))
+            assert forms_coprime(F, G) == (gcd.total_degree() == 0), (F.text(), G.text())
+        assert shared >= 10
+
+    def test_point_search_reaches_the_grid(self):
+        lines = _witness_lines(random.Random(3))
+        W = reduce(lambda a, b: a * b, lines)
+        p = point_off([W])
+        assert p not in WITNESS_SEQUENCE and W.evaluate(dict(zip(XYZ, p))) != 0
+        assert is_squarefree(W) and not is_squarefree(W * lines[2])
+        assert forms_coprime(W, _linear([1, 1, 1]))
+        assert not forms_coprime(lines[0] * lines[1], lines[1] * lines[2])
+
+    def test_conic_tangent_to_the_first_two_lines(self):
+        # L0*L1 - x^2 is a smooth conic; the lines L0, L1 through p touch it
+        # where x = 0, so the certificate needs line 2 = d(d-1)
+        conic = self.LINE_0 * self.LINE_1 - _linear([1, 0, 0]) ** 2
+        assert point_off([conic]) == WITNESS_SEQUENCE[0]
+        assert is_squarefree(conic)
+        assert not is_squarefree(conic * _linear([1, 0, 0]) ** 2)
+
+    def test_line_pair_meeting_on_the_first_line(self):
+        # x + z and x - z meet at [0:1:0], on line 0, so the certificate
+        # needs line 1 = d1*d2
+        f, g = _linear([1, 0, 1]), _linear([1, 0, -1])
+        assert self.LINE_0.evaluate({"x": 0, "y": 1, "z": 0}) == 0
+        assert point_off([f, g]) == WITNESS_SEQUENCE[0]
+        assert forms_coprime(f, g)
+        assert not forms_coprime(f * g, g * _linear([1, 1, 1]))
+
+    def test_constants_zero_and_mixed_rings(self):
+        one = MultiPoly.const(XYZ, 3)
+        assert is_squarefree(one)
+        assert not is_squarefree(MultiPoly.zero(XYZ))
+        assert forms_coprime(one, _linear([1, 2, 3]))
+        with pytest.raises(ZeroInput):
+            forms_coprime(MultiPoly.zero(XYZ), one)
+        with pytest.raises(SharedVariableMismatch):
+            forms_coprime(parse_poly("u", UVW), _linear([1, 0, 0]))
+
+    @pytest.mark.parametrize("text, variables", [
+        ("x^2 + y", XYZ),
+        ("x^2 + y^2", ("x", "y")),
+        ("x^2 + y^2 + z^2 + t^2", ("x", "y", "z", "t")),
+    ], ids=["inhomogeneous", "two-variables", "four-variables"])
+    def test_other_input_refused(self, text, variables):
+        f = parse_poly(text, variables)
+        with pytest.raises(InvalidParams):
+            is_squarefree(f)
+        with pytest.raises(InvalidParams):
+            forms_coprime(f, f)
+
+    def test_high_degree_failure_is_bounded(self):
+        # every one of the d(d-1)+1 = 111 lines of a degree-11 form with a
+        # square factor fails, each at the cost of one univariate gcd
+        f = parse_poly("x^7*y + y^7*z + z^7*x + x^3*y^3*z^2", XYZ)
+        start = time.perf_counter()
+        assert not is_squarefree(f * _linear([1, 2, 3]) ** 2 * _linear([1, 0, 1]))
+        assert is_squarefree(f)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestUniPolyView:

@@ -15,3 +15,34 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found
+
+
+def _referenced_names(path: Path) -> set:
+    """Every identifier a module uses, imports or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_trivariate_gcds_stay_off_the_counting_paths():
+    # square-freeness and coprimality are certified on a pencil of lines;
+    # the primitive-PRS gcd is public API, and radical the fallback of the
+    # dual equation when its discriminant is not square-free
+    allowed = {
+        "poly_gcd": {"exact.py", "__init__.py"},
+        "poly_gcd_many": {"exact.py", "__init__.py"},
+        "radical": {"exact.py", "__init__.py", "dualgeom.py"},
+    }
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for name in sorted(_referenced_names(path) & allowed.keys())
+        if path.name not in allowed[name]
+    ]
+    assert not found
