@@ -17,10 +17,13 @@ are stripped in a fixed order:
        homogenised to its own degree,
     2. for every singular point s of C, all powers of the dual line
        s0*u + s1*v + s2*w (every line through a singular point meets C
-       doubly there),
-    3. the square-free part of what remains.  Usually the remainder is
-       already square-free, which ``exact.is_squarefree`` proves on a pencil
-       of lines; only when that fails does the trivariate ``radical`` run.
+       doubly there).
+
+What remains is square-free: in characteristic 0 distinct components of C
+have distinct duals, and the discriminant vanishes to order one along the
+dual of each: moving a line that is simply tangent at a point r off r
+changes phi at the double root to first order.  ``exact.is_squarefree`` certifies this on a pencil of lines, and a
+remainder that fails the certificate is refused with InvariantViolation.
 
 If the chart is degenerate for the given curve (e.g. the curve passes
 through a coordinate point in a way that kills the leading coefficient), a
@@ -43,6 +46,7 @@ from .errors import (
     ChartExhausted,
     GuardrailExceeded,
     InvalidParams,
+    InvariantViolation,
     NonGenericWitness,
     WitnessOnCurve,
 )
@@ -52,7 +56,6 @@ from .exact import (
     UniPolyView,
     discriminant,
     is_squarefree,
-    radical,
     try_exact_div,
 )
 
@@ -143,11 +146,11 @@ def _dual_in_chart(F: MultiPoly, sing_points) -> tuple | None:
             removed.append((line, k))
     if disc.is_constant():
         return None
-    if is_squarefree(disc):
-        return disc.primitive(), removed
-    rad = radical(disc)
-    removed.append((try_exact_div(disc, rad).primitive(), 1))
-    return rad, removed
+    if not is_squarefree(disc):
+        # distinct components have distinct duals, and the discriminant is
+        # reduced along the dual of each, so only the stripped factors repeat
+        raise InvariantViolation("the stripped discriminant is not square-free")
+    return disc.primitive(), removed
 
 
 def dual_equation(curve: PlaneCurve) -> DualCurve:

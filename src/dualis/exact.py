@@ -30,14 +30,16 @@ polynomials share k roots and what the common factor is.  A hard guardrail
 refuses Sylvester matrices larger than 64x64 so that a degenerate input
 fails fast instead of hanging.
 
-Whether a ternary form is square-free, and whether two share a component,
-is decided on a pencil of lines through a point off their curves: each line
-restricts the forms to integer univariate polynomials, and one line with a
-constant gcd proves the answer, while d(d-1) + 1 failing lines (d1*d2 + 1
-for a pair) prove the opposite.  The univariate toolkit (trim, primitive integers, the
-primitive remainder sequence) lives here too.  The trivariate gcd,
-``poly_gcd``, is public API and the fallback of ``radical``; no count and no
-curve check calls it.
+Whether two ternary forms share a component is decided on a pencil of
+lines through a point off their curves: each line restricts the forms to
+integer univariate polynomials, one line with a constant gcd proves that
+they do not, and d1*d2 + 1 failing lines prove that they do.  A form is
+square-free exactly when it shares no component with the polar of a point
+off its curve, and on the same pencil that polar restricts to derivatives,
+so the same certificate decides square-freeness with d(d-1) + 1 lines.  The univariate toolkit (trim, primitive integers, the
+primitive remainder sequence) lives here too.  The trivariate gcd
+``poly_gcd`` and the ``radical`` built on it are public API; no count, no
+curve check and no dual equation calls them.
 """
 
 from __future__ import annotations
@@ -1020,14 +1022,18 @@ def _on_pencil(forms: Sequence[MultiPoly]):
 
 
 def is_squarefree(f: MultiPoly) -> bool:
-    """Is the ternary form f square-free?  Decided on the pencil of `_on_pencil`.
+    """Is the ternary form f square-free?  `forms_coprime(f, P_p)` for the
+    polar P_p of p = `point_off([f])`, with P_p never built.
 
-    True at the first line a in 0..d(d-1) where gcd(f_a, f_a') is constant,
-    and False when every one fails.  A square factor H^2 of f has H(p) != 0,
-    so it restricts to the square of a nonconstant polynomial on every line.
-    For square-free f, a repeated root of f_a is a point of V(f, P_p) with P_p
-    the polar of p; f(p) != 0 makes f and P_p coprime, so they share at most
-    d(d-1) points, and each lies on one line of the pencil.
+    f is square-free exactly when f and P_p share no component: a square
+    factor H^2 of f divides every partial, so H divides P_p, and a component
+    shared by a square-free f and P_p would have every tangent line through
+    p, so it would be a line through p, which f(p) != 0 rules out.  As
+    P_p(p) = d*f(p) != 0, p is also the centre of the pencil of the pair,
+    and P_p restricts to each line as d/ds f(s*p + q_a) = f_a'.  So f is
+    square-free at the first line a in 0..d(d-1) where gcd(f_a, f_a') is
+    constant, and not when every one fails.  Building P_p instead would
+    make the test about three times slower.
     """
     d = _ternary_form(f)
     if f.is_zero():

@@ -20,6 +20,7 @@ from dualis.dualgeom import (
 from dualis.errors import (
     GuardrailExceeded,
     InvalidParams,
+    InvariantViolation,
     NonGenericWitness,
     WitnessOnCurve,
 )
@@ -162,6 +163,16 @@ class TestDualEquation:
     def test_degree_one_refused(self):
         with pytest.raises(InvalidParams):
             dual_equation(curve("x + y"))
+
+    def test_failed_certificate_refused(self, monkeypatch):
+        # once w and the singular lines are stripped, the discriminant of a
+        # reduced curve is square-free; were the certificate to fail, the
+        # dual is refused instead of reduced by a trivariate gcd
+        from dualis import dualgeom
+        nodal = curve(NODAL)
+        monkeypatch.setattr(dualgeom, "is_squarefree", lambda f: False)
+        with pytest.raises(InvariantViolation):
+            dual_equation(nodal)
 
     def test_chart_independence_up_to_scalar(self):
         # recompute through a nontrivial frame by feeding the moved curve

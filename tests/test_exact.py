@@ -255,6 +255,19 @@ class TestPencilCertificates:
             assert is_squarefree(F) == _sympy_poly(sympy, F).is_sqf, F.text()
         assert reached_grid >= 10 and planted >= 10
 
+    def test_squarefree_is_coprimality_with_the_polar(self):
+        # is_squarefree reads the polar of its pencil centre off as f_a'
+        rng = random.Random(37)
+        for _ in range(20):
+            factors = [_random_form(rng, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                factors.append(rng.choice(factors))
+            F = reduce(lambda a, b: a * b, factors)
+            p = point_off([F])
+            polar = sum((F.derivative(v) * c for v, c in zip(XYZ, p)), MultiPoly.zero(XYZ))
+            assert point_off([F, polar]) == p
+            assert is_squarefree(F) == forms_coprime(F, polar), F.text()
+
     def test_coprime_against_sympy(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(31)

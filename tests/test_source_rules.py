@@ -32,17 +32,12 @@ def _referenced_names(path: Path) -> set:
 
 def test_trivariate_gcds_stay_off_the_counting_paths():
     # square-freeness and coprimality are certified on a pencil of lines;
-    # the primitive-PRS gcd is public API, and radical the fallback of the
-    # dual equation when its discriminant is not square-free
-    allowed = {
-        "poly_gcd": {"exact.py", "__init__.py"},
-        "poly_gcd_many": {"exact.py", "__init__.py"},
-        "radical": {"exact.py", "__init__.py", "dualgeom.py"},
-    }
+    # the primitive-PRS gcd and the radical built on it are public API only
+    gcds = {"poly_gcd", "poly_gcd_many", "radical"}
     found = [
         f"{path.name}: {name}"
         for path in sorted(SOURCE.glob("*.py"))
-        for name in sorted(_referenced_names(path) & allowed.keys())
-        if path.name not in allowed[name]
+        if path.name not in {"exact.py", "__init__.py"}
+        for name in sorted(_referenced_names(path) & gcds)
     ]
     assert not found
