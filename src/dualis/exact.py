@@ -14,7 +14,12 @@ A :class:`MultiPoly` is a sparse multivariate polynomial over the rationals:
 Zero coefficients are never stored, so two polynomials are equal as values
 exactly when their representations are equal.  Printing uses graded
 lexicographic order (total degree first, then lex on exponents), which makes
-``parse(print(p)) == p`` a fixed point.
+``parse(print(p)) == p`` a fixed point.  The public constructor validates
+its input; the ring's own results, clean by construction, are stored through
+the private ``MultiPoly._trusted`` without a second pass.  Substitution,
+which every change of coordinates, chart and shear goes through, scales the
+polynomial and its images to integers, expands every term into one integer
+accumulator and divides by the common denominator once.
 
 On top of the polynomial ring the module provides the elimination kernel:
 Sylvester matrices (rows of the first operand first), resultants,
@@ -48,6 +53,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import chain, count, islice, product
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -96,6 +102,23 @@ def _grad_lex_key(exps: Exponents):
     return (sum(exps), exps)
 
 
+def _integer_terms(poly: "MultiPoly") -> tuple:
+    """(den, {exponents: int}): the coefficients of poly times the least
+    common denominator den of all of them."""
+    den = math.lcm(*(c.denominator for c in poly.terms.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in poly.terms.items()}
+
+
+def _add_product(acc: dict, a: dict, b: dict) -> dict:
+    """Add the product of the integer polynomials a and b ({exponents: int})
+    into acc, in place, and return acc.  Cancelled entries stay as 0."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return acc
+
+
 class MultiPoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
@@ -121,6 +144,17 @@ class MultiPoly:
                 del clean[exps]
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, variables: tuple, terms: dict) -> "MultiPoly":
+        """A polynomial holding ``variables`` and ``terms`` as given, neither
+        validated nor copied.  Only for results this module builds itself:
+        the caller guarantees a tuple of names, exponent tuples of its length
+        and nonzero Fraction coefficients, and hands the dict over."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("MultiPoly is immutable")
@@ -210,12 +244,12 @@ class MultiPoly:
                 out.pop(e, None)
             else:
                 out[e] = s
-        return MultiPoly(self.variables, out)
+        return MultiPoly._trusted(self.variables, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -230,7 +264,7 @@ class MultiPoly:
             q = Fraction(other)
             if q == 0:
                 return MultiPoly.zero(self.variables)
-            return MultiPoly(self.variables, {e: c * q for e, c in self.terms.items()})
+            return MultiPoly._trusted(self.variables, {e: c * q for e, c in self.terms.items()})
         self._check_ring(other)
         if not self.terms or not other.terms:
             return MultiPoly.zero(self.variables)
@@ -243,7 +277,7 @@ class MultiPoly:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return MultiPoly(self.variables, out)
+        return MultiPoly._trusted(self.variables, out)
 
     __rmul__ = __mul__
 
@@ -271,13 +305,9 @@ class MultiPoly:
 
     def derivative(self, name: str) -> "MultiPoly":
         i = self._index(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            out[ne] = out.get(ne, _ZERO) + c * e[i]
-        return MultiPoly(self.variables, out)
+        # distinct monomials stay distinct when one exponent drops by one
+        return MultiPoly._trusted(self.variables, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.terms.items() if e[i]})
 
     def evaluate(self, point: Mapping[str, Union[int, Fraction]]) -> Fraction:
         """Evaluate at a full rational point."""
@@ -296,28 +326,44 @@ class MultiPoly:
 
         Every variable of ``self`` must be mapped; all images must live in a
         common ring, which becomes the ring of the result.
+
+        The expansion runs over the integers: ``self`` and each image are
+        scaled to integer numerators over one denominator, each image's
+        powers are built once up to the largest exponent used, every term is
+        expanded into one integer accumulator over the common denominator
+        den(self) * prod den(image_i)^max_i, and that is divided out once.
         """
         images = [mapping[v] for v in self.variables]
         ring = images[0].variables
         for p in images:
             if p.variables != ring:
                 raise SharedVariableMismatch("substitution images disagree on ring")
-        result = MultiPoly.zero(ring)
-        pow_cache: list[dict] = [dict() for _ in images]
-
-        def power(i: int, n: int) -> MultiPoly:
-            cache = pow_cache[i]
-            if n not in cache:
-                cache[n] = images[i] ** n
-            return cache[n]
-
-        for e, c in self.terms.items():
-            term = MultiPoly.const(ring, c)
-            for i, exp in enumerate(e):
-                if exp:
-                    term = term * power(i, exp)
-            result = result + term
-        return result
+        den, scaled = _integer_terms(self)
+        origin = (0,) * len(ring)
+        one = {origin: 1}
+        powers = []   # per image: its integer powers 0..top
+        lifts = []    # per image: den_i^(top - k), lifting power k to the common denominator
+        for i, image in enumerate(images):
+            top = max((e[i] for e in scaled), default=0)
+            den_i, base = _integer_terms(image)
+            table = [one]
+            for _ in range(top):
+                table.append(_add_product({}, table[-1], base))
+            powers.append(table)
+            lifts.append([den_i ** (top - k) for k in range(top + 1)])
+            den *= den_i ** top
+        acc: dict = {}
+        for e, c in scaled.items():
+            factors = []
+            for i, k in enumerate(e):
+                c *= lifts[i][k]
+                if k:
+                    factors.append(powers[i][k])
+            part = {origin: c}
+            for table in factors[:-1]:
+                part = _add_product({}, part, table)
+            _add_product(acc, part, factors[-1] if factors else one)
+        return MultiPoly._trusted(ring, {e: Fraction(c, den) for e, c in acc.items() if c})
 
     def restrict_variables(self, variables: Sequence[str]) -> "MultiPoly":
         """Re-express in a smaller/reordered variable tuple.
@@ -513,7 +559,7 @@ class UniPolyView:
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "var", var)
         object.__setattr__(
-            self, "coeffs", [MultiPoly(poly.variables, d) for d in coeffs]
+            self, "coeffs", [MultiPoly._trusted(poly.variables, d) for d in coeffs]
         )
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -549,24 +595,34 @@ def _from_coeff_list(coeffs: Sequence[MultiPoly], var: str, variables) -> MultiP
 # ---------------------------------------------------------------------------
 
 def try_exact_div(f: MultiPoly, g: MultiPoly) -> Optional[MultiPoly]:
-    """Return q with f == q*g, or None if g does not divide f."""
+    """Return q with f == q*g, or None if g does not divide f.
+
+    The remainder is one dict updated in place: each step cancels its
+    graded-lex leading term with a multiple of g, so the leading monomials
+    strictly decrease and each quotient monomial is met once.
+    """
     f._check_ring(g)
     if g.is_zero():
         raise ZeroInput("division by the zero polynomial")
-    if f.is_zero():
-        return MultiPoly.zero(f.variables)
     ge, gc = g.leading()
-    q_terms: dict = {}
-    r = f
-    while not r.is_zero():
-        re_, rc = r.leading()
+    rest = [(e, c) for e, c in g.terms.items() if e != ge]
+    quotient: dict = {}
+    r = dict(f.terms)
+    while r:
+        re_ = max(r, key=_grad_lex_key)
         diff = tuple(a - b for a, b in zip(re_, ge))
         if any(d < 0 for d in diff):
             return None
-        c = rc / gc
-        q_terms[diff] = q_terms.get(diff, _ZERO) + c
-        r = r - MultiPoly(f.variables, {diff: c}) * g
-    return MultiPoly(f.variables, q_terms)
+        c = r.pop(re_) / gc
+        quotient[diff] = c
+        for e, gcoeff in rest:
+            m = tuple(map(add, diff, e))
+            s = r.get(m, _ZERO) - c * gcoeff
+            if s:
+                r[m] = s
+            else:
+                del r[m]
+    return MultiPoly._trusted(f.variables, quotient)
 
 
 def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -870,8 +926,8 @@ def determinant(matrix: list) -> MultiPoly:
     exponents = [[0] * len(ring)]
     for i, bound in zip(free, bounds):
         exponents = [e[:i] + [k] + e[i + 1:] for e in exponents for k in range(bound + 1)]
-    return MultiPoly(ring, {tuple(e): Fraction(c, denom)
-                            for e, c in zip(exponents, values) if c})
+    return MultiPoly._trusted(ring, {tuple(e): Fraction(c, denom)
+                                     for e, c in zip(exponents, values) if c})
 
 
 def resultant(f: UniPolyView, g: UniPolyView) -> MultiPoly:
@@ -1002,11 +1058,7 @@ def _on_pencil(forms: Sequence[MultiPoly]):
     p = point_off(forms)
     k = next(n for n, c in enumerate(p) if c)
     i, j = (n for n in range(3) if n != k)
-    scaled = []
-    for F in forms:
-        den = math.lcm(*(c.denominator for c in F.terms.values()))
-        scaled.append((F.total_degree(),
-                       [(e, c.numerator * (den // c.denominator)) for e, c in F.terms.items()]))
+    scaled = [(F.total_degree(), _integer_terms(F)[1].items()) for F in forms]
     for a in count():
         q = [0, 0, 0]
         q[i], q[j] = 1, a

@@ -395,7 +395,8 @@ class TestModuleEntryPoint:
     @pytest.mark.parametrize("poly, degree", [
         ("x^5 + y^4*z + x*y*z^3 + z^5", 20),
         ("x^6 + y^6 + z^6", 30),
-    ], ids=["quintic", "fermat-sextic"])
+        ("x^6 + y^5*z + x^2*y^2*z^2 + z^6 + x*y^5", 30),
+    ], ids=["quintic", "fermat-sextic", "smooth-sextic"])
     def test_smooth_dual_in_time(self, poly, degree):
         # a smooth curve of degree d has class d(d - 1)
         assert self._json_in_time("curve", "dual", "--poly", poly)["degree"] == degree

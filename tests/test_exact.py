@@ -19,6 +19,7 @@ from dualis.exact import (
     WITNESS_SEQUENCE,
     MultiPoly,
     UniPolyView,
+    determinant,
     divides,
     exact_div,
     forms_coprime,
@@ -27,6 +28,7 @@ from dualis.exact import (
     point_off,
     poly_gcd,
     radical,
+    resultant,
     try_exact_div,
 )
 
@@ -361,3 +363,150 @@ class TestUniPolyView:
         assert view.coeffs[2] == parse_poly("y", XYZ)
         assert view.coeffs[0] == parse_poly("z", XYZ)
         assert view.coeffs[1].is_zero()
+
+
+#: the dual chart's ring and nonlinear image: z -> -(u*x + v)
+CHART = ("x", "u", "v")
+
+
+def _random_image(rng, kind):
+    """A seeded image in CHART of the given kind."""
+    gens = [MultiPoly.var(CHART, v) for v in CHART]
+    if kind == "zero":
+        return MultiPoly.zero(CHART)
+    if kind == "constant":
+        return MultiPoly.const(CHART, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+    if kind == "chart":
+        return -(gens[1] * gens[0] + gens[2])
+    coeffs = [Fraction(rng.randint(-5, 5), 1 if kind == "integer" else rng.randint(1, 6))
+              for _ in CHART]
+    image = sum((g * c for g, c in zip(gens, coeffs)), MultiPoly.zero(CHART))
+    if kind == "affine":
+        image = image + Fraction(rng.randint(-7, 7), rng.randint(1, 4))
+    return image
+
+
+def _sympy_expr(sympy, poly):
+    symbols = sympy.symbols(poly.variables)
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(s ** k for s, k in zip(symbols, e)))
+                       for e, c in poly.terms.items()))
+
+
+def _from_sympy(sympy, expr, variables):
+    poly = sympy.Poly(expr, *sympy.symbols(variables))
+    return MultiPoly(variables, {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms()})
+
+
+IMAGE_KINDS = ("integer", "rational", "affine", "chart", "zero", "constant")
+
+
+class TestSubstitution:
+    """`MultiPoly.substitute` against SymPy's expansion."""
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(41)
+        kinds_seen = set()
+        for _ in range(30):
+            F = _random_poly(rng, XYZ, max_terms=8, max_exp=3)
+            kinds = [rng.choice(IMAGE_KINDS) for _ in XYZ]
+            kinds_seen.update(kinds)
+            images = {v: _random_image(rng, k) for v, k in zip(XYZ, kinds)}
+            # simultaneous: the images themselves contain x
+            want = sympy.expand(_sympy_expr(sympy, F).subs(
+                {sympy.Symbol(v): _sympy_expr(sympy, p) for v, p in images.items()},
+                simultaneous=True))
+            assert F.substitute(images) == _from_sympy(sympy, want, CHART), (F.text(), kinds)
+        assert kinds_seen == set(IMAGE_KINDS)
+
+    def test_dual_chart_of_a_form(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(43)
+        x, u, v = (MultiPoly.var(CHART, n) for n in CHART)
+        chart = {"x": x, "y": MultiPoly.const(CHART, 1), "z": -(u * x + v)}
+        for degree in (2, 3, 4):
+            F = _random_form(rng, degree)
+            X, U, V = sympy.symbols(CHART)
+            want = sympy.expand(_sympy_expr(sympy, F).subs(
+                {sympy.Symbol("y"): 1, sympy.Symbol("z"): -(U * X + V)}))
+            assert F.substitute(chart) == _from_sympy(sympy, want, CHART)
+
+    def test_images_in_different_rings_refused(self):
+        F = parse_poly("x*y + z", XYZ)
+        images = {"x": parse_poly("u", UVW), "y": parse_poly("v", UVW),
+                  "z": parse_poly("x", CHART)}
+        with pytest.raises(SharedVariableMismatch):
+            F.substitute(images)
+
+    def test_unmapped_variable_refused(self):
+        F = parse_poly("x*y + z", XYZ)
+        with pytest.raises(KeyError):
+            F.substitute({"x": parse_poly("u", UVW), "y": parse_poly("v", UVW)})
+
+
+def _assert_clean(r):
+    """r holds what the public constructor would build from its own terms."""
+    assert type(r.variables) is tuple
+    assert r == MultiPoly(r.variables, dict(r.terms))
+    for e, c in r.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert type(e) is tuple and len(e) == len(r.variables)
+        assert all(type(k) is int and k >= 0 for k in e)
+
+
+class TestTrustedResults:
+    """Every result the ring builds without validation is clean, including
+    the results in which terms cancel."""
+
+    def test_ring_operations(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            a, b = _random_poly(rng, XYZ), _random_poly(rng, XYZ)
+            q = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            for r in (a + b, a - b, a + (-a), -a, a * q, a * 0, a * b, a * (b - b),
+                      a.derivative("y"), b.derivative("z")):
+                _assert_clean(r)
+        x, y = MultiPoly.var(XYZ, "x"), MultiPoly.var(XYZ, "y")
+        _assert_clean((x + y) * (x - y))  # the x*y terms cancel
+
+    def test_univariate_view_coefficients(self):
+        rng = random.Random(53)
+        for _ in range(20):
+            for c in UniPolyView(_random_poly(rng, XYZ), "y").coeffs:
+                _assert_clean(c)
+
+    def test_determinants_and_resultants(self):
+        rng = random.Random(59)
+        for _ in range(10):
+            matrix = [[_random_poly(rng, XYZ, max_terms=3, max_exp=2) for _ in range(3)]
+                      for _ in range(3)]
+            _assert_clean(determinant(matrix))
+            f = _random_poly(rng, XYZ, max_exp=3) + parse_poly("x^4", XYZ)
+            g = _random_poly(rng, XYZ, max_exp=3) + parse_poly("x^3", XYZ)
+            _assert_clean(resultant(UniPolyView(f, "x"), UniPolyView(g, "x")))
+
+    def test_exact_quotients(self):
+        rng = random.Random(61)
+        for _ in range(30):
+            a = _random_poly(rng, XYZ, max_terms=4, max_exp=3)
+            b = _random_poly(rng, XYZ, max_terms=3, max_exp=2)
+            if b.is_zero():
+                continue
+            q = try_exact_div(a * b, b)
+            _assert_clean(q)
+            assert q == a
+
+    def test_substitutions(self):
+        rng = random.Random(67)
+        for _ in range(40):
+            F = _random_poly(rng, XYZ, max_terms=8)
+            images = {v: _random_image(rng, rng.choice(IMAGE_KINDS)) for v in XYZ}
+            r = F.substitute(images)
+            _assert_clean(r)
+            # substitution commutes with evaluation
+            point = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for v in CHART}
+            at = {v: p.evaluate(point) for v, p in images.items()}
+            assert r.evaluate(point) == F.evaluate(at)
+        u = parse_poly("u", CHART)
+        _assert_clean(parse_poly("x - y", XYZ).substitute({"x": u, "y": u, "z": u}))

@@ -41,3 +41,11 @@ def test_trivariate_gcds_stay_off_the_counting_paths():
         for name in sorted(_referenced_names(path) & gcds)
     ]
     assert not found
+
+
+def test_trusted_construction_stays_in_exact():
+    # MultiPoly._trusted skips validation; only the ring's own results,
+    # clean by construction, may use it
+    found = [path.name for path in sorted(SOURCE.glob("*.py"))
+             if path.name != "exact.py" and "_trusted" in _referenced_names(path)]
+    assert not found
