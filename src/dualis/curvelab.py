@@ -16,12 +16,12 @@ available in the node/cusp regime:
     chi = 2 - 2g - delta          (a node glues two branch points into one)
     c0m = chi + delta + kappa = -d^2 + 3d + 2*delta + 3*kappa
 
-Everything is certified: ``singular_points`` counts the geometric singular
-scheme by elimination and refuses to answer when the rational points it found
-do not exhaust that count.  Each curve object computes that singular analysis
-(the certified count and the classified rational points) at most once, on
-first use, and every caller reads it from the curve.  ``load_curve`` applies
-the degree guardrail that the CLI and the corpus share.
+Everything is certified: one elimination per curve object, on first use,
+counts the singular points and reads the rational ones from the same frame
+(`elimination.singular_locus`); ``singular_points`` classifies them once and
+refuses to answer when they do not exhaust the count.  Every caller reads
+that analysis from the curve.  ``load_curve`` applies the degree guardrail
+that the CLI and the corpus share.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ OTHER = "Other"
 class PlaneCurve:
     """A reduced plane projective curve V(F), F square-free homogeneous."""
 
-    __slots__ = ("F", "degree", "_singular_count", "_rational_singularities")
+    __slots__ = ("F", "degree", "_singular_locus", "_rational_singularities")
 
     def __init__(self, F: MultiPoly):
         if F.is_zero():
@@ -71,7 +71,7 @@ class PlaneCurve:
             raise ReducibleCurve(f"{F.text()} has a repeated factor")
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "degree", F.total_degree())
-        object.__setattr__(self, "_singular_count", None)
+        object.__setattr__(self, "_singular_locus", None)
         object.__setattr__(self, "_rational_singularities", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -213,26 +213,25 @@ def _exps(ring, assign: dict) -> tuple:
 
 
 def certified_singular_count(curve: PlaneCurve) -> int:
-    """Geometric number of singular points (rational or not)."""
-    if curve._singular_count is None:
-        object.__setattr__(curve, "_singular_count",
-                           elimination.certified_singular_count(curve.F))
-    return curve._singular_count
+    """Geometric number of singular points (rational or not), from the
+    curve's one singular analysis, which also lists its rational points."""
+    if curve._singular_locus is None:
+        object.__setattr__(curve, "_singular_locus", elimination.singular_locus(curve.F))
+    return curve._singular_locus[0]
 
 
 def singular_points(curve: PlaneCurve) -> list:
     """All rational singular points, classified, with a certified total.
 
-    The geometric number of singular points is counted by elimination
-    (certified in one frame in generic position); if it exceeds the number of
-    rational points found the curve has irrational singularities and the
-    operation refuses rather than under-report.
+    The geometric number of singular points is counted in one frame in
+    generic position, and the rational points are read from it; if the
+    count exceeds their number the curve has irrational singularities and
+    the operation refuses rather than under-report.
     """
     certified = certified_singular_count(curve)
     if curve._rational_singularities is None:
-        points = elimination.rational_system_points(curve.gradient())
         object.__setattr__(curve, "_rational_singularities",
-                           tuple(classify_singularity(curve, p) for p in points))
+                           tuple(classify_singularity(curve, p) for p in curve._singular_locus[1]))
     found = curve._rational_singularities
     if certified > len(found):
         raise IrrationalSingularity(

@@ -20,11 +20,13 @@ composed with x-shears) and only reports a number it can certify:
 * transversality: all intersection multiplicities equal one exactly when the
   certified distinct count reaches the Bezout number d1*d2.
 
-* singular loci: counted in the first accepted frame of F and a polar,
+* singular loci: read from the first accepted frame of F and a polar,
   where the two affine partials of F vanish at the one point over a root of
-  R.  Rational singular points are verified fiber by fiber.
+  R.  That point is (alpha, beta(alpha)), beta rational in alpha, so the
+  rational roots of each class's singular part, mapped back through the
+  frame's shear and base, are the rational singular points.
 
-Univariate work over Q (eliminants, fibers, forms on a line) runs on
+Univariate work over Q (eliminants, singular parts, forms on a line) runs on
 Fraction coefficient lists; their gcd is the primitive remainder sequence
 of `exact`.  The square-free part is written once (`_sqfree_part`), for
 the frame step, binary forms and `rational_roots`.  No trivariate gcd runs
@@ -77,15 +79,8 @@ def mat_transpose(a: Matrix) -> Matrix:
 def apply_matrix(poly: MultiPoly, m: Matrix) -> MultiPoly:
     """Coordinate change: returns G with G(v) = F(M v)."""
     vs = poly.variables
-    gens = [MultiPoly.var(vs, v) for v in vs]
-    images = {}
-    for i, v in enumerate(vs):
-        img = MultiPoly.zero(vs)
-        for j in range(3):
-            if m[i][j]:
-                img = img + gens[j] * m[i][j]
-        images[v] = img
-    return poly.substitute(images)
+    units = [tuple(int(i == j) for i in range(3)) for j in range(3)]
+    return poly.substitute({v: MultiPoly(vs, dict(zip(units, m[i]))) for i, v in enumerate(vs)})
 
 
 _IDENT: Matrix = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -263,95 +258,21 @@ def normalize_point(coords: Sequence[Fraction]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# rational common zeros of a system (for singular loci)
-# ---------------------------------------------------------------------------
-
-class _FrameDegenerate(Exception):
-    """Internal: this frame cannot be used; try the next one."""
-
-
-def _affine_system(polys: list, avar: str, bvar: str) -> list:
-    """Rational common zeros, as (Fraction, Fraction) pairs, of a system of
-    polynomials in (avar, bvar)."""
-    nonzero = [p for p in polys if not p.is_zero()]
-    if not nonzero:
-        raise ReducibleCurve("system vanishes identically")
-    if any(p.is_constant() for p in nonzero):
-        return []
-
-    gens = [univar_coeffs(p, avar) for p in nonzero if p.degree_in(bvar) == 0]
-    b_pos = [p for p in nonzero if p.degree_in(bvar) > 0]
-    for i in range(len(b_pos)):
-        for j in range(i + 1, len(b_pos)):
-            r = resultant(UniPolyView(b_pos[i], bvar), UniPolyView(b_pos[j], bvar))
-            if not r.is_zero():
-                gens.append(univar_coeffs(r, avar))
-    if not gens:
-        raise _FrameDegenerate
-    s = reduce(_uni_gcd, gens)
-    if len(s) == 1:
-        return []
-
-    ring = nonzero[0].variables
-    points = []
-    for a0 in rational_roots(s)[0]:
-        sub = {w: (MultiPoly.const(ring, a0) if w == avar else MultiPoly.var(ring, w))
-               for w in ring}
-        fibers = [p.substitute(sub) for p in nonzero]
-        fibers = [p for p in fibers if not p.is_zero()]
-        if not fibers:
-            raise ReducibleCurve(f"system vanishes on the line {avar} = {a0}")
-        if any(p.is_constant() for p in fibers):
-            continue  # spurious elimination root
-        t = reduce(_uni_gcd, [univar_coeffs(p, bvar) for p in fibers])
-        if len(t) > 1:
-            points += [(a0, b0) for b0 in rational_roots(t)[0]]
-    return points
-
-
-def _infinity_restriction(polys: list, chart_var: str) -> list:
-    """Each polynomial at chart_var = 0: the terms free of chart_var."""
-    i = polys[0].variables.index(chart_var)
-    return [MultiPoly(p.variables, {e: c for e, c in p.terms.items() if not e[i]})
-            for p in polys]
-
-
-def rational_system_points(polys: list) -> list:
-    """All rational projective common zeros, from all three affine charts."""
-    nz = [p for p in polys if not p.is_zero()]
-    if not nz:
-        raise ReducibleCurve("all system polynomials vanish")
-    ring = nz[0].variables
-    found = set()
-    for chart_var in ring:
-        others = [v for v in ring if v != chart_var]
-        at_one = {w: MultiPoly.const(ring, 1) if w == chart_var else MultiPoly.var(ring, w)
-                  for w in ring}
-        affine = [p.substitute(at_one) for p in nz]
-        try:
-            pts = _affine_system(affine, others[0], others[1])
-        except _FrameDegenerate:
-            continue
-        for a0, b0 in pts:
-            coords = {chart_var: Fraction(1), others[0]: a0, others[1]: b0}
-            found.add(normalize_point([coords[v] for v in ring]))
-    return sorted(found)
-
-
-# ---------------------------------------------------------------------------
 # counting distinct intersections and singular points
 # ---------------------------------------------------------------------------
 
 class _Frame:
-    """An accepted frame: the pair A, B in y after the shear and the chart
-    z = 1, and the square-free eliminant split into its nonconstant classes
-    ``classes[k]`` = Phi_k.  Over a root of Phi_k the fibres meet at one
-    point, the root beta of L_k = k*s_kk*y + s_{k,k-1}."""
+    """An accepted frame: the pair A, B in y after the base change `base`,
+    the shear x -> x + shear*y and the chart z = 1, and the square-free
+    eliminant split into its nonconstant classes ``classes[k]`` = Phi_k.
+    Over a root of Phi_k the fibres meet at one point, the root beta of
+    L_k = k*s_kk*y + s_{k,k-1}."""
 
-    __slots__ = ("A", "B", "classes", "_coefficients")
+    __slots__ = ("A", "B", "base", "shear", "classes", "_coefficients")
 
-    def __init__(self, A: UniPolyView, B: UniPolyView):
+    def __init__(self, A: UniPolyView, B: UniPolyView, base: Matrix, shear: int):
         self.A, self.B = A, B
+        self.base, self.shear = base, shear
         self.classes: dict = {}
         self._coefficients: dict = {}
 
@@ -373,6 +294,14 @@ class _Frame:
         lead = MultiPoly.var(self.A.poly.variables, y) * self.coefficient(k, k) * k
         return UniPolyView(lead + self.coefficient(k, k - 1), y)
 
+    def point(self, k: int, alpha: Fraction) -> tuple:
+        """The point over the root alpha of Phi_k, (alpha, beta) in the
+        frame, in the coordinates of the pair before the frame moved it."""
+        at = dict(zip(self.A.poly.variables, (alpha, 0, 0)))  # the s_{k,j} hold x alone
+        beta = -self.coefficient(k, k - 1).evaluate(at) / (k * self.coefficient(k, k).evaluate(at))
+        moved = (alpha + self.shear * beta, beta, 1)
+        return normalize_point([sum(b * c for b, c in zip(row, moved)) for row in self.base])
+
     def is_power(self, k: int, phi: list) -> bool:
         """Is S_k a k-th power on the roots of phi?  Its (k-1)-th y-derivative
         is (k-1)! L_k; it is when phi divides Res_y(d^j S_k, L_k), j < k-1."""
@@ -388,10 +317,10 @@ class _Frame:
         return True
 
 
-def _pair_frame_count(Fm: MultiPoly, Gm: MultiPoly, t: int) -> Optional[_Frame]:
+def _pair_frame_count(Fm: MultiPoly, Gm: MultiPoly, base: Matrix, t: int) -> Optional[_Frame]:
     """The frame of the pair at shear t, or None when it is not accepted.
 
-    Fm, Gm are the pair moved by a base that passed the shear-independent
+    Fm, Gm are the pair moved by `base`, which passed the shear-independent
     tests of `_base_usable`; the frame composes that base with the x-shear
     x -> x + t*y, done here together with the passage to the chart z = 1.
     The y-leading coefficients are constants, so specialising x commutes
@@ -407,7 +336,8 @@ def _pair_frame_count(Fm: MultiPoly, Gm: MultiPoly, t: int) -> Optional[_Frame]:
         return None  # a leading y-coefficient vanishes in this frame
     xv, yv = MultiPoly.var(ring, x), MultiPoly.var(ring, y)
     chart = {x: xv + yv * t, y: yv, z: MultiPoly.const(ring, 1)}
-    frame = _Frame(UniPolyView(Fm.substitute(chart), y), UniPolyView(Gm.substitute(chart), y))
+    frame = _Frame(UniPolyView(Fm.substitute(chart), y), UniPolyView(Gm.substitute(chart), y),
+                   base, t)
     R = resultant(frame.A, frame.B)
     if R.is_zero() or R.degree_in(x) != Fm.total_degree() * Gm.total_degree():
         return None
@@ -422,6 +352,13 @@ def _pair_frame_count(Fm: MultiPoly, Gm: MultiPoly, t: int) -> Optional[_Frame]:
                 return None  # some fibre of this class carries two points
             frame.classes[k] = phi
     return frame
+
+
+def _infinity_restriction(polys: list, chart_var: str) -> list:
+    """Each polynomial at chart_var = 0: the terms free of chart_var."""
+    i = polys[0].variables.index(chart_var)
+    return [MultiPoly(p.variables, {e: c for e, c in p.terms.items() if not e[i]})
+            for p in polys]
 
 
 def _base_usable(Fm: MultiPoly, Gm: MultiPoly) -> bool:
@@ -466,7 +403,7 @@ def _accepted_frame(F: MultiPoly, G: MultiPoly, coprime: bool = False) -> _Frame
             coprime = True
             continue
         for t in range(t_limit):
-            frame = _pair_frame_count(Fm, Gm, t)
+            frame = _pair_frame_count(Fm, Gm, base, t)
             if frame is not None:
                 return frame
     raise ChartExhausted("could not certify a distinct intersection count")
@@ -478,8 +415,9 @@ def distinct_intersection_count(F: MultiPoly, G: MultiPoly) -> int:
     return _accepted_frame(F, G).count()
 
 
-def certified_singular_count(F: MultiPoly) -> int:
-    """Distinct singular points of the curve of a square-free form F.
+def singular_locus(F: MultiPoly) -> tuple:
+    """The number of distinct singular points of the curve of a square-free
+    form F, and the sorted list of its rational singular points.
 
     A witness w with F(w) != 0 makes F and its polar P_w coprime: a shared
     component would be a cone with vertex w, so it would contain w.  The
@@ -487,7 +425,9 @@ def certified_singular_count(F: MultiPoly) -> int:
     the pair every common zero is affine and the only one over its root
     alpha of R, at (alpha, beta(alpha)).  On a class Phi_k it is singular
     where both affine partials of the moved F vanish at y = beta, that is
-    where their resultants against L_k vanish.
+    at the roots of the singular part gcd(Phi_k, Res_y(A_x, L_k),
+    Res_y(A_y, L_k)).  The count is the sum of their degrees, and the
+    rational roots give the rational points (`rational_system_points`).
     """
     if F.is_zero():
         raise ZeroInput("the zero form defines no curve")
@@ -498,12 +438,25 @@ def certified_singular_count(F: MultiPoly) -> int:
     x, y = ring[0], frame.A.var
     partials = [UniPolyView(p, y) for p in (frame.A.poly.derivative(x), frame.A.poly.derivative(y))
                 if not p.is_zero()]
-    count = 0
+    parts = {}
     for k, phi in frame.classes.items():
         line = frame.line(k)
-        singular = reduce(_uni_gcd, (univar_coeffs(resultant(p, line), x) for p in partials), phi)
-        count += len(singular) - 1
-    return count
+        parts[k] = reduce(_uni_gcd, (univar_coeffs(resultant(p, line), x) for p in partials), phi)
+    return sum(len(s) - 1 for s in parts.values()), rational_system_points(frame, parts)
+
+
+def rational_system_points(frame: _Frame, parts: dict) -> list:
+    """The rational points of an accepted frame over the roots of factors
+    ``parts[k]`` of its classes Phi_k, sorted, in the pair's coordinates.
+    A point is rational exactly when its alpha is: beta is a rational
+    function of alpha, and the frame is an integer change of coordinates."""
+    return sorted(frame.point(k, alpha) for k, part in parts.items()
+                  for alpha in rational_roots(part)[0])
+
+
+def certified_singular_count(F: MultiPoly) -> int:
+    """Distinct singular points of the curve of a square-free form F."""
+    return singular_locus(F)[0]
 
 
 def transversal_intersection_count(F: MultiPoly, G: MultiPoly) -> int:

@@ -26,12 +26,16 @@ Sylvester matrices (rows of the first operand first), resultants,
 discriminants, multivariate gcd by a primitive polynomial remainder sequence,
 and square-free parts.  Every determinant is computed by evaluation and
 interpolation, whatever the number of free variables: the matrix is
-specialised at the points of an integer grid bounded per variable, each
-scalar determinant is taken by fraction-free Bareiss over Python ints, and
-exact Newton interpolation along each axis rebuilds the polynomial (Collins,
-J. ACM 18, 1971).  The subresultant coefficients s_{k,j}, determinants of
-submatrices of the Sylvester matrix, take the same path; they tell where two
-polynomials share k roots and what the common factor is.  A hard guardrail
+specialised at the points of an integer grid, each scalar determinant is
+taken by fraction-free Bareiss over Python ints, and exact Newton
+interpolation along each axis rebuilds the polynomial (Collins, J. ACM 18,
+1971).  Each axis of the grid is as long as a proved bound on the degree
+in that variable requires: the heaviest perfect matching of the entry
+degrees, found by the Hungarian method (Jacobi's bound; Kuhn, Naval Res.
+Logist. Q. 2, 1955), which is d1*d2 on a Sylvester matrix of forms.  The
+subresultant coefficients s_{k,j}, determinants of submatrices of the
+Sylvester matrix, take the same path; they tell where two polynomials
+share k roots and what the common factor is.  A hard guardrail
 refuses Sylvester matrices larger than 64x64 so that a degenerate input
 fails fast instead of hanging.
 
@@ -860,17 +864,62 @@ def _newton_numerators(values: list) -> list:
     return numer
 
 
+def _matching_bound(weights: list) -> Optional[int]:
+    """The largest sum of weights[i][sigma(i)] over the permutations sigma
+    that meet no None cell, or None when every permutation meets one.
+
+    The Hungarian method with potentials (Kuhn, Naval Res. Logist. Q. 2,
+    1955), O(n^3), at cost -weight: row i joins a matching of the rows
+    before it along a cheapest augmenting path.  When no path leaves the
+    tree of row i through a permitted cell, no matching covers rows 0..i.
+    """
+    n = len(weights)
+    # potentials, match[j] = the row (from 1) on column j, back links; column 0 is the root
+    u, v, match, way = ([0] * (n + 1) for _ in range(4))
+    for i in range(1, n + 1):
+        match[0], j0 = i, 0
+        minv, used = [math.inf] * (n + 1), [False] * (n + 1)
+        while match[j0]:
+            used[j0] = True
+            i0 = match[j0]
+            row, delta, j1 = weights[i0 - 1], math.inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    w = row[j - 1]
+                    if w is not None and -w - u[i0] - v[j] < minv[j]:
+                        minv[j], way[j] = -w - u[i0] - v[j], j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            if not j1:
+                return None
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            match[j0] = match[way[j0]]
+            j0 = way[j0]
+    return sum(weights[match[j] - 1][j - 1] for j in range(1, n + 1))
+
+
 def determinant(matrix: list) -> MultiPoly:
     """Determinant of a square matrix of MultiPoly entries, by evaluation and
     interpolation (Collins, J. ACM 18, 1971).
 
     Each row is scaled to integer coefficients.  For every variable that
-    occurs in the entries, the sum over rows of the largest entry degree in
-    it bounds the degree of the determinant; the determinant is taken by
-    integer Bareiss at every point of the grid 0..B_1 x ... x 0..B_k and
-    rebuilt by Newton interpolation on forward differences along each axis
-    in turn.  Specialisation commutes with the determinant, so the result is
-    exact.
+    occurs in the entries, the heaviest perfect matching of the entry
+    degrees in it, zero entries excluded, bounds the degree of the
+    determinant (Jacobi's bound, `_matching_bound`): each nonzero Leibniz
+    term is a product over such a matching, so its degree is at most the
+    matching's weight.  With no such matching every term vanishes, and so
+    does the determinant.  On a Sylvester matrix of forms of degrees d1, d2
+    the bound is d1*d2.  The determinant is taken by integer Bareiss at
+    every point of the grid 0..B_1 x ... x 0..B_k and rebuilt by Newton
+    interpolation on forward differences along each axis in turn.
+    Specialisation commutes with the determinant, so the result is exact.
     """
     if not matrix:
         raise ZeroInput("empty matrix")
@@ -881,21 +930,20 @@ def determinant(matrix: list) -> MultiPoly:
     cells: dict = {}       # distinct integer entry -> index
     rows = []              # per row: the cell index of each entry
     scale = 1              # product of the row denominators
-    bounds = [0] * len(free)
+    bounds = [_matching_bound([[max((e[i] for e in entry.terms), default=None) for entry in row]
+                               for row in matrix]) for i in free]
+    if None in bounds:
+        return MultiPoly._trusted(ring, {})
     for row in matrix:
         den = math.lcm(*(c.denominator for entry in row for c in entry.terms.values()))
         scale *= den
-        used = set()
         indices = []
         for entry in row:
             cell = []
             for e, c in entry.terms.items():
-                key = tuple([e[i] for i in free])
-                used.add(key)
-                cell.append((monomials.setdefault(key, len(monomials)),
+                cell.append((monomials.setdefault(tuple([e[i] for i in free]), len(monomials)),
                              c.numerator * (den // c.denominator)))
             indices.append(cells.setdefault(tuple(cell), len(cells)))
-        bounds = [b + max((key[a] for key in used), default=0) for a, b in enumerate(bounds)]
         rows.append(indices)
 
     # the values of every monomial at each grid point, last axis fastest

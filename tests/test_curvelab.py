@@ -1,5 +1,6 @@
 """Plane-curve analysis: singular loci, classification, reports, restrictions."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -36,6 +37,16 @@ NODAL = "y^2*z - x^3 - x^2*z"          # node at [0:0:1]
 NODAL_RF = "z^3 - x^2*y - x*y^2 - 3*x*y*z"  # node at [1:1:-1], rational flexes
 CUSPIDAL = "y^2*z - x^3"               # cusp at [0:0:1]
 TACNODAL = "y^2*z^2 - x^4"             # two tacnodes
+TRINODAL = "2*x^2*y^2 + y^2*z^2 + z^2*x^2 - x^2*y*z - x*y^2*z - x*y*z^2"
+TRICUSPIDAL = "x^2*y^2 + y^2*z^2 + z^2*x^2 - 2*x^2*y*z - 2*x*y^2*z - 2*x*y*z^2"
+FOUR_NODES = "x^2*y^2 + y^2*z^2 + z^2*x^2 - x^2*y*z - x*y^2*z - x*y*z^2"
+TRIPLE_POINTS = "x^3*y^3 + y^3*z^3 + z^3*x^3"   # ordinary triple points at the vertices
+#: six lines, 3 of their 15 crossings rational
+SIX_LINES = ("x^4*y^2 - x^4*y*z - 2*x^3*y^3 + 2*x^3*y^2*z + x^2*y^4 - x^2*y^3*z"
+             " - 5*x^2*y^2*z^2 + 5*x^2*y*z^3 + 4*x*y^3*z^2 - 4*x*y^2*z^3"
+             " - 2*y^4*z^2 + 2*y^3*z^3 + 6*y^2*z^4 - 6*y*z^5")
+#: (x^2 - 2z^2)(y^2 - 3z^2): crossings [0:1:0], [1:0:0] and (+-sqrt2, +-sqrt3, 1)
+FOUR_LINES = "x^2*y^2 - 3*x^2*z^2 - 2*y^2*z^2 + 6*z^4"
 
 
 def curve(text):
@@ -100,9 +111,104 @@ class TestSingularPoints:
                 assert got == base, (text, m)
 
 
+def _normalized(coords):
+    """Coprime integers proportional to SymPy rationals, first nonzero positive."""
+    fracs = [Fraction(int(c.p), int(c.q)) for c in coords]
+    den = math.lcm(*(f.denominator for f in fracs))
+    ints = [int(f * den) for f in fracs]
+    g = math.gcd(*ints)
+    sign = -1 if next(a for a in ints if a) < 0 else 1
+    return tuple(sign * a // g for a in ints)
+
+
+def _rational_zeros(sympy, polys, symbols):
+    """Rational common zeros of a zero-dimensional system, from a lex
+    Groebner basis: the rational roots of its univariate elements in the
+    last symbol, each substituted before the other symbols are solved."""
+    polys = [p for p in polys if p != 0]
+    if not symbols:
+        return [] if polys else [()]
+    if not polys:
+        raise ValueError("positive-dimensional zero set")
+    basis = list(sympy.groebner(polys, *symbols, order="lex"))
+    *rest, last = symbols
+    tail = [g for g in basis if g.free_symbols <= {last}]
+    if not tail:
+        raise ValueError("positive-dimensional zero set")
+    roots = sympy.Poly(sympy.gcd_list(tail), last).ground_roots()
+    return [zero + (r,) for r in roots for zero in
+            _rational_zeros(sympy, [sympy.expand(g.subs(last, r)) for g in basis], rest)]
+
+
+def _sympy_singular_points(text):
+    """The gradient's rational projective zeros, sorted, found by SymPy on
+    the charts z = 1, then z = 0 and y = 1, then the point [1:0:0]."""
+    sympy = pytest.importorskip("sympy")
+    X, Y, Z = sympy.symbols("x y z")
+    F = sympy.sympify(text.replace("^", "**"), locals={"x": X, "y": Y, "z": Z})
+    grad = [sympy.diff(F, v) for v in (X, Y, Z)]
+    one, zero = sympy.Integer(1), sympy.Integer(0)
+    points = {_normalized((a, b, one))
+              for a, b in _rational_zeros(sympy, [g.subs(Z, 1) for g in grad], [X, Y])}
+    points |= {_normalized((a, one, zero))
+               for (a,) in _rational_zeros(sympy, [g.subs({Z: 0, Y: 1}) for g in grad], [X])}
+    if all(g.subs({X: 1, Y: 0, Z: 0}) == 0 for g in grad):
+        points.add((1, 0, 0))
+    return sorted(points)
+
+
+def _generic_copies(text, rng, copies=2):
+    """The curve moved by seeded invertible integer matrices, as text."""
+    out = []
+    while len(out) < copies:
+        m = tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3))
+        det = sum(m[0][j] * (m[1][(j + 1) % 3] * m[2][(j + 2) % 3]
+                             - m[1][(j + 2) % 3] * m[2][(j + 1) % 3]) for j in range(3))
+        if det:
+            out.append(apply_matrix(curve(text).F, m).text())
+    return out
+
+
+class TestPointsFromTheFrame:
+    """The rational singular points read from the counting frame are the
+    gradient's rational zeros that SymPy finds, in the same order."""
+
+    CURVES = (SMOOTH_CONIC, CIRCLE, NODAL, NODAL_RF, CUSPIDAL, TACNODAL, TRINODAL,
+              TRICUSPIDAL, FOUR_NODES, TRIPLE_POINTS, "y^3*z - x^4", "x^4 + y^4 + z^4",
+              "x^3 + y^3 + z^3", "y^2 - x*z", "x", "y - z", "x + y + z")
+
+    @pytest.mark.parametrize("text", CURVES)
+    def test_every_test_curve(self, text):
+        assert [p.point for p in singular_points(curve(text))] == _sympy_singular_points(text)
+
+    def test_generic_copies_of_the_reference_cubics_and_quartics(self):
+        rng = random.Random(73)
+        for text in (NODAL, CUSPIDAL, NODAL_RF, "x^3 + y^3 + z^3", TRINODAL, TRICUSPIDAL,
+                     "x^4 + y^4 + z^4"):
+            for moved in _generic_copies(text, rng):
+                got = [p.point for p in singular_points(curve(moved))]
+                assert got == _sympy_singular_points(moved), moved
+
+    def test_triple_point_sextic(self):
+        pts = singular_points(curve(TRIPLE_POINTS))
+        assert [(p.point, p.kind, p.multiplicity) for p in pts] == [
+            ((0, 0, 1), OTHER, 3), ((0, 1, 0), OTHER, 3), ((1, 0, 0), OTHER, 3)]
+
+    @pytest.mark.parametrize("text, message", [
+        (SIX_LINES, "found 3 rational singular points but the certified count is 15"),
+        (FOUR_LINES, "found 2 rational singular points but the certified count is 6"),
+    ], ids=["six-lines", "four-lines"])
+    def test_irrational_crossings_refused(self, text, message):
+        assert len(_sympy_singular_points(text)) == int(message.split()[1])
+        with pytest.raises(IrrationalSingularity) as refusal:
+            singular_points(curve(text))
+        assert str(refusal.value) == message
+
+
 class TestInconsistentCounts:
     def test_more_rational_points_than_the_count_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(elimination, "certified_singular_count", lambda F: 0)
+        locus = elimination.singular_locus
+        monkeypatch.setattr(elimination, "singular_locus", lambda F: (0, locus(F)[1]))
         with pytest.raises(InvariantViolation):
             singular_points(curve(NODAL))
 
@@ -113,13 +219,12 @@ class TestAnalysisOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = {}
-        for name in ("rational_system_points", "certified_singular_count"):
-            original = getattr(elimination, name)
+        original = elimination.singular_locus
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] = counts.get(_name, 0) + 1
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(elimination, name, counted)
+        def counted(*args, **kwargs):
+            counts["singular_locus"] = counts.get("singular_locus", 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(elimination, "singular_locus", counted)
         return counts
 
     def test_every_consumer_reads_one_analysis(self, calls):
@@ -127,12 +232,12 @@ class TestAnalysisOnce:
         corpus.curve_package(c, "nodal cubic")
         dualgeom.dual_equation(c)
         assert dualgeom.dual_degree_oracle(c) == 4
-        assert calls == {"rational_system_points": 1, "certified_singular_count": 1}
+        assert calls == {"singular_locus": 1}
 
     def test_curves_of_one_polynomial_analyse_separately(self, calls):
         first, second = curve(NODAL), curve(NODAL)
         assert singular_points(first) == singular_points(second)
-        assert calls == {"rational_system_points": 2, "certified_singular_count": 2}
+        assert calls == {"singular_locus": 2}
 
     def test_returned_list_is_a_copy(self, calls):
         c = curve(NODAL)
@@ -145,7 +250,7 @@ class TestAnalysisOnce:
         for _ in range(2):
             with pytest.raises(IrrationalSingularity):
                 singular_points(c)
-        assert calls == {"rational_system_points": 1, "certified_singular_count": 1}
+        assert calls == {"singular_locus": 1}
 
 
 class TestClassification:

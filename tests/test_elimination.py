@@ -229,7 +229,7 @@ class TestFrameCertificate:
         # x = +-1 of the t = 0 frame, where the eliminant has only 2 roots
         f = parse_poly("x^2 + y^2 - 2*z^2", XYZ)
         g = parse_poly("x^2 - y^2", XYZ)
-        assert elimination._pair_frame_count(f, g, 0) is None
+        assert elimination._pair_frame_count(f, g, elimination._IDENT, 0) is None
         assert distinct_intersection_count(f, g) == 4
 
     def test_generic_frame_certifies_at_once(self, monkeypatch):

@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from dualis import elimination, exact
 from dualis.errors import (
     InvalidParams,
     PolySyntaxError,
@@ -19,6 +20,7 @@ from dualis.exact import (
     WITNESS_SEQUENCE,
     MultiPoly,
     UniPolyView,
+    _matching_bound,
     determinant,
     divides,
     exact_div,
@@ -29,6 +31,7 @@ from dualis.exact import (
     poly_gcd,
     radical,
     resultant,
+    sylvester_matrix,
     try_exact_div,
 )
 
@@ -510,3 +513,94 @@ class TestTrustedResults:
             assert r.evaluate(point) == F.evaluate(at)
         u = parse_poly("u", CHART)
         _assert_clean(parse_poly("x - y", XYZ).substitute({"x": u, "y": u, "z": u}))
+
+
+def _degree_matrix(matrix, var):
+    """Each entry's degree in var; None for a zero entry."""
+    return [[None if e.is_zero() else e.degree_in(var) for e in row] for row in matrix]
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """The number of integer determinants `determinant` takes, one per grid point."""
+    calls = []
+    original = exact._int_bareiss_determinant
+
+    def counted(m):
+        calls.append(len(m))
+        return original(m)
+    monkeypatch.setattr(exact, "_int_bareiss_determinant", counted)
+    return calls
+
+
+class TestDeterminantBound:
+    """Each axis of the interpolation grid is sized by the heaviest perfect
+    matching of the entry degrees, which bounds every Leibniz term."""
+
+    @staticmethod
+    def _random_matrix(rng, ring, size):
+        """Sparse entries, a third of them zero, of unequal degrees."""
+        return [[MultiPoly(ring, {tuple(rng.randint(0, 3) for _ in ring):
+                                  Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                  for _ in range(rng.choice((0, 1, 2, 3)))})
+                 for _ in range(size)] for _ in range(size)]
+
+    @pytest.mark.parametrize("ring", [("x",), ("x", "y")], ids=["univariate", "bivariate"])
+    def test_bound_never_below_the_sympy_degree(self, ring):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(83 + len(ring))
+        symbols = sympy.symbols(ring)
+        checked = tight = 0
+        for size in range(1, 7):
+            for _ in range(8):
+                m = self._random_matrix(rng, ring, size)
+                dm = sympy.Matrix([[_sympy_expr(sympy, e) for e in row] for row in m]).to_DM(
+                    domain=sympy.QQ[symbols])
+                expr = dm.domain.to_sympy(dm.det())
+                det = _from_sympy(sympy, expr, ring)
+                assert determinant(m) == det
+                for var, symbol in zip(ring, symbols):
+                    bound = _matching_bound(_degree_matrix(m, var))
+                    if bound is None:
+                        assert det.is_zero()
+                    elif not det.is_zero():
+                        true = sympy.Poly(expr, *symbols).degree(symbol)
+                        assert bound >= true, (m, var)
+                        checked += 1
+                        tight += bound == true
+        # generic coefficients attain the bound
+        assert checked >= 30 and 4 * tight >= 3 * checked
+
+    @pytest.mark.parametrize("d1, d2", [(1, 1), (2, 1), (2, 3), (3, 3), (4, 2), (5, 4)])
+    def test_sylvester_matrix_of_forms_gives_d1_d2(self, d1, d2):
+        rng = random.Random(10 * d1 + d2)
+        chart = {"x": MultiPoly.var(XYZ, "x"), "y": MultiPoly.var(XYZ, "y"),
+                 "z": MultiPoly.const(XYZ, 1)}
+        views = []
+        for d in (d1, d2):
+            form = MultiPoly(XYZ, {e: rng.choice((-3, -2, -1, 1, 2, 3))
+                                   for e in product(range(d + 1), repeat=3) if sum(e) == d})
+            views.append(UniPolyView(form.substitute(chart), "y"))
+        m = sylvester_matrix(*views)
+        assert _matching_bound(_degree_matrix(m, "x")) == d1 * d2
+        assert _matching_bound(_degree_matrix(m, "z")) == 0
+
+    def test_structurally_singular_matrix_is_zero(self, bareiss_calls):
+        ring = ("x", "s")
+        zero = MultiPoly.zero(ring)
+        rows = [("x + 1", "s^2", "x*s", "3"), ("x^2 - s", "0", "0", "0"),
+                ("2*s", "0", "0", "0"), ("1", "x^3", "s - 1", "x")]
+        m = [[zero if t == "0" else parse_poly(t, ring) for t in row] for row in rows]
+        assert _matching_bound(_degree_matrix(m, "x")) is None
+        assert determinant(m).is_zero()
+        assert bareiss_calls == []
+
+    @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 2), (4, 3)])
+    def test_frame_resultant_takes_d1_d2_plus_one_determinants(self, d1, d2, bareiss_calls):
+        rng = random.Random(7 * d1 + d2)
+        F, G = _random_form(rng, d1), _random_form(rng, d2)
+        frame = elimination._accepted_frame(F, G)
+        bareiss_calls.clear()
+        R = resultant(frame.A, frame.B)
+        assert R.degree_in("x") == d1 * d2
+        assert len(bareiss_calls) == d1 * d2 + 1
