@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from . import elimination
 from .errors import (
+    DegreeGuardrail,
     InvalidParams,
     InvariantViolation,
     IrrationalSingularity,
@@ -39,7 +40,7 @@ from .errors import (
     UnsupportedSingularity,
     ZeroInput,
 )
-from .exact import MultiPoly, is_squarefree, parse_poly
+from .exact import SYLVESTER_LIMIT, MultiPoly, is_squarefree, parse_poly
 
 PRIMAL_VARS = ("x", "y", "z")
 DUAL_VARS = ("u", "v", "w")
@@ -67,6 +68,11 @@ class PlaneCurve:
             raise InvalidParams(f"{F.text()} is not homogeneous")
         if F.total_degree() < 1:
             raise InvalidParams("constant form defines no curve")
+        if 2 * F.total_degree() - 1 > SYLVESTER_LIMIT:
+            # every analysis starts with the frame of F and a polar, whose
+            # Sylvester matrix has 2d - 1 rows
+            raise DegreeGuardrail(f"degree {F.total_degree()} curves exceed the"
+                                  f" {SYLVESTER_LIMIT}x{SYLVESTER_LIMIT} Sylvester guardrail")
         if not is_squarefree(F):
             raise ReducibleCurve(f"{F.text()} has a repeated factor")
         object.__setattr__(self, "F", F)

@@ -26,11 +26,14 @@ composed with x-shears) and only reports a number it can certify:
   rational roots of each class's singular part, mapped back through the
   frame's shear and base, are the rational singular points.
 
-Univariate work over Q (eliminants, singular parts, forms on a line) runs on
-Fraction coefficient lists; their gcd is the primitive remainder sequence
-of `exact`.  The square-free part is written once (`_sqfree_part`), for
-the frame step, binary forms and `rational_roots`.  No trivariate gcd runs
-here: a pair is proved coprime on a pencil of lines (`exact.forms_coprime`).
+Univariate work (eliminants, psc_k, singular parts, forms on a line) runs
+on primitive integer coefficient lists, read straight from the terms of
+each polynomial (`_univar_ints`); their gcd is the certified modular gcd of
+`exact`, and a quotient by a primitive divisor is exact over the integers
+(Gauss's lemma), so no Fraction arithmetic enters the frame search.  The
+square-free part is written once (`_sqfree_part`), for the frame step,
+binary forms and `rational_roots`.  No trivariate gcd runs here: a pair is
+proved coprime on a pencil of lines (`exact.forms_coprime`).
 
 Nothing here ever returns a float or an approximation; when a count cannot
 be certified the routine raises.
@@ -53,9 +56,12 @@ from .errors import (
 from .exact import (
     MultiPoly,
     UniPolyView,
+    _integer_terms,
+    _primitive,
     _primitive_ints,
     _trim,
     _uni_gcd,
+    _uni_quo,
     forms_coprime,
     point_off,
     resultant,
@@ -107,7 +113,7 @@ _BASES = _base_frames()
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q, as Fraction coefficient lists [c0..cd]
+# univariate polynomials, as coefficient lists [c0..cd]
 # ---------------------------------------------------------------------------
 
 def univar_coeffs(p: MultiPoly, var: str) -> list:
@@ -120,6 +126,20 @@ def univar_coeffs(p: MultiPoly, var: str) -> list:
             raise ValueError(f"{p.text()} is not univariate in {var}")
         coeffs[e[idx]] += c
     return coeffs
+
+
+def _univar_ints(p: MultiPoly, var: str) -> list:
+    """The primitive integer list proportional to `univar_coeffs(p, var)`;
+    [] for the zero polynomial."""
+    if p.is_zero():
+        return []
+    idx = p.variables.index(var)
+    coeffs = [0] * (p.degree_in(var) + 1)
+    for e, c in _integer_terms(p)[1].items():
+        if sum(e) != e[idx]:
+            raise ValueError(f"{p.text()} is not univariate in {var}")
+        coeffs[e[idx]] = c
+    return _primitive(coeffs)
 
 
 #: primes tried as the modulus of the p-adic root search
@@ -165,22 +185,25 @@ def _root_candidates(f: list) -> set:
 
 
 def _is_root(f: Sequence[int], r: Fraction) -> bool:
-    acc = Fraction(0)
+    """Is r = u/v a root of f?  v^n f(u/v), n = deg f, by Horner over Z."""
+    acc, power = 0, 1
     for c in reversed(f):
-        acc = acc * r + c
+        acc = acc * r.numerator + c * power
+        power *= r.denominator
     return acc == 0
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
     """Distinct roots of a nonzero univariate polynomial, rational and not.
 
-    Returns ``(roots, leftover)`` where roots is the sorted list of distinct
-    rational roots and ``leftover`` the number of distinct irrational or
-    complex roots.  The square-free part is taken once; its roots are simple,
-    so each candidate from `_root_candidates` needs one exact evaluation, and
-    no root is missed.
+    ``coeffs`` holds rationals or ints.  Returns ``(roots, leftover)`` where
+    roots is the sorted list of distinct rational roots and ``leftover`` the
+    number of distinct irrational or complex roots.  The square-free part is
+    taken once, over the integers; its roots are simple, so each candidate
+    from `_root_candidates` needs one exact evaluation, and no root is
+    missed.
     """
-    ints = _primitive_ints(_sqfree_part(_nonzero(coeffs)))
+    ints = _sqfree_part(_primitive_ints(_nonzero(coeffs)))
     degree = len(ints) - 1
     roots = []
     if ints[0] == 0:
@@ -192,27 +215,17 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
 
 
 def _sqfree_part(cs: list) -> list:
-    """f / gcd(f, f') for a trimmed nonzero f: its distinct linear factors."""
+    """f / gcd(f, f') for a trimmed nonzero integer list f: its distinct
+    linear factors, over the integers (the gcd is primitive)."""
     return _uni_quo(cs, _uni_gcd(cs, [i * c for i, c in enumerate(cs)][1:]))
 
 
-def _nonzero(cs: Sequence[Fraction]) -> list:
+def _nonzero(cs: Sequence) -> list:
     """cs trimmed; the zero polynomial is refused."""
     cs = _trim(cs)
     if not cs:
         raise ZeroInput("zero polynomial")
     return cs
-
-
-def _uni_quo(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    """Quotient of a by b, when b divides a."""
-    a = list(a)
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    for k in reversed(range(len(q))):
-        q[k] = a[k + len(b) - 1] / b[-1]
-        for i, c in enumerate(b):
-            a[k + i] -= q[k] * c
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +248,11 @@ def binary_distinct_roots(form: MultiPoly, u: str, v: str) -> int:
 
 
 def _dehomogenised(form: MultiPoly, u: str) -> list:
-    """Coefficient list [c0..cd] in u of a binary form of degree d in u, v, at v = 1."""
+    """Integer coefficient list [c0..cd] in u, proportional to a nonzero
+    binary form of degree d in u, v at v = 1."""
     iu = form.variables.index(u)
-    cs = [Fraction(0)] * (form.total_degree() + 1)
-    for e, c in form.terms.items():
+    cs = [0] * (form.total_degree() + 1)
+    for e, c in _integer_terms(form)[1].items():
         cs[e[iu]] += c
     return cs
 
@@ -311,7 +325,7 @@ class _Frame:
         S = sum((yv ** j * self.coefficient(k, j) for j in range(k + 1)), MultiPoly.zero(ring))
         line = self.line(k)
         for _ in range(k - 1):
-            if len(_uni_gcd(phi, univar_coeffs(resultant(UniPolyView(S, y), line), x))) < len(phi):
+            if len(_uni_gcd(phi, _univar_ints(resultant(UniPolyView(S, y), line), x))) < len(phi):
                 return False
             S = S.derivative(y)
         return True
@@ -341,11 +355,11 @@ def _pair_frame_count(Fm: MultiPoly, Gm: MultiPoly, base: Matrix, t: int) -> Opt
     R = resultant(frame.A, frame.B)
     if R.is_zero() or R.degree_in(x) != Fm.total_degree() * Gm.total_degree():
         return None
-    rem = _sqfree_part(univar_coeffs(R, x))
+    rem = _sqfree_part(_univar_ints(R, x))
     for k in range(1, min(frame.A.degree, frame.B.degree) + 1):
         if len(rem) == 1:
             break
-        common = _uni_gcd(rem, univar_coeffs(frame.coefficient(k, k), x))
+        common = _uni_gcd(rem, _univar_ints(frame.coefficient(k, k), x))
         phi, rem = _uni_quo(rem, common), common
         if len(phi) > 1:
             if k >= 2 and not frame.is_power(k, phi):
@@ -441,7 +455,7 @@ def singular_locus(F: MultiPoly) -> tuple:
     parts = {}
     for k, phi in frame.classes.items():
         line = frame.line(k)
-        parts[k] = reduce(_uni_gcd, (univar_coeffs(resultant(p, line), x) for p in partials), phi)
+        parts[k] = reduce(_uni_gcd, (_univar_ints(resultant(p, line), x) for p in partials), phi)
     return sum(len(s) - 1 for s in parts.values()), rational_system_points(frame, parts)
 
 

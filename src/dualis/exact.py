@@ -45,10 +45,17 @@ integer univariate polynomials, one line with a constant gcd proves that
 they do not, and d1*d2 + 1 failing lines prove that they do.  A form is
 square-free exactly when it shares no component with the polar of a point
 off its curve, and on the same pencil that polar restricts to derivatives,
-so the same certificate decides square-freeness with d(d-1) + 1 lines.  The univariate toolkit (trim, primitive integers, the
-primitive remainder sequence) lives here too.  The trivariate gcd
-``poly_gcd`` and the ``radical`` built on it are public API; no count, no
-curve check and no dual equation calls them.
+so the same certificate decides square-freeness with d(d-1) + 1 lines.
+
+The univariate toolkit lives here too, on integer coefficient lists
+[c0..cd]: trimming, primitive parts, exact quotients over Z, and the one
+univariate gcd, Brown's modular algorithm (J. ACM 18, 1971).  It works
+modulo primes just below 2^61, checks its candidate by trial division over
+Z and returns a primitive gcd; a constant image modulo one prime proves a
+constant gcd, which is the usual case.  The trivariate gcd ``poly_gcd`` and
+the ``radical`` built on it are public API; no count, no curve check and no
+dual equation calls them.  Evaluation at a point of ints runs over the
+integers too, with one division at the end.
 """
 
 from __future__ import annotations
@@ -137,15 +144,17 @@ class MultiPoly:
         clean = {}
         nvars = len(variables)
         for exps, coeff in terms.items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            if not coeff:
                 continue
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for variables {variables}")
-            clean[exps] = clean.get(exps, _ZERO) + coeff
-            if clean[exps] == 0:
-                del clean[exps]
+            if exps in clean:  # distinct keys that convert to one exponent tuple
+                coeff += clean.pop(exps)
+            if coeff:
+                clean[exps] = coeff
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
 
@@ -314,8 +323,19 @@ class MultiPoly:
             e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.terms.items() if e[i]})
 
     def evaluate(self, point: Mapping[str, Union[int, Fraction]]) -> Fraction:
-        """Evaluate at a full rational point."""
-        vals = [Fraction(point[v]) for v in self.variables]
+        """Evaluate at a full rational point.  At a point of ints the terms,
+        scaled to integers, are summed over the integers and divided once."""
+        vals = [point[v] for v in self.variables]
+        if all(type(val) is int for val in vals):
+            den, scaled = _integer_terms(self)
+            total = 0
+            for e, c in scaled.items():
+                for val, exp in zip(vals, e):
+                    if exp:
+                        c *= val**exp
+                total += c
+            return Fraction(total, den)
+        vals = [Fraction(val) for val in vals]
         total = _ZERO
         for e, c in self.terms.items():
             term = c
@@ -641,10 +661,10 @@ def divides(g: MultiPoly, f: MultiPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q, as coefficient lists [c0..cd]
+# univariate polynomials over Z, as coefficient lists [c0..cd]
 # ---------------------------------------------------------------------------
 
-def _trim(cs: Sequence[Fraction]) -> list:
+def _trim(cs: Sequence[int]) -> list:
     """A copy of cs without trailing zero coefficients."""
     cs = list(cs)
     while cs and cs[-1] == 0:
@@ -652,33 +672,143 @@ def _trim(cs: Sequence[Fraction]) -> list:
     return cs
 
 
-def _primitive_ints(cs: Sequence[Fraction]) -> list:
-    """Coprime integers proportional to a nonzero list of rationals."""
+def _primitive_ints(cs: Sequence[Union[int, Fraction]]) -> list:
+    """Coprime integers proportional to a nonzero list of rationals (or ints)."""
     den = math.lcm(*(c.denominator for c in cs))
-    ints = [int(c * den) for c in cs]
+    ints = [c.numerator * (den // c.denominator) for c in cs]
     g = math.gcd(*ints)
     return [a // g for a in ints]
 
 
-def _uni_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    """A gcd, up to a constant factor, of two lists not both zero, as
-    Fractions: a primitive remainder sequence over the integers."""
+def _primitive(cs: Sequence[int]) -> list:
+    """The primitive part of a trimmed nonzero integer list, with a positive
+    leading coefficient."""
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if cs[-1] > 0 else [-c // g for c in cs]
+
+
+def _try_uni_quo(a: Sequence[int], b: Sequence[int]) -> Optional[list]:
+    """The quotient a / b of integer lists, b trimmed and nonzero, or None
+    when b does not divide a over Z.  For a primitive b that is the same as
+    over Q: by Gauss's lemma the quotient is then integral."""
+    a, lead, n = list(a), b[-1], len(b) - 1
+    q = [0] * max(len(a) - n, 0)
+    for k in reversed(range(len(q))):
+        c, r = divmod(a[k + n], lead)
+        if r:
+            return None
+        q[k] = c
+        if c:
+            for i, bc in enumerate(b):
+                a[k + i] -= c * bc
+    return None if any(a[:n]) else q
+
+
+def _uni_quo(a: Sequence[int], b: Sequence[int]) -> list:
+    """The quotient a / b of integer lists, when b divides a over Z."""
+    q = _try_uni_quo(a, b)
+    if q is None:
+        raise InvariantViolation(f"a divisor of degree {len(b) - 1} leaves a remainder"
+                                 f" on a polynomial of degree {len(a) - 1}")
+    return q
+
+
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Is n > 1 prime?  Miller-Rabin with the primes up to 37 as bases,
+    exact for n < 3.18e23 (Sorenson & Webster, Math. Comp. 86, 2017)."""
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+#: the four largest primes below 2^61, spelled out: almost every gcd needs
+#: one prime, and testing it would cost more than the gcd
+_GCD_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229)
+
+
+def _gcd_primes() -> Iterable[int]:
+    """The moduli of `_uni_gcd`: the primes below 2^61, largest first; those
+    after `_GCD_PRIMES` are found lazily."""
+    return chain(_GCD_PRIMES, filter(_is_prime, range(_GCD_PRIMES[-1] - 2, 2, -2)))
+
+
+def _gcd_mod(a: list, b: list, p: int) -> list:
+    """The monic gcd of a and b modulo p, for reduced lists with leading
+    coefficients prime to p: Euclid's algorithm over GF(p)."""
+    while b:
+        inv, n = pow(b[-1], -1, p), len(b) - 1
+        b = [c * inv % p for c in b]
+        a = list(a)
+        while len(a) > n:
+            top, shift = a.pop(), len(a) - n
+            if top:
+                for i in range(n):
+                    a[shift + i] = (a[shift + i] - top * b[i]) % p
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return a
+
+
+def _uni_gcd(a: Sequence[int], b: Sequence[int]) -> list:
+    """The gcd of two integer lists not both zero, primitive with a positive
+    leading coefficient; [1] when it is constant.
+
+    Brown's modular algorithm (J. ACM 18, 1971).  Modulo a prime p that
+    divides neither leading coefficient, deg gcd(a mod p, b mod p) >=
+    deg gcd(a, b), so a constant image proves a constant gcd.  Otherwise
+    the images of least degree, each scaled to the leading coefficient
+    gcd(lc a, lc b), are combined by the Chinese remainder theorem, and the
+    primitive part of the symmetric lift is accepted once it divides both
+    inputs over Z: a common divisor of degree at least deg gcd(a, b) is the
+    gcd.  Only finitely many primes are unlucky, so the loop ends.
+    """
     a, b = _trim(a), _trim(b)
+    if not a or not b:
+        return _primitive(a or b) if a or b else []
     if len(a) < len(b):
         a, b = b, a
-    if not b:
-        return a
-    a, b = _primitive_ints(a), _primitive_ints(b)
-    while b:
-        while len(a) >= len(b):  # a <- a multiple of a, minus a multiple of b
-            g = math.gcd(a[-1], b[-1])
-            top, shift = a[-1] // g, len(a) - len(b)
-            a = [c * (b[-1] // g) for c in a]
-            for i, c in enumerate(b):
-                a[shift + i] -= top * c
-            a = _trim(a)
-        a, b = b, (_primitive_ints(a) if a else [])
-    return [Fraction(c) for c in a]
+    a, b = _primitive(a), _primitive(b)
+    if len(b) == 1:
+        return [1]
+    lead = math.gcd(a[-1], b[-1])
+    image, modulus = None, 1
+    for p in _gcd_primes():
+        if a[-1] % p == 0 or b[-1] % p == 0:
+            continue
+        g = _gcd_mod([c % p for c in a], [c % p for c in b], p)
+        if len(g) == 1:
+            return [1]
+        g = [c * lead % p for c in g]
+        if image is None or len(g) < len(image):
+            image, modulus = g, p  # the first prime, or every earlier one was unlucky
+        elif len(g) > len(image):
+            continue  # p is unlucky
+        else:
+            inv = pow(modulus, -1, p)
+            image = [c + modulus * ((d - c) * inv % p) for c, d in zip(image, g)]
+            modulus *= p
+        candidate = _primitive([c - modulus if 2 * c > modulus else c for c in image])
+        if _try_uni_quo(a, candidate) is not None and _try_uni_quo(b, candidate) is not None:
+            return candidate
+    raise InvariantViolation("the gcd primes ran out")
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,32 @@ class TestModuleEntryPoint:
         assert done.returncode == 0
         assert done.stdout.strip() == b"2"
 
+    #: the first degree-8 curve of the ROADMAP; smooth, so g = 7*6/2 = 21,
+    #: chi = 2 - 2g = -40 and the dual degree is d(d - 1) = 56
+    OCTIC = "x^7*y + y^7*z + z^7*x + x^3*y^3*z^2"
+
+    def test_octic_is_smooth(self):
+        # in each chart the partials have no common zero: their Groebner basis is 1
+        sympy = pytest.importorskip("sympy")
+        xyz = sympy.symbols("x y z")
+        F = sympy.sympify(self.OCTIC.replace("^", "**"), locals=dict(zip("xyz", xyz)))
+        for v in xyz:
+            rest = [w for w in xyz if w != v]
+            partials = [sympy.diff(F, w).subs(v, 1) for w in xyz]
+            assert list(sympy.groebner(partials, *rest, order="grevlex")) == [1]
+
+    def test_octic_analysis_in_time(self):
+        got = self._json_in_time("curve", "analyze", "--poly", self.OCTIC, "--max-degree", "8")
+        assert got["report"]["g"] == 21 and got["report"]["chi"] == -40
+        assert got["singular_points"] == []
+
+    def test_octic_dual_degree_in_time(self):
+        start = time.perf_counter()
+        done = self._run("curve", "dual-degree", "--poly", self.OCTIC, "--max-degree", "8")
+        assert time.perf_counter() - start < self.FORMER_HANG_S
+        assert done.returncode == 0
+        assert done.stdout.strip() == b"56"
+
     @pytest.mark.parametrize("poly", [
         "x^" + "9" * 4400 + " + y^2*z",     # int() refuses more than 4300 digits
         "9" * 5000 + "/0*x^2 + y^2*z",

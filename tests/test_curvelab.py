@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,12 +23,15 @@ from dualis.curvelab import (
 )
 from dualis.elimination import apply_matrix, normalize_point
 from dualis.errors import (
+    DegreeGuardrail,
+    InvalidParams,
     InvariantViolation,
     IrrationalSingularity,
     NotSingular,
     NotTransversal,
     ReducibleCurve,
     UnsupportedSingularity,
+    ZeroInput,
 )
 from dualis.exact import parse_poly
 
@@ -51,6 +55,35 @@ FOUR_LINES = "x^2*y^2 - 3*x^2*z^2 - 2*y^2*z^2 + 6*z^4"
 
 def curve(text):
     return PlaneCurve.from_text(text)
+
+
+class TestConstruction:
+    """PlaneCurve refuses what no analysis could finish, before any work."""
+
+    def test_over_the_sylvester_guardrail_refused_quickly(self):
+        # the polar frame of a degree-d curve has a (2d - 1)x(2d - 1)
+        # Sylvester matrix, over the 64x64 guardrail from d = 33
+        start = time.perf_counter()
+        for text in ("x^999999", "x^33 + y^33 + z^33", "x^40*y^2 + z^42"):
+            with pytest.raises(DegreeGuardrail):
+                PlaneCurve.from_text(text)
+        assert time.perf_counter() - start < 0.5
+
+    def test_degree_32_constructs(self):
+        assert PlaneCurve.from_text("x^32 + y^32 + z^32").degree == 32
+
+    @pytest.mark.parametrize("text, variables, error", [
+        ("0", PRIMAL_VARS, ZeroInput),
+        ("x^2 + y^2", ("x", "y"), InvalidParams),
+        ("x^2 + y", PRIMAL_VARS, InvalidParams),
+        ("x^40 + y", PRIMAL_VARS, InvalidParams),
+        ("3", PRIMAL_VARS, InvalidParams),
+        ("x^2*y", PRIMAL_VARS, ReducibleCurve),
+    ], ids=["zero", "two-variables", "inhomogeneous", "inhomogeneous-high", "constant",
+            "square"])
+    def test_other_refusals_keep_their_type(self, text, variables, error):
+        with pytest.raises(error):
+            PlaneCurve(parse_poly(text, variables))
 
 
 class TestSingularPoints:

@@ -1,16 +1,18 @@
 """Tests for the exact scalar and polynomial layer."""
 
+import math
 import random
 import time
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
 from dualis import elimination, exact
 from dualis.errors import (
     InvalidParams,
+    InvariantViolation,
     PolySyntaxError,
     SharedVariableMismatch,
     UnknownVariableError,
@@ -20,7 +22,11 @@ from dualis.exact import (
     WITNESS_SEQUENCE,
     MultiPoly,
     UniPolyView,
+    _gcd_primes,
+    _is_prime,
     _matching_bound,
+    _uni_gcd,
+    _uni_quo,
     determinant,
     divides,
     exact_div,
@@ -604,3 +610,162 @@ class TestDeterminantBound:
         R = resultant(frame.A, frame.B)
         assert R.degree_in("x") == d1 * d2
         assert len(bareiss_calls) == d1 * d2 + 1
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return out
+
+
+def _random_ints(rng, degree, size):
+    """An integer list of the given degree, coefficients up to size."""
+    return ([rng.randint(-size, size) for _ in range(degree)]
+            + [rng.choice((-1, 1)) * rng.randint(1, size)])
+
+
+def _sympy_gcd(sympy, a, b):
+    """The gcd of two integer lists by SymPy, primitive with a positive
+    leading coefficient."""
+    x = sympy.Symbol("x")
+    a, b = (sympy.Poly(list(reversed(cs)), x, domain="ZZ") for cs in (a, b))
+    g = a.gcd(b)
+    cs = [int(c) for c in reversed(g.all_coeffs())]
+    content = math.gcd(*cs) * (1 if cs[-1] > 0 else -1)
+    return [c // content for c in cs]
+
+
+@pytest.fixture
+def bounded_primes(monkeypatch):
+    """_uni_gcd with 40 primes: a gcd that never accepts its candidate runs
+    out of them and raises, instead of running on.  Every pair below needs
+    at most 6."""
+    monkeypatch.setattr(exact, "_gcd_primes", lambda: islice(_gcd_primes(), 40))
+
+
+@pytest.mark.usefixtures("bounded_primes")
+class TestModularGcd:
+    """exact._uni_gcd, Brown's modular algorithm, against SymPy."""
+
+    @pytest.mark.parametrize("kind", ["constant", "full-degree", "repeated"])
+    def test_against_sympy_on_planted_factors(self, kind):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random({"constant": 41, "full-degree": 43, "repeated": 47}[kind])
+        for n in range(30):
+            size = rng.choice((9, 10**6, 10**40))
+            common = _random_ints(rng, rng.randint(1, 5), size)
+            a = _random_ints(rng, rng.randint(0, 6), size)
+            b = _random_ints(rng, rng.randint(0, 6), size)
+            if kind == "constant":
+                common = [rng.choice((-3, 1, 2, 7))]
+            elif kind == "full-degree":
+                b = [rng.choice((-6, 1, 5))]  # b is common itself, up to a constant
+            else:
+                a, b = _poly_mul(a, common), _poly_mul(_poly_mul(b, common), common)
+            a, b = _poly_mul(a, common), _poly_mul(b, common)
+            assert _uni_gcd(a, b) == _uni_gcd(b, a) == _sympy_gcd(sympy, a, b), (a, b)
+
+    def test_coefficients_beyond_the_spelled_out_primes(self):
+        # a common factor with 100-digit coefficients needs more than the
+        # four primes of exact._GCD_PRIMES, so the Miller-Rabin part runs
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(53)
+        common = _random_ints(rng, 4, 10**100)
+        a = _poly_mul(common, _random_ints(rng, 3, 10**100))
+        b = _poly_mul(common, _random_ints(rng, 5, 10**100))
+        assert _uni_gcd(a, b) == _sympy_gcd(sympy, a, b)
+        assert len(_uni_gcd(a, b)) == 5
+
+    def test_leading_coefficients_divisible_by_the_first_primes(self):
+        sympy = pytest.importorskip("sympy")
+        p0, p1, p2 = islice(_gcd_primes(), 3)
+        rng = random.Random(59)
+        for lead_a, lead_b in [(p0, p0), (p0 * p1, p0 * p2), (p0 * p1 * p2, 3 * p1),
+                               (p1 * p2, p0)]:
+            common = _random_ints(rng, 2, 99)
+            a = _poly_mul(common, _random_ints(rng, 2, 99)[:-1] + [lead_a])
+            b = _poly_mul(common, _random_ints(rng, 3, 99)[:-1] + [lead_b])
+            assert _uni_gcd(a, b) == _sympy_gcd(sympy, a, b)
+
+    def test_pair_unlucky_by_degree_at_the_first_prime(self):
+        p = next(_gcd_primes())
+        # x - 1 and x + p - 1 agree modulo p
+        assert _uni_gcd([-1, 1], [p - 1, 1]) == [1]
+        # a common factor 2x + 3 under the same coincidence: the first
+        # prime's image has degree 2, the second's the true degree 1
+        assert _uni_gcd(_poly_mul([-1, 1], [3, 2]), _poly_mul([p - 1, 1], [3, 2])) == [3, 2]
+
+    def test_normalisation_and_zero_operands(self):
+        assert _uni_gcd([0, -4, -6], [0, 0]) == [0, 2, 3]
+        assert _uni_gcd([0, 0, 0], [5]) == [1]
+        assert _uni_gcd([], [0]) == []
+        assert _uni_gcd([6, 4], [-9, -6]) == [3, 2]
+
+
+class TestPrimeSequence:
+    def test_primality_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        top = 2**61
+        for n in list(range(3, 3000, 2)) + list(range(top - 3001, top, 2)):
+            assert _is_prime(n) == sympy.isprime(n), n
+        # strong pseudoprimes to the first few bases
+        for n in (2047, 3215031751, 3825123056546413051):
+            assert not _is_prime(n)
+
+    def test_the_largest_primes_below_2_61_in_order(self):
+        sympy = pytest.importorskip("sympy")
+        expected, p = [], 2**61
+        for _ in range(8):
+            p = sympy.prevprime(p)
+            expected.append(p)
+        assert list(islice(_gcd_primes(), 8)) == expected
+
+
+class TestIntegerQuotient:
+    def test_exact_quotient(self):
+        assert _uni_quo(_poly_mul([3, 2], [-1, 0, 5]), [3, 2]) == [-1, 0, 5]
+        assert not any(_uni_quo([0, 0], [3, 2]))
+
+    @pytest.mark.parametrize("a, b", [
+        ([1, 0, 1], [1, 1]),
+        ([1, 3], [1, 2]),
+        ([2, 4, 2], [1, 2, 1, 0, 5]),
+    ], ids=["remainder", "non-integral", "longer-divisor"])
+    def test_non_divisor_raises(self, a, b):
+        with pytest.raises(InvariantViolation):
+            _uni_quo(a, b)
+
+    def test_gcd_returning_a_non_divisor_is_caught(self, monkeypatch):
+        # x^2 - 1 by a "gcd" x + 2, which does not divide it
+        monkeypatch.setattr(elimination, "_uni_gcd", lambda a, b: [2, 1])
+        with pytest.raises(InvariantViolation):
+            elimination.rational_roots([Fraction(-1), 0, 1])
+
+
+class TestEvaluation:
+    """MultiPoly.evaluate sums integer terms at a point of ints."""
+
+    @staticmethod
+    def _reference(poly, point):
+        total = Fraction(0)
+        for e, c in poly.terms.items():
+            for v, k in zip(poly.variables, e):
+                c *= Fraction(point[v]) ** k
+            total += c
+        return total
+
+    def test_against_fraction_evaluation(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            poly = _random_poly(rng, XYZ)
+            ints = {v: rng.randint(-5, 5) for v in XYZ}
+            rationals = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for v in XYZ}
+            mixed = {**ints, "y": rationals["y"]}
+            for point in (ints, rationals, mixed):
+                value = poly.evaluate(point)
+                assert type(value) is Fraction and value == self._reference(poly, point)
+
+    def test_zero_polynomial(self):
+        assert MultiPoly.zero(XYZ).evaluate({"x": 1, "y": 2, "z": 3}) == 0

@@ -49,3 +49,30 @@ def test_trusted_construction_stays_in_exact():
     found = [path.name for path in sorted(SOURCE.glob("*.py"))
              if path.name != "exact.py" and "_trusted" in _referenced_names(path)]
     assert not found
+
+
+def _functions(path: Path) -> dict:
+    """Every function a module defines, by name."""
+    return {node.name: node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_one_univariate_gcd():
+    # exact._uni_gcd, Brown's modular algorithm with its prime sequence and
+    # its gcd modulo p, is the only univariate gcd; the other gcds are the
+    # trivariate public API, and no remainder-sequence helper serves a
+    # univariate caller: the pseudo-remainder is read by poly_gcd alone
+    gcds = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
+                  for name in _functions(path) if "gcd" in name)
+    assert gcds == ["exact.py: _gcd_mod", "exact.py: _gcd_primes", "exact.py: _uni_gcd",
+                    "exact.py: poly_gcd", "exact.py: poly_gcd_many"]
+    remainders = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
+                        for name in _functions(path) if "rem" in name or "prs" in name.lower())
+    assert remainders == ["exact.py: _pseudo_rem"]
+    readers = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
+                     for name, node in _functions(path).items()
+                     if any(isinstance(n, ast.Name) and n.id == "_pseudo_rem" for n in ast.walk(node)))
+    assert readers == ["exact.py: poly_gcd"]
+    body = {n.id for n in ast.walk(_functions(SOURCE / "exact.py")["_uni_gcd"])
+            if isinstance(n, ast.Name)}
+    assert {"_gcd_primes", "_gcd_mod", "_try_uni_quo"} <= body
