@@ -68,9 +68,9 @@ class PlaneCurve:
             raise InvalidParams(f"{F.text()} is not homogeneous")
         if F.total_degree() < 1:
             raise InvalidParams("constant form defines no curve")
-        if 2 * F.total_degree() - 1 > SYLVESTER_LIMIT:
-            # every analysis starts with the frame of F and a polar, whose
-            # Sylvester matrix has 2d - 1 rows
+        if F.total_degree() + 1 > SYLVESTER_LIMIT:
+            # the smallest Sylvester matrix any analysis builds, F against a
+            # line, has d + 1 rows
             raise DegreeGuardrail(f"degree {F.total_degree()} curves exceed the"
                                   f" {SYLVESTER_LIMIT}x{SYLVESTER_LIMIT} Sylvester guardrail")
         if not is_squarefree(F):

@@ -28,7 +28,7 @@ composed with x-shears) and only reports a number it can certify:
 
 Univariate work (eliminants, psc_k, singular parts, forms on a line) runs
 on primitive integer coefficient lists, read straight from the terms of
-each polynomial (`_univar_ints`); their gcd is the certified modular gcd of
+each polynomial (`univar_coeffs`); their gcd is the certified modular gcd of
 `exact`, and a quotient by a primitive divisor is exact over the integers
 (Gauss's lemma), so no Fraction arithmetic enters the frame search.  The
 square-free part is written once (`_sqfree_part`), for the frame step,
@@ -117,20 +117,8 @@ _BASES = _base_frames()
 # ---------------------------------------------------------------------------
 
 def univar_coeffs(p: MultiPoly, var: str) -> list:
-    """Fraction coefficient list [c0..cd] of a polynomial using only `var`."""
-    idx = p.variables.index(var)
-    d = p.degree_in(var)
-    coeffs = [Fraction(0)] * (max(d, 0) + 1)
-    for e, c in p.terms.items():
-        if any(k > 0 for i, k in enumerate(e) if i != idx):
-            raise ValueError(f"{p.text()} is not univariate in {var}")
-        coeffs[e[idx]] += c
-    return coeffs
-
-
-def _univar_ints(p: MultiPoly, var: str) -> list:
-    """The primitive integer list proportional to `univar_coeffs(p, var)`;
-    [] for the zero polynomial."""
+    """Primitive integer coefficient list [c0..cd] proportional to a
+    polynomial using only `var`; [] for the zero polynomial."""
     if p.is_zero():
         return []
     idx = p.variables.index(var)
@@ -325,7 +313,7 @@ class _Frame:
         S = sum((yv ** j * self.coefficient(k, j) for j in range(k + 1)), MultiPoly.zero(ring))
         line = self.line(k)
         for _ in range(k - 1):
-            if len(_uni_gcd(phi, _univar_ints(resultant(UniPolyView(S, y), line), x))) < len(phi):
+            if len(_uni_gcd(phi, univar_coeffs(resultant(UniPolyView(S, y), line), x))) < len(phi):
                 return False
             S = S.derivative(y)
         return True
@@ -355,11 +343,11 @@ def _pair_frame_count(Fm: MultiPoly, Gm: MultiPoly, base: Matrix, t: int) -> Opt
     R = resultant(frame.A, frame.B)
     if R.is_zero() or R.degree_in(x) != Fm.total_degree() * Gm.total_degree():
         return None
-    rem = _sqfree_part(_univar_ints(R, x))
+    rem = _sqfree_part(univar_coeffs(R, x))
     for k in range(1, min(frame.A.degree, frame.B.degree) + 1):
         if len(rem) == 1:
             break
-        common = _uni_gcd(rem, _univar_ints(frame.coefficient(k, k), x))
+        common = _uni_gcd(rem, univar_coeffs(frame.coefficient(k, k), x))
         phi, rem = _uni_quo(rem, common), common
         if len(phi) > 1:
             if k >= 2 and not frame.is_power(k, phi):
@@ -455,7 +443,7 @@ def singular_locus(F: MultiPoly) -> tuple:
     parts = {}
     for k, phi in frame.classes.items():
         line = frame.line(k)
-        parts[k] = reduce(_uni_gcd, (_univar_ints(resultant(p, line), x) for p in partials), phi)
+        parts[k] = reduce(_uni_gcd, (univar_coeffs(resultant(p, line), x) for p in partials), phi)
     return sum(len(s) - 1 for s in parts.values()), rational_system_points(frame, parts)
 
 

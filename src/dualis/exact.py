@@ -323,27 +323,18 @@ class MultiPoly:
             e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.terms.items() if e[i]})
 
     def evaluate(self, point: Mapping[str, Union[int, Fraction]]) -> Fraction:
-        """Evaluate at a full rational point.  At a point of ints the terms,
-        scaled to integers, are summed over the integers and divided once."""
-        vals = [point[v] for v in self.variables]
-        if all(type(val) is int for val in vals):
-            den, scaled = _integer_terms(self)
-            total = 0
-            for e, c in scaled.items():
-                for val, exp in zip(vals, e):
-                    if exp:
-                        c *= val**exp
-                total += c
-            return Fraction(total, den)
-        vals = [Fraction(val) for val in vals]
-        total = _ZERO
-        for e, c in self.terms.items():
-            term = c
+        """Evaluate at a full rational point.  The terms, scaled to integers,
+        are summed once and divided by their common denominator at the end;
+        at a point of ints the sum stays over the integers."""
+        vals = [val if type(val) is int else Fraction(val) for val in (point[v] for v in self.variables)]
+        den, scaled = _integer_terms(self)
+        total = 0
+        for e, c in scaled.items():
             for val, exp in zip(vals, e):
                 if exp:
-                    term *= val**exp
-            total += term
-        return total
+                    c *= val**exp
+            total += c
+        return Fraction(total) / den
 
     def substitute(self, mapping: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Substitute polynomials for variables.

@@ -61,16 +61,23 @@ class TestConstruction:
     """PlaneCurve refuses what no analysis could finish, before any work."""
 
     def test_over_the_sylvester_guardrail_refused_quickly(self):
-        # the polar frame of a degree-d curve has a (2d - 1)x(2d - 1)
-        # Sylvester matrix, over the 64x64 guardrail from d = 33
+        # a degree-d curve against a line has a (d + 1)x(d + 1) Sylvester
+        # matrix, over the 64x64 guardrail from d = 64
         start = time.perf_counter()
-        for text in ("x^999999", "x^33 + y^33 + z^33", "x^40*y^2 + z^42"):
+        for text in ("x^999999", "x^64 + y^64 + z^64", "x^40*y^30 + z^70"):
             with pytest.raises(DegreeGuardrail):
                 PlaneCurve.from_text(text)
         assert time.perf_counter() - start < 0.5
 
-    def test_degree_32_constructs(self):
-        assert PlaneCurve.from_text("x^32 + y^32 + z^32").degree == 32
+    def test_degree_63_constructs(self):
+        assert PlaneCurve.from_text("x^63 + y^63 + z^63").degree == 63
+
+    def test_high_degree_curve_meets_a_line(self):
+        # Bezout: a transversal line meets a degree-40 curve in 40 points;
+        # the 41x41 Sylvester matrix of the pair fits the guardrail
+        chi = transversal_intersection_chi(PlaneCurve.from_text("x^40 + y^40 + z^40"),
+                                           PlaneCurve.from_text("x + 2*y + 3*z"))
+        assert chi == 40
 
     @pytest.mark.parametrize("text, variables, error", [
         ("0", PRIMAL_VARS, ZeroInput),
