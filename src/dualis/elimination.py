@@ -20,11 +20,12 @@ composed with x-shears) and only reports a number it can certify:
 * transversality: all intersection multiplicities equal one exactly when the
   certified distinct count reaches the Bezout number d1*d2.
 
-* singular loci: read from the first accepted frame of F and a polar,
-  where the two affine partials of F vanish at the one point over a root of
-  R.  That point is (alpha, beta(alpha)), beta rational in alpha, so the
-  rational roots of each class's singular part, mapped back through the
-  frame's shear and base, are the rational singular points.
+* singular loci: read from the first accepted frame of F and a polar
+  (`polar`), where the two affine partials of F vanish at the one point
+  over a root of R.  That point is (alpha, beta(alpha)), beta rational in
+  alpha, so the rational roots of each class's singular part, mapped back
+  through the frame's shear and base, are the rational singular points.
+  The frame's own count is returned too: the polar degree oracle reads it.
 
 Univariate work (eliminants, psc_k, singular parts, forms on a line) runs
 on primitive integer coefficient lists, read straight from the terms of
@@ -417,14 +418,24 @@ def distinct_intersection_count(F: MultiPoly, G: MultiPoly) -> int:
     return _accepted_frame(F, G).count()
 
 
-def singular_locus(F: MultiPoly) -> tuple:
-    """The number of distinct singular points of the curve of a square-free
-    form F, and the sorted list of its rational singular points.
+def polar(F: MultiPoly, w) -> MultiPoly:
+    """The polar of F at the point w: the sum of w_i times the i-th partial.
+    By Euler's identity it takes the value d*F(w) at w, so it is nonzero
+    when w is off the curve."""
+    ring = F.variables
+    return sum((F.derivative(v) * c for v, c in zip(ring, w)), MultiPoly.zero(ring))
 
-    A witness w with F(w) != 0 makes F and its polar P_w coprime: a shared
-    component would be a cone with vertex w, so it would contain w.  The
-    singular points lie on both curves, and in the first accepted frame of
-    the pair every common zero is affine and the only one over its root
+
+def singular_locus(F: MultiPoly) -> tuple:
+    """The singular analysis of the curve of a square-free form F:
+    ``(count, points, w, polar_count)``, the number of distinct singular
+    points, the sorted list of the rational ones, the witness w and the
+    number of distinct points where the curve meets the polar of w.
+
+    A witness w = `point_off([F])` makes F and its polar P_w coprime: a
+    shared component would be a cone with vertex w, so it would contain w.
+    The singular points lie on both curves, and in the first accepted frame
+    of the pair every common zero is affine and the only one over its root
     alpha of R, at (alpha, beta(alpha)).  On a class Phi_k it is singular
     where both affine partials of the moved F vanish at y = beta, that is
     at the roots of the singular part gcd(Phi_k, Res_y(A_x, L_k),
@@ -433,18 +444,17 @@ def singular_locus(F: MultiPoly) -> tuple:
     """
     if F.is_zero():
         raise ZeroInput("the zero form defines no curve")
-    ring = F.variables
     w = point_off([F])
-    polar = sum((F.derivative(v) * c for v, c in zip(ring, w)), MultiPoly.zero(ring))
-    frame = _accepted_frame(F, polar, coprime=True)
-    x, y = ring[0], frame.A.var
+    frame = _accepted_frame(F, polar(F, w), coprime=True)
+    x, y = F.variables[0], frame.A.var
     partials = [UniPolyView(p, y) for p in (frame.A.poly.derivative(x), frame.A.poly.derivative(y))
                 if not p.is_zero()]
     parts = {}
     for k, phi in frame.classes.items():
         line = frame.line(k)
         parts[k] = reduce(_uni_gcd, (univar_coeffs(resultant(p, line), x) for p in partials), phi)
-    return sum(len(s) - 1 for s in parts.values()), rational_system_points(frame, parts)
+    return (sum(len(s) - 1 for s in parts.values()), rational_system_points(frame, parts),
+            w, frame.count())
 
 
 def rational_system_points(frame: _Frame, parts: dict) -> list:

@@ -1195,15 +1195,22 @@ WITNESS_SEQUENCE = (
 )
 
 
-def point_off(forms: Sequence[MultiPoly]) -> tuple:
-    """The first point of WITNESS_SEQUENCE, then of the grid {0..D}^3, at
-    which none of the nonzero ternary forms vanishes, D the sum of their
-    degrees.  Their product is a nonzero form of degree D, and no such form
-    vanishes on all of the grid, so the search ends."""
+def witnesses(forms: Sequence[MultiPoly]):
+    """The points of WITNESS_SEQUENCE, then of the grid {0..D}^3, at which
+    none of the nonzero ternary forms vanishes, D the sum of their degrees.
+    Their product is a nonzero form of degree D, so it is nonzero at
+    (D+1)^2 points of the grid at least (Alon & Furedi, European J. Combin.
+    14, 1993), and at most D of them lie on one line through the origin:
+    the walk yields two points that are not proportional."""
     ring = forms[0].variables
     grid = product(range(sum(f.total_degree() for f in forms) + 1), repeat=3)
-    return next(p for p in chain(WITNESS_SEQUENCE, grid)
-                if all(f.evaluate(dict(zip(ring, p))) != 0 for f in forms))
+    return (p for p in chain(WITNESS_SEQUENCE, grid)
+            if all(f.evaluate(dict(zip(ring, p))) != 0 for f in forms))
+
+
+def point_off(forms: Sequence[MultiPoly]) -> tuple:
+    """The first point of `witnesses(forms)`."""
+    return next(witnesses(forms))
 
 
 def _ternary_form(f: MultiPoly) -> int:
@@ -1214,15 +1221,15 @@ def _ternary_form(f: MultiPoly) -> int:
 
 
 def _on_pencil(forms: Sequence[MultiPoly]):
-    """For a = 0, 1, ..., the forms restricted to the a-th line of a pencil.
+    """For a = 0, 1, ..., the a-th line of a pencil and the forms restricted to it.
 
     The pencil is centred at p = `point_off(forms)`.  With p_k != 0 and i, j
     the other indices, q_a = e_i + a*e_j, and the lines through p and q_a
     are distinct for distinct a.  A form F of degree d restricts to
     F(s*p + q_a), of degree d in s with leading coefficient F(p) != 0; it is
     evaluated at s = 0..d on F scaled to integer coefficients and
-    interpolated, and each line yields one integer coefficient list per
-    form, proportional to that restriction.
+    interpolated.  Each line yields its coefficients p x q_a and one integer
+    coefficient list per form, proportional to that restriction.
     """
     p = point_off(forms)
     k = next(n for n, c in enumerate(p) if c)
@@ -1231,6 +1238,7 @@ def _on_pencil(forms: Sequence[MultiPoly]):
     for a in count():
         q = [0, 0, 0]
         q[i], q[j] = 1, a
+        line = (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
         restricted = []
         for d, terms in scaled:
             values = []
@@ -1239,28 +1247,37 @@ def _on_pencil(forms: Sequence[MultiPoly]):
                 x, y, z = ([r ** m for m in range(d + 1)] for r in point)
                 values.append(sum(c * x[e[0]] * y[e[1]] * z[e[2]] for e, c in terms))
             restricted.append(_newton_numerators(values))
-        yield restricted
+        yield line, restricted
 
 
-def is_squarefree(f: MultiPoly) -> bool:
-    """Is the ternary form f square-free?  `forms_coprime(f, P_p)` for the
-    polar P_p of p = `point_off([f])`, with P_p never built.
+def transversal_line(f: MultiPoly) -> Optional[tuple]:
+    """The coefficients of a line on which the ternary form f restricts to a
+    square-free polynomial, or None when f is not square-free.
 
-    f is square-free exactly when f and P_p share no component: a square
-    factor H^2 of f divides every partial, so H divides P_p, and a component
-    shared by a square-free f and P_p would have every tangent line through
-    p, so it would be a line through p, which f(p) != 0 rules out.  As
-    P_p(p) = d*f(p) != 0, p is also the centre of the pencil of the pair,
-    and P_p restricts to each line as d/ds f(s*p + q_a) = f_a'.  So f is
-    square-free at the first line a in 0..d(d-1) where gcd(f_a, f_a') is
-    constant, and not when every one fails.  Building P_p instead would
-    make the test about three times slower.
+    The test is `forms_coprime(f, P_p)` for the polar P_p of the centre p of
+    the pencil of `_on_pencil`, with P_p never built.  f is square-free
+    exactly when f and P_p share no component: a square factor H^2 of f
+    divides every partial, so H divides P_p, and a component shared by a
+    square-free f and P_p would have every tangent line through p, so it
+    would be a line through p, which f(p) != 0 rules out.  As P_p(p) =
+    d*f(p) != 0, p is also the centre of the pencil of the pair, and P_p
+    restricts to each line as d/ds f(s*p + q_a) = f_a'.  So the first line
+    a in 0..d(d-1) where gcd(f_a, f_a') is constant is returned, and None
+    when every one fails.  On that line f_a has d distinct roots and the
+    centre is off the curve, so the line meets V(f) in d distinct points
+    and misses its singular points.  Building P_p instead would make the
+    test about three times slower.
     """
     d = _ternary_form(f)
     if f.is_zero():
-        return False
-    return any(len(_uni_gcd(fa, [n * c for n, c in enumerate(fa)][1:])) == 1
-               for (fa,) in islice(_on_pencil([f]), d * (d - 1) + 1))
+        return None
+    return next((line for line, (fa,) in islice(_on_pencil([f]), d * (d - 1) + 1)
+                 if len(_uni_gcd(fa, [n * c for n, c in enumerate(fa)][1:])) == 1), None)
+
+
+def is_squarefree(f: MultiPoly) -> bool:
+    """Is the ternary form f square-free?  See `transversal_line`."""
+    return transversal_line(f) is not None
 
 
 def forms_coprime(f: MultiPoly, g: MultiPoly) -> bool:
@@ -1277,4 +1294,4 @@ def forms_coprime(f: MultiPoly, g: MultiPoly) -> bool:
     if f.is_zero() or g.is_zero():
         raise ZeroInput("coprimality of the zero form")
     return any(len(_uni_gcd(fa, ga)) == 1
-               for fa, ga in islice(_on_pencil([f, g]), bound + 1))
+               for _, (fa, ga) in islice(_on_pencil([f, g]), bound + 1))

@@ -21,10 +21,11 @@ is invariant under replacing every variety by its projective dual.  The
 
 with * the sum of the four dimensions.  Both forms are stated once, in
 `identity_sides`, which returns the two sides as exact rationals and is used
-by the checker and by the one-unknown solver.  The corollaries (dual
-degree, dual c0m, dual codimension detection, the quadric-pair identity and
-the classical Plucker formulas for plane curves) are implemented directly
-from the same package data, with every division checked for exactness.
+by the checker, by the one-unknown solver and by the quadric-pair check,
+which pairs S with a smooth quadric.  The other corollaries (dual degree,
+dual c0m, dual codimension detection and the classical Plucker formulas for
+plane curves) are implemented directly from the same package data, with
+every division checked for exactness.
 """
 
 from __future__ import annotations
@@ -328,8 +329,13 @@ def quadric_pair_check(
 ) -> FlopCheckReport:
     """The flop identity specialized to pairing with a smooth quadric.
 
-    chi(S cap Q) - (1 - (1+(-1)^n)/(2(n+1))) c0m(S)
-        = (-1)^(dim S + dim S*) ( chi(S* cap Q*) - (same factor) c0m(S*) ).
+    The dual of a smooth quadric Q of P^n is again a smooth quadric; both
+    have dimension n - 1 and c0m = chi(Q_(n-1)) = n + (1 - (-1)^n)/2, so the
+    intro form of `identity_sides` for S and Q, times (-1)^(dim S + dim S*),
+    reads
+
+    chi(S cap Q) - c0m(Q) c0m(S) / (n+1)
+        = (-1)^(dim S + dim S*) ( chi(S* cap Q*) - c0m(Q) c0m(S*) / (n+1) ).
     """
     if s.n != s_dual.n:
         raise AmbientMismatch("packages do not share the ambient dimension")
@@ -337,13 +343,15 @@ def quadric_pair_check(
         if not pkg.transversality_certified:
             raise UncertifiedTransversality(f"{pkg.label}: no transversality certificate")
     n = s.n
-    factor = 1 - Fraction(1 + _sign(n), 2 * (n + 1))
-    lhs = chi_s_cap_q - factor * s.c0m
-    rhs = _sign(s.dim + s_dual.dim) * (chi_sd_cap_qd - factor * s_dual.c0m)
+    sign = _sign(s.dim + s_dual.dim)
+    c0m_q = n + (1 - _sign(n)) // 2
+    lhs, rhs = identity_sides(INTRO, n, (s.dim, n - 1, s_dual.dim, n - 1), chi_s_cap_q,
+                              s.c0m, c0m_q, chi_sd_cap_qd, s_dual.c0m, c0m_q)
+    lhs, rhs = sign * lhs, sign * rhs
     return FlopCheckReport(
         form=QUADRIC_PAIR,
-        lhs=Fraction(lhs),
-        rhs=Fraction(rhs),
+        lhs=lhs,
+        rhs=rhs,
         holds=lhs == rhs,
         inputs={
             "s": s.as_dict(),

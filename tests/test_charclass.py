@@ -8,13 +8,10 @@ from dualis.charclass import (
     MAX_DEGREE,
     PROJECTIVE_SPACE,
     QUADRIC,
-    TruncatedSeries,
     chi_smooth_complete_intersection,
     chi_standard,
     hypersurface_package,
-    linear_factor,
     linear_space_package,
-    one_plus_h_power,
 )
 from dualis.errors import GuardrailExceeded, InvalidParams
 
@@ -99,19 +96,20 @@ class TestGuardrails:
             chi_smooth_complete_intersection(10 ** 6, [])
 
 
-class TestSeries:
-    def test_inverse_is_exact(self):
-        for n in (3, 5, 8):
-            for d in (1, 2, 3, 7):
-                order = n + 1
-                numerator = one_plus_h_power(n + 1, order)
-                factor = linear_factor(d, order)
-                assert factor * factor.inverse() == TruncatedSeries.one(order)
-                assert numerator * factor.inverse() * factor == numerator
-
-    def test_inverse_needs_unit(self):
-        with pytest.raises(InvalidParams):
-            TruncatedSeries([0, 1], 3).inverse()
+class TestChernNumbers:
+    @pytest.mark.parametrize("degrees", [(1,), (2,), (3,), (7,), (2, 2), (2, 3), (3, 5, 1),
+                                         (2, 2, 2, 2)], ids=lambda ds: "x".join(map(str, ds)))
+    def test_matches_sympy_series(self, degrees):
+        # chi = prod(d) * [h^dim] (1 + h)^(n+1) / prod(1 + d*h), expanded by SymPy
+        sympy = pytest.importorskip("sympy")
+        h = sympy.Symbol("h")
+        inverse = sympy.prod([sympy.Poly(sympy.series(1 / (1 + d * h), h, 0, 13).removeO(), h)
+                              for d in degrees])
+        for n in range(len(degrees), 13):
+            dim = n - len(degrees)
+            top = (sympy.Poly((1 + h) ** (n + 1), h) * inverse).coeff_monomial(h ** dim)
+            want = sympy.prod(degrees) * top
+            assert chi_smooth_complete_intersection(n, degrees) == want, (n, degrees)
 
 
 class TestPackages:

@@ -348,6 +348,14 @@ class TestModuleEntryPoint:
         assert done.returncode == 0
         assert done.stdout.strip() == b"0"
 
+    def test_dual_degree_of_a_cubic_through_every_sequence_witness(self):
+        done = self._run("curve", "dual-degree", "--poly",
+                         "354952177*x^2*y + 79049985*x^2*z - 843432519*x*y^2"
+                         " - 1642954125*x*y*z + 266727114*x*z^2 + 741519044*y^3"
+                         " - 1130244479*y^2*z + 830201486*y*z^2 - 102459183*z^3")
+        assert done.returncode == 0
+        assert done.stdout.strip() == b"6"
+
     def test_line_arrangement_analysis_names_every_crossing(self):
         done = self._run("curve", "analyze", "--poly", self.SIX_LINES)
         assert done.returncode == 2

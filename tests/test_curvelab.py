@@ -248,7 +248,7 @@ class TestPointsFromTheFrame:
 class TestInconsistentCounts:
     def test_more_rational_points_than_the_count_is_an_internal_error(self, monkeypatch):
         locus = elimination.singular_locus
-        monkeypatch.setattr(elimination, "singular_locus", lambda F: (0, locus(F)[1]))
+        monkeypatch.setattr(elimination, "singular_locus", lambda F: (0, *locus(F)[1:]))
         with pytest.raises(InvariantViolation):
             singular_points(curve(NODAL))
 
@@ -388,6 +388,38 @@ class TestLineTransversality:
 
     def test_line_through_singular_point_fails(self):
         assert not line_transversality(curve(NODAL), parse_poly("x", PRIMAL_VARS))
+
+
+def _sympy_meets_in_distinct_points(text, line):
+    """Does SymPy find the curve's restriction to the line a square-free
+    binary form of the curve's degree?  A form G(s, t) is square-free when
+    G, G_s and G_t have a constant gcd."""
+    sympy = pytest.importorskip("sympy")
+    X, Y, Z, S, T = sympy.symbols("x y z s t")
+    F = sympy.sympify(text.replace("^", "**"), locals={"x": X, "y": Y, "z": Z})
+    p, q = sympy.Matrix([line]).nullspace()
+    G = sympy.expand(F.subs(dict(zip((X, Y, Z), S * p + T * q)), simultaneous=True))
+    if G == 0 or sympy.Poly(G, S, T).total_degree() != sympy.Poly(F, X, Y, Z).total_degree():
+        return False
+    return sympy.gcd(sympy.gcd(G, G.diff(S)), G.diff(T)).is_number
+
+
+class TestSliceLine:
+    """The line that certified a curve square-free is transversal to it."""
+
+    @pytest.mark.parametrize("text", [SMOOTH_CONIC, CIRCLE, NODAL, NODAL_RF, CUSPIDAL, TACNODAL,
+                                      TRINODAL, TRICUSPIDAL, FOUR_NODES, TRIPLE_POINTS,
+                                      "x^4 + y^4 + z^4", "x", "x*y*z"])
+    def test_slice_line_is_transversal(self, text):
+        c = curve(text)
+        line = corpus.transversal_slice_line(c)
+        assert line_transversality(c, line)
+        assert _sympy_meets_in_distinct_points(text, c.slice_line)
+
+    @pytest.mark.parametrize("text", [SIX_LINES, FOUR_LINES], ids=["six-lines", "four-lines"])
+    def test_slice_line_of_irrational_crossings(self, text):
+        # line_transversality refuses these curves (IrrationalSingularity)
+        assert _sympy_meets_in_distinct_points(text, curve(text).slice_line)
 
 
 class TestPairChi:

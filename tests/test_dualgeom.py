@@ -219,22 +219,66 @@ class TestDualDegreeOracle:
         assert (r.d, r.delta, r.kappa, r.chi, r.c0m) == (4, 3, 0, -1, 2)
         assert dual_degree_oracle(c) == 6
 
-    def test_each_witness_polar_built_once(self, monkeypatch):
-        from dualis import dualgeom
+    @pytest.fixture
+    def frames(self, monkeypatch):
+        """The pairs whose first accepted frame is searched, in order."""
+        from dualis import elimination
 
-        calls = []
-        polar = dualgeom._polar
+        searched = []
+        accepted = elimination._accepted_frame
 
-        def counted(c, w):
-            calls.append(tuple(w))
-            return polar(c, w)
+        def counted(F, G, *args, **kwargs):
+            searched.append(G)
+            return accepted(F, G, *args, **kwargs)
+        monkeypatch.setattr(elimination, "_accepted_frame", counted)
+        return searched
 
-        monkeypatch.setattr(dualgeom, "_polar", counted)
-        assert dual_degree_oracle(curve(NODAL)) == 4
-        assert len(calls) == 2 and len(set(calls)) == 2
-        calls.clear()
-        assert dual_degree_oracle(curve(NODAL), witness=(1, 2, 5)) == 4
-        assert len(calls) == 2 and calls[0] == (1, 2, 5)
+    def test_oracle_reads_the_analysis_frame(self, frames):
+        c = curve(NODAL)
+        assert dual_degree_oracle(c) == 4
+        assert len(frames) == 2  # the analysis, whose polar is the first witness's, and the check
+        frames.clear()
+        assert dual_degree_oracle(c) == 4
+        assert len(frames) == 1  # the check alone
+        frames.clear()
+        assert dual_degree_oracle(c, witness=(1, 2, 5)) == 4
+        assert len(frames) == 2  # the given witness's own frame and the check
+
+    def test_check_witness_is_not_proportional(self, monkeypatch):
+        from dualis import elimination
+
+        c = curve(NODAL)
+        certified_singular_count(c)
+        built = []
+        polar = elimination.polar
+        monkeypatch.setattr(elimination, "polar", lambda F, w: built.append(tuple(w)) or polar(F, w))
+        assert dual_degree_oracle(c, witness=(2, 4, 10)) == 4
+        assert built == [(2, 4, 10), (3, 7, 2)]
+
+    #: a cubic through all eight points of WITNESS_SEQUENCE; SymPy finds its
+    #: partials without a common projective zero, so it is smooth and d* = 6
+    THROUGH_WITNESSES = (
+        "354952177*x^2*y + 79049985*x^2*z - 843432519*x*y^2 - 1642954125*x*y*z"
+        " + 266727114*x*z^2 + 741519044*y^3 - 1130244479*y^2*z + 830201486*y*z^2"
+        " - 102459183*z^3")
+
+    def test_curve_through_every_sequence_witness(self):
+        from dualis.exact import WITNESS_SEQUENCE
+
+        c = curve(self.THROUGH_WITNESSES)
+        assert all(c.contains(w) for w in WITNESS_SEQUENCE)
+        assert certified_singular_count(c) == 0
+        assert dual_degree_oracle(c) == 6
+
+    def test_curve_through_every_sequence_witness_is_smooth_by_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        X, Y, Z = sympy.symbols("x y z")
+        F = sympy.sympify(self.THROUGH_WITNESSES.replace("^", "**"))
+        basis = sympy.groebner([F.diff(v) for v in (X, Y, Z)], X, Y, Z, order="grevlex")
+        # a homogeneous ideal with a pure power of each variable among its
+        # leading terms has the origin as its only zero
+        leads = [sympy.Poly(g, X, Y, Z).monoms(order="grevlex")[0] for g in basis.exprs]
+        assert all(any(m[i] and sum(m) == m[i] for m in leads) for i in range(3))
 
     def test_witness_on_curve(self):
         with pytest.raises(WitnessOnCurve):

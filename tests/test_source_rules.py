@@ -76,3 +76,18 @@ def test_one_univariate_gcd():
     body = {n.id for n in ast.walk(_functions(SOURCE / "exact.py")["_uni_gcd"])
             if isinstance(n, ast.Name)}
     assert {"_gcd_primes", "_gcd_mod", "_try_uni_quo"} <= body
+
+
+def test_one_witness_walk_one_polar_builder_no_line_schedule():
+    # the witness sequence is walked in exact.witnesses alone, every polar
+    # is built by elimination.polar, and a curve's slice line is the one its
+    # square-free certificate found, so corpus keeps no schedule of lines
+    walkers = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
+                     for name, node in _functions(path).items()
+                     if any(isinstance(n, ast.Name) and n.id == "WITNESS_SEQUENCE"
+                            for n in ast.walk(node)))
+    assert walkers == ["exact.py: witnesses"]
+    polars = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
+                    for name in _functions(path) if "polar" in name.lower())
+    assert polars == ["elimination.py: polar"]
+    assert not [name for name in _referenced_names(SOURCE / "corpus.py") if "SCHEDULE" in name]
