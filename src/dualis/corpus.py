@@ -18,6 +18,12 @@ everything from first principles:
 * ``QuadricPair``: the quadric specialization of the identity.
 * ``SolveUnknown``: a one-unknown identity instance with its exact solution.
 
+`RUNNERS` maps each case kind to its runner; its keys are `CASE_KINDS`.
+Every key of a case is read through `_require`, and every file through
+`read_file` (JSON files through `load_json`), so a malformed case or file
+is refused with a typed error: the case reports status ``error`` and the
+rest of the run goes on.
+
 Reports are deterministic: cases run in manifest order, rationals serialize
 as "p/q" strings, and timing fields can be suppressed for byte-identical
 re-runs.
@@ -41,15 +47,7 @@ from .errors import (
     SchemaError,
 )
 from .exact import MultiPoly, format_rational, parse_rational
-from .flopcalc import CONORMAL, INTRO, IdentityInstance, VarietyInvariants
-
-CASE_KINDS = (
-    "CurvePair",
-    "PackagePair",
-    "ClassicalPlucker",
-    "QuadricPair",
-    "SolveUnknown",
-)
+from .flopcalc import CONORMAL, IDENTITY_FIELDS, INTRO, IdentityInstance, VarietyInvariants
 
 @dataclass(frozen=True)
 class CorpusCase:
@@ -118,8 +116,15 @@ class RunReport:
 # schema-checked loading
 # ---------------------------------------------------------------------------
 
-def _require(mapping: dict, key: str, types, where: str):
+_ABSENT = object()
+
+
+def _require(mapping: dict, key: str, types, where: str, default=_ABSENT):
+    """``mapping[key]``, refused unless it is one of ``types``; a missing key
+    is refused too, unless a default is given."""
     if key not in mapping:
+        if default is not _ABSENT:
+            return default
         raise SchemaError(f"{where}: missing key", field=key)
     value = mapping[key]
     if not isinstance(value, types):
@@ -151,11 +156,47 @@ def package_from_dict(data: dict, where: str = "package") -> VarietyInvariants:
     return pkg
 
 
-def load_package(path) -> VarietyInvariants:
+def read_file(path) -> str:
+    """The text of a file; a missing file is refused with MissingFile."""
     path = Path(path)
     if not path.exists():
         raise MissingFile(str(path))
-    return package_from_dict(json.loads(path.read_text()), where=str(path))
+    return path.read_text()
+
+
+def load_json(path) -> dict:
+    """The JSON object a file holds; SchemaError if the file is not JSON
+    text or its top level is not an object."""
+    try:
+        data = json.loads(read_file(path))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, over-long integers
+        raise SchemaError(f"{path}: not a JSON file: {exc}") from None
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path}: the top level must be a JSON object")
+    return data
+
+
+def load_package(path) -> VarietyInvariants:
+    return package_from_dict(load_json(path), where=str(path))
+
+
+def instance_from_dict(data: dict, where: str = "instance") -> IdentityInstance:
+    """A one-unknown identity instance: ``n``, ``dims`` (four integers), an
+    optional ``form`` and ``values``, which maps identity fields to integers,
+    floats or "p/q" strings and the unknown field (or a missing one) to null."""
+    n = _require(data, "n", int, where)
+    dims = _require(data, "dims", list, where)
+    if len(dims) != 4 or not all(isinstance(d, int) for d in dims):
+        raise SchemaError(f"{where}: dims must be a list of 4 integers", field="dims")
+    values = _require(data, "values", dict, where)
+    for key in values:
+        if key not in IDENTITY_FIELDS:
+            raise SchemaError(f"{where}: unknown identity field {key!r}", field="values")
+        _require(values, key, (int, float, str, type(None)), where)
+    return IdentityInstance(
+        n=n, dims=tuple(dims), form=_require(data, "form", object, where, INTRO),
+        **{k: parse_rational(v) if isinstance(v, str) else v for k, v in values.items()},
+    )
 
 
 def save_package(pkg: VarietyInvariants, path):
@@ -167,9 +208,7 @@ def load_corpus(path) -> list:
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
-    if not path.exists():
-        raise MissingFile(str(path))
-    data = json.loads(path.read_text())
+    data = load_json(path)
     raw_cases = _require(data, "cases", list, str(path))
     cases = []
     seen = set()
@@ -179,7 +218,7 @@ def load_corpus(path) -> list:
             raise SchemaError(f"{where}: case must be an object", field="cases")
         case_id = _require(raw, "id", str, where)
         kind = _require(raw, "kind", str, where)
-        if kind not in CASE_KINDS:
+        if kind not in RUNNERS:
             raise SchemaError(f"{where}: unknown kind {kind!r}", field="kind")
         if case_id in seen:
             raise SchemaError(f"{where}: duplicate case id {case_id!r}", field="id")
@@ -190,8 +229,8 @@ def load_corpus(path) -> list:
             case_id=case_id,
             kind=kind,
             inputs=inputs,
-            expected=raw.get("expected", {}),
-            notes=raw.get("notes", ""),
+            expected=_require(raw, "expected", dict, where, {}),
+            notes=_require(raw, "notes", str, where, ""),
         ))
     return cases
 
@@ -200,6 +239,8 @@ def _check_referenced_files(obj, root: Path, where: str):
     if isinstance(obj, dict):
         for key, value in obj.items():
             if key == "file":
+                if not isinstance(value, str):
+                    raise SchemaError(f"{where}: a file name must be a string", field="file")
                 if not (root / value).exists():
                     raise MissingFile(f"{where}: {root / value}")
             else:
@@ -214,10 +255,7 @@ def save_report(report: RunReport, path):
 
 
 def load_report(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise MissingFile(str(path))
-    return json.loads(path.read_text())
+    return load_json(path)
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +264,9 @@ def load_report(path) -> dict:
 
 def resolve_curve(spec, root: Path, where: str) -> PlaneCurve:
     if isinstance(spec, dict) and "file" in spec:
-        path = root / spec["file"]
-        if not path.exists():
-            raise MissingFile(f"{where}: {path}")
-        text = path.read_text().strip()
+        text = read_file(root / _require(spec, "file", str, where)).strip()
     elif isinstance(spec, dict) and "poly" in spec:
-        text = spec["poly"]
+        text = _require(spec, "poly", str, where)
     else:
         raise SchemaError(f"{where}: curve spec needs 'file' or 'poly'", field="curve")
     return curvelab.load_curve(text)
@@ -241,11 +276,11 @@ def resolve_package(spec, root: Path, where: str) -> VarietyInvariants:
     if not isinstance(spec, dict):
         raise SchemaError(f"{where}: package spec must be an object", field="package")
     if "file" in spec:
-        return load_package(root / spec["file"])
+        return load_package(root / _require(spec, "file", str, where))
     if "inline" in spec:
-        return package_from_dict(spec["inline"], where)
+        return package_from_dict(_require(spec, "inline", dict, where), where)
     if "standard" in spec:
-        return standard_package(spec["standard"], where)
+        return standard_package(_require(spec, "standard", dict, where), where)
     raise SchemaError(
         f"{where}: package spec needs 'file', 'inline' or 'standard'", field="package"
     )
@@ -254,29 +289,32 @@ def resolve_package(spec, root: Path, where: str) -> VarietyInvariants:
 def standard_package(spec: dict, where: str = "standard") -> VarietyInvariants:
     """Packages of standard varieties, built by charclass at run time."""
     kind = _require(spec, "type", str, where)
+    label = _require(spec, "label", str, where, None)
+
+    def number(key):
+        return _require(spec, key, int, where)
+
     if kind == "hypersurface":
-        return charclass.hypersurface_package(spec["n"], spec["d"], spec.get("label"))
+        return charclass.hypersurface_package(number("n"), number("d"), label)
     if kind == "linear":
-        return charclass.linear_space_package(spec["n"], spec["m"], spec.get("label"))
+        return charclass.linear_space_package(number("n"), number("m"), label)
     if kind == "linear_dual":
-        n, m = spec["n"], spec["m"]
-        return charclass.linear_space_package(
-            n, n - m - 1, spec.get("label") or f"dual of P^{m} in P^{n}"
-        )
+        n, m = number("n"), number("m")
+        return charclass.linear_space_package(n, n - m - 1, label or f"dual of P^{m} in P^{n}")
     if kind == "quadric_dual":
         # the dual of a smooth quadric is again a smooth quadric
-        n = spec["n"]
+        n = number("n")
         return charclass.hypersurface_package(
-            n, 2, spec.get("label") or f"dual of the smooth quadric in P^{n}"
+            n, 2, label or f"dual of the smooth quadric in P^{n}"
         )
     if kind == "hypersurface_dual":
         # dual of a smooth degree-d hypersurface: a hypersurface whose c0m
         # and degree come from the package corollaries (no slice data)
-        src = charclass.hypersurface_package(spec["n"], spec["d"])
+        n, d = number("n"), number("d")
+        src = charclass.hypersurface_package(n, d)
         codim = flopcalc.detect_dual_codim(src)
         return VarietyInvariants(
-            label=spec.get("label")
-            or f"dual of the smooth degree-{spec['d']} hypersurface in P^{spec['n']}",
+            label=label or f"dual of the smooth degree-{d} hypersurface in P^{n}",
             n=src.n,
             dim=src.n - codim,
             degree=flopcalc.dual_degree_from_invariants(src, 0, codim),
@@ -294,7 +332,10 @@ def resolve_chi(spec, packages: dict, where: str, side: str | None = "dual") -> 
     if isinstance(spec, int):
         return spec
     if isinstance(spec, dict) and "slice" in spec:
-        name, j = spec["slice"]
+        ref = _require(spec, "slice", list, where)
+        if len(ref) != 2 or not isinstance(ref[0], str) or not isinstance(ref[1], int):
+            raise SchemaError(f"{where}: slice must be [package name, index]", field="chi")
+        name, j = ref
         if name not in packages:
             raise SchemaError(f"{where}: no package named {name!r}", field="chi")
         pkg = packages[name]
@@ -304,9 +345,11 @@ def resolve_chi(spec, packages: dict, where: str, side: str | None = "dual") -> 
                               field="chi")
         return pkg.chi_slices[j]
     if isinstance(spec, dict) and "ci" in spec:
-        return charclass.chi_smooth_complete_intersection(
-            spec["ci"]["n"], spec["ci"]["degrees"]
-        )
+        ci = _require(spec, "ci", dict, where)
+        degrees = _require(ci, "degrees", list, where)
+        if not all(isinstance(d, int) for d in degrees):
+            raise SchemaError(f"{where}: ci degrees must be integers", field="degrees")
+        return charclass.chi_smooth_complete_intersection(_require(ci, "n", int, where), degrees)
     if isinstance(spec, dict) and spec.get("empty") is True:
         if side is None:
             raise SchemaError(f"{where}: 'empty' not allowed here", field="chi")
@@ -416,111 +459,104 @@ def build_curve_pair(c1: PlaneCurve, c2: PlaneCurve,
 # running cases
 # ---------------------------------------------------------------------------
 
-def _both_forms(s1, s2, d1, d2, chi_cap: int, chi_cap_dual: int) -> dict:
-    return {form: flopcalc.check_identity(s1, s2, d1, d2, chi_cap, chi_cap_dual, form=form)
-            for form in (CONORMAL, INTRO)}
+def _pair_outcome(s1, s2, d1, d2, chi_cap: int, chi_cap_dual: int,
+                  expected: dict, where: str) -> tuple:
+    """Both forms of the identity for one pair: ``(reports, details, ok)``,
+    ok when the verdict is the expected one (holds, by default)."""
+    reports = flopcalc.check_forms(s1, s2, d1, d2, chi_cap, chi_cap_dual)
+    details = {
+        "chi_cap": chi_cap,
+        "chi_cap_dual": chi_cap_dual,
+        "checks": {form: rep.as_dict() for form, rep in reports.items()},
+    }
+    holds = all(rep.holds for rep in reports.values())
+    return reports, details, holds == _require(expected, "holds", bool, where, True)
+
+
+def _run_curve_pair(inputs: dict, expected: dict, root: Path, where: str) -> tuple:
+    c1, c2 = (resolve_curve(_require(inputs, key, object, where), root, where)
+              for key in ("curve1", "curve2"))
+    data = build_curve_pair(c1, c2, _require(inputs, "label1", str, where, "S1"),
+                            _require(inputs, "label2", str, where, "S2"))
+    reports, details, ok = _pair_outcome(data.s1, data.s2, data.d1, data.d2,
+                                         data.chi_cap, data.chi_cap_dual, expected, where)
+    if "lhs" in expected:
+        want = parse_rational(_require(expected, "lhs", str, where))
+        form = _require(expected, "lhs_form", str, where, CONORMAL)
+        if form not in reports:
+            raise SchemaError(f"{where}: unknown identity form {form!r}", field="lhs_form")
+        ok = ok and reports[form].lhs == want
+    return details, ok
+
+
+def _run_package_pair(inputs: dict, expected: dict, root: Path, where: str) -> tuple:
+    pkgs = {name: resolve_package(_require(inputs, name, object, where), root, where)
+            for name in ("s1", "s2", "d1", "d2")}
+    chi_cap = resolve_chi(_require(inputs, "chi_cap", object, where), pkgs, where,
+                          side="primal")
+    chi_dual = resolve_chi(_require(inputs, "chi_cap_dual", object, where), pkgs, where,
+                           side="dual")
+    _, details, ok = _pair_outcome(pkgs["s1"], pkgs["s2"], pkgs["d1"], pkgs["d2"],
+                                   chi_cap, chi_dual, expected, where)
+    return details, ok
+
+
+def _run_classical_plucker(inputs: dict, expected: dict, root: Path, where: str) -> tuple:
+    counts = tuple(_require(inputs, key, int, where) for key in ("d", "delta", "kappa"))
+    details = flopcalc.classical_plucker(*counts).as_dict()
+    want = {key: _require(expected, key, int, where)
+            for key in ("d_dual", "delta_dual", "kappa_dual")}
+    ok = all(details[key] == value for key, value in want.items())
+    oracle_spec = _require(inputs, "oracle_curve", object, where, None)
+    if oracle_spec is not None:
+        curve = resolve_curve(oracle_spec, root, where)
+        report = curvelab.curve_report(curve)
+        details["oracle_d_dual"] = dualgeom.dual_degree_oracle(curve)
+        ok = (ok and details["oracle_d_dual"] == details["d_dual"]
+              and (report.d, report.delta, report.kappa) == counts)
+    return details, ok
+
+
+def _run_quadric_pair(inputs: dict, expected: dict, root: Path, where: str) -> tuple:
+    pkgs = {name: resolve_package(_require(inputs, name, object, where), root, where)
+            for name in ("s", "s_dual")}
+    chi_q, chi_qd = (resolve_chi(_require(inputs, key, object, where), pkgs, where, side=None)
+                     for key in ("chi_s_q", "chi_sd_qd"))
+    rep = flopcalc.quadric_pair_check(pkgs["s"], pkgs["s_dual"], chi_q, chi_qd)
+    return {"check": rep.as_dict()}, rep.holds == _require(expected, "holds", bool, where, True)
+
+
+def _run_solve_unknown(inputs: dict, expected: dict, root: Path, where: str) -> tuple:
+    got = flopcalc.solve_unknown(instance_from_dict(inputs, where))
+    want = parse_rational(_require(expected, "value", str, where))
+    return {"value": format_rational(got)}, got == want
+
+
+#: each case kind's runner: (inputs, expected, root, where) -> (details, ok)
+RUNNERS = {
+    "CurvePair": _run_curve_pair,
+    "PackagePair": _run_package_pair,
+    "ClassicalPlucker": _run_classical_plucker,
+    "QuadricPair": _run_quadric_pair,
+    "SolveUnknown": _run_solve_unknown,
+}
+CASE_KINDS = tuple(RUNNERS)
 
 
 def run_case(case: CorpusCase, root: Path) -> CaseResult:
     start = time.perf_counter()
+    where = f"case {case.case_id}"
     try:
-        details = _dispatch(case, root)
-        ok = details.pop("_ok")
+        runner = RUNNERS.get(case.kind)
+        if runner is None:
+            raise SchemaError(f"{where}: unknown kind", field="kind")
+        details, ok = runner(case.inputs, case.expected, Path(root), where)
         status = "pass" if ok else "fail"
     except DualisError as exc:
         details = {"error": f"{type(exc).__name__}: {exc}"}
         status = "error"
     wall = (time.perf_counter() - start) * 1000.0
     return CaseResult(case.case_id, status, details, wall)
-
-
-def _dispatch(case: CorpusCase, root: Path) -> dict:
-    where = f"case {case.case_id}"
-    inputs = case.inputs
-    expected = case.expected
-    if case.kind == "CurvePair":
-        c1 = resolve_curve(inputs["curve1"], root, where)
-        c2 = resolve_curve(inputs["curve2"], root, where)
-        data = build_curve_pair(c1, c2, inputs.get("label1", "S1"),
-                                inputs.get("label2", "S2"))
-        reports = _both_forms(data.s1, data.s2, data.d1, data.d2,
-                              data.chi_cap, data.chi_cap_dual)
-        details = {
-            "chi_cap": data.chi_cap,
-            "chi_cap_dual": data.chi_cap_dual,
-            "checks": {form: rep.as_dict() for form, rep in reports.items()},
-        }
-        holds = all(rep.holds for rep in reports.values())
-        ok = holds == expected.get("holds", True)
-        if "lhs" in expected:
-            want = parse_rational(expected["lhs"])
-            got = reports[expected.get("lhs_form", CONORMAL)].lhs
-            ok = ok and got == want
-        details["_ok"] = ok
-        return details
-    if case.kind == "PackagePair":
-        pkgs = {
-            name: resolve_package(inputs[name], root, where)
-            for name in ("s1", "s2", "d1", "d2")
-        }
-        chi_cap = resolve_chi(inputs["chi_cap"], pkgs, where, side="primal")
-        chi_dual = resolve_chi(inputs["chi_cap_dual"], pkgs, where, side="dual")
-        reports = _both_forms(pkgs["s1"], pkgs["s2"], pkgs["d1"], pkgs["d2"],
-                              chi_cap, chi_dual)
-        holds = all(rep.holds for rep in reports.values())
-        ok = holds == expected.get("holds", True)
-        return {
-            "chi_cap": chi_cap,
-            "chi_cap_dual": chi_dual,
-            "checks": {form: rep.as_dict() for form, rep in reports.items()},
-            "_ok": ok,
-        }
-    if case.kind == "ClassicalPlucker":
-        got = flopcalc.classical_plucker(
-            inputs["d"], inputs["delta"], inputs["kappa"]
-        )
-        details = {
-            "d_dual": got.d_dual,
-            "delta_dual": got.delta_dual,
-            "kappa_dual": got.kappa_dual,
-            "g": got.g,
-        }
-        ok = (
-            got.d_dual == expected["d_dual"]
-            and got.delta_dual == expected["delta_dual"]
-            and got.kappa_dual == expected["kappa_dual"]
-        )
-        if "oracle_curve" in inputs:
-            curve = resolve_curve(inputs["oracle_curve"], root, where)
-            report = curvelab.curve_report(curve)
-            oracle = dualgeom.dual_degree_oracle(curve)
-            details["oracle_d_dual"] = oracle
-            ok = ok and oracle == got.d_dual and (
-                report.d, report.delta, report.kappa
-            ) == (inputs["d"], inputs["delta"], inputs["kappa"])
-        details["_ok"] = ok
-        return details
-    if case.kind == "QuadricPair":
-        s = resolve_package(inputs["s"], root, where)
-        s_dual = resolve_package(inputs["s_dual"], root, where)
-        pkgs = {"s": s, "s_dual": s_dual}
-        chi_q = resolve_chi(inputs["chi_s_q"], pkgs, where, side=None)
-        chi_qd = resolve_chi(inputs["chi_sd_qd"], pkgs, where, side=None)
-        rep = flopcalc.quadric_pair_check(s, s_dual, chi_q, chi_qd)
-        ok = rep.holds == expected.get("holds", True)
-        return {"check": rep.as_dict(), "_ok": ok}
-    if case.kind == "SolveUnknown":
-        values = inputs["values"]
-        instance = IdentityInstance(
-            n=inputs["n"],
-            dims=tuple(inputs["dims"]),
-            form=inputs.get("form", INTRO),
-            **{k: (None if v is None else v) for k, v in values.items()},
-        )
-        got = flopcalc.solve_unknown(instance)
-        want = parse_rational(expected["value"])
-        return {"value": format_rational(got), "_ok": got == want}
-    raise SchemaError(f"{where}: unknown kind", field="kind")
 
 
 def run_corpus(path, include_timing: bool = True) -> RunReport:

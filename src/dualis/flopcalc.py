@@ -30,7 +30,7 @@ every division checked for exactness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -47,6 +47,7 @@ from .errors import (
     UncertifiedTransversality,
     ZeroCoefficient,
 )
+from .exact import format_rational
 
 CONORMAL = "conormal"
 INTRO = "intro"
@@ -120,13 +121,12 @@ class FlopCheckReport:
     lhs: Fraction
     rhs: Fraction
     holds: bool
-    inputs: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
             "form": self.form,
-            "lhs": f"{self.lhs.numerator}/{self.lhs.denominator}",
-            "rhs": f"{self.rhs.numerator}/{self.rhs.denominator}",
+            "lhs": format_rational(self.lhs),
+            "rhs": format_rational(self.rhs),
             "holds": self.holds,
         }
 
@@ -137,6 +137,9 @@ class PluckerDualData:
     delta_dual: int
     kappa_dual: int
     g: int
+
+    def as_dict(self) -> dict:
+        return asdict(self)
 
 
 def flop_defect(a: int, b: int, n: int) -> Fraction:
@@ -212,20 +215,16 @@ def check_identity(
         form, n, (s1.dim, s2.dim, d1.dim, d2.dim),
         chi_s1_cap_s2, s1.c0m, s2.c0m, chi_d1_cap_d2, d1.c0m, d2.c0m,
     )
-    return FlopCheckReport(
-        form=form,
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs == rhs,
-        inputs={
-            "s1": s1.as_dict(),
-            "s2": s2.as_dict(),
-            "d1": d1.as_dict(),
-            "d2": d2.as_dict(),
-            "chi_s1_cap_s2": chi_s1_cap_s2,
-            "chi_d1_cap_d2": chi_d1_cap_d2,
-        },
-    )
+    return FlopCheckReport(form, lhs, rhs, lhs == rhs)
+
+
+def check_forms(s1: VarietyInvariants, s2: VarietyInvariants,
+                d1: VarietyInvariants, d2: VarietyInvariants,
+                chi_s1_cap_s2: int, chi_d1_cap_d2: int,
+                forms: tuple = (CONORMAL, INTRO)) -> dict:
+    """`check_identity` in each of ``forms``, as ``{form: report}``."""
+    return {form: check_identity(s1, s2, d1, d2, chi_s1_cap_s2, chi_d1_cap_d2, form)
+            for form in forms}
 
 
 def classical_plucker(d: int, delta: int, kappa: int) -> PluckerDualData:
@@ -348,18 +347,7 @@ def quadric_pair_check(
     lhs, rhs = identity_sides(INTRO, n, (s.dim, n - 1, s_dual.dim, n - 1), chi_s_cap_q,
                               s.c0m, c0m_q, chi_sd_cap_qd, s_dual.c0m, c0m_q)
     lhs, rhs = sign * lhs, sign * rhs
-    return FlopCheckReport(
-        form=QUADRIC_PAIR,
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs == rhs,
-        inputs={
-            "s": s.as_dict(),
-            "s_dual": s_dual.as_dict(),
-            "chi_s_cap_q": chi_s_cap_q,
-            "chi_sd_cap_qd": chi_sd_cap_qd,
-        },
-    )
+    return FlopCheckReport(QUADRIC_PAIR, lhs, rhs, lhs == rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,126 @@ class TestCli:
         assert capsys.readouterr().out.encode() == GOLDEN_REPORT.read_bytes()
 
 
+SOLVE_INSTANCE = {
+    "n": 2, "dims": [1, 1, 0, 0],
+    "values": {"chi_cap": None, "c0m_1": 2, "c0m_2": 2,
+               "chi_cap_dual": 0, "c0m_dual_1": 1, "c0m_dual_2": 1},
+}
+
+
+class TestMalformedInput:
+    """A malformed or unreadable file is refused with exit code 2, not a traceback."""
+
+    def _refused(self, argv, capsys, error="SchemaError"):
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {error}" if error else "error: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("content", ["{not json", "[1, 2]", "7", "\xff\xfe"],
+                             ids=["not-json", "list", "number", "not-utf8"])
+    @pytest.mark.parametrize("command", ["detect-codim", "solve", "corpus"])
+    def test_json_reader_refuses(self, command, content, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(content.encode("latin-1"))
+        argv = {"detect-codim": ["plucker", "detect-codim", "--package", str(path)],
+                "solve": ["plucker", "solve", "--file", str(path)],
+                "corpus": ["corpus", "run", str(tmp_path)]}[command]
+        self._refused(argv, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "analyze", "--file", "{dir}"],
+        ["plucker", "detect-codim", "--package", "{dir}"],
+        ["plucker", "solve", "--file", "{dir}"],
+        ["chi", "package", "-n", "3", "-d", "2", "--out", "{dir}"],
+    ], ids=["curve", "package", "instance", "out"])
+    def test_directory_in_place_of_a_file(self, argv, tmp_path, capsys):
+        self._refused([a.replace("{dir}", str(tmp_path)) for a in argv], capsys, error=None)
+
+    def test_missing_file(self, tmp_path, capsys):
+        self._refused(["plucker", "solve", "--file", str(tmp_path / "none.json")], capsys,
+                      error="MissingFile")
+
+    @pytest.mark.parametrize("change", [
+        lambda d: d.pop("n"),
+        lambda d: d.pop("values"),
+        lambda d: d.update(dims=[1, 1, 0]),
+        lambda d: d["values"].update(c0m_3=1),
+        lambda d: d["values"].update(c0m_1=[2]),
+        lambda d: d["values"].update(c0m_1="2/x"),
+    ], ids=["no-n", "no-values", "three-dims", "unknown-field", "list-value", "bad-rational"])
+    def test_malformed_instance(self, change, tmp_path, capsys):
+        data = json.loads(json.dumps(SOLVE_INSTANCE))
+        change(data)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(data))
+        error = "PolySyntaxError" if "2/x" in json.dumps(data) else "SchemaError"
+        self._refused(["plucker", "solve", "--file", str(path)], capsys, error=error)
+
+    def test_rational_strings_in_an_instance(self, tmp_path, capsys):
+        data = json.loads(json.dumps(SOLVE_INSTANCE))
+        data["values"].update(c0m_1="4/2", chi_cap_dual=None, chi_cap="1")
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(data))
+        assert run_command(["plucker", "solve", "--file", str(path)]) == 0
+        assert capsys.readouterr().out == "0/1\n"
+
+    @pytest.mark.parametrize("broken", [
+        {"kind": "CurvePair", "inputs": {"curve1": {"poly": "x"}}},
+        {"kind": "CurvePair", "inputs": {"curve1": {"poly": "x"}, "curve2": {"poly": 3}}},
+        {"kind": "CurvePair", "inputs": {"curve1": {"poly": "x"}, "curve2": {"poly": "y"}},
+         "expected": {"lhs": "-1/3", "lhs_form": "other"}},
+        {"kind": "ClassicalPlucker", "inputs": {"d": 3, "delta": 1, "kappa": 0},
+         "expected": {"delta_dual": 0, "kappa_dual": 3}},
+        {"kind": "ClassicalPlucker", "inputs": {"d": "3", "delta": 1, "kappa": 0},
+         "expected": {"d_dual": 4, "delta_dual": 0, "kappa_dual": 3}},
+        {"kind": "SolveUnknown", "inputs": SOLVE_INSTANCE},
+        {"kind": "SolveUnknown", "inputs": {**SOLVE_INSTANCE, "n": None},
+         "expected": {"value": "1/1"}},
+        {"kind": "PackagePair", "inputs": {"s1": {"standard": {"type": "linear", "n": 2}}}},
+        {"kind": "PackagePair", "inputs": {
+            "s1": {"standard": {"type": "linear", "n": 2, "m": 1}},
+            "s2": {"standard": {"type": "linear", "n": 2, "m": 1}},
+            "d1": {"standard": {"type": "linear", "n": 2, "m": 0}},
+            "d2": {"standard": {"type": "linear", "n": 2, "m": 0}},
+            "chi_cap": {"slice": ["s1"]}, "chi_cap_dual": 0}},
+        {"kind": "QuadricPair", "inputs": {
+            "s": {"standard": {"type": "linear", "n": 2, "m": 1}},
+            "s_dual": {"standard": {"type": "linear_dual", "n": 2, "m": 1}},
+            "chi_s_q": 2, "chi_sd_qd": {"ci": {"n": 2}}}},
+        {"kind": "QuadricPair", "inputs": {
+            "s": {"standard": {"type": "linear", "n": 2, "m": 1}},
+            "s_dual": {"standard": {"type": "linear_dual", "n": 2, "m": 1}},
+            "chi_s_q": 2, "chi_sd_qd": {"ci": {"n": 2, "degrees": ["2"]}}}},
+    ], ids=["no-curve2", "poly-not-text", "unknown-lhs-form", "no-d_dual", "d-not-int",
+            "no-value", "n-null", "no-m", "short-slice", "ci-without-degrees",
+            "ci-degree-not-int"])
+    def test_malformed_case_errors_and_the_run_goes_on(self, broken, tmp_path, capsys):
+        manifest = {"cases": [
+            {"id": "solve", "kind": "SolveUnknown", "inputs": SOLVE_INSTANCE,
+             "expected": {"value": "1/1"}},
+            {"id": "broken", **broken},
+            {"id": "classical", "kind": "ClassicalPlucker",
+             "inputs": {"d": 4, "delta": 0, "kappa": 0},
+             "expected": {"d_dual": 12, "delta_dual": 28, "kappa_dual": 24}},
+        ]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        results = run_corpus(tmp_path, include_timing=False).results
+        assert [r.status for r in results] == ["pass", "error", "pass"]
+        assert results[1].details["error"].startswith("SchemaError:")
+        assert run_command(["corpus", "run", str(tmp_path)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "total 3: 2 pass, 0 fail, 1 error"
+
+    def test_file_reference_must_be_text(self, tmp_path):
+        manifest = {"cases": [{"id": "a", "kind": "CurvePair",
+                               "inputs": {"curve1": {"file": 3}, "curve2": {"poly": "x"}}}]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError) as err:
+            load_corpus(tmp_path)
+        assert err.value.field == "file"
+
+
 class TestModuleEntryPoint:
     """``python -m dualis.cli`` runs the same command line as ``dualis``."""
 

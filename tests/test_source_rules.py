@@ -91,3 +91,24 @@ def test_one_witness_walk_one_polar_builder_no_line_schedule():
                     for name in _functions(path) if "polar" in name.lower())
     assert polars == ["elimination.py: polar"]
     assert not [name for name in _referenced_names(SOURCE / "corpus.py") if "SCHEDULE" in name]
+
+
+def _compared_attributes(path: Path) -> set:
+    """Every attribute name that appears as an operand of a comparison."""
+    return {operand.attr
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Compare)
+            for operand in [node.left, *node.comparators]
+            if isinstance(operand, ast.Attribute)}
+
+
+def test_front_ends_dispatch_through_tables():
+    # each CLI leaf carries its handler and each case kind has one runner in
+    # corpus.RUNNERS, so neither front end restates the operations in a chain
+    from dualis import corpus
+
+    assert not _compared_attributes(SOURCE / "cli.py") & {"command", "subcommand"}
+    assert "kind" not in _compared_attributes(SOURCE / "corpus.py")
+    assert corpus.CASE_KINDS == tuple(corpus.RUNNERS)
+    assert not {"_execute", "_dispatch", "_both_forms"} & (
+        set(_functions(SOURCE / "cli.py")) | set(_functions(SOURCE / "corpus.py")))
