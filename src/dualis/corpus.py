@@ -157,9 +157,10 @@ def package_from_dict(data: dict, where: str = "package") -> VarietyInvariants:
 
 
 def read_file(path) -> str:
-    """The text of a file; a missing file is refused with MissingFile."""
+    """The text of a file; a missing file or a directory is refused with
+    MissingFile."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise MissingFile(str(path))
     return path.read_text()
 
@@ -241,7 +242,7 @@ def _check_referenced_files(obj, root: Path, where: str):
             if key == "file":
                 if not isinstance(value, str):
                     raise SchemaError(f"{where}: a file name must be a string", field="file")
-                if not (root / value).exists():
+                if not (root / value).is_file():
                     raise MissingFile(f"{where}: {root / value}")
             else:
                 _check_referenced_files(value, root, where)

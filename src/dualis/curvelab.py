@@ -290,11 +290,10 @@ def curve_report(curve: PlaneCurve) -> CurveReport:
     return CurveReport(d, delta, kappa, others, g, chi, c0m)
 
 
-def _line_basis(line: MultiPoly):
-    """Two independent rational points spanning the line V(a*x + b*y + c*z)."""
-    ring = line.variables
-    coeffs = [line.terms.get(_exps(ring, {v: 1}), Fraction(0)) for v in ring]
-    a, b, c = coeffs
+def _line_basis(line) -> tuple:
+    """Two independent rational points spanning the line V(a*x + b*y + c*z),
+    given by its coefficients (a, b, c)."""
+    a, b, c = line
     if c != 0:
         return (c, 0, -a), (0, c, -b)
     if b != 0:
@@ -306,19 +305,16 @@ def line_transversality(curve: PlaneCurve, line: MultiPoly) -> bool:
     """Does the line miss every singular point and meet C in d distinct points?
 
     Equivalent to the restriction of F to the line being a square-free binary
-    form of full degree d.
+    form of full degree d: a singular point on the line is a multiple root of
+    the restriction.
     """
     if line.is_zero():
         raise ZeroInput("the zero form is not a line")
     if line.total_degree() != 1 or not line.is_homogeneous():
         raise InvalidParams("line must be a nonzero degree-1 form")
-    line = line.restrict_variables(curve.variables)
-    for s in singular_points(curve):
-        vals = dict(zip(curve.variables, s.point))
-        if line.evaluate(vals) == 0:
-            return False
-    p, q = _line_basis(line)
     ring = curve.variables
+    line = line.restrict_variables(ring)
+    p, q = _line_basis([line.terms.get(_exps(ring, {v: 1}), 0) for v in ring])
     s_var, t_var = ring[0], ring[1]  # reuse two ring symbols as parameters
     s_gen = MultiPoly.var(ring, s_var)
     t_gen = MultiPoly.var(ring, t_var)

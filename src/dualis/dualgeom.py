@@ -12,8 +12,8 @@ is computed on the chart w = 1, with two free variables, and homogenised
 back.  It also picks up extraneous components with known provenance, which
 are stripped in a fixed order:
 
-    1. all powers of w (lines through the chart's center of projection):
-       2d(d-1) minus the degree of the chart discriminant, which is
+    1. the lines through the chart's centre of projection, w = 0, to the
+       power 2d(d-1) minus the degree of the chart discriminant, which is
        homogenised to its own degree,
     2. for every singular point s of C, all powers of the dual line
        s0*u + s1*v + s2*w (every line through a singular point meets C
@@ -25,11 +25,16 @@ dual of each: moving a line that is simply tangent at a point r off r
 changes phi at the double root to first order.  ``exact.is_squarefree`` certifies this on a pencil of lines, and a
 remainder that fails the certificate is refused with InvariantViolation.
 
-If the chart is degenerate for the given curve (e.g. the curve passes
-through a coordinate point in a way that kills the leading coefficient), a
-deterministic schedule of rational coordinate changes is applied until the
-chart is valid; the result is mapped back through the transposed matrix, so
-the reported equation always lives in the original dual coordinates.
+The chart w = 1 fails only when y divides F, that is, when the line y = 0
+is a component of C.  So the given coordinates are kept when some term of
+F is free of y, and otherwise the curve is moved by a matrix M whose first
+and third columns span the curve's slice line (which meets C in d distinct
+points, so it is never a component).  The chart discriminant is mapped back
+by M^T before anything is stripped, so the stripped factors are the dual
+lines of the chart's centre M*(0, 0, 1) (w itself for the given
+coordinates) and of the singular points, in the curve's own coordinates.
+A curve with no component other than lines leaves a constant, and no chart
+changes that, so it is refused with ChartExhausted.
 
 The module also provides an independent degree count through polar curves
 (no discriminants involved), a biduality check, and dual-curve reports.
@@ -41,7 +46,6 @@ check at a second witness needs a frame of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import curvelab, elimination
 from .curvelab import DUAL_VARS, PRIMAL_VARS, PlaneCurve
@@ -63,20 +67,6 @@ from .exact import (  # WITNESS_SEQUENCE is re-exported for callers
     witnesses,
 )
 
-#: schedule of rational coordinate changes for degenerate charts
-_CHART_SCHEDULE = (
-    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-    ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
-    ((1, 0, 0), (0, 0, 1), (0, 1, 0)),
-    ((1, 0, 0), (0, 1, 0), (1, 0, 1)),
-    ((1, 0, 0), (0, 1, 0), (0, 1, 1)),
-    ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
-    ((1, 0, 0), (1, 1, 0), (0, 0, 1)),
-    ((1, 0, 0), (0, 1, 0), (1, 1, 1)),
-    ((1, 0, 1), (0, 1, 0), (0, 0, 1)),
-    ((1, 0, 0), (0, 1, 1), (1, 0, 1)),
-)
-
 
 def dual_ring(variables) -> tuple:
     if tuple(variables) == PRIMAL_VARS:
@@ -93,17 +83,6 @@ class DualCurve:
     removed_factors: tuple  # ((MultiPoly, int), ...)
 
 
-def _adjugate(m) -> tuple:
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    return (
-        (e * i - f * h, c * h - b * i, b * f - c * e),
-        (f * g - d * i, a * i - c * g, c * d - a * f),
-        (d * h - e * g, b * g - a * h, a * e - b * d),
-    )
-
-
 def _strip_all(poly: MultiPoly, factor: MultiPoly):
     k = 0
     while True:
@@ -114,10 +93,12 @@ def _strip_all(poly: MultiPoly, factor: MultiPoly):
         k += 1
 
 
-def _dual_in_chart(F: MultiPoly, sing_points) -> tuple | None:
-    """Dual equation of V(F) from the chart w = 1, or None when the chart is degenerate."""
+def _dual_in_chart(F: MultiPoly) -> MultiPoly:
+    """Discriminant of V(F) on the chart w = 1, homogenised to its own degree.
+
+    Needs a term of F free of y, so that phi(x, 1) keeps degree d in x.
+    """
     src = F.variables
-    d = F.total_degree()
     dst = dual_ring(src)
     ring = src[:1] + dst
     x = MultiPoly.var(ring, src[0])
@@ -126,35 +107,16 @@ def _dual_in_chart(F: MultiPoly, sing_points) -> tuple | None:
         src[1]: MultiPoly.const(ring, 1),
         src[2]: -(MultiPoly.var(ring, dst[0]) * x + MultiPoly.var(ring, dst[1])),
     })
-    if psi.degree_in(src[0]) != d:
-        return None  # the x^d coefficient F(1, 0, -u) vanished: y divides F
     disc = discriminant(UniPolyView(psi, src[0]))
-    if disc.is_zero():
-        return None
     # restore w to the chart discriminant's own degree: the discriminant is a
     # form of degree 2d(d-1), so the rest of that degree is a power of w
     top = disc.total_degree()
-    disc = MultiPoly(dst, {(a, b, top - a - b): c for (_, a, b, _), c in disc.terms.items()})
+    return MultiPoly(dst, {(a, b, top - a - b): c for (_, a, b, _), c in disc.terms.items()})
 
-    removed = []
-    if top < 2 * d * (d - 1):
-        removed.append((MultiPoly.var(dst, dst[2]), 2 * d * (d - 1) - top))
-    for s in sing_points:
-        line = (
-            MultiPoly.var(dst, dst[0]) * s[0]
-            + MultiPoly.var(dst, dst[1]) * s[1]
-            + MultiPoly.var(dst, dst[2]) * s[2]
-        )
-        disc, k = _strip_all(disc, line)
-        if k:
-            removed.append((line, k))
-    if disc.is_constant():
-        return None
-    if not is_squarefree(disc):
-        # distinct components have distinct duals, and the discriminant is
-        # reduced along the dual of each, so only the stripped factors repeat
-        raise InvariantViolation("the stripped discriminant is not square-free")
-    return disc.primitive(), removed
+
+def _dual_line(ring, point) -> MultiPoly:
+    """The line of the dual plane made of the lines through `point`."""
+    return MultiPoly(ring, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), point))).primitive()
 
 
 def dual_equation(curve: PlaneCurve) -> DualCurve:
@@ -162,37 +124,39 @@ def dual_equation(curve: PlaneCurve) -> DualCurve:
 
     Requires degree >= 2 (the dual of a line is a point, not a curve) and
     rational singular points; the curve is assumed irreducible, which this
-    package does not verify (factorization is out of scope).
+    package does not verify (factorization is out of scope).  A union of
+    lines is refused with ChartExhausted.
     """
     if curve.degree < 2:
         raise InvalidParams("dual_equation needs a curve of degree >= 2")
-    src = curve.variables
-    dst = dual_ring(src)
-    sing = [s.point for s in curvelab.singular_points(curve)]
-    for matrix in _CHART_SCHEDULE:
-        # an invertible linear change keeps F square-free: no new PlaneCurve
-        moved = elimination.apply_matrix(curve.F, matrix)
-        adj = _adjugate(matrix)
-        moved_sing = [
-            elimination.normalize_point([
-                Fraction(sum(adj[i][j] * p[j] for j in range(3))) for i in range(3)
-            ])
-            for p in sing
-        ]
-        got = _dual_in_chart(moved, moved_sing)
-        if got is None:
-            continue
-        d_moved, removed_moved = got
-        back = elimination.mat_transpose(matrix)
-        D = elimination.apply_matrix(d_moved, back).primitive()
-        removed = tuple(
-            (elimination.apply_matrix(f, back).primitive(), k)
-            for f, k in removed_moved
-        )
-        if D.is_constant() or not D.is_homogeneous():
-            continue
-        return DualCurve(D=D, d_dual=D.total_degree(), removed_factors=removed)
-    raise ChartExhausted("no coordinate change in the schedule validates the chart")
+    d = curve.degree
+    dst = dual_ring(curve.variables)
+    sing = curvelab.singular_points(curve)
+    if any(e[1] == 0 for e in curve.F.terms):
+        disc, centre = _dual_in_chart(curve.F), (0, 0, 1)
+    else:
+        # y = 0 is a component: move the slice line to it
+        p, centre = curvelab._line_basis(curve.slice_line)
+        off = next(i for i, c in enumerate(curve.slice_line) if c)
+        chart = tuple((p[i], int(i == off), centre[i]) for i in range(3))
+        disc = _dual_in_chart(elimination.apply_matrix(curve.F, chart))
+        disc = elimination.apply_matrix(disc, elimination.mat_transpose(chart))
+    removed = []
+    if disc.total_degree() < 2 * d * (d - 1):
+        removed.append((_dual_line(dst, centre), 2 * d * (d - 1) - disc.total_degree()))
+    for s in sing:
+        line = _dual_line(dst, s.point)
+        disc, k = _strip_all(disc, line)
+        if k:
+            removed.append((line, k))
+    if disc.is_constant():
+        raise ChartExhausted("the curve is a union of lines, whose dual is a finite set of points")
+    if not is_squarefree(disc):
+        # distinct components have distinct duals, and the discriminant is
+        # reduced along the dual of each, so only the stripped factors repeat
+        raise InvariantViolation("the stripped discriminant is not square-free")
+    D = disc.primitive()
+    return DualCurve(D=D, d_dual=D.total_degree(), removed_factors=tuple(removed))
 
 
 def _proportional(p, q) -> bool:

@@ -71,7 +71,9 @@ class NotTransversal(DualisError):
 # --- dual-variety layer -----------------------------------------------------
 
 class ChartExhausted(DualisError):
-    """No coordinate change in the deterministic schedule validates the chart."""
+    """No chart yields the answer: the curve is a union of lines, so its dual
+    is a finite set of points, or no frame certifies a distinct intersection
+    count."""
 
 
 class GuardrailExceeded(DualisError):

@@ -172,6 +172,12 @@ def identity_sides(form: str, n: int, dims: tuple, chi_cap, c0m_1, c0m_2,
     return Fraction(lhs), Fraction(rhs)
 
 
+def _require_certified(*packages: VarietyInvariants):
+    for pkg in packages:
+        if not pkg.transversality_certified:
+            raise UncertifiedTransversality(f"{pkg.label}: no transversality certificate")
+
+
 def _require_pairable(s1: VarietyInvariants, s2: VarietyInvariants,
                       d1: VarietyInvariants, d2: VarietyInvariants):
     n = s1.n
@@ -179,9 +185,7 @@ def _require_pairable(s1: VarietyInvariants, s2: VarietyInvariants,
         raise AmbientTooSmall("the flop identity needs n >= 2")
     if not (s2.n == d1.n == d2.n == n):
         raise AmbientMismatch("packages do not share the ambient dimension")
-    for pkg in (s1, s2, d1, d2):
-        if not pkg.transversality_certified:
-            raise UncertifiedTransversality(f"{pkg.label}: no transversality certificate")
+    _require_certified(s1, s2, d1, d2)
     if s1.dim == n or s2.dim == n:
         raise UncertifiedTransversality(
             "a copy of the ambient space cannot intersect its partner transversally"
@@ -260,8 +264,7 @@ def detect_dual_codim(s: VarietyInvariants) -> int:
     fail through structural corruption of the package, which is what the
     validation guard below turns into InconsistentPackage.
     """
-    if not s.transversality_certified:
-        raise UncertifiedTransversality(f"{s.label}: no transversality certificate")
+    _require_certified(s)
     s.validate_slices()
     slices = s.chi_slices
     n = s.n
@@ -338,9 +341,7 @@ def quadric_pair_check(
     """
     if s.n != s_dual.n:
         raise AmbientMismatch("packages do not share the ambient dimension")
-    for pkg in (s, s_dual):
-        if not pkg.transversality_certified:
-            raise UncertifiedTransversality(f"{pkg.label}: no transversality certificate")
+    _require_certified(s, s_dual)
     n = s.n
     sign = _sign(s.dim + s_dual.dim)
     c0m_q = n + (1 - _sign(n)) // 2

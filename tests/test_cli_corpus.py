@@ -20,6 +20,7 @@ from dualis.corpus import (
     load_package,
     load_report,
     package_from_dict,
+    read_file,
     run_case,
     run_corpus,
     save_package,
@@ -357,6 +358,17 @@ class TestMalformedInput:
     def test_missing_file(self, tmp_path, capsys):
         self._refused(["plucker", "solve", "--file", str(tmp_path / "none.json")], capsys,
                       error="MissingFile")
+
+    def test_directory_referenced_by_a_case(self, tmp_path, capsys):
+        (tmp_path / "sub").mkdir()
+        manifest = {"cases": [{"id": "a", "kind": "CurvePair",
+                               "inputs": {"curve1": {"file": "sub"}, "curve2": {"poly": "x"}}}]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(MissingFile):
+            load_corpus(tmp_path / "manifest.json")
+        with pytest.raises(MissingFile):
+            read_file(tmp_path / "sub")
+        self._refused(["corpus", "run", str(tmp_path)], capsys, error="MissingFile")
 
     @pytest.mark.parametrize("change", [
         lambda d: d.pop("n"),

@@ -418,8 +418,14 @@ class TestSliceLine:
 
     @pytest.mark.parametrize("text", [SIX_LINES, FOUR_LINES], ids=["six-lines", "four-lines"])
     def test_slice_line_of_irrational_crossings(self, text):
-        # line_transversality refuses these curves (IrrationalSingularity)
-        assert _sympy_meets_in_distinct_points(text, curve(text).slice_line)
+        c = curve(text)
+        assert _sympy_meets_in_distinct_points(text, c.slice_line)
+        assert line_transversality(c, corpus.transversal_slice_line(c))
+        # z and y each meet the lines in fewer than d points: through a
+        # crossing, or along a component
+        for line in ("z", "y"):
+            assert not line_transversality(c, parse_poly(line, PRIMAL_VARS))
+            assert not _sympy_meets_in_distinct_points(text, [int(v == line) for v in "xyz"])
 
 
 class TestPairChi:

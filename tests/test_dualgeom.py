@@ -18,6 +18,7 @@ from dualis.dualgeom import (
     dual_equation,
 )
 from dualis.errors import (
+    ChartExhausted,
     GuardrailExceeded,
     InvalidParams,
     InvariantViolation,
@@ -184,6 +185,52 @@ class TestDualEquation:
             moved_dual = dual_equation(moved).D
             pulled = apply_matrix(moved_dual, mat_transpose(m)).primitive()
             assert pulled == base
+
+
+class TestSliceLineChart:
+    """When y = 0 is a component of C, the chart w = 1 would fail, so the
+    dual is taken in a chart spanned by the curve's slice line."""
+
+    @pytest.fixture
+    def charts(self, monkeypatch):
+        """The forms handed to the per-chart step, in order."""
+        from dualis import dualgeom
+
+        moved = []
+        step = dualgeom._dual_in_chart
+        monkeypatch.setattr(dualgeom, "_dual_in_chart", lambda F: moved.append(F) or step(F))
+        return moved
+
+    @pytest.mark.parametrize("text, conic", [
+        ("x^2*y + y^3 - y*z^2", CIRCLE),                  # y*(x^2 + y^2 - z^2)
+        ("x^3*y + x*y^3 - x*y*z^2", CIRCLE),              # x*y*(x^2 + y^2 - z^2)
+        ("x^2*y*z - y^2*z^2", "x^2 - y*z"),              # y*z*(x^2 - y*z)
+        # y*z*(x - y)*(x + y - z)*(x^2 + x*y + y*z), a conic and four lines
+        ("x^4*y*z + x^3*y^2*z - x^3*y*z^2 - x^2*y^3*z + x^2*y^2*z^2 - x*y^4*z"
+         " + x*y^3*z^2 - x*y^2*z^3 - y^4*z^2 + y^3*z^3", "x^2 + x*y + y*z"),
+    ])
+    def test_dual_of_the_conic_component(self, text, conic, charts):
+        # the lines have points for duals, so the dual curve is the conic's
+        c = curve(text)
+        got = dual_equation(c)
+        assert got.D == _quadric_dual_oracle(conic)
+        assert got.d_dual + sum(f.total_degree() * k for f, k in got.removed_factors) \
+            == 2 * c.degree * (c.degree - 1)
+        assert len(charts) == 1 and any(e[1] == 0 for e in charts[0].terms)
+
+    def test_given_coordinates_kept_when_a_term_is_free_of_y(self, charts):
+        c = curve(CUSPIDAL)
+        dual_equation(c)
+        assert charts == [c.F]
+
+    @pytest.mark.parametrize("text", [
+        "x*y*z",
+        "x^3*y - x^2*y^2 + 4*x^2*y*z - 2*x*y^3 + x*y^2*z + 3*x*y*z^2",  # x*y*(x+y+z)*(x-2y+3z)
+    ])
+    def test_union_of_lines_refused_after_one_chart(self, text, charts):
+        with pytest.raises(ChartExhausted):
+            dual_equation(curve(text))
+        assert len(charts) == 1
 
 
 class TestDualDegreeOracle:

@@ -93,6 +93,20 @@ def test_one_witness_walk_one_polar_builder_no_line_schedule():
     assert not [name for name in _referenced_names(SOURCE / "corpus.py") if "SCHEDULE" in name]
 
 
+def test_one_chart_per_dual_curve():
+    # the dual's chart is read from the curve's slice line, so dualgeom keeps
+    # no chart schedule and no loop over charts, and the frame schedule of
+    # elimination stays the only one
+    path = SOURCE / "dualgeom.py"
+    names = _referenced_names(path) | set(_functions(path))
+    assert not [name for name in names if "SCHEDULE" in name.upper()]
+    assert "_adjugate" not in names
+    tree = ast.parse(path.read_text())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))
+                for n in ast.walk(node)
+                if isinstance(n, ast.Name) and n.id == "_dual_in_chart"]
+
+
 def _compared_attributes(path: Path) -> set:
     """Every attribute name that appears as an operand of a comparison."""
     return {operand.attr
