@@ -42,6 +42,7 @@ from . import charclass, curvelab, dualgeom, elimination, flopcalc
 from .curvelab import PlaneCurve
 from .errors import (
     DualisError,
+    GuardrailExceeded,
     MissingFile,
     NotTransversal,
     SchemaError,
@@ -434,6 +435,10 @@ def build_curve_pair(c1: PlaneCurve, c2: PlaneCurve,
             ))
         else:
             eq = dualgeom.dual_equation(curve)
+            if eq.d_dual > curvelab.HARD_DEGREE_CAP:
+                # the analysis of a dual past the input curves' cap is out of reach
+                raise GuardrailExceeded(f"{label} dual degree {eq.d_dual} exceeds the"
+                                        f" hard cap {curvelab.HARD_DEGREE_CAP}")
             dual_curve = PlaneCurve(eq.D)
             duals.append(
                 ("curve", dual_curve, curve_package(dual_curve, f"{label} dual curve"))

@@ -18,13 +18,15 @@ available in the node/cusp regime:
 
 Everything is certified: one elimination per curve object, on first use,
 counts the singular points and reads the rational ones from the same frame
-(`elimination.singular_locus`); ``singular_points`` classifies them once and
-refuses to answer when they do not exhaust the count.  Every caller reads
-that analysis from the curve, and the polar degree oracle reads the polar
-count of the same frame.  The square-free certificate of a curve is a line
-that meets it in d distinct points, which the curve keeps as its
-transversal slice line.  ``load_curve`` applies the degree guardrail that
-the CLI and the corpus share.
+(`elimination.singular_locus`, kept as a `SingularLocus` record of the
+frame, the witness, the singular parts and the rational points);
+``singular_points`` classifies them once and refuses to answer when they do
+not exhaust the count.  Every caller reads that record from the curve, and
+the polar degree oracle reads the polar count of the same frame.  The
+square-free certificate of a curve is a line that meets it in d distinct
+points, which the curve keeps as its transversal slice line.
+``load_curve`` applies the degree guardrail that the CLI and the corpus
+share.
 """
 
 from __future__ import annotations
@@ -227,18 +229,13 @@ def _exps(ring, assign: dict) -> tuple:
     return tuple(assign.get(v, 0) for v in ring)
 
 
-def singular_analysis(curve: PlaneCurve) -> tuple:
-    """The curve's one singular analysis, run on first use: the tuple
-    ``(count, points, w, polar_count)`` of `elimination.singular_locus`."""
+def singular_analysis(curve: PlaneCurve) -> elimination.SingularLocus:
+    """The curve's one singular analysis, run on first use: the
+    `elimination.SingularLocus` record of its accepted frame, witness,
+    singular parts and rational singular points."""
     if curve._singular_locus is None:
         object.__setattr__(curve, "_singular_locus", elimination.singular_locus(curve.F))
     return curve._singular_locus
-
-
-def certified_singular_count(curve: PlaneCurve) -> int:
-    """Geometric number of singular points (rational or not), from the
-    curve's one singular analysis, which also lists its rational points."""
-    return singular_analysis(curve)[0]
 
 
 def singular_points(curve: PlaneCurve) -> list:
@@ -249,17 +246,17 @@ def singular_points(curve: PlaneCurve) -> list:
     count exceeds their number the curve has irrational singularities and
     the operation refuses rather than under-report.
     """
-    certified = certified_singular_count(curve)
+    locus = singular_analysis(curve)
     if curve._rational_singularities is None:
         object.__setattr__(curve, "_rational_singularities",
-                           tuple(classify_singularity(curve, p) for p in curve._singular_locus[1]))
+                           tuple(classify_singularity(curve, p) for p in locus.points))
     found = curve._rational_singularities
-    if certified > len(found):
+    if locus.count > len(found):
         raise IrrationalSingularity(
             f"found {len(found)} rational singular points but the certified "
-            f"count is {certified}"
+            f"count is {locus.count}"
         )
-    if certified < len(found):
+    if locus.count < len(found):
         raise InvariantViolation("inconsistent singular counts")
     return list(found)
 

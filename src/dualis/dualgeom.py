@@ -38,9 +38,10 @@ changes that, so it is refused with ChartExhausted.
 
 The module also provides an independent degree count through polar curves
 (no discriminants involved), a biduality check, and dual-curve reports.
-The polar count reads the curve's singular analysis, whose frame already
-counts the points of F and the polar of its first witness, so only the
-check at a second witness needs a frame of its own.
+The polar count reads the curve's singular analysis, a
+`elimination.SingularLocus` record: its frame already counts the points of
+F and the polar of its witness, and its singular parts give the singular
+count, so only the check at a second witness needs a frame of its own.
 """
 
 from __future__ import annotations
@@ -176,7 +177,8 @@ def dual_degree_oracle(curve: PlaneCurve, witness=None) -> int:
     """
     if curve.degree < 2:
         raise InvalidParams("dual degree oracle needs a curve of degree >= 2")
-    singular_count, _, w, count = curvelab.singular_analysis(curve)
+    locus = curvelab.singular_analysis(curve)
+    w, count = locus.witness, locus.polar_count
     if witness is not None:
         if curve.contains(witness):
             raise WitnessOnCurve(f"witness {witness} lies on the curve")
@@ -187,9 +189,9 @@ def dual_degree_oracle(curve: PlaneCurve, witness=None) -> int:
     if count != check:
         raise NonGenericWitness(
             f"witnesses {w} and {second} disagree: "
-            f"{count - singular_count} vs {check - singular_count}"
+            f"{count - locus.count} vs {check - locus.count}"
         )
-    return count - singular_count
+    return count - locus.count
 
 
 def biduality_check(curve: PlaneCurve) -> bool:

@@ -25,7 +25,9 @@ composed with x-shears) and only reports a number it can certify:
   over a root of R.  That point is (alpha, beta(alpha)), beta rational in
   alpha, so the rational roots of each class's singular part, mapped back
   through the frame's shear and base, are the rational singular points.
-  The frame's own count is returned too: the polar degree oracle reads it.
+  The analysis is one `SingularLocus` record holding the accepted frame,
+  the witness, the singular part of each class and the rational points;
+  the polar degree oracle reads the frame's own count from it.
 
 Univariate work (eliminants, psc_k, singular parts, forms on a line) runs
 on primitive integer coefficient lists, read straight from the terms of
@@ -43,6 +45,7 @@ be certified the routine raises.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Optional, Sequence
@@ -426,11 +429,31 @@ def polar(F: MultiPoly, w) -> MultiPoly:
     return sum((F.derivative(v) * c for v, c in zip(ring, w)), MultiPoly.zero(ring))
 
 
-def singular_locus(F: MultiPoly) -> tuple:
-    """The singular analysis of the curve of a square-free form F:
-    ``(count, points, w, polar_count)``, the number of distinct singular
-    points, the sorted list of the rational ones, the witness w and the
-    number of distinct points where the curve meets the polar of w.
+@dataclass(frozen=True)
+class SingularLocus:
+    """The singular analysis of the curve of a square-free form F, read from
+    one accepted `frame` of F and the polar of `witness`: ``parts[k]`` is
+    the singular part of the class Phi_k, and ``points`` the sorted list of
+    the rational singular points."""
+
+    frame: _Frame
+    witness: tuple
+    parts: dict
+    points: list
+
+    @property
+    def count(self) -> int:
+        """Distinct singular points: the sum of the degrees of the parts."""
+        return sum(len(s) - 1 for s in self.parts.values())
+
+    @property
+    def polar_count(self) -> int:
+        """Distinct points where the curve meets the polar of the witness."""
+        return self.frame.count()
+
+
+def singular_locus(F: MultiPoly) -> SingularLocus:
+    """The singular analysis of the curve of a square-free form F.
 
     A witness w = `point_off([F])` makes F and its polar P_w coprime: a
     shared component would be a cone with vertex w, so it would contain w.
@@ -453,8 +476,7 @@ def singular_locus(F: MultiPoly) -> tuple:
     for k, phi in frame.classes.items():
         line = frame.line(k)
         parts[k] = reduce(_uni_gcd, (univar_coeffs(resultant(p, line), x) for p in partials), phi)
-    return (sum(len(s) - 1 for s in parts.values()), rational_system_points(frame, parts),
-            w, frame.count())
+    return SingularLocus(frame, w, parts, rational_system_points(frame, parts))
 
 
 def rational_system_points(frame: _Frame, parts: dict) -> list:
@@ -468,7 +490,7 @@ def rational_system_points(frame: _Frame, parts: dict) -> list:
 
 def certified_singular_count(F: MultiPoly) -> int:
     """Distinct singular points of the curve of a square-free form F."""
-    return singular_locus(F)[0]
+    return singular_locus(F).count
 
 
 def transversal_intersection_count(F: MultiPoly, G: MultiPoly) -> int:

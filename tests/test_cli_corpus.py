@@ -291,6 +291,23 @@ class TestCli:
         assert result.status == "error"
         assert result.details["error"].startswith("InvalidParams:")
 
+    def test_corpus_refuses_a_dual_past_the_hard_cap(self, tmp_path):
+        # the Fermat quartic's dual has degree 12; its analysis ran for minutes
+        (tmp_path / "curves").mkdir()
+        for name in ("quartic_fermat.txt", "line_125.txt"):
+            (tmp_path / "curves" / name).write_bytes((REPO_CORPUS / "curves" / name).read_bytes())
+        manifest = {"cases": [
+            {"id": "fermat-quartic-line", "kind": "CurvePair",
+             "inputs": {"curve1": {"file": "curves/quartic_fermat.txt"},
+                        "curve2": {"file": "curves/line_125.txt"}}},
+        ]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        start = time.perf_counter()
+        (result,) = run_corpus(tmp_path, include_timing=False).results
+        assert time.perf_counter() - start < 2.0
+        assert result.status == "error"
+        assert result.details["error"] == "GuardrailExceeded: S1 dual degree 12 exceeds the hard cap 8"
+
     def test_corpus_applies_the_chi_guardrails(self, tmp_path):
         line = {"standard": {"type": "linear", "n": 3, "m": 1}}
         manifest = {"cases": [

@@ -1,5 +1,6 @@
 """Plane-curve analysis: singular loci, classification, reports, restrictions."""
 
+import dataclasses
 import math
 import random
 import time
@@ -18,6 +19,7 @@ from dualis.curvelab import (
     classify_singularity,
     curve_report,
     line_transversality,
+    singular_analysis,
     singular_points,
     transversal_intersection_chi,
 )
@@ -248,9 +250,37 @@ class TestPointsFromTheFrame:
 class TestInconsistentCounts:
     def test_more_rational_points_than_the_count_is_an_internal_error(self, monkeypatch):
         locus = elimination.singular_locus
-        monkeypatch.setattr(elimination, "singular_locus", lambda F: (0, *locus(F)[1:]))
+        monkeypatch.setattr(elimination, "singular_locus",
+                            lambda F: dataclasses.replace(locus(F), parts={}))
         with pytest.raises(InvariantViolation):
             singular_points(curve(NODAL))
+
+
+class TestSingularLocusRecord:
+    """The analysis is one frozen record; its counts derive from its fields."""
+
+    #: reference curves, their distinct singular points and dual degrees
+    REFERENCE = [(SMOOTH_CONIC, 0, 2), (NODAL, 1, 4), (CUSPIDAL, 1, 3), (TACNODAL, 2, 4),
+                 (TRINODAL, 3, 6), (TRICUSPIDAL, 3, 3), (FOUR_NODES, 4, 4),
+                 (TRIPLE_POINTS, 3, 12), (SIX_LINES, 15, 0), (FOUR_LINES, 6, 0)]
+
+    def test_fields_cannot_be_assigned(self):
+        locus = singular_analysis(curve(NODAL))
+        for name in ("frame", "witness", "parts", "points"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(locus, name, None)
+
+    @pytest.mark.parametrize("text, singular, dual", REFERENCE)
+    def test_count_is_the_sum_of_the_part_degrees(self, text, singular, dual):
+        locus = singular_analysis(curve(text))
+        assert set(locus.parts) == set(locus.frame.classes)
+        assert locus.count == sum(len(part) - 1 for part in locus.parts.values()) == singular
+
+    @pytest.mark.parametrize("text, singular, dual", REFERENCE)
+    def test_polar_count_less_count_is_the_dual_degree(self, text, singular, dual):
+        c = curve(text)
+        locus = singular_analysis(c)
+        assert locus.polar_count - locus.count == dualgeom.dual_degree_oracle(c) == dual
 
 
 class TestAnalysisOnce:

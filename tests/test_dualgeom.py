@@ -8,8 +8,8 @@ from dualis.curvelab import (
     DUAL_VARS,
     PRIMAL_VARS,
     PlaneCurve,
-    certified_singular_count,
     curve_report,
+    singular_analysis,
 )
 from dualis.dualgeom import (
     biduality_check,
@@ -295,7 +295,7 @@ class TestDualDegreeOracle:
         from dualis import elimination
 
         c = curve(NODAL)
-        certified_singular_count(c)
+        singular_analysis(c)
         built = []
         polar = elimination.polar
         monkeypatch.setattr(elimination, "polar", lambda F, w: built.append(tuple(w)) or polar(F, w))
@@ -314,7 +314,7 @@ class TestDualDegreeOracle:
 
         c = curve(self.THROUGH_WITNESSES)
         assert all(c.contains(w) for w in WITNESS_SEQUENCE)
-        assert certified_singular_count(c) == 0
+        assert singular_analysis(c).count == 0
         assert dual_degree_oracle(c) == 6
 
     def test_curve_through_every_sequence_witness_is_smooth_by_sympy(self):
@@ -400,5 +400,5 @@ class TestOracleOnSpecialSingularities:
         # the polar has a double point at each triple point, so every fibre
         # gcd there has degree 2; 30 - 3*(mu + m - 1) = 30 - 3*6
         c = curve("x^3*y^3 + y^3*z^3 + z^3*x^3")
-        assert certified_singular_count(c) == 3
+        assert singular_analysis(c).count == 3
         assert dual_degree_oracle(c) == 12

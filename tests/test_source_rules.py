@@ -87,8 +87,11 @@ def test_one_witness_walk_one_polar_builder_no_line_schedule():
                      if any(isinstance(n, ast.Name) and n.id == "WITNESS_SEQUENCE"
                             for n in ast.walk(node)))
     assert walkers == ["exact.py: witnesses"]
+    # (a property such as SingularLocus.polar_count reads a count, builds nothing)
     polars = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
-                    for name in _functions(path) if "polar" in name.lower())
+                    for name, node in _functions(path).items() if "polar" in name.lower()
+                    and not any(isinstance(d, ast.Name) and d.id == "property"
+                                for d in node.decorator_list))
     assert polars == ["elimination.py: polar"]
     assert not [name for name in _referenced_names(SOURCE / "corpus.py") if "SCHEDULE" in name]
 
@@ -105,6 +108,39 @@ def test_one_chart_per_dual_curve():
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))
                 for n in ast.walk(node)
                 if isinstance(n, ast.Name) and n.id == "_dual_in_chart"]
+
+
+def _analysis_call(node) -> bool:
+    """Is node a call of singular_analysis or singular_locus?"""
+    if not isinstance(node, ast.Call):
+        return False
+    callee = node.func
+    name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+    return name in {"singular_analysis", "singular_locus"}
+
+
+def test_singular_analysis_is_read_by_field_name():
+    # a curve's singular analysis is one SingularLocus record, read by field
+    # name: no module indexes or unpacks it, and its count has one definition
+    counts = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
+                    for name in _functions(path) if name == "certified_singular_count")
+    assert counts == ["elimination.py: certified_singular_count"]
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        records = {target.id for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign) and _analysis_call(node.value)
+                   for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript) and (
+                    _analysis_call(node.value)
+                    or isinstance(node.value, ast.Attribute) and node.value.attr == "_singular_locus"
+                    or isinstance(node.value, ast.Name) and node.value.id in records):
+                found.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, ast.Assign) and _analysis_call(node.value)
+                    and any(isinstance(t, (ast.Tuple, ast.List)) for t in node.targets)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
 
 
 def _compared_attributes(path: Path) -> set:
