@@ -29,9 +29,20 @@ composed with x-shears) and only reports a number it can certify:
   the witness, the singular part of each class and the rational points;
   the polar degree oracle reads the frame's own count from it.
 
-Univariate work (eliminants, psc_k, singular parts, forms on a line) runs
-on primitive integer coefficient lists, read straight from the terms of
-each polynomial (`univar_coeffs`); their gcd is the certified modular gcd of
+The frame step runs on integer lists alone.  A frame holds the pair as
+integer y-columns, one list in x per power of y, of Fm(x + t*y, y, 1) and
+Gm(x + t*y, y, 1) expanded over Z (`_chart_columns`).  Their values at
+x = 0, 1, 2, ... are taken once per frame and cached: one sweep serves the
+eliminant R = s_{0,0} and every s_{k,j}, each an integer Sylvester minor at
+those points (`_sylvester_minor`) rebuilt by Newton interpolation (Collins,
+J. ACM 18, 1971).  In an accepted frame the y-degree of each operand is its
+total degree, so cell (i, c) of a minor has x-degree at most c - i; every
+permutation then weighs the same, and deg s_{k,j} <= (m-k)(n-k) + k - j,
+with deg R <= mn.  Resultants against a line L_k = a*y + b, for the
+k-th-power test and the singular parts, take the closed form
+Res_y(P, L_k) = sum_j p_j b^j (-a)^(m-j) for P = sum_j p_j y^j of degree
+m: Res(L_k, P) = a^m P(-b/a), and swapping operands of degrees 1 and m
+costs (-1)^m (`_line_resultant`).  Gcds are the certified modular gcd of
 `exact`, and a quotient by a primitive divisor is exact over the integers
 (Gauss's lemma), so no Fraction arithmetic enters the frame search.  The
 square-free part is written once (`_sqfree_part`), for the frame step,
@@ -52,24 +63,27 @@ from typing import Optional, Sequence
 
 from .errors import (
     ChartExhausted,
+    DegenerateInput,
+    DegreeGuardrail,
     GuardrailExceeded,
     NotTransversal,
     ReducibleCurve,
     ZeroInput,
 )
 from .exact import (
+    SYLVESTER_LIMIT,
     MultiPoly,
-    UniPolyView,
+    _int_bareiss_determinant,
     _integer_terms,
+    _newton_numerators,
     _primitive,
     _primitive_ints,
+    _ternary_form,
     _trim,
     _uni_gcd,
     _uni_quo,
     forms_coprime,
     point_off,
-    resultant,
-    subresultant_coefficient,
 )
 
 Matrix = tuple  # 3x3 integer matrix, rows are tuples
@@ -120,18 +134,31 @@ _BASES = _base_frames()
 # univariate polynomials, as coefficient lists [c0..cd]
 # ---------------------------------------------------------------------------
 
-def univar_coeffs(p: MultiPoly, var: str) -> list:
-    """Primitive integer coefficient list [c0..cd] proportional to a
-    polynomial using only `var`; [] for the zero polynomial."""
-    if p.is_zero():
+def _at(cs: Sequence[int], v) -> int:
+    """The value of the list cs at v, by Horner's rule."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * v + c
+    return acc
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> list:
+    """The product of two integer lists."""
+    if not a or not b:
         return []
-    idx = p.variables.index(var)
-    coeffs = [0] * (p.degree_in(var) + 1)
-    for e, c in _integer_terms(p)[1].items():
-        if sum(e) != e[idx]:
-            raise ValueError(f"{p.text()} is not univariate in {var}")
-        coeffs[e[idx]] = c
-    return _primitive(coeffs)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b, i):
+                out[j] += c * d
+    return out
+
+
+def _add(a: Sequence[int], b: Sequence[int]) -> list:
+    """The sum of two integer lists, trimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([c + d for c, d in zip(a, b)] + list(a[len(b):]))
 
 
 #: primes tried as the modulus of the p-adic root search
@@ -267,59 +294,110 @@ def normalize_point(coords: Sequence[Fraction]) -> tuple:
 # counting distinct intersections and singular points
 # ---------------------------------------------------------------------------
 
+def _chart_columns(Fm: MultiPoly, t: int) -> list:
+    """Fm(x + t*y, y, 1) over Z for a form Fm of degree d: entry j is the
+    integer list [c0..c_{d-j}] in x of the coefficient of y^j, all times the
+    common denominator of Fm."""
+    d = Fm.total_degree()
+    columns = [[0] * (d + 1 - j) for j in range(d + 1)]
+    for (a, b, _), c in _integer_terms(Fm)[1].items():
+        # (x + t*y)^a y^b = sum_i C(a, i) t^i x^(a-i) y^(b+i)
+        for i in range(a + 1):
+            columns[b + i][a - i] += c * math.comb(a, i) * t ** i
+    return [_trim(col) for col in columns]
+
+
+def _sylvester_minor(a: Sequence[int], b: Sequence[int], k: int, j: int) -> int:
+    """s_{k,j} of the integer lists a, b of degrees m, n (see
+    `exact.subresultant_coefficient`): the first n-k shifted rows of a and
+    the first m-k of b in the Sylvester matrix, cut to the first m+n-2k-1
+    columns and the column of y^j in S_k."""
+    m, n = len(a) - 1, len(b) - 1
+    width, cut = m + n - k, m + n - 2 * k - 1
+    ra, rb = a[::-1], b[::-1]
+    rows = ([[0] * i + ra + [0] * (width - m - 1 - i) for i in range(n - k)]
+            + [[0] * i + rb + [0] * (width - n - 1 - i) for i in range(m - k)])
+    return _int_bareiss_determinant([row[:cut] + [row[width - 1 - j]] for row in rows])
+
+
+def _line_resultant(P: Sequence[list], a: list, b: list) -> list:
+    """Res_y(P, a*y + b) for P = [p_0..p_m] in y, p_m != 0, and a != 0, all
+    integer lists in x.  Over the root -b/a of the line,
+    Res(a*y + b, P) = a^m P(-b/a), and swapping the operands costs (-1)^m:
+    Res(P, a*y + b) = sum_j p_j b^j (-a)^(m-j), taken by Horner's rule."""
+    neg = [-c for c in a]
+    acc, power = P[0], [1]
+    for p in P[1:]:
+        power = _mul(power, b)
+        acc = _add(_mul(acc, neg), _mul(p, power))
+    return acc
+
+
 class _Frame:
-    """An accepted frame: the pair A, B in y after the base change `base`,
-    the shear x -> x + shear*y and the chart z = 1, and the square-free
-    eliminant split into its nonconstant classes ``classes[k]`` = Phi_k.
-    Over a root of Phi_k the fibres meet at one point, the root beta of
-    L_k = k*s_kk*y + s_{k,k-1}."""
+    """An accepted frame: the pair after the base change `base`, the shear
+    x -> x + shear*y and the chart z = 1, as integer y-columns A and B (see
+    `_chart_columns`), and the square-free eliminant split into its
+    nonconstant classes ``classes[k]`` = Phi_k.  Over a root of Phi_k the
+    fibres meet at one point, the root beta of L_k = k*s_kk*y + s_{k,k-1}."""
 
-    __slots__ = ("A", "B", "base", "shear", "classes", "_coefficients")
+    __slots__ = ("A", "B", "base", "shear", "classes", "_values", "_coefficients")
 
-    def __init__(self, A: UniPolyView, B: UniPolyView, base: Matrix, shear: int):
+    def __init__(self, A: list, B: list, base: Matrix, shear: int):
         self.A, self.B = A, B
         self.base, self.shear = base, shear
         self.classes: dict = {}
+        self._values: list = []       # (A, B) at x = 0, 1, 2, ..., as integer lists in y
         self._coefficients: dict = {}
 
     def count(self) -> int:
         """Distinct intersection points: each root of R carries one."""
         return sum(len(phi) - 1 for phi in self.classes.values())
 
-    def coefficient(self, k: int, j: int) -> MultiPoly:
-        """s_{k,j}, computed once; at the lower operand's degree S_k is that operand."""
+    def coefficient(self, k: int, j: int) -> list:
+        """s_{k,j} of the columns, an integer list in x, computed once; R is
+        s_{0,0}, and at the lower operand's degree S_k is that operand.
+
+        Cell (i, c) of the minor holds a y-coefficient of x-degree at most
+        c - i, so every term of the determinant has degree at most
+        D = (m-k)(n-k) + k - j, and the minors at x = 0..D, read from the
+        operands' values cached there, fix it: the Newton numerators are D!
+        times its integer coefficients."""
         if (k, j) not in self._coefficients:
-            low = min(self.A, self.B, key=lambda view: view.degree)
-            self._coefficients[k, j] = (low.coeffs[j] if k == low.degree else
-                                        subresultant_coefficient(self.A, self.B, k, j))
+            m, n = len(self.A) - 1, len(self.B) - 1
+            if k and k == min(m, n):
+                s = (self.A if m <= n else self.B)[j]
+            else:
+                bound = (m - k) * (n - k) + k - j
+                for v in range(len(self._values), bound + 1):
+                    self._values.append(([_at(c, v) for c in self.A], [_at(c, v) for c in self.B]))
+                numer = _newton_numerators([_sylvester_minor(a, b, k, j)
+                                            for a, b in self._values[:bound + 1]])
+                scale = math.factorial(bound)
+                s = _trim([c // scale for c in numer])
+            self._coefficients[k, j] = s
         return self._coefficients[k, j]
 
-    def line(self, k: int) -> UniPolyView:
-        """L_k, whose root is beta on the roots of Phi_k."""
-        y = self.A.var
-        lead = MultiPoly.var(self.A.poly.variables, y) * self.coefficient(k, k) * k
-        return UniPolyView(lead + self.coefficient(k, k - 1), y)
+    def line(self, k: int) -> tuple:
+        """(a, b) with L_k = a*y + b, whose root is beta on the roots of Phi_k."""
+        return [k * c for c in self.coefficient(k, k)], self.coefficient(k, k - 1)
 
     def point(self, k: int, alpha: Fraction) -> tuple:
         """The point over the root alpha of Phi_k, (alpha, beta) in the
         frame, in the coordinates of the pair before the frame moved it."""
-        at = dict(zip(self.A.poly.variables, (alpha, 0, 0)))  # the s_{k,j} hold x alone
-        beta = -self.coefficient(k, k - 1).evaluate(at) / (k * self.coefficient(k, k).evaluate(at))
+        a, b = self.line(k)
+        beta = -Fraction(_at(b, alpha)) / _at(a, alpha)
         moved = (alpha + self.shear * beta, beta, 1)
-        return normalize_point([sum(b * c for b, c in zip(row, moved)) for row in self.base])
+        return normalize_point([sum(r * c for r, c in zip(row, moved)) for row in self.base])
 
     def is_power(self, k: int, phi: list) -> bool:
         """Is S_k a k-th power on the roots of phi?  Its (k-1)-th y-derivative
         is (k-1)! L_k; it is when phi divides Res_y(d^j S_k, L_k), j < k-1."""
-        ring = self.A.poly.variables
-        x, y = ring[0], self.A.var
-        yv = MultiPoly.var(ring, y)
-        S = sum((yv ** j * self.coefficient(k, j) for j in range(k + 1)), MultiPoly.zero(ring))
-        line = self.line(k)
+        a, b = self.line(k)
+        S = [self.coefficient(k, j) for j in range(k + 1)]
         for _ in range(k - 1):
-            if len(_uni_gcd(phi, univar_coeffs(resultant(UniPolyView(S, y), line), x))) < len(phi):
+            if len(_uni_gcd(phi, _line_resultant(S, a, b))) < len(phi):
                 return False
-            S = S.derivative(y)
+            S = [[i * c for c in s] for i, s in enumerate(S) if i]
         return True
 
 
@@ -335,23 +413,18 @@ def _pair_frame_count(Fm: MultiPoly, Gm: MultiPoly, base: Matrix, t: int) -> Opt
     S_k is that gcd up to a constant.  The frame is accepted when on every
     class that gcd has one root (see `_Frame.is_power`).
     """
-    ring = Fm.variables
-    x, y, z = ring
-    at_t = {x: t, y: 1, z: 0}
-    if Fm.evaluate(at_t) == 0 or Gm.evaluate(at_t) == 0:
+    frame = _Frame(_chart_columns(Fm, t), _chart_columns(Gm, t), base, t)
+    if not (frame.A[-1] and frame.B[-1]):
         return None  # a leading y-coefficient vanishes in this frame
-    xv, yv = MultiPoly.var(ring, x), MultiPoly.var(ring, y)
-    chart = {x: xv + yv * t, y: yv, z: MultiPoly.const(ring, 1)}
-    frame = _Frame(UniPolyView(Fm.substitute(chart), y), UniPolyView(Gm.substitute(chart), y),
-                   base, t)
-    R = resultant(frame.A, frame.B)
-    if R.is_zero() or R.degree_in(x) != Fm.total_degree() * Gm.total_degree():
+    m, n = len(frame.A) - 1, len(frame.B) - 1
+    R = frame.coefficient(0, 0)
+    if len(R) - 1 != m * n:
         return None
-    rem = _sqfree_part(univar_coeffs(R, x))
-    for k in range(1, min(frame.A.degree, frame.B.degree) + 1):
+    rem = _sqfree_part(_primitive(R))
+    for k in range(1, min(m, n) + 1):
         if len(rem) == 1:
             break
-        common = _uni_gcd(rem, univar_coeffs(frame.coefficient(k, k), x))
+        common = _uni_gcd(rem, frame.coefficient(k, k))
         phi, rem = _uni_quo(rem, common), common
         if len(phi) > 1:
             if k >= 2 and not frame.is_power(k, phi):
@@ -396,7 +469,11 @@ def _accepted_frame(F: MultiPoly, G: MultiPoly, coprime: bool = False) -> _Frame
     """
     if F.is_zero() or G.is_zero():
         raise ZeroInput("zero polynomial in curve pair")
-    d1, d2 = F.total_degree(), G.total_degree()
+    d1, d2 = _ternary_form(F), _ternary_form(G)  # the degree bounds of the frame need forms
+    if d1 + d2 == 0:
+        raise DegenerateInput("both forms are constant")
+    if d1 + d2 > SYLVESTER_LIMIT:
+        raise DegreeGuardrail(f"Sylvester matrix {d1 + d2}x{d1 + d2} exceeds {SYLVESTER_LIMIT}")
     t_limit = d1 * d2 * (d1 * d2 - 1) // 2 + 1 + d1 + d2 + 8
     for base in _BASES:
         Fm, Gm = apply_matrix(F, base), apply_matrix(G, base)
@@ -469,13 +546,14 @@ def singular_locus(F: MultiPoly) -> SingularLocus:
         raise ZeroInput("the zero form defines no curve")
     w = point_off([F])
     frame = _accepted_frame(F, polar(F, w), coprime=True)
-    x, y = F.variables[0], frame.A.var
-    partials = [UniPolyView(p, y) for p in (frame.A.poly.derivative(x), frame.A.poly.derivative(y))
-                if not p.is_zero()]
+    # the affine partials of the moved F, as y-columns without zero top columns
+    dx = [[i * c for i, c in enumerate(col)][1:] for col in frame.A]
+    dy = [[j * c for c in col] for j, col in enumerate(frame.A)][1:]
+    partials = [P[:max(j for j, p in enumerate(P) if p) + 1] for P in (dx, dy) if any(P)]
     parts = {}
     for k, phi in frame.classes.items():
-        line = frame.line(k)
-        parts[k] = reduce(_uni_gcd, (univar_coeffs(resultant(p, line), x) for p in partials), phi)
+        a, b = frame.line(k)
+        parts[k] = reduce(_uni_gcd, (_line_resultant(P, a, b) for P in partials), phi)
     return SingularLocus(frame, w, parts, rational_system_points(frame, parts))
 
 

@@ -24,6 +24,7 @@ COMMANDS = [
     "curve analyze --poly y^2*z-x^3",
     "curve analyze --file {data}/nodal_cubic.txt",
     "curve analyze --poly u^2*w-v^3 --vars uvw",
+    "curve analyze --max-degree 8 --poly x^7*y+y^7*z+z^7*x+x^3*y^3*z^2",
     "curve dual --poly y^2*z-x^3",
     "curve dual --file {data}/nodal_cubic.txt",
     "curve dual-degree --poly x^4+y^4+z^4",

@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,10 +18,26 @@ from dualis.elimination import (
     normalize_point,
     rational_roots,
     transversal_intersection_count,
-    univar_coeffs,
 )
-from dualis.errors import GuardrailExceeded, NotTransversal, ReducibleCurve, ZeroInput
-from dualis.exact import MultiPoly, parse_poly
+from dualis.errors import (
+    DegenerateInput,
+    DegreeGuardrail,
+    GuardrailExceeded,
+    InvalidParams,
+    NotTransversal,
+    ReducibleCurve,
+    ZeroInput,
+)
+from dualis.exact import (
+    MultiPoly,
+    UniPolyView,
+    _integer_terms,
+    _matching_bound,
+    parse_poly,
+    resultant,
+    subresultant_coefficient,
+    sylvester_matrix,
+)
 
 XYZ = ("x", "y", "z")
 
@@ -28,7 +45,7 @@ XYZ = ("x", "y", "z")
 class TestRationalRoots:
     def _roots(self, text):
         p = parse_poly(text, ("x",))
-        return rational_roots(univar_coeffs(p, "x"))
+        return rational_roots([p.terms.get((i,), 0) for i in range(p.degree_in("x") + 1)])
 
     def test_all_rational(self):
         roots, leftover = self._roots("x^3 - 6*x^2 + 11*x - 6")  # 1, 2, 3
@@ -179,6 +196,17 @@ class TestCounting:
         assert time.perf_counter() - start < 1.0
         assert bases == [False]
 
+    def test_pairs_out_of_reach_are_refused_before_any_frame(self):
+        # the frame's degree bounds hold for forms only, and its Sylvester
+        # matrices stay within the guardrail
+        big = parse_poly("x^33 + y^33 + z^33", XYZ)
+        cases = [(parse_poly("2", XYZ), parse_poly("3", XYZ), DegenerateInput),
+                 (parse_poly("x^2 + y*z - z", XYZ), parse_poly("x - y", XYZ), InvalidParams),
+                 (big, big.derivative("x"), DegreeGuardrail)]
+        for f, g, refusal in cases:
+            with pytest.raises(refusal):
+                distinct_intersection_count(f, g)
+
     def test_singular_count_of_three_concurrent_lines(self):
         # x*y*z is three lines in general position, meeting two by two in
         # three double points; x^3 + y^3 is three lines through [0:0:1],
@@ -206,6 +234,98 @@ class TestCounting:
         start = time.perf_counter()
         assert certified_singular_count(f) == 14
         assert time.perf_counter() - start < 5.0
+
+
+def _random_form(rng, degree):
+    """A nonzero ternary form with small coefficients, some of them fractions."""
+    while True:
+        form = MultiPoly(XYZ, {e: Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                               for e in product(range(degree + 1), repeat=3)
+                               if sum(e) == degree and rng.random() < 0.6})
+        if not form.is_zero():
+            return form
+
+
+def _in_x(cs):
+    """The integer list cs as a polynomial in x."""
+    return MultiPoly(XYZ, {(i, 0, 0): c for i, c in enumerate(cs)})
+
+
+class TestIntegerFrameKernel:
+    """The frame's integer columns, minors and line resultants against the
+    generic MultiPoly kernel of `exact` on the same chart pair."""
+
+    @staticmethod
+    def _frame(d1, d2):
+        """A seeded pair in its accepted frame, and the frame's chart pair
+        A, B as views in y with the common denominators dA, dB of the moved
+        forms: the columns are dA*A and dB*B over Z."""
+        rng = random.Random(100 * d1 + d2)
+        F, G = _random_form(rng, d1), _random_form(rng, d2)
+        frame = elimination._accepted_frame(F, G)
+        chart = {"x": MultiPoly.var(XYZ, "x") + MultiPoly.var(XYZ, "y") * frame.shear,
+                 "y": MultiPoly.var(XYZ, "y"), "z": MultiPoly.const(XYZ, 1)}
+        moved = [apply_matrix(form, frame.base) for form in (F, G)]
+        A, B = (UniPolyView(form.substitute(chart), "y") for form in moved)
+        dA, dB = (_integer_terms(form)[0] for form in moved)
+        return frame, A, B, dA, dB
+
+    @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 2), (4, 3), (5, 4)])
+    def test_minors_are_the_subresultant_coefficients(self, d1, d2):
+        frame, A, B, dA, dB = self._frame(d1, d2)
+        assert [_in_x(c) for c in frame.A] == [c * dA for c in A.coeffs]
+        assert [_in_x(c) for c in frame.B] == [c * dB for c in B.coeffs]
+        # s_{k,j} has n-k rows of A and m-k rows of B, each scaled by its denominator
+        assert _in_x(frame.coefficient(0, 0)) == resultant(A, B) * (dA ** d2 * dB ** d1)
+        for k in range(1, min(d1, d2)):
+            for j in range(k + 1):
+                scale = dA ** (d2 - k) * dB ** (d1 - k)
+                assert (_in_x(frame.coefficient(k, j))
+                        == subresultant_coefficient(A, B, k, j) * scale), (k, j)
+        assert (dA, dB) != (1, 1)
+
+    @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 2), (4, 3), (5, 4)])
+    def test_degree_bound_never_below_the_matching_bound(self, d1, d2):
+        _, A, B, _, _ = self._frame(d1, d2)
+        rows = sylvester_matrix(A, B)
+        for k in range(min(d1, d2)):
+            for j in range(k + 1):
+                columns = list(range(d1 + d2 - 2 * k - 1)) + [d1 + d2 - 1 - k - j]
+                minor = [[row[c] for c in columns] for row in rows[:d2 - k] + rows[d2:d1 + d2 - k]]
+                weights = [[None if e.is_zero() else e.degree_in("x") for e in row]
+                           for row in minor]
+                bound = _matching_bound(weights)
+                assert bound is None or bound <= (d1 - k) * (d2 - k) + k - j, (k, j)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_line_resultant_closed_form(self, m):
+        rng = random.Random(m)
+        XY = ("x", "y")
+
+        def ints(nonzero=False):
+            while True:
+                cs = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]
+                while cs and not cs[-1]:
+                    cs.pop()
+                if cs or not nonzero:
+                    return cs
+
+        for _ in range(6):
+            P = [ints() for _ in range(m)] + [ints(nonzero=True)]
+            a, b = ints(nonzero=True), ints()
+            poly = MultiPoly(XY, {(i, j): c for j, p in enumerate(P) for i, c in enumerate(p)})
+            line = MultiPoly(XY, {**{(i, 1): c for i, c in enumerate(a)},
+                                  **{(i, 0): c for i, c in enumerate(b)}})
+            want = resultant(UniPolyView(poly, "y"), UniPolyView(line, "y"))
+            got = elimination._line_resultant(P, a, b)
+            assert MultiPoly(XY, {(i, 0): c for i, c in enumerate(got)}) == want, (P, a, b)
+
+    def test_smooth_curve_of_degree_ten_within_three_seconds(self):
+        # its 90 polar points form one class of degree 90; the line
+        # resultants of the singular parts against L_1 take the closed form
+        start = time.perf_counter()
+        assert elimination.singular_locus(parse_poly("x^10 + y^10 + z^10", XYZ)).count == 0
+        assert time.perf_counter() - start < 3.0
 
 
 def _cross(u, v):

@@ -606,8 +606,12 @@ class TestDeterminantBound:
         rng = random.Random(7 * d1 + d2)
         F, G = _random_form(rng, d1), _random_form(rng, d2)
         frame = elimination._accepted_frame(F, G)
+        chart = {"x": MultiPoly.var(XYZ, "x") + MultiPoly.var(XYZ, "y") * frame.shear,
+                 "y": MultiPoly.var(XYZ, "y"), "z": MultiPoly.const(XYZ, 1)}
+        A, B = (UniPolyView(elimination.apply_matrix(form, frame.base).substitute(chart), "y")
+                for form in (F, G))
         bareiss_calls.clear()
-        R = resultant(frame.A, frame.B)
+        R = resultant(A, B)
         assert R.degree_in("x") == d1 * d2
         assert len(bareiss_calls) == d1 * d2 + 1
 

@@ -162,3 +162,22 @@ def test_front_ends_dispatch_through_tables():
     assert corpus.CASE_KINDS == tuple(corpus.RUNNERS)
     assert not {"_execute", "_dispatch", "_both_forms"} & (
         set(_functions(SOURCE / "cli.py")) | set(_functions(SOURCE / "corpus.py")))
+
+
+def test_frame_search_stays_on_integer_lists():
+    # the frame holds the pair as integer y-columns: its eliminant and every
+    # s_{k,j} are integer Sylvester minors at cached points, its line
+    # resultants a closed form, so the generic MultiPoly kernel, and the
+    # Fraction arithmetic in it, stays out of the frame search
+    tree = ast.parse((SOURCE / "elimination.py").read_text())
+    scopes = {node.name: node for node in ast.walk(tree)
+              if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+              and node.name in {"_Frame", "_pair_frame_count", "singular_locus"}}
+    assert len(scopes) == 3
+    kernel = {"resultant", "subresultant_coefficient", "determinant", "substitute",
+              "UniPolyView"}
+    found = sorted(f"{name}: {n.id if isinstance(n, ast.Name) else n.attr}"
+                   for name, scope in scopes.items() for n in ast.walk(scope)
+                   if isinstance(n, ast.Name) and n.id in kernel
+                   or isinstance(n, ast.Attribute) and n.attr in kernel)
+    assert not found
