@@ -32,7 +32,6 @@ share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import elimination
 from .errors import (
@@ -45,7 +44,16 @@ from .errors import (
     UnsupportedSingularity,
     ZeroInput,
 )
-from .exact import SYLVESTER_LIMIT, MultiPoly, parse_poly, transversal_line
+from .exact import (
+    SYLVESTER_LIMIT,
+    MultiPoly,
+    _integer_terms,
+    _restriction,
+    _trim,
+    _uni_gcd,
+    parse_poly,
+    transversal_line,
+)
 
 PRIMAL_VARS = ("x", "y", "z")
 DUAL_VARS = ("u", "v", "w")
@@ -102,9 +110,6 @@ class PlaneCurve:
     def variables(self):
         return self.F.variables
 
-    def gradient(self):
-        return [self.F.derivative(v) for v in self.variables]
-
     def contains(self, point) -> bool:
         vals = dict(zip(self.variables, point))
         return self.F.evaluate(vals) == 0
@@ -159,74 +164,42 @@ class CurveReport:
         }
 
 
-def _lowest_parts(F: MultiPoly, point, chart: int):
-    """Homogeneous pieces of the local expansion at `point` in chart `chart`.
-
-    Returns a dict degree -> binary form in the two affine directions
-    (expressed in the curve's own ring with the chart variable unused).
-    """
-    ring = F.variables
-    scale = Fraction(1, point[chart])
-    affine = [Fraction(c) * scale for c in point]
-    gens = {v: MultiPoly.var(ring, v) for v in ring}
-    sub = {}
-    for i, v in enumerate(ring):
-        if i == chart:
-            sub[v] = MultiPoly.const(ring, 1)
-        else:
-            sub[v] = gens[v] + affine[i]
-    local = F.substitute(sub)
-    buckets: dict = {}
-    for e, c in local.terms.items():
-        d = sum(e)
-        buckets.setdefault(d, {})[e] = c
-    return {d: MultiPoly(ring, terms) for d, terms in buckets.items()}
-
-
 def classify_singularity(curve: PlaneCurve, point) -> SingularPoint:
     """Classify one rational singular point.
 
-    The point is moved to the origin of an affine chart; with q the quadratic
-    and c the cubic part of the local expansion the rules are: q of rank 2 is
-    a node; q = l^2 of rank 1 with l not dividing c is a cusp; everything
-    else is Other with multiplicity the order of vanishing.  The Euler
-    obstruction of a plane-curve singularity is its multiplicity.
+    With k the index of the point's first nonzero coordinate, the matrix M,
+    the identity with column k replaced by the point, is invertible, and
+    `apply_matrix` gives G(v) = F(M v): at v_k = 1, G is the expansion of F
+    at the point in the two other coordinates, which M changes linearly, so
+    the multiplicity and the kind stay.  The multiplicity m is the least
+    degree of a term of G in those coordinates, and the point is singular
+    exactly when m >= 2: by Euler's identity F vanishes where its gradient
+    does.  With q the quadratic and c the cubic part, q of rank 2 is a node;
+    q = l^2 of rank 1 with l not dividing c is a cusp; everything else is
+    Other with multiplicity m.  The Euler obstruction of a plane-curve
+    singularity is its multiplicity.
     """
-    point = elimination.normalize_point([Fraction(c) for c in point])
-    vals = dict(zip(curve.variables, point))
-    if any(g.evaluate(vals) != 0 for g in curve.gradient()):
-        raise NotSingular(f"gradient does not vanish at {point}")
-    chart = next(i for i, c in enumerate(point) if c != 0)
-    parts = _lowest_parts(curve.F, point, chart)
-    m = min(d for d in parts if d >= 0 and not parts[d].is_zero())
+    point = elimination.normalize_point(point)
+    k = next(n for n, c in enumerate(point) if c)
+    i, j = (n for n in range(3) if n != k)
+    M = tuple(tuple(point[r] if col == k else int(r == col) for col in range(3)) for r in range(3))
+    parts: dict = {}
+    for e, c in elimination.apply_matrix(curve.F, M).terms.items():
+        parts.setdefault(e[i] + e[j], {})[e[i], e[j]] = c
+    m = min(parts)
     if m < 2:
-        raise InvariantViolation(f"singular point {point} has multiplicity {m} < 2")
+        raise NotSingular(f"gradient does not vanish at {point}")
     if m > 2:
         return SingularPoint(point, OTHER, m, m)
-
-    q = parts[2]
-    ab = [v for i, v in enumerate(curve.variables) if i != chart]
-    A = q.terms.get(_exps(curve.variables, {ab[0]: 2}), Fraction(0))
-    B = q.terms.get(_exps(curve.variables, {ab[0]: 1, ab[1]: 1}), Fraction(0))
-    C = q.terms.get(_exps(curve.variables, {ab[1]: 2}), Fraction(0))
-    disc = B * B - 4 * A * C
-    if disc != 0:
+    A, B, C = (parts[2].get(e, 0) for e in ((2, 0), (1, 1), (0, 2)))
+    if B * B - 4 * A * C != 0:
         return SingularPoint(point, NODE, 2, 2)
-    # rank one: q is a rational multiple of a square of a rational line l
-    if A != 0:
-        l_root = (B, -2 * A)  # zero of 2A*a + B*b
-    else:
-        l_root = (1, 0)       # q = C*b^2, l = b
-    c = parts.get(3, MultiPoly.zero(curve.variables))
-    lvals = {v: Fraction(0) for v in curve.variables}
-    lvals[ab[0]], lvals[ab[1]] = Fraction(l_root[0]), Fraction(l_root[1])
-    if not c.is_zero() and c.evaluate(lvals) != 0:
+    # rank one: q is a rational multiple of the square of a line l, whose
+    # zero is (B, -2A), or (1, 0) when q = C*b^2
+    a, b = (B, -2 * A) if A else (1, 0)
+    if sum(c * a ** ea * b ** eb for (ea, eb), c in parts.get(3, {}).items()) != 0:
         return SingularPoint(point, CUSP, 2, 2)
     return SingularPoint(point, OTHER, 2, 2)
-
-
-def _exps(ring, assign: dict) -> tuple:
-    return tuple(assign.get(v, 0) for v in ring)
 
 
 def singular_analysis(curve: PlaneCurve) -> elimination.SingularLocus:
@@ -301,31 +274,22 @@ def _line_basis(line) -> tuple:
 def line_transversality(curve: PlaneCurve, line: MultiPoly) -> bool:
     """Does the line miss every singular point and meet C in d distinct points?
 
-    Equivalent to the restriction of F to the line being a square-free binary
-    form of full degree d: a singular point on the line is a multiple root of
-    the restriction.
+    With p, q the coprime integer points of `_line_basis`, F restricts to
+    the line as the binary form F(s*p + t*q) of degree d, and a singular
+    point on the line is a multiple root of it.  Its roots other than p are
+    those of f(s) = F(s*p + q) (`exact._restriction`), and p is a root of
+    multiplicity d - deg f.  So the roots are d distinct ones exactly when f
+    is nonzero of degree at least d - 1 and gcd(f, f') is constant.
     """
     if line.is_zero():
         raise ZeroInput("the zero form is not a line")
     if line.total_degree() != 1 or not line.is_homogeneous():
         raise InvalidParams("line must be a nonzero degree-1 form")
-    ring = curve.variables
-    line = line.restrict_variables(ring)
-    p, q = _line_basis([line.terms.get(_exps(ring, {v: 1}), 0) for v in ring])
-    s_var, t_var = ring[0], ring[1]  # reuse two ring symbols as parameters
-    s_gen = MultiPoly.var(ring, s_var)
-    t_gen = MultiPoly.var(ring, t_var)
-    sub = {
-        v: s_gen * Fraction(p[i]) + t_gen * Fraction(q[i])
-        for i, v in enumerate(ring)
-    }
-    restriction = curve.F.substitute(sub)
-    if restriction.is_zero():
-        return False  # the line lies on the curve
-    return (
-        elimination.binary_distinct_roots(restriction, s_var, t_var)
-        == curve.degree
-    )
+    line = line.restrict_variables(curve.variables)
+    coefficients = [line.terms.get(tuple(int(n == v) for n in range(3)), 0) for v in range(3)]
+    p, q = (elimination.normalize_point(v) for v in _line_basis(coefficients))
+    f = _trim(_restriction(_integer_terms(curve.F)[1], p, q))
+    return len(f) >= curve.degree and len(_uni_gcd(f, [n * c for n, c in enumerate(f)][1:])) == 1
 
 
 def transversal_intersection_chi(c1: PlaneCurve, c2: PlaneCurve) -> int:

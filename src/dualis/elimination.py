@@ -44,10 +44,13 @@ Res_y(P, L_k) = sum_j p_j b^j (-a)^(m-j) for P = sum_j p_j y^j of degree
 m: Res(L_k, P) = a^m P(-b/a), and swapping operands of degrees 1 and m
 costs (-1)^m (`_line_resultant`).  Gcds are the certified modular gcd of
 `exact`, and a quotient by a primitive divisor is exact over the integers
-(Gauss's lemma), so no Fraction arithmetic enters the frame search.  The
-square-free part is written once (`_sqfree_part`), for the frame step,
-binary forms and `rational_roots`.  No trivariate gcd runs here: a pair is
-proved coprime on a pencil of lines (`exact.forms_coprime`).
+(Gauss's lemma), so no Fraction arithmetic enters the frame step.  It
+does enter the base change before it: `apply_matrix` is a
+`MultiPoly.substitute` over the rationals, run once per base and form,
+and on a corpus run it takes about half the time of the frame search.
+The square-free part is written once (`_sqfree_part`), for the frame step
+and `rational_roots`.  No trivariate gcd runs here: a pair is proved
+coprime on a pencil of lines (`exact.forms_coprime`).
 
 Nothing here ever returns a float or an approximation; when a count cannot
 be certified the routine raises.
@@ -222,7 +225,10 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
     from `_root_candidates` needs one exact evaluation, and no root is
     missed.
     """
-    ints = _sqfree_part(_primitive_ints(_nonzero(coeffs)))
+    coeffs = _trim(coeffs)
+    if not coeffs:
+        raise ZeroInput("zero polynomial")
+    ints = _sqfree_part(_primitive_ints(coeffs))
     degree = len(ints) - 1
     roots = []
     if ints[0] == 0:
@@ -237,33 +243,6 @@ def _sqfree_part(cs: list) -> list:
     """f / gcd(f, f') for a trimmed nonzero integer list f: its distinct
     linear factors, over the integers (the gcd is primitive)."""
     return _uni_quo(cs, _uni_gcd(cs, [i * c for i, c in enumerate(cs)][1:]))
-
-
-def _nonzero(cs: Sequence) -> list:
-    """cs trimmed; the zero polynomial is refused."""
-    cs = _trim(cs)
-    if not cs:
-        raise ZeroInput("zero polynomial")
-    return cs
-
-
-# ---------------------------------------------------------------------------
-# binary forms (restrictions to a projective line)
-# ---------------------------------------------------------------------------
-
-def binary_distinct_roots(form: MultiPoly, u: str, v: str) -> int:
-    """Distinct projective roots [u:v] of a nonzero binary form."""
-    if form.is_zero():
-        raise ZeroInput("zero binary form")
-    iu = form.variables.index(u)
-    iv = form.variables.index(v)
-    if any(k for e in form.terms for i, k in enumerate(e) if i not in (iu, iv)):
-        raise ValueError(f"{form.text()} is not a binary form in {u}, {v}")
-    mu = min(e[iu] for e in form.terms)
-    mv = min(e[iv] for e in form.terms)
-    # u^mu and v^mv give the roots [0:1] and [1:0]; the other roots are those
-    # of the cofactor, which v does not divide, at v = 1
-    return (mu > 0) + (mv > 0) + len(_sqfree_part(_nonzero(_dehomogenised(form, u)[mu:]))) - 1
 
 
 def _dehomogenised(form: MultiPoly, u: str) -> list:

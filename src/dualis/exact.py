@@ -41,7 +41,8 @@ fails fast instead of hanging.
 
 Whether two ternary forms share a component is decided on a pencil of
 lines through a point off their curves: each line restricts the forms to
-integer univariate polynomials, one line with a constant gcd proves that
+integer univariate polynomials (`_restriction`, which also decides line
+transversality in `curvelab`), one line with a constant gcd proves that
 they do not, and d1*d2 + 1 failing lines prove that they do.  A form is
 square-free exactly when it shares no component with the polar of a point
 off its curve, and on the same pencil that polar restricts to derivatives,
@@ -1213,34 +1214,43 @@ def _ternary_form(f: MultiPoly) -> int:
     return f.total_degree()
 
 
+def _restriction(terms: dict, p: Sequence[int], q: Sequence[int]) -> list:
+    """An integer list [c0..cd] proportional to F(s*p + q), for the integer
+    terms of a nonzero ternary form F of degree d (`_integer_terms(F)[1]`)
+    and integer points p and q.
+
+    The one evaluation of a form along a line: the scaled F is evaluated at
+    s = 0..d over the integers and interpolated, so entry k is d! times the
+    coefficient of s^k (`_newton_numerators`).  The list is not trimmed:
+    entry d, a multiple of F(p), is zero exactly when p lies on the curve.
+    """
+    d = sum(next(iter(terms)))
+    values = []
+    for s in range(d + 1):
+        point = [s * pc + qc for pc, qc in zip(p, q)]
+        x, y, z = ([r ** m for m in range(d + 1)] for r in point)
+        values.append(sum(c * x[e[0]] * y[e[1]] * z[e[2]] for e, c in terms.items()))
+    return _newton_numerators(values)
+
+
 def _on_pencil(forms: Sequence[MultiPoly]):
     """For a = 0, 1, ..., the a-th line of a pencil and the forms restricted to it.
 
     The pencil is centred at p = `point_off(forms)`.  With p_k != 0 and i, j
     the other indices, q_a = e_i + a*e_j, and the lines through p and q_a
     are distinct for distinct a.  A form F of degree d restricts to
-    F(s*p + q_a), of degree d in s with leading coefficient F(p) != 0; it is
-    evaluated at s = 0..d on F scaled to integer coefficients and
-    interpolated.  Each line yields its coefficients p x q_a and one integer
-    coefficient list per form, proportional to that restriction.
+    F(s*p + q_a), of degree d in s with leading coefficient F(p) != 0.  Each
+    line yields its coefficients p x q_a and, per form, its `_restriction`.
     """
     p = point_off(forms)
     k = next(n for n, c in enumerate(p) if c)
     i, j = (n for n in range(3) if n != k)
-    scaled = [(F.total_degree(), _integer_terms(F)[1].items()) for F in forms]
+    scaled = [_integer_terms(F)[1] for F in forms]
     for a in count():
         q = [0, 0, 0]
         q[i], q[j] = 1, a
         line = (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
-        restricted = []
-        for d, terms in scaled:
-            values = []
-            for s in range(d + 1):
-                point = [s * pc + qc for pc, qc in zip(p, q)]
-                x, y, z = ([r ** m for m in range(d + 1)] for r in point)
-                values.append(sum(c * x[e[0]] * y[e[1]] * z[e[2]] for e, c in terms))
-            restricted.append(_newton_numerators(values))
-        yield line, restricted
+        yield line, [_restriction(terms, p, q) for terms in scaled]
 
 
 def transversal_line(f: MultiPoly) -> Optional[tuple]:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from dualis import corpus, dualgeom, elimination
+from dualis import corpus, curvelab, dualgeom, elimination
 from dualis.curvelab import (
     CUSP,
     NODE,
@@ -23,7 +23,7 @@ from dualis.curvelab import (
     singular_points,
     transversal_intersection_chi,
 )
-from dualis.elimination import apply_matrix, normalize_point
+from dualis.elimination import apply_matrix, mat_mul, normalize_point
 from dualis.errors import (
     DegreeGuardrail,
     InvalidParams,
@@ -35,7 +35,7 @@ from dualis.errors import (
     UnsupportedSingularity,
     ZeroInput,
 )
-from dualis.exact import parse_poly
+from dualis.exact import MultiPoly, _integer_terms, _restriction, _trim, is_squarefree, parse_poly
 
 SMOOTH_CONIC = "x^2 + y^2 + z^2"
 CIRCLE = "x^2 + y^2 - z^2"
@@ -53,6 +53,9 @@ SIX_LINES = ("x^4*y^2 - x^4*y*z - 2*x^3*y^3 + 2*x^3*y^2*z + x^2*y^4 - x^2*y^3*z"
              " - 2*y^4*z^2 + 2*y^3*z^3 + 6*y^2*z^4 - 6*y*z^5")
 #: (x^2 - 2z^2)(y^2 - 3z^2): crossings [0:1:0], [1:0:0] and (+-sqrt2, +-sqrt3, 1)
 FOUR_LINES = "x^2*y^2 - 3*x^2*z^2 - 2*y^2*z^2 + 6*z^4"
+#: (x^2 - 2z^2)(y^2 - 2x^2): the crossings (+-sqrt2, 2, 1) lie on y = 2z, and
+#: (+-sqrt2, -2, 1) on y = -2z
+CONJUGATE_CROSSINGS = "x^2*y^2 - 2*x^4 + 4*x^2*z^2 - 2*y^2*z^2"
 
 
 def curve(text):
@@ -211,6 +214,13 @@ def _generic_copies(text, rng, copies=2):
     return out
 
 
+def _adjugate(m):
+    """The adjugate of a 3x3 matrix: its inverse times its determinant."""
+    return tuple(tuple(m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+                       - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
+                       for j in range(3)) for i in range(3))
+
+
 class TestPointsFromTheFrame:
     """The rational singular points read from the counting frame are the
     gradient's rational zeros that SymPy finds, in the same order."""
@@ -349,6 +359,42 @@ class TestClassification:
         with pytest.raises(NotSingular):
             classify_singularity(curve(NODAL), (0, 1, 0))
 
+    @pytest.mark.parametrize("point, multiplicity", [((1, 1, 1), 0), ((0, 1, 0), 1),
+                                                     ((1, 0, -1), 1)],
+                             ids=["off-the-curve", "smooth-in-y", "smooth-in-x"])
+    def test_not_singular_below_multiplicity_two(self, point, multiplicity):
+        # F(p) != 0 is multiplicity 0; a smooth point of the curve is 1
+        c = curve(NODAL)
+        assert c.contains(point) == (multiplicity == 1)
+        with pytest.raises(NotSingular) as refusal:
+            classify_singularity(c, point)
+        assert str(refusal.value) == f"gradient does not vanish at {point}"
+
+    #: unimodular N with N e_z the target point: the first nonzero
+    #: coordinate is x or y, 1 or not
+    TARGETS = {
+        (1, 0, 0): ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+        (0, 1, 0): ((1, 0, 0), (0, 0, 1), (0, 1, 0)),
+        (2, 3, 5): ((1, 0, 2), (0, 1, 3), (2, 0, 5)),
+        (0, 2, 3): ((1, 0, 0), (0, 1, 2), (0, 1, 3)),
+        (3, 1, 1): ((1, 0, 3), (0, 1, 1), (0, 0, 1)),
+    }
+
+    @pytest.mark.parametrize("text", [NODAL, CUSPIDAL, TACNODAL, "y^3*z - x^4"])
+    @pytest.mark.parametrize("target", list(TARGETS), ids=str)
+    def test_moved_point_keeps_its_kind(self, text, target):
+        # G(v) = F(M v) for M the inverse of N (times det N), composed with a
+        # seeded shear fixing e_z: M sends the target to the point (0:0:1)
+        # of F, so the point of G there has the same kind and multiplicity
+        want = classify_singularity(curve(text), (0, 0, 1))
+        rng = random.Random(str(target))
+        shear = ((1, 0, 0), (rng.randint(-3, 3), 1, 0), (rng.randint(-3, 3), rng.randint(-3, 3), 1))
+        N = mat_mul(self.TARGETS[target], shear)
+        assert tuple(row[2] for row in N) == target
+        moved = PlaneCurve(apply_matrix(curve(text).F, _adjugate(N)))
+        got = classify_singularity(moved, [2 * c for c in target])
+        assert got == dataclasses.replace(want, point=target)
+
     def test_invariant_under_unimodular_changes(self):
         rng = random.Random(41)
         shears = []
@@ -432,6 +478,103 @@ def _sympy_meets_in_distinct_points(text, line):
     if G == 0 or sympy.Poly(G, S, T).total_degree() != sympy.Poly(F, X, Y, Z).total_degree():
         return False
     return sympy.gcd(sympy.gcd(G, G.diff(S)), G.diff(T)).is_number
+
+
+def _restriction_degree(c, line):
+    """The degree of F(s*p + q) for the points p, q that span the line in
+    `line_transversality`."""
+    p, q = (normalize_point(v) for v in curvelab._line_basis(line))
+    return len(_trim(_restriction(_integer_terms(c.F)[1], p, q))) - 1
+
+
+def _line(coefficients):
+    return MultiPoly(PRIMAL_VARS, {tuple(int(i == v) for i in range(3)): c
+                                   for v, c in enumerate(coefficients)})
+
+
+def _sympy_components(sympy, text):
+    """The coefficients of the rational lines that divide the curve's form."""
+    X, Y, Z = sympy.symbols("x y z")
+    F = sympy.sympify(text.replace("^", "**"), locals={"x": X, "y": Y, "z": Z})
+    return [[int(sympy.Poly(g, X, Y, Z).coeff_monomial(v)) for v in (X, Y, Z)]
+            for g, _ in sympy.factor_list(F)[1] if sympy.Poly(g, X, Y, Z).total_degree() == 1]
+
+
+class TestLineTransversalityAgainstSympy:
+    """`line_transversality` agrees with SymPy's square-free test of the
+    binary form on seeded lines of every kind."""
+
+    def _agrees(self, text, coefficients):
+        got = line_transversality(curve(text), _line(coefficients))
+        assert got == _sympy_meets_in_distinct_points(text, coefficients), (text, coefficients)
+        return got
+
+    def test_lines_through_a_basis_point_on_the_curve(self):
+        # seeded curves G(P)*H - H(P)*G through P = (p0 : 0 : p2), p0 != 0,
+        # which `_line_basis` returns as the first point of the line
+        # (-p2, b, p0): the restriction loses one degree at P, and loses two
+        # on the tangent line, which fails
+        rng = random.Random(29)
+        passed = tangents = 0
+        while tangents < 6:
+            d = rng.choice((2, 3, 4))
+            P = (rng.randint(1, 4), 0, rng.randint(-4, 4))
+            G, H = (MultiPoly(PRIMAL_VARS, {(a, b, d - a - b): rng.randint(-4, 4)
+                                            for a in range(d + 1) for b in range(d + 1 - a)})
+                    for _ in range(2))
+            at = dict(zip(PRIMAL_VARS, P))
+            F = H * G.evaluate(at) - G * H.evaluate(at)
+            grad = [F.derivative(v).evaluate(at) for v in PRIMAL_VARS]
+            if F.is_zero() or not grad[2] or not is_squarefree(F):
+                continue
+            c = PlaneCurve(F)
+            for b in rng.sample(range(-6, 7), 3):
+                if b * grad[2] != P[0] * grad[1]:
+                    line = [-P[2], b, P[0]]
+                    assert _restriction_degree(c, line) == d - 1
+                    passed += self._agrees(F.text(), line)
+            tangent = normalize_point(grad)
+            assert _restriction_degree(c, tangent) == d - 2
+            assert not self._agrees(F.text(), tangent)
+            tangents += 1
+        assert passed > 0
+
+    @pytest.mark.parametrize("text, lines", [
+        (SIX_LINES, 2),
+        ("x*y*z", 3),
+        # (x + 2y - z)(x^2 + y^2 - z^2)
+        ("x^3 + 2*x^2*y - x^2*z + x*y^2 + 2*y^3 - y^2*z - x*z^2 - 2*y*z^2 + z^3", 1),
+    ], ids=["six-lines", "triangle", "circle-and-line"])
+    def test_component_lines(self, text, lines):
+        sympy = pytest.importorskip("sympy")
+        components = _sympy_components(sympy, text)
+        assert len(components) == lines
+        for line in components:
+            assert _restriction_degree(curve(text), line) == -1  # the zero list
+            assert not self._agrees(text, line)
+
+    @pytest.mark.parametrize("text", [NODAL, NODAL_RF, CUSPIDAL, TACNODAL, TRINODAL,
+                                      TRICUSPIDAL, TRIPLE_POINTS])
+    def test_lines_through_singular_points(self, text):
+        rng = random.Random(text)
+        for s in singular_points(curve(text)):
+            for _ in range(3):
+                r = [rng.randint(-5, 5) for _ in range(3)]
+                line = [s.point[1] * r[2] - s.point[2] * r[1], s.point[2] * r[0] - s.point[0] * r[2],
+                        s.point[0] * r[1] - s.point[1] * r[0]]
+                if any(line):
+                    assert not self._agrees(text, line)
+
+    def test_lines_through_irrational_crossings(self):
+        # y = 2z and y = -2z each meet two conjugate crossings of
+        # CONJUGATE_CROSSINGS; seeded lines elsewhere pass, as on the other
+        # curves with irrational crossings
+        for line in ([0, 1, -2], [0, 1, 2]):
+            assert not self._agrees(CONJUGATE_CROSSINGS, line)
+        rng = random.Random(31)
+        for text in (CONJUGATE_CROSSINGS, FOUR_LINES, SIX_LINES):
+            lines = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(4)]
+            assert sum(self._agrees(text, line) for line in lines if any(line)) > 0, text
 
 
 class TestSliceLine:

@@ -10,7 +10,6 @@ import pytest
 from dualis import elimination
 from dualis.elimination import (
     apply_matrix,
-    binary_distinct_roots,
     certified_singular_count,
     distinct_intersection_count,
     mat_mul,
@@ -88,25 +87,6 @@ class TestRationalRoots:
 
 
 class TestBinaryForms:
-    def test_distinct_roots_with_axis_factors(self):
-        b = parse_poly("x^2*y^4 - x^4*y^2", XYZ)  # x^2 y^2 (y-x)(y+x)
-        assert binary_distinct_roots(b, "x", "y") == 4
-
-    def test_irrational_roots_counted_but_not_listed(self):
-        b = parse_poly("x^2 - 2*y^2", XYZ)
-        assert binary_distinct_roots(b, "x", "y") == 2
-
-    def test_repeated_factors_and_both_axis_roots(self):
-        # x^3 y^2 (x - y)^2 (x^2 - 2 y^2): roots [0:1], [1:0], [1:1] and two
-        # irrational ones
-        b = (parse_poly("x^3*y^2", XYZ) * parse_poly("x - y", XYZ) ** 2
-             * parse_poly("x^2 - 2*y^2", XYZ))
-        assert binary_distinct_roots(b, "x", "y") == 5
-
-    def test_third_variable_rejected(self):
-        with pytest.raises(ValueError):
-            binary_distinct_roots(parse_poly("x^2 - y*z", XYZ), "x", "y")
-
     def test_infinity_restriction_is_substitution(self):
         rng = random.Random(83)
         for chart_var in XYZ:

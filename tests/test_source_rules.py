@@ -181,3 +181,23 @@ def test_frame_search_stays_on_integer_lists():
                    if isinstance(n, ast.Name) and n.id in kernel
                    or isinstance(n, ast.Attribute) and n.attr in kernel)
     assert not found
+
+
+def _readers(name: str) -> list:
+    """Every function, as module: name, whose body reads the global name."""
+    return sorted(f"{path.name}: {fn}" for path in sorted(SOURCE.glob("*.py"))
+                  for fn, node in _functions(path).items()
+                  if any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node)))
+
+
+def test_one_line_restriction_and_one_coordinate_change():
+    # a form is evaluated along a line in exact._restriction alone, which the
+    # pencil and line_transversality share; a singular point reaches its
+    # chart origin through apply_matrix, so curvelab substitutes nothing
+    assert _readers("_restriction") == ["curvelab.py: line_transversality",
+                                        "exact.py: _on_pencil"]
+    assert _readers("_newton_numerators") == ["elimination.py: coefficient",
+                                              "exact.py: _restriction", "exact.py: determinant"]
+    assert "substitute" not in _referenced_names(SOURCE / "curvelab.py")
+    defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
+    assert not defined & {"binary_distinct_roots", "_lowest_parts", "_exps", "gradient"}
