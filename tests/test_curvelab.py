@@ -359,9 +359,8 @@ class TestClassification:
         with pytest.raises(NotSingular):
             classify_singularity(curve(NODAL), (0, 1, 0))
 
-    @pytest.mark.parametrize("point, multiplicity", [((1, 1, 1), 0), ((0, 1, 0), 1),
-                                                     ((1, 0, -1), 1)],
-                             ids=["off-the-curve", "smooth-in-y", "smooth-in-x"])
+    @pytest.mark.parametrize("point, multiplicity", [((1, 1, 1), 0), ((1, 0, -1), 1)],
+                             ids=["off-the-curve", "smooth"])
     def test_not_singular_below_multiplicity_two(self, point, multiplicity):
         # F(p) != 0 is multiplicity 0; a smooth point of the curve is 1
         c = curve(NODAL)
