@@ -41,6 +41,7 @@ from .errors import (
     IrrationalSingularity,
     NotSingular,
     ReducibleCurve,
+    UnknownVariableError,
     UnsupportedSingularity,
     ZeroInput,
 )
@@ -285,8 +286,10 @@ def line_transversality(curve: PlaneCurve, line: MultiPoly) -> bool:
         raise ZeroInput("the zero form is not a line")
     if line.total_degree() != 1 or not line.is_homogeneous():
         raise InvalidParams("line must be a nonzero degree-1 form")
-    line = line.restrict_variables(curve.variables)
-    coefficients = [line.terms.get(tuple(int(n == v) for n in range(3)), 0) for v in range(3)]
+    if not set(line.used_variables()) <= set(curve.variables) <= set(line.variables):
+        raise UnknownVariableError(f"{line.text()} is not a line in {curve.variables}")
+    coefficients = [line.terms.get(tuple(int(n == v) for n in line.variables), 0)
+                    for v in curve.variables]
     p, q = (elimination.normalize_point(v) for v in _line_basis(coefficients))
     f = _trim(_restriction(_integer_terms(curve.F)[1], p, q))
     return len(f) >= curve.degree and len(_uni_gcd(f, [n * c for n, c in enumerate(f)][1:])) == 1

@@ -29,9 +29,12 @@ composed with x-shears) and only reports a number it can certify:
   the witness, the singular part of each class and the rational points;
   the polar degree oracle reads the frame's own count from it.
 
-The frame step runs on integer lists alone.  A frame holds the pair as
-integer y-columns, one list in x per power of y, of Fm(x + t*y, y, 1) and
-Gm(x + t*y, y, 1) expanded over Z (`_chart_columns`).  Their values at
+The frame search runs on integers alone.  Each form enters it once, as
+integer terms ({exponents: int}, `exact._integer_terms`), and every base
+and every x-shear is an integer coordinate change of those terms
+(`_moved`, through the one expansion `exact._expand`).  A frame holds the
+pair as integer y-columns, one list in x per power of y, of the moved
+terms at z = 1 (`_chart_columns`).  Their values at
 x = 0, 1, 2, ... are taken once per frame and cached: one sweep serves the
 eliminant R = s_{0,0} and every s_{k,j}, each an integer Sylvester minor at
 those points (`_sylvester_minor`) rebuilt by Newton interpolation (Collins,
@@ -44,10 +47,8 @@ Res_y(P, L_k) = sum_j p_j b^j (-a)^(m-j) for P = sum_j p_j y^j of degree
 m: Res(L_k, P) = a^m P(-b/a), and swapping operands of degrees 1 and m
 costs (-1)^m (`_line_resultant`).  Gcds are the certified modular gcd of
 `exact`, and a quotient by a primitive divisor is exact over the integers
-(Gauss's lemma), so no Fraction arithmetic enters the frame step.  It
-does enter the base change before it: `apply_matrix` is a
-`MultiPoly.substitute` over the rationals, run once per base and form,
-and on a corpus run it takes about half the time of the frame search.
+(Gauss's lemma), so no Fraction arithmetic enters the frame search.
+The public `apply_matrix` is the same coordinate change on a `MultiPoly`.
 The square-free part is written once (`_sqfree_part`), for the frame step
 and `rational_roots`.  No trivariate gcd runs here: a pair is proved
 coprime on a pencil of lines (`exact.forms_coprime`).
@@ -76,6 +77,7 @@ from .errors import (
 from .exact import (
     SYLVESTER_LIMIT,
     MultiPoly,
+    _expand,
     _int_bareiss_determinant,
     _integer_terms,
     _newton_numerators,
@@ -103,14 +105,25 @@ def mat_transpose(a: Matrix) -> Matrix:
     return tuple(tuple(a[j][i] for j in range(3)) for i in range(3))
 
 
+_IDENT: Matrix = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _moved(terms: dict, m: Matrix) -> dict:
+    """The integer terms of F(M v), for the integer terms of a ternary F
+    (`_integer_terms`) and an integer matrix M: variable i goes to row i of
+    M, as integer terms over the unit exponents, the rows of the identity."""
+    return _expand(terms, [{u: c for u, c in zip(_IDENT, row) if c} for row in m], 3)
+
+
 def apply_matrix(poly: MultiPoly, m: Matrix) -> MultiPoly:
     """Coordinate change: returns G with G(v) = F(M v)."""
-    vs = poly.variables
-    units = [tuple(int(i == j) for i in range(3)) for j in range(3)]
-    return poly.substitute({v: MultiPoly(vs, dict(zip(units, m[i]))) for i, v in enumerate(vs)})
+    den, terms = _integer_terms(poly)
+    return MultiPoly(poly.variables, {e: Fraction(c, den) for e, c in _moved(terms, m).items()})
 
 
-_IDENT: Matrix = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+def _shear(t: int) -> Matrix:
+    """The x-shear x -> x + t*y."""
+    return ((1, t, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _base_frames() -> list:
@@ -245,16 +258,6 @@ def _sqfree_part(cs: list) -> list:
     return _uni_quo(cs, _uni_gcd(cs, [i * c for i, c in enumerate(cs)][1:]))
 
 
-def _dehomogenised(form: MultiPoly, u: str) -> list:
-    """Integer coefficient list [c0..cd] in u, proportional to a nonzero
-    binary form of degree d in u, v at v = 1."""
-    iu = form.variables.index(u)
-    cs = [0] * (form.total_degree() + 1)
-    for e, c in _integer_terms(form)[1].items():
-        cs[e[iu]] += c
-    return cs
-
-
 def normalize_point(coords: Sequence[Fraction]) -> tuple:
     """Coprime integer coordinates, first nonzero entry positive."""
     fracs = [Fraction(c) for c in coords]
@@ -273,17 +276,13 @@ def normalize_point(coords: Sequence[Fraction]) -> tuple:
 # counting distinct intersections and singular points
 # ---------------------------------------------------------------------------
 
-def _chart_columns(Fm: MultiPoly, t: int) -> list:
-    """Fm(x + t*y, y, 1) over Z for a form Fm of degree d: entry j is the
-    integer list [c0..c_{d-j}] in x of the coefficient of y^j, all times the
-    common denominator of Fm."""
-    d = Fm.total_degree()
-    columns = [[0] * (d + 1 - j) for j in range(d + 1)]
-    for (a, b, _), c in _integer_terms(Fm)[1].items():
-        # (x + t*y)^a y^b = sum_i C(a, i) t^i x^(a-i) y^(b+i)
-        for i in range(a + 1):
-            columns[b + i][a - i] += c * math.comb(a, i) * t ** i
-    return [_trim(col) for col in columns]
+def _chart_columns(terms: dict) -> list:
+    """The integer terms of a nonzero form of degree d at z = 1, grouped by
+    the power of y: entry j is the integer list [c0..c_{d-j}] in x of the
+    coefficient of y^j."""
+    d = sum(next(iter(terms)))
+    return [_trim([terms.get((a, j, d - a - j), 0) for a in range(d + 1 - j)])
+            for j in range(d + 1)]
 
 
 def _sylvester_minor(a: Sequence[int], b: Sequence[int], k: int, j: int) -> int:
@@ -365,8 +364,8 @@ class _Frame:
         frame, in the coordinates of the pair before the frame moved it."""
         a, b = self.line(k)
         beta = -Fraction(_at(b, alpha)) / _at(a, alpha)
-        moved = (alpha + self.shear * beta, beta, 1)
-        return normalize_point([sum(r * c for r, c in zip(row, moved)) for row in self.base])
+        m = mat_mul(self.base, _shear(self.shear))
+        return normalize_point([sum(r * c for r, c in zip(row, (alpha, beta, 1))) for row in m])
 
     def is_power(self, k: int, phi: list) -> bool:
         """Is S_k a k-th power on the roots of phi?  Its (k-1)-th y-derivative
@@ -380,19 +379,20 @@ class _Frame:
         return True
 
 
-def _pair_frame_count(Fm: MultiPoly, Gm: MultiPoly, base: Matrix, t: int) -> Optional[_Frame]:
+def _pair_frame_count(Fm: dict, Gm: dict, base: Matrix, t: int) -> Optional[_Frame]:
     """The frame of the pair at shear t, or None when it is not accepted.
 
-    Fm, Gm are the pair moved by `base`, which passed the shear-independent
-    tests of `_base_usable`; the frame composes that base with the x-shear
-    x -> x + t*y, done here together with the passage to the chart z = 1.
+    Fm, Gm are the integer terms of the pair moved by `base`, which passed
+    the shear-independent tests of `_base_usable`; the frame composes that
+    base with the x-shear x -> x + t*y and passes to the chart z = 1.
     The y-leading coefficients are constants, so specialising x commutes
     with the subresultants: over a root of R the fibres have a gcd of
     degree k exactly where psc_1..psc_{k-1} vanish and psc_k does not, and
     S_k is that gcd up to a constant.  The frame is accepted when on every
     class that gcd has one root (see `_Frame.is_power`).
     """
-    frame = _Frame(_chart_columns(Fm, t), _chart_columns(Gm, t), base, t)
+    A, B = (_chart_columns(_moved(terms, _shear(t)) if t else terms) for terms in (Fm, Gm))
+    frame = _Frame(A, B, base, t)
     if not (frame.A[-1] and frame.B[-1]):
         return None  # a leading y-coefficient vanishes in this frame
     m, n = len(frame.A) - 1, len(frame.B) - 1
@@ -412,28 +412,26 @@ def _pair_frame_count(Fm: MultiPoly, Gm: MultiPoly, base: Matrix, t: int) -> Opt
     return frame
 
 
-def _infinity_restriction(polys: list, chart_var: str) -> list:
-    """Each polynomial at chart_var = 0: the terms free of chart_var."""
-    i = polys[0].variables.index(chart_var)
-    return [MultiPoly(p.variables, {e: c for e, c in p.terms.items() if not e[i]})
-            for p in polys]
+def _infinity_restriction(forms: list) -> list:
+    """Each nonzero form of degree d, given by its integer terms, on the
+    line z = 0 at y = 1: the integer list [c0..cd] in x of its terms free
+    of z, untrimmed, so cd is its x^d coefficient."""
+    degrees = [sum(next(iter(terms))) for terms in forms]
+    return [[terms.get((a, d - a, 0), 0) for a in range(d + 1)]
+            for terms, d in zip(forms, degrees)]
 
 
-def _base_usable(Fm: MultiPoly, Gm: MultiPoly) -> bool:
+def _base_usable(Fm: dict, Gm: dict) -> bool:
     """Shear-independent frame tests for a pair moved by a base.
 
     x-shears fix the line z = 0 and act on it by an invertible change of
     coordinates, so a restriction to it that vanishes, or common zeros on
     it, spoil every shear of the base alike.  The two binary forms share a
-    zero [x:1] when their dehomogenised coefficient lists have a common
-    root, and the zero [1:0] when both lose their x^d term.
+    zero [x:1] when their lists at y = 1 have a common root, and the zero
+    [1:0] when both lose their x^d term.
     """
-    x, _, z = Fm.variables
-    finf, ginf = _infinity_restriction([Fm, Gm], z)
-    if finf.is_zero() or ginf.is_zero():
-        return False
-    f, g = _dehomogenised(finf, x), _dehomogenised(ginf, x)
-    if f[-1] == 0 and g[-1] == 0:
+    f, g = _infinity_restriction([Fm, Gm])
+    if not any(f) or not any(g) or f[-1] == g[-1] == 0:
         return False
     return len(_uni_gcd(f, g)) == 1
 
@@ -454,8 +452,9 @@ def _accepted_frame(F: MultiPoly, G: MultiPoly, coprime: bool = False) -> _Frame
     if d1 + d2 > SYLVESTER_LIMIT:
         raise DegreeGuardrail(f"Sylvester matrix {d1 + d2}x{d1 + d2} exceeds {SYLVESTER_LIMIT}")
     t_limit = d1 * d2 * (d1 * d2 - 1) // 2 + 1 + d1 + d2 + 8
+    terms = [_integer_terms(F)[1], _integer_terms(G)[1]]
     for base in _BASES:
-        Fm, Gm = apply_matrix(F, base), apply_matrix(G, base)
+        Fm, Gm = (_moved(form, base) for form in terms)
         if not _base_usable(Fm, Gm):
             # a shared component spoils every base, so the first failing
             # base decides it unless the caller proved the pair coprime;

@@ -16,10 +16,11 @@ exactly when their representations are equal.  Printing uses graded
 lexicographic order (total degree first, then lex on exponents), which makes
 ``parse(print(p)) == p`` a fixed point.  The public constructor validates
 its input; the ring's own results, clean by construction, are stored through
-the private ``MultiPoly._trusted`` without a second pass.  Substitution,
-which every change of coordinates, chart and shear goes through, scales the
-polynomial and its images to integers, expands every term into one integer
-accumulator and divides by the common denominator once.
+the private ``MultiPoly._trusted`` without a second pass.  Every
+substitution, chart and change of coordinates runs through one integer
+expansion, `_expand`: ``MultiPoly.substitute`` scales the polynomial and
+its images to integers and divides by the common denominator once, and
+`elimination` moves integer terms ({exponents: int}) with it directly.
 
 On top of the polynomial ring the module provides the elimination kernel:
 Sylvester matrices (rows of the first operand first), resultants,
@@ -129,6 +130,30 @@ def _add_product(acc: dict, a: dict, b: dict) -> dict:
             e = tuple(map(add, e1, e2))
             acc[e] = acc.get(e, 0) + c1 * c2
     return acc
+
+
+def _expand(terms: dict, images: Sequence[dict], width: int) -> dict:
+    """The integer terms of sum_e c_e prod_i images[i]^e_i, zeros dropped,
+    for integer polynomials ({exponents: int}) whose images live in a ring
+    of ``width`` variables: the one expansion behind every substitution and
+    change of coordinates.  Each image's powers are built once, up to the
+    largest exponent used, and every term is expanded into one accumulator.
+    """
+    one = {(0,) * width: 1}
+    powers = []   # per image: its powers 0..top
+    for i, image in enumerate(images):
+        table = [one]
+        for _ in range(max((e[i] for e in terms), default=0)):
+            table.append(_add_product({}, table[-1], image))
+        powers.append(table)
+    acc: dict = {}
+    for e, c in terms.items():
+        factors = [powers[i][k] for i, k in enumerate(e) if k]
+        part = {(0,) * width: c}
+        for table in factors[:-1]:
+            part = _add_product({}, part, table)
+        _add_product(acc, part, factors[-1] if factors else one)
+    return {e: c for e, c in acc.items() if c}
 
 
 class MultiPoly:
@@ -336,11 +361,11 @@ class MultiPoly:
         Every variable of ``self`` must be mapped; all images must live in a
         common ring, which becomes the ring of the result.
 
-        The expansion runs over the integers: ``self`` and each image are
-        scaled to integer numerators over one denominator, each image's
-        powers are built once up to the largest exponent used, every term is
-        expanded into one integer accumulator over the common denominator
-        den(self) * prod den(image_i)^max_i, and that is divided out once.
+        The expansion runs over the integers (`_expand`): ``self`` and each
+        image are scaled to integer numerators, the coefficient of a term
+        whose i-th exponent is k is lifted by den_i^(top_i - k) to the
+        common denominator den(self) * prod den(image_i)^top_i, top_i the
+        largest exponent of variable i, and that is divided out once.
         """
         images = [mapping[v] for v in self.variables]
         ring = images[0].variables
@@ -348,49 +373,18 @@ class MultiPoly:
             if p.variables != ring:
                 raise SharedVariableMismatch("substitution images disagree on ring")
         den, scaled = _integer_terms(self)
-        origin = (0,) * len(ring)
-        one = {origin: 1}
-        powers = []   # per image: its integer powers 0..top
+        bases = []
         lifts = []    # per image: den_i^(top - k), lifting power k to the common denominator
         for i, image in enumerate(images):
             top = max((e[i] for e in scaled), default=0)
             den_i, base = _integer_terms(image)
-            table = [one]
-            for _ in range(top):
-                table.append(_add_product({}, table[-1], base))
-            powers.append(table)
+            bases.append(base)
             lifts.append([den_i ** (top - k) for k in range(top + 1)])
             den *= den_i ** top
-        acc: dict = {}
-        for e, c in scaled.items():
-            factors = []
-            for i, k in enumerate(e):
-                c *= lifts[i][k]
-                if k:
-                    factors.append(powers[i][k])
-            part = {origin: c}
-            for table in factors[:-1]:
-                part = _add_product({}, part, table)
-            _add_product(acc, part, factors[-1] if factors else one)
-        return MultiPoly._trusted(ring, {e: Fraction(c, den) for e, c in acc.items() if c})
-
-    def restrict_variables(self, variables: Sequence[str]) -> "MultiPoly":
-        """Re-express in a smaller/reordered variable tuple.
-
-        Raises if a dropped variable actually occurs.
-        """
-        variables = tuple(variables)
-        positions = []
-        for v in variables:
-            positions.append(self._index(v))
-        keep = set(positions)
-        for i, v in enumerate(self.variables):
-            if i not in keep and any(e[i] > 0 for e in self.terms):
-                raise UnknownVariableError(f"variable {v!r} still occurs; cannot drop it")
-        out = {}
-        for e, c in self.terms.items():
-            out[tuple(e[i] for i in positions)] = c
-        return MultiPoly(variables, out)
+        lifted = {e: c * math.prod(lift[k] for lift, k in zip(lifts, e))
+                  for e, c in scaled.items()}
+        return MultiPoly._trusted(ring, {e: Fraction(c, den)
+                                         for e, c in _expand(lifted, bases, len(ring)).items()})
 
     # --- leading data, content, normalization ---
 
@@ -488,7 +482,7 @@ def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
         tokens.append(m.group(1))
         pos = m.end()
 
-    poly = MultiPoly.zero(variables)
+    terms: dict = {}
     i = 0
     n = len(tokens)
     first = True
@@ -541,8 +535,8 @@ def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
                 expect_factor = True
             else:
                 expect_factor = False
-        poly = poly + MultiPoly(variables, {tuple(exps): coeff})
-    return poly
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + coeff
+    return MultiPoly(variables, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -1134,8 +1128,10 @@ def subresultant_coefficient(f: UniPolyView, g: UniPolyView, k: int, j: int) -> 
 def discriminant(f: UniPolyView) -> MultiPoly:
     """Discriminant in the distinguished variable.
 
-    ``(-1)^(d(d-1)/2) * Res(f, f') / lc(f)`` with d = deg f; the division is
-    exact and checked.
+    ``(-1)^(d(d-1)/2) * Res(f, f') / lc(f)`` with d = deg f, taken as one
+    determinant: in the Sylvester matrix of f and f' the first column holds
+    lc(f) in row 0, d*lc(f) in row d-1 and zeros elsewhere, so replacing it
+    by 1 and d divides the determinant by lc(f).
 
     >>> p = parse_poly("x^2 + b*x + c", ("x", "b", "c"))
     >>> discriminant(UniPolyView(p, "x")).text()
@@ -1144,12 +1140,10 @@ def discriminant(f: UniPolyView) -> MultiPoly:
     d = f.degree
     if d < 2:
         raise DegreeTooLow("discriminant needs degree >= 2")
-    df = UniPolyView(f.poly.derivative(f.var), f.var)
-    res = resultant(f, df)
-    quo = try_exact_div(res, f.lc)
-    if quo is None:
-        raise InvariantViolation("lc(f) does not divide Res(f, f')")
-    return quo if (d * (d - 1) // 2) % 2 == 0 else -quo
+    matrix = sylvester_matrix(f, UniPolyView(f.poly.derivative(f.var), f.var))
+    matrix[0][0], matrix[d - 1][0] = (MultiPoly.const(f.poly.variables, c) for c in (1, d))
+    det = determinant(matrix)
+    return det if (d * (d - 1) // 2) % 2 == 0 else -det
 
 
 def squarefree_part(f: Union[MultiPoly, UniPolyView], var: Optional[str] = None) -> MultiPoly:

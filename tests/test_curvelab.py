@@ -32,6 +32,7 @@ from dualis.errors import (
     NotSingular,
     NotTransversal,
     ReducibleCurve,
+    UnknownVariableError,
     UnsupportedSingularity,
     ZeroInput,
 )
@@ -73,6 +74,15 @@ class TestConstruction:
             with pytest.raises(DegreeGuardrail):
                 PlaneCurve.from_text(text)
         assert time.perf_counter() - start < 0.5
+
+    def test_long_input_refused_quickly(self):
+        # x^1 + x^2 + ... + x^32000 is parsed into one term dict, so the
+        # degree cap refuses it without a quadratic pile of partial sums
+        text = " + ".join(f"x^{k}" for k in range(1, 32001))
+        start = time.perf_counter()
+        with pytest.raises(InvalidParams):
+            curvelab.load_curve(text)
+        assert time.perf_counter() - start < 3.0
 
     def test_degree_63_constructs(self):
         assert PlaneCurve.from_text("x^63 + y^63 + z^63").degree == 63
@@ -463,6 +473,17 @@ class TestLineTransversality:
 
     def test_line_through_singular_point_fails(self):
         assert not line_transversality(curve(NODAL), parse_poly("x", PRIMAL_VARS))
+
+    def test_line_coefficients_read_by_variable_name(self):
+        # a reordered ring, or one with an unused extra variable, names the
+        # same line; a foreign ring or a used extra variable is refused
+        circle = curve(CIRCLE)
+        for ring in (("z", "x", "y"), ("y", "z", "x"), ("x", "y", "z", "t")):
+            assert line_transversality(circle, parse_poly("x - 2*y + 1/3*z", ring))
+            assert not line_transversality(circle, parse_poly("y - z", ring))
+        for text, ring in (("u + 2*v", ("u", "v", "w")), ("x + t", ("x", "y", "z", "t"))):
+            with pytest.raises(UnknownVariableError):
+                line_transversality(circle, parse_poly(text, ring))
 
 
 def _sympy_meets_in_distinct_points(text, line):

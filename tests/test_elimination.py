@@ -88,17 +88,18 @@ class TestRationalRoots:
 
 class TestBinaryForms:
     def test_infinity_restriction_is_substitution(self):
+        # the integer terms of each form at z = 0, y = 1, as untrimmed lists
+        # in x: den(F) * F(x, 1, 0), also when the restriction vanishes
         rng = random.Random(83)
-        for chart_var in XYZ:
-            sub = {v: MultiPoly.zero(XYZ) if v == chart_var else MultiPoly.var(XYZ, v)
-                   for v in XYZ}
-            for _ in range(20):
-                polys = [MultiPoly(XYZ, {tuple(rng.randint(0, 3) for _ in XYZ):
-                                         Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                                         for _ in range(rng.randint(0, 6))})
-                         for _ in range(2)]
-                assert elimination._infinity_restriction(polys, chart_var) == \
-                    [p.substitute(sub) for p in polys]
+        sub = {"x": MultiPoly.var(XYZ, "x"), "y": MultiPoly.const(XYZ, 1),
+               "z": MultiPoly.zero(XYZ)}
+        forms = [_random_form(rng, rng.randint(1, 4)) for _ in range(40)]
+        forms.append(parse_poly("x*z - 1/2*y*z", XYZ))
+        got = elimination._infinity_restriction([_integer_terms(F)[1] for F in forms])
+        assert len(got) == len(forms) and not any(got[-1])
+        for F, cs in zip(forms, got):
+            assert len(cs) == F.total_degree() + 1
+            assert _in_x(cs) == F.substitute(sub) * _integer_terms(F)[0], F.text()
 
 
 class TestNormalizePoint:
@@ -119,9 +120,27 @@ class TestMatrices:
         assert mat_transpose(mat_transpose(ab)) == ab
 
     def test_apply_matrix_is_substitution(self):
+        # G(v) = F(M v), against SymPy's expansion of seeded forms with
+        # fractional coefficients, for integer matrices with negative
+        # entries, a singular one and a shear
         f = parse_poly("x^2 - y*z", XYZ)
-        m = ((1, 1, 0), (0, 1, 0), (0, 0, 1))  # x -> x + y
-        assert apply_matrix(f, m) == parse_poly("x^2 + 2*x*y + y^2 - y*z", XYZ)
+        shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))  # x -> x + y
+        assert apply_matrix(f, shear) == parse_poly("x^2 + 2*x*y + y^2 - y*z", XYZ)
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(19)
+        symbols = sympy.symbols(XYZ)
+        for m in [((2, -1, 0), (0, 1, -3), (1, 0, -1)), ((1, 2, 3), (2, 4, 6), (0, -1, 1)),
+                  ((1, 3, 0), (0, 1, 0), (0, 0, 1))]:
+            images = {s: sum(c * t for c, t in zip(row, symbols)) for s, row in zip(symbols, m)}
+            for degree in (1, 2, 3, 4):
+                F = _random_form(rng, degree)
+                want = sympy.Poly(sympy.expand(
+                    sympy.sympify(F.text()).subs(images, simultaneous=True)), *symbols)
+                got = apply_matrix(F, m)
+                assert got == MultiPoly(XYZ, {e: Fraction(int(c.p), int(c.q))
+                                              for e, c in want.terms()}), (F.text(), m)
+                den, terms = _integer_terms(F)
+                assert elimination._moved(terms, m) == {e: c * den for e, c in got.terms.items()}
 
 
 class TestCounting:
@@ -238,8 +257,9 @@ class TestIntegerFrameKernel:
     @staticmethod
     def _frame(d1, d2):
         """A seeded pair in its accepted frame, and the frame's chart pair
-        A, B as views in y with the common denominators dA, dB of the moved
-        forms: the columns are dA*A and dB*B over Z."""
+        A, B as views in y with the common denominators dA, dB of the
+        forms: the pair enters the frame as integer terms, so the columns
+        are dA*A and dB*B over Z."""
         rng = random.Random(100 * d1 + d2)
         F, G = _random_form(rng, d1), _random_form(rng, d2)
         frame = elimination._accepted_frame(F, G)
@@ -247,7 +267,7 @@ class TestIntegerFrameKernel:
                  "y": MultiPoly.var(XYZ, "y"), "z": MultiPoly.const(XYZ, 1)}
         moved = [apply_matrix(form, frame.base) for form in (F, G)]
         A, B = (UniPolyView(form.substitute(chart), "y") for form in moved)
-        dA, dB = (_integer_terms(form)[0] for form in moved)
+        dA, dB = (_integer_terms(form)[0] for form in (F, G))
         return frame, A, B, dA, dB
 
     @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 2), (4, 3), (5, 4)])
@@ -329,7 +349,8 @@ class TestFrameCertificate:
         # x = +-1 of the t = 0 frame, where the eliminant has only 2 roots
         f = parse_poly("x^2 + y^2 - 2*z^2", XYZ)
         g = parse_poly("x^2 - y^2", XYZ)
-        assert elimination._pair_frame_count(f, g, elimination._IDENT, 0) is None
+        terms = [_integer_terms(form)[1] for form in (f, g)]
+        assert elimination._pair_frame_count(*terms, elimination._IDENT, 0) is None
         assert distinct_intersection_count(f, g) == 4
 
     def test_generic_frame_certifies_at_once(self, monkeypatch):

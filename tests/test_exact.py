@@ -1,5 +1,6 @@
 """Tests for the exact scalar and polynomial layer."""
 
+import doctest
 import math
 import random
 import time
@@ -43,6 +44,12 @@ from dualis.exact import (
 
 XYZ = ("x", "y", "z")
 UVW = ("u", "v", "w")
+
+
+def test_doctests_pass():
+    # the examples in the docstrings of the exact layer
+    results = doctest.testmod(exact)
+    assert results.attempted > 0 and results.failed == 0
 
 
 class TestParsing:

@@ -17,6 +17,7 @@ from dualis.exact import (
     UniPolyView,
     determinant,
     discriminant,
+    exact_div,
     parse_poly,
     poly_gcd,
     resultant,
@@ -474,6 +475,22 @@ class TestDiscriminant:
     def test_degree_too_low(self):
         with pytest.raises(DegreeTooLow):
             discriminant(UniPolyView(parse_poly("x + 1", X), "x"))
+
+    def test_one_determinant_is_res_over_lc(self):
+        # seeded f in x over Q[a, b], with a nonconstant leading coefficient:
+        # (-1)^(d(d-1)/2) Res(f, f') / lc(f), the division taken here
+        rng = random.Random(61)
+        ring = ("x", "a", "b")
+        for d in (2, 2, 3, 3, 4, 5):
+            terms = {}
+            for k in range(d + 1):
+                for e in ((0, 0), (1, 0), (0, 1)):
+                    if k == d and e == (0, 0) or rng.random() < 0.5:
+                        terms[(k,) + e] = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3))
+            f = UniPolyView(MultiPoly(ring, terms), "x")
+            df = UniPolyView(f.poly.derivative("x"), "x")
+            want = exact_div(resultant(f, df), f.lc) * (-1) ** (d * (d - 1) // 2)
+            assert discriminant(f) == want, f.poly.text()
 
     def test_fresh_linear_factor_keeps_nonzero(self):
         # (x-1)(x-2)...(x-k) stays square-free as k grows

@@ -165,22 +165,33 @@ def test_front_ends_dispatch_through_tables():
 
 
 def test_frame_search_stays_on_integer_lists():
-    # the frame holds the pair as integer y-columns: its eliminant and every
-    # s_{k,j} are integer Sylvester minors at cached points, its line
-    # resultants a closed form, so the generic MultiPoly kernel, and the
-    # Fraction arithmetic in it, stays out of the frame search
+    # each form enters the frame search once, as integer terms, and every
+    # base and shear moves those terms; the frame holds the pair as integer
+    # y-columns: its eliminant and every s_{k,j} are integer Sylvester
+    # minors at cached points, its line resultants a closed form, so the
+    # generic MultiPoly kernel, and the Fraction arithmetic in it, stays out
+    # of the frame search
     tree = ast.parse((SOURCE / "elimination.py").read_text())
-    scopes = {node.name: node for node in ast.walk(tree)
-              if isinstance(node, (ast.ClassDef, ast.FunctionDef))
-              and node.name in {"_Frame", "_pair_frame_count", "singular_locus"}}
-    assert len(scopes) == 3
     kernel = {"resultant", "subresultant_coefficient", "determinant", "substitute",
-              "UniPolyView"}
+              "UniPolyView", "apply_matrix"}
+    integer = kernel | {"Fraction", "MultiPoly"}
+    rules = {"_Frame": kernel, "singular_locus": kernel, "_accepted_frame": kernel,
+             "_pair_frame_count": integer, "_chart_columns": integer,
+             "_infinity_restriction": integer, "_base_usable": integer}
+    scopes = {node.name: node for node in ast.walk(tree)
+              if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in rules}
+    assert len(scopes) == len(rules)
     found = sorted(f"{name}: {n.id if isinstance(n, ast.Name) else n.attr}"
                    for name, scope in scopes.items() for n in ast.walk(scope)
-                   if isinstance(n, ast.Name) and n.id in kernel
-                   or isinstance(n, ast.Attribute) and n.attr in kernel)
+                   if isinstance(n, ast.Name) and n.id in rules[name]
+                   or isinstance(n, ast.Attribute) and n.attr in rules[name])
     assert not found
+    # the integer terms are taken once per form, before the loop over bases
+    taken = [n for n in ast.walk(scopes["_accepted_frame"])
+             if isinstance(n, ast.Name) and n.id == "_integer_terms"]
+    looped = [n for loop in ast.walk(scopes["_accepted_frame"]) if isinstance(loop, ast.For)
+              for n in ast.walk(loop) if isinstance(n, ast.Name) and n.id == "_integer_terms"]
+    assert len(taken) == 2 and not looped
 
 
 def _readers(name: str) -> list:
@@ -201,3 +212,17 @@ def test_one_line_restriction_and_one_coordinate_change():
     assert "substitute" not in _referenced_names(SOURCE / "curvelab.py")
     defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
     assert not defined & {"binary_distinct_roots", "_lowest_parts", "_exps", "gradient"}
+
+
+def test_one_expansion_and_one_integer_coordinate_change():
+    # every substitution and change of coordinates runs through the one
+    # expansion exact._expand; bases, shears and apply_matrix move integer
+    # terms through elimination._moved
+    assert _readers("_expand") == ["elimination.py: _moved", "exact.py: substitute"]
+    assert _readers("_add_product") == ["exact.py: _expand"]
+    assert _readers("_moved") == ["elimination.py: _accepted_frame",
+                                  "elimination.py: _pair_frame_count",
+                                  "elimination.py: apply_matrix"]
+    assert "comb" not in _referenced_names(SOURCE / "elimination.py")
+    defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
+    assert not defined & {"_dehomogenised", "restrict_variables"}
