@@ -19,10 +19,10 @@ everything from first principles:
 * ``SolveUnknown``: a one-unknown identity instance with its exact solution.
 
 `RUNNERS` maps each case kind to its runner; its keys are `CASE_KINDS`.
-Every key of a case is read through `_require`, and every file through
-`read_file` (JSON files through `load_json`), so a malformed case or file
-is refused with a typed error: the case reports status ``error`` and the
-rest of the run goes on.
+Every key of a case is read through `_require`, every integer through
+`_is_integer`, and every file through `read_file` (JSON files through
+`load_json`), so a malformed case or file is refused with a typed error:
+the case reports status ``error`` and the rest of the run goes on.
 
 Reports are deterministic: cases run in manifest order, rationals serialize
 as "p/q" strings, and timing fields can be suppressed for byte-identical
@@ -120,15 +120,21 @@ class RunReport:
 _ABSENT = object()
 
 
+def _is_integer(value) -> bool:
+    """Is value a JSON integer?  (bool subclasses int.)"""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(mapping: dict, key: str, types, where: str, default=_ABSENT):
-    """``mapping[key]``, refused unless it is one of ``types``; a missing key
-    is refused too, unless a default is given."""
+    """``mapping[key]``, refused unless it is one of ``types``, where ``int``
+    asks for `_is_integer`; a missing key is refused too, unless a default
+    is given."""
     if key not in mapping:
         if default is not _ABSENT:
             return default
         raise SchemaError(f"{where}: missing key", field=key)
     value = mapping[key]
-    if not isinstance(value, types):
+    if not (_is_integer(value) if types is int else isinstance(value, types)):
         raise SchemaError(f"{where}: wrong type for {key!r}", field=key)
     return value
 
@@ -141,7 +147,7 @@ def package_from_dict(data: dict, where: str = "package") -> VarietyInvariants:
     c0m = _require(data, "c0m", int, where)
     slices = _require(data, "chi_slices", list, where)
     transversal = _require(data, "transversal", bool, where)
-    if len(slices) != n + 1 or not all(isinstance(s, int) for s in slices):
+    if len(slices) != n + 1 or not all(map(_is_integer, slices)):
         raise SchemaError(
             f"{where}: chi_slices must be a list of {n + 1} integers",
             field="chi_slices",
@@ -159,11 +165,14 @@ def package_from_dict(data: dict, where: str = "package") -> VarietyInvariants:
 
 def read_file(path) -> str:
     """The text of a file; a missing file or a directory is refused with
-    MissingFile."""
+    MissingFile, and bytes that are not UTF-8 text with SchemaError."""
     path = Path(path)
     if not path.is_file():
         raise MissingFile(str(path))
-    return path.read_text()
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def load_json(path) -> dict:
@@ -171,7 +180,7 @@ def load_json(path) -> dict:
     text or its top level is not an object."""
     try:
         data = json.loads(read_file(path))
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, over-long integers
+    except ValueError as exc:  # JSONDecodeError, over-long integers
         raise SchemaError(f"{path}: not a JSON file: {exc}") from None
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: the top level must be a JSON object")
@@ -184,17 +193,18 @@ def load_package(path) -> VarietyInvariants:
 
 def instance_from_dict(data: dict, where: str = "instance") -> IdentityInstance:
     """A one-unknown identity instance: ``n``, ``dims`` (four integers), an
-    optional ``form`` and ``values``, which maps identity fields to integers,
-    floats or "p/q" strings and the unknown field (or a missing one) to null."""
+    optional ``form`` and ``values``, which maps identity fields to integers
+    or "p/q" strings (never floats) and the unknown field to null."""
     n = _require(data, "n", int, where)
     dims = _require(data, "dims", list, where)
-    if len(dims) != 4 or not all(isinstance(d, int) for d in dims):
+    if len(dims) != 4 or not all(map(_is_integer, dims)):
         raise SchemaError(f"{where}: dims must be a list of 4 integers", field="dims")
     values = _require(data, "values", dict, where)
     for key in values:
         if key not in IDENTITY_FIELDS:
             raise SchemaError(f"{where}: unknown identity field {key!r}", field="values")
-        _require(values, key, (int, float, str, type(None)), where)
+        if not _is_integer(values[key]):
+            _require(values, key, (str, type(None)), where)
     return IdentityInstance(
         n=n, dims=tuple(dims), form=_require(data, "form", object, where, INTRO),
         **{k: parse_rational(v) if isinstance(v, str) else v for k, v in values.items()},
@@ -331,11 +341,11 @@ def resolve_chi(spec, packages: dict, where: str, side: str | None = "dual") -> 
     """Resolve a chi input: a literal, a package slice, a complete
     intersection, or (for identity pairs) an empty intersection justified by
     dimension count on the named side."""
-    if isinstance(spec, int):
+    if _is_integer(spec):
         return spec
     if isinstance(spec, dict) and "slice" in spec:
         ref = _require(spec, "slice", list, where)
-        if len(ref) != 2 or not isinstance(ref[0], str) or not isinstance(ref[1], int):
+        if len(ref) != 2 or not isinstance(ref[0], str) or not _is_integer(ref[1]):
             raise SchemaError(f"{where}: slice must be [package name, index]", field="chi")
         name, j = ref
         if name not in packages:
@@ -349,7 +359,7 @@ def resolve_chi(spec, packages: dict, where: str, side: str | None = "dual") -> 
     if isinstance(spec, dict) and "ci" in spec:
         ci = _require(spec, "ci", dict, where)
         degrees = _require(ci, "degrees", list, where)
-        if not all(isinstance(d, int) for d in degrees):
+        if not all(map(_is_integer, degrees)):
             raise SchemaError(f"{where}: ci degrees must be integers", field="degrees")
         return charclass.chi_smooth_complete_intersection(_require(ci, "n", int, where), degrees)
     if isinstance(spec, dict) and spec.get("empty") is True:
@@ -439,9 +449,8 @@ def build_curve_pair(c1: PlaneCurve, c2: PlaneCurve,
                 # the analysis of a dual past the input curves' cap is out of reach
                 raise GuardrailExceeded(f"{label} dual degree {eq.d_dual} exceeds the"
                                         f" hard cap {curvelab.HARD_DEGREE_CAP}")
-            dual_curve = PlaneCurve(eq.D)
             duals.append(
-                ("curve", dual_curve, curve_package(dual_curve, f"{label} dual curve"))
+                ("curve", eq.curve, curve_package(eq.curve, f"{label} dual curve"))
             )
 
     (k1, o1, d1), (k2, o2, d2) = duals

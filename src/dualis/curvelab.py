@@ -48,10 +48,10 @@ from .errors import (
 from .exact import (
     SYLVESTER_LIMIT,
     MultiPoly,
+    _distinct_roots,
     _integer_terms,
     _restriction,
     _trim,
-    _uni_gcd,
     parse_poly,
     transversal_line,
 )
@@ -292,7 +292,7 @@ def line_transversality(curve: PlaneCurve, line: MultiPoly) -> bool:
                     for v in curve.variables]
     p, q = (elimination.normalize_point(v) for v in _line_basis(coefficients))
     f = _trim(_restriction(_integer_terms(curve.F)[1], p, q))
-    return len(f) >= curve.degree and len(_uni_gcd(f, [n * c for n, c in enumerate(f)][1:])) == 1
+    return len(f) >= curve.degree and _distinct_roots(f)
 
 
 def transversal_intersection_chi(c1: PlaneCurve, c2: PlaneCurve) -> int:

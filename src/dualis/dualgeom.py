@@ -22,8 +22,10 @@ are stripped in a fixed order:
 What remains is square-free: in characteristic 0 distinct components of C
 have distinct duals, and the discriminant vanishes to order one along the
 dual of each: moving a line that is simply tangent at a point r off r
-changes phi at the double root to first order.  ``exact.is_squarefree`` certifies this on a pencil of lines, and a
-remainder that fails the certificate is refused with InvariantViolation.
+changes phi at the double root to first order.  The square-free
+certificate of the dual `PlaneCurve`, built once from the remainder,
+checks this, and a remainder that fails it is refused with
+InvariantViolation.
 
 The chart w = 1 fails only when y divides F, that is, when the line y = 0
 is a component of C.  So the given coordinates are kept when some term of
@@ -56,6 +58,7 @@ from .errors import (
     InvalidParams,
     InvariantViolation,
     NonGenericWitness,
+    ReducibleCurve,
     WitnessOnCurve,
 )
 from .exact import (  # WITNESS_SEQUENCE is re-exported for callers
@@ -63,7 +66,6 @@ from .exact import (  # WITNESS_SEQUENCE is re-exported for callers
     MultiPoly,
     UniPolyView,
     discriminant,
-    is_squarefree,
     try_exact_div,
     witnesses,
 )
@@ -79,9 +81,12 @@ def dual_ring(variables) -> tuple:
 
 @dataclass(frozen=True)
 class DualCurve:
-    D: MultiPoly
-    d_dual: int
+    """The dual `PlaneCurve` and the factors stripped from the discriminant."""
+
+    curve: PlaneCurve
     removed_factors: tuple  # ((MultiPoly, int), ...)
+    D = property(lambda self: self.curve.F)
+    d_dual = property(lambda self: self.curve.degree)
 
 
 def _strip_all(poly: MultiPoly, factor: MultiPoly):
@@ -152,12 +157,13 @@ def dual_equation(curve: PlaneCurve) -> DualCurve:
             removed.append((line, k))
     if disc.is_constant():
         raise ChartExhausted("the curve is a union of lines, whose dual is a finite set of points")
-    if not is_squarefree(disc):
+    try:
+        dual = PlaneCurve(disc.primitive())
+    except ReducibleCurve:
         # distinct components have distinct duals, and the discriminant is
         # reduced along the dual of each, so only the stripped factors repeat
-        raise InvariantViolation("the stripped discriminant is not square-free")
-    D = disc.primitive()
-    return DualCurve(D=D, d_dual=D.total_degree(), removed_factors=tuple(removed))
+        raise InvariantViolation("the stripped discriminant is not square-free") from None
+    return DualCurve(curve=dual, removed_factors=tuple(removed))
 
 
 def _proportional(p, q) -> bool:
@@ -205,11 +211,10 @@ def biduality_check(curve: PlaneCurve) -> bool:
     if curve.degree > 3:
         raise GuardrailExceeded("biduality guardrail: source degree must be <= 3")
     first = dual_equation(curve)
-    dual_curve = PlaneCurve(first.D)
     if first.d_dual <= 3:
-        second = dual_equation(dual_curve)
+        second = dual_equation(first.curve)
         return second.D.primitive() == curve.F.primitive()
-    return dual_degree_oracle(dual_curve) == curve.degree
+    return dual_degree_oracle(first.curve) == curve.degree
 
 
 def dual_curve_report(curve: PlaneCurve) -> curvelab.CurveReport:
@@ -223,4 +228,4 @@ def dual_curve_report(curve: PlaneCurve) -> curvelab.CurveReport:
         raise GuardrailExceeded(
             f"dual degree {first.d_dual} exceeds the report guardrail"
         )
-    return curvelab.curve_report(PlaneCurve(first.D))
+    return curvelab.curve_report(first.curve)

@@ -34,20 +34,21 @@ integer terms ({exponents: int}, `exact._integer_terms`), and every base
 and every x-shear is an integer coordinate change of those terms
 (`_moved`, through the one expansion `exact._expand`).  A frame holds the
 pair as integer y-columns, one list in x per power of y, of the moved
-terms at z = 1 (`_chart_columns`).  Their values at
-x = 0, 1, 2, ... are taken once per frame and cached: one sweep serves the
-eliminant R = s_{0,0} and every s_{k,j}, each an integer Sylvester minor at
-those points (`_sylvester_minor`) rebuilt by Newton interpolation (Collins,
-J. ACM 18, 1971).  In an accepted frame the y-degree of each operand is its
-total degree, so cell (i, c) of a minor has x-degree at most c - i; every
-permutation then weighs the same, and deg s_{k,j} <= (m-k)(n-k) + k - j,
-with deg R <= mn.  Resultants against a line L_k = a*y + b, for the
-k-th-power test and the singular parts, take the closed form
-Res_y(P, L_k) = sum_j p_j b^j (-a)^(m-j) for P = sum_j p_j y^j of degree
-m: Res(L_k, P) = a^m P(-b/a), and swapping operands of degrees 1 and m
-costs (-1)^m (`_line_resultant`).  Gcds are the certified modular gcd of
-`exact`, and a quotient by a primitive divisor is exact over the integers
-(Gauss's lemma), so no Fraction arithmetic enters the frame search.
+terms at z = 1 (`_chart_columns`).  Their values at x = 0, 1, 2, ... are
+taken once per frame and cached: one sweep serves the eliminant
+R = s_{0,0} and every s_{k,j}, each the integer determinant there of the
+minor that `exact._minor_matrix` lays out, rebuilt by `exact._interpolate`
+(Collins, J. ACM 18, 1971).  In an accepted frame the y-degree of each
+operand is its total degree, so cell (i, c) of a minor has x-degree at
+most c - i; every permutation then weighs the same, and
+deg s_{k,j} <= (m-k)(n-k) + k - j, with deg R <= mn.  Resultants against
+a line L_k = a*y + b, for the k-th-power test and the singular parts,
+take the closed form Res_y(P, L_k) = sum_j p_j b^j (-a)^(m-j) for
+P = sum_j p_j y^j of degree m: Res(L_k, P) = a^m P(-b/a), and swapping
+operands of degrees 1 and m costs (-1)^m (`_line_resultant`).  Gcds are
+the certified modular gcd of `exact`, and a quotient by a primitive
+divisor is exact over the integers (Gauss's lemma), so no Fraction
+arithmetic enters the frame search.
 The public `apply_matrix` is the same coordinate change on a `MultiPoly`.
 The square-free part is written once (`_sqfree_part`), for the frame step
 and `rational_roots`.  No trivariate gcd runs here: a pair is proved
@@ -59,7 +60,6 @@ be certified the routine raises.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -77,16 +77,20 @@ from .errors import (
 from .exact import (
     SYLVESTER_LIMIT,
     MultiPoly,
+    _derivative,
     _expand,
     _int_bareiss_determinant,
     _integer_terms,
-    _newton_numerators,
+    _interpolate,
+    _is_prime,
+    _minor_matrix,
     _primitive,
     _primitive_ints,
     _ternary_form,
     _trim,
     _uni_gcd,
     _uni_quo,
+    _y_derivative,
     forms_coprime,
     point_off,
 )
@@ -178,7 +182,7 @@ def _add(a: Sequence[int], b: Sequence[int]) -> list:
 
 
 #: primes tried as the modulus of the p-adic root search
-_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+_PRIMES = tuple(filter(_is_prime, range(2, 1000)))
 
 
 def _eval_mod(f: Sequence[int], r: int, m: int) -> int:
@@ -200,7 +204,7 @@ def _root_candidates(f: list) -> set:
     """
     lead = f[-1]
     bound = 2 * abs(lead * f[0])
-    der = [i * c for i, c in enumerate(f)][1:]
+    der = _derivative(f)
     for p in _PRIMES:
         if lead % p == 0:
             continue
@@ -255,7 +259,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
 def _sqfree_part(cs: list) -> list:
     """f / gcd(f, f') for a trimmed nonzero integer list f: its distinct
     linear factors, over the integers (the gcd is primitive)."""
-    return _uni_quo(cs, _uni_gcd(cs, [i * c for i, c in enumerate(cs)][1:]))
+    return _uni_quo(cs, _uni_gcd(cs, _derivative(cs)))
 
 
 def normalize_point(coords: Sequence[Fraction]) -> tuple:
@@ -283,19 +287,6 @@ def _chart_columns(terms: dict) -> list:
     d = sum(next(iter(terms)))
     return [_trim([terms.get((a, j, d - a - j), 0) for a in range(d + 1 - j)])
             for j in range(d + 1)]
-
-
-def _sylvester_minor(a: Sequence[int], b: Sequence[int], k: int, j: int) -> int:
-    """s_{k,j} of the integer lists a, b of degrees m, n (see
-    `exact.subresultant_coefficient`): the first n-k shifted rows of a and
-    the first m-k of b in the Sylvester matrix, cut to the first m+n-2k-1
-    columns and the column of y^j in S_k."""
-    m, n = len(a) - 1, len(b) - 1
-    width, cut = m + n - k, m + n - 2 * k - 1
-    ra, rb = a[::-1], b[::-1]
-    rows = ([[0] * i + ra + [0] * (width - m - 1 - i) for i in range(n - k)]
-            + [[0] * i + rb + [0] * (width - n - 1 - i) for i in range(m - k)])
-    return _int_bareiss_determinant([row[:cut] + [row[width - 1 - j]] for row in rows])
 
 
 def _line_resultant(P: Sequence[list], a: list, b: list) -> list:
@@ -338,8 +329,7 @@ class _Frame:
         Cell (i, c) of the minor holds a y-coefficient of x-degree at most
         c - i, so every term of the determinant has degree at most
         D = (m-k)(n-k) + k - j, and the minors at x = 0..D, read from the
-        operands' values cached there, fix it: the Newton numerators are D!
-        times its integer coefficients."""
+        operands' values cached there, fix its integer coefficients."""
         if (k, j) not in self._coefficients:
             m, n = len(self.A) - 1, len(self.B) - 1
             if k and k == min(m, n):
@@ -348,10 +338,8 @@ class _Frame:
                 bound = (m - k) * (n - k) + k - j
                 for v in range(len(self._values), bound + 1):
                     self._values.append(([_at(c, v) for c in self.A], [_at(c, v) for c in self.B]))
-                numer = _newton_numerators([_sylvester_minor(a, b, k, j)
-                                            for a, b in self._values[:bound + 1]])
-                scale = math.factorial(bound)
-                s = _trim([c // scale for c in numer])
+                s = _trim(_interpolate([_int_bareiss_determinant(_minor_matrix(a, b, k, j, 0))
+                                        for a, b in self._values[:bound + 1]]))
             self._coefficients[k, j] = s
         return self._coefficients[k, j]
 
@@ -375,7 +363,7 @@ class _Frame:
         for _ in range(k - 1):
             if len(_uni_gcd(phi, _line_resultant(S, a, b))) < len(phi):
                 return False
-            S = [[i * c for c in s] for i, s in enumerate(S) if i]
+            S = _y_derivative(S)
         return True
 
 
@@ -525,8 +513,8 @@ def singular_locus(F: MultiPoly) -> SingularLocus:
     w = point_off([F])
     frame = _accepted_frame(F, polar(F, w), coprime=True)
     # the affine partials of the moved F, as y-columns without zero top columns
-    dx = [[i * c for i, c in enumerate(col)][1:] for col in frame.A]
-    dy = [[j * c for c in col] for j, col in enumerate(frame.A)][1:]
+    dx = [_derivative(col) for col in frame.A]
+    dy = _y_derivative(frame.A)
     partials = [P[:max(j for j, p in enumerate(P) if p) + 1] for P in (dx, dy) if any(P)]
     parts = {}
     for k, phi in frame.classes.items():

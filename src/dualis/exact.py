@@ -28,17 +28,18 @@ discriminants, multivariate gcd by a primitive polynomial remainder sequence,
 and square-free parts.  Every determinant is computed by evaluation and
 interpolation, whatever the number of free variables: the matrix is
 specialised at the points of an integer grid, each scalar determinant is
-taken by fraction-free Bareiss over Python ints, and exact Newton
-interpolation along each axis rebuilds the polynomial (Collins, J. ACM 18,
-1971).  Each axis of the grid is as long as a proved bound on the degree
-in that variable requires: the heaviest perfect matching of the entry
-degrees, found by the Hungarian method (Jacobi's bound; Kuhn, Naval Res.
-Logist. Q. 2, 1955), which is d1*d2 on a Sylvester matrix of forms.  The
-subresultant coefficients s_{k,j}, determinants of submatrices of the
-Sylvester matrix, take the same path; they tell where two polynomials
-share k roots and what the common factor is.  A hard guardrail
-refuses Sylvester matrices larger than 64x64 so that a degenerate input
-fails fast instead of hanging.
+taken by fraction-free Bareiss over Python ints, and Newton interpolation
+along each axis rebuilds the integer coefficients (`_interpolate`;
+Collins, J. ACM 18, 1971).  Each axis of the grid is as long as a proved
+bound on the degree in that variable requires: the heaviest perfect
+matching of the entry degrees, found by the Hungarian method (Jacobi's
+bound; Kuhn, Naval Res. Logist. Q. 2, 1955), which is d1*d2 on a
+Sylvester matrix of forms.  The subresultant coefficients s_{k,j}, the
+determinants of the submatrices of the Sylvester matrix that
+`_minor_matrix` lays out over any ring, take the same path; they tell
+where two polynomials share k roots and what the common factor is.  A
+hard guardrail refuses Sylvester matrices larger than 64x64 so that a
+degenerate input fails fast instead of hanging.
 
 Whether two ternary forms share a component is decided on a pencil of
 lines through a point off their curves: each line restricts the forms to
@@ -49,9 +50,10 @@ square-free exactly when it shares no component with the polar of a point
 off its curve, and on the same pencil that polar restricts to derivatives,
 so the same certificate decides square-freeness with d(d-1) + 1 lines.
 
-The univariate toolkit lives here too, on integer coefficient lists
-[c0..cd]: trimming, primitive parts, exact quotients over Z, and the one
-univariate gcd, Brown's modular algorithm (J. ACM 18, 1971).  It works
+The one univariate toolkit lives here too, on integer coefficient lists
+[c0..cd], each operation written once: trimming, primitive parts,
+derivatives, exact quotients over Z, the distinct-roots test and the one
+univariate gcd, Brown's modular algorithm (J. ACM 18, 1971), which works
 modulo primes just below 2^61, checks its candidate by trial division over
 Z and returns a primitive gcd; a constant image modulo one prime proves a
 constant gcd, which is the usual case.  The trivariate gcd ``poly_gcd`` and
@@ -123,7 +125,7 @@ def _integer_terms(poly: "MultiPoly") -> tuple:
 
 
 def _add_product(acc: dict, a: dict, b: dict) -> dict:
-    """Add the product of the integer polynomials a and b ({exponents: int})
+    """Add the product of the polynomials a and b ({exponents: coefficient})
     into acc, in place, and return acc.  Cancelled entries stay as 0."""
     for e1, c1 in a.items():
         for e2, c2 in b.items():
@@ -293,23 +295,11 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                return MultiPoly.zero(self.variables)
-            return MultiPoly._trusted(self.variables, {e: c * q for e, c in self.terms.items()})
+            return MultiPoly._trusted(self.variables,
+                                      {e: c * other for e, c in self.terms.items() if other})
         self._check_ring(other)
-        if not self.terms or not other.terms:
-            return MultiPoly.zero(self.variables)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, _ZERO) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MultiPoly._trusted(self.variables, out)
+        return MultiPoly._trusted(self.variables, {
+            e: c for e, c in _add_product({}, self.terms, other.terms).items() if c})
 
     __rmul__ = __mul__
 
@@ -666,6 +656,16 @@ def _primitive(cs: Sequence[int]) -> list:
     return [c // g for c in cs] if cs[-1] > 0 else [-c // g for c in cs]
 
 
+def _derivative(cs: Sequence[int]) -> list:
+    """The derivative of an integer list."""
+    return [i * c for i, c in enumerate(cs)][1:]
+
+
+def _y_derivative(columns: Sequence[list]) -> list:
+    """The y-derivative of y-columns, entry j the integer list of y^j."""
+    return [[j * c for c in col] for j, col in enumerate(columns)][1:]
+
+
 def _try_uni_quo(a: Sequence[int], b: Sequence[int]) -> Optional[list]:
     """The quotient a / b of integer lists, b trimmed and nonzero, or None
     when b does not divide a over Z.  For a primitive b that is the same as
@@ -790,6 +790,11 @@ def _uni_gcd(a: Sequence[int], b: Sequence[int]) -> list:
     raise InvariantViolation("the gcd primes ran out")
 
 
+def _distinct_roots(cs: Sequence[int]) -> bool:
+    """Has the nonzero integer list cs distinct roots: is gcd(f, f') constant?"""
+    return len(_uni_gcd(cs, _derivative(cs))) == 1
+
+
 # ---------------------------------------------------------------------------
 # multivariate gcd (primitive PRS)
 # ---------------------------------------------------------------------------
@@ -900,6 +905,19 @@ def radical(f: MultiPoly) -> MultiPoly:
 # Sylvester matrices, determinants, resultants
 # ---------------------------------------------------------------------------
 
+def _minor_matrix(a: Sequence, b: Sequence, k: int, j: int, zero) -> list:
+    """The matrix of s_{k,j} of the lists [a0..am], [b0..bn] over a ring
+    with zero ``zero``: the first n-k rows of a and m-k of b in the
+    Sylvester matrix, cut to the first m+n-2k-1 columns and the column of
+    the j-th power in S_k; at k = j = 0, the Sylvester matrix."""
+    m, n = len(a) - 1, len(b) - 1
+    width, cut = m + n - k, m + n - 2 * k - 1
+    ra, rb = list(reversed(a)), list(reversed(b))
+    rows = ([[zero] * i + ra + [zero] * (width - m - 1 - i) for i in range(n - k)]
+            + [[zero] * i + rb + [zero] * (width - n - 1 - i) for i in range(m - k)])
+    return [row[:cut] + [row[width - 1 - j]] for row in rows]
+
+
 def sylvester_matrix(f: UniPolyView, g: UniPolyView) -> list:
     """Sylvester matrix in the distinguished variable, f-coefficient rows first."""
     if f.var != g.var or f.poly.variables != g.poly.variables:
@@ -909,19 +927,9 @@ def sylvester_matrix(f: UniPolyView, g: UniPolyView) -> list:
         raise ZeroInput("resultant of the zero polynomial")
     if m < 1 and n < 1:
         raise DegenerateInput("both operands constant in the distinguished variable")
-    size = m + n
-    if size > SYLVESTER_LIMIT:
-        raise DegreeGuardrail(f"Sylvester matrix {size}x{size} exceeds {SYLVESTER_LIMIT}")
-    ring = f.poly.variables
-    zero = MultiPoly.zero(ring)
-    fc = list(reversed(f.coeffs))  # leading first
-    gc = list(reversed(g.coeffs))
-    rows = []
-    for i in range(n):
-        rows.append([zero] * i + fc + [zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + gc + [zero] * (size - n - 1 - i))
-    return rows
+    if m + n > SYLVESTER_LIMIT:
+        raise DegreeGuardrail(f"Sylvester matrix {m + n}x{m + n} exceeds {SYLVESTER_LIMIT}")
+    return _minor_matrix(f.coeffs, g.coeffs, 0, 0, MultiPoly.zero(f.poly.variables))
 
 
 def _int_bareiss_determinant(m: list) -> int:
@@ -949,28 +957,23 @@ def _int_bareiss_determinant(m: list) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _newton_numerators(values: list) -> list:
-    """Integer numerators of the polynomial through (0, v_0), ..., (B, v_B).
-
-    Entry k is bound! times the coefficient of t^k, B = len(values) - 1:
-    the value at t is sum_j (Delta^j v_0) * C(t, j), and multiplying by B!
-    keeps every falling-factorial coefficient an integer.
-    """
-    bound = len(values) - 1
-    numer = [0] * (bound + 1)
+def _interpolate(values: list) -> list:
+    """[c0..cB] of the polynomial of degree <= B with integer coefficients
+    and values v at 0..B, in Newton's forward form sum_j (Delta^j v_0 / j!)
+    t (t-1) ... (t-j+1), where j! divides Delta^j v_0 exactly."""
+    coeffs = [0] * len(values)
     falling = [1]          # t (t-1) ... (t-j+1), ascending coefficients
-    weight = math.factorial(bound)
-    for j in range(bound + 1):
-        head = values[0]
+    factorial = 1          # j!
+    for j in range(len(values)):
+        head = values[0] // factorial
         if head:
-            factor = head * weight
             for k, c in enumerate(falling):
-                numer[k] += factor * c
+                coeffs[k] += head * c
         values = [b - a for a, b in zip(values, values[1:])]
-        if j < bound:
-            weight //= j + 1
+        if values:
+            factorial *= j + 1
             falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]  # *= (t - j)
-    return numer
+    return coeffs
 
 
 def _matching_bound(weights: list) -> Optional[int]:
@@ -1026,9 +1029,9 @@ def determinant(matrix: list) -> MultiPoly:
     matching's weight.  With no such matching every term vanishes, and so
     does the determinant.  On a Sylvester matrix of forms of degrees d1, d2
     the bound is d1*d2.  The determinant is taken by integer Bareiss at
-    every point of the grid 0..B_1 x ... x 0..B_k and rebuilt by Newton
-    interpolation on forward differences along each axis in turn.
-    Specialisation commutes with the determinant, so the result is exact.
+    every point of the grid 0..B_1 x ... x 0..B_k and rebuilt along each
+    axis in turn, over the integers, by `_interpolate`.  Specialisation
+    commutes with the determinant, so the result is exact.
     """
     if not matrix:
         raise ZeroInput("empty matrix")
@@ -1074,16 +1077,13 @@ def determinant(matrix: list) -> MultiPoly:
         for start in range(len(values)):
             if start // stride % size == 0:
                 span = slice(start, start + size * stride, stride)
-                values[span] = _newton_numerators(values[span])
+                values[span] = _interpolate(values[span])
         stride *= size
 
-    denom = scale
-    for bound in bounds:
-        denom *= math.factorial(bound)
     exponents = [[0] * len(ring)]
     for i, bound in zip(free, bounds):
         exponents = [e[:i] + [k] + e[i + 1:] for e in exponents for k in range(bound + 1)]
-    return MultiPoly._trusted(ring, {tuple(e): Fraction(c, denom)
+    return MultiPoly._trusted(ring, {tuple(e): Fraction(c, scale)
                                      for e, c in zip(exponents, values) if c})
 
 
@@ -1116,13 +1116,11 @@ def subresultant_coefficient(f: UniPolyView, g: UniPolyView, k: int, j: int) -> 
     and S_k specialises to psc_k times that monic gcd (González-Vega & El
     Kahoui, J. Complexity 12, 1996).  Evaluated like the resultant.
     """
-    matrix = sylvester_matrix(f, g)
+    sylvester_matrix(f, g)  # its refusals come first
     m, n = f.degree, g.degree
     if not 0 <= j <= k < min(m, n):
         raise DegreeTooLow(f"s_{k},{j} needs 0 <= j <= k < min(deg f, deg g) = {min(m, n)}")
-    columns = list(range(m + n - 2 * k - 1)) + [m + n - 1 - k - j]
-    rows = matrix[:n - k] + matrix[n:n + m - k]
-    return determinant([[row[c] for c in columns] for row in rows])
+    return determinant(_minor_matrix(f.coeffs, g.coeffs, k, j, MultiPoly.zero(f.poly.variables)))
 
 
 def discriminant(f: UniPolyView) -> MultiPoly:
@@ -1209,14 +1207,13 @@ def _ternary_form(f: MultiPoly) -> int:
 
 
 def _restriction(terms: dict, p: Sequence[int], q: Sequence[int]) -> list:
-    """An integer list [c0..cd] proportional to F(s*p + q), for the integer
-    terms of a nonzero ternary form F of degree d (`_integer_terms(F)[1]`)
-    and integer points p and q.
+    """The integer list [c0..cd] of F(s*p + q), for the integer terms of a
+    nonzero ternary form F of degree d (`_integer_terms(F)[1]`) and integer
+    points p and q.
 
-    The one evaluation of a form along a line: the scaled F is evaluated at
-    s = 0..d over the integers and interpolated, so entry k is d! times the
-    coefficient of s^k (`_newton_numerators`).  The list is not trimmed:
-    entry d, a multiple of F(p), is zero exactly when p lies on the curve.
+    The one evaluation of a form along a line, at s = 0..d over the
+    integers, interpolated.  The list is not trimmed: entry d, the scaled
+    F(p), is zero exactly when p lies on the curve.
     """
     d = sum(next(iter(terms)))
     values = []
@@ -1224,7 +1221,7 @@ def _restriction(terms: dict, p: Sequence[int], q: Sequence[int]) -> list:
         point = [s * pc + qc for pc, qc in zip(p, q)]
         x, y, z = ([r ** m for m in range(d + 1)] for r in point)
         values.append(sum(c * x[e[0]] * y[e[1]] * z[e[2]] for e, c in terms.items()))
-    return _newton_numerators(values)
+    return _interpolate(values)
 
 
 def _on_pencil(forms: Sequence[MultiPoly]):
@@ -1269,7 +1266,7 @@ def transversal_line(f: MultiPoly) -> Optional[tuple]:
     if f.is_zero():
         return None
     return next((line for line, (fa,) in islice(_on_pencil([f]), d * (d - 1) + 1)
-                 if len(_uni_gcd(fa, [n * c for n, c in enumerate(fa)][1:])) == 1), None)
+                 if _distinct_roots(fa)), None)
 
 
 def is_squarefree(f: MultiPoly) -> bool:

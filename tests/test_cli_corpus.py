@@ -394,7 +394,13 @@ class TestMalformedInput:
         lambda d: d["values"].update(c0m_3=1),
         lambda d: d["values"].update(c0m_1=[2]),
         lambda d: d["values"].update(c0m_1="2/x"),
-    ], ids=["no-n", "no-values", "three-dims", "unknown-field", "list-value", "bad-rational"])
+        lambda d: d["values"].update(c0m_1=float("nan")),
+        lambda d: d["values"].update(c0m_1=float("inf")),
+        lambda d: d["values"].update(c0m_1=0.1),
+        lambda d: d["values"].update(c0m_1=2.0),
+        lambda d: d["values"].update(c0m_1=True),
+    ], ids=["no-n", "no-values", "three-dims", "unknown-field", "list-value", "bad-rational",
+            "nan-value", "inf-value", "float-value", "integral-float-value", "bool-value"])
     def test_malformed_instance(self, change, tmp_path, capsys):
         data = json.loads(json.dumps(SOLVE_INSTANCE))
         change(data)
@@ -438,9 +444,11 @@ class TestMalformedInput:
             "s": {"standard": {"type": "linear", "n": 2, "m": 1}},
             "s_dual": {"standard": {"type": "linear_dual", "n": 2, "m": 1}},
             "chi_s_q": 2, "chi_sd_qd": {"ci": {"n": 2, "degrees": ["2"]}}}},
+        {"kind": "SolveUnknown", "expected": {"value": "1/1"}, "inputs": {
+            **SOLVE_INSTANCE, "values": {**SOLVE_INSTANCE["values"], "c0m_1": float("nan")}}},
     ], ids=["no-curve2", "poly-not-text", "unknown-lhs-form", "no-d_dual", "d-not-int",
             "no-value", "n-null", "no-m", "short-slice", "ci-without-degrees",
-            "ci-degree-not-int"])
+            "ci-degree-not-int", "nan-value"])
     def test_malformed_case_errors_and_the_run_goes_on(self, broken, tmp_path, capsys):
         manifest = {"cases": [
             {"id": "solve", "kind": "SolveUnknown", "inputs": SOLVE_INSTANCE,
@@ -456,6 +464,22 @@ class TestMalformedInput:
         assert results[1].details["error"].startswith("SchemaError:")
         assert run_command(["corpus", "run", str(tmp_path)]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "total 3: 2 pass, 0 fail, 1 error"
+
+    def test_curve_file_that_is_not_utf8(self, tmp_path, capsys):
+        # both front ends read curve files through read_file, which refuses
+        # bytes that do not decode instead of raising UnicodeDecodeError
+        (tmp_path / "curve.txt").write_bytes(b"x^2 + y^2 - z^2 \xff\xfe")
+        self._refused(["curve", "analyze", "--file", str(tmp_path / "curve.txt")], capsys)
+        manifest = {"cases": [
+            {"id": "solve", "kind": "SolveUnknown", "inputs": SOLVE_INSTANCE,
+             "expected": {"value": "1/1"}},
+            {"id": "binary", "kind": "CurvePair",
+             "inputs": {"curve1": {"file": "curve.txt"}, "curve2": {"poly": "x"}}},
+        ]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        results = run_corpus(tmp_path, include_timing=False).results
+        assert [r.status for r in results] == ["pass", "error"]
+        assert results[1].details["error"].startswith("SchemaError:")
 
     def test_file_reference_must_be_text(self, tmp_path):
         manifest = {"cases": [{"id": "a", "kind": "CurvePair",
@@ -604,3 +628,116 @@ class TestModuleEntryPoint:
         assert done.stderr.startswith(b"error: PolySyntaxError")
         assert b"Traceback" not in done.stderr
         assert len(done.stderr) < 200
+
+
+def _package(n, d):
+    return hypersurface_package(n, d).as_dict()
+
+
+#: a valid case of each schema with integer fields; each passes as written
+INTEGER_CASES = {
+    "classical": {"kind": "ClassicalPlucker", "inputs": {"d": 4, "delta": 0, "kappa": 0},
+                  "expected": {"d_dual": 12, "delta_dual": 28, "kappa_dual": 24}},
+    "standard": {"kind": "PackagePair", "inputs": {
+        "s1": {"standard": {"type": "hypersurface", "n": 3, "d": 2}},
+        "s2": {"standard": {"type": "linear", "n": 3, "m": 1}},
+        "d1": {"standard": {"type": "quadric_dual", "n": 3}},
+        "d2": {"standard": {"type": "linear_dual", "n": 3, "m": 1}},
+        "chi_cap": {"slice": ["s1", 1]}, "chi_cap_dual": {"slice": ["d1", 1]}}},
+    "inline": {"kind": "PackagePair", "inputs": {
+        "s1": {"standard": {"type": "hypersurface", "n": 3, "d": 2}},
+        "s2": {"inline": _package(3, 2)},
+        "d1": {"standard": {"type": "quadric_dual", "n": 3}},
+        "d2": {"standard": {"type": "quadric_dual", "n": 3}},
+        "chi_cap": {"ci": {"n": 3, "degrees": [2, 2]}},
+        "chi_cap_dual": {"ci": {"n": 3, "degrees": [2, 2]}}}},
+    "literal": {"kind": "QuadricPair", "inputs": {
+        "s": {"standard": {"type": "linear", "n": 2, "m": 1}},
+        "s_dual": {"standard": {"type": "linear_dual", "n": 2, "m": 1}},
+        "chi_s_q": 2, "chi_sd_qd": 0}},
+    "solve": {"kind": "SolveUnknown", "inputs": SOLVE_INSTANCE, "expected": {"value": "1/1"}},
+}
+
+#: every integer field of the package, instance and case schemas: a case
+#: of INTEGER_CASES and the path to the field in it
+INTEGER_FIELDS = [
+    ("classical", ("inputs", "d")), ("classical", ("inputs", "delta")),
+    ("classical", ("inputs", "kappa")), ("classical", ("expected", "d_dual")),
+    ("classical", ("expected", "delta_dual")), ("classical", ("expected", "kappa_dual")),
+    ("standard", ("inputs", "s1", "standard", "n")),
+    ("standard", ("inputs", "s1", "standard", "d")),
+    ("standard", ("inputs", "s2", "standard", "m")),
+    ("standard", ("inputs", "chi_cap", "slice", 1)),
+    ("inline", ("inputs", "s2", "inline", "n")), ("inline", ("inputs", "s2", "inline", "dim")),
+    ("inline", ("inputs", "s2", "inline", "degree")),
+    ("inline", ("inputs", "s2", "inline", "c0m")),
+    ("inline", ("inputs", "s2", "inline", "chi_slices", 2)),
+    ("inline", ("inputs", "chi_cap", "ci", "n")),
+    ("inline", ("inputs", "chi_cap", "ci", "degrees", 1)),
+    ("literal", ("inputs", "chi_s_q")),
+    ("solve", ("inputs", "n")), ("solve", ("inputs", "dims", 0)),
+]
+
+NOT_INTEGERS = [True, 1.5, float("nan"), "1", None]
+
+
+def _with(document, path, value):
+    """A deep copy of a JSON document with the entry at path set to value."""
+    document = json.loads(json.dumps(document))
+    *head, last = path
+    parent = document
+    for key in head:
+        parent = parent[key]
+    parent[last] = value
+    return document
+
+
+class TestIntegerFields:
+    """Every integer field refuses true, floats, strings and null with a
+    SchemaError: bool subclasses int, so isinstance alone would admit
+    true and false."""
+
+    def _run(self, case, tmp_path):
+        manifest = {"cases": [
+            {"id": "solve", **INTEGER_CASES["solve"]},
+            {"id": "case", **case},
+            {"id": "classical", **INTEGER_CASES["classical"]},
+        ]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        return run_corpus(tmp_path, include_timing=False).results
+
+    @pytest.mark.parametrize("name", list(INTEGER_CASES))
+    def test_the_cases_pass_as_written(self, name, tmp_path):
+        assert [r.status for r in self._run(INTEGER_CASES[name], tmp_path)] == ["pass"] * 3
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=["true", "float", "nan", "text", "null"])
+    @pytest.mark.parametrize("name, path", INTEGER_FIELDS,
+                             ids=[f"{name}-{'.'.join(map(str, path[1:]))}"
+                                  for name, path in INTEGER_FIELDS])
+    def test_corpus_run_refuses(self, name, path, value, tmp_path):
+        results = self._run(_with(INTEGER_CASES[name], path, value), tmp_path)
+        assert [r.status for r in results] == ["pass", "error", "pass"]
+        assert results[1].details["error"].startswith("SchemaError:")
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=["true", "float", "nan", "text", "null"])
+    @pytest.mark.parametrize("command, document, path", [
+        ("detect-codim", _package(3, 2), (key,)) for key in ("n", "dim", "degree", "c0m")
+    ] + [
+        ("detect-codim", _package(3, 2), ("chi_slices", 2)),
+        ("solve", SOLVE_INSTANCE, ("n",)), ("solve", SOLVE_INSTANCE, ("dims", 0)),
+    ], ids=["n", "dim", "degree", "c0m", "chi_slices", "instance-n", "instance-dims"])
+    def test_cli_refuses(self, command, document, path, value, tmp_path, capsys):
+        path_ = tmp_path / "input.json"
+        path_.write_text(json.dumps(_with(document, path, value)))
+        option = {"detect-codim": "--package", "solve": "--file"}[command]
+        assert run_command(["plucker", command, option, str(path_)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: SchemaError")
+
+    def test_package_with_booleans_is_refused(self, tmp_path, capsys):
+        # detect-codim used to read this package as degree 1 and print 2
+        path = tmp_path / "p1.json"
+        path.write_text(json.dumps({"label": "P1", "n": 2, "dim": 1, "degree": True, "c0m": 2,
+                                    "chi_slices": [0, True, 2], "transversal": True}))
+        assert run_command(["plucker", "detect-codim", "--package", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: SchemaError")

@@ -167,11 +167,12 @@ class TestDualEquation:
 
     def test_failed_certificate_refused(self, monkeypatch):
         # once w and the singular lines are stripped, the discriminant of a
-        # reduced curve is square-free; were the certificate to fail, the
-        # dual is refused instead of reduced by a trivariate gcd
-        from dualis import dualgeom
+        # reduced curve is square-free; were the certificate of the dual
+        # PlaneCurve to fail, the dual is refused instead of reduced by a
+        # trivariate gcd
+        from dualis import curvelab
         nodal = curve(NODAL)
-        monkeypatch.setattr(dualgeom, "is_squarefree", lambda f: False)
+        monkeypatch.setattr(curvelab, "transversal_line", lambda f: None)
         with pytest.raises(InvariantViolation):
             dual_equation(nodal)
 

@@ -207,8 +207,8 @@ def test_one_line_restriction_and_one_coordinate_change():
     # chart origin through apply_matrix, so curvelab substitutes nothing
     assert _readers("_restriction") == ["curvelab.py: line_transversality",
                                         "exact.py: _on_pencil"]
-    assert _readers("_newton_numerators") == ["elimination.py: coefficient",
-                                              "exact.py: _restriction", "exact.py: determinant"]
+    assert _readers("_interpolate") == ["elimination.py: coefficient",
+                                        "exact.py: _restriction", "exact.py: determinant"]
     assert "substitute" not in _referenced_names(SOURCE / "curvelab.py")
     defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
     assert not defined & {"binary_distinct_roots", "_lowest_parts", "_exps", "gradient"}
@@ -219,10 +219,59 @@ def test_one_expansion_and_one_integer_coordinate_change():
     # expansion exact._expand; bases, shears and apply_matrix move integer
     # terms through elimination._moved
     assert _readers("_expand") == ["elimination.py: _moved", "exact.py: substitute"]
-    assert _readers("_add_product") == ["exact.py: _expand"]
+    assert _readers("_add_product") == ["exact.py: __mul__", "exact.py: _expand"]
     assert _readers("_moved") == ["elimination.py: _accepted_frame",
                                   "elimination.py: _pair_frame_count",
                                   "elimination.py: apply_matrix"]
     assert "comb" not in _referenced_names(SOURCE / "elimination.py")
     defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
     assert not defined & {"_dehomogenised", "restrict_variables"}
+
+
+def _index_products(path: Path) -> list:
+    """Every function of a module with a comprehension over enumerate(...)
+    whose element multiplies by the index: the form of a derivative."""
+    found = []
+    for fn, node in _functions(path).items():
+        for comp in ast.walk(node):
+            if not isinstance(comp, (ast.ListComp, ast.GeneratorExp)):
+                continue
+            for gen in comp.generators:
+                if (isinstance(gen.iter, ast.Call)
+                        and getattr(gen.iter.func, "id", None) == "enumerate"
+                        and isinstance(gen.target, ast.Tuple)
+                        and isinstance(gen.target.elts[0], ast.Name)):
+                    index = gen.target.elts[0].id
+                    if any(isinstance(b, ast.BinOp) and isinstance(b.op, ast.Mult)
+                           and index in {getattr(b.left, "id", None), getattr(b.right, "id", None)}
+                           for b in ast.walk(comp.elt)):
+                        found.append(f"{path.name}: {fn}")
+    return sorted(set(found))
+
+
+def test_one_univariate_toolkit():
+    # each operation of the integer kernel is written once, in exact: the
+    # s_{k,j} minor layout over any ring, the derivative of a list and of a
+    # list of y-columns, the distinct-roots test and the primality test (the
+    # readers of the interpolation and of the term product are pinned above)
+    defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
+    assert not defined & {"_sylvester_minor", "_newton_numerators"}
+    assert _readers("_minor_matrix") == ["elimination.py: coefficient",
+                                         "exact.py: subresultant_coefficient",
+                                         "exact.py: sylvester_matrix"]
+    derivatives = [name for path in sorted(SOURCE.glob("*.py"))
+                   for name in _index_products(path)]
+    assert derivatives == ["exact.py: _derivative", "exact.py: _y_derivative"]
+    assert _readers("_distinct_roots") == ["curvelab.py: line_transversality",
+                                           "exact.py: transversal_line"]
+    assert _readers("_y_derivative") == ["elimination.py: is_power",
+                                         "elimination.py: singular_locus"]
+    assert _readers("_derivative") == ["elimination.py: _root_candidates",
+                                       "elimination.py: _sqfree_part",
+                                       "elimination.py: singular_locus",
+                                       "exact.py: _distinct_roots"]
+    elimination = _referenced_names(SOURCE / "elimination.py")
+    assert "isqrt" not in elimination and "_is_prime" in elimination
+    primes = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
+                    for name in _functions(path) if "prime" in name.replace("coprime", ""))
+    assert primes == ["exact.py: _gcd_primes", "exact.py: _is_prime"]
