@@ -8,9 +8,10 @@ with coordinates (u, v, w), w != 0, meets the curve where the binary form
 
 vanishes, so the lines meeting C with a repeated contact are cut out by the
 discriminant of phi(x, 1) in x, a form of degree 2d(d-1) in (u, v, w).  It
-is computed on the chart w = 1, with two free variables, and homogenised
-back.  It also picks up extraneous components with known provenance, which
-are stripped in a fixed order:
+is computed on the chart w = 1, with two free variables, from its values
+on the triangle u + v <= d(d-1) (`_dual_in_chart`, one subresultant chain
+per point), and homogenised back.  It also picks up extraneous components
+with known provenance, which are stripped in a fixed order:
 
     1. the lines through the chart's centre of projection, w = 0, to the
        power 2d(d-1) minus the degree of the chart discriminant, which is
@@ -49,6 +50,7 @@ count, so only the check at a second witness needs a frame of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import curvelab, elimination
 from .curvelab import DUAL_VARS, PRIMAL_VARS, PlaneCurve
@@ -64,8 +66,14 @@ from .errors import (
 from .exact import (  # WITNESS_SEQUENCE is re-exported for callers
     WITNESS_SEQUENCE,
     MultiPoly,
-    UniPolyView,
-    discriminant,
+    _derivative,
+    _differences,
+    _discriminant_matrix,
+    _from_differences,
+    _int_bareiss_determinant,
+    _integer_terms,
+    _interpolate,
+    _subresultant_chain,
     try_exact_div,
     witnesses,
 )
@@ -102,7 +110,28 @@ def _strip_all(poly: MultiPoly, factor: MultiPoly):
 def _dual_in_chart(F: MultiPoly) -> MultiPoly:
     """Discriminant of V(F) on the chart w = 1, homogenised to its own degree.
 
-    Needs a term of F free of y, so that phi(x, 1) keeps degree d in x.
+    Needs a term of F free of y, so that psi(x) = F(x, 1, -(u*x + v))
+    keeps degree d in x.  The chart discriminant Delta(u, v) = disc_x psi
+    has total degree at most D = d(d-1): psi is F(s*P + t*Q) at t = 1 for
+    P = (1, 0, -u) and Q = (0, 1, -v).  The discriminant of a binary form
+    of degree d is an SL_2-invariant of degree 2(d-1) in its coefficients
+    and weight d(d-1) (Gelfand, Kapranov & Zelevinsky, Discriminants,
+    Resultants and Multidimensional Determinants, 1994), so disc F(sP + tQ)
+    is bihomogeneous of degree d(d-1) in P and in Q and unchanged when
+    SL_2 moves (P, Q); by the first fundamental theorem for SL_2 it is a
+    form of degree d(d-1) in the Plucker coordinates P x Q = (u, v, 1).
+
+    So Delta is fixed by its values on the triangle u, v >= 0, u + v <= D.
+    At each point psi's d+1 coefficient polynomials, taken over the
+    integers, give an integer list, and Delta there is
+    (-1)^(d(d-1)/2) Res(psi, psi') / lc(psi), read from the subresultant
+    chain; where lc(psi) vanishes it is the determinant of the modified
+    Sylvester matrix, by Bareiss.  Newton's form on the triangle,
+    sum_{i+j<=D} Delta_u^i Delta_v^j Delta(0, 0) C(u, i) C(v, j), reads
+    only those values: forward differences in v along each row give
+    g_j(u) = Delta_v^j Delta(u, 0), of degree at most D - j, which
+    `_interpolate` rebuilds from u = 0..D-j; the coefficient of u^i is
+    then a polynomial in v given by its forward differences.
     """
     src = F.variables
     dst = dual_ring(src)
@@ -113,11 +142,33 @@ def _dual_in_chart(F: MultiPoly) -> MultiPoly:
         src[1]: MultiPoly.const(ring, 1),
         src[2]: -(MultiPoly.var(ring, dst[0]) * x + MultiPoly.var(ring, dst[1])),
     })
-    disc = discriminant(UniPolyView(psi, src[0]))
+    d = F.total_degree()
+    D = d * (d - 1)
+    den, terms = _integer_terms(psi)
+    parts = [[] for _ in range(d + 1)]    # per power of x: its terms (a, b, c), c u^a v^b
+    for (i, a, b, _), c in terms.items():
+        parts[i].append((a, b, c))
+    sign = -1 if D // 2 % 2 else 1
+    heads = []                            # per u: the forward differences in v of Delta(u, v)
+    for u in range(D + 1):
+        in_v = [[0] * (d + 1) for _ in range(d + 1)]   # psi's coefficients at u, as lists in v
+        for cs, part in zip(in_v, parts):
+            for a, b, c in part:
+                cs[b] += c * u ** a
+        values = []
+        for v in range(D + 1 - u):
+            cs = [elimination._at(c, v) for c in in_v]
+            values.append(sign * (_subresultant_chain(cs, _derivative(cs))[0][0] // cs[-1] if cs[-1]
+                                  else _int_bareiss_determinant(_discriminant_matrix(cs, 1))))
+        heads.append(_differences(values))
+    along_u = [_interpolate([row[j] for row in heads[:D + 1 - j]]) for j in range(D + 1)]
+    scale = den ** (2 * d - 2)
+    coeffs = {(i, k): Fraction(c, scale) for i in range(D + 1)
+              for k, c in enumerate(_from_differences([g[i] for g in along_u[:D + 1 - i]])) if c}
     # restore w to the chart discriminant's own degree: the discriminant is a
     # form of degree 2d(d-1), so the rest of that degree is a power of w
-    top = disc.total_degree()
-    return MultiPoly(dst, {(a, b, top - a - b): c for (_, a, b, _), c in disc.terms.items()})
+    top = max((i + k for i, k in coeffs), default=0)
+    return MultiPoly(dst, {(i, k, top - i - k): c for (i, k), c in coeffs.items()})
 
 
 def _dual_line(ring, point) -> MultiPoly:
@@ -180,6 +231,8 @@ def dual_degree_oracle(curve: PlaneCurve, witness=None) -> int:
     curve's singular analysis, which counts in the frame of F and that very
     polar.  The count is recomputed at the first point of `witnesses` not
     proportional to the witness, and a mismatch raises NonGenericWitness.
+    F is square-free and each witness lies off the curve, so each frame
+    is certified without a coprimality test (`elimination._witness_frame`).
     """
     if curve.degree < 2:
         raise InvalidParams("dual degree oracle needs a curve of degree >= 2")
@@ -189,9 +242,9 @@ def dual_degree_oracle(curve: PlaneCurve, witness=None) -> int:
         if curve.contains(witness):
             raise WitnessOnCurve(f"witness {witness} lies on the curve")
         w = witness
-        count = elimination.distinct_intersection_count(curve.F, elimination.polar(curve.F, w))
+        count = elimination._witness_frame(curve.F, w).count()
     second = next(p for p in witnesses([curve.F]) if not _proportional(p, w))
-    check = elimination.distinct_intersection_count(curve.F, elimination.polar(curve.F, second))
+    check = elimination._witness_frame(curve.F, second).count()
     if count != check:
         raise NonGenericWitness(
             f"witnesses {w} and {second} disagree: "

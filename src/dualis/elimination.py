@@ -35,9 +35,11 @@ and every x-shear is an integer coordinate change of those terms
 (`_moved`, through the one expansion `exact._expand`).  A frame holds the
 pair as integer y-columns, one list in x per power of y, of the moved
 terms at z = 1 (`_chart_columns`).  Their values at x = 0, 1, 2, ... are
-taken once per frame and cached: one sweep serves the eliminant
-R = s_{0,0} and every s_{k,j}, each the integer determinant there of the
-minor that `exact._minor_matrix` lays out, rebuilt by `exact._interpolate`
+taken once per frame and cached with their subresultant chain
+(`exact._subresultant_chain`): one sweep serves the eliminant R = s_{0,0}
+and every s_{k,j}, each read from the chain at each point, or taken as
+the integer determinant of the minor that `exact._minor_matrix` lays out
+where an operand is constant, and rebuilt by `exact._interpolate`
 (Collins, J. ACM 18, 1971).  In an accepted frame the y-degree of each
 operand is its total degree, so cell (i, c) of a minor has x-degree at
 most c - i; every permutation then weighs the same, and
@@ -52,7 +54,9 @@ arithmetic enters the frame search.
 The public `apply_matrix` is the same coordinate change on a `MultiPoly`.
 The square-free part is written once (`_sqfree_part`), for the frame step
 and `rational_roots`.  No trivariate gcd runs here: a pair is proved
-coprime on a pencil of lines (`exact.forms_coprime`).
+coprime on a pencil of lines (`exact.forms_coprime`), except a
+square-free form and the polar of a point off its curve, which are
+coprime by construction (`_witness_frame`).
 
 Nothing here ever returns a float or an approximation; when a count cannot
 be certified the routine raises.
@@ -86,6 +90,7 @@ from .exact import (
     _minor_matrix,
     _primitive,
     _primitive_ints,
+    _subresultant_chain,
     _ternary_form,
     _trim,
     _uni_gcd,
@@ -315,7 +320,7 @@ class _Frame:
         self.A, self.B = A, B
         self.base, self.shear = base, shear
         self.classes: dict = {}
-        self._values: list = []       # (A, B) at x = 0, 1, 2, ..., as integer lists in y
+        self._values: list = []       # (A, B, chain) at x = 0, 1, 2, ...: lists in y, their chain
         self._coefficients: dict = {}
 
     def count(self) -> int:
@@ -328,8 +333,10 @@ class _Frame:
 
         Cell (i, c) of the minor holds a y-coefficient of x-degree at most
         c - i, so every term of the determinant has degree at most
-        D = (m-k)(n-k) + k - j, and the minors at x = 0..D, read from the
-        operands' values cached there, fix its integer coefficients."""
+        D = (m-k)(n-k) + k - j, and the minors at x = 0..D fix its integer
+        coefficients.  Each point caches the operands' values there and
+        their subresultant chain, which holds every s_{k,j} at once; a
+        constant operand has no chain, and takes the minor by Bareiss."""
         if (k, j) not in self._coefficients:
             m, n = len(self.A) - 1, len(self.B) - 1
             if k and k == min(m, n):
@@ -337,9 +344,11 @@ class _Frame:
             else:
                 bound = (m - k) * (n - k) + k - j
                 for v in range(len(self._values), bound + 1):
-                    self._values.append(([_at(c, v) for c in self.A], [_at(c, v) for c in self.B]))
-                s = _trim(_interpolate([_int_bareiss_determinant(_minor_matrix(a, b, k, j, 0))
-                                        for a, b in self._values[:bound + 1]]))
+                    a, b = [_at(c, v) for c in self.A], [_at(c, v) for c in self.B]
+                    self._values.append((a, b, _subresultant_chain(a, b)))
+                s = _trim(_interpolate([
+                    chain[k][j] if chain else _int_bareiss_determinant(_minor_matrix(a, b, k, j, 0))
+                    for a, b, chain in self._values[:bound + 1]]))
             self._coefficients[k, j] = s
         return self._coefficients[k, j]
 
@@ -465,11 +474,26 @@ def distinct_intersection_count(F: MultiPoly, G: MultiPoly) -> int:
 
 
 def polar(F: MultiPoly, w) -> MultiPoly:
-    """The polar of F at the point w: the sum of w_i times the i-th partial.
-    By Euler's identity it takes the value d*F(w) at w, so it is nonzero
-    when w is off the curve."""
-    ring = F.variables
-    return sum((F.derivative(v) * c for v, c in zip(ring, w)), MultiPoly.zero(ring))
+    """The polar of F at the point w: the sum of w_i times the i-th partial,
+    built in one pass over the integer terms of F and divided by their
+    common denominator once.  By Euler's identity it takes the value
+    d*F(w) at w, so it is nonzero when w is off the curve."""
+    den, scaled = _integer_terms(F)
+    terms: dict = {}
+    for e, c in scaled.items():
+        for i, (k, wi) in enumerate(zip(e, w)):
+            if k and wi:
+                lower = e[:i] + (k - 1,) + e[i + 1:]
+                terms[lower] = terms.get(lower, 0) + c * k * wi
+    return MultiPoly(F.variables, {e: Fraction(c, den) for e, c in terms.items() if c})
+
+
+def _witness_frame(F: MultiPoly, w) -> _Frame:
+    """The first accepted frame of a square-free form F and its polar at a
+    point w off the curve.  The pair shares no component, so the frame
+    search skips `forms_coprime`: a component shared by a square-free F
+    and its polar would be a cone with vertex w, so it would contain w."""
+    return _accepted_frame(F, polar(F, w), coprime=True)
 
 
 @dataclass(frozen=True)
@@ -498,20 +522,20 @@ class SingularLocus:
 def singular_locus(F: MultiPoly) -> SingularLocus:
     """The singular analysis of the curve of a square-free form F.
 
-    A witness w = `point_off([F])` makes F and its polar P_w coprime: a
-    shared component would be a cone with vertex w, so it would contain w.
-    The singular points lie on both curves, and in the first accepted frame
-    of the pair every common zero is affine and the only one over its root
-    alpha of R, at (alpha, beta(alpha)).  On a class Phi_k it is singular
-    where both affine partials of the moved F vanish at y = beta, that is
-    at the roots of the singular part gcd(Phi_k, Res_y(A_x, L_k),
-    Res_y(A_y, L_k)).  The count is the sum of their degrees, and the
-    rational roots give the rational points (`rational_system_points`).
+    A witness w = `point_off([F])` lies off the curve, so F and its polar
+    P_w are coprime (`_witness_frame`).  The singular points lie on both
+    curves, and in the first accepted frame of the pair every common zero
+    is affine and the only one over its root alpha of R, at
+    (alpha, beta(alpha)).  On a class Phi_k it is singular where both
+    affine partials of the moved F vanish at y = beta, that is at the
+    roots of the singular part gcd(Phi_k, Res_y(A_x, L_k), Res_y(A_y, L_k)).
+    The count is the sum of their degrees, and the rational roots give the
+    rational points (`rational_system_points`).
     """
     if F.is_zero():
         raise ZeroInput("the zero form defines no curve")
     w = point_off([F])
-    frame = _accepted_frame(F, polar(F, w), coprime=True)
+    frame = _witness_frame(F, w)
     # the affine partials of the moved F, as y-columns without zero top columns
     dx = [_derivative(col) for col in frame.A]
     dy = _y_derivative(frame.A)

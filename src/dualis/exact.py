@@ -39,7 +39,15 @@ determinants of the submatrices of the Sylvester matrix that
 `_minor_matrix` lays out over any ring, take the same path; they tell
 where two polynomials share k roots and what the common factor is.  A
 hard guardrail refuses Sylvester matrices larger than 64x64 so that a
-degenerate input fails fast instead of hanging.
+degenerate input fails fast instead of hanging.  These determinants of
+MultiPoly entries serve only the public `resultant`,
+`subresultant_coefficient` and `discriminant`.  The counts of
+`elimination` and the dual equations of `dualgeom` evaluate integer lists
+instead and read every s_{k,j} at a point from one subresultant chain
+(`_subresultant_chain`, the subresultant PRS of Collins, J. ACM 14, 1967,
+and Brown & Traub, J. ACM 18, 1971, abnormal blocks included); Bareiss
+takes a minor only where an operand is constant or a leading
+coefficient vanishes.
 
 Whether two ternary forms share a component is decided on a pencil of
 lines through a point off their curves: each line restricts the forms to
@@ -52,11 +60,13 @@ so the same certificate decides square-freeness with d(d-1) + 1 lines.
 
 The one univariate toolkit lives here too, on integer coefficient lists
 [c0..cd], each operation written once: trimming, primitive parts,
-derivatives, exact quotients over Z, the distinct-roots test and the one
-univariate gcd, Brown's modular algorithm (J. ACM 18, 1971), which works
-modulo primes just below 2^61, checks its candidate by trial division over
-Z and returns a primitive gcd; a constant image modulo one prime proves a
-constant gcd, which is the usual case.  The trivariate gcd ``poly_gcd`` and
+derivatives, exact quotients and pseudo-remainders over Z, the
+subresultant chain, interpolation from values or from forward
+differences, the distinct-roots test and the one univariate gcd, Brown's
+modular algorithm (J. ACM 18, 1971), which works modulo primes just below
+2^61, checks its candidate by trial division over Z and returns a
+primitive gcd; a constant image modulo one prime proves a constant gcd,
+which is the usual case.  The trivariate gcd ``poly_gcd`` and
 the ``radical`` built on it are public API; no count, no curve check and no
 dual equation calls them.  Evaluation at a point of ints runs over the
 integers too, with one division at the end.
@@ -105,12 +115,21 @@ def _clipped(text: str) -> str:
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` into a Fraction."""
+    """Parse ``p`` or ``p/q`` into a Fraction: an optional sign, digits,
+    and an optional "/" followed by digits, with surrounding whitespace.
+    Anything else, such as exponent notation, decimals or digit separators,
+    is refused with PolySyntaxError."""
+    stripped = text.strip()
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise PolySyntaxError(f"bad rational literal {_clipped(text)}") from exc
+        if _RATIONAL.fullmatch(stripped):
+            return Fraction(stripped)
+    except (ValueError, ZeroDivisionError):  # a zero denominator, or digits past int's limit
+        pass
+    raise PolySyntaxError(f"bad rational literal {_clipped(text)}")
 
 
 def _grad_lex_key(exps: Exponents):
@@ -692,6 +711,19 @@ def _uni_quo(a: Sequence[int], b: Sequence[int]) -> list:
     return q
 
 
+def _uni_prem(a: Sequence[int], b: Sequence[int]) -> list:
+    """The pseudo-remainder of integer lists, trimmed: the remainder of
+    lc(b)^(m-n+1) a by b, m = deg a >= n = deg b >= 1, b[-1] != 0."""
+    r, lead, n = list(a), b[-1], len(b) - 1
+    for k in reversed(range(len(a) - n)):
+        top = r.pop()
+        r = [c * lead for c in r]
+        if top:
+            for i, bc in enumerate(b[:n]):
+                r[k + i] -= top * bc
+    return _trim(r)
+
+
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -957,23 +989,82 @@ def _int_bareiss_determinant(m: list) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _interpolate(values: list) -> list:
+def _subresultant_chain(a: Sequence[int], b: Sequence[int]) -> Optional[list]:
+    """The subresultants [S_0, ..., S_{l-1}], l = min(m, n), of integer
+    lists a, b of degrees m, n with nonzero leading coefficients: S_k is
+    the list [s_{k,0}..s_{k,k}] of the minors of `_minor_matrix`, so
+    S_0 = [Res(a, b)].  None when an operand is constant.
+
+    For m >= n this is the subresultant PRS (Collins, J. ACM 14, 1967;
+    Brown & Traub, J. ACM 18, 1971): r_1 = a, r_2 = b, r_{i+1} =
+    prem(r_{i-1}, r_i) / beta_i, with beta_1 = (-1)^(delta_1 + 1),
+    psi_1 = -1, psi_{i+1} = (-gamma_i)^delta_i / psi_i^(delta_i - 1) and
+    beta_{i+1} = -gamma_i psi_{i+1}^delta_{i+1}, gamma_i = lc(r_i) and
+    delta_i = deg r_i - deg r_{i+1}.  By the fundamental theorem of
+    subresultants r_{i+1} is S_{d-1}, d = deg r_i, of degree e = deg
+    r_{i+1}; when e < d - 1 the chain is abnormal there: S_{e+1}..S_{d-2}
+    vanish and S_e = (-lc(r_{i+1}) / psi_{i+1})^(d-e-1) r_{i+1}.  A zero
+    remainder leaves every lower S_k zero.  For m < n, swapping the n-k
+    rows of a and the m-k rows of b in the minor gives S_k(a, b) =
+    (-1)^((m-k)(n-k)) S_k(b, a).  Each step costs O(m n) integer
+    operations, against O((m+n-2k)^3) for one minor by Bareiss.
+    """
+    m, n = len(a) - 1, len(b) - 1
+    if m < n:
+        chain = _subresultant_chain(b, a)
+        return chain and [s if (m - k) * (n - k) % 2 == 0 else [-c for c in s]
+                          for k, s in enumerate(chain)]
+    if n < 1:
+        return None
+    chain = [[0] * (k + 1) for k in range(n)]
+    delta, beta, psi = m - n, (-1) ** (m - n + 1), -1
+    while len(b) > 1:
+        r = [c // beta for c in _uni_prem(a, b)]
+        if not r:
+            break
+        d, e = len(b) - 1, len(r) - 1
+        psi = (-b[-1]) ** delta * psi // psi ** delta
+        chain[d - 1] = r + [0] * (d - 1 - e)
+        if e < d - 1:
+            num, den = (-r[-1]) ** (d - e - 1), psi ** (d - e - 1)
+            chain[e] = [c * num // den for c in r]
+        delta, beta = d - e, -b[-1] * psi ** (d - e)
+        a, b = b, r
+    return chain
+
+
+def _differences(values: list) -> list:
+    """The forward differences [Delta^0 v_0, ..., Delta^B v_0] of values
+    v at 0..B."""
+    heads = []
+    while values:
+        heads.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return heads
+
+
+def _from_differences(heads: list) -> list:
     """[c0..cB] of the polynomial of degree <= B with integer coefficients
-    and values v at 0..B, in Newton's forward form sum_j (Delta^j v_0 / j!)
-    t (t-1) ... (t-j+1), where j! divides Delta^j v_0 exactly."""
-    coeffs = [0] * len(values)
+    whose forward differences at 0 are heads, in Newton's forward form
+    sum_j (Delta^j v_0 / j!) t (t-1) ... (t-j+1), where j! divides
+    Delta^j v_0 exactly."""
+    coeffs = [0] * len(heads)
     falling = [1]          # t (t-1) ... (t-j+1), ascending coefficients
     factorial = 1          # j!
-    for j in range(len(values)):
-        head = values[0] // factorial
+    for j, head in enumerate(heads):
+        head //= factorial
         if head:
             for k, c in enumerate(falling):
                 coeffs[k] += head * c
-        values = [b - a for a, b in zip(values, values[1:])]
-        if values:
-            factorial *= j + 1
-            falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]  # *= (t - j)
+        factorial *= j + 1
+        falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]  # *= (t - j)
     return coeffs
+
+
+def _interpolate(values: list) -> list:
+    """[c0..cB] of the polynomial of degree <= B with integer coefficients
+    and values v at 0..B."""
+    return _from_differences(_differences(values))
 
 
 def _matching_bound(weights: list) -> Optional[int]:
@@ -1138,10 +1229,21 @@ def discriminant(f: UniPolyView) -> MultiPoly:
     d = f.degree
     if d < 2:
         raise DegreeTooLow("discriminant needs degree >= 2")
-    matrix = sylvester_matrix(f, UniPolyView(f.poly.derivative(f.var), f.var))
-    matrix[0][0], matrix[d - 1][0] = (MultiPoly.const(f.poly.variables, c) for c in (1, d))
-    det = determinant(matrix)
+    sylvester_matrix(f, UniPolyView(f.poly.derivative(f.var), f.var))  # its refusals come first
+    det = determinant(_discriminant_matrix(f.coeffs, MultiPoly.const(f.poly.variables, 1)))
     return det if (d * (d - 1) // 2) % 2 == 0 else -det
+
+
+def _discriminant_matrix(cs: Sequence, one) -> list:
+    """The matrix whose determinant is Res(f, f') / lc(f), for the list
+    cs = [c0..cd] of f over a ring with unit ``one``, d >= 2, read as of
+    degree d even where cd vanishes: in the Sylvester matrix of f and f'
+    the first column holds cd in row 0, d*cd in row d-1 and zeros
+    elsewhere, and it is replaced by one and d*one."""
+    d = len(cs) - 1
+    matrix = _minor_matrix(cs, _derivative(cs), 0, 0, one * 0)
+    matrix[0][0], matrix[d - 1][0] = one, one * d
+    return matrix
 
 
 def squarefree_part(f: Union[MultiPoly, UniPolyView], var: Optional[str] = None) -> MultiPoly:

@@ -409,6 +409,29 @@ class TestMalformedInput:
         error = "PolySyntaxError" if "2/x" in json.dumps(data) else "SchemaError"
         self._refused(["plucker", "solve", "--file", str(path)], capsys, error=error)
 
+    @pytest.mark.parametrize("text", ["1e5", "1e999999999", "1.5", "1_000", "0x10", "3/-4"])
+    def test_rational_outside_the_p_q_grammar(self, text, tmp_path, capsys):
+        # only "p" and "p/q" with an optional sign: plucker solve exits 2,
+        # and corpus run reports each such case as an error and goes on
+        data = json.loads(json.dumps(SOLVE_INSTANCE))
+        data["values"].update(c0m_2=text)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(data))
+        self._refused(["plucker", "solve", "--file", str(path)], capsys, error="PolySyntaxError")
+        manifest = {"cases": [
+            {"id": "solve", "kind": "SolveUnknown", "inputs": SOLVE_INSTANCE,
+             "expected": {"value": "1/1"}},
+            {"id": "input", "kind": "SolveUnknown", "inputs": data, "expected": {"value": "1/1"}},
+            {"id": "expected", "kind": "SolveUnknown", "inputs": SOLVE_INSTANCE,
+             "expected": {"value": text}},
+        ]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        results = run_corpus(tmp_path, include_timing=False).results
+        assert [r.status for r in results] == ["pass", "error", "error"]
+        assert all(r.details["error"].startswith("PolySyntaxError:") for r in results[1:])
+        assert run_command(["corpus", "run", str(tmp_path)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "total 3: 1 pass, 0 fail, 2 error"
+
     def test_rational_strings_in_an_instance(self, tmp_path, capsys):
         data = json.loads(json.dumps(SOLVE_INSTANCE))
         data["values"].update(c0m_1="4/2", chi_cap_dual=None, chi_cap="1")

@@ -27,6 +27,7 @@ COMMANDS = [
     "curve analyze --max-degree 8 --poly x^7*y+y^7*z+z^7*x+x^3*y^3*z^2",
     "curve dual --poly y^2*z-x^3",
     "curve dual --file {data}/nodal_cubic.txt",
+    "curve dual --max-degree 8 --poly x^8+y^8+z^8",
     "curve dual-degree --poly x^4+y^4+z^4",
     "curve dual-degree --poly x^7+y^7+z^7",
     "plucker classical -d 3 --nodes 1",

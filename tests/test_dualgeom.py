@@ -1,9 +1,12 @@
 """Dual curves against independent oracles: quadric inversion, Gauss maps, polars."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from dualis import dualgeom
 from dualis.curvelab import (
     DUAL_VARS,
     PRIMAL_VARS,
@@ -124,6 +127,68 @@ class TestChartDiscriminant:
         chart = discriminant(UniPolyView(_chart_form(text), "x"))
         stripped = dict((f.text(), k) for f, k in dual_equation(curve(text)).removed_factors)
         assert stripped.get("w", 0) == 2 * d * (d - 1) - chart.total_degree()
+
+
+def _seeded_chart_forms():
+    """Seeded forms of degree 2..5 with a term free of y, some with
+    fractions, plus a form whose lc(psi) = 1 - u^2 vanishes at u = 1 and
+    sparse forms whose chains drop degrees along whole rows."""
+    rng = random.Random(20261019)
+    forms = []
+    for d in (2, 3, 3, 4, 4, 5):
+        monomials = [e for e in product(range(d + 1), repeat=3) if sum(e) == d]
+        while True:
+            terms = {e: Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.choice((1, 1, 2)))
+                     for e in rng.sample(monomials, min(d + 2, 5))}
+            if any(e[1] == 0 for e in terms):
+                forms.append(MultiPoly(PRIMAL_VARS, terms).text())
+                break
+    return forms + [LC_VANISHES, "x^4 + y^4 + z^4", "x^5 + y^5 + 2*z^5"]
+
+
+#: psi = x^3 - x*(u*x + v)^2 + (u*x + v): lc(psi) = 1 - u^2
+LC_VANISHES = "x^3 - x*z^2 - y^2*z"
+
+
+class TestTriangleDiscriminant:
+    """dualgeom._dual_in_chart, by the subresultant chain on the triangle
+    u + v <= d(d-1), against SymPy's discriminant of the chart form."""
+
+    @pytest.mark.parametrize("text", _seeded_chart_forms(),
+                             ids=lambda text: f"degree{parse_poly(text, PRIMAL_VARS).total_degree()}")
+    def test_against_sympy(self, text, monkeypatch):
+        sympy = pytest.importorskip("sympy")
+        fallbacks, abnormal = [], []
+        bareiss, chain = dualgeom._int_bareiss_determinant, dualgeom._subresultant_chain
+        monkeypatch.setattr(dualgeom, "_int_bareiss_determinant",
+                            lambda m: fallbacks.append(1) or bareiss(m))
+
+        def recorded(a, b):
+            result = chain(a, b)
+            abnormal.append(not all(s[-1] for s in result))
+            return result
+        monkeypatch.setattr(dualgeom, "_subresultant_chain", recorded)
+        psi = _chart_form(text)
+        symbols = sympy.symbols(psi.variables)
+        expr = sympy.sympify(psi.text().replace("^", "**"),
+                             locals=dict(zip(psi.variables, symbols)))
+        want = sympy.Poly(sympy.discriminant(expr, symbols[0]), *symbols[1:3])
+        top = want.total_degree()
+        got = dualgeom._dual_in_chart(parse_poly(text, PRIMAL_VARS))
+        d = parse_poly(text, PRIMAL_VARS).total_degree()
+        assert 0 < top <= d * (d - 1)
+        assert got == MultiPoly(DUAL_VARS, {
+            (a, b, top - a - b): Fraction(int(c.p), int(c.q)) for (a, b), c in want.terms()})
+        # Bareiss runs on the rows u where lc(psi) = sum over the y-free terms
+        # of c (-u)^(z-exponent) vanishes, and nowhere else
+        F = parse_poly(text, PRIMAL_VARS)
+        rows = [u for u in range(d * (d - 1) + 1)
+                if not sum(c * (-u) ** e[2] for e, c in F.terms.items() if e[1] == 0)]
+        assert len(fallbacks) == sum(d * (d - 1) + 1 - u for u in rows)
+        if text == LC_VANISHES:
+            assert rows == [1]
+        if text == "x^4 + y^4 + z^4":
+            assert any(abnormal)  # psi = (1 + u^4) x^4 + 1 at v = 0 drops degrees
 
 
 class TestDualEquation:
@@ -291,6 +356,21 @@ class TestDualDegreeOracle:
         frames.clear()
         assert dual_degree_oracle(c, witness=(1, 2, 5)) == 4
         assert len(frames) == 2  # the given witness's own frame and the check
+
+    @pytest.mark.parametrize("witness", [None, (1, 2, 5), (3, 1, 1)])
+    def test_oracle_frames_skip_the_coprimality_test(self, witness, monkeypatch):
+        # the trinodal quartic's nodes make bases unusable, where a pair not
+        # known coprime would be tested on a pencil; F is square-free and
+        # each witness is off the curve, so every oracle frame skips that
+        from dualis import elimination
+
+        def refused(F, G):
+            raise AssertionError("forms_coprime called")
+        monkeypatch.setattr(elimination, "forms_coprime", refused)
+        c = curve("2*x^2*y^2 + y^2*z^2 + z^2*x^2 - x^2*y*z - x*y^2*z - x*y*z^2")
+        assert dual_degree_oracle(c, witness=witness) == 6
+        with pytest.raises(AssertionError, match="forms_coprime"):
+            elimination.distinct_intersection_count(c.F, elimination.polar(c.F, (3, 1, 1)))
 
     def test_check_witness_is_not_proportional(self, monkeypatch):
         from dualis import elimination

@@ -159,6 +159,14 @@ class TestCounting:
         polar = f.derivative("x") + f.derivative("y") * 2 + f.derivative("z") * 5
         assert distinct_intersection_count(f, polar) == 9
 
+    def test_polar_is_the_weighted_sum_of_partials(self):
+        rng = random.Random(113)
+        for d in (1, 2, 3, 4, 5):
+            F = _random_form(rng, d)
+            for w in [(1, 2, 5), (0, 1, 0), (-3, 0, 7), (Fraction(1, 2), -2, Fraction(5, 3))]:
+                want = sum((F.derivative(v) * c for v, c in zip(XYZ, w)), MultiPoly.zero(XYZ))
+                assert elimination.polar(F, w) == want, (F.text(), w)
+
     def test_transversal_pair(self):
         f = parse_poly("x^2 + y^2 - z^2", XYZ)
         g = parse_poly("x - 2*y", XYZ)
@@ -296,6 +304,29 @@ class TestIntegerFrameKernel:
                            for row in minor]
                 bound = _matching_bound(weights)
                 assert bound is None or bound <= (d1 - k) * (d2 - k) + k - j, (k, j)
+
+    @pytest.mark.parametrize("text", [
+        "x^4 + y^4 + z^4",                                          # abnormal at every point
+        "2*x^2*y^2 + y^2*z^2 + z^2*x^2 - x^2*y*z - x*y^2*z - x*y*z^2",
+        "x^2*y^2 + y^2*z^2 + z^2*x^2 - 2*x^2*y*z - 2*x*y^2*z - 2*x*y*z^2",
+        "y^2*z - x^3 - x^2*z",
+        "x^5 + 3*x^2*y^2*z - y^4*z + 2*y*z^4 - x*z^4",
+    ], ids=["fermat-quartic", "trinodal", "tricuspidal", "nodal-cubic", "quintic"])
+    def test_chain_and_bareiss_give_the_same_frame(self, text, monkeypatch):
+        # every s_{k,j} of the frame is the same whether a point's chain is
+        # read or each minor is taken by Bareiss, and so is the analysis
+        F = parse_poly(text, XYZ)
+        chained = elimination.singular_locus(F)
+        monkeypatch.setattr(elimination, "_subresultant_chain", lambda a, b: None)
+        minors = elimination.singular_locus(F)
+        frame, reference = chained.frame, minors.frame
+        assert (frame.base, frame.shear, frame.classes) == (
+            reference.base, reference.shear, reference.classes)
+        m, n = len(frame.A) - 1, len(frame.B) - 1
+        for k in range(min(m, n)):
+            for j in range(k + 1):
+                assert frame.coefficient(k, j) == reference.coefficient(k, j), (k, j)
+        assert (chained.parts, chained.points) == (minors.parts, minors.points)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_line_resultant_closed_form(self, m):

@@ -25,7 +25,11 @@ from dualis.exact import (
     UniPolyView,
     _gcd_primes,
     _is_prime,
+    _int_bareiss_determinant,
+    _interpolate,
     _matching_bound,
+    _minor_matrix,
+    _subresultant_chain,
     _uni_gcd,
     _uni_quo,
     determinant,
@@ -34,6 +38,7 @@ from dualis.exact import (
     forms_coprime,
     is_squarefree,
     parse_poly,
+    parse_rational,
     point_off,
     poly_gcd,
     radical,
@@ -99,6 +104,31 @@ class TestParsing:
         with pytest.raises(UnknownVariableError) as info:
             parse_poly("x + " + "t" * 5000, XYZ)
         assert len(str(info.value)) < 120
+
+    @pytest.mark.parametrize("text, value", [
+        ("7", Fraction(7)), ("-3/4", Fraction(-3, 4)), ("+6/4", Fraction(3, 2)),
+        (" 12 ", Fraction(12)), ("0/5", Fraction(0)),
+    ])
+    def test_rational_literal(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1e5", "1E5", "1e999999999", "1.5", ".5", "1_000", "3/-4", "- 3", "3 / 4", "1/0",
+        "", "/3", "inf", "nan", "0x10", "9" * 5000,
+    ])
+    def test_rational_literal_refused(self, text):
+        # only an optional sign, digits and an optional "/" with digits:
+        # the rest of the Fraction string grammar is refused
+        with pytest.raises(PolySyntaxError):
+            parse_rational(text)
+
+    def test_polynomial_grammar_unchanged_by_the_rational_rule(self):
+        # coefficients reach parse_rational only as digits or digits/digits
+        assert parse_poly("-6/4*x^2 + 10*y", XYZ).terms == {
+            (2, 0, 0): Fraction(-3, 2), (0, 1, 0): Fraction(10)}
+        for text in ("1e5*x", "1.5*x", "1_000*x", "x/2"):
+            with pytest.raises(PolySyntaxError):
+                parse_poly(text, XYZ)
 
     def test_print_parse_fixed_point(self):
         rng = random.Random(20250810)
@@ -753,6 +783,90 @@ class TestIntegerQuotient:
         monkeypatch.setattr(elimination, "_uni_gcd", lambda a, b: [2, 1])
         with pytest.raises(InvariantViolation):
             elimination.rational_roots([Fraction(-1), 0, 1])
+
+
+def _bareiss_minor(a, b, k, j):
+    return _int_bareiss_determinant(_minor_matrix(a, b, k, j, 0))
+
+
+class TestSubresultantChain:
+    """exact._subresultant_chain against the Bareiss minors it replaces."""
+
+    @staticmethod
+    def _assert_matches_bareiss(a, b):
+        """The chain of a and b holds every s_{k,j}; None only when an
+        operand is constant."""
+        chain = _subresultant_chain(a, b)
+        m, n = len(a) - 1, len(b) - 1
+        if min(m, n) == 0:
+            assert chain is None
+        else:
+            assert chain == [[_bareiss_minor(a, b, k, j) for j in range(k + 1)]
+                             for k in range(min(m, n))], (a, b)
+        return chain
+
+    @staticmethod
+    def _abnormal(chain) -> bool:
+        """Does some principal coefficient psc_k = s_{k,k} vanish?"""
+        return not all(s[-1] for s in chain)
+
+    @pytest.mark.parametrize("shape", ["m<n", "m=n", "m>n"])
+    def test_seeded_pairs(self, shape):
+        rng = random.Random({"m<n": 71, "m=n": 73, "m>n": 79}[shape])
+        abnormal = 0
+        for _ in range(150):
+            m = rng.randint(1, 7)
+            n = {"m<n": m + rng.randint(1, 4), "m=n": m, "m>n": max(1, m - rng.randint(1, 4))}[shape]
+            if m == n == 1 and shape != "m=n":
+                continue
+            size = rng.choice((9, 10**6, 10**30))
+            a, b = _random_ints(rng, m, size), _random_ints(rng, n, size)
+            if rng.random() < 0.4:  # sparse lists, whose chains drop degrees
+                a, b = ([c if i == len(cs) - 1 or rng.random() < 0.3 else 0 for i, c in enumerate(cs)]
+                        for cs in (a, b))
+            abnormal += self._abnormal(self._assert_matches_bareiss(a, b))
+        assert abnormal > 10
+
+    def test_common_root_at_the_point(self):
+        # a zero remainder: the resultant and every S_k below the common
+        # factor's degree vanish
+        rng = random.Random(83)
+        for _ in range(40):
+            common = [rng.randint(-5, 5), 1] if rng.random() < 0.7 else [1, 0, 1]
+            a = _poly_mul(common, _random_ints(rng, rng.randint(0, 5), 20))
+            b = _poly_mul(common, _random_ints(rng, rng.randint(0, 5), 20))
+            chain = self._assert_matches_bareiss(a, b)
+            assert chain[0] == [0]
+            assert not any(chain[len(common) - 2])
+
+    def test_vanishing_principal_coefficient(self):
+        # a remainder that drops two or more degrees: some psc_k with k > 0
+        # vanishes while the resultant does not
+        for a, b in [([1, 0, 0, 0, 1], [5, 0, 0, 8]),       # y^4 + 1, 8y^3 + 5
+                     ([2, 0, 3, 0, 0, 1], [1, 0, 0, 0, 1]),
+                     ([1, 1, 0, 0, 1], [0, 0, 0, 3]),
+                     ([7, 0, 0, 0, 0, 0, 1], [3, 0, 0, 0, 0, 2])]:
+            for chain in (self._assert_matches_bareiss(a, b), self._assert_matches_bareiss(b, a)):
+                assert self._abnormal(chain) and chain[0] != [0]
+
+    def test_low_degree_operands(self):
+        assert _subresultant_chain([3, 2], [5]) is None
+        assert _subresultant_chain([5], [1, 0, 1]) is None
+        assert _subresultant_chain([3, 2], [-1, 4]) == [[_bareiss_minor([3, 2], [-1, 4], 0, 0)]]
+        rng = random.Random(89)
+        for _ in range(40):
+            a, b = _random_ints(rng, 1, 50), _random_ints(rng, rng.randint(1, 6), 50)
+            self._assert_matches_bareiss(a, b)
+            self._assert_matches_bareiss(b, a)
+
+    def test_swapped_operands_change_sign_by_the_row_blocks(self):
+        rng = random.Random(97)
+        for _ in range(40):
+            a, b = _random_ints(rng, rng.randint(1, 6), 30), _random_ints(rng, rng.randint(1, 6), 30)
+            m, n = len(a) - 1, len(b) - 1
+            assert _subresultant_chain(b, a) == [
+                s if (m - k) * (n - k) % 2 == 0 else [-c for c in s]
+                for k, s in enumerate(_subresultant_chain(a, b))]
 
 
 class TestEvaluation:

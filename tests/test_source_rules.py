@@ -60,19 +60,18 @@ def _functions(path: Path) -> dict:
 def test_one_univariate_gcd():
     # exact._uni_gcd, Brown's modular algorithm with its prime sequence and
     # its gcd modulo p, is the only univariate gcd; the other gcds are the
-    # trivariate public API, and no remainder-sequence helper serves a
-    # univariate caller: the pseudo-remainder is read by poly_gcd alone
+    # trivariate public API, and no remainder sequence serves a univariate
+    # gcd: the pseudo-remainder over MultiPoly is read by poly_gcd alone,
+    # and the integer one by the subresultant chain alone
     gcds = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
                   for name in _functions(path) if "gcd" in name)
     assert gcds == ["exact.py: _gcd_mod", "exact.py: _gcd_primes", "exact.py: _uni_gcd",
                     "exact.py: poly_gcd", "exact.py: poly_gcd_many"]
     remainders = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
                         for name in _functions(path) if "rem" in name or "prs" in name.lower())
-    assert remainders == ["exact.py: _pseudo_rem"]
-    readers = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
-                     for name, node in _functions(path).items()
-                     if any(isinstance(n, ast.Name) and n.id == "_pseudo_rem" for n in ast.walk(node)))
-    assert readers == ["exact.py: poly_gcd"]
+    assert remainders == ["exact.py: _pseudo_rem", "exact.py: _uni_prem"]
+    assert _readers("_pseudo_rem") == ["exact.py: poly_gcd"]
+    assert _readers("_uni_prem") == ["exact.py: _subresultant_chain"]
     body = {n.id for n in ast.walk(_functions(SOURCE / "exact.py")["_uni_gcd"])
             if isinstance(n, ast.Name)}
     assert {"_gcd_primes", "_gcd_mod", "_try_uni_quo"} <= body
@@ -207,7 +206,8 @@ def test_one_line_restriction_and_one_coordinate_change():
     # chart origin through apply_matrix, so curvelab substitutes nothing
     assert _readers("_restriction") == ["curvelab.py: line_transversality",
                                         "exact.py: _on_pencil"]
-    assert _readers("_interpolate") == ["elimination.py: coefficient",
+    assert _readers("_interpolate") == ["dualgeom.py: _dual_in_chart",
+                                        "elimination.py: coefficient",
                                         "exact.py: _restriction", "exact.py: determinant"]
     assert "substitute" not in _referenced_names(SOURCE / "curvelab.py")
     defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
@@ -257,6 +257,7 @@ def test_one_univariate_toolkit():
     defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
     assert not defined & {"_sylvester_minor", "_newton_numerators"}
     assert _readers("_minor_matrix") == ["elimination.py: coefficient",
+                                         "exact.py: _discriminant_matrix",
                                          "exact.py: subresultant_coefficient",
                                          "exact.py: sylvester_matrix"]
     derivatives = [name for path in sorted(SOURCE.glob("*.py"))
@@ -266,12 +267,40 @@ def test_one_univariate_toolkit():
                                            "exact.py: transversal_line"]
     assert _readers("_y_derivative") == ["elimination.py: is_power",
                                          "elimination.py: singular_locus"]
-    assert _readers("_derivative") == ["elimination.py: _root_candidates",
+    assert _readers("_derivative") == ["dualgeom.py: _dual_in_chart",
+                                       "elimination.py: _root_candidates",
                                        "elimination.py: _sqfree_part",
                                        "elimination.py: singular_locus",
+                                       "exact.py: _discriminant_matrix",
                                        "exact.py: _distinct_roots"]
     elimination = _referenced_names(SOURCE / "elimination.py")
     assert "isqrt" not in elimination and "_is_prime" in elimination
     primes = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
                     for name in _functions(path) if "prime" in name.replace("coprime", ""))
     assert primes == ["exact.py: _gcd_primes", "exact.py: _is_prime"]
+
+
+def test_one_subresultant_chain():
+    # exact._subresultant_chain is the one chain, read at each point of a
+    # frame and of the dual's triangle; Bareiss takes a minor there only
+    # for a constant operand or a vanishing leading coefficient, and the
+    # grid of `determinant` serves only the public resultant,
+    # subresultant_coefficient and discriminant, which no count and no
+    # dual equation calls
+    chains = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
+                    for name in _functions(path) if "subresultant" in name or "chain" in name)
+    assert chains == ["exact.py: _subresultant_chain", "exact.py: subresultant_coefficient"]
+    assert _readers("_subresultant_chain") == ["dualgeom.py: _dual_in_chart",
+                                               "elimination.py: coefficient",
+                                               "exact.py: _subresultant_chain"]
+    assert _readers("_int_bareiss_determinant") == ["dualgeom.py: _dual_in_chart",
+                                                    "elimination.py: coefficient",
+                                                    "exact.py: determinant"]
+    assert _readers("_discriminant_matrix") == ["dualgeom.py: _dual_in_chart",
+                                                "exact.py: discriminant"]
+    assert _readers("determinant") == ["exact.py: discriminant", "exact.py: resultant",
+                                       "exact.py: subresultant_coefficient"]
+    for name in ("_differences", "_from_differences"):
+        assert _readers(name) == ["dualgeom.py: _dual_in_chart", "exact.py: _interpolate"]
+    assert not {"discriminant", "resultant", "determinant"} & (
+        _referenced_names(SOURCE / "dualgeom.py") | _referenced_names(SOURCE / "elimination.py"))
