@@ -44,7 +44,8 @@ The module also provides an independent degree count through polar curves
 The polar count reads the curve's singular analysis, a
 `elimination.SingularLocus` record: its frame already counts the points of
 F and the polar of its witness, and its singular parts give the singular
-count, so only the check at a second witness needs a frame of its own.
+count, so only the check at a second witness needs a frame of its own,
+and its search starts at the base and shear of the analysis frame.
 """
 
 from __future__ import annotations
@@ -221,6 +222,18 @@ def _proportional(p, q) -> bool:
     return p[0] * q[1] == p[1] * q[0] and p[0] * q[2] == p[2] * q[0] and p[1] * q[2] == p[2] * q[1]
 
 
+def _checked_witness(witness) -> tuple:
+    """The witness as a tuple, refused unless it is a projective point:
+    three ints or Fractions, not all zero."""
+    coords = tuple(witness) if isinstance(witness, (tuple, list)) else ()
+    if len(coords) != 3 or not all(isinstance(c, (int, Fraction)) and not isinstance(c, bool)
+                                   for c in coords):
+        raise InvalidParams(f"witness {witness!r} is not three ints or Fractions")
+    if not any(coords):
+        raise InvalidParams("witness (0, 0, 0) is not a projective point")
+    return coords
+
+
 def dual_degree_oracle(curve: PlaneCurve, witness=None) -> int:
     """Degree of the dual curve, counted through a polar intersection.
 
@@ -233,18 +246,24 @@ def dual_degree_oracle(curve: PlaneCurve, witness=None) -> int:
     proportional to the witness, and a mismatch raises NonGenericWitness.
     F is square-free and each witness lies off the curve, so each frame
     is certified without a coprimality test (`elimination._witness_frame`).
+    Each frame search starts at the base and shear of the analysis frame,
+    which usually suit a second polar too; the full schedule follows.
+    A given witness must be three ints or Fractions, not all zero.
     """
     if curve.degree < 2:
         raise InvalidParams("dual degree oracle needs a curve of degree >= 2")
+    if witness is not None:
+        witness = _checked_witness(witness)
     locus = curvelab.singular_analysis(curve)
+    hint = (locus.frame.base, locus.frame.shear)
     w, count = locus.witness, locus.polar_count
     if witness is not None:
         if curve.contains(witness):
             raise WitnessOnCurve(f"witness {witness} lies on the curve")
         w = witness
-        count = elimination._witness_frame(curve.F, w).count()
+        count = elimination._witness_frame(curve.F, w, hint).count()
     second = next(p for p in witnesses([curve.F]) if not _proportional(p, w))
-    check = elimination._witness_frame(curve.F, second).count()
+    check = elimination._witness_frame(curve.F, second, hint).count()
     if count != check:
         raise NonGenericWitness(
             f"witnesses {w} and {second} disagree: "

@@ -27,7 +27,9 @@ composed with x-shears) and only reports a number it can certify:
   through the frame's shear and base, are the rational singular points.
   The analysis is one `SingularLocus` record holding the accepted frame,
   the witness, the singular part of each class and the rational points;
-  the polar degree oracle reads the frame's own count from it.
+  the polar degree oracle reads the frame's own count from it, and starts
+  the frame search of each further witness at that frame's base and shear
+  (the hint of `_accepted_frame`).
 
 The frame search runs on integers alone.  Each form enters it once, as
 integer terms ({exponents: int}, `exact._integer_terms`), and every base
@@ -120,7 +122,10 @@ _IDENT: Matrix = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 def _moved(terms: dict, m: Matrix) -> dict:
     """The integer terms of F(M v), for the integer terms of a ternary F
     (`_integer_terms`) and an integer matrix M: variable i goes to row i of
-    M, as integer terms over the unit exponents, the rows of the identity."""
+    M, as integer terms over the unit exponents, the rows of the identity.
+    The identity returns the terms themselves, which no caller changes."""
+    if m == _IDENT:
+        return terms
     return _expand(terms, [{u: c for u, c in zip(_IDENT, row) if c} for row in m], 3)
 
 
@@ -388,7 +393,7 @@ def _pair_frame_count(Fm: dict, Gm: dict, base: Matrix, t: int) -> Optional[_Fra
     S_k is that gcd up to a constant.  The frame is accepted when on every
     class that gcd has one root (see `_Frame.is_power`).
     """
-    A, B = (_chart_columns(_moved(terms, _shear(t)) if t else terms) for terms in (Fm, Gm))
+    A, B = (_chart_columns(_moved(terms, _shear(t))) for terms in (Fm, Gm))
     frame = _Frame(A, B, base, t)
     if not (frame.A[-1] and frame.B[-1]):
         return None  # a leading y-coefficient vanishes in this frame
@@ -433,13 +438,17 @@ def _base_usable(Fm: dict, Gm: dict) -> bool:
     return len(_uni_gcd(f, g)) == 1
 
 
-def _accepted_frame(F: MultiPoly, G: MultiPoly, coprime: bool = False) -> _Frame:
+def _accepted_frame(F: MultiPoly, G: MultiPoly, coprime: bool = False,
+                    hint: Optional[tuple] = None) -> _Frame:
     """The first accepted frame of the pair (see `_pair_frame_count`).
 
     Each pair of the at most N = d1*d2 points shares an x-coordinate in at
     most one shear of a usable base, and a frame where no two points do is
     accepted, so one of C(N,2)+1 valid shears is; at most d1 + d2 shears
-    lose a leading y-coefficient.
+    lose a leading y-coefficient.  A hint (base, shear) is tried first, as
+    the head of the same schedule: any accepted frame certifies the count,
+    and the full schedule follows it, so a failed hint costs one base test
+    and one frame at most.
     """
     if F.is_zero() or G.is_zero():
         raise ZeroInput("zero polynomial in curve pair")
@@ -450,7 +459,10 @@ def _accepted_frame(F: MultiPoly, G: MultiPoly, coprime: bool = False) -> _Frame
         raise DegreeGuardrail(f"Sylvester matrix {d1 + d2}x{d1 + d2} exceeds {SYLVESTER_LIMIT}")
     t_limit = d1 * d2 * (d1 * d2 - 1) // 2 + 1 + d1 + d2 + 8
     terms = [_integer_terms(F)[1], _integer_terms(G)[1]]
-    for base in _BASES:
+    schedule = [(base, range(t_limit)) for base in _BASES]
+    if hint is not None:
+        schedule.insert(0, (hint[0], (hint[1],)))
+    for base, shears in schedule:
         Fm, Gm = (_moved(form, base) for form in terms)
         if not _base_usable(Fm, Gm):
             # a shared component spoils every base, so the first failing
@@ -460,7 +472,7 @@ def _accepted_frame(F: MultiPoly, G: MultiPoly, coprime: bool = False) -> _Frame
                 raise ReducibleCurve("curves share a component")
             coprime = True
             continue
-        for t in range(t_limit):
+        for t in shears:
             frame = _pair_frame_count(Fm, Gm, base, t)
             if frame is not None:
                 return frame
@@ -488,12 +500,13 @@ def polar(F: MultiPoly, w) -> MultiPoly:
     return MultiPoly(F.variables, {e: Fraction(c, den) for e, c in terms.items() if c})
 
 
-def _witness_frame(F: MultiPoly, w) -> _Frame:
+def _witness_frame(F: MultiPoly, w, hint: Optional[tuple] = None) -> _Frame:
     """The first accepted frame of a square-free form F and its polar at a
-    point w off the curve.  The pair shares no component, so the frame
-    search skips `forms_coprime`: a component shared by a square-free F
-    and its polar would be a cone with vertex w, so it would contain w."""
-    return _accepted_frame(F, polar(F, w), coprime=True)
+    point w off the curve, trying the (base, shear) `hint` first.  The pair
+    shares no component, so the frame search skips `forms_coprime`: a
+    component shared by a square-free F and its polar would be a cone with
+    vertex w, so it would contain w."""
+    return _accepted_frame(F, polar(F, w), coprime=True, hint=hint)
 
 
 @dataclass(frozen=True)

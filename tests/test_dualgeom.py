@@ -408,6 +408,37 @@ class TestDualDegreeOracle:
         leads = [sympy.Poly(g, X, Y, Z).monoms(order="grevlex")[0] for g in basis.exprs]
         assert all(any(m[i] and sum(m) == m[i] for m in leads) for i in range(3))
 
+    def test_check_starts_at_the_analysis_frame(self, monkeypatch):
+        # the analysis frame (base 9, shear 1) of the trinodal quartic suits
+        # the check witness's polar, so a repeated oracle tests one base and
+        # one frame, where the schedule alone tests ten bases and two frames
+        from dualis import elimination
+
+        c = curve("2*x^2*y^2 + y^2*z^2 + z^2*x^2 - x^2*y*z - x*y^2*z - x*y*z^2")
+        assert dual_degree_oracle(c) == 6
+        calls = []
+        for name in ("_base_usable", "_pair_frame_count"):
+            step = getattr(elimination, name)
+            monkeypatch.setattr(elimination, name,
+                                lambda *args, _name=name, _step=step:
+                                calls.append(_name) or _step(*args))
+        assert dual_degree_oracle(c) == 6
+        assert sorted(calls) == ["_base_usable", "_pair_frame_count"]
+
+    def test_witness_given_as_fractions(self):
+        assert dual_degree_oracle(curve(NODAL), witness=(Fraction(1, 2), 1, Fraction(5, 2))) == 4
+
+    @pytest.mark.parametrize("witness", [(1, 2), (1.5, 2, 5), ("a", 1, 1), (0, 0, 0)],
+                             ids=["two-coordinates", "float", "string", "zero"])
+    def test_malformed_witness_refused_before_any_frame(self, witness, monkeypatch):
+        from dualis import elimination
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a frame was searched")
+        monkeypatch.setattr(elimination, "_accepted_frame", refused)
+        with pytest.raises(InvalidParams, match="witness"):
+            dual_degree_oracle(curve(NODAL), witness=witness)
+
     def test_witness_on_curve(self):
         with pytest.raises(WitnessOnCurve):
             dual_degree_oracle(curve(CUSPIDAL), witness=(0, 0, 1))

@@ -36,6 +36,7 @@ from dualis.exact import (
     resultant,
     subresultant_coefficient,
     sylvester_matrix,
+    witnesses,
 )
 
 XYZ = ("x", "y", "z")
@@ -141,6 +142,16 @@ class TestMatrices:
                                               for e, c in want.terms()}), (F.text(), m)
                 den, terms = _integer_terms(F)
                 assert elimination._moved(terms, m) == {e: c * den for e, c in got.terms.items()}
+
+    def test_identity_moves_nothing(self):
+        # base 0 is the identity, so its forms are the given terms themselves
+        assert elimination._BASES[0] == elimination._IDENT
+        rng = random.Random(7)
+        for degree in (1, 2, 3, 4):
+            F = _random_form(rng, degree)
+            terms = _integer_terms(F)[1]
+            assert elimination._moved(terms, elimination._IDENT) == terms
+            assert apply_matrix(F, elimination._IDENT) == F
 
 
 class TestCounting:
@@ -357,6 +368,94 @@ class TestIntegerFrameKernel:
         start = time.perf_counter()
         assert elimination.singular_locus(parse_poly("x^10 + y^10 + z^10", XYZ)).count == 0
         assert time.perf_counter() - start < 3.0
+
+
+TRINODAL = "2*x^2*y^2 + y^2*z^2 + z^2*x^2 - x^2*y*z - x*y^2*z - x*y*z^2"
+TRICUSPIDAL = "x^2*y^2 + y^2*z^2 + z^2*x^2 - 2*x^2*y*z - 2*x*y^2*z - 2*x*y*z^2"
+
+
+class TestFrameHint:
+    """A (base, shear) hint heads the frame schedule: the frame search of a
+    further witness starts at the analysis frame, and falls back to the
+    full schedule when that frame is not accepted."""
+
+    @staticmethod
+    def _check(F):
+        """The analysis frame's (base, shear) and the next witness off F not
+        proportional to the analysis witness."""
+        locus = elimination.singular_locus(F)
+        second = next(p for p in witnesses([F]) if any(_cross(p, locus.witness)))
+        return (locus.frame.base, locus.frame.shear), second
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        """A search of the pair's frame, returning the frame and the outcomes
+        of its base tests and of its frames (True: accepted), in order."""
+        outcomes = {"bases": [], "frames": []}
+        usable, step = elimination._base_usable, elimination._pair_frame_count
+
+        def base(*args):
+            outcomes["bases"].append(usable(*args))
+            return outcomes["bases"][-1]
+
+        def frame(*args):
+            found = step(*args)
+            outcomes["frames"].append(found is not None)
+            return found
+        monkeypatch.setattr(elimination, "_base_usable", base)
+        monkeypatch.setattr(elimination, "_pair_frame_count", frame)
+
+        def search(F, w, hint=None):
+            outcomes.update(bases=[], frames=[])
+            return elimination._witness_frame(F, w, hint), outcomes["bases"], outcomes["frames"]
+        return search
+
+    def test_hinted_count_is_the_schedule_count(self):
+        rng = random.Random(1)
+        forms = []
+        for text in (TRINODAL, TRICUSPIDAL, "x^4 + y^4 + z^4", "y^2*z - x^3 - x^2*z",
+                     "y^2*z - x^3"):
+            F = parse_poly(text, XYZ)
+            forms.append(F)
+            while len(forms) % 3:  # two seeded generic copies
+                m = tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3))
+                if sum(a * b for a, b in zip(m[0], _cross(m[1], m[2]))):
+                    forms.append(apply_matrix(F, m))
+        for F in forms:
+            hint, second = self._check(F)
+            hinted = elimination._witness_frame(F, second, hint)
+            assert hinted.count() == elimination._witness_frame(F, second).count(), F.text()
+            # every analysis frame here suits the next polar too
+            assert (hinted.base, hinted.shear) == hint, F.text()
+
+    def test_unusable_hint_base_falls_back(self, searched):
+        # the line z = 0 of the identity holds the nodes (1:0:0) and (0:1:0)
+        F = parse_poly(TRINODAL, XYZ)
+        _, second = self._check(F)
+        want, bases, frames = searched(F, second)
+        got, hinted_bases, hinted_frames = searched(F, second, (elimination._IDENT, 0))
+        assert (got.count(), got.base, got.shear) == (want.count(), want.base, want.shear)
+        assert hinted_bases == [False] + bases and hinted_frames == frames
+
+    def test_rejected_hint_shear_falls_back(self, searched, monkeypatch):
+        # the analysis accepts base 9 at shear 1: at shear 0 one fibre of the
+        # next polar carries two points, and the k-th power test says so
+        F = parse_poly(TRINODAL, XYZ)
+        hint, second = self._check(F)
+        base = elimination._BASES[9]
+        assert hint == (base, 1)
+        powers = []
+        is_power = elimination._Frame.is_power
+        monkeypatch.setattr(elimination._Frame, "is_power",
+                            lambda frame, k, phi: powers.append(is_power(frame, k, phi))
+                            or powers[-1])
+        Fm, Gm = (elimination._moved(_integer_terms(f)[1], base)
+                  for f in (F, elimination.polar(F, second)))
+        assert elimination._pair_frame_count(Fm, Gm, base, 0) is None and powers[-1] is False
+        want, bases, frames = searched(F, second)
+        got, hinted_bases, hinted_frames = searched(F, second, (base, 0))
+        assert (got.count(), got.base, got.shear) == (want.count(), want.base, want.shear)
+        assert hinted_bases == [True] + bases and hinted_frames == [False] + frames
 
 
 def _cross(u, v):

@@ -193,6 +193,21 @@ def test_frame_search_stays_on_integer_lists():
     assert len(taken) == 2 and not looped
 
 
+def test_one_frame_schedule_loop():
+    # the frame schedule is walked by one loop, in elimination._accepted_frame
+    # alone: a hint is the head of that schedule, not a loop of its own, its
+    # only inner loop walks the shears of a base, and the integer terms are
+    # taken once per form before it
+    fn = _functions(SOURCE / "elimination.py")["_accepted_frame"]
+    loops = [node for node in fn.body if isinstance(node, (ast.For, ast.While))]
+    walks = [node for node in ast.walk(fn) if isinstance(node, (ast.For, ast.While))]
+    assert len(loops) == 1 and len(walks) == 2 and walks[1] in list(ast.walk(loops[0]))
+    taken = [n.lineno for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id == "_integer_terms"]
+    assert len(taken) == 2 and max(taken) < loops[0].lineno
+    for name in ("_BASES", "_base_usable", "_pair_frame_count"):
+        assert _readers(name) == ["elimination.py: _accepted_frame"], name
+
+
 def _readers(name: str) -> list:
     """Every function, as module: name, whose body reads the global name."""
     return sorted(f"{path.name}: {fn}" for path in sorted(SOURCE.glob("*.py"))
