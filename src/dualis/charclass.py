@@ -54,7 +54,11 @@ def _check_caps(n: int, degrees: Sequence[int] = ()) -> None:
 
 
 def chi_standard(kind: str, *params: int) -> int:
-    """chi of P^n, Q_n or Gr(k,n) by cell count / closed form."""
+    """chi of P^n, Q_n or Gr(k,n) by cell count / closed form; P^n and Q_n
+    take one parameter n, Gr(k,n) two."""
+    arity = {PROJECTIVE_SPACE: 1, QUADRIC: 1, GRASSMANNIAN: 2}.get(kind)
+    if arity is not None and len(params) != arity:
+        raise InvalidParams(f"{kind} takes {arity} parameter(s), got {len(params)}")
     if kind == PROJECTIVE_SPACE:
         (n,) = params
         if n < 0:

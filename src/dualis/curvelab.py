@@ -32,6 +32,7 @@ share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import elimination
 from .errors import (
@@ -66,6 +67,18 @@ HARD_DEGREE_CAP = 8
 NODE = "Node"
 CUSP = "Cusp"
 OTHER = "Other"
+
+
+def _checked_point(point, role: str = "point") -> tuple:
+    """The point as a tuple, refused unless it is a projective point: three
+    ints or Fractions, not all zero."""
+    coords = tuple(point) if isinstance(point, (tuple, list)) else ()
+    if len(coords) != 3 or not all(isinstance(c, (int, Fraction)) and not isinstance(c, bool)
+                                   for c in coords):
+        raise InvalidParams(f"{role} {point!r} is not three ints or Fractions")
+    if not any(coords):
+        raise InvalidParams(f"{role} (0, 0, 0) is not a projective point")
+    return coords
 
 
 class PlaneCurve:
@@ -112,8 +125,8 @@ class PlaneCurve:
         return self.F.variables
 
     def contains(self, point) -> bool:
-        vals = dict(zip(self.variables, point))
-        return self.F.evaluate(vals) == 0
+        """Does the curve pass through the point, three ints or Fractions?"""
+        return self.F.evaluate(dict(zip(self.variables, _checked_point(point)))) == 0
 
     def __repr__(self):
         return f"PlaneCurve({self.F.text()!r})"
@@ -178,9 +191,10 @@ def classify_singularity(curve: PlaneCurve, point) -> SingularPoint:
     does.  With q the quadratic and c the cubic part, q of rank 2 is a node;
     q = l^2 of rank 1 with l not dividing c is a cusp; everything else is
     Other with multiplicity m.  The Euler obstruction of a plane-curve
-    singularity is its multiplicity.
+    singularity is its multiplicity.  The point must be three ints or
+    Fractions, not all zero.
     """
-    point = elimination.normalize_point(point)
+    point = elimination.normalize_point(_checked_point(point))
     k = next(n for n, c in enumerate(point) if c)
     i, j = (n for n in range(3) if n != k)
     M = tuple(tuple(point[r] if col == k else int(r == col) for col in range(3)) for r in range(3))

@@ -9,9 +9,10 @@ with coordinates (u, v, w), w != 0, meets the curve where the binary form
 vanishes, so the lines meeting C with a repeated contact are cut out by the
 discriminant of phi(x, 1) in x, a form of degree 2d(d-1) in (u, v, w).  It
 is computed on the chart w = 1, with two free variables, from its values
-on the triangle u + v <= d(d-1) (`_dual_in_chart`, one subresultant chain
-per point), and homogenised back.  It also picks up extraneous components
-with known provenance, which are stripped in a fixed order:
+on the triangle u + v <= d(d-1) (`_dual_in_chart`, one discriminant of an
+integer list per point, read from its subresultant chain), and
+homogenised back.  It also picks up extraneous components with known
+provenance, which are stripped in a fixed order:
 
     1. the lines through the chart's centre of projection, w = 0, to the
        power 2d(d-1) minus the degree of the chart discriminant, which is
@@ -67,14 +68,11 @@ from .errors import (
 from .exact import (  # WITNESS_SEQUENCE is re-exported for callers
     WITNESS_SEQUENCE,
     MultiPoly,
-    _derivative,
     _differences,
-    _discriminant_matrix,
     _from_differences,
-    _int_bareiss_determinant,
     _integer_terms,
     _interpolate,
-    _subresultant_chain,
+    _uni_discriminant,
     try_exact_div,
     witnesses,
 )
@@ -124,10 +122,10 @@ def _dual_in_chart(F: MultiPoly) -> MultiPoly:
 
     So Delta is fixed by its values on the triangle u, v >= 0, u + v <= D.
     At each point psi's d+1 coefficient polynomials, taken over the
-    integers, give an integer list, and Delta there is
-    (-1)^(d(d-1)/2) Res(psi, psi') / lc(psi), read from the subresultant
-    chain; where lc(psi) vanishes it is the determinant of the modified
-    Sylvester matrix, by Bareiss.  Newton's form on the triangle,
+    integers, give an integer list, and Delta there is its discriminant as
+    a binary form of degree d (`exact._uni_discriminant`): read from the
+    subresultant chain, and where lc(psi) vanishes, from the chain of the
+    list without its roots at infinity.  Newton's form on the triangle,
     sum_{i+j<=D} Delta_u^i Delta_v^j Delta(0, 0) C(u, i) C(v, j), reads
     only those values: forward differences in v along each row give
     g_j(u) = Delta_v^j Delta(u, 0), of degree at most D - j, which
@@ -149,19 +147,14 @@ def _dual_in_chart(F: MultiPoly) -> MultiPoly:
     parts = [[] for _ in range(d + 1)]    # per power of x: its terms (a, b, c), c u^a v^b
     for (i, a, b, _), c in terms.items():
         parts[i].append((a, b, c))
-    sign = -1 if D // 2 % 2 else 1
     heads = []                            # per u: the forward differences in v of Delta(u, v)
     for u in range(D + 1):
         in_v = [[0] * (d + 1) for _ in range(d + 1)]   # psi's coefficients at u, as lists in v
         for cs, part in zip(in_v, parts):
             for a, b, c in part:
                 cs[b] += c * u ** a
-        values = []
-        for v in range(D + 1 - u):
-            cs = [elimination._at(c, v) for c in in_v]
-            values.append(sign * (_subresultant_chain(cs, _derivative(cs))[0][0] // cs[-1] if cs[-1]
-                                  else _int_bareiss_determinant(_discriminant_matrix(cs, 1))))
-        heads.append(_differences(values))
+        heads.append(_differences([_uni_discriminant([elimination._at(c, v) for c in in_v])
+                                   for v in range(D + 1 - u)]))
     along_u = [_interpolate([row[j] for row in heads[:D + 1 - j]]) for j in range(D + 1)]
     scale = den ** (2 * d - 2)
     coeffs = {(i, k): Fraction(c, scale) for i in range(D + 1)
@@ -222,18 +215,6 @@ def _proportional(p, q) -> bool:
     return p[0] * q[1] == p[1] * q[0] and p[0] * q[2] == p[2] * q[0] and p[1] * q[2] == p[2] * q[1]
 
 
-def _checked_witness(witness) -> tuple:
-    """The witness as a tuple, refused unless it is a projective point:
-    three ints or Fractions, not all zero."""
-    coords = tuple(witness) if isinstance(witness, (tuple, list)) else ()
-    if len(coords) != 3 or not all(isinstance(c, (int, Fraction)) and not isinstance(c, bool)
-                                   for c in coords):
-        raise InvalidParams(f"witness {witness!r} is not three ints or Fractions")
-    if not any(coords):
-        raise InvalidParams("witness (0, 0, 0) is not a projective point")
-    return coords
-
-
 def dual_degree_oracle(curve: PlaneCurve, witness=None) -> int:
     """Degree of the dual curve, counted through a polar intersection.
 
@@ -253,7 +234,7 @@ def dual_degree_oracle(curve: PlaneCurve, witness=None) -> int:
     if curve.degree < 2:
         raise InvalidParams("dual degree oracle needs a curve of degree >= 2")
     if witness is not None:
-        witness = _checked_witness(witness)
+        witness = curvelab._checked_point(witness, "witness")
     locus = curvelab.singular_analysis(curve)
     hint = (locus.frame.base, locus.frame.shear)
     w, count = locus.witness, locus.polar_count

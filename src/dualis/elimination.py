@@ -37,14 +37,13 @@ and every x-shear is an integer coordinate change of those terms
 (`_moved`, through the one expansion `exact._expand`).  A frame holds the
 pair as integer y-columns, one list in x per power of y, of the moved
 terms at z = 1 (`_chart_columns`).  Their values at x = 0, 1, 2, ... are
-taken once per frame and cached with their subresultant chain
+taken once per frame and cached as their subresultant chain
 (`exact._subresultant_chain`): one sweep serves the eliminant R = s_{0,0}
-and every s_{k,j}, each read from the chain at each point, or taken as
-the integer determinant of the minor that `exact._minor_matrix` lays out
-where an operand is constant, and rebuilt by `exact._interpolate`
-(Collins, J. ACM 18, 1971).  In an accepted frame the y-degree of each
-operand is its total degree, so cell (i, c) of a minor has x-degree at
-most c - i; every permutation then weighs the same, and
+and every s_{k,j}, each read from the chain at each point and rebuilt by
+`exact._interpolate` (Collins, J. ACM 18, 1971).  In an accepted frame
+the y-degree of each operand is its total degree, so cell (i, c) of a
+minor has x-degree at most c - i; every permutation then weighs the
+same, and
 deg s_{k,j} <= (m-k)(n-k) + k - j, with deg R <= mn.  Resultants against
 a line L_k = a*y + b, for the k-th-power test and the singular parts,
 take the closed form Res_y(P, L_k) = sum_j p_j b^j (-a)^(m-j) for
@@ -85,11 +84,9 @@ from .exact import (
     MultiPoly,
     _derivative,
     _expand,
-    _int_bareiss_determinant,
     _integer_terms,
     _interpolate,
     _is_prime,
-    _minor_matrix,
     _primitive,
     _primitive_ints,
     _subresultant_chain,
@@ -319,13 +316,13 @@ class _Frame:
     nonconstant classes ``classes[k]`` = Phi_k.  Over a root of Phi_k the
     fibres meet at one point, the root beta of L_k = k*s_kk*y + s_{k,k-1}."""
 
-    __slots__ = ("A", "B", "base", "shear", "classes", "_values", "_coefficients")
+    __slots__ = ("A", "B", "base", "shear", "classes", "_chains", "_coefficients")
 
     def __init__(self, A: list, B: list, base: Matrix, shear: int):
         self.A, self.B = A, B
         self.base, self.shear = base, shear
         self.classes: dict = {}
-        self._values: list = []       # (A, B, chain) at x = 0, 1, 2, ...: lists in y, their chain
+        self._chains: list = []       # the subresultant chain of the columns at x = 0, 1, 2, ...
         self._coefficients: dict = {}
 
     def count(self) -> int:
@@ -339,21 +336,18 @@ class _Frame:
         Cell (i, c) of the minor holds a y-coefficient of x-degree at most
         c - i, so every term of the determinant has degree at most
         D = (m-k)(n-k) + k - j, and the minors at x = 0..D fix its integer
-        coefficients.  Each point caches the operands' values there and
-        their subresultant chain, which holds every s_{k,j} at once; a
-        constant operand has no chain, and takes the minor by Bareiss."""
+        coefficients.  Each point caches the subresultant chain of the
+        operands' values there, which holds every s_{k,j} at once."""
         if (k, j) not in self._coefficients:
             m, n = len(self.A) - 1, len(self.B) - 1
             if k and k == min(m, n):
                 s = (self.A if m <= n else self.B)[j]
             else:
                 bound = (m - k) * (n - k) + k - j
-                for v in range(len(self._values), bound + 1):
-                    a, b = [_at(c, v) for c in self.A], [_at(c, v) for c in self.B]
-                    self._values.append((a, b, _subresultant_chain(a, b)))
-                s = _trim(_interpolate([
-                    chain[k][j] if chain else _int_bareiss_determinant(_minor_matrix(a, b, k, j, 0))
-                    for a, b, chain in self._values[:bound + 1]]))
+                for v in range(len(self._chains), bound + 1):
+                    self._chains.append(_subresultant_chain([_at(c, v) for c in self.A],
+                                                            [_at(c, v) for c in self.B]))
+                s = _trim(_interpolate([chain[k][j] for chain in self._chains[:bound + 1]]))
             self._coefficients[k, j] = s
         return self._coefficients[k, j]
 

@@ -25,29 +25,30 @@ its images to integers and divides by the common denominator once, and
 On top of the polynomial ring the module provides the elimination kernel:
 Sylvester matrices (rows of the first operand first), resultants,
 discriminants, multivariate gcd by a primitive polynomial remainder sequence,
-and square-free parts.  Every determinant is computed by evaluation and
-interpolation, whatever the number of free variables: the matrix is
-specialised at the points of an integer grid, each scalar determinant is
-taken by fraction-free Bareiss over Python ints, and Newton interpolation
-along each axis rebuilds the integer coefficients (`_interpolate`;
-Collins, J. ACM 18, 1971).  Each axis of the grid is as long as a proved
-bound on the degree in that variable requires: the heaviest perfect
-matching of the entry degrees, found by the Hungarian method (Jacobi's
-bound; Kuhn, Naval Res. Logist. Q. 2, 1955), which is d1*d2 on a
-Sylvester matrix of forms.  The subresultant coefficients s_{k,j}, the
-determinants of the submatrices of the Sylvester matrix that
-`_minor_matrix` lays out over any ring, take the same path; they tell
-where two polynomials share k roots and what the common factor is.  A
-hard guardrail refuses Sylvester matrices larger than 64x64 so that a
-degenerate input fails fast instead of hanging.  These determinants of
-MultiPoly entries serve only the public `resultant`,
-`subresultant_coefficient` and `discriminant`.  The counts of
-`elimination` and the dual equations of `dualgeom` evaluate integer lists
-instead and read every s_{k,j} at a point from one subresultant chain
-(`_subresultant_chain`, the subresultant PRS of Collins, J. ACM 14, 1967,
-and Brown & Traub, J. ACM 18, 1971, abnormal blocks included); Bareiss
-takes a minor only where an operand is constant or a leading
-coefficient vanishes.
+and square-free parts.  Every eliminant is read from one integer
+subresultant chain (`_subresultant_chain`, the subresultant PRS of
+Collins, J. ACM 14, 1967, and Brown & Traub, J. ACM 18, 1971, abnormal
+blocks included).  It holds at once every subresultant coefficient
+s_{k,j} of two integer lists, the determinants of the submatrices of the
+Sylvester matrix that `_minor_matrix` lays out over any ring, which tell
+where two polynomials share k roots and what the common factor is;
+s_{0,0} is the resultant.  The counts of `elimination` and the dual
+equations of `dualgeom` evaluate integer lists at points and read the
+chain there; the discriminant of a list with roots at infinity is
+`_uni_discriminant`.  The public `resultant` and
+`subresultant_coefficient` read it on a grid (`_minor_grid`): the
+operands, scaled to integers, are specialised at the points of an integer
+grid, the chain is read at each, and Newton interpolation along each axis
+rebuilds the integer coefficients (`_interpolate`; Collins, J. ACM 18,
+1971).  Fraction-free Bareiss over Python ints takes the minor only at a
+grid point where a leading coefficient vanishes.  Each axis of the grid
+is as long as a proved bound on the degree in that variable requires:
+the heaviest perfect matching of the entry degrees of the minor, found
+by the Hungarian method (Jacobi's bound; Kuhn, Naval Res. Logist. Q. 2,
+1955), which is d1*d2 on a Sylvester matrix of forms.  The public
+`discriminant` is the resultant of f and f' divided by lc(f).  A hard
+guardrail refuses Sylvester matrices larger than 64x64 so that a
+degenerate input fails fast instead of hanging.
 
 Whether two ternary forms share a component is decided on a pencil of
 lines through a point off their curves: each line restricts the forms to
@@ -61,9 +62,9 @@ so the same certificate decides square-freeness with d(d-1) + 1 lines.
 The one univariate toolkit lives here too, on integer coefficient lists
 [c0..cd], each operation written once: trimming, primitive parts,
 derivatives, exact quotients and pseudo-remainders over Z, the
-subresultant chain, interpolation from values or from forward
-differences, the distinct-roots test and the one univariate gcd, Brown's
-modular algorithm (J. ACM 18, 1971), which works modulo primes just below
+subresultant chain, the discriminant, interpolation from values or from
+forward differences, the distinct-roots test and the one univariate gcd,
+Brown's modular algorithm (J. ACM 18, 1971), which works modulo primes just below
 2^61, checks its candidate by trial division over Z and returns a
 primitive gcd; a constant image modulo one prime proves a constant gcd,
 which is the usual case.  The trivariate gcd ``poly_gcd`` and
@@ -989,11 +990,12 @@ def _int_bareiss_determinant(m: list) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _subresultant_chain(a: Sequence[int], b: Sequence[int]) -> Optional[list]:
-    """The subresultants [S_0, ..., S_{l-1}], l = min(m, n), of integer
-    lists a, b of degrees m, n with nonzero leading coefficients: S_k is
-    the list [s_{k,0}..s_{k,k}] of the minors of `_minor_matrix`, so
-    S_0 = [Res(a, b)].  None when an operand is constant.
+def _subresultant_chain(a: Sequence[int], b: Sequence[int]) -> list:
+    """The subresultants [S_0, ..., S_{l-1}], l = max(min(m, n), 1), of
+    integer lists a, b of degrees m, n with nonzero leading coefficients:
+    S_k is the list [s_{k,0}..s_{k,k}] of the minors of `_minor_matrix`,
+    so S_0 = [Res(a, b)], the Sylvester determinant.  For a constant
+    operand c that is [[c^deg(other)]].
 
     For m >= n this is the subresultant PRS (Collins, J. ACM 14, 1967;
     Brown & Traub, J. ACM 18, 1971): r_1 = a, r_2 = b, r_{i+1} =
@@ -1011,11 +1013,10 @@ def _subresultant_chain(a: Sequence[int], b: Sequence[int]) -> Optional[list]:
     """
     m, n = len(a) - 1, len(b) - 1
     if m < n:
-        chain = _subresultant_chain(b, a)
-        return chain and [s if (m - k) * (n - k) % 2 == 0 else [-c for c in s]
-                          for k, s in enumerate(chain)]
+        return [s if (m - k) * (n - k) % 2 == 0 else [-c for c in s]
+                for k, s in enumerate(_subresultant_chain(b, a))]
     if n < 1:
-        return None
+        return [[b[0] ** m]]
     chain = [[0] * (k + 1) for k in range(n)]
     delta, beta, psi = m - n, (-1) ** (m - n + 1), -1
     while len(b) > 1:
@@ -1031,6 +1032,23 @@ def _subresultant_chain(a: Sequence[int], b: Sequence[int]) -> Optional[list]:
         delta, beta = d - e, -b[-1] * psi ** (d - e)
         a, b = b, r
     return chain
+
+
+def _uni_discriminant(cs: Sequence[int]) -> int:
+    """The discriminant of the integer list cs = [c0..cd], d >= 1, read as
+    a binary form of degree d even where cd vanishes.
+
+    Where cd != 0 it is (-1)^(d(d-1)/2) Res(f, f') / cd, read from the
+    subresultant chain.  Where cd = 0 the form is y*g for g = [c0..c_{d-1}],
+    and Disc(y*g) = Disc(g) Res(g, y)^2 = c_{d-1}^2 Disc(g), which vanishes
+    with c_{d-1} (a double root at infinity).  A linear form has
+    discriminant 1."""
+    d = len(cs) - 1
+    if d == 1:
+        return 1
+    if cs[-1]:
+        return (-1) ** (d * (d - 1) // 2) * _subresultant_chain(cs, _derivative(cs))[0][0] // cs[-1]
+    return cs[-2] ** 2 * _uni_discriminant(cs[:-1]) if cs[-2] else 0
 
 
 def _differences(values: list) -> list:
@@ -1108,58 +1126,55 @@ def _matching_bound(weights: list) -> Optional[int]:
     return sum(weights[match[j] - 1][j - 1] for j in range(1, n + 1))
 
 
-def determinant(matrix: list) -> MultiPoly:
-    """Determinant of a square matrix of MultiPoly entries, by evaluation and
-    interpolation (Collins, J. ACM 18, 1971).
+def _minor_grid(f: UniPolyView, g: UniPolyView, k: int, j: int) -> MultiPoly:
+    """s_{k,j} of f and g (see `subresultant_coefficient`), by evaluation
+    and interpolation (Collins, J. ACM 18, 1971).
 
-    Each row is scaled to integer coefficients.  For every variable that
-    occurs in the entries, the heaviest perfect matching of the entry
-    degrees in it, zero entries excluded, bounds the degree of the
-    determinant (Jacobi's bound, `_matching_bound`): each nonzero Leibniz
-    term is a product over such a matching, so its degree is at most the
-    matching's weight.  With no such matching every term vanishes, and so
-    does the determinant.  On a Sylvester matrix of forms of degrees d1, d2
-    the bound is d1*d2.  The determinant is taken by integer Bareiss at
-    every point of the grid 0..B_1 x ... x 0..B_k and rebuilt along each
-    axis in turn, over the integers, by `_interpolate`.  Specialisation
-    commutes with the determinant, so the result is exact.
+    Each operand is scaled to integer coefficients; s_{k,j} takes n-k rows
+    of f and m-k of g, so it scales by den_f^(n-k) den_g^(m-k).  For every
+    variable that occurs in the coefficients, the heaviest perfect matching
+    of the entry degrees of the minor, zero entries excluded, bounds the
+    degree of s_{k,j} (Jacobi's bound, `_matching_bound`): each nonzero
+    Leibniz term is a product over such a matching, so its degree is at
+    most the matching's weight.  With no such matching every term
+    vanishes, and so does s_{k,j}.  At every point of the grid
+    0..B_1 x ... x 0..B_k the operands become integer lists and s_{k,j} is
+    read from their subresultant chain, or taken as the minor by Bareiss
+    where a leading coefficient vanishes; the values are rebuilt along
+    each axis in turn, over the integers, by `_interpolate`.
+    Specialisation commutes with the minor, so the result is exact.
     """
-    if not matrix:
-        raise ZeroInput("empty matrix")
-    ring = matrix[0][0].variables
-    free = [i for i in range(len(ring))
-            if any(e[i] for row in matrix for entry in row for e in entry.terms)]
-    monomials: dict = {}   # exponents in the free variables -> index
-    cells: dict = {}       # distinct integer entry -> index
-    rows = []              # per row: the cell index of each entry
-    scale = 1              # product of the row denominators
-    bounds = [_matching_bound([[max((e[i] for e in entry.terms), default=None) for entry in row]
-                               for row in matrix]) for i in free]
+    ring = f.poly.variables
+    m, n = f.degree, g.degree
+    free = [i for i in range(len(ring)) if any(e[i] for c in f.coeffs + g.coeffs for e in c.terms)]
+    bounds = [_matching_bound(_minor_matrix(
+        *([max((e[i] for e in c.terms), default=None) for c in view.coeffs] for view in (f, g)),
+        k, j, None)) for i in free]
     if None in bounds:
         return MultiPoly._trusted(ring, {})
-    for row in matrix:
-        den = math.lcm(*(c.denominator for entry in row for c in entry.terms.values()))
-        scale *= den
-        indices = []
-        for entry in row:
-            cell = []
-            for e, c in entry.terms.items():
-                cell.append((monomials.setdefault(tuple([e[i] for i in free]), len(monomials)),
-                             c.numerator * (den // c.denominator)))
-            indices.append(cells.setdefault(tuple(cell), len(cells)))
-        rows.append(indices)
+    monomials: dict = {}   # exponents in the free variables -> index
+    operands = []          # per operand, per coefficient: its (monomial index, int) terms
+    scale = 1
+    for view, rows in ((f, n - k), (g, m - k)):
+        den = math.lcm(*(c.denominator for c in view.poly.terms.values()))
+        scale *= den ** rows
+        operands.append([[(monomials.setdefault(tuple([e[i] for i in free]), len(monomials)),
+                           c.numerator * (den // c.denominator)) for e, c in coeff.terms.items()]
+                         for coeff in view.coeffs])
 
     # the values of every monomial at each grid point, last axis fastest
     keys = list(monomials)
     grid = [[1] * len(keys)]
     for axis, bound in enumerate(bounds):
-        grid = [[m * point ** key[axis] for m, key in zip(at, keys)]
-                for at in grid for point in range(bound + 1)]
+        top = max(key[axis] for key in keys)
+        powers = [[point ** e for e in range(top + 1)] for point in range(bound + 1)]
+        grid = [[v * table[key[axis]] for v, key in zip(at, keys)]
+                for at in grid for table in powers]
     values = []
     for at in grid:
-        cell_values = [sum(c * at[j] for j, c in cell) for cell in cells]
-        values.append(_int_bareiss_determinant(
-            [[cell_values[k] for k in row] for row in rows]))
+        a, b = ([sum(c * at[t] for t, c in coeff) for coeff in operand] for operand in operands)
+        values.append(_subresultant_chain(a, b)[k][j] if a[-1] and b[-1]
+                      else _int_bareiss_determinant(_minor_matrix(a, b, k, j, 0)))
 
     # interpolate along each axis in turn, on every grid line parallel to it
     stride = 1
@@ -1173,7 +1188,7 @@ def determinant(matrix: list) -> MultiPoly:
 
     exponents = [[0] * len(ring)]
     for i, bound in zip(free, bounds):
-        exponents = [e[:i] + [k] + e[i + 1:] for e in exponents for k in range(bound + 1)]
+        exponents = [e[:i] + [d] + e[i + 1:] for e in exponents for d in range(bound + 1)]
     return MultiPoly._trusted(ring, {tuple(e): Fraction(c, scale)
                                      for e, c in zip(exponents, values) if c})
 
@@ -1183,8 +1198,8 @@ def resultant(f: UniPolyView, g: UniPolyView) -> MultiPoly:
 
     Determinant of the Sylvester matrix (f rows first); satisfies
     ``Res(f, g) = lc(f)^deg(g) * prod g(alpha_i)`` over the roots of f.
-    The determinant is computed by evaluation and interpolation over the
-    integers (see :func:`determinant`).
+    It is s_{0,0}, read from the subresultant chain on an integer grid
+    (see `_minor_grid`).
 
     >>> x = ("x",)
     >>> f = parse_poly("x^2 + 1", x)
@@ -1192,7 +1207,8 @@ def resultant(f: UniPolyView, g: UniPolyView) -> MultiPoly:
     >>> resultant(UniPolyView(f, "x"), UniPolyView(g, "x")).text()
     '4'
     """
-    return determinant(sylvester_matrix(f, g))
+    sylvester_matrix(f, g)  # its refusals come first
+    return _minor_grid(f, g, 0, 0)
 
 
 def subresultant_coefficient(f: UniPolyView, g: UniPolyView, k: int, j: int) -> MultiPoly:
@@ -1211,16 +1227,12 @@ def subresultant_coefficient(f: UniPolyView, g: UniPolyView, k: int, j: int) -> 
     m, n = f.degree, g.degree
     if not 0 <= j <= k < min(m, n):
         raise DegreeTooLow(f"s_{k},{j} needs 0 <= j <= k < min(deg f, deg g) = {min(m, n)}")
-    return determinant(_minor_matrix(f.coeffs, g.coeffs, k, j, MultiPoly.zero(f.poly.variables)))
+    return _minor_grid(f, g, k, j)
 
 
 def discriminant(f: UniPolyView) -> MultiPoly:
-    """Discriminant in the distinguished variable.
-
-    ``(-1)^(d(d-1)/2) * Res(f, f') / lc(f)`` with d = deg f, taken as one
-    determinant: in the Sylvester matrix of f and f' the first column holds
-    lc(f) in row 0, d*lc(f) in row d-1 and zeros elsewhere, so replacing it
-    by 1 and d divides the determinant by lc(f).
+    """Discriminant in the distinguished variable: the exact quotient
+    ``(-1)^(d(d-1)/2) * Res(f, f') / lc(f)`` with d = deg f.
 
     >>> p = parse_poly("x^2 + b*x + c", ("x", "b", "c"))
     >>> discriminant(UniPolyView(p, "x")).text()
@@ -1229,39 +1241,24 @@ def discriminant(f: UniPolyView) -> MultiPoly:
     d = f.degree
     if d < 2:
         raise DegreeTooLow("discriminant needs degree >= 2")
-    sylvester_matrix(f, UniPolyView(f.poly.derivative(f.var), f.var))  # its refusals come first
-    det = determinant(_discriminant_matrix(f.coeffs, MultiPoly.const(f.poly.variables, 1)))
-    return det if (d * (d - 1) // 2) % 2 == 0 else -det
+    res = exact_div(resultant(f, UniPolyView(f.poly.derivative(f.var), f.var)), f.lc)
+    return res if (d * (d - 1) // 2) % 2 == 0 else -res
 
 
-def _discriminant_matrix(cs: Sequence, one) -> list:
-    """The matrix whose determinant is Res(f, f') / lc(f), for the list
-    cs = [c0..cd] of f over a ring with unit ``one``, d >= 2, read as of
-    degree d even where cd vanishes: in the Sylvester matrix of f and f'
-    the first column holds cd in row 0, d*cd in row d-1 and zeros
-    elsewhere, and it is replaced by one and d*one."""
-    d = len(cs) - 1
-    matrix = _minor_matrix(cs, _derivative(cs), 0, 0, one * 0)
-    matrix[0][0], matrix[d - 1][0] = one, one * d
-    return matrix
-
-
-def squarefree_part(f: Union[MultiPoly, UniPolyView], var: Optional[str] = None) -> MultiPoly:
-    """Square-free part with respect to one distinguished variable.
-
-    For a univariate MultiPoly the variable is inferred.  The result is
+def squarefree_part(f: Union[MultiPoly, UniPolyView]) -> MultiPoly:
+    """Square-free part with respect to one distinguished variable: the
+    variable of a view, or the one variable a MultiPoly uses (a MultiPoly
+    in more than one is refused with InvalidParams).  The result is
     ``f / gcd(f, df/dvar)``, content-normalized so it is primitive with a
     positive leading coefficient.
     """
     if isinstance(f, UniPolyView):
         poly, var = f.poly, f.var
     else:
-        poly = f
-        if var is None:
-            used = poly.used_variables()
-            if len(used) > 1:
-                raise ValueError("ambiguous variable; pass var= for multivariate input")
-            var = used[0] if used else poly.variables[0]
+        poly, used = f, f.used_variables()
+        if len(used) > 1:
+            raise InvalidParams(f"a polynomial in {len(used)} variables needs a UniPolyView")
+        var = used[0] if used else poly.variables[0]
     if poly.is_zero():
         raise ZeroInput("square-free part of zero")
     d = poly.derivative(var)

@@ -39,6 +39,15 @@ class TestChiStandard:
         with pytest.raises(InvalidParams):
             chi_standard("weird", 3)
 
+    @pytest.mark.parametrize("kind, params", [
+        (PROJECTIVE_SPACE, ()), (PROJECTIVE_SPACE, (3, 4)),
+        (QUADRIC, ()), (QUADRIC, (2, 3)),
+        (GRASSMANNIAN, (3,)), (GRASSMANNIAN, (2, 4, 6)),
+    ], ids=["P-none", "P-two", "Q-none", "Q-two", "Gr-one", "Gr-three"])
+    def test_wrong_parameter_count_refused(self, kind, params):
+        with pytest.raises(InvalidParams, match="parameter"):
+            chi_standard(kind, *params)
+
 
 class TestCompleteIntersections:
     def test_cubic_fourfold(self):

@@ -369,6 +369,19 @@ class TestClassification:
         with pytest.raises(NotSingular):
             classify_singularity(curve(NODAL), (0, 1, 0))
 
+    @pytest.mark.parametrize("point", [(0, 0, 0), (0, 0), ("a", 0, 1), (0.0, 0, 1), (True, 0, 1)],
+                             ids=["zero", "two-coordinates", "string", "float", "bool"])
+    def test_malformed_point_refused(self, point):
+        # a projective point is three ints or Fractions, not all zero
+        with pytest.raises(InvalidParams):
+            classify_singularity(curve(NODAL), point)
+        with pytest.raises(InvalidParams):
+            curve(NODAL).contains(point)
+
+    def test_fraction_point_accepted(self):
+        assert classify_singularity(curve(NODAL), (0, 0, Fraction(1, 3))).kind == NODE
+        assert curve(NODAL).contains([0, Fraction(0), 5])
+
     @pytest.mark.parametrize("point, multiplicity", [((1, 1, 1), 0), ((1, 0, -1), 1)],
                              ids=["off-the-curve", "smooth"])
     def test_not_singular_below_multiplicity_two(self, point, multiplicity):

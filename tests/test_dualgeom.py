@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from dualis import dualgeom
+from dualis import dualgeom, exact
 from dualis.curvelab import (
     DUAL_VARS,
     PRIMAL_VARS,
@@ -158,16 +158,15 @@ class TestTriangleDiscriminant:
                              ids=lambda text: f"degree{parse_poly(text, PRIMAL_VARS).total_degree()}")
     def test_against_sympy(self, text, monkeypatch):
         sympy = pytest.importorskip("sympy")
-        fallbacks, abnormal = [], []
-        bareiss, chain = dualgeom._int_bareiss_determinant, dualgeom._subresultant_chain
-        monkeypatch.setattr(dualgeom, "_int_bareiss_determinant",
-                            lambda m: fallbacks.append(1) or bareiss(m))
+        lists, abnormal = [], []
+        disc, chain = dualgeom._uni_discriminant, exact._subresultant_chain
+        monkeypatch.setattr(dualgeom, "_uni_discriminant", lambda cs: lists.append(cs) or disc(cs))
 
         def recorded(a, b):
             result = chain(a, b)
             abnormal.append(not all(s[-1] for s in result))
             return result
-        monkeypatch.setattr(dualgeom, "_subresultant_chain", recorded)
+        monkeypatch.setattr(exact, "_subresultant_chain", recorded)
         psi = _chart_form(text)
         symbols = sympy.symbols(psi.variables)
         expr = sympy.sympify(psi.text().replace("^", "**"),
@@ -179,12 +178,14 @@ class TestTriangleDiscriminant:
         assert 0 < top <= d * (d - 1)
         assert got == MultiPoly(DUAL_VARS, {
             (a, b, top - a - b): Fraction(int(c.p), int(c.q)) for (a, b), c in want.terms()})
-        # Bareiss runs on the rows u where lc(psi) = sum over the y-free terms
-        # of c (-u)^(z-exponent) vanishes, and nowhere else
+        # one list per triangle point; psi has a root at infinity on the rows
+        # u where lc(psi) = sum over the y-free terms of c (-u)^(z-exponent)
+        # vanishes, and nowhere else
         F = parse_poly(text, PRIMAL_VARS)
         rows = [u for u in range(d * (d - 1) + 1)
                 if not sum(c * (-u) ** e[2] for e, c in F.terms.items() if e[1] == 0)]
-        assert len(fallbacks) == sum(d * (d - 1) + 1 - u for u in rows)
+        assert len(lists) == (d * (d - 1) + 1) * (d * (d - 1) + 2) // 2
+        assert len([cs for cs in lists if not cs[-1]]) == sum(d * (d - 1) + 1 - u for u in rows)
         if text == LC_VANISHES:
             assert rows == [1]
         if text == "x^4 + y^4 + z^4":

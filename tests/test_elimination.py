@@ -30,8 +30,10 @@ from dualis.errors import (
 from dualis.exact import (
     MultiPoly,
     UniPolyView,
+    _int_bareiss_determinant,
     _integer_terms,
     _matching_bound,
+    _minor_matrix,
     parse_poly,
     resultant,
     subresultant_coefficient,
@@ -328,7 +330,11 @@ class TestIntegerFrameKernel:
         # read or each minor is taken by Bareiss, and so is the analysis
         F = parse_poly(text, XYZ)
         chained = elimination.singular_locus(F)
-        monkeypatch.setattr(elimination, "_subresultant_chain", lambda a, b: None)
+
+        def bareiss_chain(a, b):
+            return [[_int_bareiss_determinant(_minor_matrix(a, b, k, j, 0)) for j in range(k + 1)]
+                    for k in range(max(min(len(a), len(b)) - 1, 1))]
+        monkeypatch.setattr(elimination, "_subresultant_chain", bareiss_chain)
         minors = elimination.singular_locus(F)
         frame, reference = chained.frame, minors.frame
         assert (frame.base, frame.shear, frame.classes) == (

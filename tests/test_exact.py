@@ -29,10 +29,12 @@ from dualis.exact import (
     _interpolate,
     _matching_bound,
     _minor_matrix,
+    _derivative,
     _subresultant_chain,
+    _uni_discriminant,
     _uni_gcd,
     _uni_quo,
-    determinant,
+    discriminant,
     divides,
     exact_div,
     forms_coprime,
@@ -43,6 +45,8 @@ from dualis.exact import (
     poly_gcd,
     radical,
     resultant,
+    squarefree_part,
+    subresultant_coefficient,
     sylvester_matrix,
     try_exact_div,
 )
@@ -52,9 +56,13 @@ UVW = ("u", "v", "w")
 
 
 def test_doctests_pass():
-    # the examples in the docstrings of the exact layer
+    # the seven examples in the docstrings of the exact layer, among them
+    # those of the public resultant and discriminant
+    tested = {test.name.rpartition(".")[2] for test in doctest.DocTestFinder().find(exact)
+              if test.examples}
+    assert {"parse_poly", "resultant", "discriminant"} <= tested
     results = doctest.testmod(exact)
-    assert results.attempted > 0 and results.failed == 0
+    assert results.attempted == 7 and results.failed == 0
 
 
 class TestParsing:
@@ -525,12 +533,12 @@ class TestTrustedResults:
     def test_determinants_and_resultants(self):
         rng = random.Random(59)
         for _ in range(10):
-            matrix = [[_random_poly(rng, XYZ, max_terms=3, max_exp=2) for _ in range(3)]
-                      for _ in range(3)]
-            _assert_clean(determinant(matrix))
             f = _random_poly(rng, XYZ, max_exp=3) + parse_poly("x^4", XYZ)
             g = _random_poly(rng, XYZ, max_exp=3) + parse_poly("x^3", XYZ)
-            _assert_clean(resultant(UniPolyView(f, "x"), UniPolyView(g, "x")))
+            fv, gv = UniPolyView(f, "x"), UniPolyView(g, "x")
+            _assert_clean(resultant(fv, gv))
+            _assert_clean(subresultant_coefficient(fv, gv, 1, 0))
+            _assert_clean(discriminant(gv))
 
     def test_exact_quotients(self):
         rng = random.Random(61)
@@ -564,15 +572,21 @@ def _degree_matrix(matrix, var):
 
 
 @pytest.fixture
-def bareiss_calls(monkeypatch):
-    """The number of integer determinants `determinant` takes, one per grid point."""
-    calls = []
-    original = exact._int_bareiss_determinant
-
-    def counted(m):
-        calls.append(len(m))
-        return original(m)
-    monkeypatch.setattr(exact, "_int_bareiss_determinant", counted)
+def grid_points(monkeypatch):
+    """The points of a public grid: at each, s_{k,j} is read from one
+    subresultant chain or, where a leading coefficient vanishes, taken by
+    Bareiss.  A chain's inner call for swapped operands is not counted."""
+    calls, depth = [], []
+    for name in ("_subresultant_chain", "_int_bareiss_determinant"):
+        def counted(*args, _original=getattr(exact, name)):
+            if not depth:
+                calls.append(len(args[0]))
+            depth.append(1)
+            try:
+                return _original(*args)
+            finally:
+                depth.pop()
+        monkeypatch.setattr(exact, name, counted)
     return calls
 
 
@@ -601,7 +615,6 @@ class TestDeterminantBound:
                     domain=sympy.QQ[symbols])
                 expr = dm.domain.to_sympy(dm.det())
                 det = _from_sympy(sympy, expr, ring)
-                assert determinant(m) == det
                 for var, symbol in zip(ring, symbols):
                     bound = _matching_bound(_degree_matrix(m, var))
                     if bound is None:
@@ -628,18 +641,22 @@ class TestDeterminantBound:
         assert _matching_bound(_degree_matrix(m, "x")) == d1 * d2
         assert _matching_bound(_degree_matrix(m, "z")) == 0
 
-    def test_structurally_singular_matrix_is_zero(self, bareiss_calls):
+    def test_structurally_singular_matrix_is_zero(self, grid_points):
         ring = ("x", "s")
         zero = MultiPoly.zero(ring)
         rows = [("x + 1", "s^2", "x*s", "3"), ("x^2 - s", "0", "0", "0"),
                 ("2*s", "0", "0", "0"), ("1", "x^3", "s - 1", "x")]
         m = [[zero if t == "0" else parse_poly(t, ring) for t in row] for row in rows]
         assert _matching_bound(_degree_matrix(m, "x")) is None
-        assert determinant(m).is_zero()
-        assert bareiss_calls == []
+        # s*x^3 and x^2 share the root 0: the last two columns of their
+        # Sylvester matrix are zero, so the resultant is zero at no grid point
+        f, g = (UniPolyView(parse_poly(t, ring), "x") for t in ("s*x^3", "x^2"))
+        assert _matching_bound(_degree_matrix(sylvester_matrix(f, g), "s")) is None
+        assert resultant(f, g).is_zero()
+        assert grid_points == []
 
     @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 2), (4, 3)])
-    def test_frame_resultant_takes_d1_d2_plus_one_determinants(self, d1, d2, bareiss_calls):
+    def test_frame_resultant_takes_d1_d2_plus_one_determinants(self, d1, d2, grid_points):
         rng = random.Random(7 * d1 + d2)
         F, G = _random_form(rng, d1), _random_form(rng, d2)
         frame = elimination._accepted_frame(F, G)
@@ -647,10 +664,10 @@ class TestDeterminantBound:
                  "y": MultiPoly.var(XYZ, "y"), "z": MultiPoly.const(XYZ, 1)}
         A, B = (UniPolyView(elimination.apply_matrix(form, frame.base).substitute(chart), "y")
                 for form in (F, G))
-        bareiss_calls.clear()
+        grid_points.clear()
         R = resultant(A, B)
         assert R.degree_in("x") == d1 * d2
-        assert len(bareiss_calls) == d1 * d2 + 1
+        assert len(grid_points) == d1 * d2 + 1
 
 
 def _poly_mul(a, b):
@@ -794,15 +811,12 @@ class TestSubresultantChain:
 
     @staticmethod
     def _assert_matches_bareiss(a, b):
-        """The chain of a and b holds every s_{k,j}; None only when an
-        operand is constant."""
+        """The chain of a and b holds every s_{k,j}; for a constant operand
+        it holds the resultant alone."""
         chain = _subresultant_chain(a, b)
         m, n = len(a) - 1, len(b) - 1
-        if min(m, n) == 0:
-            assert chain is None
-        else:
-            assert chain == [[_bareiss_minor(a, b, k, j) for j in range(k + 1)]
-                             for k in range(min(m, n))], (a, b)
+        assert chain == [[_bareiss_minor(a, b, k, j) for j in range(k + 1)]
+                         for k in range(max(min(m, n), 1))], (a, b)
         return chain
 
     @staticmethod
@@ -850,14 +864,21 @@ class TestSubresultantChain:
                 assert self._abnormal(chain) and chain[0] != [0]
 
     def test_low_degree_operands(self):
-        assert _subresultant_chain([3, 2], [5]) is None
-        assert _subresultant_chain([5], [1, 0, 1]) is None
+        # a constant operand c gives [[c^m]], m the other operand's degree:
+        # the Sylvester determinant, in both operand orders
+        assert _subresultant_chain([3, 2], [5]) == [[5]]
+        assert _subresultant_chain([5], [1, 0, 1]) == [[25]]
+        assert _subresultant_chain([1, 0, 1], [-2]) == [[4]]
         assert _subresultant_chain([3, 2], [-1, 4]) == [[_bareiss_minor([3, 2], [-1, 4], 0, 0)]]
         rng = random.Random(89)
         for _ in range(40):
             a, b = _random_ints(rng, 1, 50), _random_ints(rng, rng.randint(1, 6), 50)
             self._assert_matches_bareiss(a, b)
             self._assert_matches_bareiss(b, a)
+            c, m = [rng.choice((-1, 1)) * rng.randint(1, 50)], len(b) - 1
+            assert self._assert_matches_bareiss(c, b) == [[c[0] ** m]]
+            assert self._assert_matches_bareiss(b, c) == [[c[0] ** m]]
+
 
     def test_swapped_operands_change_sign_by_the_row_blocks(self):
         rng = random.Random(97)
@@ -867,6 +888,42 @@ class TestSubresultantChain:
             assert _subresultant_chain(b, a) == [
                 s if (m - k) * (n - k) % 2 == 0 else [-c for c in s]
                 for k, s in enumerate(_subresultant_chain(a, b))]
+
+
+def _modified_discriminant(cs):
+    """(-1)^(d(d-1)/2) times the Bareiss determinant of the Sylvester
+    matrix of cs = [c0..cd] and its derivative, read as of degree d even
+    where cd vanishes, with the first column, cd in row 0 and d*cd in row
+    d-1, replaced by 1 and d: Res(f, f') / cd where cd != 0."""
+    d = len(cs) - 1
+    matrix = _minor_matrix(cs, _derivative(cs), 0, 0, 0)
+    matrix[0][0], matrix[d - 1][0] = 1, d
+    return (-1) ** (d * (d - 1) // 2) * _int_bareiss_determinant(matrix)
+
+
+class TestUniDiscriminant:
+    """exact._uni_discriminant, the discriminant of a binary form of degree
+    d given as [c0..cd], against the modified Sylvester matrix by Bareiss."""
+
+    @pytest.mark.parametrize("zeros", [0, 1, 2], ids=["cd", "cd=0", "cd=c(d-1)=0"])
+    def test_seeded_lists(self, zeros):
+        rng = random.Random(101 + zeros)
+        for _ in range(120):
+            d = rng.randint(max(2, zeros), 7)
+            cs = [rng.choice((0, rng.randint(-20, 20))) for _ in range(d + 1 - zeros)]
+            cs[-1] = cs[-1] or 1
+            cs += [0] * zeros
+            assert _uni_discriminant(cs) == _modified_discriminant(cs), cs
+            if zeros == 2:
+                assert _uni_discriminant(cs) == 0  # a double root at infinity
+
+    def test_root_at_infinity_multiplies_by_the_square(self):
+        # Disc(y*g) = Disc(g) Res(g, y)^2 = c_{d-1}^2 Disc(g); Disc of a line is 1
+        assert _uni_discriminant([5, 3]) == 1
+        assert _uni_discriminant([5, 3, 0]) == 9
+        assert _uni_discriminant([-4, 0, 1]) == 16
+        assert _uni_discriminant([-4, 0, 1, 0]) == 16
+        assert _uni_discriminant([1, 2, 1]) == 0 == _uni_discriminant([0, 0, 1, 0])
 
 
 class TestEvaluation:

@@ -9,13 +9,16 @@ from dualis.errors import (
     DegenerateInput,
     DegreeGuardrail,
     DegreeTooLow,
+    InvalidParams,
     SharedVariableMismatch,
     ZeroInput,
 )
+from dualis import exact
 from dualis.exact import (
     MultiPoly,
     UniPolyView,
-    determinant,
+    _int_bareiss_determinant,
+    _minor_matrix,
     discriminant,
     exact_div,
     parse_poly,
@@ -364,92 +367,116 @@ class TestSubresultantCoefficients:
 
 
 class TestBareiss:
-    """`determinant` takes an integer Bareiss determinant at each grid point."""
+    """`exact._int_bareiss_determinant`, which takes the minor at a grid
+    point where a leading coefficient vanishes, against cofactor expansion."""
 
     def test_against_cofactor_expansion(self):
         rng = random.Random(31)
-        vars2 = ("x", "y")
-        for size in (2, 3, 4):
+        for size in (1, 2, 3, 4, 5):
             for _ in range(6):
-                m = [
-                    [
-                        MultiPoly(vars2, {
-                            (rng.randint(0, 1), rng.randint(0, 1)):
-                            Fraction(rng.randint(-3, 3))
-                        })
-                        for _ in range(size)
-                    ]
-                    for _ in range(size)
-                ]
-                assert determinant(m) == _cofactor_det(m)
+                m = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(size)]
+                     for _ in range(size)]
+                want = _cofactor_det([[MultiPoly.const(X, c) for c in row] for row in m])
+                assert MultiPoly.const(X, _int_bareiss_determinant([list(r) for r in m])) == want
 
     def test_singular_matrix(self):
-        one = MultiPoly.const(X, 1)
-        assert determinant([[one, one], [one, one]]).is_zero()
+        assert _int_bareiss_determinant([[1, 1], [1, 1]]) == 0
+        assert _int_bareiss_determinant([[0, 2, 1], [0, 5, -3], [0, 1, 4]]) == 0
 
 
 class TestDeterminant:
-    """The one determinant path against cofactor expansion and SymPy."""
+    """The one Sylvester grid behind `resultant` and
+    `subresultant_coefficient` against cofactor expansion and SymPy of the
+    minor that `_minor_matrix` lays out."""
 
     RINGS = {0: ("x",), 1: ("x", "s"), 2: ("x", "s", "t"), 3: ("x", "s", "t", "r")}
 
-    def _random_entry(self, rng, ring, free):
+    def _random_operand(self, rng, ring, free, degree):
+        """A polynomial of the given degree in x over Q[free variables],
+        fraction coefficients, leading coefficient often nonconstant."""
         terms = {}
-        for _ in range(rng.randint(0, 3)):
-            e = tuple(rng.randint(0, 2) if 0 < i <= free else 0 for i in range(len(ring)))
-            terms[e] = terms.get(e, 0) + Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for k in range(degree + 1):
+            for _ in range(rng.randint(0 if k < degree else 1, 2)):
+                e = (k,) + tuple(rng.randint(0, 2) if 0 < i <= free else 0
+                                 for i in range(1, len(ring)))
+                terms[e] = terms.get(e, 0) + Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
         return MultiPoly(ring, terms)
 
-    def _check(self, m):
-        det = determinant(m)
-        assert det == _cofactor_det(m)
-        assert det == _sympy_det(m)
-        return det
+    def _check(self, f, g):
+        """The resultant of f and g against both references, every s_{k,j}
+        against cofactor expansion; the resultant."""
+        fv, gv = UniPolyView(f, "x"), UniPolyView(g, "x")
+        zero = MultiPoly.zero(f.variables)
+        res, matrix = resultant(fv, gv), sylvester_matrix(fv, gv)
+        assert res == _cofactor_det(matrix) == _sympy_det(matrix)
+        for k in range(min(fv.degree, gv.degree)):
+            for j in range(k + 1):
+                minor = _minor_matrix(fv.coeffs, gv.coeffs, k, j, zero)
+                assert subresultant_coefficient(fv, gv, k, j) == _cofactor_det(minor), (k, j)
+        return res
 
     @pytest.mark.parametrize("free", [0, 1, 2, 3])
     def test_random_fraction_matrices(self, free):
         rng = random.Random(50 + free)
         ring = self.RINGS[free]
         used = set()
-        for size in (1, 2, 3, 4):
-            for _ in range(4 if free < 3 else 2):
-                m = [[self._random_entry(rng, ring, free) for _ in range(size)]
-                     for _ in range(size)]
-                used |= set(self._check(m).used_variables())
+        for _ in range(5 if free < 3 else 3):
+            f, g = (self._random_operand(rng, ring, free, rng.randint(1, 3)) for _ in range(2))
+            if f.degree_in("x") < 1 or g.degree_in("x") < 1:
+                continue
+            used |= set(self._check(f, g).used_variables())
         assert len(used) == free
 
-    def test_zero_row(self):
+    def test_zero_row(self, monkeypatch):
+        # f = (s^2 - 1/3*t)(x^2 + 2) vanishes at the grid point s = t = 0,
+        # where the rows of f in every minor are zero: Bareiss gives 0 there
         ring = self.RINGS[2]
-        zero = MultiPoly.zero(ring)
-        m = [[parse_poly("s^2 - 1/3*t", ring), parse_poly("2", ring)],
-             [zero, zero]]
-        assert self._check(m).is_zero()
+        zeros = []
+        bareiss = exact._int_bareiss_determinant
+        monkeypatch.setattr(exact, "_int_bareiss_determinant",
+                            lambda m: zeros.append(not any(m[0])) or bareiss(m))
+        f = parse_poly("s^2*x^2 - 1/3*t*x^2 + 2*s^2 - 2/3*t", ring)
+        g = parse_poly("x^2 + t*x - s", ring)
+        assert not self._check(f, g).is_zero()
+        assert True in zeros
 
-    def test_needed_row_swap(self):
-        # a zero pivot at every grid point forces Bareiss to swap rows
+    def test_needed_row_swap(self, monkeypatch):
+        # lc(f) = s vanishes at the grid point s = 0 alone, where the minor
+        # is taken by Bareiss with a zero first pivot, so rows are swapped
         ring = self.RINGS[1]
-        m = [[parse_poly(text, ring) for text in row] for row in (
-            ("0", "s", "1/2"),
-            ("3", "s^2 - 1", "s"),
-            ("-1", "2/5", "s + 7"),
-        )]
-        assert not self._check(m).is_zero()
+        calls = []
+        bareiss = exact._int_bareiss_determinant
+        monkeypatch.setattr(exact, "_int_bareiss_determinant",
+                            lambda m: calls.append([list(r) for r in m]) or bareiss(m))
+        f = parse_poly("s*x^2 + x + 1/2", ring)
+        g = parse_poly("3*x^2 + s^2*x - x + s", ring)
+        assert not self._check(f, g).is_zero()
+        assert calls and all(m[0][0] == 0 for m in calls)
 
     def test_singular_matrices(self):
+        # operands with a common factor of degree c in x: the resultant and
+        # every s_{k,j} with k < c vanish
         rng = random.Random(61)
         ring = self.RINGS[2]
-        for size in (2, 3, 4):
-            rows = [[self._random_entry(rng, ring, 2) for _ in range(size)]
-                    for _ in range(size - 1)]
-            # the last row is a polynomial combination of the others
-            weights = [parse_poly(text, ring) for text in ("s - 1", "1/2*t", "3")]
-            last = [sum((w * row[j] for w, row in zip(weights, rows)), MultiPoly.zero(ring))
-                    for j in range(size)]
-            assert self._check(rows + [last]).is_zero()
+        for common in ("x - s", "x^2 + 1/2*t*x - s"):
+            h = parse_poly(common, ring)
+            for _ in range(2):
+                f, g = (h * self._random_operand(rng, ring, 2, rng.randint(1, 2)) for _ in range(2))
+                fv, gv = UniPolyView(f, "x"), UniPolyView(g, "x")
+                c = h.degree_in("x")
+                assert resultant(fv, gv).is_zero()
+                assert all(subresultant_coefficient(fv, gv, k, j).is_zero()
+                           for k in range(c) for j in range(k + 1))
+                if c < min(fv.degree, gv.degree):  # psc_c is the gcd's leading coefficient
+                    assert not subresultant_coefficient(fv, gv, c, c).is_zero()
 
     def test_empty_matrix_refused(self):
+        # a zero operand has no Sylvester matrix
+        zero, g = UniPolyView(MultiPoly.zero(X), "x"), UniPolyView(parse_poly("x + 1", X), "x")
         with pytest.raises(ZeroInput):
-            determinant([])
+            resultant(zero, g)
+        with pytest.raises(ZeroInput):
+            subresultant_coefficient(g, zero, 0, 0)
 
 
 class TestDiscriminant:
@@ -524,6 +551,15 @@ class TestSquarefreePart:
             g = poly_gcd(once, once.derivative("x"))
             assert g.is_constant()
             checked += 1
+
+    def test_one_used_variable_of_a_larger_ring(self):
+        p = parse_poly("y^3 - 2*y^2 + y", ("x", "y"))  # y (y-1)^2
+        assert squarefree_part(p) == parse_poly("y^2 - y", ("x", "y"))
+
+    def test_multivariate_polynomial_refused(self):
+        # a MultiPoly in two used variables names no distinguished one
+        with pytest.raises(InvalidParams):
+            squarefree_part(parse_poly("x^2*y - y", ("x", "y")))
 
     def test_multivariate_coefficients(self):
         p = parse_poly("y^2*x^2 - 2*y^2*x + y^2", ("x", "y"))  # y^2 (x-1)^2

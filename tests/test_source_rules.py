@@ -223,7 +223,7 @@ def test_one_line_restriction_and_one_coordinate_change():
                                         "exact.py: _on_pencil"]
     assert _readers("_interpolate") == ["dualgeom.py: _dual_in_chart",
                                         "elimination.py: coefficient",
-                                        "exact.py: _restriction", "exact.py: determinant"]
+                                        "exact.py: _minor_grid", "exact.py: _restriction"]
     assert "substitute" not in _referenced_names(SOURCE / "curvelab.py")
     defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
     assert not defined & {"binary_distinct_roots", "_lowest_parts", "_exps", "gradient"}
@@ -271,10 +271,7 @@ def test_one_univariate_toolkit():
     # readers of the interpolation and of the term product are pinned above)
     defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
     assert not defined & {"_sylvester_minor", "_newton_numerators"}
-    assert _readers("_minor_matrix") == ["elimination.py: coefficient",
-                                         "exact.py: _discriminant_matrix",
-                                         "exact.py: subresultant_coefficient",
-                                         "exact.py: sylvester_matrix"]
+    assert _readers("_minor_matrix") == ["exact.py: _minor_grid", "exact.py: sylvester_matrix"]
     derivatives = [name for path in sorted(SOURCE.glob("*.py"))
                    for name in _index_products(path)]
     assert derivatives == ["exact.py: _derivative", "exact.py: _y_derivative"]
@@ -282,12 +279,11 @@ def test_one_univariate_toolkit():
                                            "exact.py: transversal_line"]
     assert _readers("_y_derivative") == ["elimination.py: is_power",
                                          "elimination.py: singular_locus"]
-    assert _readers("_derivative") == ["dualgeom.py: _dual_in_chart",
-                                       "elimination.py: _root_candidates",
+    assert _readers("_derivative") == ["elimination.py: _root_candidates",
                                        "elimination.py: _sqfree_part",
                                        "elimination.py: singular_locus",
-                                       "exact.py: _discriminant_matrix",
-                                       "exact.py: _distinct_roots"]
+                                       "exact.py: _distinct_roots",
+                                       "exact.py: _uni_discriminant"]
     elimination = _referenced_names(SOURCE / "elimination.py")
     assert "isqrt" not in elimination and "_is_prime" in elimination
     primes = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
@@ -296,26 +292,29 @@ def test_one_univariate_toolkit():
 
 
 def test_one_subresultant_chain():
-    # exact._subresultant_chain is the one chain, read at each point of a
-    # frame and of the dual's triangle; Bareiss takes a minor there only
-    # for a constant operand or a vanishing leading coefficient, and the
-    # grid of `determinant` serves only the public resultant,
-    # subresultant_coefficient and discriminant, which no count and no
-    # dual equation calls
+    # exact._subresultant_chain is the one chain, and every eliminant is read
+    # from it: at each point of a frame, as the discriminant of each list on
+    # the dual's triangle, and at each point of the grid behind the public
+    # resultant and subresultant_coefficient, where Bareiss takes the minor
+    # only where a leading coefficient vanishes; the public discriminant is
+    # the resultant of f and f' over lc(f), which no count and no dual
+    # equation calls
+    defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
+    assert not defined & {"determinant", "_discriminant_matrix"}
     chains = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
                     for name in _functions(path) if "subresultant" in name or "chain" in name)
     assert chains == ["exact.py: _subresultant_chain", "exact.py: subresultant_coefficient"]
-    assert _readers("_subresultant_chain") == ["dualgeom.py: _dual_in_chart",
-                                               "elimination.py: coefficient",
-                                               "exact.py: _subresultant_chain"]
-    assert _readers("_int_bareiss_determinant") == ["dualgeom.py: _dual_in_chart",
-                                                    "elimination.py: coefficient",
-                                                    "exact.py: determinant"]
-    assert _readers("_discriminant_matrix") == ["dualgeom.py: _dual_in_chart",
-                                                "exact.py: discriminant"]
-    assert _readers("determinant") == ["exact.py: discriminant", "exact.py: resultant",
-                                       "exact.py: subresultant_coefficient"]
+    assert _readers("_subresultant_chain") == ["elimination.py: coefficient",
+                                               "exact.py: _minor_grid",
+                                               "exact.py: _subresultant_chain",
+                                               "exact.py: _uni_discriminant"]
+    assert _readers("_int_bareiss_determinant") == ["exact.py: _minor_grid"]
+    assert _readers("_uni_discriminant") == ["dualgeom.py: _dual_in_chart",
+                                             "exact.py: _uni_discriminant"]
+    assert _readers("_minor_grid") == ["exact.py: resultant", "exact.py: subresultant_coefficient"]
+    assert "exact.py: discriminant" in _readers("resultant")
     for name in ("_differences", "_from_differences"):
         assert _readers(name) == ["dualgeom.py: _dual_in_chart", "exact.py: _interpolate"]
-    assert not {"discriminant", "resultant", "determinant"} & (
-        _referenced_names(SOURCE / "dualgeom.py") | _referenced_names(SOURCE / "elimination.py"))
+    for path in (SOURCE / "dualgeom.py", SOURCE / "elimination.py"):
+        assert not {"discriminant", "resultant", "determinant", "_int_bareiss_determinant",
+                    "_minor_matrix", "_discriminant_matrix"} & _referenced_names(path), path.name
