@@ -24,12 +24,13 @@ its images to integers and divides by the common denominator once, and
 
 On top of the polynomial ring the module provides the elimination kernel:
 Sylvester matrices (rows of the first operand first), resultants,
-discriminants, multivariate gcd by a primitive polynomial remainder sequence,
-and square-free parts.  Every eliminant is read from one integer
-subresultant chain (`_subresultant_chain`, the subresultant PRS of
-Collins, J. ACM 14, 1967, and Brown & Traub, J. ACM 18, 1971, abnormal
-blocks included).  It holds at once every subresultant coefficient
-s_{k,j} of two integer lists, the determinants of the submatrices of the
+discriminants, multivariate gcds and square-free parts.  Every eliminant
+and every gcd of MultiPolys is read from one subresultant chain
+(`_subresultant_chain`, the subresultant PRS of Collins, J. ACM 14, 1967,
+and Brown & Traub, J. ACM 18, 1971, abnormal blocks included), which runs
+over Z or over Q[vars]: a MultiPoly is true when nonzero and ``//``
+divides it exactly.  It holds at once every subresultant coefficient
+s_{k,j} of two lists, the determinants of the submatrices of the
 Sylvester matrix that `_minor_matrix` lays out over any ring, which tell
 where two polynomials share k roots and what the common factor is;
 s_{0,0} is the resultant.  The counts of `elimination` and the dual
@@ -69,8 +70,11 @@ Brown's modular algorithm (J. ACM 18, 1971), which works modulo primes just belo
 primitive gcd; a constant image modulo one prime proves a constant gcd,
 which is the usual case.  The trivariate gcd ``poly_gcd`` and
 the ``radical`` built on it are public API; no count, no curve check and no
-dual equation calls them.  Evaluation at a point of ints runs over the
-integers too, with one division at the end.
+dual equation calls them.  ``poly_gcd`` divides out the contents in its
+first variable and takes the primitive part of the first nonzero S_k of
+the chain of the primitive parts, run over Q[the other variables].
+Evaluation at a point of ints runs over the integers too, with one
+division at the end.
 """
 
 from __future__ import annotations
@@ -246,6 +250,9 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
@@ -334,6 +341,13 @@ class MultiPoly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
+
+    def __floordiv__(self, other):
+        """Exact division: by a polynomial through `exact_div`, by an int or
+        a Fraction as the product with its inverse."""
+        if isinstance(other, MultiPoly):
+            return exact_div(self, other)
+        return self * Fraction(1, other)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -589,20 +603,6 @@ class UniPolyView:
         return self.coeffs[-1]
 
 
-def _coeff_list(poly: MultiPoly, var: str) -> list:
-    """Coefficient list [c0, c1, ...] of poly in var (coefficients in same ring)."""
-    return UniPolyView(poly, var).coeffs if not poly.is_zero() else []
-
-
-def _from_coeff_list(coeffs: Sequence[MultiPoly], var: str, variables) -> MultiPoly:
-    result = MultiPoly.zero(variables)
-    x = MultiPoly.var(variables, var)
-    for k, c in enumerate(coeffs):
-        if not c.is_zero():
-            result = result + c * (x**k)
-    return result
-
-
 # ---------------------------------------------------------------------------
 # exact division
 # ---------------------------------------------------------------------------
@@ -656,7 +656,7 @@ def divides(g: MultiPoly, f: MultiPoly) -> bool:
 def _trim(cs: Sequence[int]) -> list:
     """A copy of cs without trailing zero coefficients."""
     cs = list(cs)
-    while cs and cs[-1] == 0:
+    while cs and not cs[-1]:
         cs.pop()
     return cs
 
@@ -713,8 +713,9 @@ def _uni_quo(a: Sequence[int], b: Sequence[int]) -> list:
 
 
 def _uni_prem(a: Sequence[int], b: Sequence[int]) -> list:
-    """The pseudo-remainder of integer lists, trimmed: the remainder of
-    lc(b)^(m-n+1) a by b, m = deg a >= n = deg b >= 1, b[-1] != 0."""
+    """The pseudo-remainder of lists over Z or over Q[vars] (ints or
+    MultiPolys), trimmed: the remainder of lc(b)^(m-n+1) a by b, m = deg a
+    >= n = deg b >= 1, b[-1] != 0."""
     r, lead, n = list(a), b[-1], len(b) - 1
     for k in reversed(range(len(a) - n)):
         top = r.pop()
@@ -829,89 +830,48 @@ def _distinct_roots(cs: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# multivariate gcd (primitive PRS)
+# multivariate gcd, read from the subresultant chain over Q[vars]
 # ---------------------------------------------------------------------------
-
-def _pseudo_rem(a: list, b: list) -> list:
-    """Pseudo-remainder of coefficient lists (univariate over the coefficient ring)."""
-    m, n = len(a) - 1, len(b) - 1
-    r = list(a)
-    lcb = b[-1]
-    for k in range(m - n, -1, -1):
-        top = r[n + k]
-        if top.is_zero():
-            r = [c * lcb for c in r]
-            continue
-        r = [c * lcb for c in r]
-        for j in range(n + 1):
-            r[j + k] = r[j + k] - top * b[j]
-        if not r[n + k].is_zero():
-            raise InvariantViolation("pseudo-remainder step left a leading term")
-    while len(r) > 1 and r[-1].is_zero():
-        r.pop()
-    if len(r) == 1 and r[0].is_zero():
-        return []
-    return r
-
-
-def _content_wrt(coeffs: Iterable[MultiPoly]) -> MultiPoly:
-    acc = None
-    for c in coeffs:
-        acc = c if acc is None else poly_gcd(acc, c)
-        if acc.is_constant() and not acc.is_zero():
-            break
-    return acc
-
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Gcd in Q[variables], normalized primitive with positive leading coefficient.
 
     The gcd of two nonzero constants is 1 (units are irrelevant over a field).
+    In the first variable x either operand uses, it is the gcd of the
+    contents (the gcds of the coefficients in x, `poly_gcd_many`) times that
+    of the primitive parts A and B, deg A >= deg B.  That one is 1 when B is
+    constant, B when every S_k of their `_subresultant_chain` over the
+    coefficient ring vanishes, and else the primitive part in x of the first
+    nonzero S_k: by the fundamental theorem of subresultants it is a nonzero
+    multiple of gcd(A, B) in the coefficient ring (Collins, J. ACM 14, 1967;
+    Brown & Traub, J. ACM 18, 1971).
+
+    >>> poly_gcd(parse_poly("x^2 + x*y - x - y", ("x", "y")),    # (x + y)(x - 1)
+    ...          parse_poly("x^2 + x*y + x + y", ("x", "y"))).text()  # (x + y)(x + 1)
+    'x + y'
     """
     f._check_ring(g)
     if f.is_zero():
         return g.primitive()
     if g.is_zero():
         return f.primitive()
-    main = None
-    for v in f.variables:
-        if f.degree_in(v) > 0 or g.degree_in(v) > 0:
-            main = v
-            break
-    if main is None:
+    i = next((k for k, v in enumerate(f.variables) if f.degree_in(v) > 0 or g.degree_in(v) > 0),
+             None)
+    if i is None:
         return MultiPoly.const(f.variables, 1)
-    df, dg = f.degree_in(main), g.degree_in(main)
-    if df == 0:
-        return poly_gcd(f, _content_wrt(_coeff_list(g, main)))
-    if dg == 0:
-        return poly_gcd(_content_wrt(_coeff_list(f, main)), g)
-
-    fa = _coeff_list(f, main)
-    ga = _coeff_list(g, main)
-    cf = _content_wrt(fa)
-    cg = _content_wrt(ga)
-    c = poly_gcd(cf, cg)
-    A = [exact_div(x, cf) for x in fa]
-    B = [exact_div(x, cg) for x in ga]
+    A, B = (UniPolyView(p, f.variables[i]).coeffs for p in (f, g))
+    content_a, content_b = poly_gcd_many(A), poly_gcd_many(B)
+    A, B = [c // content_a for c in A], [c // content_b for c in B]
     if len(A) < len(B):
         A, B = B, A
-    while True:
-        R = _pseudo_rem(A, B)
-        if not R:
-            gcd_pp = B
-            break
-        if len(R) == 1:
-            gcd_pp = None
-            break
-        cr = _content_wrt(R)
-        A, B = B, [exact_div(x, cr) for x in R]
-    if gcd_pp is None:
-        result = c
-    else:
-        cb = _content_wrt(gcd_pp)
-        pp = _from_coeff_list([exact_div(x, cb) for x in gcd_pp], main, f.variables)
-        result = c * pp
-    return result.primitive()
+    common = poly_gcd(content_a, content_b)
+    if len(B) > 1:
+        S = next((s for s in _subresultant_chain(A, B) if any(s)), B)
+        content = poly_gcd_many([c for c in S if c])
+        common = common * MultiPoly._trusted(f.variables, {
+            e[:i] + (j,) + e[i + 1:]: c for j, s in enumerate(S) if s
+            for e, c in (s // content).terms.items()})
+    return common.primitive()
 
 
 def poly_gcd_many(polys: Sequence[MultiPoly]) -> MultiPoly:
@@ -992,10 +952,11 @@ def _int_bareiss_determinant(m: list) -> int:
 
 def _subresultant_chain(a: Sequence[int], b: Sequence[int]) -> list:
     """The subresultants [S_0, ..., S_{l-1}], l = max(min(m, n), 1), of
-    integer lists a, b of degrees m, n with nonzero leading coefficients:
-    S_k is the list [s_{k,0}..s_{k,k}] of the minors of `_minor_matrix`,
-    so S_0 = [Res(a, b)], the Sylvester determinant.  For a constant
-    operand c that is [[c^deg(other)]].
+    lists a, b of degrees m, n with nonzero leading coefficients, over Z
+    (ints) or over Q[vars] (MultiPolys, where entries that vanish may be
+    the int 0): S_k is the list [s_{k,0}..s_{k,k}] of the minors of
+    `_minor_matrix`, so S_0 = [Res(a, b)], the Sylvester determinant.  For
+    a constant operand c that is [[c^deg(other)]].
 
     For m >= n this is the subresultant PRS (Collins, J. ACM 14, 1967;
     Brown & Traub, J. ACM 18, 1971): r_1 = a, r_2 = b, r_{i+1} =
@@ -1008,8 +969,9 @@ def _subresultant_chain(a: Sequence[int], b: Sequence[int]) -> list:
     vanish and S_e = (-lc(r_{i+1}) / psi_{i+1})^(d-e-1) r_{i+1}.  A zero
     remainder leaves every lower S_k zero.  For m < n, swapping the n-k
     rows of a and the m-k rows of b in the minor gives S_k(a, b) =
-    (-1)^((m-k)(n-k)) S_k(b, a).  Each step costs O(m n) integer
-    operations, against O((m+n-2k)^3) for one minor by Bareiss.
+    (-1)^((m-k)(n-k)) S_k(b, a).  Every division is exact in the
+    coefficient ring.  Each step costs O(m n) ring operations, against
+    O((m+n-2k)^3) for one minor by Bareiss.
     """
     m, n = len(a) - 1, len(b) - 1
     if m < n:
@@ -1286,7 +1248,10 @@ def witnesses(forms: Sequence[MultiPoly]):
     Their product is a nonzero form of degree D, so it is nonzero at
     (D+1)^2 points of the grid at least (Alon & Furedi, European J. Combin.
     14, 1993), and at most D of them lie on one line through the origin:
-    the walk yields two points that are not proportional."""
+    the walk yields two points that are not proportional.  A zero form
+    vanishes everywhere, so it is refused with ZeroInput."""
+    if any(f.is_zero() for f in forms):
+        raise ZeroInput("no point lies off the zero form")
     ring = forms[0].variables
     grid = product(range(sum(f.total_degree() for f in forms) + 1), repeat=3)
     return (p for p in chain(WITNESS_SEQUENCE, grid)

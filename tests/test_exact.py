@@ -49,6 +49,7 @@ from dualis.exact import (
     subresultant_coefficient,
     sylvester_matrix,
     try_exact_div,
+    witnesses,
 )
 
 XYZ = ("x", "y", "z")
@@ -56,13 +57,13 @@ UVW = ("u", "v", "w")
 
 
 def test_doctests_pass():
-    # the seven examples in the docstrings of the exact layer, among them
-    # those of the public resultant and discriminant
+    # the eight examples in the docstrings of the exact layer, among them
+    # those of the public resultant, discriminant and poly_gcd
     tested = {test.name.rpartition(".")[2] for test in doctest.DocTestFinder().find(exact)
               if test.examples}
-    assert {"parse_poly", "resultant", "discriminant"} <= tested
+    assert {"parse_poly", "resultant", "discriminant", "poly_gcd"} <= tested
     results = doctest.testmod(exact)
-    assert results.attempted == 7 and results.failed == 0
+    assert results.attempted == 8 and results.failed == 0
 
 
 class TestParsing:
@@ -204,6 +205,18 @@ class TestPolyArithmetic:
         assert parse_poly("x^2 + y*z", XYZ).is_homogeneous()
         assert not parse_poly("x^2 + y", XYZ).is_homogeneous()
 
+    def test_truth_value_and_exact_division(self):
+        # a MultiPoly is a ring element of the subresultant chain: true when
+        # nonzero, and // divides exactly
+        f, g, zero = parse_poly("x^2 - y^2", XYZ), parse_poly("2*x + 2*y", XYZ), MultiPoly.zero(XYZ)
+        assert f and not zero
+        assert f // g == parse_poly("1/2*x - 1/2*y", XYZ) and zero // g == zero
+        assert f // 2 == f * Fraction(1, 2) and f // Fraction(2, 3) == f * Fraction(3, 2)
+        with pytest.raises(ValueError):
+            g // f
+        with pytest.raises(ZeroInput):
+            f // zero
+
 
 class TestDivisionAndGcd:
     def test_exact_division_roundtrip(self):
@@ -252,14 +265,62 @@ class TestDivisionAndGcd:
             radical(MultiPoly.zero(XYZ))
 
 
+class TestChainGcd:
+    """poly_gcd, read from the subresultant chain over Q[vars], and the
+    radical and square-free parts built on it, against SymPy on pairs
+    f = a*h, g = b*h of ternary forms that share the planted factor h."""
+
+    #: (deg a, deg b, deg h), up to degree 7
+    SHAPES = [(1, 1, 1), (2, 2, 1), (1, 3, 2), (3, 3, 2), (4, 3, 2), (3, 4, 3), (4, 4, 3)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "-".join(map(str, s)))
+    def test_planted_common_factor(self, shape):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(sum(d * 10**i for i, d in enumerate(shape)))
+        for _ in range(3):
+            a, b, h = (_random_form(rng, d, size=9) for d in shape)
+            f, g = a * h, b * h
+            want = _from_sympy(sympy, sympy.gcd(_sympy_expr(sympy, f), _sympy_expr(sympy, g)),
+                               XYZ).primitive()
+            assert poly_gcd(f, g) == poly_gcd(g, f) == want, (f.text(), g.text())
+            assert want.total_degree() >= h.total_degree()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2), (3, 2)],
+                             ids=lambda s: "-".join(map(str, s)))
+    def test_radical_and_squarefree_part(self, shape):
+        # f = a*h^2, of degree up to 7: its radical in every variable, and its
+        # square-free part in x, a UniPolyView with coefficients in y and z
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(sum(d * 10**i for i, d in enumerate(shape)) + 1)
+        for _ in range(3):
+            a, h = (_random_form(rng, d, size=9) for d in shape)
+            f = a * h * h
+            F = _sympy_expr(sympy, f)
+            assert radical(f) == _from_sympy(sympy, sympy.sqf_part(F), XYZ).primitive()
+            assert squarefree_part(UniPolyView(f, "x")) == _from_sympy(
+                sympy, sympy.quo(F, sympy.gcd(F, F.diff("x"))), XYZ).primitive()
+
+    def test_degree_seven_pair_in_seconds(self):
+        # the first nonzero subresultant of two primitive forms of degree 7
+        # sharing a cubic, whose cofactors are coprime quartics
+        rng = random.Random(5)
+        a, b, h = (_random_form(rng, d, size=9) for d in (4, 4, 3))
+        assert forms_coprime(a, b)
+        start = time.perf_counter()
+        common = poly_gcd(a * h, b * h)
+        assert time.perf_counter() - start < 3
+        assert common == h.primitive()
+
+
 def _linear(coeffs):
     return sum((MultiPoly.var(XYZ, v) * c for v, c in zip(XYZ, coeffs)), MultiPoly.zero(XYZ))
 
 
-def _random_form(rng, degree):
-    """A nonzero ternary form with small coefficients, some of them fractions."""
+def _random_form(rng, degree, size=4):
+    """A nonzero ternary form with numerators up to size, some of the
+    coefficients fractions over 2 or 3."""
     while True:
-        form = MultiPoly(XYZ, {e: Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+        form = MultiPoly(XYZ, {e: Fraction(rng.randint(-size, size), rng.choice((1, 1, 2, 3)))
                                for e in product(range(degree + 1), repeat=3)
                                if sum(e) == degree and rng.random() < 0.6})
         if not form.is_zero():
@@ -371,6 +432,15 @@ class TestPencilCertificates:
         assert point_off([f, g]) == WITNESS_SEQUENCE[0]
         assert forms_coprime(f, g)
         assert not forms_coprime(f * g, g * _linear([1, 1, 1]))
+
+    def test_witnesses_refuse_a_zero_form(self):
+        # a zero form vanishes at every point, so no point is off it
+        with pytest.raises(ZeroInput):
+            witnesses([_linear([1, 0, 0]), MultiPoly.zero(XYZ)])
+
+    def test_point_off_refuses_a_zero_form(self):
+        with pytest.raises(ZeroInput):
+            point_off([MultiPoly.zero(XYZ)])
 
     def test_constants_zero_and_mixed_rings(self):
         one = MultiPoly.const(XYZ, 3)
@@ -888,6 +958,50 @@ class TestSubresultantChain:
             assert _subresultant_chain(b, a) == [
                 s if (m - k) * (n - k) % 2 == 0 else [-c for c in s]
                 for k, s in enumerate(_subresultant_chain(a, b))]
+
+
+class TestChainOverPolynomials:
+    """exact._subresultant_chain on lists of MultiPoly coefficients in a
+    and b holds, at every (k, j), the s_{k,j} that subresultant_coefficient
+    reads on its integer grid."""
+
+    RING = ("y", "a", "b")
+
+    def _operand(self, rng, degree, step=1):
+        """A polynomial in the powers 0, step, 2*step, ... of y up to degree,
+        with coefficients affine in a and b and fraction coefficients."""
+        while True:
+            terms = {(i, j, k): Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                     for i in range(0, degree + 1, step)
+                     for j, k in ((0, 0), (1, 0), (0, 1)) if rng.random() < 0.7}
+            poly = MultiPoly(self.RING, terms)
+            if poly.degree_in("y") == degree:
+                return poly
+
+    @pytest.mark.parametrize("shape", ["m<n", "m=n", "m>n", "abnormal", "planted"])
+    def test_every_coefficient(self, shape):
+        rng = random.Random({"m<n": 101, "m=n": 103, "m>n": 107, "abnormal": 109,
+                             "planted": 113}[shape])
+        zero = MultiPoly.zero(self.RING)
+        for _ in range(6):
+            if shape == "abnormal":  # polynomials in y^2: every remainder drops two degrees
+                A, B = self._operand(rng, 4, 2), self._operand(rng, rng.choice((2, 4)), 2)
+            else:
+                m = rng.randint(2, 4)
+                n = {"m<n": m + 1, "m=n": m, "m>n": m - 1, "planted": 2}[shape]
+                A, B = self._operand(rng, m), self._operand(rng, n)
+            if shape == "planted":  # a common factor of degree 1 or 2: a zero remainder
+                common = self._operand(rng, rng.randint(1, 2))
+                A, B = A * common, B * common
+            Av, Bv = UniPolyView(A, "y"), UniPolyView(B, "y")
+            chain = _subresultant_chain(Av.coeffs, Bv.coeffs)
+            assert [[c or zero for c in s] for s in chain] == [
+                [subresultant_coefficient(Av, Bv, k, j) for j in range(k + 1)]
+                for k in range(min(Av.degree, Bv.degree))], (A.text(), B.text())
+            if shape == "abnormal":
+                assert not chain[1][-1]
+            if shape == "planted":
+                assert not any(chain[0])
 
 
 def _modified_discriminant(cs):

@@ -32,7 +32,7 @@ def _referenced_names(path: Path) -> set:
 
 def test_trivariate_gcds_stay_off_the_counting_paths():
     # square-freeness and coprimality are certified on a pencil of lines;
-    # the primitive-PRS gcd and the radical built on it are public API only
+    # the trivariate gcd and the radical built on it are public API only
     gcds = {"poly_gcd", "poly_gcd_many", "radical"}
     found = [
         f"{path.name}: {name}"
@@ -60,18 +60,20 @@ def _functions(path: Path) -> dict:
 def test_one_univariate_gcd():
     # exact._uni_gcd, Brown's modular algorithm with its prime sequence and
     # its gcd modulo p, is the only univariate gcd; the other gcds are the
-    # trivariate public API, and no remainder sequence serves a univariate
-    # gcd: the pseudo-remainder over MultiPoly is read by poly_gcd alone,
-    # and the integer one by the subresultant chain alone
+    # trivariate public API, and one remainder sequence is left: the
+    # pseudo-remainder, read by the subresultant chain alone, which runs
+    # over Z or over Q[vars] (a MultiPoly divides exactly through exact_div)
     gcds = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
                   for name in _functions(path) if "gcd" in name)
     assert gcds == ["exact.py: _gcd_mod", "exact.py: _gcd_primes", "exact.py: _uni_gcd",
                     "exact.py: poly_gcd", "exact.py: poly_gcd_many"]
     remainders = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
                         for name in _functions(path) if "rem" in name or "prs" in name.lower())
-    assert remainders == ["exact.py: _pseudo_rem", "exact.py: _uni_prem"]
-    assert _readers("_pseudo_rem") == ["exact.py: poly_gcd"]
+    assert remainders == ["exact.py: _uni_prem"]
     assert _readers("_uni_prem") == ["exact.py: _subresultant_chain"]
+    defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
+    assert not defined & {"_pseudo_rem", "_content_wrt", "_coeff_list", "_from_coeff_list"}
+    assert "exact.py: __floordiv__" in _readers("exact_div")
     body = {n.id for n in ast.walk(_functions(SOURCE / "exact.py")["_uni_gcd"])
             if isinstance(n, ast.Name)}
     assert {"_gcd_primes", "_gcd_mod", "_try_uni_quo"} <= body
@@ -298,7 +300,7 @@ def test_one_subresultant_chain():
     # resultant and subresultant_coefficient, where Bareiss takes the minor
     # only where a leading coefficient vanishes; the public discriminant is
     # the resultant of f and f' over lc(f), which no count and no dual
-    # equation calls
+    # equation calls; and poly_gcd reads its first nonzero S_k over Q[vars]
     defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
     assert not defined & {"determinant", "_discriminant_matrix"}
     chains = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
@@ -307,7 +309,8 @@ def test_one_subresultant_chain():
     assert _readers("_subresultant_chain") == ["elimination.py: coefficient",
                                                "exact.py: _minor_grid",
                                                "exact.py: _subresultant_chain",
-                                               "exact.py: _uni_discriminant"]
+                                               "exact.py: _uni_discriminant",
+                                               "exact.py: poly_gcd"]
     assert _readers("_int_bareiss_determinant") == ["exact.py: _minor_grid"]
     assert _readers("_uni_discriminant") == ["dualgeom.py: _dual_in_chart",
                                              "exact.py: _uni_discriminant"]
