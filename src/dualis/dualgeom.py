@@ -29,16 +29,11 @@ certificate of the dual `PlaneCurve`, built once from the remainder,
 checks this, and a remainder that fails it is refused with
 InvariantViolation.
 
-The chart w = 1 fails only when y divides F, that is, when the line y = 0
-is a component of C.  So the given coordinates are kept when some term of
-F is free of y, and otherwise the curve is moved by a matrix M whose first
-and third columns span the curve's slice line (which meets C in d distinct
-points, so it is never a component).  The chart discriminant is mapped back
-by M^T before anything is stripped, so the stripped factors are the dual
-lines of the chart's centre M*(0, 0, 1) (w itself for the given
-coordinates) and of the singular points, in the curve's own coordinates.
-A curve with no component other than lines leaves a constant, and no chart
-changes that, so it is refused with ChartExhausted.
+The chart w = 1 of the curve's own coordinates serves every square-free F,
+a component y = 0 included: the discriminant is a form in (u, v, 1)
+whatever F is, and where y divides F, psi's root at infinity is read with
+the rest (`_dual_in_chart`).  A curve with no component other than lines
+leaves a constant, so it is refused with ChartExhausted.
 
 The module also provides an independent degree count through polar curves
 (no discriminants involved), a biduality check, and dual-curve reports.
@@ -69,6 +64,7 @@ from .exact import (  # WITNESS_SEQUENCE is re-exported for callers
     WITNESS_SEQUENCE,
     MultiPoly,
     _differences,
+    _expand,
     _from_differences,
     _integer_terms,
     _interpolate,
@@ -109,43 +105,41 @@ def _strip_all(poly: MultiPoly, factor: MultiPoly):
 def _dual_in_chart(F: MultiPoly) -> MultiPoly:
     """Discriminant of V(F) on the chart w = 1, homogenised to its own degree.
 
-    Needs a term of F free of y, so that psi(x) = F(x, 1, -(u*x + v))
-    keeps degree d in x.  The chart discriminant Delta(u, v) = disc_x psi
-    has total degree at most D = d(d-1): psi is F(s*P + t*Q) at t = 1 for
-    P = (1, 0, -u) and Q = (0, 1, -v).  The discriminant of a binary form
-    of degree d is an SL_2-invariant of degree 2(d-1) in its coefficients
-    and weight d(d-1) (Gelfand, Kapranov & Zelevinsky, Discriminants,
-    Resultants and Multidimensional Determinants, 1994), so disc F(sP + tQ)
-    is bihomogeneous of degree d(d-1) in P and in Q and unchanged when
-    SL_2 moves (P, Q); by the first fundamental theorem for SL_2 it is a
-    form of degree d(d-1) in the Plucker coordinates P x Q = (u, v, 1).
+    psi(x) = F(x, 1, -(u*x + v)) is read as a binary form of degree d, and
+    Delta(u, v) = disc_x psi has total degree at most D = d(d-1): psi is
+    F(s*P + t*Q) at t = 1 for P = (1, 0, -u) and Q = (0, 1, -v).  The
+    discriminant of a binary form of degree d is an SL_2-invariant of
+    degree 2(d-1) in its coefficients and weight d(d-1) (Gelfand, Kapranov
+    & Zelevinsky, Discriminants, Resultants and Multidimensional
+    Determinants, 1994), so disc F(sP + tQ) is bihomogeneous of degree
+    d(d-1) in P and in Q and unchanged when SL_2 moves (P, Q); by the first
+    fundamental theorem for SL_2 it is a form of degree d(d-1) in the
+    Plucker coordinates P x Q = (u, v, 1).
+    That holds for every F, so w = 1 is the only chart: when F = y*g,
+    lc(psi) vanishes identically, and Delta = c^2 disc_x psi, c the
+    coefficient of x^(d-1), as Disc(y*g) = c^2 Disc(g).
 
     So Delta is fixed by its values on the triangle u, v >= 0, u + v <= D.
-    At each point psi's d+1 coefficient polynomials, taken over the
-    integers, give an integer list, and Delta there is its discriminant as
-    a binary form of degree d (`exact._uni_discriminant`): read from the
-    subresultant chain, and where lc(psi) vanishes, from the chain of the
-    list without its roots at infinity.  Newton's form on the triangle,
+    psi's integer terms are F's, expanded once by `exact._expand`.  At each
+    point its d+1 coefficient polynomials give an integer list, and Delta
+    there is the list's discriminant as a binary form of degree d
+    (`exact._uni_discriminant`): read from the subresultant chain, and
+    where lc(psi) vanishes, from the chain of the list without its roots
+    at infinity.  Newton's form on the triangle,
     sum_{i+j<=D} Delta_u^i Delta_v^j Delta(0, 0) C(u, i) C(v, j), reads
     only those values: forward differences in v along each row give
     g_j(u) = Delta_v^j Delta(u, 0), of degree at most D - j, which
     `_interpolate` rebuilds from u = 0..D-j; the coefficient of u^i is
     then a polynomial in v given by its forward differences.
     """
-    src = F.variables
-    dst = dual_ring(src)
-    ring = src[:1] + dst
-    x = MultiPoly.var(ring, src[0])
-    psi = F.substitute({
-        src[0]: x,
-        src[1]: MultiPoly.const(ring, 1),
-        src[2]: -(MultiPoly.var(ring, dst[0]) * x + MultiPoly.var(ring, dst[1])),
-    })
+    dst = dual_ring(F.variables)
     d = F.total_degree()
     D = d * (d - 1)
-    den, terms = _integer_terms(psi)
+    den, terms = _integer_terms(F)
+    # psi's integer terms (i, a, b): c x^i u^a v^b, for x, y, z -> x, 1, -(u*x + v)
+    psi = _expand(terms, [{(1, 0, 0): 1}, {(0, 0, 0): 1}, {(1, 1, 0): -1, (0, 0, 1): -1}], 3)
     parts = [[] for _ in range(d + 1)]    # per power of x: its terms (a, b, c), c u^a v^b
-    for (i, a, b, _), c in terms.items():
+    for (i, a, b), c in psi.items():
         parts[i].append((a, b, c))
     heads = []                            # per u: the forward differences in v of Delta(u, v)
     for u in range(D + 1):
@@ -183,18 +177,10 @@ def dual_equation(curve: PlaneCurve) -> DualCurve:
     d = curve.degree
     dst = dual_ring(curve.variables)
     sing = curvelab.singular_points(curve)
-    if any(e[1] == 0 for e in curve.F.terms):
-        disc, centre = _dual_in_chart(curve.F), (0, 0, 1)
-    else:
-        # y = 0 is a component: move the slice line to it
-        p, centre = curvelab._line_basis(curve.slice_line)
-        off = next(i for i, c in enumerate(curve.slice_line) if c)
-        chart = tuple((p[i], int(i == off), centre[i]) for i in range(3))
-        disc = _dual_in_chart(elimination.apply_matrix(curve.F, chart))
-        disc = elimination.apply_matrix(disc, elimination.mat_transpose(chart))
+    disc = _dual_in_chart(curve.F)
     removed = []
     if disc.total_degree() < 2 * d * (d - 1):
-        removed.append((_dual_line(dst, centre), 2 * d * (d - 1) - disc.total_degree()))
+        removed.append((_dual_line(dst, (0, 0, 1)), 2 * d * (d - 1) - disc.total_degree()))
     for s in sing:
         line = _dual_line(dst, s.point)
         disc, k = _strip_all(disc, line)

@@ -109,10 +109,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_transpose(a: Matrix) -> Matrix:
-    return tuple(tuple(a[j][i] for j in range(3)) for i in range(3))
-
-
 _IDENT: Matrix = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 

@@ -1248,8 +1248,11 @@ def witnesses(forms: Sequence[MultiPoly]):
     Their product is a nonzero form of degree D, so it is nonzero at
     (D+1)^2 points of the grid at least (Alon & Furedi, European J. Combin.
     14, 1993), and at most D of them lie on one line through the origin:
-    the walk yields two points that are not proportional.  A zero form
-    vanishes everywhere, so it is refused with ZeroInput."""
+    the walk yields two points that are not proportional.  An empty family
+    fixes no ring, so it is refused with InvalidParams; a zero form vanishes
+    everywhere, so it is refused with ZeroInput."""
+    if not forms:
+        raise InvalidParams("no forms to walk off")
     if any(f.is_zero() for f in forms):
         raise ZeroInput("no point lies off the zero form")
     ring = forms[0].variables

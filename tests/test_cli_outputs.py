@@ -28,6 +28,7 @@ COMMANDS = [
     "curve dual --poly y^2*z-x^3",
     "curve dual --file {data}/nodal_cubic.txt",
     "curve dual --max-degree 8 --poly x^8+y^8+z^8",
+    "curve dual --poly x^2*y+y^3-y*z^2",
     "curve dual-degree --poly x^4+y^4+z^4",
     "curve dual-degree --poly x^7+y^7+z^7",
     "plucker classical -d 3 --nodes 1",

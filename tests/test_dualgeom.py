@@ -129,21 +129,26 @@ class TestChartDiscriminant:
         assert stripped.get("w", 0) == 2 * d * (d - 1) - chart.total_degree()
 
 
+def _seeded_form(rng, d):
+    """A seeded form of degree d with a term free of y, some with fractions."""
+    monomials = [e for e in product(range(d + 1), repeat=3) if sum(e) == d]
+    while True:
+        terms = {e: Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.choice((1, 1, 2)))
+                 for e in rng.sample(monomials, min(d + 2, 5))}
+        if any(e[1] == 0 for e in terms):
+            return MultiPoly(PRIMAL_VARS, terms)
+
+
 def _seeded_chart_forms():
-    """Seeded forms of degree 2..5 with a term free of y, some with
-    fractions, plus a form whose lc(psi) = 1 - u^2 vanishes at u = 1 and
-    sparse forms whose chains drop degrees along whole rows."""
+    """Seeded forms of degree 2..5 with a term free of y, a form whose
+    lc(psi) = 1 - u^2 vanishes at u = 1, sparse forms whose chains drop
+    degrees along whole rows, and seeded forms y*g of degree 3..5, g with a
+    term free of y, whose lc(psi) vanishes identically."""
     rng = random.Random(20261019)
-    forms = []
-    for d in (2, 3, 3, 4, 4, 5):
-        monomials = [e for e in product(range(d + 1), repeat=3) if sum(e) == d]
-        while True:
-            terms = {e: Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.choice((1, 1, 2)))
-                     for e in rng.sample(monomials, min(d + 2, 5))}
-            if any(e[1] == 0 for e in terms):
-                forms.append(MultiPoly(PRIMAL_VARS, terms).text())
-                break
-    return forms + [LC_VANISHES, "x^4 + y^4 + z^4", "x^5 + y^5 + 2*z^5"]
+    forms = [_seeded_form(rng, d).text() for d in (2, 3, 3, 4, 4, 5)]
+    y = MultiPoly.var(PRIMAL_VARS, "y")
+    return forms + [LC_VANISHES, "x^4 + y^4 + z^4", "x^5 + y^5 + 2*z^5"] + [
+        (y * _seeded_form(rng, d)).text() for d in (2, 3, 3, 4)]
 
 
 #: psi = x^3 - x*(u*x + v)^2 + (u*x + v): lc(psi) = 1 - u^2
@@ -172,22 +177,28 @@ class TestTriangleDiscriminant:
         expr = sympy.sympify(psi.text().replace("^", "**"),
                              locals=dict(zip(psi.variables, symbols)))
         want = sympy.Poly(sympy.discriminant(expr, symbols[0]), *symbols[1:3])
+        F = parse_poly(text, PRIMAL_VARS)
+        d = F.total_degree()
+        if all(e[1] for e in F.terms):
+            # F = y*g: psi has degree d - 1 in x, and Disc(y*g) = c_{d-1}^2 Disc(g)
+            c = sympy.Poly(expr, symbols[0]).coeff_monomial(symbols[0] ** (d - 1))
+            want = sympy.Poly(c ** 2 * want.as_expr(), *symbols[1:3])
         top = want.total_degree()
-        got = dualgeom._dual_in_chart(parse_poly(text, PRIMAL_VARS))
-        d = parse_poly(text, PRIMAL_VARS).total_degree()
+        got = dualgeom._dual_in_chart(F)
         assert 0 < top <= d * (d - 1)
         assert got == MultiPoly(DUAL_VARS, {
             (a, b, top - a - b): Fraction(int(c.p), int(c.q)) for (a, b), c in want.terms()})
         # one list per triangle point; psi has a root at infinity on the rows
         # u where lc(psi) = sum over the y-free terms of c (-u)^(z-exponent)
         # vanishes, and nowhere else
-        F = parse_poly(text, PRIMAL_VARS)
         rows = [u for u in range(d * (d - 1) + 1)
                 if not sum(c * (-u) ** e[2] for e, c in F.terms.items() if e[1] == 0)]
         assert len(lists) == (d * (d - 1) + 1) * (d * (d - 1) + 2) // 2
         assert len([cs for cs in lists if not cs[-1]]) == sum(d * (d - 1) + 1 - u for u in rows)
         if text == LC_VANISHES:
             assert rows == [1]
+        if all(e[1] for e in F.terms):
+            assert all(cs[-1] == 0 for cs in lists)
         if text == "x^4 + y^4 + z^4":
             assert any(abnormal)  # psi = (1 + u^4) x^4 + 1 at v = 0 drops degrees
 
@@ -244,19 +255,21 @@ class TestDualEquation:
 
     def test_chart_independence_up_to_scalar(self):
         # recompute through a nontrivial frame by feeding the moved curve
-        from dualis.elimination import apply_matrix, mat_transpose
+        from dualis.elimination import apply_matrix
         m = ((1, 0, 0), (1, 1, 0), (0, 1, 1))
+        transpose = tuple(zip(*m))
         for text in (CONIC, CUSPIDAL):
             base = dual_equation(curve(text)).D
             moved = PlaneCurve(apply_matrix(curve(text).F, m))
             moved_dual = dual_equation(moved).D
-            pulled = apply_matrix(moved_dual, mat_transpose(m)).primitive()
+            pulled = apply_matrix(moved_dual, transpose).primitive()
             assert pulled == base
 
 
 class TestSliceLineChart:
-    """When y = 0 is a component of C, the chart w = 1 would fail, so the
-    dual is taken in a chart spanned by the curve's slice line."""
+    """Curves with the line y = 0 as a component need no chart spanned by
+    the slice line: like every curve, they are dualised on the chart w = 1
+    of their own coordinates."""
 
     @pytest.fixture
     def charts(self, monkeypatch):
@@ -283,7 +296,7 @@ class TestSliceLineChart:
         assert got.D == _quadric_dual_oracle(conic)
         assert got.d_dual + sum(f.total_degree() * k for f, k in got.removed_factors) \
             == 2 * c.degree * (c.degree - 1)
-        assert len(charts) == 1 and any(e[1] == 0 for e in charts[0].terms)
+        assert charts == [c.F]
 
     def test_given_coordinates_kept_when_a_term_is_free_of_y(self, charts):
         c = curve(CUSPIDAL)
@@ -295,9 +308,10 @@ class TestSliceLineChart:
         "x^3*y - x^2*y^2 + 4*x^2*y*z - 2*x*y^3 + x*y^2*z + 3*x*y*z^2",  # x*y*(x+y+z)*(x-2y+3z)
     ])
     def test_union_of_lines_refused_after_one_chart(self, text, charts):
+        c = curve(text)
         with pytest.raises(ChartExhausted):
-            dual_equation(curve(text))
-        assert len(charts) == 1
+            dual_equation(c)
+        assert charts == [c.F]
 
 
 class TestDualDegreeOracle:

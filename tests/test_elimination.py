@@ -13,7 +13,6 @@ from dualis.elimination import (
     certified_singular_count,
     distinct_intersection_count,
     mat_mul,
-    mat_transpose,
     normalize_point,
     rational_roots,
     transversal_intersection_count,
@@ -119,8 +118,10 @@ class TestMatrices:
     def test_transpose_and_product(self):
         a = ((1, 2, 0), (0, 1, 0), (0, 0, 1))
         b = ((1, 0, 0), (0, 1, 3), (0, 0, 1))
-        ab = mat_mul(a, b)
-        assert mat_transpose(mat_transpose(ab)) == ab
+        assert mat_mul(a, b) == ((1, 2, 6), (0, 1, 3), (0, 0, 1))
+        assert mat_mul(b, a) == ((1, 2, 0), (0, 1, 3), (0, 0, 1))
+        # (AB)^T = B^T A^T, the transposes taken by zip
+        assert tuple(zip(*mat_mul(a, b))) == mat_mul(tuple(zip(*b)), tuple(zip(*a)))
 
     def test_apply_matrix_is_substitution(self):
         # G(v) = F(M v), against SymPy's expansion of seeded forms with

@@ -442,6 +442,13 @@ class TestPencilCertificates:
         with pytest.raises(ZeroInput):
             point_off([MultiPoly.zero(XYZ)])
 
+    def test_witnesses_refuse_an_empty_family(self):
+        # an empty family fixes no ring, so it is refused before any walk
+        with pytest.raises(InvalidParams):
+            witnesses([])
+        with pytest.raises(InvalidParams):
+            point_off([])
+
     def test_constants_zero_and_mixed_rings(self):
         one = MultiPoly.const(XYZ, 3)
         assert is_squarefree(one)

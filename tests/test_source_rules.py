@@ -98,13 +98,17 @@ def test_one_witness_walk_one_polar_builder_no_line_schedule():
 
 
 def test_one_chart_per_dual_curve():
-    # the dual's chart is read from the curve's slice line, so dualgeom keeps
-    # no chart schedule and no loop over charts, and the frame schedule of
-    # elimination stays the only one
+    # every dual is taken on the chart w = 1 of the curve's own coordinates,
+    # so dualgeom keeps no chart schedule, no loop over charts and no
+    # coordinate change, the frame schedule of elimination stays the only
+    # one, and psi is expanded from F's integer terms, not substituted
     path = SOURCE / "dualgeom.py"
     names = _referenced_names(path) | set(_functions(path))
     assert not [name for name in names if "SCHEDULE" in name.upper()]
-    assert "_adjugate" not in names
+    assert not names & {"_adjugate", "apply_matrix", "mat_transpose", "_line_basis",
+                        "slice_line", "substitute"}
+    defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
+    assert "mat_transpose" not in defined
     tree = ast.parse(path.read_text())
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))
                 for n in ast.walk(node)
@@ -235,7 +239,8 @@ def test_one_expansion_and_one_integer_coordinate_change():
     # every substitution and change of coordinates runs through the one
     # expansion exact._expand; bases, shears and apply_matrix move integer
     # terms through elimination._moved
-    assert _readers("_expand") == ["elimination.py: _moved", "exact.py: substitute"]
+    assert _readers("_expand") == ["dualgeom.py: _dual_in_chart", "elimination.py: _moved",
+                                   "exact.py: substitute"]
     assert _readers("_add_product") == ["exact.py: __mul__", "exact.py: _expand"]
     assert _readers("_moved") == ["elimination.py: _accepted_frame",
                                   "elimination.py: _pair_frame_count",
