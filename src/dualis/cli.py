@@ -29,9 +29,9 @@ import json
 import sys
 
 from . import charclass, corpus, curvelab, dualgeom, flopcalc
-from .curvelab import DEFAULT_DEGREE_CAP, DUAL_VARS, HARD_DEGREE_CAP, PRIMAL_VARS
+from .curvelab import DUAL_VARS, PRIMAL_VARS
 from .errors import DualisError, InvalidParams
-from .exact import format_rational
+from .exact import INPUT_DEGREE_CAP, INPUT_DEGREE_HARD_CAP, format_rational, int_text
 from .flopcalc import CONORMAL, INTRO
 
 
@@ -83,8 +83,8 @@ def _dual_degree(args):
 
 def _classical(args):
     data = flopcalc.classical_plucker(args.d, args.nodes, args.cusps)
-    lines = [f"d* = {data.d_dual}", f"delta* = {data.delta_dual}",
-             f"kappa* = {data.kappa_dual}", f"g = {data.g}"]
+    lines = [f"d* = {int_text(data.d_dual)}", f"delta* = {int_text(data.delta_dual)}",
+             f"kappa* = {int_text(data.kappa_dual)}", f"g = {int_text(data.g)}"]
     return data.as_dict(), lines, True
 
 
@@ -125,7 +125,7 @@ def _chi_std(args):
             raise InvalidParams("grassmannian needs -k")
         params = (args.k, args.n)
     value = charclass.chi_standard(_STANDARD_KINDS[args.kind], *params)
-    return {"chi": value}, [str(value)], True
+    return {"chi": value}, [int_text(value)], True
 
 
 def _chi_ci(args):
@@ -175,8 +175,9 @@ def _build_parser() -> argparse.ArgumentParser:
         src.add_argument("--file", help="file containing one polynomial")
         src.add_argument("--poly", help="inline polynomial text")
         p.add_argument("--vars", choices=["xyz", "uvw"], default="xyz")
-        p.add_argument("--max-degree", type=int, default=DEFAULT_DEGREE_CAP,
-                       help=f"degree guardrail (hard cap {HARD_DEGREE_CAP})")
+        p.add_argument("--max-degree", type=int, default=INPUT_DEGREE_CAP,
+                       help=f"input degree cap, default {INPUT_DEGREE_CAP}"
+                            f" (hard cap {INPUT_DEGREE_HARD_CAP})")
 
     plucker = group("plucker", "duality identities")
     p = leaf(plucker, "classical", _classical)

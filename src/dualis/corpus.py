@@ -47,7 +47,7 @@ from .errors import (
     NotTransversal,
     SchemaError,
 )
-from .exact import MultiPoly, format_rational, parse_rational
+from .exact import DUAL_DEGREE_CAP, MultiPoly, format_rational, parse_rational
 from .flopcalc import CONORMAL, IDENTITY_FIELDS, INTRO, IdentityInstance, VarietyInvariants
 
 @dataclass(frozen=True)
@@ -428,8 +428,9 @@ def build_curve_pair(c1: PlaneCurve, c2: PlaneCurve,
     """Assemble all identity inputs for a pair of plane curves.
 
     Lines dualize to points; higher-degree curves get explicit dual
-    equations and full dual-curve reports.  Both intersection chis are
-    certified counts; any failed certificate raises.
+    equations and full dual-curve reports, so a dual past `DUAL_DEGREE_CAP`
+    is refused with GuardrailExceeded before its chart.  Both intersection
+    chis are certified counts; any failed certificate raises.
     """
     s1 = curve_package(c1, label1)
     s2 = curve_package(c2, label2)
@@ -444,11 +445,8 @@ def build_curve_pair(c1: PlaneCurve, c2: PlaneCurve,
                 charclass.linear_space_package(2, 0, f"{label} dual point"),
             ))
         else:
+            dualgeom._check_dual_degree(curve, DUAL_DEGREE_CAP, GuardrailExceeded, f"{label} ")
             eq = dualgeom.dual_equation(curve)
-            if eq.d_dual > curvelab.HARD_DEGREE_CAP:
-                # the analysis of a dual past the input curves' cap is out of reach
-                raise GuardrailExceeded(f"{label} dual degree {eq.d_dual} exceeds the"
-                                        f" hard cap {curvelab.HARD_DEGREE_CAP}")
             duals.append(
                 ("curve", eq.curve, curve_package(eq.curve, f"{label} dual curve"))
             )

@@ -25,8 +25,8 @@ not exhaust the count.  Every caller reads that record from the curve, and
 the polar degree oracle reads the polar count of the same frame.  The
 square-free certificate of a curve is a line that meets it in d distinct
 points, which the curve keeps as its transversal slice line.
-``load_curve`` applies the degree guardrail that the CLI and the corpus
-share.
+``load_curve`` applies the input degree cap that the CLI and the corpus
+share; it and every other degree cap are in the one table in `exact`.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ from .errors import (
     ZeroInput,
 )
 from .exact import (
+    INPUT_DEGREE_CAP,
+    INPUT_DEGREE_HARD_CAP,
     SYLVESTER_LIMIT,
     MultiPoly,
     _distinct_roots,
@@ -59,10 +61,6 @@ from .exact import (
 
 PRIMAL_VARS = ("x", "y", "z")
 DUAL_VARS = ("u", "v", "w")
-
-#: degree guardrail of ``load_curve``: the default and the most it can be raised to
-DEFAULT_DEGREE_CAP = 6
-HARD_DEGREE_CAP = 8
 
 NODE = "Node"
 CUSP = "Cusp"
@@ -133,14 +131,15 @@ class PlaneCurve:
 
 
 def load_curve(text: str, variables=PRIMAL_VARS,
-               max_degree: int = DEFAULT_DEGREE_CAP) -> PlaneCurve:
-    """Parse a curve; the cap is checked before PlaneCurve()'s square-free test."""
+               max_degree: int = INPUT_DEGREE_CAP) -> PlaneCurve:
+    """Parse a curve; the input degree cap of `exact`, raised to at most its
+    hard cap, is checked before PlaneCurve()'s square-free test."""
     poly = parse_poly(text, variables)
-    cap = min(max(max_degree, 1), HARD_DEGREE_CAP)
+    cap = min(max(max_degree, 1), INPUT_DEGREE_HARD_CAP)
     if poly.total_degree() > cap:
         raise InvalidParams(
             f"degree {poly.total_degree()} exceeds the guardrail {cap}"
-            f" (hard cap {HARD_DEGREE_CAP})"
+            f" (hard cap {INPUT_DEGREE_HARD_CAP})"
         )
     return PlaneCurve(poly)
 

@@ -37,6 +37,10 @@ leaves a constant, so it is refused with ChartExhausted.
 
 The module also provides an independent degree count through polar curves
 (no discriminants involved), a biduality check, and dual-curve reports.
+Each entry point that takes a dual checks its degree once, after the
+curve's singular analysis and before the chart (`_check_dual_degree`),
+against a cap from the table in `exact`: d(d-1) bounds the dual degree
+for free, and the polar count certifies it when the bound is too high.
 The polar count reads the curve's singular analysis, a
 `elimination.SingularLocus` record: its frame already counts the points of
 F and the polar of its witness, and its singular parts give the singular
@@ -53,6 +57,7 @@ from . import curvelab, elimination
 from .curvelab import DUAL_VARS, PRIMAL_VARS, PlaneCurve
 from .errors import (
     ChartExhausted,
+    DegreeGuardrail,
     GuardrailExceeded,
     InvalidParams,
     InvariantViolation,
@@ -61,6 +66,9 @@ from .errors import (
     WitnessOnCurve,
 )
 from .exact import (  # WITNESS_SEQUENCE is re-exported for callers
+    BIDUAL_DEGREE_CAP,
+    DUAL_DEGREE_CAP,
+    SYLVESTER_LIMIT,
     WITNESS_SEQUENCE,
     MultiPoly,
     _differences,
@@ -164,19 +172,40 @@ def _dual_line(ring, point) -> MultiPoly:
     return MultiPoly(ring, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), point))).primitive()
 
 
+def _check_dual_degree(curve: PlaneCurve, cap: int, refusal, label: str = "") -> None:
+    """Refuse, with `refusal` and before any chart, a curve whose dual has
+    degree above `cap`.
+
+    By the class formula d* = d(d-1) - sum_p (mu_p + m_p - 1), d(d-1) bounds
+    d*, so a curve with d(d-1) <= cap passes at once.  Otherwise the curve's
+    singular points are read first, so that their refusals come first, and
+    the polar oracle's certified d*, which reads the same analysis, decides.
+    """
+    d = curve.degree
+    if d * (d - 1) <= cap:
+        return
+    curvelab.singular_points(curve)
+    d_dual = dual_degree_oracle(curve)
+    if d_dual > cap:
+        raise refusal(f"{label}dual degree {d_dual} exceeds the cap {cap}")
+
+
 def dual_equation(curve: PlaneCurve) -> DualCurve:
     """Equation of the projective dual curve, by discriminant elimination.
 
     Requires degree >= 2 (the dual of a line is a point, not a curve) and
     rational singular points; the curve is assumed irreducible, which this
     package does not verify (factorization is out of scope).  A union of
-    lines is refused with ChartExhausted.
+    lines is refused with ChartExhausted.  A dual of degree d* needs
+    Sylvester matrices of d* + 1 rows, so a dual past `SYLVESTER_LIMIT` is
+    refused with DegreeGuardrail before the chart (`_check_dual_degree`).
     """
     if curve.degree < 2:
         raise InvalidParams("dual_equation needs a curve of degree >= 2")
     d = curve.degree
     dst = dual_ring(curve.variables)
     sing = curvelab.singular_points(curve)
+    _check_dual_degree(curve, SYLVESTER_LIMIT - 1, DegreeGuardrail)
     disc = _dual_in_chart(curve.F)
     removed = []
     if disc.total_degree() < 2 * d * (d - 1):
@@ -242,15 +271,15 @@ def dual_degree_oracle(curve: PlaneCurve, witness=None) -> int:
 def biduality_check(curve: PlaneCurve) -> bool:
     """Does dualizing twice return the original curve?
 
-    For dual degree <= 3 the bidual equation is computed outright and tested
-    for proportionality with F.  A higher-degree dual exceeds the bidual
-    guardrail, so the check falls back to the polar oracle: the dual of the
-    dual curve must have the original degree.
+    A dual of degree at most `BIDUAL_DEGREE_CAP` is dualised again, and the
+    bidual equation tested for proportionality with F; above that the polar
+    oracle checks that the dual of the dual curve has the original degree.
+    A dual past `DUAL_DEGREE_CAP` is refused with GuardrailExceeded before
+    the chart (`_check_dual_degree`).
     """
-    if curve.degree > 3:
-        raise GuardrailExceeded("biduality guardrail: source degree must be <= 3")
+    _check_dual_degree(curve, DUAL_DEGREE_CAP, GuardrailExceeded)
     first = dual_equation(curve)
-    if first.d_dual <= 3:
+    if first.d_dual <= BIDUAL_DEGREE_CAP:
         second = dual_equation(first.curve)
         return second.D.primitive() == curve.F.primitive()
     return dual_degree_oracle(first.curve) == curve.degree
@@ -259,12 +288,8 @@ def biduality_check(curve: PlaneCurve) -> bool:
 def dual_curve_report(curve: PlaneCurve) -> curvelab.CurveReport:
     """Full curve report of the dual curve.
 
-    Guardrail: refused when the dual has degree > 3 (its singular analysis
-    exceeds desk scale; package-level formulas cover those cases).
+    A dual past `DUAL_DEGREE_CAP` is refused with GuardrailExceeded before
+    the chart (`_check_dual_degree`): its singular analysis is out of reach.
     """
-    first = dual_equation(curve)
-    if first.d_dual > 3:
-        raise GuardrailExceeded(
-            f"dual degree {first.d_dual} exceeds the report guardrail"
-        )
-    return curvelab.curve_report(first.curve)
+    _check_dual_degree(curve, DUAL_DEGREE_CAP, GuardrailExceeded)
+    return curvelab.curve_report(dual_equation(curve).curve)

@@ -39,7 +39,9 @@ class ZeroInput(DualisError):
 
 
 class DegreeGuardrail(DualisError):
-    """The Sylvester matrix would exceed the 64x64 desk-scale limit."""
+    """A Sylvester matrix would pass `exact.SYLVESTER_LIMIT` (64) rows: a
+    resultant or frame of such degrees, a curve of degree 64 or more, or a
+    dual equation whose dual would have degree 64 or more."""
 
 
 class InvariantViolation(DualisError):
@@ -77,7 +79,10 @@ class ChartExhausted(DualisError):
 
 
 class GuardrailExceeded(DualisError):
-    """Desk-scale degree guardrail for bidual / dual-report computations."""
+    """A desk-scale cap was exceeded before the work began: a dual report,
+    biduality check or curve pair whose dual passes `exact.DUAL_DEGREE_CAP`
+    (8), a package past charclass's caps, no prime that keeps the rational
+    roots simple, or an integer in a result too long to print."""
 
 
 class WitnessOnCurve(DualisError):

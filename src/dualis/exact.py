@@ -90,6 +90,7 @@ from .errors import (
     DegenerateInput,
     DegreeGuardrail,
     DegreeTooLow,
+    GuardrailExceeded,
     InvalidParams,
     InvariantViolation,
     PolySyntaxError,
@@ -101,7 +102,19 @@ from .errors import (
 Rational = Fraction
 Exponents = tuple  # tuple[int, ...], one entry per variable
 
+# The degree budget of the curve paths, each cap named for the work it bounds.
+#: input degree: the default cap of `curvelab.load_curve` and --max-degree,
+#: and the most a caller may raise it to
+INPUT_DEGREE_CAP = 6
+INPUT_DEGREE_HARD_CAP = 8
+#: Sylvester size: the most rows of any Sylvester matrix (a degree-d curve
+#: against a line needs d + 1, so no curve and no dual has degree 64)
 SYLVESTER_LIMIT = 64
+#: analysed dual degree: of a dual that a report, a biduality check or a
+#: curve pair analyses
+DUAL_DEGREE_CAP = 8
+#: direct bidual: biduality_check dualises a dual of at most this degree again
+BIDUAL_DEGREE_CAP = 3
 
 #: longest exponent accepted by parse_poly, in digits
 EXPONENT_DIGITS = 6
@@ -110,9 +123,19 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def int_text(n: int) -> str:
+    """The decimal text of an integer.  Python refuses to print an integer
+    of more than 4300 digits (its default int_max_str_digits); that is
+    refused with GuardrailExceeded, whose message leaves the value out."""
+    try:
+        return str(n)
+    except ValueError:
+        raise GuardrailExceeded("an integer in the result has too many digits to print") from None
+
+
 def format_rational(q: Fraction) -> str:
     """Render a rational as ``p/q`` (always with an explicit denominator)."""
-    return f"{q.numerator}/{q.denominator}"
+    return f"{int_text(q.numerator)}/{int_text(q.denominator)}"
 
 
 def _clipped(text: str) -> str:
@@ -457,13 +480,11 @@ class MultiPoly:
                 if k > 0
             )
             mag = abs(c)
-            if not mono:
-                body = str(mag) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-            elif mag == 1:
+            if mono and mag == 1:
                 body = mono
             else:
-                coeff = str(mag) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-                body = f"{coeff}*{mono}"
+                coeff = int_text(mag.numerator) if mag.denominator == 1 else format_rational(mag)
+                body = f"{coeff}*{mono}" if mono else coeff
             parts.append(("-" if c < 0 else "+", body))
         sign, body = parts[0]
         out = ("-" if sign == "-" else "") + body

@@ -210,6 +210,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert "GuardrailExceeded" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["curve", "dual", "--poly", "7" * 2500 + "*x^2*z + y^2*z - x^3"],
+        ["plucker", "solve", "--file", "{instance}"],
+        ["plucker", "classical", "-d", str(10 ** 2200)],
+        ["chi", "std", "--kind", "pn", "-n", "9" * 4300],
+    ], ids=["dual", "solve", "classical", "chi-std"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_integers_too_long_to_print_refused(self, argv, fmt, tmp_path, capsys):
+        # each result holds an integer past the 4300 digits Python prints
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps({"n": 14, "dims": [13, 5, 8, 8], "values": {
+            "chi_cap": 27, "c0m_1": int("3" * 4000), "c0m_2": int("5" * 4000),
+            "chi_cap_dual": None, "c0m_dual_1": 15, "c0m_dual_2": 9}}))
+        argv = [arg.format(instance=instance) for arg in argv]
+        assert run_command(argv + ["--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == "error: GuardrailExceeded: an integer in the result has too many digits to print\n"
+
     def test_usage_error_exit_code(self, capsys):
         assert run_command(["plucker", "check", "--s1", "x.json"]) == 2
 
@@ -306,7 +325,7 @@ class TestCli:
         (result,) = run_corpus(tmp_path, include_timing=False).results
         assert time.perf_counter() - start < 2.0
         assert result.status == "error"
-        assert result.details["error"] == "GuardrailExceeded: S1 dual degree 12 exceeds the hard cap 8"
+        assert result.details["error"] == "GuardrailExceeded: S1 dual degree 12 exceeds the cap 8"
 
     def test_corpus_applies_the_chi_guardrails(self, tmp_path):
         line = {"standard": {"type": "linear", "n": 3, "m": 1}}

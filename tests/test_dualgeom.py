@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from dualis import dualgeom, exact
+from dualis.corpus import build_curve_pair
 from dualis.curvelab import (
     DUAL_VARS,
     PRIMAL_VARS,
@@ -22,9 +23,11 @@ from dualis.dualgeom import (
 )
 from dualis.errors import (
     ChartExhausted,
+    DegreeGuardrail,
     GuardrailExceeded,
     InvalidParams,
     InvariantViolation,
+    IrrationalSingularity,
     NonGenericWitness,
     WitnessOnCurve,
 )
@@ -37,6 +40,11 @@ NODAL = "y^2*z - x^3 - x^2*z"
 NODAL_RF = "z^3 - x^2*y - x*y^2 - 3*x*y*z"
 CUSPIDAL = "y^2*z - x^3"
 FERMAT4 = "x^4 + y^4 + z^4"
+#: the dual of NODAL_RF, a quartic with three rational cusps, in (u, v, w)
+TRICUSPIDAL_UVW = "27*u^2*v^2 - 18*u*v*w^2 + 4*u*w^3 + 4*v*w^3 - w^4"
+#: a quintic with two conjugate singular points, over (+-sqrt(2) : 0 : 1),
+#: and a dual of degree 16
+CONJUGATE_QUINTIC = "x^4*z - 4*x^2*z^3 + 4*z^5 + y^5 + y^2*z^3"
 
 DEGREE_LE_3_CORPUS = (CONIC, SPHERE, CIRCLE, NODAL, NODAL_RF, CUSPIDAL)
 
@@ -474,6 +482,22 @@ class TestBiduality:
         with pytest.raises(GuardrailExceeded):
             biduality_check(curve(FERMAT4))
 
+    @pytest.mark.parametrize("poly, variables, oracle_degrees", [
+        # d* = 3: the bidual equation is computed outright
+        (TRICUSPIDAL_UVW, DUAL_VARS, [4]),
+        # d* = 6, three nodes: the polar oracle counts the bidual's degree
+        ("x^2*y^2 + y^2*z^2 + z^2*x^2", PRIMAL_VARS, [4, 6]),
+    ], ids=["direct", "oracle"])
+    def test_source_past_degree_3(self, poly, variables, oracle_degrees, monkeypatch):
+        # the oracle certifies the source's dual degree (d(d-1) = 12 > 8),
+        # and counts the bidual's only above the direct bidual's cap
+        degrees = []
+        oracle = dualgeom.dual_degree_oracle
+        monkeypatch.setattr(dualgeom, "dual_degree_oracle",
+                            lambda c: degrees.append(c.degree) or oracle(c))
+        assert biduality_check(PlaneCurve.from_text(poly, variables))
+        assert degrees == oracle_degrees
+
 
 class TestDualCurveReport:
     def test_cuspidal_cubic_is_self_dual_type(self):
@@ -485,8 +509,15 @@ class TestDualCurveReport:
         assert (r.d, r.delta, r.kappa) == (2, 0, 0)
 
     def test_nodal_cubic_refused(self):
-        with pytest.raises(GuardrailExceeded):
+        # the dual quartic has three cusps, and only one of them is rational
+        with pytest.raises(IrrationalSingularity, match="1 rational singular points"
+                                                       " but the certified count is 3"):
             dual_curve_report(curve(NODAL))
+
+    def test_rational_flex_nodal_cubic(self):
+        # a dual of degree 4: the tricuspidal quartic
+        r = dual_curve_report(curve(NODAL_RF))
+        assert (r.d, r.delta, r.kappa, r.g, r.chi, r.c0m) == (4, 0, 3, 0, 2, 5)
 
     def test_rational_flex_nodal_cubic_dual_quartic(self):
         # the dual of the rational-flex nodal cubic is analyzable directly
@@ -512,6 +543,64 @@ class TestDualCurveReport:
             assert got.g == curve_report(c).g, text
             checked += 1
         assert checked >= 4
+
+
+def _generic_curve(d, seed):
+    """A seeded curve of degree d, each coefficient drawn from -5..5."""
+    rng = random.Random(seed)
+    terms = {(i, j, d - i - j): rng.randint(-5, 5) for i in range(d + 1) for j in range(d + 1 - i)}
+    return PlaneCurve(MultiPoly(PRIMAL_VARS, {e: c for e, c in terms.items() if c}))
+
+
+class TestDualDegreeCheck:
+    """Each entry point that takes a dual checks its degree once, after the
+    curve's singular analysis and before the chart."""
+
+    @pytest.fixture
+    def charts(self, monkeypatch):
+        """The forms handed to the chart discriminant, in order."""
+        seen = []
+        step = dualgeom._dual_in_chart
+        monkeypatch.setattr(dualgeom, "_dual_in_chart", lambda F: seen.append(F) or step(F))
+        return seen
+
+    @pytest.mark.parametrize("d", [9, 10])
+    def test_generic_curves_refused_before_the_chart(self, d, charts):
+        # a dual of degree d(d-1) = 72 or 90 needs Sylvester matrices past
+        # 64 rows
+        with pytest.raises(DegreeGuardrail, match=f"dual degree {d * (d - 1)} exceeds the cap 63"):
+            dual_equation(_generic_curve(d, d))
+        assert charts == []
+
+    @pytest.mark.parametrize("entry", [
+        lambda c: build_curve_pair(c, curve("x + 2*y + 5*z")),
+        dual_curve_report,
+        biduality_check,
+    ], ids=["build_curve_pair", "dual_curve_report", "biduality_check"])
+    def test_fermat_quartic_refused_before_the_chart(self, entry, charts):
+        with pytest.raises(GuardrailExceeded, match="dual degree 12 exceeds the cap 8"):
+            entry(curve(FERMAT4))
+        assert charts == []
+
+    @pytest.mark.parametrize("entry", [dual_equation, dual_curve_report, biduality_check])
+    def test_irrational_singularity_comes_first(self, entry, charts):
+        # the dual has degree 16, past the dual-degree cap of the report
+        # and of the biduality check, yet the singular points refuse first
+        with pytest.raises(IrrationalSingularity):
+            entry(curve(CONJUGATE_QUINTIC))
+        assert charts == []
+
+    def test_free_bound_needs_no_oracle(self, charts, monkeypatch):
+        # d(d-1) fits every cap here, so no polar count runs: 12 <= 63 for
+        # the Fermat quartic's dual equation, 6 <= 8 for a cubic
+        def oracle(c):
+            raise AssertionError("the oracle ran")
+        monkeypatch.setattr(dualgeom, "dual_degree_oracle", oracle)
+        assert dual_equation(curve(FERMAT4)).d_dual == 12
+        assert dual_curve_report(curve(CUSPIDAL)).kappa == 1
+        assert biduality_check(curve(CUSPIDAL))
+        build_curve_pair(curve(CIRCLE), curve(CUSPIDAL))
+        assert len(charts) == 6
 
 
 class TestOracleOnSpecialSingularities:

@@ -326,3 +326,47 @@ def test_one_subresultant_chain():
     for path in (SOURCE / "dualgeom.py", SOURCE / "elimination.py"):
         assert not {"discriminant", "resultant", "determinant", "_int_bareiss_determinant",
                     "_minor_matrix", "_discriminant_matrix"} & _referenced_names(path), path.name
+
+
+def _int_constants(path: Path) -> dict:
+    """Every name a module binds to an int literal at its top level."""
+    return {target.id: node.value.value
+            for node in ast.parse(path.read_text(), filename=str(path)).body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+            and type(node.value.value) is int
+            for target in node.targets if isinstance(target, ast.Name)}
+
+
+def _mentions_degree(node) -> bool:
+    """Does an expression read a degree: d, a name or attribute with
+    "degree" in it, or a dual degree d_dual?"""
+    return any(isinstance(n, ast.Name) and (n.id in {"d", "d_dual"} or "degree" in n.id)
+               or isinstance(n, ast.Attribute) and (n.attr == "d_dual" or "degree" in n.attr)
+               for n in ast.walk(node))
+
+
+def test_one_degree_budget():
+    # every cap on the degree of a curve or of its dual is in one table in
+    # exact, named for the work it bounds; charclass's caps on a package's
+    # ambient dimension and degree bound another domain
+    table = _int_constants(SOURCE / "exact.py")
+    assert {name: value for name, value in table.items() if name.endswith(("_CAP", "_LIMIT"))} == {
+        "INPUT_DEGREE_CAP": 6, "INPUT_DEGREE_HARD_CAP": 8, "SYLVESTER_LIMIT": 64,
+        "DUAL_DEGREE_CAP": 8, "BIDUAL_DEGREE_CAP": 3}
+    others = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
+                    if path.name != "exact.py" for name in _int_constants(path))
+    assert others == ["charclass.py: MAX_AMBIENT_DIM", "charclass.py: MAX_DEGREE"]
+    # the dual-degree checks read the table, not a literal
+    found = []
+    for name in ("dualgeom.py", "corpus.py"):
+        tree = ast.parse((SOURCE / name).read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if any(_mentions_degree(o) for o in operands) and any(
+                    isinstance(o, ast.Constant) and type(o.value) is int and o.value > 2
+                    for o in operands):
+                found.append(f"{name}:{node.lineno}")
+    assert not found
+    assert _readers("_dual_in_chart") == ["dualgeom.py: dual_equation"]
