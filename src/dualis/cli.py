@@ -18,14 +18,14 @@ lines and whether every check held; `run_command` prints one or the other.
 
 Exit codes: 0 success / all checks hold, 1 a verification failed,
 2 usage or input error (a typed ``DualisError`` or an unreadable file).
-``--format json`` emits machine-readable output; rationals serialize as
-"p/q".
+``--format json`` emits machine-readable output, rationals as "p/q",
+through `corpus.json_text` inside the handler's guard, so an integer too
+long to print exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import charclass, corpus, curvelab, dualgeom, flopcalc
@@ -137,7 +137,7 @@ def _chi_package(args):
     pkg = charclass.hypersurface_package(args.n, args.d)
     if args.out:
         corpus.save_package(pkg, args.out)
-    return pkg.as_dict(), [json.dumps(pkg.as_dict(), indent=2)], True
+    return pkg.as_dict(), [corpus.json_text(pkg.as_dict()).rstrip("\n")], True
 
 
 def _corpus_run(args):
@@ -232,17 +232,15 @@ def run_command(argv) -> int:
         return 0 if exc.code == 0 else 2
     try:
         payload, lines, ok = args.run(args)
+        out = (corpus.json_text(payload) if args.format == "json"
+               else "".join(f"{line}\n" for line in lines))
     except DualisError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    sys.stdout.write(out)
     return 0 if ok else 1
 
 

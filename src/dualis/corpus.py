@@ -26,7 +26,8 @@ the case reports status ``error`` and the rest of the run goes on.
 
 Reports are deterministic: cases run in manifest order, rationals serialize
 as "p/q" strings, and timing fields can be suppressed for byte-identical
-re-runs.
+re-runs.  `load_json` is the one JSON reader and `json_text` the one
+writer, which refuses an integer too long to print with GuardrailExceeded.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import (
     NotTransversal,
     SchemaError,
 )
-from .exact import DUAL_DEGREE_CAP, MultiPoly, format_rational, parse_rational
+from .exact import DUAL_DEGREE_CAP, _UNPRINTABLE, MultiPoly, format_rational, parse_rational
 from .flopcalc import CONORMAL, IDENTITY_FIELDS, INTRO, IdentityInstance, VarietyInvariants
 
 @dataclass(frozen=True)
@@ -57,14 +58,6 @@ class CorpusCase:
     inputs: dict
     expected: dict = field(default_factory=dict)
     notes: str = ""
-
-    def as_dict(self) -> dict:
-        out = {"id": self.case_id, "kind": self.kind, "inputs": self.inputs}
-        if self.expected:
-            out["expected"] = self.expected
-        if self.notes:
-            out["notes"] = self.notes
-        return out
 
 
 @dataclass
@@ -110,7 +103,7 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2) + "\n"
+        return json_text(self.as_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +180,18 @@ def load_json(path) -> dict:
     return data
 
 
+def json_text(obj) -> str:
+    """The JSON document of obj, indented by two, with a final newline: the
+    one writer of a JSON document.  An integer too long to print (over 4300
+    digits) is refused with GuardrailExceeded, as `exact.int_text` refuses
+    it; only the serialisation is guarded, no computation."""
+    try:
+        text = json.dumps(obj, indent=2)
+    except ValueError:
+        raise GuardrailExceeded(_UNPRINTABLE) from None
+    return text + "\n"
+
+
 def load_package(path) -> VarietyInvariants:
     return package_from_dict(load_json(path), where=str(path))
 
@@ -212,7 +217,7 @@ def instance_from_dict(data: dict, where: str = "instance") -> IdentityInstance:
 
 
 def save_package(pkg: VarietyInvariants, path):
-    Path(path).write_text(json.dumps(pkg.as_dict(), indent=2) + "\n")
+    Path(path).write_text(json_text(pkg.as_dict()))
 
 
 def load_corpus(path) -> list:
@@ -264,10 +269,6 @@ def _check_referenced_files(obj, root: Path, where: str):
 
 def save_report(report: RunReport, path):
     Path(path).write_text(report.to_json())
-
-
-def load_report(path) -> dict:
-    return load_json(path)
 
 
 # ---------------------------------------------------------------------------

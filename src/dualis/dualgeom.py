@@ -71,6 +71,7 @@ from .exact import (  # WITNESS_SEQUENCE is re-exported for callers
     SYLVESTER_LIMIT,
     WITNESS_SEQUENCE,
     MultiPoly,
+    _at,
     _differences,
     _expand,
     _from_differences,
@@ -155,7 +156,7 @@ def _dual_in_chart(F: MultiPoly) -> MultiPoly:
         for cs, part in zip(in_v, parts):
             for a, b, c in part:
                 cs[b] += c * u ** a
-        heads.append(_differences([_uni_discriminant([elimination._at(c, v) for c in in_v])
+        heads.append(_differences([_uni_discriminant([_at(c, v) for c in in_v])
                                    for v in range(D + 1 - u)]))
     along_u = [_interpolate([row[j] for row in heads[:D + 1 - j]]) for j in range(D + 1)]
     scale = den ** (2 * d - 2)

@@ -54,10 +54,12 @@ divisor is exact over the integers (Gauss's lemma), so no Fraction
 arithmetic enters the frame search.
 The public `apply_matrix` is the same coordinate change on a `MultiPoly`.
 The square-free part is written once (`_sqfree_part`), for the frame step
-and `rational_roots`.  No trivariate gcd runs here: a pair is proved
-coprime on a pencil of lines (`exact.forms_coprime`), except a
-square-free form and the polar of a point off its curve, which are
-coprime by construction (`_witness_frame`).
+and `rational_roots`.  Every list is evaluated by `exact._at`, at the
+points of a frame's sweep, at a root alpha for its point and at each root
+candidate, exactly or modulo the lifted modulus.  No trivariate gcd runs
+here: a pair is proved coprime on a pencil of lines
+(`exact.forms_coprime`), except a square-free form and the polar of a
+point off its curve, which are coprime by construction (`_witness_frame`).
 
 Nothing here ever returns a float or an approximation; when a count cannot
 be certified the routine raises.
@@ -75,6 +77,7 @@ from .errors import (
     DegenerateInput,
     DegreeGuardrail,
     GuardrailExceeded,
+    InvalidParams,
     NotTransversal,
     ReducibleCurve,
     ZeroInput,
@@ -82,6 +85,7 @@ from .errors import (
 from .exact import (
     SYLVESTER_LIMIT,
     MultiPoly,
+    _at,
     _derivative,
     _expand,
     _integer_terms,
@@ -157,14 +161,6 @@ _BASES = _base_frames()
 # univariate polynomials, as coefficient lists [c0..cd]
 # ---------------------------------------------------------------------------
 
-def _at(cs: Sequence[int], v) -> int:
-    """The value of the list cs at v, by Horner's rule."""
-    acc = 0
-    for c in reversed(cs):
-        acc = acc * v + c
-    return acc
-
-
 def _mul(a: Sequence[int], b: Sequence[int]) -> list:
     """The product of two integer lists."""
     if not a or not b:
@@ -188,13 +184,6 @@ def _add(a: Sequence[int], b: Sequence[int]) -> list:
 _PRIMES = tuple(filter(_is_prime, range(2, 1000)))
 
 
-def _eval_mod(f: Sequence[int], r: int, m: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * r + c) % m
-    return acc
-
-
 def _root_candidates(f: list) -> set:
     """Rationals among which every rational root of f lies.
 
@@ -211,28 +200,19 @@ def _root_candidates(f: list) -> set:
     for p in _PRIMES:
         if lead % p == 0:
             continue
-        residues = [r for r in range(p) if _eval_mod(f, r, p) == 0]
-        if any(_eval_mod(der, r, p) == 0 for r in residues):
+        residues = [r for r in range(p) if not _at(f, r) % p]
+        if any(not _at(der, r) % p for r in residues):
             continue
         candidates = set()
         for r in residues:
             m = p
             while m <= bound:
                 m *= m
-                r = (r - _eval_mod(f, r, m) * pow(_eval_mod(der, r, m), -1, m)) % m
+                r = (r - _at(f, r) % m * pow(_at(der, r), -1, m)) % m
             c = lead * r % m
             candidates.add(Fraction(c - m if 2 * c > m else c, lead))
         return candidates
     raise GuardrailExceeded(f"no prime below {_PRIMES[-1] + 1} keeps the roots simple")
-
-
-def _is_root(f: Sequence[int], r: Fraction) -> bool:
-    """Is r = u/v a root of f?  v^n f(u/v), n = deg f, by Horner over Z."""
-    acc, power = 0, 1
-    for c in reversed(f):
-        acc = acc * r.numerator + c * power
-        power *= r.denominator
-    return acc == 0
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
@@ -255,7 +235,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
         roots.append(Fraction(0))
         ints = ints[1:]  # x divides a square-free polynomial at most once
     if len(ints) > 1:
-        roots += [r for r in _root_candidates(ints) if _is_root(ints, r)]
+        roots += [r for r in _root_candidates(ints) if not _at(ints, r)]
     return sorted(roots), degree - len(roots)
 
 
@@ -266,10 +246,11 @@ def _sqfree_part(cs: list) -> list:
 
 
 def normalize_point(coords: Sequence[Fraction]) -> tuple:
-    """Coprime integer coordinates, first nonzero entry positive."""
+    """Coprime integer coordinates, first nonzero entry positive; the zero
+    vector is refused with InvalidParams."""
     fracs = [Fraction(c) for c in coords]
     if all(c == 0 for c in fracs):
-        raise ValueError("zero vector is not a projective point")
+        raise InvalidParams("zero vector is not a projective point")
     ints = _primitive_ints(fracs)
     for a in ints:
         if a != 0:

@@ -64,8 +64,9 @@ The one univariate toolkit lives here too, on integer coefficient lists
 [c0..cd], each operation written once: trimming, primitive parts,
 derivatives, exact quotients and pseudo-remainders over Z, the
 subresultant chain, the discriminant, interpolation from values or from
-forward differences, the distinct-roots test and the one univariate gcd,
-Brown's modular algorithm (J. ACM 18, 1971), which works modulo primes just below
+forward differences, evaluation by Horner's rule (`_at`), the
+distinct-roots test and the one univariate gcd, Brown's modular algorithm
+(J. ACM 18, 1971), which works modulo primes just below
 2^61, checks its candidate by trial division over Z and returns a
 primitive gcd; a constant image modulo one prime proves a constant gcd,
 which is the usual case.  The trivariate gcd ``poly_gcd`` and
@@ -123,14 +124,18 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+#: the refusal of an integer too long to print, which leaves the value out
+_UNPRINTABLE = "an integer in the result has too many digits to print"
+
+
 def int_text(n: int) -> str:
     """The decimal text of an integer.  Python refuses to print an integer
     of more than 4300 digits (its default int_max_str_digits); that is
-    refused with GuardrailExceeded, whose message leaves the value out."""
+    refused with GuardrailExceeded and the message `_UNPRINTABLE`."""
     try:
         return str(n)
     except ValueError:
-        raise GuardrailExceeded("an integer in the result has too many digits to print") from None
+        raise GuardrailExceeded(_UNPRINTABLE) from None
 
 
 def format_rational(q: Fraction) -> str:
@@ -1066,6 +1071,15 @@ def _interpolate(values: list) -> list:
     """[c0..cB] of the polynomial of degree <= B with integer coefficients
     and values v at 0..B."""
     return _from_differences(_differences(values))
+
+
+def _at(cs: Sequence[int], v):
+    """The value of the list cs at v, by Horner's rule: an int at an int, a
+    Fraction at a Fraction.  The one evaluation of an integer list."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * v + c
+    return acc
 
 
 def _matching_bound(weights: list) -> Optional[int]:

@@ -16,9 +16,10 @@ from dualis.corpus import (
     RunReport,
     build_curve_pair,
     curve_package,
+    json_text,
     load_corpus,
+    load_json,
     load_package,
-    load_report,
     package_from_dict,
     read_file,
     run_case,
@@ -28,7 +29,7 @@ from dualis.corpus import (
     standard_package,
 )
 from dualis.curvelab import PlaneCurve
-from dualis.errors import MissingFile, SchemaError
+from dualis.errors import GuardrailExceeded, MissingFile, SchemaError
 from dualis.exact import parse_poly
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -115,7 +116,20 @@ class TestCorpusLoading:
         report = RunReport([result], include_timing=False)
         path = tmp_path / "report.json"
         save_report(report, path)
-        assert load_report(path) == report.as_dict()
+        assert load_json(path) == report.as_dict()
+
+
+class TestJsonWriter:
+    def test_same_bytes_as_json_dumps(self):
+        golden = GOLDEN_REPORT.read_text()
+        for obj in (json.loads(golden), hypersurface_package(3, 2).as_dict()):
+            assert json_text(obj) == json.dumps(obj, indent=2) + "\n"
+        assert json_text(json.loads(golden)) == golden
+
+    def test_refuses_an_integer_too_long_to_print(self):
+        with pytest.raises(GuardrailExceeded, match="^an integer in the result has too many"
+                                                    " digits to print$"):
+            json_text({"cases": [{"details": {"d_dual": 10 ** 4399}}]})  # 4400 digits
 
 
 class TestStandardPackages:
@@ -296,6 +310,33 @@ class TestCli:
         ]}
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         assert run_command(["corpus", "run", str(tmp_path)]) == 1
+
+    @staticmethod
+    def _unprintable_corpus(tmp_path) -> str:
+        # d = 10^2200 prints, but d* = d(d - 1) has about 4400 digits, past
+        # the 4300 that Python prints
+        manifest = {"cases": [
+            {"id": "huge", "kind": "ClassicalPlucker",
+             "inputs": {"d": 10 ** 2200, "delta": 0, "kappa": 0},
+             "expected": {"d_dual": 2, "delta_dual": 0, "kappa_dual": 0}},
+        ]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        return str(tmp_path)
+
+    @pytest.mark.parametrize("option", [["--format", "json"], ["--out", "{out}"]],
+                             ids=["json", "out"])
+    def test_corpus_refuses_an_integer_too_long_to_print(self, option, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["corpus", "run", self._unprintable_corpus(tmp_path)]
+        assert run_command(argv + [arg.format(out=out) for arg in option]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "Traceback" not in err
+        assert err == "error: GuardrailExceeded: an integer in the result has too many digits to print\n"
+        assert not out.exists()
+
+    def test_corpus_text_report_of_an_integer_too_long_to_print(self, tmp_path, capsys):
+        assert run_command(["corpus", "run", self._unprintable_corpus(tmp_path)]) == 1
+        assert capsys.readouterr().out == "[FAIL ] huge\ntotal 1: 0 pass, 1 fail, 0 error\n"
 
     def test_corpus_applies_the_cli_degree_cap(self, tmp_path):
         manifest = {"cases": [
@@ -547,6 +588,12 @@ class TestModuleEntryPoint:
                          "--no-timestamps")
         assert done.returncode == 0
         assert done.stdout == GOLDEN_REPORT.read_bytes()
+
+    def test_corpus_json_with_an_integer_too_long_to_print_exits_2(self, tmp_path):
+        path = TestCli._unprintable_corpus(tmp_path)
+        done = self._run("corpus", "run", path, "--format", "json")
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert b"GuardrailExceeded" in done.stderr and b"Traceback" not in done.stderr
 
     def test_over_cap_curve_exits_2(self):
         done = self._run("curve", "analyze", "--poly", "x^7 + y^7 + z^7")

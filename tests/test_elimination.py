@@ -87,6 +87,38 @@ class TestRationalRoots:
         with pytest.raises(GuardrailExceeded):
             self._roots("x^2 - 200022*x + 10002200057")  # (x + 1)^2 modulo 2
 
+    def test_planted_roots_against_sympy(self):
+        # rational roots u/v with 20-40-digit u and v, some repeated, a zero
+        # root (simple or double) in every other list, times monic cubics and
+        # quadratics whose roots are mostly irrational; SymPy's factorisation
+        # over Q decides which roots are rational
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(2026)
+        leftovers = 0
+        for trial in range(12):
+            g = sympy.Integer(1)
+            for _ in range(rng.randint(1, 3)):
+                u = rng.choice([-1, 1]) * rng.randrange(10 ** 19, 10 ** 40)
+                g *= (rng.randrange(10 ** 19, 10 ** 40) * x - u) ** rng.randint(1, 3)
+            for _ in range(rng.randint(0, 2)):
+                degree = rng.randint(2, 3)
+                g *= x ** degree + sum(rng.randint(-9, 9) * x ** i for i in range(degree))
+            if trial % 2:
+                g *= x ** rng.randint(1, 2)
+            linear, leftover = [], 0
+            for h, _ in sympy.factor_list(g)[1]:
+                cs = [int(c) for c in sympy.Poly(h, x).all_coeffs()]
+                if len(cs) == 2:
+                    linear.append(Fraction(-cs[1], cs[0]))
+                else:
+                    leftover += len(cs) - 1
+            scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            f = [Fraction(int(c)) * scale for c in reversed(sympy.Poly(g, x).all_coeffs())]
+            assert rational_roots(f) == (sorted(linear), leftover), trial
+            leftovers += leftover
+        assert leftovers
+
 
 class TestBinaryForms:
     def test_infinity_restriction_is_substitution(self):
@@ -110,7 +142,7 @@ class TestNormalizePoint:
         assert normalize_point([Fraction(0), Fraction(-2), Fraction(4)]) == (0, 1, -2)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             normalize_point([Fraction(0)] * 3)
 
 

@@ -370,3 +370,67 @@ def test_one_degree_budget():
                 found.append(f"{name}:{node.lineno}")
     assert not found
     assert _readers("_dual_in_chart") == ["dualgeom.py: dual_equation"]
+
+
+def _horner_loops(path: Path) -> list:
+    """Every function of a module with a loop over reversed(...) that
+    assigns to a name its own product: the form of Horner's rule."""
+    found = []
+    for fn, node in _functions(path).items():
+        for loop in ast.walk(node):
+            if not (isinstance(loop, ast.For) and isinstance(loop.iter, ast.Call)
+                    and getattr(loop.iter.func, "id", None) == "reversed"):
+                continue
+            for assign in ast.walk(loop):
+                if not isinstance(assign, ast.Assign):
+                    continue
+                targets = {n.id for t in assign.targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name)}
+                if any(isinstance(b, ast.BinOp) and isinstance(b.op, ast.Mult)
+                       and getattr(b.left, "id", None) in targets
+                       for b in ast.walk(assign.value)):
+                    found.append(f"{path.name}: {fn}")
+    return sorted(set(found))
+
+
+def test_one_list_evaluation():
+    # an integer list is evaluated by exact._at alone, at an int, at a
+    # Fraction or before a reduction modulo m: elimination builds its roots
+    # and points on it, and dualgeom reads it from exact, not through
+    # elimination
+    horners = [name for path in sorted(SOURCE.glob("*.py")) for name in _horner_loops(path)]
+    assert horners == ["exact.py: _at"]
+    defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
+    assert not defined & {"_eval_mod", "_is_root", "load_report"}
+    assert _readers("_at") == ["dualgeom.py: _dual_in_chart", "elimination.py: _root_candidates",
+                               "elimination.py: coefficient", "elimination.py: point",
+                               "elimination.py: rational_roots"]
+    tree = ast.parse((SOURCE / "dualgeom.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "_at"]
+
+
+def _users(name: str) -> list:
+    """Every function, as module: name, that reads name as a global or as an
+    attribute (json.dumps, corpus.json_text)."""
+    return sorted(f"{path.name}: {fn}" for path in sorted(SOURCE.glob("*.py"))
+                  for fn, node in _functions(path).items()
+                  if any(isinstance(n, ast.Attribute) and n.attr == name
+                         or isinstance(n, ast.Name) and n.id == name for n in ast.walk(node)))
+
+
+def test_one_json_reader_and_one_json_writer():
+    # a JSON document is parsed by corpus.load_json alone and written by
+    # corpus.json_text alone, which refuses an integer too long to print;
+    # the CLI, the report and the package files go through them
+    for name, owner in (("loads", "corpus.py: load_json"), ("dumps", "corpus.py: json_text")):
+        uses = [f"{path.name}:{node.lineno}" for path in sorted(SOURCE.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                if isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.Name) and node.id == name]
+        assert len(uses) == 1 and _users(name) == [owner], name
+    importers = [path.name for path in sorted(SOURCE.glob("*.py"))
+                 if "json" in _referenced_names(path)]
+    assert importers == ["corpus.py"]
+    assert _users("json_text") == ["cli.py: _chi_package", "cli.py: run_command",
+                                   "corpus.py: save_package", "corpus.py: to_json"]
