@@ -45,7 +45,7 @@ The polar count reads the curve's singular analysis, a
 `elimination.SingularLocus` record: its frame already counts the points of
 F and the polar of its witness, and its singular parts give the singular
 count, so only the check at a second witness needs a frame of its own,
-and its search starts at the base and shear of the analysis frame.
+and its search starts at the analysis frame, from the moved F it holds.
 """
 
 from __future__ import annotations
@@ -243,16 +243,20 @@ def dual_degree_oracle(curve: PlaneCurve, witness=None) -> int:
     proportional to the witness, and a mismatch raises NonGenericWitness.
     F is square-free and each witness lies off the curve, so each frame
     is certified without a coprimality test (`elimination._witness_frame`).
-    Each frame search starts at the base and shear of the analysis frame,
-    which usually suit a second polar too; the full schedule follows.
-    A given witness must be three ints or Fractions, not all zero.
+    Each frame search starts at the analysis frame, which usually suits a
+    second polar too: F's terms are taken as that frame holds them, moved
+    by its base and shear, and the polar is taken there, so that frame
+    moves nothing; the full schedule follows, without it.  A given witness
+    must be three ints or Fractions, not all zero; Fractions are scaled to
+    the primitive integer point.
     """
     if curve.degree < 2:
         raise InvalidParams("dual degree oracle needs a curve of degree >= 2")
     if witness is not None:
         witness = curvelab._checked_point(witness, "witness")
     locus = curvelab.singular_analysis(curve)
-    hint = (locus.frame.base, locus.frame.shear)
+    frame = locus.frame
+    hint = (frame.base, frame.shear, frame.terms)
     w, count = locus.witness, locus.polar_count
     if witness is not None:
         if curve.contains(witness):

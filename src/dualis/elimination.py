@@ -28,13 +28,18 @@ composed with x-shears) and only reports a number it can certify:
   The analysis is one `SingularLocus` record holding the accepted frame,
   the witness, the singular part of each class and the rational points;
   the polar degree oracle reads the frame's own count from it, and starts
-  the frame search of each further witness at that frame's base and shear
-  (the hint of `_accepted_frame`).
+  the frame search of each further witness at that frame, with F's terms
+  already moved there (the hint of `_accepted_frame`).
 
 The frame search runs on integers alone.  Each form enters it once, as
 integer terms ({exponents: int}, `exact._integer_terms`), and every base
 and every x-shear is an integer coordinate change of those terms
-(`_moved`, through the one expansion `exact._expand`).  A frame holds the
+(`_moved`, through the one expansion `exact._expand`).  A pair of F and
+the polar P_w of a point moves F alone: every base and shear M has
+determinant +-1, so M^-1 w is an integer point and
+P_w(F)(M v) = P_{M^-1 w}(F(M v)); each frame takes the polar of its moved
+F there (`polar`), so F is expanded once per base and once per shear,
+and never for a hinted frame, which holds F's terms.  A frame holds the
 pair as integer y-columns, one list in x per power of y, of the moved
 terms at z = 1 (`_chart_columns`).  Their values at x = 0, 1, 2, ... are
 taken once per frame and cached as their subresultant chain
@@ -56,7 +61,8 @@ The public `apply_matrix` is the same coordinate change on a `MultiPoly`.
 The square-free part is written once (`_sqfree_part`), for the frame step
 and `rational_roots`.  Every list is evaluated by `exact._at`, at the
 points of a frame's sweep, at a root alpha for its point and at each root
-candidate, exactly or modulo the lifted modulus.  No trivariate gcd runs
+candidate, modulo the lifted modulus or, on an integer list scaled to be
+monic, exactly at an integer.  No trivariate gcd runs
 here: a pair is proved coprime on a pencil of lines
 (`exact.forms_coprime`), except a square-free form and the polar of a
 point off its curve, which are coprime by construction (`_witness_frame`).
@@ -70,6 +76,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import (
@@ -185,7 +193,7 @@ _PRIMES = tuple(filter(_is_prime, range(2, 1000)))
 
 
 def _root_candidates(f: list) -> set:
-    """Rationals among which every rational root of f lies.
+    """Integers among which cn*r lies for every rational root r of f.
 
     f is a square-free integer polynomial [c0..cn] with c0 != 0 and n >= 1.
     A root u/v in lowest terms has u | c0 and v | cn, so cn*u/v is an integer
@@ -210,7 +218,7 @@ def _root_candidates(f: list) -> set:
                 m *= m
                 r = (r - _at(f, r) % m * pow(_at(der, r), -1, m)) % m
             c = lead * r % m
-            candidates.add(Fraction(c - m if 2 * c > m else c, lead))
+            candidates.add(c - m if 2 * c > m else c)
         return candidates
     raise GuardrailExceeded(f"no prime below {_PRIMES[-1] + 1} keeps the roots simple")
 
@@ -223,7 +231,9 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
     number of distinct irrational or complex roots.  The square-free part is
     taken once, over the integers; its roots are simple, so each candidate
     from `_root_candidates` needs one exact evaluation, and no root is
-    missed.
+    missed.  For f of degree n and leading coefficient c, the candidate
+    t = c*r is tested on the integer list g(t) = c^(n-1) f(t/c), which is
+    monic, so the test stays on integers.
     """
     coeffs = _trim(coeffs)
     if not coeffs:
@@ -235,7 +245,9 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
         roots.append(Fraction(0))
         ints = ints[1:]  # x divides a square-free polynomial at most once
     if len(ints) > 1:
-        roots += [r for r in _root_candidates(ints) if not _at(ints, r)]
+        lead, n = ints[-1], len(ints) - 1
+        monic = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+        roots += [Fraction(t, lead) for t in _root_candidates(ints) if not _at(monic, t)]
     return sorted(roots), degree - len(roots)
 
 
@@ -287,16 +299,18 @@ def _line_resultant(P: Sequence[list], a: list, b: list) -> list:
 
 
 class _Frame:
-    """An accepted frame: the pair after the base change `base`, the shear
-    x -> x + shear*y and the chart z = 1, as integer y-columns A and B (see
+    """An accepted frame: the pair after the base change `base` and the
+    shear x -> x + shear*y, ``terms`` the integer terms of its first form
+    there, and at the chart z = 1 as integer y-columns A and B (see
     `_chart_columns`), and the square-free eliminant split into its
     nonconstant classes ``classes[k]`` = Phi_k.  Over a root of Phi_k the
     fibres meet at one point, the root beta of L_k = k*s_kk*y + s_{k,k-1}."""
 
-    __slots__ = ("A", "B", "base", "shear", "classes", "_chains", "_coefficients")
+    __slots__ = ("terms", "A", "B", "base", "shear", "classes", "_chains", "_coefficients")
 
-    def __init__(self, A: list, B: list, base: Matrix, shear: int):
-        self.A, self.B = A, B
+    def __init__(self, Fm: dict, Gm: dict, base: Matrix, shear: int):
+        self.terms = Fm
+        self.A, self.B = _chart_columns(Fm), _chart_columns(Gm)
         self.base, self.shear = base, shear
         self.classes: dict = {}
         self._chains: list = []       # the subresultant chain of the columns at x = 0, 1, 2, ...
@@ -356,16 +370,15 @@ def _pair_frame_count(Fm: dict, Gm: dict, base: Matrix, t: int) -> Optional[_Fra
     """The frame of the pair at shear t, or None when it is not accepted.
 
     Fm, Gm are the integer terms of the pair moved by `base`, which passed
-    the shear-independent tests of `_base_usable`; the frame composes that
-    base with the x-shear x -> x + t*y and passes to the chart z = 1.
+    the shear-independent tests of `_base_usable`, and then by the x-shear
+    x -> x + t*y; the frame passes to the chart z = 1.
     The y-leading coefficients are constants, so specialising x commutes
     with the subresultants: over a root of R the fibres have a gcd of
     degree k exactly where psc_1..psc_{k-1} vanish and psc_k does not, and
     S_k is that gcd up to a constant.  The frame is accepted when on every
     class that gcd has one root (see `_Frame.is_power`).
     """
-    A, B = (_chart_columns(_moved(terms, _shear(t))) for terms in (Fm, Gm))
-    frame = _Frame(A, B, base, t)
+    frame = _Frame(Fm, Gm, base, t)
     if not (frame.A[-1] and frame.B[-1]):
         return None  # a leading y-coefficient vanishes in this frame
     m, n = len(frame.A) - 1, len(frame.B) - 1
@@ -409,44 +422,119 @@ def _base_usable(Fm: dict, Gm: dict) -> bool:
     return len(_uni_gcd(f, g)) == 1
 
 
-def _accepted_frame(F: MultiPoly, G: MultiPoly, coprime: bool = False,
-                    hint: Optional[tuple] = None) -> _Frame:
-    """The first accepted frame of the pair (see `_pair_frame_count`).
+def polar(terms: dict, w: Sequence[int]) -> dict:
+    """The polar of a form at the integer point w, the sum of w_i times the
+    i-th partial, as integer terms with their content removed, built in one
+    pass over the integer terms of the form (`exact._integer_terms`).  By
+    Euler's identity it takes the value d*F(w) at w, so it is nonzero when
+    w is off the curve of a form of degree d > 0."""
+    out: dict = {}
+    for e, c in terms.items():
+        for i, (k, wi) in enumerate(zip(e, w)):
+            if k and wi:
+                lower = e[:i] + (k - 1,) + e[i + 1:]
+                out[lower] = out.get(lower, 0) + c * k * wi
+    g = gcd(*out.values())
+    return {e: c // g for e, c in out.items() if c}
+
+
+def _preimage(m: Matrix, w: Sequence[int]) -> tuple:
+    """The integer point u with m u = w, for an integer matrix m of
+    determinant +-1, whose inverse is det(m) times its adjugate."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
+           (f * g - d * i, a * i - c * g, c * d - a * f),
+           (d * h - e * g, b * g - a * h, a * e - b * d))
+    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    return tuple(det * sum(r * x for r, x in zip(row, w)) for row in adj)
+
+
+def _carried(second, m: Matrix):
+    """The second member of a pair after the coordinate change m: a form's
+    integer terms, moved, or the point w of the first form's polar, taken
+    to m^-1 w (see `_accepted_frame`)."""
+    return _moved(second, m) if isinstance(second, dict) else _preimage(m, second)
+
+
+def _second_form(Fm: dict, second) -> dict:
+    """The integer terms of the pair's second form, for the first form's
+    terms Fm: the terms themselves, or the polar of Fm at the point."""
+    return second if isinstance(second, dict) else polar(Fm, second)
+
+
+def _sheared(Fb: dict, gb, t: int) -> tuple:
+    """The integer terms of the pair moved by the x-shear x -> x + t*y,
+    from F's terms Fb and the second member gb (see `_carried`)."""
+    shear = _shear(t)
+    Ft = _moved(Fb, shear)
+    return Ft, _second_form(Ft, _carried(gb, shear))
+
+
+def _accepted_frame(F: MultiPoly, G, hint: Optional[tuple] = None) -> _Frame:
+    """The first accepted frame of the pair of F and G (see `_pair_frame_count`).
+
+    G is a form, or an integer point w off the curve of a square-free F for
+    the pair of F and its polar P_w.  That pair shares no component, so it
+    skips `forms_coprime`: a component shared by a square-free F and its
+    polar would be a cone with vertex w, so it would contain w.  And only F
+    moves: every base and every x-shear M has determinant +-1, so
+    P_w(F)(M v) = P_u(F(M v)) at the integer point u = M^-1 w, and each
+    frame takes its polar from F's moved terms (`polar`).
 
     Each pair of the at most N = d1*d2 points shares an x-coordinate in at
     most one shear of a usable base, and a frame where no two points do is
     accepted, so one of C(N,2)+1 valid shears is; at most d1 + d2 shears
-    lose a leading y-coefficient.  A hint (base, shear) is tried first, as
-    the head of the same schedule: any accepted frame certifies the count,
-    and the full schedule follows it, so a failed hint costs one base test
-    and one frame at most.
+    lose a leading y-coefficient.  A hint (base, shear, terms), with F's
+    integer terms moved to that frame (`_Frame.terms` of an earlier search
+    on F), is tried first, as the head of the same schedule: any accepted
+    frame certifies the count, and the full schedule follows it, so a
+    failed hint costs one base test and one frame at most.  The base test
+    is shear-independent, so the hint's own terms serve it, and nothing the
+    schedule has rejected is tried again.
     """
-    if F.is_zero() or G.is_zero():
+    form = isinstance(G, MultiPoly)
+    f = _integer_terms(F)[1]
+    if F.is_zero() or (G.is_zero() if form else not polar(f, G)):
         raise ZeroInput("zero polynomial in curve pair")
-    d1, d2 = _ternary_form(F), _ternary_form(G)  # the degree bounds of the frame need forms
+    d1 = _ternary_form(F)  # the degree bounds of the frame need forms
+    d2 = _ternary_form(G) if form else d1 - 1
     if d1 + d2 == 0:
         raise DegenerateInput("both forms are constant")
     if d1 + d2 > SYLVESTER_LIMIT:
         raise DegreeGuardrail(f"Sylvester matrix {d1 + d2}x{d1 + d2} exceeds {SYLVESTER_LIMIT}")
     t_limit = d1 * d2 * (d1 * d2 - 1) // 2 + 1 + d1 + d2 + 8
-    terms = [_integer_terms(F)[1], _integer_terms(G)[1]]
-    schedule = [(base, range(t_limit)) for base in _BASES]
+    g = _integer_terms(G)[1] if form else G
+    coprime = not form
+    # entries (base, t0, shears, pair): pair is the pair already moved to
+    # the base and the shear t0, or None when the base is still to move it
+    schedule = ((base, 0, range(t_limit), None) for base in _BASES)
     if hint is not None:
-        schedule.insert(0, (hint[0], (hint[1],)))
-    for base, shears in schedule:
-        Fm, Gm = (_moved(form, base) for form in terms)
-        if not _base_usable(Fm, Gm):
+        base, t, terms = hint
+        schedule = chain([(base, t, (t,), (terms, _carried(_carried(g, base), _shear(t))))],
+                         schedule)
+    rejected = set()  # unusable bases and rejected (base, shear) frames
+    for base, t0, shears, pair in schedule:
+        if base in rejected:
+            continue
+        Fb, gb = pair or (_moved(f, base), _carried(g, base))
+        Gb = _second_form(Fb, gb)
+        if not _base_usable(Fb, Gb):
             # a shared component spoils every base, so the first failing
-            # base decides it unless the caller proved the pair coprime;
-            # an accepted frame excludes it, as R != 0
+            # base decides it unless the pair is known coprime; an accepted
+            # frame excludes it, as R != 0
             if not coprime and not forms_coprime(F, G):
                 raise ReducibleCurve("curves share a component")
             coprime = True
+            rejected.add(base)
             continue
         for t in shears:
-            frame = _pair_frame_count(Fm, Gm, base, t)
+            if (base, t) in rejected:
+                continue
+            Ft, Gt = (Fb, Gb) if t == t0 else _sheared(Fb, gb, t - t0)
+            frame = _pair_frame_count(Ft, Gt, base, t)
             if frame is not None:
                 return frame
+            rejected.add((base, t))
     raise ChartExhausted("could not certify a distinct intersection count")
 
 
@@ -456,28 +544,12 @@ def distinct_intersection_count(F: MultiPoly, G: MultiPoly) -> int:
     return _accepted_frame(F, G).count()
 
 
-def polar(F: MultiPoly, w) -> MultiPoly:
-    """The polar of F at the point w: the sum of w_i times the i-th partial,
-    built in one pass over the integer terms of F and divided by their
-    common denominator once.  By Euler's identity it takes the value
-    d*F(w) at w, so it is nonzero when w is off the curve."""
-    den, scaled = _integer_terms(F)
-    terms: dict = {}
-    for e, c in scaled.items():
-        for i, (k, wi) in enumerate(zip(e, w)):
-            if k and wi:
-                lower = e[:i] + (k - 1,) + e[i + 1:]
-                terms[lower] = terms.get(lower, 0) + c * k * wi
-    return MultiPoly(F.variables, {e: Fraction(c, den) for e, c in terms.items() if c})
-
-
 def _witness_frame(F: MultiPoly, w, hint: Optional[tuple] = None) -> _Frame:
     """The first accepted frame of a square-free form F and its polar at a
-    point w off the curve, trying the (base, shear) `hint` first.  The pair
-    shares no component, so the frame search skips `forms_coprime`: a
-    component shared by a square-free F and its polar would be a cone with
-    vertex w, so it would contain w."""
-    return _accepted_frame(F, polar(F, w), coprime=True, hint=hint)
+    point w off the curve, trying the `hint` first (see `_accepted_frame`).
+    A point with Fraction coordinates is scaled to its primitive integer
+    vector first, as the polar at c*w is c times the polar at w."""
+    return _accepted_frame(F, tuple(_primitive_ints(w)), hint)
 
 
 @dataclass(frozen=True)

@@ -1285,15 +1285,20 @@ def witnesses(forms: Sequence[MultiPoly]):
     14, 1993), and at most D of them lie on one line through the origin:
     the walk yields two points that are not proportional.  An empty family
     fixes no ring, so it is refused with InvalidParams; a zero form vanishes
-    everywhere, so it is refused with ZeroInput."""
+    everywhere, so it is refused with ZeroInput, and a form in more than
+    three variables with InvalidParams.  Each form's integer terms are taken
+    once, and every point is tested on them over the integers."""
     if not forms:
         raise InvalidParams("no forms to walk off")
     if any(f.is_zero() for f in forms):
         raise ZeroInput("no point lies off the zero form")
-    ring = forms[0].variables
+    if any(len(f.variables) > 3 for f in forms):
+        raise InvalidParams("a witness has three coordinates, too few for the forms' ring")
+    scaled = [_integer_terms(f)[1] for f in forms]
     grid = product(range(sum(f.total_degree() for f in forms) + 1), repeat=3)
     return (p for p in chain(WITNESS_SEQUENCE, grid)
-            if all(f.evaluate(dict(zip(ring, p))) != 0 for f in forms))
+            if all(sum(c * math.prod(map(pow, p, e)) for e, c in terms.items())
+                   for terms in scaled))
 
 
 def point_off(forms: Sequence[MultiPoly]) -> tuple:

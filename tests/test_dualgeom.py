@@ -40,6 +40,8 @@ NODAL = "y^2*z - x^3 - x^2*z"
 NODAL_RF = "z^3 - x^2*y - x*y^2 - 3*x*y*z"
 CUSPIDAL = "y^2*z - x^3"
 FERMAT4 = "x^4 + y^4 + z^4"
+TRINODAL = "2*x^2*y^2 + y^2*z^2 + z^2*x^2 - x^2*y*z - x*y^2*z - x*y*z^2"
+TRICUSPIDAL = "x^2*y^2 + y^2*z^2 + z^2*x^2 - 2*x^2*y*z - 2*x*y^2*z - 2*x*y*z^2"
 #: the dual of NODAL_RF, a quartic with three rational cusps, in (u, v, w)
 TRICUSPIDAL_UVW = "27*u^2*v^2 - 18*u*v*w^2 + 4*u*w^3 + 4*v*w^3 - w^4"
 #: a quintic with two conjugate singular points, over (+-sqrt(2) : 0 : 1),
@@ -392,8 +394,10 @@ class TestDualDegreeOracle:
         monkeypatch.setattr(elimination, "forms_coprime", refused)
         c = curve("2*x^2*y^2 + y^2*z^2 + z^2*x^2 - x^2*y*z - x*y^2*z - x*y*z^2")
         assert dual_degree_oracle(c, witness=witness) == 6
+        polar = sum((c.F.derivative(v) * k for v, k in zip("xyz", (3, 1, 1))),
+                    MultiPoly.zero(c.F.variables))
         with pytest.raises(AssertionError, match="forms_coprime"):
-            elimination.distinct_intersection_count(c.F, elimination.polar(c.F, (3, 1, 1)))
+            elimination.distinct_intersection_count(c.F, polar)
 
     def test_check_witness_is_not_proportional(self, monkeypatch):
         from dualis import elimination
@@ -401,8 +405,9 @@ class TestDualDegreeOracle:
         c = curve(NODAL)
         singular_analysis(c)
         built = []
-        polar = elimination.polar
-        monkeypatch.setattr(elimination, "polar", lambda F, w: built.append(tuple(w)) or polar(F, w))
+        search = elimination._witness_frame
+        monkeypatch.setattr(elimination, "_witness_frame",
+                            lambda F, w, hint=None: built.append(tuple(w)) or search(F, w, hint))
         assert dual_degree_oracle(c, witness=(2, 4, 10)) == 4
         assert built == [(2, 4, 10), (3, 7, 2)]
 
@@ -448,6 +453,30 @@ class TestDualDegreeOracle:
         assert dual_degree_oracle(c) == 6
         assert sorted(calls) == ["_base_usable", "_pair_frame_count"]
 
+    @pytest.mark.parametrize("text", [TRINODAL, TRICUSPIDAL], ids=["trinodal", "tricuspidal"])
+    def test_repeated_oracle_expands_nothing(self, text, monkeypatch):
+        # the check frame starts from the analysis frame's moved F and takes
+        # its polar there, so a repeated oracle moves no form, and tests one
+        # base and one frame
+        from dualis import elimination
+
+        c = curve(text)
+        want = dual_degree_oracle(c)
+        calls = []
+        expand = exact._expand
+        for module in (exact, elimination, dualgeom):
+            monkeypatch.setattr(module, "_expand",
+                                lambda *args: calls.append("_expand") or expand(*args))
+        for name in ("_base_usable", "_pair_frame_count"):
+            step = getattr(elimination, name)
+            monkeypatch.setattr(elimination, name,
+                                lambda *args, _name=name, _step=step:
+                                calls.append(_name) or _step(*args))
+        assert dual_degree_oracle(c) == want
+        assert sorted(calls) == ["_base_usable", "_pair_frame_count"]
+        # a fresh curve's analysis moves F, and the counter sees it
+        assert dual_degree_oracle(curve(text)) == want and "_expand" in calls
+
     def test_witness_given_as_fractions(self):
         assert dual_degree_oracle(curve(NODAL), witness=(Fraction(1, 2), 1, Fraction(5, 2))) == 4
 
@@ -471,6 +500,65 @@ class TestDualDegreeOracle:
         # merging two tangency points into one
         with pytest.raises(NonGenericWitness):
             dual_degree_oracle(curve(CUSPIDAL), witness=(1, 5, 0))
+
+
+def _unimodular(rng):
+    """A seeded signed permutation times unit triangular factors with
+    off-diagonal entries +-1: an integer matrix of determinant +-1."""
+    from dualis.elimination import mat_mul
+
+    def sign():
+        return rng.choice((-1, 1))
+    perm = rng.sample(range(3), 3)
+    swap = tuple(tuple(sign() if j == perm[i] else 0 for j in range(3)) for i in range(3))
+    lower = ((1, 0, 0), (sign(), 1, 0), (sign(), sign(), 1))
+    upper = ((1, sign(), sign()), (0, 1, sign()), (0, 0, 1))
+    return mat_mul(swap, mat_mul(lower, upper))
+
+
+class TestOracleOnGenericCopies:
+    """The oracle's d* against the Plucker class d(d-1) - 2*delta - 3*kappa
+    on copies G(v) = F(M v), M of determinant +-1: the check frame starts
+    from the analysis frame's moved G, suited or not."""
+
+    @pytest.mark.parametrize("text, d, delta, kappa", [
+        (NODAL, 3, 1, 0), (CUSPIDAL, 3, 0, 1), (TRINODAL, 4, 3, 0),
+        (TRICUSPIDAL, 4, 0, 3), (FERMAT4, 4, 0, 0),
+    ], ids=["nodal-cubic", "cuspidal-cubic", "trinodal", "tricuspidal", "fermat-quartic"])
+    def test_seeded_copies(self, text, d, delta, kappa):
+        from dualis.elimination import apply_matrix
+
+        want = d * (d - 1) - 2 * delta - 3 * kappa
+        rng = random.Random(text)
+        for _ in range(3):
+            m = _unimodular(rng)
+            c = PlaneCurve(apply_matrix(curve(text).F, m))
+            # the first call analyses the copy, the second reads that analysis
+            assert dual_degree_oracle(c) == dual_degree_oracle(c) == want, m
+
+    def test_rejected_hint_and_fraction_witness(self, monkeypatch):
+        # the analysis frame of this copy, the identity at shear 1, does not
+        # suit the check witness's polar: the schedule follows, and does not
+        # try that frame again
+        from dualis import elimination
+        from dualis.elimination import _IDENT, apply_matrix
+
+        m = ((1, 0, -2), (-1, 1, 1), (1, 0, -1))
+        c = PlaneCurve(apply_matrix(curve(NODAL).F, m))
+        assert dual_degree_oracle(c) == 4
+        frames = []
+        step = elimination._pair_frame_count
+
+        def recorded(Fm, Gm, base, t):
+            frame = step(Fm, Gm, base, t)
+            frames.append((base, t, frame is not None))
+            return frame
+        monkeypatch.setattr(elimination, "_pair_frame_count", recorded)
+        assert dual_degree_oracle(c) == 4
+        assert frames == [(_IDENT, 1, False), (_IDENT, 0, False), (_IDENT, 2, True)]
+        # a Fraction witness enters as its primitive integer vector
+        assert dual_degree_oracle(c, witness=(Fraction(1, 2), 1, Fraction(5, 3))) == 4
+        assert dual_degree_oracle(c, witness=(3, 6, 10)) == 4
 
 
 class TestBiduality:

@@ -206,12 +206,18 @@ class TestCounting:
         assert distinct_intersection_count(f, polar) == 9
 
     def test_polar_is_the_weighted_sum_of_partials(self):
+        # integer terms at an integer point, to integer terms of content 1;
+        # a Fraction point enters as its primitive integer vector, as
+        # P_{c*w} = c*P_w, and the polar keeps its sign
         rng = random.Random(113)
         for d in (1, 2, 3, 4, 5):
             F = _random_form(rng, d)
-            for w in [(1, 2, 5), (0, 1, 0), (-3, 0, 7), (Fraction(1, 2), -2, Fraction(5, 3))]:
+            for w, point in [((1, 2, 5), (1, 2, 5)), ((0, 1, 0), (0, 1, 0)),
+                             ((-3, 0, 7), (-3, 0, 7)),
+                             ((Fraction(1, 2), -2, Fraction(5, 3)), (3, -12, 10))]:
                 want = sum((F.derivative(v) * c for v, c in zip(XYZ, w)), MultiPoly.zero(XYZ))
-                assert elimination.polar(F, w) == want, (F.text(), w)
+                got = elimination.polar(_integer_terms(F)[1], point)
+                assert MultiPoly(XYZ, got) * want.content() == want, (F.text(), w)
 
     def test_transversal_pair(self):
         f = parse_poly("x^2 + y^2 - z^2", XYZ)
@@ -259,6 +265,17 @@ class TestCounting:
         for f, g, refusal in cases:
             with pytest.raises(refusal):
                 distinct_intersection_count(f, g)
+
+    def test_singular_counts_out_of_reach_are_refused(self):
+        # a zero polar at the witness is refused before the form test: a
+        # constant, and 2x - y + 1, whose polar at (1, 2, 5) is 2 - 2; a
+        # form in four variables is refused before any witness is tested
+        cases = [(parse_poly("3", XYZ), ZeroInput), (parse_poly("2*x - y + 1", XYZ), ZeroInput),
+                 (parse_poly("x^2 + y^2 - z", XYZ), InvalidParams),
+                 (parse_poly("x*w + y*z", ("x", "y", "z", "w")), InvalidParams)]
+        for f, refusal in cases:
+            with pytest.raises(refusal):
+                certified_singular_count(f)
 
     def test_singular_count_of_three_concurrent_lines(self):
         # x*y*z is three lines in general position, meeting two by two in
@@ -414,17 +431,24 @@ TRICUSPIDAL = "x^2*y^2 + y^2*z^2 + z^2*x^2 - 2*x^2*y*z - 2*x*y^2*z - 2*x*y*z^2"
 
 
 class TestFrameHint:
-    """A (base, shear) hint heads the frame schedule: the frame search of a
-    further witness starts at the analysis frame, and falls back to the
-    full schedule when that frame is not accepted."""
+    """A hint (base, shear, F's terms there) heads the frame schedule: the
+    frame search of a further witness starts at the analysis frame, and
+    falls back to the full schedule, without the hint, when that frame is
+    not accepted."""
 
     @staticmethod
     def _check(F):
-        """The analysis frame's (base, shear) and the next witness off F not
-        proportional to the analysis witness."""
+        """The analysis frame's hint (base, shear, F's terms there) and the
+        next witness off F not proportional to the analysis witness."""
         locus = elimination.singular_locus(F)
         second = next(p for p in witnesses([F]) if any(_cross(p, locus.witness)))
-        return (locus.frame.base, locus.frame.shear), second
+        return (locus.frame.base, locus.frame.shear, locus.frame.terms), second
+
+    @staticmethod
+    def _hint(F, base, shear):
+        """The hint (base, shear, F's integer terms moved there)."""
+        m = mat_mul(base, elimination._shear(shear))
+        return base, shear, elimination._moved(_integer_terms(F)[1], m)
 
     @pytest.fixture
     def searched(self, monkeypatch):
@@ -462,19 +486,24 @@ class TestFrameHint:
                     forms.append(apply_matrix(F, m))
         for F in forms:
             hint, second = self._check(F)
+            # a frame keeps F's integer terms moved by its base and shear
+            assert hint == self._hint(F, hint[0], hint[1]), F.text()
             hinted = elimination._witness_frame(F, second, hint)
             assert hinted.count() == elimination._witness_frame(F, second).count(), F.text()
             # every analysis frame here suits the next polar too
-            assert (hinted.base, hinted.shear) == hint, F.text()
+            assert (hinted.base, hinted.shear, hinted.terms) == hint, F.text()
 
     def test_unusable_hint_base_falls_back(self, searched):
         # the line z = 0 of the identity holds the nodes (1:0:0) and (0:1:0)
         F = parse_poly(TRINODAL, XYZ)
         _, second = self._check(F)
         want, bases, frames = searched(F, second)
-        got, hinted_bases, hinted_frames = searched(F, second, (elimination._IDENT, 0))
+        got, hinted_bases, hinted_frames = searched(F, second,
+                                                    self._hint(F, elimination._IDENT, 0))
         assert (got.count(), got.base, got.shear) == (want.count(), want.base, want.shear)
-        assert hinted_bases == [False] + bases and hinted_frames == frames
+        # the base test fails at every shear, so the schedule skips that base
+        assert bases[0] is False and elimination._BASES[0] == elimination._IDENT
+        assert hinted_bases == [False] + bases[1:] and hinted_frames == frames
 
     def test_rejected_hint_shear_falls_back(self, searched, monkeypatch):
         # the analysis accepts base 9 at shear 1: at shear 0 one fibre of the
@@ -482,19 +511,21 @@ class TestFrameHint:
         F = parse_poly(TRINODAL, XYZ)
         hint, second = self._check(F)
         base = elimination._BASES[9]
-        assert hint == (base, 1)
+        assert hint[:2] == (base, 1)
         powers = []
         is_power = elimination._Frame.is_power
         monkeypatch.setattr(elimination._Frame, "is_power",
                             lambda frame, k, phi: powers.append(is_power(frame, k, phi))
                             or powers[-1])
-        Fm, Gm = (elimination._moved(_integer_terms(f)[1], base)
-                  for f in (F, elimination.polar(F, second)))
-        assert elimination._pair_frame_count(Fm, Gm, base, 0) is None and powers[-1] is False
+        hint = self._hint(F, base, 0)
+        Gm = elimination.polar(hint[2], elimination._preimage(base, second))
+        assert elimination._pair_frame_count(hint[2], Gm, base, 0) is None and powers[-1] is False
         want, bases, frames = searched(F, second)
-        got, hinted_bases, hinted_frames = searched(F, second, (base, 0))
+        got, hinted_bases, hinted_frames = searched(F, second, hint)
         assert (got.count(), got.base, got.shear) == (want.count(), want.base, want.shear)
-        assert hinted_bases == [True] + bases and hinted_frames == [False] + frames
+        # the schedule's first frame is that one, and it is not tried again
+        assert frames[0] is False and len(frames) == 2
+        assert hinted_bases == [True] + bases and hinted_frames == [False] + frames[1:]
 
 
 def _cross(u, v):
@@ -507,6 +538,40 @@ def _line_product(lines):
     for a, b, c in lines:
         out = out * (x * a + y * b + z * c)
     return out
+
+
+class TestPolarInTheFrame:
+    """Every base and x-shear M has determinant +-1, so the polar of F at w
+    moved by M is the polar of F moved by M at the integer point M^-1 w,
+    and a frame takes its polar from F's moved terms."""
+
+    @staticmethod
+    def _det(m):
+        return sum(a * b for a, b in zip(m[0], _cross(m[1], m[2])))
+
+    def test_bases_and_shears_are_unimodular(self):
+        assert len(elimination._BASES) == 39
+        assert all(self._det(m) in (1, -1) for m in elimination._BASES)
+        assert all(self._det(elimination._shear(t)) == 1 for t in range(-50, 200))
+
+    def test_polar_in_the_frame_is_the_moved_polar(self):
+        # the reference is built from F's partials and moved by apply_matrix
+        rng = random.Random(41)
+        for d in (1, 2, 3, 4):
+            F = _random_form(rng, d)
+            terms = _integer_terms(F)[1]
+            for w in [(1, 2, 5), (3, -7, 2), (-2, 1, 1)]:
+                reference = sum((F.derivative(v) * c for v, c in zip(XYZ, w)),
+                                MultiPoly.zero(XYZ))
+                assert not reference.is_zero(), (F.text(), w)
+                for base, t in product(elimination._BASES, range(4)):
+                    m = mat_mul(base, elimination._shear(t))
+                    u = elimination._preimage(m, w)
+                    assert tuple(sum(a * b for a, b in zip(row, u)) for row in m) == w
+                    got = MultiPoly(XYZ, elimination.polar(elimination._moved(terms, m), u))
+                    assert not got.is_zero(), (F.text(), w, m)
+                    assert got.primitive() == apply_matrix(reference, m).primitive(), (
+                        F.text(), w, m)
 
 
 class TestFrameCertificate:

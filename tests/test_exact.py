@@ -442,6 +442,13 @@ class TestPencilCertificates:
         with pytest.raises(ZeroInput):
             point_off([MultiPoly.zero(XYZ)])
 
+    def test_witnesses_refuse_a_form_in_four_variables(self):
+        # a witness has three coordinates; the walk tests integer terms by
+        # position, so a fourth variable is refused, not dropped
+        form = parse_poly("x*w + y*z", ("x", "y", "z", "w"))
+        with pytest.raises(InvalidParams):
+            witnesses([form])
+
     def test_witnesses_refuse_an_empty_family(self):
         # an empty family fixes no ring, so it is refused before any walk
         with pytest.raises(InvalidParams):

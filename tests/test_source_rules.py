@@ -171,7 +171,8 @@ def test_front_ends_dispatch_through_tables():
 
 def test_frame_search_stays_on_integer_lists():
     # each form enters the frame search once, as integer terms, and every
-    # base and shear moves those terms; the frame holds the pair as integer
+    # base and shear moves those terms, a polar taken from the moved first
+    # form and the moved point; the frame holds the pair as integer
     # y-columns: its eliminant and every s_{k,j} are integer Sylvester
     # minors at cached points, its line resultants a closed form, so the
     # generic MultiPoly kernel, and the Fraction arithmetic in it, stays out
@@ -182,7 +183,9 @@ def test_frame_search_stays_on_integer_lists():
     integer = kernel | {"Fraction", "MultiPoly"}
     rules = {"_Frame": kernel, "singular_locus": kernel, "_accepted_frame": kernel,
              "_pair_frame_count": integer, "_chart_columns": integer,
-             "_infinity_restriction": integer, "_base_usable": integer}
+             "_infinity_restriction": integer, "_base_usable": integer,
+             "polar": integer, "_preimage": integer, "_carried": integer,
+             "_second_form": integer, "_sheared": integer}
     scopes = {node.name: node for node in ast.walk(tree)
               if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in rules}
     assert len(scopes) == len(rules)
@@ -238,13 +241,17 @@ def test_one_line_restriction_and_one_coordinate_change():
 def test_one_expansion_and_one_integer_coordinate_change():
     # every substitution and change of coordinates runs through the one
     # expansion exact._expand; bases, shears and apply_matrix move integer
-    # terms through elimination._moved
+    # terms through elimination._moved, and the frame search moves the
+    # second form of a pair in _carried alone; a polar is never moved, but
+    # taken in each frame from the moved first form (_second_form)
     assert _readers("_expand") == ["dualgeom.py: _dual_in_chart", "elimination.py: _moved",
                                    "exact.py: substitute"]
     assert _readers("_add_product") == ["exact.py: __mul__", "exact.py: _expand"]
     assert _readers("_moved") == ["elimination.py: _accepted_frame",
-                                  "elimination.py: _pair_frame_count",
+                                  "elimination.py: _carried", "elimination.py: _sheared",
                                   "elimination.py: apply_matrix"]
+    assert _readers("polar") == ["elimination.py: _accepted_frame",
+                                 "elimination.py: _second_form"]
     assert "comb" not in _referenced_names(SOURCE / "elimination.py")
     defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
     assert not defined & {"_dehomogenised", "restrict_variables"}
