@@ -35,19 +35,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from . import charclass, curvelab, dualgeom, elimination, flopcalc
+from . import charclass, curvelab, dualgeom, flopcalc
 from .curvelab import PlaneCurve
-from .errors import (
-    DualisError,
-    GuardrailExceeded,
-    MissingFile,
-    NotTransversal,
-    SchemaError,
-)
+from .errors import DualisError, GuardrailExceeded, MissingFile, SchemaError
 from .exact import DUAL_DEGREE_CAP, _UNPRINTABLE, MultiPoly, format_rational, parse_rational
 from .flopcalc import CONORMAL, IDENTITY_FIELDS, INTRO, IdentityInstance, VarietyInvariants
 
@@ -406,14 +399,6 @@ def curve_package(curve: PlaneCurve, label: str) -> VarietyInvariants:
     )
 
 
-def _line_dual_point(curve: PlaneCurve) -> tuple:
-    """The dual-plane point of a line (its coefficient vector)."""
-    coeffs = [Fraction(0), Fraction(0), Fraction(0)]
-    for e, c in curve.F.terms.items():
-        coeffs[e.index(1)] = c
-    return elimination.normalize_point(coeffs)
-
-
 @dataclass(frozen=True)
 class CurvePairData:
     s1: VarietyInvariants
@@ -430,8 +415,18 @@ def build_curve_pair(c1: PlaneCurve, c2: PlaneCurve,
 
     Lines dualize to points; higher-degree curves get explicit dual
     equations and full dual-curve reports, so a dual past `DUAL_DEGREE_CAP`
-    is refused with GuardrailExceeded before its chart.  Both intersection
-    chis are certified counts; any failed certificate raises.
+    is refused with GuardrailExceeded before its chart.  chi_cap is a
+    certified transversal count: a pair sharing a component, two equal
+    lines among them, is refused with ReducibleCurve, and a pair meeting
+    with multiplicity above one with NotTransversal.
+
+    When either curve is a line L, the dual side is empty: L* is a point,
+    and two distinct lines have distinct dual points.  A plane curve C of
+    degree >= 2 is reflexive in characteristic 0 (Kleiman, Tangency and
+    duality, CMS Conf. Proc. 6, 1986), so L* lies on C* only when L is a
+    limit of tangent lines of C, and such a line meets C with multiplicity
+    at least 2 somewhere, which chi_cap has already refused.  Otherwise
+    chi_cap_dual is the certified transversal count of the two duals.
     """
     s1 = curve_package(c1, label1)
     s2 = curve_package(c2, label2)
@@ -440,32 +435,14 @@ def build_curve_pair(c1: PlaneCurve, c2: PlaneCurve,
     duals = []
     for curve, label in ((c1, label1), (c2, label2)):
         if curve.degree == 1:
-            point = _line_dual_point(curve)
-            duals.append((
-                "point", point,
-                charclass.linear_space_package(2, 0, f"{label} dual point"),
-            ))
+            duals.append((None, charclass.linear_space_package(2, 0, f"{label} dual point")))
         else:
             dualgeom._check_dual_degree(curve, DUAL_DEGREE_CAP, GuardrailExceeded, f"{label} ")
             eq = dualgeom.dual_equation(curve)
-            duals.append(
-                ("curve", eq.curve, curve_package(eq.curve, f"{label} dual curve"))
-            )
+            duals.append((eq.curve, curve_package(eq.curve, f"{label} dual curve")))
 
-    (k1, o1, d1), (k2, o2, d2) = duals
-    if k1 == "point" and k2 == "point":
-        if o1 == o2:
-            raise NotTransversal("the two lines coincide")
-        chi_dual = 0
-    elif k1 == "point" or k2 == "point":
-        point = o1 if k1 == "point" else o2
-        dual_curve = o2 if k1 == "point" else o1
-        vals = dict(zip(dual_curve.variables, point))
-        if dual_curve.F.evaluate(vals) == 0:
-            raise NotTransversal("dual point lies on the dual curve")
-        chi_dual = 0
-    else:
-        chi_dual = curvelab.transversal_intersection_chi(o1, o2)
+    (o1, d1), (o2, d2) = duals
+    chi_dual = 0 if o1 is None or o2 is None else curvelab.transversal_intersection_chi(o1, o2)
     return CurvePairData(s1, s2, d1, d2, chi_cap, chi_dual)
 
 

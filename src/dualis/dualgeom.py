@@ -77,6 +77,7 @@ from .exact import (  # WITNESS_SEQUENCE is re-exported for callers
     _from_differences,
     _integer_terms,
     _interpolate,
+    _primitive_ints,
     _uni_discriminant,
     try_exact_div,
     witnesses,
@@ -242,13 +243,13 @@ def dual_degree_oracle(curve: PlaneCurve, witness=None) -> int:
     polar.  The count is recomputed at the first point of `witnesses` not
     proportional to the witness, and a mismatch raises NonGenericWitness.
     F is square-free and each witness lies off the curve, so each frame
-    is certified without a coprimality test (`elimination._witness_frame`).
+    is certified without a coprimality test (`elimination._accepted_frame`).
     Each frame search starts at the analysis frame, which usually suits a
     second polar too: F's terms are taken as that frame holds them, moved
     by its base and shear, and the polar is taken there, so that frame
     moves nothing; the full schedule follows, without it.  A given witness
-    must be three ints or Fractions, not all zero; Fractions are scaled to
-    the primitive integer point.
+    must be three ints or Fractions, not all zero; it is scaled to its
+    primitive integer vector, the point the frame search takes.
     """
     if curve.degree < 2:
         raise InvalidParams("dual degree oracle needs a curve of degree >= 2")
@@ -261,10 +262,10 @@ def dual_degree_oracle(curve: PlaneCurve, witness=None) -> int:
     if witness is not None:
         if curve.contains(witness):
             raise WitnessOnCurve(f"witness {witness} lies on the curve")
-        w = witness
-        count = elimination._witness_frame(curve.F, w, hint).count()
+        w = tuple(_primitive_ints(witness))
+        count = elimination._accepted_frame(curve.F, w, hint).count()
     second = next(p for p in witnesses([curve.F]) if not _proportional(p, w))
-    check = elimination._witness_frame(curve.F, second, hint).count()
+    check = elimination._accepted_frame(curve.F, second, hint).count()
     if count != check:
         raise NonGenericWitness(
             f"witnesses {w} and {second} disagree: "

@@ -65,7 +65,7 @@ candidate, modulo the lifted modulus or, on an integer list scaled to be
 monic, exactly at an integer.  No trivariate gcd runs
 here: a pair is proved coprime on a pencil of lines
 (`exact.forms_coprime`), except a square-free form and the polar of a
-point off its curve, which are coprime by construction (`_witness_frame`).
+point off its curve, which are coprime by construction (`_accepted_frame`).
 
 Nothing here ever returns a float or an approximation; when a count cannot
 be certified the routine raises.
@@ -86,6 +86,7 @@ from .errors import (
     DegreeGuardrail,
     GuardrailExceeded,
     InvalidParams,
+    InvariantViolation,
     NotTransversal,
     ReducibleCurve,
     ZeroInput,
@@ -377,6 +378,13 @@ def _pair_frame_count(Fm: dict, Gm: dict, base: Matrix, t: int) -> Optional[_Fra
     degree k exactly where psc_1..psc_{k-1} vanish and psc_k does not, and
     S_k is that gcd up to a constant.  The frame is accepted when on every
     class that gcd has one root (see `_Frame.is_power`).
+
+    The eliminant has degree mn exactly: with constant y-leading
+    coefficients, Res_y of the two forms is a form of degree mn in (x, z)
+    whose x^(mn) coefficient is the resultant of their restrictions to
+    z = 0, and that is nonzero, as `_base_usable` found no common zero on
+    that line.  A shorter R breaks that argument, so it raises
+    InvariantViolation.
     """
     frame = _Frame(Fm, Gm, base, t)
     if not (frame.A[-1] and frame.B[-1]):
@@ -384,7 +392,8 @@ def _pair_frame_count(Fm: dict, Gm: dict, base: Matrix, t: int) -> Optional[_Fra
     m, n = len(frame.A) - 1, len(frame.B) - 1
     R = frame.coefficient(0, 0)
     if len(R) - 1 != m * n:
-        return None
+        raise InvariantViolation(f"eliminant of degree {len(R) - 1}, not {m * n},"
+                                 f" in the frame of base {base} and shear {t}")
     rem = _sqfree_part(_primitive(R))
     for k in range(1, min(m, n) + 1):
         if len(rem) == 1:
@@ -474,7 +483,10 @@ def _accepted_frame(F: MultiPoly, G, hint: Optional[tuple] = None) -> _Frame:
     """The first accepted frame of the pair of F and G (see `_pair_frame_count`).
 
     G is a form, or an integer point w off the curve of a square-free F for
-    the pair of F and its polar P_w.  That pair shares no component, so it
+    the pair of F and its polar P_w: `point_off` and the `witnesses` walk
+    yield integer points, and `dualgeom.dual_degree_oracle` scales a given
+    witness to its primitive integer vector, as the polar at c*w is c times
+    the polar at w.  That pair shares no component, so it
     skips `forms_coprime`: a component shared by a square-free F and its
     polar would be a cone with vertex w, so it would contain w.  And only F
     moves: every base and every x-shear M has determinant +-1, so
@@ -544,14 +556,6 @@ def distinct_intersection_count(F: MultiPoly, G: MultiPoly) -> int:
     return _accepted_frame(F, G).count()
 
 
-def _witness_frame(F: MultiPoly, w, hint: Optional[tuple] = None) -> _Frame:
-    """The first accepted frame of a square-free form F and its polar at a
-    point w off the curve, trying the `hint` first (see `_accepted_frame`).
-    A point with Fraction coordinates is scaled to its primitive integer
-    vector first, as the polar at c*w is c times the polar at w."""
-    return _accepted_frame(F, tuple(_primitive_ints(w)), hint)
-
-
 @dataclass(frozen=True)
 class SingularLocus:
     """The singular analysis of the curve of a square-free form F, read from
@@ -579,7 +583,8 @@ def singular_locus(F: MultiPoly) -> SingularLocus:
     """The singular analysis of the curve of a square-free form F.
 
     A witness w = `point_off([F])` lies off the curve, so F and its polar
-    P_w are coprime (`_witness_frame`).  The singular points lie on both
+    P_w are coprime (`_accepted_frame`); a zero F has no such point, and
+    `point_off` refuses it with ZeroInput.  The singular points lie on both
     curves, and in the first accepted frame of the pair every common zero
     is affine and the only one over its root alpha of R, at
     (alpha, beta(alpha)).  On a class Phi_k it is singular where both
@@ -588,10 +593,8 @@ def singular_locus(F: MultiPoly) -> SingularLocus:
     The count is the sum of their degrees, and the rational roots give the
     rational points (`rational_system_points`).
     """
-    if F.is_zero():
-        raise ZeroInput("the zero form defines no curve")
     w = point_off([F])
-    frame = _witness_frame(F, w)
+    frame = _accepted_frame(F, w)
     # the affine partials of the moved F, as y-columns without zero top columns
     dx = [_derivative(col) for col in frame.A]
     dy = _y_derivative(frame.A)

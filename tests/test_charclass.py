@@ -159,3 +159,18 @@ class TestPackages:
 
     def test_hyperplane_package_matches_linear(self):
         assert hypersurface_package(4, 1).chi_slices == linear_space_package(4, 3).chi_slices
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: chi_standard(QUADRIC, -1), "quadric needs n >= 0"),
+        (lambda: hypersurface_package(1, 2), "hypersurface package needs"),
+        (lambda: hypersurface_package(3, 0), "hypersurface package needs"),
+        (lambda: linear_space_package(2, 3), "linear package needs"),
+        (lambda: linear_space_package(2, -1), "linear package needs"),
+        (lambda: linear_space_package(1, 0), "linear package needs"),
+    ], ids=["quadric-negative-n", "hypersurface-in-a-line", "hypersurface-of-degree-0",
+            "linear-above-the-ambient", "linear-negative-m", "linear-in-a-line"])
+    def test_invalid_params(self, call, match):
+        with pytest.raises(InvalidParams, match=match):
+            call()

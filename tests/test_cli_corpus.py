@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from dualis.charclass import hypersurface_package
+from dualis import dualgeom
 from dualis.cli import run_command
 from dualis.corpus import (
     CorpusCase,
@@ -29,8 +31,15 @@ from dualis.corpus import (
     standard_package,
 )
 from dualis.curvelab import PlaneCurve
-from dualis.errors import GuardrailExceeded, MissingFile, SchemaError
-from dualis.exact import parse_poly
+from dualis.errors import (
+    GuardrailExceeded,
+    IrrationalSingularity,
+    MissingFile,
+    NotTransversal,
+    ReducibleCurve,
+    SchemaError,
+)
+from dualis.exact import MultiPoly, parse_poly
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPO_CORPUS = REPO_ROOT / "corpus"
@@ -105,6 +114,21 @@ class TestCorpusLoading:
         with pytest.raises(MissingFile):
             load_corpus(path)
 
+    @pytest.mark.parametrize("case", [3, "a", ["a"], None], ids=["number", "text", "list", "null"])
+    def test_case_must_be_an_object(self, case, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text(json.dumps({"cases": [case]}))
+        with pytest.raises(SchemaError, match="case must be an object") as err:
+            load_corpus(tmp_path)
+        assert err.value.field == "cases"
+        assert run_command(["corpus", "run", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: SchemaError")
+
+    def test_run_case_refuses_an_unknown_kind(self, tmp_path):
+        # load_corpus refuses the kind first; a case built in code reaches run_case
+        result = run_case(CorpusCase("a", "Nope", {}), tmp_path)
+        assert result.status == "error"
+        assert result.details["error"].startswith("SchemaError: case a: unknown kind")
+
     def test_report_round_trip(self, tmp_path):
         case = CorpusCase("solve", "SolveUnknown", {
             "n": 2, "dims": [1, 1, 0, 0],
@@ -161,6 +185,67 @@ class TestCurvePairAssembly:
         assert pkg.c0m == 3
         pkg.validate_slices()
 
+    #: pairs with a line whose intersection count is refused: the first two
+    #: share their line, the others meet with multiplicity at least 2
+    LINE_REFUSALS = {
+        "same-line": ("x", "x", ReducibleCurve),
+        "proportional-line": ("x", "2*x", ReducibleCurve),
+        "tangent-line": ("y", "x^2 - y*z", NotTransversal),            # at [0:0:1]
+        "flex-tangent": ("z", "y^2*z - x^3", NotTransversal),          # at [0:1:0]
+        "line-through-the-node": ("x", "y^2*z - x^3 - x^2*z", NotTransversal),
+    }
+
+    @pytest.mark.parametrize("name", list(LINE_REFUSALS))
+    def test_line_pair_refused_by_its_intersection_count(self, name):
+        line, other, error = self.LINE_REFUSALS[name]
+        for pair in ((line, other), (other, line)):
+            with pytest.raises(error):
+                build_curve_pair(*map(PlaneCurve.from_text, pair))
+
+    def test_line_pair_refusals_through_corpus_run(self, tmp_path, capsys):
+        manifest = {"cases": [
+            {"id": name, "kind": "CurvePair",
+             "inputs": {"curve1": {"poly": line}, "curve2": {"poly": other}}}
+            for name, (line, other, _) in self.LINE_REFUSALS.items()]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["corpus", "run", str(tmp_path), "--format", "json", "--no-timestamps"]
+        assert run_command(argv) == 1
+        cases = json.loads(capsys.readouterr().out)["cases"]
+        assert [case["id"] for case in cases] == list(self.LINE_REFUSALS)
+        for case in cases:
+            error = self.LINE_REFUSALS[case["id"]][2].__name__
+            assert case["status"] == "error"
+            assert case["details"]["error"].startswith(f"{error}: "), case
+
+    def test_dual_point_of_a_built_line_pair_is_off_the_dual_curve(self):
+        # a line L whose pair with C builds meets C in d distinct points, so
+        # L* is off the dual curve C*: its equation is nonzero at L's
+        # coefficient vector, and the dual side counts 0
+        rng = random.Random(33)
+        built = 0
+        for name in ("conic_circle", "conic_parabola", "cubic_cusp", "cubic_cusp_moved",
+                     "cubic_nodal", "cubic_nodal_rf"):
+            c = PlaneCurve.from_text(read_file(REPO_CORPUS / "curves" / f"{name}.txt"))
+            dual = dualgeom.dual_equation(c).D
+            for trial in range(12):
+                coefficients = (0, 0, 0)
+                while not any(coefficients):
+                    coefficients = tuple(rng.randint(-3, 3) for _ in range(3))
+                line = PlaneCurve(sum((MultiPoly.var(c.variables, v) * a
+                                       for v, a in zip(c.variables, coefficients)),
+                                      MultiPoly.zero(c.variables)))
+                try:
+                    data = build_curve_pair(*((line, c) if trial % 2 else (c, line)))
+                except (NotTransversal, IrrationalSingularity):
+                    # a line meeting C twice somewhere; or the nodal cubic,
+                    # whose dual has irrational cusps
+                    continue
+                built += 1
+                assert data.chi_cap == c.degree and data.chi_cap_dual == 0
+                assert dual.evaluate(dict(zip(dual.variables, coefficients))) != 0, (
+                    name, coefficients)
+        assert built >= 40
+
 
 class TestCli:
     def test_classical_plucker_output(self, capsys):
@@ -202,6 +287,7 @@ class TestCli:
                             "--max-degree", "99"])
         assert code == 2
 
+    @pytest.mark.timed
     @pytest.mark.parametrize("poly", [
         "x^12*y + y^12*z + z^12*x + x^5*y^4*z^4",
         "x^7*y + y^7*z + z^7*x + x^3*y^3*z^2",
@@ -212,6 +298,7 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         assert "InvalidParams" in capsys.readouterr().err
 
+    @pytest.mark.timed
     @pytest.mark.parametrize("argv", [
         ["chi", "std", "--kind", "grassmannian", "-n", "20000", "-k", "10000"],
         ["chi", "ci", "-n", "3", "--degrees", "9" * 2000],
@@ -338,6 +425,7 @@ class TestCli:
         assert run_command(["corpus", "run", self._unprintable_corpus(tmp_path)]) == 1
         assert capsys.readouterr().out == "[FAIL ] huge\ntotal 1: 0 pass, 1 fail, 0 error\n"
 
+    @pytest.mark.timed
     def test_corpus_applies_the_cli_degree_cap(self, tmp_path):
         manifest = {"cases": [
             {"id": "over-cap", "kind": "CurvePair",
@@ -351,6 +439,7 @@ class TestCli:
         assert result.status == "error"
         assert result.details["error"].startswith("InvalidParams:")
 
+    @pytest.mark.timed
     def test_corpus_refuses_a_dual_past_the_hard_cap(self, tmp_path):
         # the Fermat quartic's dual has degree 12; its analysis ran for minutes
         (tmp_path / "curves").mkdir()
@@ -368,6 +457,7 @@ class TestCli:
         assert result.status == "error"
         assert result.details["error"] == "GuardrailExceeded: S1 dual degree 12 exceeds the cap 8"
 
+    @pytest.mark.timed
     def test_corpus_applies_the_chi_guardrails(self, tmp_path):
         line = {"standard": {"type": "linear", "n": 3, "m": 1}}
         manifest = {"cases": [
@@ -431,6 +521,11 @@ class TestMalformedInput:
     ], ids=["curve", "package", "instance", "out"])
     def test_directory_in_place_of_a_file(self, argv, tmp_path, capsys):
         self._refused([a.replace("{dir}", str(tmp_path)) for a in argv], capsys, error=None)
+
+    @pytest.mark.parametrize("text", ["", "x*", "x*^2"],
+                             ids=["empty", "dangling-product", "power-without-base"])
+    def test_incomplete_polynomial(self, text, capsys):
+        self._refused(["curve", "analyze", "--poly", text], capsys, error="PolySyntaxError")
 
     def test_missing_file(self, tmp_path, capsys):
         self._refused(["plucker", "solve", "--file", str(tmp_path / "none.json")], capsys,
@@ -548,6 +643,51 @@ class TestMalformedInput:
         assert run_command(["corpus", "run", str(tmp_path)]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "total 3: 2 pass, 0 fail, 1 error"
 
+    #: packages of two lines in P^2 and of their dual points
+    LINE_PACKAGES = {
+        name: {"standard": {"type": "linear", "n": 2, "m": m}}
+        for name, m in (("s1", 1), ("s2", 1), ("d1", 0), ("d2", 0))}
+
+    @pytest.mark.parametrize("broken, message", [
+        ({"kind": "CurvePair", "inputs": {"curve1": {"poly": "x"}, "curve2": {"text": "y"}}},
+         "curve spec needs 'file' or 'poly'"),
+        ({"kind": "CurvePair", "inputs": {"curve1": "x", "curve2": {"poly": "y"}}},
+         "curve spec needs 'file' or 'poly'"),
+        ({"kind": "PackagePair", "inputs": {**LINE_PACKAGES, "s1": "linear",
+                                            "chi_cap": 1, "chi_cap_dual": 0}},
+         "package spec must be an object"),
+        ({"kind": "PackagePair", "inputs": {**LINE_PACKAGES, "d2": {"label": "point"},
+                                            "chi_cap": 1, "chi_cap_dual": 0}},
+         "package spec needs 'file', 'inline' or 'standard'"),
+        ({"kind": "PackagePair", "inputs": {**LINE_PACKAGES, "chi_cap": {"slice": ["s9", 1]},
+                                            "chi_cap_dual": 0}},
+         "no package named 's9'"),
+        ({"kind": "PackagePair", "inputs": {**LINE_PACKAGES, "chi_cap": {"slice": ["s1", 3]},
+                                            "chi_cap_dual": 0}},
+         "slice index 3 outside 0..2"),
+        ({"kind": "PackagePair", "inputs": {**LINE_PACKAGES, "chi_cap": {"slice": ["s1", -1]},
+                                            "chi_cap_dual": 0}},
+         "slice index -1 outside 0..2"),
+        ({"kind": "PackagePair", "inputs": {**LINE_PACKAGES, "chi_cap": {"empty": True},
+                                            "chi_cap_dual": 0}},
+         "'empty' needs dim1 + dim2 < n"),
+        ({"kind": "QuadricPair", "inputs": {
+            "s": {"standard": {"type": "linear", "n": 2, "m": 1}},
+            "s_dual": {"standard": {"type": "linear_dual", "n": 2, "m": 1}},
+            "chi_s_q": {"empty": True}, "chi_sd_qd": 1}},
+         "'empty' not allowed here"),
+    ], ids=["curve-spec-without-source", "curve-spec-not-an-object", "package-spec-not-an-object",
+            "package-spec-without-source", "slice-of-an-unknown-package",
+            "slice-index-above-n", "negative-slice-index", "empty-needs-small-dimensions",
+            "empty-in-a-quadric-pair"])
+    def test_schema_refusal_names_its_rule(self, broken, message, tmp_path):
+        manifest = {"cases": [{"id": "broken", **broken}]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        (result,) = run_corpus(tmp_path, include_timing=False).results
+        assert result.status == "error"
+        assert result.details["error"].startswith("SchemaError: "), result.details
+        assert message in result.details["error"], result.details
+
     def test_curve_file_that_is_not_utf8(self, tmp_path, capsys):
         # both front ends read curve files through read_file, which refuses
         # bytes that do not decode instead of raising UnicodeDecodeError
@@ -624,6 +764,7 @@ class TestModuleEntryPoint:
         assert done.stderr.startswith(b"error: IrrationalSingularity")
         assert b"count is 15" in done.stderr
 
+    @pytest.mark.timed
     def test_triple_points_dual_degree_in_time(self):
         start = time.perf_counter()
         done = self._run("curve", "dual-degree", "--poly", "x^3*y^3 + y^3*z^3 + z^3*x^3")
@@ -650,11 +791,13 @@ class TestModuleEntryPoint:
         assert done.returncode == 0
         return json.loads(done.stdout)
 
+    @pytest.mark.timed
     def test_smooth_sextic_analysis_in_time(self):
         got = self._json_in_time("curve", "analyze", "--poly",
                                  "x^6 + y^5*z + x^2*y^2*z^2 + z^6 + x*y^5")
         assert got["report"]["g"] == 10 and got["singular_points"] == []
 
+    @pytest.mark.timed
     def test_smooth_cubic_dual_in_time(self):
         got = self._json_in_time("curve", "dual", "--poly", "x^3 - 2*y^2*z + 3*x*z^2 - y*z^2")
         assert got["degree"] == 6
@@ -662,6 +805,7 @@ class TestModuleEntryPoint:
         # grad F(0, 1, 0) = (0, 0, -2)
         assert parse_poly(got["dual"], ("u", "v", "w")).evaluate({"u": 0, "v": 0, "w": -2}) == 0
 
+    @pytest.mark.timed
     @pytest.mark.parametrize("poly, degree", [
         ("x^5 + y^4*z + x*y*z^3 + z^5", 20),
         ("x^6 + y^6 + z^6", 30),
@@ -671,6 +815,7 @@ class TestModuleEntryPoint:
         # a smooth curve of degree d has class d(d - 1)
         assert self._json_in_time("curve", "dual", "--poly", poly)["degree"] == degree
 
+    @pytest.mark.timed
     def test_four_lines_and_conic_dual_degree_in_time(self):
         # lines have class 0 and the conic class 2
         start = time.perf_counter()
@@ -693,11 +838,13 @@ class TestModuleEntryPoint:
             partials = [sympy.diff(F, w).subs(v, 1) for w in xyz]
             assert list(sympy.groebner(partials, *rest, order="grevlex")) == [1]
 
+    @pytest.mark.timed
     def test_octic_analysis_in_time(self):
         got = self._json_in_time("curve", "analyze", "--poly", self.OCTIC, "--max-degree", "8")
         assert got["report"]["g"] == 21 and got["report"]["chi"] == -40
         assert got["singular_points"] == []
 
+    @pytest.mark.timed
     def test_octic_dual_degree_in_time(self):
         start = time.perf_counter()
         done = self._run("curve", "dual-degree", "--poly", self.OCTIC, "--max-degree", "8")
@@ -705,6 +852,7 @@ class TestModuleEntryPoint:
         assert done.returncode == 0
         assert done.stdout.strip() == b"56"
 
+    @pytest.mark.timed
     @pytest.mark.parametrize("poly", [
         "x^" + "9" * 4400 + " + y^2*z",     # int() refuses more than 4300 digits
         "9" * 5000 + "/0*x^2 + y^2*z",

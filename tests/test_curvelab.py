@@ -66,6 +66,7 @@ def curve(text):
 class TestConstruction:
     """PlaneCurve refuses what no analysis could finish, before any work."""
 
+    @pytest.mark.timed
     def test_over_the_sylvester_guardrail_refused_quickly(self):
         # a degree-d curve against a line has a (d + 1)x(d + 1) Sylvester
         # matrix, over the 64x64 guardrail from d = 64
@@ -75,6 +76,7 @@ class TestConstruction:
                 PlaneCurve.from_text(text)
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.timed
     def test_long_input_refused_quickly(self):
         # x^1 + x^2 + ... + x^32000 is parsed into one term dict, so the
         # degree cap refuses it without a quadratic pile of partial sums
@@ -498,6 +500,16 @@ class TestLineTransversality:
             with pytest.raises(UnknownVariableError):
                 line_transversality(circle, parse_poly(text, ring))
 
+    def test_zero_form_is_not_a_line(self):
+        with pytest.raises(ZeroInput):
+            line_transversality(curve(CIRCLE), MultiPoly.zero(PRIMAL_VARS))
+
+    @pytest.mark.parametrize("text", ["x^2 - y*z", "x + 1", "3"],
+                             ids=["conic", "not-homogeneous", "constant"])
+    def test_only_a_linear_form_is_a_line(self, text):
+        with pytest.raises(InvalidParams, match="nonzero degree-1 form"):
+            line_transversality(curve(CIRCLE), parse_poly(text, PRIMAL_VARS))
+
 
 def _sympy_meets_in_distinct_points(text, line):
     """Does SymPy find the curve's restriction to the line a square-free
@@ -653,3 +665,8 @@ class TestPairChi:
     def test_shared_component_refused(self):
         with pytest.raises(ReducibleCurve):
             transversal_intersection_chi(curve("x"), curve("x + y - y"))
+
+    def test_curves_in_different_rings_refused(self):
+        dual_line = PlaneCurve.from_text("u + w", ("u", "v", "w"))
+        with pytest.raises(InvalidParams, match="different coordinate rings"):
+            transversal_intersection_chi(curve("x + z"), dual_line)

@@ -55,6 +55,15 @@ def curve(text):
     return PlaneCurve.from_text(text)
 
 
+def test_dual_ring_of_a_foreign_ring_refused():
+    # only (x, y, z) and (u, v, w) are dual to each other
+    assert dualgeom.dual_ring(PRIMAL_VARS) == DUAL_VARS
+    assert dualgeom.dual_ring(DUAL_VARS) == PRIMAL_VARS
+    for ring in (("a", "b", "c"), ("y", "x", "z"), ("x", "y", "z", "t")):
+        with pytest.raises(InvalidParams, match="no dual coordinates"):
+            dualgeom.dual_ring(ring)
+
+
 def _quadric_matrix(F):
     """Symmetric 3x3 rational matrix of a quadratic form."""
     vars3 = F.variables
@@ -328,6 +337,11 @@ class TestDualDegreeOracle:
     def test_conic(self):
         assert dual_degree_oracle(curve(CONIC)) == 2
 
+    def test_line_refused(self):
+        # the dual of a line is a point, which has no degree as a curve
+        with pytest.raises(InvalidParams, match="degree >= 2"):
+            dual_degree_oracle(curve("x + 2*y + 5*z"))
+
     def test_nodal_cubic(self):
         assert dual_degree_oracle(curve(NODAL)) == 4
 
@@ -405,11 +419,12 @@ class TestDualDegreeOracle:
         c = curve(NODAL)
         singular_analysis(c)
         built = []
-        search = elimination._witness_frame
-        monkeypatch.setattr(elimination, "_witness_frame",
-                            lambda F, w, hint=None: built.append(tuple(w)) or search(F, w, hint))
+        search = elimination._accepted_frame
+        monkeypatch.setattr(elimination, "_accepted_frame",
+                            lambda F, w, hint=None: built.append(w) or search(F, w, hint))
+        # the given witness enters scaled to its primitive integer vector
         assert dual_degree_oracle(c, witness=(2, 4, 10)) == 4
-        assert built == [(2, 4, 10), (3, 7, 2)]
+        assert built == [(1, 2, 5), (3, 7, 2)]
 
     #: a cubic through all eight points of WITNESS_SEQUENCE; SymPy finds its
     #: partials without a common projective zero, so it is smooth and d* = 6
@@ -497,9 +512,11 @@ class TestDualDegreeOracle:
 
     def test_non_generic_witness_detected(self):
         # (1, 5, 0) lies on the flex tangent z = 0 of the cuspidal cubic,
-        # merging two tangency points into one
-        with pytest.raises(NonGenericWitness):
-            dual_degree_oracle(curve(CUSPIDAL), witness=(1, 5, 0))
+        # merging two tangency points into one; the message names the
+        # witness as the primitive integer point the frame search took
+        for witness in ((1, 5, 0), (Fraction(1, 2), Fraction(5, 2), 0)):
+            with pytest.raises(NonGenericWitness, match=r"witnesses \(1, 5, 0\) and"):
+                dual_degree_oracle(curve(CUSPIDAL), witness=witness)
 
 
 def _unimodular(rng):

@@ -22,6 +22,7 @@ from dualis.errors import (
     DegreeGuardrail,
     GuardrailExceeded,
     InvalidParams,
+    InvariantViolation,
     NotTransversal,
     ReducibleCurve,
     ZeroInput,
@@ -236,6 +237,7 @@ class TestCounting:
         with pytest.raises(ReducibleCurve):
             distinct_intersection_count(f, g)
 
+    @pytest.mark.timed
     @pytest.mark.parametrize("shared", ["z", "x^2 + y^2 - z^2"], ids=["line", "conic"])
     def test_shared_component_refused_at_the_first_base(self, shared, monkeypatch):
         common = parse_poly(shared, XYZ)
@@ -277,6 +279,13 @@ class TestCounting:
             with pytest.raises(refusal):
                 certified_singular_count(f)
 
+    def test_zero_form_refused_by_its_witness_walk(self):
+        # no point lies off the zero form, so point_off refuses it
+        zero = MultiPoly.zero(XYZ)
+        for analysis in (elimination.singular_locus, certified_singular_count):
+            with pytest.raises(ZeroInput, match="no point lies off the zero form"):
+                analysis(zero)
+
     def test_singular_count_of_three_concurrent_lines(self):
         # x*y*z is three lines in general position, meeting two by two in
         # three double points; x^3 + y^3 is three lines through [0:0:1],
@@ -293,6 +302,7 @@ class TestCounting:
         # passes there and one affine partial vanishes, but not both
         assert certified_singular_count(parse_poly(conic, XYZ)) == 0
 
+    @pytest.mark.timed
     def test_singular_count_needs_no_trivariate_gcd(self):
         # x (x - z)(x + y + z)(x + 2y - z)(x^2 - 3y^2 + 2z^2): 6 crossings of
         # the lines and 8 line-conic points.  The first base fails on this
@@ -418,6 +428,7 @@ class TestIntegerFrameKernel:
             got = elimination._line_resultant(P, a, b)
             assert MultiPoly(XY, {(i, 0): c for i, c in enumerate(got)}) == want, (P, a, b)
 
+    @pytest.mark.timed
     def test_smooth_curve_of_degree_ten_within_three_seconds(self):
         # its 90 polar points form one class of degree 90; the line
         # resultants of the singular parts against L_1 take the closed form
@@ -470,7 +481,7 @@ class TestFrameHint:
 
         def search(F, w, hint=None):
             outcomes.update(bases=[], frames=[])
-            return elimination._witness_frame(F, w, hint), outcomes["bases"], outcomes["frames"]
+            return elimination._accepted_frame(F, w, hint), outcomes["bases"], outcomes["frames"]
         return search
 
     def test_hinted_count_is_the_schedule_count(self):
@@ -488,8 +499,8 @@ class TestFrameHint:
             hint, second = self._check(F)
             # a frame keeps F's integer terms moved by its base and shear
             assert hint == self._hint(F, hint[0], hint[1]), F.text()
-            hinted = elimination._witness_frame(F, second, hint)
-            assert hinted.count() == elimination._witness_frame(F, second).count(), F.text()
+            hinted = elimination._accepted_frame(F, second, hint)
+            assert hinted.count() == elimination._accepted_frame(F, second).count(), F.text()
             # every analysis frame here suits the next polar too
             assert (hinted.base, hinted.shear, hinted.terms) == hint, F.text()
 
@@ -586,6 +597,16 @@ class TestFrameCertificate:
         terms = [_integer_terms(form)[1] for form in (f, g)]
         assert elimination._pair_frame_count(*terms, elimination._IDENT, 0) is None
         assert distinct_intersection_count(f, g) == 4
+
+    def test_short_eliminant_only_in_an_unusable_base(self):
+        # y - x and y^2 - x^2 + z^2 have constant y-leading coefficients and
+        # meet at [1:1:0] on z = 0, so their eliminant G(x, x, 1) = 1 falls
+        # short of degree 2; _base_usable refuses that base, and a frame of
+        # it would break the degree argument
+        terms = [_integer_terms(parse_poly(text, XYZ))[1] for text in ("y - x", "y^2 - x^2 + z^2")]
+        assert not elimination._base_usable(*terms)
+        with pytest.raises(InvariantViolation, match="eliminant of degree 0, not 2"):
+            elimination._pair_frame_count(*terms, elimination._IDENT, 0)
 
     def test_generic_frame_certifies_at_once(self, monkeypatch):
         f = parse_poly("2*x^2*y^2 + y^2*z^2 + z^2*x^2 - x^2*y*z - x*y^2*z - x*y*z^2", XYZ)

@@ -98,6 +98,14 @@ class TestParsing:
         with pytest.raises(PolySyntaxError):
             parse_poly("3.5*x", XYZ)
 
+    @pytest.mark.parametrize("text, match", [
+        ("", "empty input"), ("  ", "empty input"),
+        ("x*", "term ended unexpectedly"), ("x*^2", "unexpected token '\\^'"),
+    ], ids=["empty", "blank", "dangling-product", "power-without-base"])
+    def test_incomplete_input_refused(self, text, match):
+        with pytest.raises(PolySyntaxError, match=match):
+            parse_poly(text, XYZ)
+
     def test_huge_exponent_refused_before_conversion(self):
         with pytest.raises(PolySyntaxError, match="exponent of 4400 digits"):
             parse_poly("x^" + "9" * 4400 + " + y^2*z", XYZ)
@@ -300,6 +308,7 @@ class TestChainGcd:
             assert squarefree_part(UniPolyView(f, "x")) == _from_sympy(
                 sympy, sympy.quo(F, sympy.gcd(F, F.diff("x"))), XYZ).primitive()
 
+    @pytest.mark.timed
     def test_degree_seven_pair_in_seconds(self):
         # the first nonzero subresultant of two primitive forms of degree 7
         # sharing a cubic, whose cofactors are coprime quartics
@@ -478,6 +487,7 @@ class TestPencilCertificates:
         with pytest.raises(InvalidParams):
             forms_coprime(f, f)
 
+    @pytest.mark.timed
     def test_high_degree_failure_is_bounded(self):
         # every one of the d(d-1)+1 = 111 lines of a degree-11 form with a
         # square factor fails, each at the cost of one univariate gcd

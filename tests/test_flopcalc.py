@@ -10,6 +10,7 @@ from dualis.errors import (
     AmbientTooSmall,
     InconsistentPackage,
     InvalidCounts,
+    InvalidParams,
     KOutOfRange,
     NoFailureFound,
     NonIntegralResult,
@@ -29,6 +30,7 @@ from dualis.flopcalc import (
     dual_c0m,
     dual_degree_from_invariants,
     flop_defect,
+    identity_sides,
     quadric_pair_check,
     solve_unknown,
 )
@@ -368,3 +370,62 @@ class TestSolveUnknown:
         )
         with pytest.raises(Overdetermined):
             solve_unknown(inst)
+
+
+class TestRefusals:
+    """Each refusal keeps its exception type; the inputs reach the named rule."""
+
+    @pytest.mark.parametrize("n, dim, match", [
+        (0, 0, "ambient dimension must be positive"),
+        (2, 3, "dim 3 outside 0..2"),
+        (2, -1, "dim -1 outside 0..2"),
+    ], ids=["n-0", "dim-above-n", "negative-dim"])
+    def test_package_dimensions(self, n, dim, match):
+        with pytest.raises(InvalidParams, match=match):
+            VarietyInvariants("bad", n, dim, 1, 1)
+
+    @pytest.mark.parametrize("slices, match", [
+        (None, "no slice data"),
+        ((0, 3, 2), "complementary slice must equal the degree"),
+    ], ids=["no-slices", "complementary-slice"])
+    def test_package_slices(self, slices, match):
+        with pytest.raises(InconsistentPackage, match=match):
+            VarietyInvariants("conic", 2, 1, 2, 2, slices).validate_slices()
+
+    def test_unknown_identity_form(self):
+        with pytest.raises(InvalidParams, match="unknown identity form"):
+            identity_sides("other", 2, (1, 1, 0, 0), 1, 1, 1, 0, 1, 1)
+
+    @pytest.mark.parametrize("counts, match", [
+        ((3, -1, 0), "negative singularity counts"),
+        ((3, 0, -1), "negative singularity counts"),
+        ((5, 0, 6), "outside the nodal/cuspidal regime"),  # kappa* = -3
+        ((6, 0, 10), "outside the nodal/cuspidal regime"),  # d* = 0
+        ((7, 0, 12), "negative dual node count"),
+    ], ids=["negative-delta", "negative-kappa", "negative-dual-cusps", "zero-dual-degree",
+            "negative-dual-nodes"])
+    def test_classical_counts(self, counts, match):
+        with pytest.raises(InvalidCounts, match=match):
+            classical_plucker(*counts)
+
+    def test_dual_codimension_too_large_for_the_ambient(self):
+        with pytest.raises(KOutOfRange, match="l = 2 too large"):
+            dual_degree_from_invariants(CONIC, 0, 2)
+
+    def test_non_integral_dual_degree(self):
+        # a curve of degree 2 in P^3 with c0m = 1 gives (1/2) c0m at k = 1
+        pkg = VarietyInvariants("odd", 3, 1, 2, 1, (0, 0, 2, 0), True)
+        pkg.validate_slices()
+        with pytest.raises(NonIntegralResult, match="dual degree came out 1/2"):
+            dual_degree_from_invariants(pkg, 1, 2)
+
+    def test_pair_in_a_line_is_too_small(self):
+        point = VarietyInvariants("point", 1, 0, 1, 1, (0, 1), True)
+        with pytest.raises(AmbientTooSmall):
+            check_identity(point, point, point, point, 0, 0)
+
+    def test_solver_needs_n_at_least_2(self):
+        instance = IdentityInstance(n=1, dims=(0, 0, 0, 0), chi_cap=None, c0m_1=1, c0m_2=1,
+                                    chi_cap_dual=0, c0m_dual_1=1, c0m_dual_2=1)
+        with pytest.raises(AmbientTooSmall):
+            solve_unknown(instance)

@@ -441,3 +441,46 @@ def test_one_json_reader_and_one_json_writer():
     assert importers == ["corpus.py"]
     assert _users("json_text") == ["cli.py: _chi_package", "cli.py: run_command",
                                    "corpus.py: save_package", "corpus.py: to_json"]
+
+
+def test_each_fact_certified_once():
+    # a witness enters the frame search as an integer point, so the search
+    # has one entry, elimination._accepted_frame; a line's dual side is
+    # decided by the transversal count of the pair, so corpus neither builds
+    # a line's dual point nor counts or refuses on its own
+    defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
+    assert not defined & {"_witness_frame", "_line_dual_point"}
+    assert not {"elimination", "NotTransversal"} & _referenced_names(SOURCE / "corpus.py")
+
+
+def _clocked_tests(path: Path) -> list:
+    """The tests of a module that assert a time.perf_counter bound, in their
+    own body or through a helper function of the module, as (name, node)."""
+    functions = [node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                 if isinstance(node, ast.FunctionDef)]
+
+    def reads(node, names):
+        return any(isinstance(n, ast.Attribute) and n.attr in names
+                   or isinstance(n, ast.Name) and n.id in names for n in ast.walk(node))
+    helpers = {fn.name for fn in functions
+               if not fn.name.startswith("test") and reads(fn, {"perf_counter"})}
+    return [fn for fn in functions
+            if fn.name.startswith("test") and reads(fn, helpers | {"perf_counter"})]
+
+
+def test_every_clock_bound_test_is_marked_timed(pytestconfig):
+    # each test outside the acceptance gate that bounds its wall time carries
+    # the registered `timed` marker, and no other test does, so a traced or
+    # profiled run can leave exactly those out with -m "not timed"
+    assert any(m.startswith("timed:") for m in pytestconfig.getini("markers"))
+    tests = Path(__file__).resolve().parent
+    clocked, marked = set(), set()
+    for path in sorted(tests.glob("test_*.py")):
+        if path.name == "test_acceptance.py":
+            continue
+        clocked |= {f"{path.name}:{fn.lineno}" for fn in _clocked_tests(path)}
+        marked |= {f"{path.name}:{fn.lineno}"
+                   for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                   if isinstance(fn, ast.FunctionDef)
+                   and any(ast.unparse(d) == "pytest.mark.timed" for d in fn.decorator_list)}
+    assert len(clocked) >= 20 and clocked == marked
