@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import GuardrailExceeded, InvalidParams, NonIntegralResult
+from .errors import GuardrailExceeded, InvalidParams
 from .flopcalc import VarietyInvariants
 
 PROJECTIVE_SPACE = "projective_space"
@@ -97,8 +97,9 @@ def hypersurface_package(n: int, d: int, label: str | None = None) -> VarietyInv
     """Full invariant package of a smooth degree-d hypersurface in P^n.
 
     A generic P^j slices it in a smooth degree-d hypersurface of P^j, so the
-    slice chi values all come from the complete-intersection closed form.
-    Generic linear slices of a smooth variety are transversal.
+    slice chi values all come from the complete-intersection closed form;
+    the slice by a line, chi_smooth_complete_intersection(1, [d]), is d
+    points.  Generic linear slices of a smooth variety are transversal.
     """
     if n < 2 or d < 1:
         raise InvalidParams("hypersurface package needs n >= 2, d >= 1")
@@ -106,8 +107,6 @@ def hypersurface_package(n: int, d: int, label: str | None = None) -> VarietyInv
     slices = [0]
     for j in range(1, n + 1):
         slices.append(chi_smooth_complete_intersection(j, [d]))
-    if slices[1] != d:
-        raise NonIntegralResult("complementary slice does not reproduce the degree")
     return VarietyInvariants(
         label=label or f"smooth degree-{d} hypersurface in P^{n}",
         n=n,

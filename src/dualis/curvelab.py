@@ -182,9 +182,11 @@ def classify_singularity(curve: PlaneCurve, point) -> SingularPoint:
 
     With k the index of the point's first nonzero coordinate, the matrix M,
     the identity with column k replaced by the point, is invertible, and
-    `apply_matrix` gives G(v) = F(M v): at v_k = 1, G is the expansion of F
-    at the point in the two other coordinates, which M changes linearly, so
-    the multiplicity and the kind stay.  The multiplicity m is the least
+    F's integer terms moved by it (`elimination._moved`) are those of
+    G(v) = c F(M v), c the common denominator of F: at v_k = 1, G is the
+    expansion of F at the point in the two other coordinates, which M
+    changes linearly, so the multiplicity and the kind stay, and neither
+    sees the scale c.  The multiplicity m is the least
     degree of a term of G in those coordinates, and the point is singular
     exactly when m >= 2: by Euler's identity F vanishes where its gradient
     does.  With q the quadratic and c the cubic part, q of rank 2 is a node;
@@ -198,7 +200,7 @@ def classify_singularity(curve: PlaneCurve, point) -> SingularPoint:
     i, j = (n for n in range(3) if n != k)
     M = tuple(tuple(point[r] if col == k else int(r == col) for col in range(3)) for r in range(3))
     parts: dict = {}
-    for e, c in elimination.apply_matrix(curve.F, M).terms.items():
+    for e, c in elimination._moved(_integer_terms(curve.F)[1], M).items():
         parts.setdefault(e[i] + e[j], {})[e[i], e[j]] = c
     m = min(parts)
     if m < 2:
@@ -252,8 +254,9 @@ def curve_report(curve: PlaneCurve) -> CurveReport:
     """Invariants of a curve with at most nodes and cusps.
 
     chi uses the normalization rule (a node lowers chi by one, a cusp does
-    not); the closed form for c0m is checked against the weighted-Euler
-    definition before returning.
+    not), and c0m the weighted-Euler definition, chi plus the Euler
+    obstructions less one: with g = (d-1)(d-2)/2 - delta - kappa that is
+    the closed form -d^2 + 3d + 2*delta + 3*kappa identically.
     """
     sings = singular_points(curve)
     others = tuple(s for s in sings if s.kind == OTHER)
@@ -269,8 +272,6 @@ def curve_report(curve: PlaneCurve) -> CurveReport:
         raise InvalidParams(f"impossible singularity counts: genus {g} < 0")
     chi = 2 - 2 * g - delta
     c0m = chi + sum(s.euler_obstruction - 1 for s in sings)
-    if c0m != -d * d + 3 * d + 2 * delta + 3 * kappa:
-        raise InvariantViolation(f"c0m = {c0m} disagrees with the node/cusp closed form")
     return CurveReport(d, delta, kappa, others, g, chi, c0m)
 
 

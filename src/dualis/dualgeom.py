@@ -19,7 +19,7 @@ provenance, which are stripped in a fixed order:
        homogenised to its own degree,
     2. for every singular point s of C, all powers of the dual line
        s0*u + s1*v + s2*w (every line through a singular point meets C
-       doubly there).
+       doubly there), divided out of the integer terms over Z (`_strip`).
 
 What remains is square-free: in characteristic 0 distinct components of C
 have distinct duals, and the discriminant vanishes to order one along the
@@ -79,7 +79,6 @@ from .exact import (  # WITNESS_SEQUENCE is re-exported for callers
     _interpolate,
     _primitive_ints,
     _uni_discriminant,
-    try_exact_div,
     witnesses,
 )
 
@@ -102,14 +101,34 @@ class DualCurve:
     d_dual = property(lambda self: self.curve.degree)
 
 
-def _strip_all(poly: MultiPoly, factor: MultiPoly):
+def _strip(terms: dict, line: tuple) -> tuple:
+    """(terms / l^k, k) for the integer terms of a nonzero ternary form and
+    the primitive integer vector of a line l, k as large as it goes.
+
+    A primitive l that divides an integer form over Q leaves an integer
+    quotient (Gauss's lemma), so each division runs over Z: the monomials
+    of the form's degree are walked in decreasing lexicographic order, and
+    each remainder term met is cancelled by an integer multiple of l, whose
+    other terms come later in the walk.  A term that l's leading term does
+    not divide, over Z, ends the division.
+    """
+    i = next(n for n, c in enumerate(line) if c)
     k = 0
     while True:
-        q = try_exact_div(poly, factor)
-        if q is None:
-            return poly, k
-        poly = q
-        k += 1
+        top = sum(next(iter(terms)))
+        rest, quotient = dict(terms), {}
+        for e in ((a, b, top - a - b) for a in range(top, -1, -1) for b in range(top - a, -1, -1)):
+            c = rest.pop(e, 0)
+            if c:
+                q, r = divmod(c, line[i])
+                if r or not e[i]:
+                    return terms, k
+                qe = e[:i] + (e[i] - 1,) + e[i + 1:]
+                quotient[qe] = q
+                for n in range(i + 1, 3):
+                    m = qe[:n] + (qe[n] + 1,) + qe[n + 1:]
+                    rest[m] = rest.get(m, 0) - q * line[n]
+        terms, k = quotient, k + 1
 
 
 def _dual_in_chart(F: MultiPoly) -> MultiPoly:
@@ -196,7 +215,9 @@ def dual_equation(curve: PlaneCurve) -> DualCurve:
     """Equation of the projective dual curve, by discriminant elimination.
 
     Requires degree >= 2 (the dual of a line is a point, not a curve) and
-    rational singular points; the curve is assumed irreducible, which this
+    rational singular points, whose primitive dual lines divide the chart
+    discriminant's integer terms exactly over Z (`_strip`; Gauss's lemma);
+    the curve is assumed irreducible, which this
     package does not verify (factorization is out of scope).  A union of
     lines is refused with ChartExhausted.  A dual of degree d* needs
     Sylvester matrices of d* + 1 rows, so a dual past `SYLVESTER_LIMIT` is
@@ -212,15 +233,15 @@ def dual_equation(curve: PlaneCurve) -> DualCurve:
     removed = []
     if disc.total_degree() < 2 * d * (d - 1):
         removed.append((_dual_line(dst, (0, 0, 1)), 2 * d * (d - 1) - disc.total_degree()))
+    terms = _integer_terms(disc)[1]
     for s in sing:
-        line = _dual_line(dst, s.point)
-        disc, k = _strip_all(disc, line)
+        terms, k = _strip(terms, s.point)
         if k:
-            removed.append((line, k))
-    if disc.is_constant():
+            removed.append((_dual_line(dst, s.point), k))
+    if not any(next(iter(terms))):
         raise ChartExhausted("the curve is a union of lines, whose dual is a finite set of points")
     try:
-        dual = PlaneCurve(disc.primitive())
+        dual = PlaneCurve(MultiPoly(dst, terms).primitive())
     except ReducibleCurve:
         # distinct components have distinct duals, and the discriminant is
         # reduced along the dual of each, so only the stripped factors repeat

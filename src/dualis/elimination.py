@@ -14,17 +14,24 @@ composed with x-shears) and only reports a number it can certify:
   carries one point, at y = -s_{k,k-1} / (k * s_kk), and the distinct count
   is the square-free degree of R (González-Vega & El Kahoui, J. Complexity
   12, 1996; Bouzidi, Lazard, Pouget & Rouillier, J. Symb. Comput. 68, 2015).
-  Shears fix the line at infinity, so the tests on it run once per base,
-  and the pair is moved by each base once.
+  Shears fix the line at infinity, so the tests on it are tests of that
+  line: they run once per line, and a line that fails is never tried
+  again in another base.  A common zero at the two points spanning it is
+  seen before the pair moves, and a shear whose y-leading coefficients
+  vanish, read from the line's restrictions, before it moves.
 
 * transversality: all intersection multiplicities equal one exactly when the
   certified distinct count reaches the Bezout number d1*d2.
 
 * singular loci: read from the first accepted frame of F and a polar
   (`polar`), where the two affine partials of F vanish at the one point
-  over a root of R.  That point is (alpha, beta(alpha)), beta rational in
-  alpha, so the rational roots of each class's singular part, mapped back
-  through the frame's shear and base, are the rational singular points.
+  over a root of R.  A singular point p has I_p(F, P_w) >= 2, and in an
+  accepted frame that is the multiplicity of its root, so singular parts
+  are sought among the repeated roots of R alone, and each resultant
+  against a line is taken modulo the part found so far.  The point is
+  (alpha, beta(alpha)), beta rational in alpha, so the rational roots of
+  each class's singular part, mapped back through the frame's shear and
+  base over the integers, are the rational singular points.
   The analysis is one `SingularLocus` record holding the accepted frame,
   the witness, the singular part of each class and the rational points;
   the polar degree oracle reads the frame's own count from it, and starts
@@ -53,7 +60,8 @@ deg s_{k,j} <= (m-k)(n-k) + k - j, with deg R <= mn.  Resultants against
 a line L_k = a*y + b, for the k-th-power test and the singular parts,
 take the closed form Res_y(P, L_k) = sum_j p_j b^j (-a)^(m-j) for
 P = sum_j p_j y^j of degree m: Res(L_k, P) = a^m P(-b/a), and swapping
-operands of degrees 1 and m costs (-1)^m (`_line_resultant`).  Gcds are
+operands of degrees 1 and m costs (-1)^m (`_line_resultant`), modulo the
+class or part it is tested on (`exact._reduced`).  Gcds are
 the certified modular gcd of `exact`, and a quotient by a primitive
 divisor is exact over the integers (Gauss's lemma), so no Fraction
 arithmetic enters the frame search.
@@ -75,7 +83,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import chain
 from math import gcd
 from typing import Optional, Sequence
@@ -102,11 +109,13 @@ from .exact import (
     _is_prime,
     _primitive,
     _primitive_ints,
+    _reduced,
     _subresultant_chain,
     _ternary_form,
     _trim,
     _uni_gcd,
     _uni_quo,
+    _value,
     _y_derivative,
     forms_coprime,
     point_off,
@@ -239,7 +248,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
     coeffs = _trim(coeffs)
     if not coeffs:
         raise ZeroInput("zero polynomial")
-    ints = _sqfree_part(_primitive_ints(coeffs))
+    ints = _sqfree_part(_primitive_ints(coeffs))[0]
     degree = len(ints) - 1
     roots = []
     if ints[0] == 0:
@@ -252,19 +261,20 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
     return sorted(roots), degree - len(roots)
 
 
-def _sqfree_part(cs: list) -> list:
-    """f / gcd(f, f') for a trimmed nonzero integer list f: its distinct
-    linear factors, over the integers (the gcd is primitive)."""
-    return _uni_quo(cs, _uni_gcd(cs, _derivative(cs)))
+def _sqfree_part(cs: list) -> tuple:
+    """(f / g, g) for a trimmed nonzero integer list f and g = gcd(f, f'):
+    its distinct linear factors, over the integers (the gcd is primitive),
+    and its repeated ones, each once less often than in f."""
+    g = _uni_gcd(cs, _derivative(cs))
+    return _uni_quo(cs, g), g
 
 
 def normalize_point(coords: Sequence[Fraction]) -> tuple:
-    """Coprime integer coordinates, first nonzero entry positive; the zero
-    vector is refused with InvalidParams."""
-    fracs = [Fraction(c) for c in coords]
-    if all(c == 0 for c in fracs):
+    """Coprime integer coordinates, first nonzero entry positive, of ints or
+    Fractions; the zero vector is refused with InvalidParams."""
+    if not any(coords):
         raise InvalidParams("zero vector is not a projective point")
-    ints = _primitive_ints(fracs)
+    ints = _primitive_ints(coords)
     for a in ints:
         if a != 0:
             if a < 0:
@@ -286,17 +296,27 @@ def _chart_columns(terms: dict) -> list:
             for j in range(d + 1)]
 
 
-def _line_resultant(P: Sequence[list], a: list, b: list) -> list:
-    """Res_y(P, a*y + b) for P = [p_0..p_m] in y, p_m != 0, and a != 0, all
-    integer lists in x.  Over the root -b/a of the line,
-    Res(a*y + b, P) = a^m P(-b/a), and swapping the operands costs (-1)^m:
-    Res(P, a*y + b) = sum_j p_j b^j (-a)^(m-j), taken by Horner's rule."""
+def _line_resultant(P: Sequence[list], a: list, b: list, modulus: Optional[list] = None) -> list:
+    """Res_y(P, a*y + b) for P = [p_0..p_m] in y and a != 0, all integer
+    lists in x.  Over the root -b/a of the line, Res(a*y + b, P) =
+    a^m P(-b/a), and swapping the operands costs (-1)^m:
+    Res(P, a*y + b) = sum_j p_j b^j (-a)^(m-j), taken by Horner's rule.
+
+    With a modulus, the resultant modulo it, times a nonzero rational: the
+    sum is a polynomial identity, so the columns may be reduced by one
+    common scale, a and b by another, and the accumulator with the power
+    of b by a third at each step (`exact._reduced`).  A top column that
+    vanishes there only multiplies the sum by a power of a."""
+    if modulus:
+        P, (a, b) = _reduced(P, modulus), _reduced([a, b], modulus)
     neg = [-c for c in a]
     acc, power = P[0], [1]
     for p in P[1:]:
         power = _mul(power, b)
         acc = _add(_mul(acc, neg), _mul(p, power))
-    return acc
+        if modulus and len(acc) >= 2 * len(modulus):
+            acc, power = _reduced([acc, power], modulus)
+    return _reduced([acc], modulus)[0] if modulus else acc
 
 
 class _Frame:
@@ -304,16 +324,20 @@ class _Frame:
     shear x -> x + shear*y, ``terms`` the integer terms of its first form
     there, and at the chart z = 1 as integer y-columns A and B (see
     `_chart_columns`), and the square-free eliminant split into its
-    nonconstant classes ``classes[k]`` = Phi_k.  Over a root of Phi_k the
-    fibres meet at one point, the root beta of L_k = k*s_kk*y + s_{k,k-1}."""
+    nonconstant classes ``classes[k]`` = Phi_k, with ``repeated`` =
+    gcd(R, R'), the roots of R of multiplicity two or more.  Over a root of
+    Phi_k the fibres meet at one point, the root beta of
+    L_k = k*s_kk*y + s_{k,k-1}."""
 
-    __slots__ = ("terms", "A", "B", "base", "shear", "classes", "_chains", "_coefficients")
+    __slots__ = ("terms", "A", "B", "base", "shear", "classes", "repeated", "_chains",
+                 "_coefficients")
 
     def __init__(self, Fm: dict, Gm: dict, base: Matrix, shear: int):
         self.terms = Fm
         self.A, self.B = _chart_columns(Fm), _chart_columns(Gm)
         self.base, self.shear = base, shear
         self.classes: dict = {}
+        self.repeated: list = [1]
         self._chains: list = []       # the subresultant chain of the columns at x = 0, 1, 2, ...
         self._coefficients: dict = {}
 
@@ -348,20 +372,28 @@ class _Frame:
         return [k * c for c in self.coefficient(k, k)], self.coefficient(k, k - 1)
 
     def point(self, k: int, alpha: Fraction) -> tuple:
-        """The point over the root alpha of Phi_k, (alpha, beta) in the
-        frame, in the coordinates of the pair before the frame moved it."""
+        """The point over the root alpha = u/v of Phi_k, (alpha, beta) in the
+        frame, in the coordinates of the pair before the frame moved it.
+        With A = v^(deg a) a(alpha) and B = v^(deg b) b(alpha), homogeneous
+        values over Z (`exact._at`), beta = -B v^(deg a) / (A v^(deg b)),
+        so the point is (u A v^(deg b), -B v^(deg a + 1), v A v^(deg b))."""
         a, b = self.line(k)
-        beta = -Fraction(_at(b, alpha)) / _at(a, alpha)
+        u, v = alpha.numerator, alpha.denominator
+        da, db = len(a) - 1, max(len(b) - 1, 0)
+        A, B = _at(a, u, v), _at(b, u, v)
+        p = (u * A * v ** db, -B * v ** (da + 1), v * A * v ** db)
         m = mat_mul(self.base, _shear(self.shear))
-        return normalize_point([sum(r * c for r, c in zip(row, (alpha, beta, 1))) for row in m])
+        return normalize_point([sum(r * c for r, c in zip(row, p)) for row in m])
 
     def is_power(self, k: int, phi: list) -> bool:
         """Is S_k a k-th power on the roots of phi?  Its (k-1)-th y-derivative
-        is (k-1)! L_k; it is when phi divides Res_y(d^j S_k, L_k), j < k-1."""
+        is (k-1)! L_k; it is when phi divides Res_y(d^j S_k, L_k), j < k-1.
+        phi divides a resultant when the resultant modulo phi is zero
+        (`_line_resultant`), so no resultant is taken in full."""
         a, b = self.line(k)
         S = [self.coefficient(k, j) for j in range(k + 1)]
         for _ in range(k - 1):
-            if len(_uni_gcd(phi, _line_resultant(S, a, b))) < len(phi):
+            if _line_resultant(S, a, b, phi):
                 return False
             S = _y_derivative(S)
         return True
@@ -372,7 +404,10 @@ def _pair_frame_count(Fm: dict, Gm: dict, base: Matrix, t: int) -> Optional[_Fra
 
     Fm, Gm are the integer terms of the pair moved by `base`, which passed
     the shear-independent tests of `_base_usable`, and then by the x-shear
-    x -> x + t*y; the frame passes to the chart z = 1.
+    x -> x + t*y, where both y-leading coefficients are nonzero constants
+    (`_accepted_frame` skips the other shears); the frame passes to the
+    chart z = 1.  R's repeated roots, gcd(R, R'), are kept as
+    ``frame.repeated``: the square-free step takes that gcd anyway.
     The y-leading coefficients are constants, so specialising x commutes
     with the subresultants: over a root of R the fibres have a gcd of
     degree k exactly where psc_1..psc_{k-1} vanish and psc_k does not, and
@@ -387,14 +422,12 @@ def _pair_frame_count(Fm: dict, Gm: dict, base: Matrix, t: int) -> Optional[_Fra
     InvariantViolation.
     """
     frame = _Frame(Fm, Gm, base, t)
-    if not (frame.A[-1] and frame.B[-1]):
-        return None  # a leading y-coefficient vanishes in this frame
     m, n = len(frame.A) - 1, len(frame.B) - 1
     R = frame.coefficient(0, 0)
     if len(R) - 1 != m * n:
         raise InvariantViolation(f"eliminant of degree {len(R) - 1}, not {m * n},"
                                  f" in the frame of base {base} and shear {t}")
-    rem = _sqfree_part(_primitive(R))
+    rem, frame.repeated = _sqfree_part(_primitive(R))
     for k in range(1, min(m, n) + 1):
         if len(rem) == 1:
             break
@@ -421,14 +454,32 @@ def _base_usable(Fm: dict, Gm: dict) -> bool:
 
     x-shears fix the line z = 0 and act on it by an invertible change of
     coordinates, so a restriction to it that vanishes, or common zeros on
-    it, spoil every shear of the base alike.  The two binary forms share a
-    zero [x:1] when their lists at y = 1 have a common root, and the zero
-    [1:0] when both lose their x^d term.
+    it, spoil every shear of the base alike: the test is one of the line
+    alone.  The two binary forms share a zero [x:1] when their lists at
+    y = 1 have a common root, and the zero [1:0] when both lose their x^d
+    term.
     """
     f, g = _infinity_restriction([Fm, Gm])
     if not any(f) or not any(g) or f[-1] == g[-1] == 0:
         return False
     return len(_uni_gcd(f, g)) == 1
+
+
+def _zero_on_span(f: dict, h: dict, m: Matrix) -> bool:
+    """Do the forms with integer terms f and h both vanish at m e_x or at
+    m e_y, two points of the line z = 0 of the base m?  Then the base is
+    unusable (`_base_usable`), and no form has to move to see it."""
+    return any(not (_value(f, p) or _value(h, p)) for p in list(zip(*m))[:2])
+
+
+def _infinity_line(m: Matrix) -> tuple:
+    """The line z = 0 of the base m, in the given coordinates: the line
+    through m e_x and m e_y, as its primitive normal with a positive first
+    nonzero entry."""
+    (a, b, _), (c, d, _), (e, f, _) = m
+    normal = (c * f - e * d, e * b - a * f, a * d - c * b)
+    g = gcd(*normal) * (1 if next(n for n in normal if n) > 0 else -1)
+    return tuple(n // g for n in normal)
 
 
 def polar(terms: dict, w: Sequence[int]) -> dict:
@@ -496,7 +547,14 @@ def _accepted_frame(F: MultiPoly, G, hint: Optional[tuple] = None) -> _Frame:
     Each pair of the at most N = d1*d2 points shares an x-coordinate in at
     most one shear of a usable base, and a frame where no two points do is
     accepted, so one of C(N,2)+1 valid shears is; at most d1 + d2 shears
-    lose a leading y-coefficient.  A hint (base, shear, terms), with F's
+    lose a leading y-coefficient.  The base test is one of the line
+    z = 0 of the base (`_base_usable`), so a line that fails it is kept by
+    its primitive normal (`_infinity_line`) and skipped in every later
+    base; a base other than the identity, which moves nothing, first has
+    the pair, as given, evaluated at its spanning points (`_zero_on_span`),
+    so a common zero there costs no move.  At shear t the y^d coefficient of a form moved by the base is
+    its restriction to z = 0 at x = t, so a shear where either vanishes is
+    skipped before it moves anything.  A hint (base, shear, terms), with F's
     integer terms moved to that frame (`_Frame.terms` of an earlier search
     on F), is tried first, as the head of the same schedule: any accepted
     frame certifies the count, and the full schedule follows it, so a
@@ -506,7 +564,8 @@ def _accepted_frame(F: MultiPoly, G, hint: Optional[tuple] = None) -> _Frame:
     """
     form = isinstance(G, MultiPoly)
     f = _integer_terms(F)[1]
-    if F.is_zero() or (G.is_zero() if form else not polar(f, G)):
+    h = _integer_terms(G)[1] if form else polar(f, G)  # the second form, as given
+    if F.is_zero() or not h:
         raise ZeroInput("zero polynomial in curve pair")
     d1 = _ternary_form(F)  # the degree bounds of the frame need forms
     d2 = _ternary_form(G) if form else d1 - 1
@@ -515,7 +574,7 @@ def _accepted_frame(F: MultiPoly, G, hint: Optional[tuple] = None) -> _Frame:
     if d1 + d2 > SYLVESTER_LIMIT:
         raise DegreeGuardrail(f"Sylvester matrix {d1 + d2}x{d1 + d2} exceeds {SYLVESTER_LIMIT}")
     t_limit = d1 * d2 * (d1 * d2 - 1) // 2 + 1 + d1 + d2 + 8
-    g = _integer_terms(G)[1] if form else G
+    g = h if form else G
     coprime = not form
     # entries (base, t0, shears, pair): pair is the pair already moved to
     # the base and the shear t0, or None when the base is still to move it
@@ -524,23 +583,30 @@ def _accepted_frame(F: MultiPoly, G, hint: Optional[tuple] = None) -> _Frame:
         base, t, terms = hint
         schedule = chain([(base, t, (t,), (terms, _carried(_carried(g, base), _shear(t))))],
                          schedule)
-    rejected = set()  # unusable bases and rejected (base, shear) frames
+    rejected = set()  # lines at infinity of unusable bases, and rejected (base, shear) frames
     for base, t0, shears, pair in schedule:
-        if base in rejected:
+        line = _infinity_line(base)
+        if line in rejected:
             continue
-        Fb, gb = pair or (_moved(f, base), _carried(g, base))
-        Gb = _second_form(Fb, gb)
-        if not _base_usable(Fb, Gb):
+        if pair is None and base != _IDENT and _zero_on_span(f, h, base):
+            restrictions = None
+        else:
+            Fb, gb = pair or (_moved(f, base), _carried(g, base))
+            Gb = h if Fb is f else _second_form(Fb, gb)  # the identity moves nothing
+            restrictions = _infinity_restriction([Fb, Gb]) if _base_usable(Fb, Gb) else None
+        if restrictions is None:
             # a shared component spoils every base, so the first failing
             # base decides it unless the pair is known coprime; an accepted
             # frame excludes it, as R != 0
             if not coprime and not forms_coprime(F, G):
                 raise ReducibleCurve("curves share a component")
             coprime = True
-            rejected.add(base)
+            rejected.add(line)
             continue
+        lf, lg = restrictions
         for t in shears:
-            if (base, t) in rejected:
+            # the y-leading coefficients at shear t: the restrictions at t - t0
+            if (base, t) in rejected or not (_at(lf, t - t0) and _at(lg, t - t0)):
                 continue
             Ft, Gt = (Fb, Gb) if t == t0 else _sheared(Fb, gb, t - t0)
             frame = _pair_frame_count(Ft, Gt, base, t)
@@ -590,19 +656,28 @@ def singular_locus(F: MultiPoly) -> SingularLocus:
     (alpha, beta(alpha)).  On a class Phi_k it is singular where both
     affine partials of the moved F vanish at y = beta, that is at the
     roots of the singular part gcd(Phi_k, Res_y(A_x, L_k), Res_y(A_y, L_k)).
+    Such a root is a repeated root of R: I_p(F, P_w) >= m_p(F) m_p(P_w)
+    >= 2 at a singular p (Fulton, Algebraic Curves, 3.3), and in an
+    accepted frame the multiplicity of a root of R is the intersection
+    number at its one point (Kirwan, Complex Algebraic Curves, ch. 3).  So
+    each part starts at gcd(Phi_k, gcd(R, R')), and a class without
+    repeated roots takes no resultant; each resultant is taken modulo the
+    part so far (`_line_resultant`).
     The count is the sum of their degrees, and the rational roots give the
     rational points (`rational_system_points`).
     """
     w = point_off([F])
     frame = _accepted_frame(F, w)
-    # the affine partials of the moved F, as y-columns without zero top columns
-    dx = [_derivative(col) for col in frame.A]
-    dy = _y_derivative(frame.A)
-    partials = [P[:max(j for j, p in enumerate(P) if p) + 1] for P in (dx, dy) if any(P)]
+    # the affine partials of the moved F, as y-columns
+    partials = ([_derivative(col) for col in frame.A], _y_derivative(frame.A))
     parts = {}
     for k, phi in frame.classes.items():
-        a, b = frame.line(k)
-        parts[k] = reduce(_uni_gcd, (_line_resultant(P, a, b) for P in partials), phi)
+        part = _uni_gcd(phi, frame.repeated)
+        for P in partials:
+            if len(part) == 1:
+                break
+            part = _uni_gcd(part, _line_resultant(P, *frame.line(k), part))
+        parts[k] = part
     return SingularLocus(frame, w, parts, rational_system_points(frame, parts))
 
 

@@ -64,10 +64,12 @@ The one univariate toolkit lives here too, on integer coefficient lists
 [c0..cd], each operation written once: trimming, primitive parts,
 derivatives, exact quotients and pseudo-remainders over Z, the
 subresultant chain, the discriminant, interpolation from values or from
-forward differences, evaluation by Horner's rule (`_at`), the
-distinct-roots test and the one univariate gcd, Brown's modular algorithm
-(J. ACM 18, 1971), which works modulo primes just below
-2^61, checks its candidate by trial division over Z and returns a
+forward differences, evaluation by Horner's rule (`_at`, also
+homogeneous at a fraction u/v), the reduction of lists modulo a list by
+one common scale (`_reduced`), the distinct-roots test and the one
+univariate gcd, Brown's modular algorithm (J. ACM 18, 1971), which works
+modulo primes just below 2^30, one digit of a Python int each, checks
+its candidate by trial division over Z and returns a
 primitive gcd; a constant image modulo one prime proves a constant gcd,
 which is the usual case.  The trivariate gcd ``poly_gcd`` and
 the ``radical`` built on it are public API; no count, no curve check and no
@@ -777,13 +779,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-#: the four largest primes below 2^61, spelled out: almost every gcd needs
-#: one prime, and testing it would cost more than the gcd
-_GCD_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45, 2**61 - 229)
+#: the four largest primes below 2^30, spelled out: almost every gcd needs
+#: one prime, and testing it would cost more than the gcd; each residue is
+#: one 30-bit digit of a Python int, so Euclid's steps stay short
+_GCD_PRIMES = (2**30 - 35, 2**30 - 41, 2**30 - 83, 2**30 - 101)
 
 
 def _gcd_primes() -> Iterable[int]:
-    """The moduli of `_uni_gcd`: the primes below 2^61, largest first; those
+    """The moduli of `_uni_gcd`: the primes below 2^30, largest first; those
     after `_GCD_PRIMES` are found lazily."""
     return chain(_GCD_PRIMES, filter(_is_prime, range(_GCD_PRIMES[-1] - 2, 2, -2)))
 
@@ -1073,13 +1076,40 @@ def _interpolate(values: list) -> list:
     return _from_differences(_differences(values))
 
 
-def _at(cs: Sequence[int], v):
+def _at(cs: Sequence[int], v, w: int = 1):
     """The value of the list cs at v, by Horner's rule: an int at an int, a
-    Fraction at a Fraction.  The one evaluation of an integer list."""
+    Fraction at a Fraction.  The one evaluation of an integer list.  With
+    w != 1 it is homogeneous, w^(len(cs)-1) cs(v/w), an int at ints."""
     acc = 0
+    if w == 1:
+        for c in reversed(cs):
+            acc = acc * v + c
+        return acc
+    scale = 1
     for c in reversed(cs):
-        acc = acc * v + c
+        acc = acc * v + c * scale
+        scale *= w
     return acc
+
+
+def _reduced(lists: Sequence[list], m: Sequence[int]) -> list:
+    """The integer lists modulo the trimmed integer list m of degree n >= 1,
+    all times one nonzero rational: lists of degree below n, so each is
+    zero exactly when m divides its list, and the lists keep their ratios.
+    Lists of degree below n already come back as they are.
+
+    A list of length l > n has the pseudo-remainder lc(m)^(l-n) times its
+    remainder (`_uni_prem`), so with L the longest length, each list is
+    scaled to the one common power lc(m)^(L-n), and their content is then
+    removed at once."""
+    lead, n = m[-1], len(m) - 1
+    top = max(map(len, lists))
+    if top <= n:
+        return list(lists)
+    out = [[c * lead ** (top - len(cs)) for c in _uni_prem(cs, m)] if len(cs) > n
+           else [c * lead ** (top - n) for c in cs] for cs in lists]
+    g = math.gcd(*chain.from_iterable(out))
+    return [[c // g for c in cs] for cs in out] if g else out
 
 
 def _matching_bound(weights: list) -> Optional[int]:
@@ -1296,9 +1326,12 @@ def witnesses(forms: Sequence[MultiPoly]):
         raise InvalidParams("a witness has three coordinates, too few for the forms' ring")
     scaled = [_integer_terms(f)[1] for f in forms]
     grid = product(range(sum(f.total_degree() for f in forms) + 1), repeat=3)
-    return (p for p in chain(WITNESS_SEQUENCE, grid)
-            if all(sum(c * math.prod(map(pow, p, e)) for e, c in terms.items())
-                   for terms in scaled))
+    return (p for p in chain(WITNESS_SEQUENCE, grid) if all(_value(terms, p) for terms in scaled))
+
+
+def _value(terms: dict, p: Sequence[int]) -> int:
+    """The value of integer terms ({exponents: int}) at the integer point p."""
+    return sum(c * math.prod(map(pow, p, e)) for e, c in terms.items())
 
 
 def point_off(forms: Sequence[MultiPoly]) -> tuple:

@@ -288,6 +288,17 @@ class TestCli:
         assert code == 2
 
     @pytest.mark.timed
+    def test_octic_with_a_200_digit_coefficient_dual_degree(self, capsys):
+        # its singular parts are sought at the eliminant's repeated roots,
+        # modulo each part, so no line resultant is taken in full; the
+        # dual degree is 23, the same as with the coefficient 10
+        poly = f"y^3*z^5 + x^2*y*z^5 - x^4*y^4 + {10 ** 200}*x^5*y^2*z"
+        start = time.perf_counter()
+        assert run_command(["curve", "dual-degree", "--max-degree", "8", "--poly", poly]) == 0
+        assert time.perf_counter() - start < 20.0
+        assert capsys.readouterr().out.strip() == "23"
+
+    @pytest.mark.timed
     @pytest.mark.parametrize("poly", [
         "x^12*y + y^12*z + z^12*x + x^5*y^4*z^4",
         "x^7*y + y^7*z + z^7*x + x^3*y^3*z^2",
@@ -483,6 +494,31 @@ class TestCli:
                 "--no-timestamps"]
         assert run_command(args) == 0
         assert capsys.readouterr().out.encode() == GOLDEN_REPORT.read_bytes()
+
+    def test_work_budget_of_one_corpus_run(self, monkeypatch):
+        # a deterministic budget of one run of the shipped corpus: frames
+        # built, integer expansions (a form moved, a chart form expanded)
+        # and exact divisions of MultiPolys; a search that moved and tested
+        # every base and shear, and stripped duals over Fractions, took 66,
+        # 92 and 15, this one takes 45, 56 and 0
+        from dualis import corpus, curvelab, elimination, exact
+
+        counts = {}
+        for owner, name in ((elimination, "_pair_frame_count"), (exact, "_expand"),
+                            (exact, "try_exact_div")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args)
+            for module in (exact, elimination, curvelab, dualgeom, corpus):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        run_corpus(REPO_CORPUS, include_timing=False)
+        assert counts.get("_pair_frame_count", 0) <= 45
+        assert counts.get("_expand", 0) <= 56
+        assert counts.get("try_exact_div", 0) == 0
 
 
 SOLVE_INSTANCE = {

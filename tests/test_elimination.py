@@ -23,6 +23,7 @@ from dualis.errors import (
     GuardrailExceeded,
     InvalidParams,
     InvariantViolation,
+    NonGenericWitness,
     NotTransversal,
     ReducibleCurve,
     ZeroInput,
@@ -716,3 +717,198 @@ class TestSingularCountOfConjugateLines:
                     lines += [tuple(p + q * s * root for p, q in zip(u, v)) for s in (1, -1)]
             f = self._form(sympy, lines)
             assert certified_singular_count(f) == self._crossings(sympy, lines), lines
+
+
+DUAL_NODAL_RF = "27*x^2*y^2 - 18*x*y*z^2 + 4*x*z^3 + 4*y*z^3 - z^4"
+CASE_08 = ("x^3 - y^2*z - 2*y*z^2 - z^3", "z^3 - x^2*y - x*y^2 - 3*x*y*z")
+
+
+def _reference_frame(F, second):
+    """The first accepted frame of the schedule with every base and shear
+    moved and tested in order: no line kept, no spanning point or y-leading
+    coefficient read before a move."""
+    f = _integer_terms(F)[1]
+    form = isinstance(second, MultiPoly)
+    g = _integer_terms(second)[1] if form else second
+    d1 = F.total_degree()
+    d2 = second.total_degree() if form else d1 - 1
+    for base in elimination._BASES:
+        for t in range(d1 * d2 * (d1 * d2 - 1) // 2 + 1 + d1 + d2 + 8):
+            m = mat_mul(base, elimination._shear(t))
+            Ft = elimination._moved(f, m)
+            Gt = (elimination._moved(g, m) if form
+                  else elimination.polar(Ft, elimination._preimage(m, second)))
+            if not elimination._base_usable(Ft, Gt):
+                break
+            if Ft.get((0, d1, 0)) and Gt.get((0, d2, 0)):
+                frame = elimination._pair_frame_count(Ft, Gt, base, t)
+                if frame is not None:
+                    return frame
+    raise AssertionError("no frame accepted")
+
+
+def _reference_parts(frame):
+    """Each class's singular part from the full line resultants of the
+    partials, trimmed of zero top columns, and a gcd with the class."""
+    from functools import reduce
+    from dualis.exact import _derivative, _uni_gcd, _y_derivative
+
+    partials = [P[:max(j for j, p in enumerate(P) if p) + 1]
+                for P in ([_derivative(c) for c in frame.A], _y_derivative(frame.A)) if any(P)]
+    return {k: reduce(_uni_gcd, (elimination._line_resultant(P, *frame.line(k)) for P in partials),
+                      phi)
+            for k, phi in frame.classes.items()}
+
+
+def _reference_points(frame, parts):
+    """The rational points over the parts, from beta as a Fraction."""
+    from dualis.exact import _at
+
+    m = mat_mul(frame.base, elimination._shear(frame.shear))
+    points = []
+    for k, part in parts.items():
+        a, b = frame.line(k)
+        for alpha in rational_roots(part)[0]:
+            beta = -Fraction(_at(b, alpha)) / _at(a, alpha)
+            points.append(normalize_point([sum(r * c for r, c in zip(row, (alpha, beta, 1)))
+                                           for row in m]))
+    return sorted(points)
+
+
+def _reference_kind(curve, point):
+    """(kind, multiplicity) from the Fraction MultiPoly that apply_matrix
+    moves to the point."""
+    from dualis import curvelab
+
+    k = next(n for n, c in enumerate(point) if c)
+    i, j = (n for n in range(3) if n != k)
+    M = tuple(tuple(point[r] if col == k else int(r == col) for col in range(3)) for r in range(3))
+    parts = {}
+    for e, c in apply_matrix(curve.F, M).terms.items():
+        parts.setdefault(e[i] + e[j], {})[e[i], e[j]] = c
+    m = min(parts)
+    if m > 2:
+        return curvelab.OTHER, m
+    A, B, C = (parts[2].get(e, 0) for e in ((2, 0), (1, 1), (0, 2)))
+    if B * B - 4 * A * C:
+        return curvelab.NODE, 2
+    a, b = (B, -2 * A) if A else (1, 0)
+    cubic = sum(c * a ** ea * b ** eb for (ea, eb), c in parts.get(3, {}).items())
+    return (curvelab.CUSP if cubic else curvelab.OTHER), 2
+
+
+def _reference_dual(curve):
+    """The dual's equation and stripped factors, each singular point's
+    dual line divided out of the chart discriminant by try_exact_div."""
+    from dualis import curvelab, dualgeom
+    from dualis.exact import try_exact_div
+
+    d, dst = curve.degree, dualgeom.dual_ring(curve.variables)
+    disc = dualgeom._dual_in_chart(curve.F)
+    removed = []
+    if disc.total_degree() < 2 * d * (d - 1):
+        removed.append((dualgeom._dual_line(dst, (0, 0, 1)), 2 * d * (d - 1) - disc.total_degree()))
+    for s in curvelab.singular_points(curve):
+        line, k = dualgeom._dual_line(dst, s.point), 0
+        quotient = try_exact_div(disc, line)
+        while quotient is not None:
+            disc, k = quotient, k + 1
+            quotient = try_exact_div(disc, line)
+        if k:
+            removed.append((line, k))
+    return disc.primitive(), tuple(removed)
+
+
+class TestRepeatedRootAnalysis:
+    """The analysis that seeks singular parts at repeated eliminant roots,
+    modulo each part, reads points and kinds over Z and strips the dual
+    over Z gives what the full resultants, the Fraction points,
+    apply_matrix and try_exact_div give, in the same frames."""
+
+    @staticmethod
+    def _curves():
+        from dualis.curvelab import PlaneCurve
+
+        given = [DUAL_NODAL_RF, TRINODAL, TRICUSPIDAL]
+        bases = given + [CASE_08[0], CASE_08[1], "y^2*z - x^3 - x^2*z", "y^3*z - x^4"]
+        rng = random.Random(34)
+        copies = []
+        while len(copies) < 33:
+            m = tuple(tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3))
+            if sum(a * b for a, b in zip(m[0], _cross(m[1], m[2]))):
+                copies.append(apply_matrix(parse_poly(bases[len(copies) % len(bases)], XYZ), m))
+        return [PlaneCurve(parse_poly(text, XYZ)) for text in given] + [
+            PlaneCurve(F) for F in copies]
+
+    def test_same_frames_parts_points_kinds_and_duals(self):
+        from dualis import curvelab, dualgeom
+
+        for curve in self._curves():
+            label = curve.F.text()
+            locus = elimination.singular_locus(curve.F)
+            frame, reference = locus.frame, _reference_frame(curve.F, locus.witness)
+            assert (frame.base, frame.shear, frame.classes) == (
+                reference.base, reference.shear, reference.classes), label
+            assert locus.parts == _reference_parts(frame), label
+            assert locus.points == _reference_points(frame, locus.parts), label
+            for p in locus.points:
+                s = curvelab.classify_singularity(curve, p)
+                assert (s.kind, s.multiplicity) == _reference_kind(curve, p), (label, p)
+            if locus.count == len(locus.points):
+                dual = dualgeom.dual_equation(curve)
+                assert (dual.D, dual.removed_factors) == _reference_dual(curve), label
+
+    def test_form_pair_of_case_08(self):
+        F, G = (parse_poly(text, XYZ) for text in CASE_08)
+        frame, reference = elimination._accepted_frame(F, G), _reference_frame(F, G)
+        assert (frame.base, frame.shear, frame.classes, frame.count()) == (
+            reference.base, reference.shear, reference.classes, reference.count())
+
+    def test_frames_keep_their_y_leading_coefficients(self, monkeypatch):
+        # every frame built has both y-leading coefficients nonzero; the
+        # analysis frame of this copy of the nodal cubic is the identity at
+        # shear 1, and at shear 0 the check polar's y-leading coefficient
+        # vanishes, so that frame is never built
+        from dualis import dualgeom
+        from dualis.curvelab import PlaneCurve
+
+        built = []
+        step = elimination._pair_frame_count
+
+        def recorded(Fm, Gm, base, t):
+            built.append((base, t))
+            for terms in (Fm, Gm):
+                d = sum(next(iter(terms)))
+                assert terms.get((0, d, 0)), (base, t)
+            return step(Fm, Gm, base, t)
+        monkeypatch.setattr(elimination, "_pair_frame_count", recorded)
+        copy = PlaneCurve(apply_matrix(parse_poly("y^2*z - x^3 - x^2*z", XYZ),
+                                       ((1, 0, -2), (-1, 1, 1), (1, 0, -1))))
+        assert dualgeom.dual_degree_oracle(copy) == 4
+        assert (elimination._IDENT, 1) in built and (elimination._IDENT, 0) not in built
+        for curve in self._curves()[:12]:
+            try:
+                dualgeom.dual_degree_oracle(curve)
+            except NonGenericWitness:
+                pass  # the two witnesses' counts differ on this copy
+        distinct_intersection_count(*(parse_poly(text, XYZ) for text in CASE_08))
+        assert len(built) > 10
+
+
+class TestRepeatedRootReach:
+    """Analyses that full line resultants made slow."""
+
+    @pytest.mark.timed
+    @pytest.mark.parametrize("text, count, points", [
+        ("x^4 + y^4 + z^4", 28, [(1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 1, 1)]),
+        ("x^3*y + y^3*z + z^3*x", 52, [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)]),
+    ], ids=["fermat-quartic", "klein-quartic"])
+    def test_singular_locus_of_a_degree_12_dual(self, text, count, points):
+        from dualis import dualgeom
+        from dualis.curvelab import PlaneCurve
+
+        D = dualgeom.dual_equation(PlaneCurve(parse_poly(text, XYZ))).D
+        start = time.perf_counter()
+        locus = elimination.singular_locus(D)
+        assert time.perf_counter() - start < 20.0
+        assert (locus.count, locus.points) == (count, points)

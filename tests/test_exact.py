@@ -866,13 +866,15 @@ class TestPrimeSequence:
         for n in (2047, 3215031751, 3825123056546413051):
             assert not _is_prime(n)
 
-    def test_the_largest_primes_below_2_61_in_order(self):
+    def test_the_largest_primes_below_2_30_in_order(self):
+        # each residue is one 30-bit digit of a Python int
         sympy = pytest.importorskip("sympy")
-        expected, p = [], 2**61
+        expected, p = [], 2**30
         for _ in range(8):
             p = sympy.prevprime(p)
             expected.append(p)
         assert list(islice(_gcd_primes(), 8)) == expected
+        assert exact._GCD_PRIMES == (2**30 - 35, 2**30 - 41, 2**30 - 83, 2**30 - 101)
 
 
 class TestIntegerQuotient:

@@ -61,8 +61,9 @@ def test_one_univariate_gcd():
     # exact._uni_gcd, Brown's modular algorithm with its prime sequence and
     # its gcd modulo p, is the only univariate gcd; the other gcds are the
     # trivariate public API, and one remainder sequence is left: the
-    # pseudo-remainder, read by the subresultant chain alone, which runs
-    # over Z or over Q[vars] (a MultiPoly divides exactly through exact_div)
+    # pseudo-remainder, read by the subresultant chain, which runs over Z or
+    # over Q[vars] (a MultiPoly divides exactly through exact_div), and by
+    # the reduction of integer lists modulo a list
     gcds = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
                   for name in _functions(path) if "gcd" in name)
     assert gcds == ["exact.py: _gcd_mod", "exact.py: _gcd_primes", "exact.py: _uni_gcd",
@@ -70,7 +71,7 @@ def test_one_univariate_gcd():
     remainders = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
                         for name in _functions(path) if "rem" in name or "prs" in name.lower())
     assert remainders == ["exact.py: _uni_prem"]
-    assert _readers("_uni_prem") == ["exact.py: _subresultant_chain"]
+    assert _readers("_uni_prem") == ["exact.py: _reduced", "exact.py: _subresultant_chain"]
     defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
     assert not defined & {"_pseudo_rem", "_content_wrt", "_coeff_list", "_from_coeff_list"}
     assert "exact.py: __floordiv__" in _readers("exact_div")
@@ -409,7 +410,8 @@ def test_one_list_evaluation():
     assert horners == ["exact.py: _at"]
     defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
     assert not defined & {"_eval_mod", "_is_root", "load_report"}
-    assert _readers("_at") == ["dualgeom.py: _dual_in_chart", "elimination.py: _root_candidates",
+    assert _readers("_at") == ["dualgeom.py: _dual_in_chart", "elimination.py: _accepted_frame",
+                               "elimination.py: _root_candidates",
                                "elimination.py: coefficient", "elimination.py: point",
                                "elimination.py: rational_roots"]
     tree = ast.parse((SOURCE / "dualgeom.py").read_text())
@@ -451,6 +453,27 @@ def test_each_fact_certified_once():
     defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
     assert not defined & {"_witness_frame", "_line_dual_point"}
     assert not {"elimination", "NotTransversal"} & _referenced_names(SOURCE / "corpus.py")
+
+
+def test_singular_analysis_stays_on_integers():
+    # a line resultant is only taken modulo the class or part it tests,
+    # through the one reduction of lists modulo a list (exact._reduced);
+    # singular points are classified from F's moved integer terms, and the
+    # dual's factors are stripped from the chart discriminant's integer
+    # terms, so neither reads the Fraction MultiPoly kernel
+    assert _readers("_reduced") == ["elimination.py: _line_resultant"]
+    calls = [node for path in sorted(SOURCE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_line_resultant"]
+    assert len(calls) == 2
+    # P, a, b and the modulus, or P, the line as one starred pair, and the modulus
+    assert all(len(call.args) == 4
+               or len(call.args) == 3 and isinstance(call.args[1], ast.Starred)
+               for call in calls)
+    defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
+    assert "_strip_all" not in defined
+    assert "try_exact_div" not in _referenced_names(SOURCE / "dualgeom.py")
+    assert "apply_matrix" not in _referenced_names(SOURCE / "curvelab.py")
 
 
 def _clocked_tests(path: Path) -> list:
