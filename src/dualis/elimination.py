@@ -15,10 +15,11 @@ composed with x-shears) and only reports a number it can certify:
   is the square-free degree of R (González-Vega & El Kahoui, J. Complexity
   12, 1996; Bouzidi, Lazard, Pouget & Rouillier, J. Symb. Comput. 68, 2015).
   Shears fix the line at infinity, so the tests on it are tests of that
-  line: they run once per line, and a line that fails is never tried
-  again in another base.  A common zero at the two points spanning it is
-  seen before the pair moves, and a shear whose y-leading coefficients
-  vanish, read from the line's restrictions, before it moves.
+  line, and a usable base accepts one of its shears: the schedule holds
+  one base per line, the identity, the x <-> z swap and twelve shifts of
+  the line.  A common zero at the two points spanning it is seen before
+  the pair moves, and a shear whose y-leading coefficients vanish, read
+  from the line's restrictions, taken once per base, before it moves.
 
 * transversality: all intersection multiplicities equal one exactly when the
   certified distinct count reaches the Bezout number d1*d2.
@@ -45,11 +46,13 @@ and every x-shear is an integer coordinate change of those terms
 the polar P_w of a point moves F alone: every base and shear M has
 determinant +-1, so M^-1 w is an integer point and
 P_w(F)(M v) = P_{M^-1 w}(F(M v)); each frame takes the polar of its moved
-F there (`polar`), so F is expanded once per base and once per shear,
-and never for a hinted frame, which holds F's terms.  A frame holds the
-pair as integer y-columns, one list in x per power of y, of the moved
-terms at z = 1 (`_chart_columns`).  Their values at x = 0, 1, 2, ... are
-taken once per frame and cached as their subresultant chain
+F there (`polar`).  One helper moves a pair's second member, a form or a
+point, and gives the second form after the move (`_second_moved`), for a
+base, a shear and a hint alike, so F is expanded once per base and once
+per shear, and never for a hinted frame, which holds F's terms.  A frame
+holds the pair as integer y-columns, one list in x per power of y, of the
+moved terms at z = 1 (`_chart_columns`).  Their values at x = 0, 1, 2,
+... are taken once per frame and cached as their subresultant chain
 (`exact._subresultant_chain`): one sweep serves the eliminant R = s_{0,0}
 and every s_{k,j}, each read from the chain at each point and rebuilt by
 `exact._interpolate` (Collins, J. ACM 18, 1971).  In an accepted frame
@@ -155,24 +158,15 @@ def _shear(t: int) -> Matrix:
     return ((1, t, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _base_frames() -> list:
-    """Deterministic bases: permutations composed with infinity-line shifts."""
-    swaps = [
-        _IDENT,
-        ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
-        ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
-    ]
-    shifts = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 1), (1, 3),
-              (2, 3), (3, 2), (4, 1), (1, 4), (5, 2)]
-    bases = []
-    for k, m in shifts:
-        shift = ((1, 0, 0), (0, 1, 0), (-k, -m, 1))
-        for s in swaps:
-            bases.append(mat_mul(shift, s))
-    return bases
-
-
-_BASES = _base_frames()
+#: the frame schedule's bases, one per line at infinity, the line through
+#: m e_x and m e_y that base m takes to z = 0: the identity (z = 0), the
+#: x <-> z swap (x = 0) and the shifts to k*x + m*y + z = 0.  Shears fix
+#: that line and the base test is one of it (`_accepted_frame`), so a
+#: second base on a line would add nothing
+_BASES = (_IDENT, ((0, 0, 1), (0, 1, 0), (1, 0, 0))) + tuple(
+    ((1, 0, 0), (0, 1, 0), (-k, -m, 1))
+    for k, m in ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 3), (3, 2),
+                 (4, 1), (1, 4), (5, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +443,9 @@ def _infinity_restriction(forms: list) -> list:
             for terms, d in zip(forms, degrees)]
 
 
-def _base_usable(Fm: dict, Gm: dict) -> bool:
-    """Shear-independent frame tests for a pair moved by a base.
+def _base_usable(f: list, g: list) -> bool:
+    """Shear-independent frame tests for a pair moved by a base, on the
+    restrictions f and g of its two forms to z = 0 (`_infinity_restriction`).
 
     x-shears fix the line z = 0 and act on it by an invertible change of
     coordinates, so a restriction to it that vanishes, or common zeros on
@@ -459,7 +454,6 @@ def _base_usable(Fm: dict, Gm: dict) -> bool:
     y = 1 have a common root, and the zero [1:0] when both lose their x^d
     term.
     """
-    f, g = _infinity_restriction([Fm, Gm])
     if not any(f) or not any(g) or f[-1] == g[-1] == 0:
         return False
     return len(_uni_gcd(f, g)) == 1
@@ -470,16 +464,6 @@ def _zero_on_span(f: dict, h: dict, m: Matrix) -> bool:
     m e_y, two points of the line z = 0 of the base m?  Then the base is
     unusable (`_base_usable`), and no form has to move to see it."""
     return any(not (_value(f, p) or _value(h, p)) for p in list(zip(*m))[:2])
-
-
-def _infinity_line(m: Matrix) -> tuple:
-    """The line z = 0 of the base m, in the given coordinates: the line
-    through m e_x and m e_y, as its primitive normal with a positive first
-    nonzero entry."""
-    (a, b, _), (c, d, _), (e, f, _) = m
-    normal = (c * f - e * d, e * b - a * f, a * d - c * b)
-    g = gcd(*normal) * (1 if next(n for n in normal if n) > 0 else -1)
-    return tuple(n // g for n in normal)
 
 
 def polar(terms: dict, w: Sequence[int]) -> dict:
@@ -509,25 +493,17 @@ def _preimage(m: Matrix, w: Sequence[int]) -> tuple:
     return tuple(det * sum(r * x for r, x in zip(row, w)) for row in adj)
 
 
-def _carried(second, m: Matrix):
-    """The second member of a pair after the coordinate change m: a form's
-    integer terms, moved, or the point w of the first form's polar, taken
-    to m^-1 w (see `_accepted_frame`)."""
-    return _moved(second, m) if isinstance(second, dict) else _preimage(m, second)
-
-
-def _second_form(Fm: dict, second) -> dict:
-    """The integer terms of the pair's second form, for the first form's
-    terms Fm: the terms themselves, or the polar of Fm at the point."""
-    return second if isinstance(second, dict) else polar(Fm, second)
-
-
-def _sheared(Fb: dict, gb, t: int) -> tuple:
-    """The integer terms of the pair moved by the x-shear x -> x + t*y,
-    from F's terms Fb and the second member gb (see `_carried`)."""
-    shear = _shear(t)
-    Ft = _moved(Fb, shear)
-    return Ft, _second_form(Ft, _carried(gb, shear))
+def _second_moved(second, m: Matrix, Fm: dict) -> tuple:
+    """The pair's second member after the coordinate change m, and its
+    second form there, for the first form's terms Fm moved by m: a form's
+    moved integer terms, as both, or, for the point w of the first form's
+    polar, the integer point m^-1 w and the polar of Fm there (see
+    `_accepted_frame`)."""
+    if isinstance(second, dict):
+        moved = _moved(second, m)
+        return moved, moved
+    u = _preimage(m, second)
+    return u, polar(Fm, u)
 
 
 def _accepted_frame(F: MultiPoly, G, hint: Optional[tuple] = None) -> _Frame:
@@ -547,12 +523,16 @@ def _accepted_frame(F: MultiPoly, G, hint: Optional[tuple] = None) -> _Frame:
     Each pair of the at most N = d1*d2 points shares an x-coordinate in at
     most one shear of a usable base, and a frame where no two points do is
     accepted, so one of C(N,2)+1 valid shears is; at most d1 + d2 shears
-    lose a leading y-coefficient.  The base test is one of the line
-    z = 0 of the base (`_base_usable`), so a line that fails it is kept by
-    its primitive normal (`_infinity_line`) and skipped in every later
-    base; a base other than the identity, which moves nothing, first has
-    the pair, as given, evaluated at its spanning points (`_zero_on_span`),
-    so a common zero there costs no move.  At shear t the y^d coefficient of a form moved by the base is
+    lose a leading y-coefficient, so a usable base accepts a frame within
+    its t_limit shears.  The base test is one of the line z = 0 of the base
+    (`_base_usable`), so a second base on a line would add nothing, and the
+    schedule holds one base per line (`_BASES`).  A base other than the
+    identity, which moves nothing and keeps the given pair and its polar,
+    first has the pair, as given, evaluated at its spanning points
+    (`_zero_on_span`), so a common zero there costs no move; otherwise the
+    base moves F and the second member once (`_second_moved`), and the
+    restrictions of the moved pair to z = 0 serve the base test and every
+    shear.  At shear t the y^d coefficient of a form moved by the base is
     its restriction to z = 0 at x = t, so a shear where either vanishes is
     skipped before it moves anything.  A hint (base, shear, terms), with F's
     integer terms moved to that frame (`_Frame.terms` of an earlier search
@@ -560,7 +540,8 @@ def _accepted_frame(F: MultiPoly, G, hint: Optional[tuple] = None) -> _Frame:
     frame certifies the count, and the full schedule follows it, so a
     failed hint costs one base test and one frame at most.  The base test
     is shear-independent, so the hint's own terms serve it, and nothing the
-    schedule has rejected is tried again.
+    schedule has rejected, an unusable base or a (base, shear) frame, is
+    tried again.
     """
     form = isinstance(G, MultiPoly)
     f = _integer_terms(F)[1]
@@ -576,39 +557,43 @@ def _accepted_frame(F: MultiPoly, G, hint: Optional[tuple] = None) -> _Frame:
     t_limit = d1 * d2 * (d1 * d2 - 1) // 2 + 1 + d1 + d2 + 8
     g = h if form else G
     coprime = not form
-    # entries (base, t0, shears, pair): pair is the pair already moved to
-    # the base and the shear t0, or None when the base is still to move it
-    schedule = ((base, 0, range(t_limit), None) for base in _BASES)
+    # entries (base, t0, shears, pair): pair is F's terms, the second member
+    # and the second form, moved to the base and the shear t0, or None when
+    # the base is still to move them; the identity moves nothing
+    schedule = ((base, 0, range(t_limit), (f, g, h) if base == _IDENT else None)
+                for base in _BASES)
     if hint is not None:
         base, t, terms = hint
-        schedule = chain([(base, t, (t,), (terms, _carried(_carried(g, base), _shear(t))))],
-                         schedule)
-    rejected = set()  # lines at infinity of unusable bases, and rejected (base, shear) frames
+        pair = (terms, *_second_moved(g, mat_mul(base, _shear(t)), terms))
+        schedule = chain([(base, t, (t,), pair)], schedule)
+    rejected = set()  # unusable bases, and rejected (base, shear) frames
     for base, t0, shears, pair in schedule:
-        line = _infinity_line(base)
-        if line in rejected:
+        if base in rejected:
             continue
-        if pair is None and base != _IDENT and _zero_on_span(f, h, base):
-            restrictions = None
-        else:
-            Fb, gb = pair or (_moved(f, base), _carried(g, base))
-            Gb = h if Fb is f else _second_form(Fb, gb)  # the identity moves nothing
-            restrictions = _infinity_restriction([Fb, Gb]) if _base_usable(Fb, Gb) else None
-        if restrictions is None:
+        # a common zero at the base's spanning points leaves the pair unmoved
+        if pair is None and not _zero_on_span(f, h, base):
+            Fb = _moved(f, base)
+            pair = (Fb, *_second_moved(g, base, Fb))
+        if pair is not None:
+            Fb, gb, Gb = pair
+            lf, lg = _infinity_restriction([Fb, Gb])
+        if pair is None or not _base_usable(lf, lg):
             # a shared component spoils every base, so the first failing
             # base decides it unless the pair is known coprime; an accepted
             # frame excludes it, as R != 0
             if not coprime and not forms_coprime(F, G):
                 raise ReducibleCurve("curves share a component")
             coprime = True
-            rejected.add(line)
+            rejected.add(base)
             continue
-        lf, lg = restrictions
         for t in shears:
             # the y-leading coefficients at shear t: the restrictions at t - t0
             if (base, t) in rejected or not (_at(lf, t - t0) and _at(lg, t - t0)):
                 continue
-            Ft, Gt = (Fb, Gb) if t == t0 else _sheared(Fb, gb, t - t0)
+            Ft, Gt = Fb, Gb
+            if t != t0:
+                Ft = _moved(Fb, _shear(t - t0))
+                Gt = _second_moved(gb, _shear(t - t0), Ft)[1]
             frame = _pair_frame_count(Ft, Gt, base, t)
             if frame is not None:
                 return frame

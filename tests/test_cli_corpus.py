@@ -500,12 +500,14 @@ class TestCli:
         # built, integer expansions (a form moved, a chart form expanded)
         # and exact divisions of MultiPolys; a search that moved and tested
         # every base and shear, and stripped duals over Fractions, took 66,
-        # 92 and 15, this one takes 45, 56 and 0
+        # 92 and 15, this one takes 45, 56 and 0.  A base's restrictions to
+        # z = 0 are taken once, for its base test and its shears (47 each)
         from dualis import corpus, curvelab, elimination, exact
 
         counts = {}
         for owner, name in ((elimination, "_pair_frame_count"), (exact, "_expand"),
-                            (exact, "try_exact_div")):
+                            (exact, "try_exact_div"), (elimination, "_base_usable"),
+                            (elimination, "_infinity_restriction")):
             original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original):
@@ -519,6 +521,7 @@ class TestCli:
         assert counts.get("_pair_frame_count", 0) <= 45
         assert counts.get("_expand", 0) <= 56
         assert counts.get("try_exact_div", 0) == 0
+        assert counts["_infinity_restriction"] == counts["_base_usable"]
 
 
 SOLVE_INSTANCE = {

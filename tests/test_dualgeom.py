@@ -452,9 +452,10 @@ class TestDualDegreeOracle:
         assert all(any(m[i] and sum(m) == m[i] for m in leads) for i in range(3))
 
     def test_check_starts_at_the_analysis_frame(self, monkeypatch):
-        # the analysis frame (base 9, shear 1) of the trinodal quartic suits
-        # the check witness's polar, so a repeated oracle tests one base and
-        # one frame, where the schedule alone tests ten bases and two frames
+        # the analysis frame (the base of the line x + y + z = 0, shear 1) of
+        # the trinodal quartic suits the check witness's polar, so a repeated
+        # oracle tests one base and one frame, where the schedule alone
+        # reaches five bases, tests two and builds two frames
         from dualis import elimination
 
         c = curve("2*x^2*y^2 + y^2*z^2 + z^2*x^2 - x^2*y*z - x*y^2*z - x*y*z^2")

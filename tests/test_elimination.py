@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -18,6 +19,7 @@ from dualis.elimination import (
     transversal_intersection_count,
 )
 from dualis.errors import (
+    ChartExhausted,
     DegenerateInput,
     DegreeGuardrail,
     GuardrailExceeded,
@@ -257,6 +259,23 @@ class TestCounting:
             distinct_intersection_count(f, g)
         assert time.perf_counter() - start < 1.0
         assert bases == [False]
+
+    def test_every_line_at_infinity_on_the_curve_exhausts_the_schedule(self, monkeypatch):
+        # F holds the line z = 0 of every base, so each base test fails and
+        # no frame is built; the generic conic shares no component with F
+        lines = [(0, 0, 1), (1, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (2, 1, 1), (1, 2, 1),
+                 (3, 1, 1), (1, 3, 1), (2, 3, 1), (3, 2, 1), (4, 1, 1), (1, 4, 1), (5, 2, 1)]
+        f = _line_product(lines)
+        g = parse_poly("x^2 + 2*y^2 - 3*z^2 + x*y + 5*y*z - 7*x*z", XYZ)
+        calls = []
+        for name in ("_base_usable", "_pair_frame_count"):
+            step = getattr(elimination, name)
+            monkeypatch.setattr(elimination, name,
+                                lambda *args, _name=name, _step=step:
+                                calls.append(_name) or _step(*args))
+        with pytest.raises(ChartExhausted):
+            distinct_intersection_count(f, g)
+        assert calls == ["_base_usable"] * 14
 
     def test_pairs_out_of_reach_are_refused_before_any_frame(self):
         # the frame's degree bounds hold for forms only, and its Sylvester
@@ -518,11 +537,12 @@ class TestFrameHint:
         assert hinted_bases == [False] + bases[1:] and hinted_frames == frames
 
     def test_rejected_hint_shear_falls_back(self, searched, monkeypatch):
-        # the analysis accepts base 9 at shear 1: at shear 0 one fibre of the
-        # next polar carries two points, and the k-th power test says so
+        # the analysis accepts the base of the line x + y + z = 0 at shear 1:
+        # at shear 0 one fibre of the next polar carries two points, and the
+        # k-th power test says so
         F = parse_poly(TRINODAL, XYZ)
         hint, second = self._check(F)
-        base = elimination._BASES[9]
+        base = ((1, 0, 0), (0, 1, 0), (-1, -1, 1))
         assert hint[:2] == (base, 1)
         powers = []
         is_power = elimination._Frame.is_power
@@ -562,7 +582,11 @@ class TestPolarInTheFrame:
         return sum(a * b for a, b in zip(m[0], _cross(m[1], m[2])))
 
     def test_bases_and_shears_are_unimodular(self):
-        assert len(elimination._BASES) == 39
+        # one base per line at infinity, in the order the lines first
+        # appear among the swaps composed with the shifts
+        lines = list(dict.fromkeys(_infinity_normal(m) for m in _swapped_shifts()))
+        assert len(elimination._BASES) == len(lines) == 14
+        assert [_infinity_normal(m) for m in elimination._BASES] == lines
         assert all(self._det(m) in (1, -1) for m in elimination._BASES)
         assert all(self._det(elimination._shear(t)) == 1 for t in range(-50, 200))
 
@@ -605,7 +629,7 @@ class TestFrameCertificate:
         # short of degree 2; _base_usable refuses that base, and a frame of
         # it would break the degree argument
         terms = [_integer_terms(parse_poly(text, XYZ))[1] for text in ("y - x", "y^2 - x^2 + z^2")]
-        assert not elimination._base_usable(*terms)
+        assert not elimination._base_usable(*elimination._infinity_restriction(terms))
         with pytest.raises(InvariantViolation, match="eliminant of degree 0, not 2"):
             elimination._pair_frame_count(*terms, elimination._IDENT, 0)
 
@@ -723,22 +747,41 @@ DUAL_NODAL_RF = "27*x^2*y^2 - 18*x*y*z^2 + 4*x*z^3 + 4*y*z^3 - z^4"
 CASE_08 = ("x^3 - y^2*z - 2*y*z^2 - z^3", "z^3 - x^2*y - x*y^2 - 3*x*y*z")
 
 
+def _swapped_shifts():
+    """The 39 bases of each swap (the identity, x <-> y, x <-> z) composed
+    after each of 13 shifts of the line at infinity, on 14 lines."""
+    swaps = [((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+             ((0, 0, 1), (0, 1, 0), (1, 0, 0))]
+    shifts = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 1), (1, 3),
+              (2, 3), (3, 2), (4, 1), (1, 4), (5, 2)]
+    return [mat_mul(((1, 0, 0), (0, 1, 0), (-k, -m, 1)), s) for k, m in shifts for s in swaps]
+
+
+def _infinity_normal(m):
+    """The line z = 0 of the base m in the given coordinates, the line
+    through m e_x and m e_y, as its primitive normal with a positive first
+    nonzero entry."""
+    normal = _cross(*list(zip(*m))[:2])
+    g = gcd(*normal) * (1 if next(c for c in normal if c) > 0 else -1)
+    return tuple(c // g for c in normal)
+
+
 def _reference_frame(F, second):
-    """The first accepted frame of the schedule with every base and shear
-    moved and tested in order: no line kept, no spanning point or y-leading
-    coefficient read before a move."""
+    """The first accepted frame of the 39 swapped shifts with every base and
+    shear moved and tested in order: no line kept, no base skipped, no
+    spanning point or y-leading coefficient read before a move."""
     f = _integer_terms(F)[1]
     form = isinstance(second, MultiPoly)
     g = _integer_terms(second)[1] if form else second
     d1 = F.total_degree()
     d2 = second.total_degree() if form else d1 - 1
-    for base in elimination._BASES:
+    for base in _swapped_shifts():
         for t in range(d1 * d2 * (d1 * d2 - 1) // 2 + 1 + d1 + d2 + 8):
             m = mat_mul(base, elimination._shear(t))
             Ft = elimination._moved(f, m)
             Gt = (elimination._moved(g, m) if form
                   else elimination.polar(Ft, elimination._preimage(m, second)))
-            if not elimination._base_usable(Ft, Gt):
+            if not elimination._base_usable(*elimination._infinity_restriction([Ft, Gt])):
                 break
             if Ft.get((0, d1, 0)) and Gt.get((0, d2, 0)):
                 frame = elimination._pair_frame_count(Ft, Gt, base, t)
@@ -823,7 +866,9 @@ class TestRepeatedRootAnalysis:
     """The analysis that seeks singular parts at repeated eliminant roots,
     modulo each part, reads points and kinds over Z and strips the dual
     over Z gives what the full resultants, the Fraction points,
-    apply_matrix and try_exact_div give, in the same frames."""
+    apply_matrix and try_exact_div give, in the same frames; and the
+    schedule of one base per line accepts the frame that a walk of the 39
+    swapped shifts accepts."""
 
     @staticmethod
     def _curves():

@@ -185,8 +185,7 @@ def test_frame_search_stays_on_integer_lists():
     rules = {"_Frame": kernel, "singular_locus": kernel, "_accepted_frame": kernel,
              "_pair_frame_count": integer, "_chart_columns": integer,
              "_infinity_restriction": integer, "_base_usable": integer,
-             "polar": integer, "_preimage": integer, "_carried": integer,
-             "_second_form": integer, "_sheared": integer}
+             "polar": integer, "_preimage": integer, "_second_moved": integer}
     scopes = {node.name: node for node in ast.walk(tree)
               if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in rules}
     assert len(scopes) == len(rules)
@@ -228,7 +227,8 @@ def _readers(name: str) -> list:
 def test_one_line_restriction_and_one_coordinate_change():
     # a form is evaluated along a line in exact._restriction alone, which the
     # pencil and line_transversality share; a singular point reaches its
-    # chart origin through apply_matrix, so curvelab substitutes nothing
+    # chart origin through elimination._moved on F's integer terms, so
+    # curvelab substitutes nothing
     assert _readers("_restriction") == ["curvelab.py: line_transversality",
                                         "exact.py: _on_pencil"]
     assert _readers("_interpolate") == ["dualgeom.py: _dual_in_chart",
@@ -243,19 +243,22 @@ def test_one_expansion_and_one_integer_coordinate_change():
     # every substitution and change of coordinates runs through the one
     # expansion exact._expand; bases, shears and apply_matrix move integer
     # terms through elimination._moved, and the frame search moves the
-    # second form of a pair in _carried alone; a polar is never moved, but
-    # taken in each frame from the moved first form (_second_form)
+    # first form in _accepted_frame and the second member of a pair in
+    # _second_moved alone, for a base, a shear and a hint; a polar is never
+    # moved, but taken in each frame from the moved first form
     assert _readers("_expand") == ["dualgeom.py: _dual_in_chart", "elimination.py: _moved",
                                    "exact.py: substitute"]
     assert _readers("_add_product") == ["exact.py: __mul__", "exact.py: _expand"]
     assert _readers("_moved") == ["elimination.py: _accepted_frame",
-                                  "elimination.py: _carried", "elimination.py: _sheared",
+                                  "elimination.py: _second_moved",
                                   "elimination.py: apply_matrix"]
     assert _readers("polar") == ["elimination.py: _accepted_frame",
-                                 "elimination.py: _second_form"]
+                                 "elimination.py: _second_moved"]
+    assert _readers("_second_moved") == ["elimination.py: _accepted_frame"]
     assert "comb" not in _referenced_names(SOURCE / "elimination.py")
     defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
-    assert not defined & {"_dehomogenised", "restrict_variables"}
+    assert not defined & {"_dehomogenised", "restrict_variables", "_base_frames",
+                          "_infinity_line", "_carried", "_second_form", "_sheared"}
 
 
 def _index_products(path: Path) -> list:
