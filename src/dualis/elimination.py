@@ -73,7 +73,7 @@ The square-free part is written once (`_sqfree_part`), for the frame step
 and `rational_roots`.  Every list is evaluated by `exact._at`, at the
 points of a frame's sweep, at a root alpha for its point and at each root
 candidate, modulo the lifted modulus or, on an integer list scaled to be
-monic, exactly at an integer.  No trivariate gcd runs
+monic, exactly at an integer.  No gcd of forms is taken
 here: a pair is proved coprime on a pencil of lines
 (`exact.forms_coprime`), except a square-free form and the polar of a
 point off its curve, which are coprime by construction (`_accepted_frame`).
@@ -93,7 +93,6 @@ from typing import Optional, Sequence
 from .errors import (
     ChartExhausted,
     DegenerateInput,
-    DegreeGuardrail,
     GuardrailExceeded,
     InvalidParams,
     InvariantViolation,
@@ -102,7 +101,6 @@ from .errors import (
     ZeroInput,
 )
 from .exact import (
-    SYLVESTER_LIMIT,
     MultiPoly,
     _at,
     _derivative,
@@ -114,6 +112,7 @@ from .exact import (
     _primitive_ints,
     _reduced,
     _subresultant_chain,
+    _sylvester_guard,
     _ternary_form,
     _trim,
     _uni_gcd,
@@ -552,8 +551,7 @@ def _accepted_frame(F: MultiPoly, G, hint: Optional[tuple] = None) -> _Frame:
     d2 = _ternary_form(G) if form else d1 - 1
     if d1 + d2 == 0:
         raise DegenerateInput("both forms are constant")
-    if d1 + d2 > SYLVESTER_LIMIT:
-        raise DegreeGuardrail(f"Sylvester matrix {d1 + d2}x{d1 + d2} exceeds {SYLVESTER_LIMIT}")
+    _sylvester_guard(d1 + d2)
     t_limit = d1 * d2 * (d1 * d2 - 1) // 2 + 1 + d1 + d2 + 8
     g = h if form else G
     coprime = not form

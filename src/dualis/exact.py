@@ -22,34 +22,21 @@ expansion, `_expand`: ``MultiPoly.substitute`` scales the polynomial and
 its images to integers and divides by the common denominator once, and
 `elimination` moves integer terms ({exponents: int}) with it directly.
 
-On top of the polynomial ring the module provides the elimination kernel:
-Sylvester matrices (rows of the first operand first), resultants,
-discriminants, multivariate gcds and square-free parts.  Every eliminant
-and every gcd of MultiPolys is read from one subresultant chain
+On top of the polynomial ring the module provides the elimination kernel,
+on integer lists: every eliminant is read from one subresultant chain
 (`_subresultant_chain`, the subresultant PRS of Collins, J. ACM 14, 1967,
-and Brown & Traub, J. ACM 18, 1971, abnormal blocks included), which runs
-over Z or over Q[vars]: a MultiPoly is true when nonzero and ``//``
-divides it exactly.  It holds at once every subresultant coefficient
-s_{k,j} of two lists, the determinants of the submatrices of the
-Sylvester matrix that `_minor_matrix` lays out over any ring, which tell
-where two polynomials share k roots and what the common factor is;
-s_{0,0} is the resultant.  The counts of `elimination` and the dual
-equations of `dualgeom` evaluate integer lists at points and read the
-chain there; the discriminant of a list with roots at infinity is
-`_uni_discriminant`.  The public `resultant` and
-`subresultant_coefficient` read it on a grid (`_minor_grid`): the
-operands, scaled to integers, are specialised at the points of an integer
-grid, the chain is read at each, and Newton interpolation along each axis
-rebuilds the integer coefficients (`_interpolate`; Collins, J. ACM 18,
-1971).  Fraction-free Bareiss over Python ints takes the minor only at a
-grid point where a leading coefficient vanishes.  Each axis of the grid
-is as long as a proved bound on the degree in that variable requires:
-the heaviest perfect matching of the entry degrees of the minor, found
-by the Hungarian method (Jacobi's bound; Kuhn, Naval Res. Logist. Q. 2,
-1955), which is d1*d2 on a Sylvester matrix of forms.  The public
-`discriminant` is the resultant of f and f' divided by lc(f).  A hard
-guardrail refuses Sylvester matrices larger than 64x64 so that a
-degenerate input fails fast instead of hanging.
+and Brown & Traub, J. ACM 18, 1971, abnormal blocks included), which holds
+at once every subresultant coefficient s_{k,j} of two lists, the minors of
+their Sylvester matrix (rows of the first operand first) that tell where
+two polynomials share k roots and what the common factor is; s_{0,0} is
+the resultant.  The counts of `elimination` and the dual equations of
+`dualgeom` evaluate integer lists at points and read the chain there; the
+discriminant of a list with roots at infinity is `_uni_discriminant`.
+The public `resultant`, `discriminant`, `squarefree_part`, `poly_gcd` and
+`radical` take polynomials in one variable: each clears denominators and
+calls the same kernel, and a coefficient in a second variable is refused
+with InvalidParams.  A hard guardrail refuses Sylvester matrices larger
+than 64x64 so that a degenerate input fails fast instead of hanging.
 
 Whether two ternary forms share a component is decided on a pencil of
 lines through a point off their curves: each line restricts the forms to
@@ -71,13 +58,8 @@ univariate gcd, Brown's modular algorithm (J. ACM 18, 1971), which works
 modulo primes just below 2^30, one digit of a Python int each, checks
 its candidate by trial division over Z and returns a
 primitive gcd; a constant image modulo one prime proves a constant gcd,
-which is the usual case.  The trivariate gcd ``poly_gcd`` and
-the ``radical`` built on it are public API; no count, no curve check and no
-dual equation calls them.  ``poly_gcd`` divides out the contents in its
-first variable and takes the primitive part of the first nonzero S_k of
-the chain of the primitive parts, run over Q[the other variables].
-Evaluation at a point of ints runs over the integers too, with one
-division at the end.
+which is the usual case.  ``MultiPoly.evaluate`` at a point of ints
+runs over the integers too, with one division at the end.
 """
 
 from __future__ import annotations
@@ -157,7 +139,15 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` into a Fraction: an optional sign, digits,
     and an optional "/" followed by digits, with surrounding whitespace.
     Anything else, such as exponent notation, decimals or digit separators,
-    is refused with PolySyntaxError."""
+    is refused with PolySyntaxError.
+
+    >>> parse_rational(" -3/6 ")
+    Fraction(-1, 2)
+    >>> parse_rational("1e5")
+    Traceback (most recent call last):
+    ...
+    dualis.errors.PolySyntaxError: bad rational literal '1e5'
+    """
     stripped = text.strip()
     try:
         if _RATIONAL.fullmatch(stripped):
@@ -371,13 +361,6 @@ class MultiPoly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def __floordiv__(self, other):
-        """Exact division: by a polynomial through `exact_div`, by an int or
-        a Fraction as the product with its inverse."""
-        if isinstance(other, MultiPoly):
-            return exact_div(self, other)
-        return self * Fraction(1, other)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -624,58 +607,6 @@ class UniPolyView:
     def degree(self) -> int:
         return len(self.coeffs) - 1 if not self.poly.is_zero() else -1
 
-    @property
-    def lc(self) -> MultiPoly:
-        if self.poly.is_zero():
-            raise ZeroInput("zero polynomial")
-        return self.coeffs[-1]
-
-
-# ---------------------------------------------------------------------------
-# exact division
-# ---------------------------------------------------------------------------
-
-def try_exact_div(f: MultiPoly, g: MultiPoly) -> Optional[MultiPoly]:
-    """Return q with f == q*g, or None if g does not divide f.
-
-    The remainder is one dict updated in place: each step cancels its
-    graded-lex leading term with a multiple of g, so the leading monomials
-    strictly decrease and each quotient monomial is met once.
-    """
-    f._check_ring(g)
-    if g.is_zero():
-        raise ZeroInput("division by the zero polynomial")
-    ge, gc = g.leading()
-    rest = [(e, c) for e, c in g.terms.items() if e != ge]
-    quotient: dict = {}
-    r = dict(f.terms)
-    while r:
-        re_ = max(r, key=_grad_lex_key)
-        diff = tuple(a - b for a, b in zip(re_, ge))
-        if any(d < 0 for d in diff):
-            return None
-        c = r.pop(re_) / gc
-        quotient[diff] = c
-        for e, gcoeff in rest:
-            m = tuple(map(add, diff, e))
-            s = r.get(m, _ZERO) - c * gcoeff
-            if s:
-                r[m] = s
-            else:
-                del r[m]
-    return MultiPoly._trusted(f.variables, quotient)
-
-
-def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    q = try_exact_div(f, g)
-    if q is None:
-        raise ValueError(f"{g.text()} does not divide {f.text()}")
-    return q
-
-
-def divides(g: MultiPoly, f: MultiPoly) -> bool:
-    return try_exact_div(f, g) is not None
-
 
 # ---------------------------------------------------------------------------
 # univariate polynomials over Z, as coefficient lists [c0..cd]
@@ -741,9 +672,8 @@ def _uni_quo(a: Sequence[int], b: Sequence[int]) -> list:
 
 
 def _uni_prem(a: Sequence[int], b: Sequence[int]) -> list:
-    """The pseudo-remainder of lists over Z or over Q[vars] (ints or
-    MultiPolys), trimmed: the remainder of lc(b)^(m-n+1) a by b, m = deg a
-    >= n = deg b >= 1, b[-1] != 0."""
+    """The pseudo-remainder of integer lists, trimmed: the remainder of
+    lc(b)^(m-n+1) a by b, m = deg a >= n = deg b >= 1, b[-1] != 0."""
     r, lead, n = list(a), b[-1], len(b) - 1
     for k in reversed(range(len(a) - n)):
         top = r.pop()
@@ -759,7 +689,11 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def _is_prime(n: int) -> bool:
     """Is n > 1 prime?  Miller-Rabin with the primes up to 37 as bases,
-    exact for n < 3.18e23 (Sorenson & Webster, Math. Comp. 86, 2017)."""
+    exact for n < 3.18e23 (Sorenson & Webster, Math. Comp. 86, 2017).
+
+    >>> [n for n in range(2, 40) if _is_prime(n)]
+    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    """
     for p in _MILLER_RABIN_BASES:
         if n % p == 0:
             return n == p
@@ -857,135 +791,14 @@ def _distinct_roots(cs: Sequence[int]) -> bool:
     """Has the nonzero integer list cs distinct roots: is gcd(f, f') constant?"""
     return len(_uni_gcd(cs, _derivative(cs))) == 1
 
-
-# ---------------------------------------------------------------------------
-# multivariate gcd, read from the subresultant chain over Q[vars]
-# ---------------------------------------------------------------------------
-
-def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Gcd in Q[variables], normalized primitive with positive leading coefficient.
-
-    The gcd of two nonzero constants is 1 (units are irrelevant over a field).
-    In the first variable x either operand uses, it is the gcd of the
-    contents (the gcds of the coefficients in x, `poly_gcd_many`) times that
-    of the primitive parts A and B, deg A >= deg B.  That one is 1 when B is
-    constant, B when every S_k of their `_subresultant_chain` over the
-    coefficient ring vanishes, and else the primitive part in x of the first
-    nonzero S_k: by the fundamental theorem of subresultants it is a nonzero
-    multiple of gcd(A, B) in the coefficient ring (Collins, J. ACM 14, 1967;
-    Brown & Traub, J. ACM 18, 1971).
-
-    >>> poly_gcd(parse_poly("x^2 + x*y - x - y", ("x", "y")),    # (x + y)(x - 1)
-    ...          parse_poly("x^2 + x*y + x + y", ("x", "y"))).text()  # (x + y)(x + 1)
-    'x + y'
-    """
-    f._check_ring(g)
-    if f.is_zero():
-        return g.primitive()
-    if g.is_zero():
-        return f.primitive()
-    i = next((k for k, v in enumerate(f.variables) if f.degree_in(v) > 0 or g.degree_in(v) > 0),
-             None)
-    if i is None:
-        return MultiPoly.const(f.variables, 1)
-    A, B = (UniPolyView(p, f.variables[i]).coeffs for p in (f, g))
-    content_a, content_b = poly_gcd_many(A), poly_gcd_many(B)
-    A, B = [c // content_a for c in A], [c // content_b for c in B]
-    if len(A) < len(B):
-        A, B = B, A
-    common = poly_gcd(content_a, content_b)
-    if len(B) > 1:
-        S = next((s for s in _subresultant_chain(A, B) if any(s)), B)
-        content = poly_gcd_many([c for c in S if c])
-        common = common * MultiPoly._trusted(f.variables, {
-            e[:i] + (j,) + e[i + 1:]: c for j, s in enumerate(S) if s
-            for e, c in (s // content).terms.items()})
-    return common.primitive()
-
-
-def poly_gcd_many(polys: Sequence[MultiPoly]) -> MultiPoly:
-    acc = None
-    for p in polys:
-        acc = p if acc is None else poly_gcd(acc, p)
-        if acc is not None and acc.is_constant() and not acc.is_zero():
-            return MultiPoly.const(p.variables, 1)
-    if acc is None:
-        raise ZeroInput("gcd of an empty family")
-    return acc.primitive() if not acc.is_zero() else acc
-
-
-def radical(f: MultiPoly) -> MultiPoly:
-    """Square-free part with respect to all variables (char 0), primitive."""
-    if f.is_zero():
-        raise ZeroInput("radical of zero")
-    polys = [f] + [f.derivative(v) for v in f.used_variables()]
-    g = poly_gcd_many(polys)
-    return exact_div(f, g).primitive()
-
-
-# ---------------------------------------------------------------------------
-# Sylvester matrices, determinants, resultants
-# ---------------------------------------------------------------------------
-
-def _minor_matrix(a: Sequence, b: Sequence, k: int, j: int, zero) -> list:
-    """The matrix of s_{k,j} of the lists [a0..am], [b0..bn] over a ring
-    with zero ``zero``: the first n-k rows of a and m-k of b in the
-    Sylvester matrix, cut to the first m+n-2k-1 columns and the column of
-    the j-th power in S_k; at k = j = 0, the Sylvester matrix."""
-    m, n = len(a) - 1, len(b) - 1
-    width, cut = m + n - k, m + n - 2 * k - 1
-    ra, rb = list(reversed(a)), list(reversed(b))
-    rows = ([[zero] * i + ra + [zero] * (width - m - 1 - i) for i in range(n - k)]
-            + [[zero] * i + rb + [zero] * (width - n - 1 - i) for i in range(m - k)])
-    return [row[:cut] + [row[width - 1 - j]] for row in rows]
-
-
-def sylvester_matrix(f: UniPolyView, g: UniPolyView) -> list:
-    """Sylvester matrix in the distinguished variable, f-coefficient rows first."""
-    if f.var != g.var or f.poly.variables != g.poly.variables:
-        raise SharedVariableMismatch("views disagree on variable or ring")
-    m, n = f.degree, g.degree
-    if m < 0 or n < 0:
-        raise ZeroInput("resultant of the zero polynomial")
-    if m < 1 and n < 1:
-        raise DegenerateInput("both operands constant in the distinguished variable")
-    if m + n > SYLVESTER_LIMIT:
-        raise DegreeGuardrail(f"Sylvester matrix {m + n}x{m + n} exceeds {SYLVESTER_LIMIT}")
-    return _minor_matrix(f.coeffs, g.coeffs, 0, 0, MultiPoly.zero(f.poly.variables))
-
-
-def _int_bareiss_determinant(m: list) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss (in place)."""
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
 def _subresultant_chain(a: Sequence[int], b: Sequence[int]) -> list:
     """The subresultants [S_0, ..., S_{l-1}], l = max(min(m, n), 1), of
-    lists a, b of degrees m, n with nonzero leading coefficients, over Z
-    (ints) or over Q[vars] (MultiPolys, where entries that vanish may be
-    the int 0): S_k is the list [s_{k,0}..s_{k,k}] of the minors of
-    `_minor_matrix`, so S_0 = [Res(a, b)], the Sylvester determinant.  For
-    a constant operand c that is [[c^deg(other)]].
+    integer lists a, b of degrees m, n with nonzero leading coefficients:
+    S_k is the list [s_{k,0}..s_{k,k}], s_{k,j} the determinant of the
+    first n-k shifted rows of a and m-k of b in the Sylvester matrix (rows
+    of a first), cut to their first m+n-2k-1 columns and the column of the
+    j-th power in S_k, so S_0 = [Res(a, b)], the Sylvester determinant.
+    For a constant operand c that is [[c^deg(other)]].
 
     For m >= n this is the subresultant PRS (Collins, J. ACM 14, 1967;
     Brown & Traub, J. ACM 18, 1971): r_1 = a, r_2 = b, r_{i+1} =
@@ -998,9 +811,9 @@ def _subresultant_chain(a: Sequence[int], b: Sequence[int]) -> list:
     vanish and S_e = (-lc(r_{i+1}) / psi_{i+1})^(d-e-1) r_{i+1}.  A zero
     remainder leaves every lower S_k zero.  For m < n, swapping the n-k
     rows of a and the m-k rows of b in the minor gives S_k(a, b) =
-    (-1)^((m-k)(n-k)) S_k(b, a).  Every division is exact in the
-    coefficient ring.  Each step costs O(m n) ring operations, against
-    O((m+n-2k)^3) for one minor by Bareiss.
+    (-1)^((m-k)(n-k)) S_k(b, a).  Every division is exact over Z.  Each
+    step costs O(m n) integer operations, against O((m+n-2k)^3) for one
+    minor by fraction-free elimination.
     """
     m, n = len(a) - 1, len(b) - 1
     if m < n:
@@ -1111,122 +924,57 @@ def _reduced(lists: Sequence[list], m: Sequence[int]) -> list:
     g = math.gcd(*chain.from_iterable(out))
     return [[c // g for c in cs] for cs in out] if g else out
 
+# ---------------------------------------------------------------------------
+# the public eliminants, in one variable, on the integer kernel
+# ---------------------------------------------------------------------------
 
-def _matching_bound(weights: list) -> Optional[int]:
-    """The largest sum of weights[i][sigma(i)] over the permutations sigma
-    that meet no None cell, or None when every permutation meets one.
-
-    The Hungarian method with potentials (Kuhn, Naval Res. Logist. Q. 2,
-    1955), O(n^3), at cost -weight: row i joins a matching of the rows
-    before it along a cheapest augmenting path.  When no path leaves the
-    tree of row i through a permitted cell, no matching covers rows 0..i.
-    """
-    n = len(weights)
-    # potentials, match[j] = the row (from 1) on column j, back links; column 0 is the root
-    u, v, match, way = ([0] * (n + 1) for _ in range(4))
-    for i in range(1, n + 1):
-        match[0], j0 = i, 0
-        minv, used = [math.inf] * (n + 1), [False] * (n + 1)
-        while match[j0]:
-            used[j0] = True
-            i0 = match[j0]
-            row, delta, j1 = weights[i0 - 1], math.inf, 0
-            for j in range(1, n + 1):
-                if not used[j]:
-                    w = row[j - 1]
-                    if w is not None and -w - u[i0] - v[j] < minv[j]:
-                        minv[j], way[j] = -w - u[i0] - v[j], j0
-                    if minv[j] < delta:
-                        delta, j1 = minv[j], j
-            if not j1:
-                return None
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-        while j0:
-            match[j0] = match[way[j0]]
-            j0 = way[j0]
-    return sum(weights[match[j] - 1][j - 1] for j in range(1, n + 1))
+def _integer_list(view: UniPolyView) -> tuple:
+    """(den, [c0..cd]): the coefficients of a view, trimmed, times their
+    least common denominator den.  A coefficient in another variable of the
+    ring is refused with InvalidParams."""
+    if not all(c.is_constant() for c in view.coeffs):
+        raise InvalidParams(f"{_clipped(view.poly.text())} has a coefficient in a variable"
+                            f" other than {view.var}; the eliminants take one variable")
+    values = [sum(c.terms.values(), _ZERO) for c in view.coeffs]
+    den = math.lcm(*(q.denominator for q in values))
+    return den, _trim([q.numerator * (den // q.denominator) for q in values])
 
 
-def _minor_grid(f: UniPolyView, g: UniPolyView, k: int, j: int) -> MultiPoly:
-    """s_{k,j} of f and g (see `subresultant_coefficient`), by evaluation
-    and interpolation (Collins, J. ACM 18, 1971).
+def _in_variable(ring: tuple, var: str, cs: Sequence) -> MultiPoly:
+    """The list cs = [c0..cd] of rationals as a polynomial in var."""
+    i = ring.index(var)
+    return MultiPoly(ring, {(0,) * i + (k,) + (0,) * (len(ring) - i - 1): c
+                            for k, c in enumerate(cs)})
 
-    Each operand is scaled to integer coefficients; s_{k,j} takes n-k rows
-    of f and m-k of g, so it scales by den_f^(n-k) den_g^(m-k).  For every
-    variable that occurs in the coefficients, the heaviest perfect matching
-    of the entry degrees of the minor, zero entries excluded, bounds the
-    degree of s_{k,j} (Jacobi's bound, `_matching_bound`): each nonzero
-    Leibniz term is a product over such a matching, so its degree is at
-    most the matching's weight.  With no such matching every term
-    vanishes, and so does s_{k,j}.  At every point of the grid
-    0..B_1 x ... x 0..B_k the operands become integer lists and s_{k,j} is
-    read from their subresultant chain, or taken as the minor by Bareiss
-    where a leading coefficient vanishes; the values are rebuilt along
-    each axis in turn, over the integers, by `_interpolate`.
-    Specialisation commutes with the minor, so the result is exact.
-    """
-    ring = f.poly.variables
-    m, n = f.degree, g.degree
-    free = [i for i in range(len(ring)) if any(e[i] for c in f.coeffs + g.coeffs for e in c.terms)]
-    bounds = [_matching_bound(_minor_matrix(
-        *([max((e[i] for e in c.terms), default=None) for c in view.coeffs] for view in (f, g)),
-        k, j, None)) for i in free]
-    if None in bounds:
-        return MultiPoly._trusted(ring, {})
-    monomials: dict = {}   # exponents in the free variables -> index
-    operands = []          # per operand, per coefficient: its (monomial index, int) terms
-    scale = 1
-    for view, rows in ((f, n - k), (g, m - k)):
-        den = math.lcm(*(c.denominator for c in view.poly.terms.values()))
-        scale *= den ** rows
-        operands.append([[(monomials.setdefault(tuple([e[i] for i in free]), len(monomials)),
-                           c.numerator * (den // c.denominator)) for e, c in coeff.terms.items()]
-                         for coeff in view.coeffs])
 
-    # the values of every monomial at each grid point, last axis fastest
-    keys = list(monomials)
-    grid = [[1] * len(keys)]
-    for axis, bound in enumerate(bounds):
-        top = max(key[axis] for key in keys)
-        powers = [[point ** e for e in range(top + 1)] for point in range(bound + 1)]
-        grid = [[v * table[key[axis]] for v, key in zip(at, keys)]
-                for at in grid for table in powers]
-    values = []
-    for at in grid:
-        a, b = ([sum(c * at[t] for t, c in coeff) for coeff in operand] for operand in operands)
-        values.append(_subresultant_chain(a, b)[k][j] if a[-1] and b[-1]
-                      else _int_bareiss_determinant(_minor_matrix(a, b, k, j, 0)))
+def _one_variable(*polys: MultiPoly) -> Optional[str]:
+    """The one variable the polynomials use, or None when they are
+    constants.  Polynomials in more than one variable are refused with
+    InvalidParams."""
+    used = sorted({v for p in polys for v in p.used_variables()})
+    if len(used) > 1:
+        raise InvalidParams(f"the eliminants take one variable, not {', '.join(used)}")
+    return used[0] if used else None
 
-    # interpolate along each axis in turn, on every grid line parallel to it
-    stride = 1
-    for bound in reversed(bounds):
-        size = bound + 1
-        for start in range(len(values)):
-            if start // stride % size == 0:
-                span = slice(start, start + size * stride, stride)
-                values[span] = _interpolate(values[span])
-        stride *= size
 
-    exponents = [[0] * len(ring)]
-    for i, bound in zip(free, bounds):
-        exponents = [e[:i] + [d] + e[i + 1:] for e in exponents for d in range(bound + 1)]
-    return MultiPoly._trusted(ring, {tuple(e): Fraction(c, scale)
-                                     for e, c in zip(exponents, values) if c})
+def _sylvester_guard(size: int) -> None:
+    """Refuse a Sylvester matrix of more than SYLVESTER_LIMIT rows."""
+    if size > SYLVESTER_LIMIT:
+        raise DegreeGuardrail(f"Sylvester matrix {size}x{size} exceeds {SYLVESTER_LIMIT}")
 
 
 def resultant(f: UniPolyView, g: UniPolyView) -> MultiPoly:
-    """Resultant in the distinguished variable.
+    """Resultant in the distinguished variable, of views in one variable.
 
-    Determinant of the Sylvester matrix (f rows first); satisfies
+    The determinant of the Sylvester matrix (f rows first); it satisfies
     ``Res(f, g) = lc(f)^deg(g) * prod g(alpha_i)`` over the roots of f.
-    It is s_{0,0}, read from the subresultant chain on an integer grid
-    (see `_minor_grid`).
+    Views in different variables or rings are refused with
+    SharedVariableMismatch, a zero operand with ZeroInput, two constants
+    with DegenerateInput, a Sylvester matrix past SYLVESTER_LIMIT rows with
+    DegreeGuardrail and a coefficient in another variable with
+    InvalidParams, in that order.  The operands, scaled to integer lists
+    by their denominators den_f and den_g, give s_{0,0} of their
+    `_subresultant_chain`, divided by den_f^deg(g) den_g^deg(f).
 
     >>> x = ("x",)
     >>> f = parse_poly("x^2 + 1", x)
@@ -1234,66 +982,103 @@ def resultant(f: UniPolyView, g: UniPolyView) -> MultiPoly:
     >>> resultant(UniPolyView(f, "x"), UniPolyView(g, "x")).text()
     '4'
     """
-    sylvester_matrix(f, g)  # its refusals come first
-    return _minor_grid(f, g, 0, 0)
-
-
-def subresultant_coefficient(f: UniPolyView, g: UniPolyView, k: int, j: int) -> MultiPoly:
-    """Coefficient s_{k,j} of the j-th power in the k-th subresultant S_k.
-
-    The determinant of the first n-k shifted rows of f and the first m-k of
-    g (m = deg f, n = deg g, 0 <= j <= k < min(m, n)) in the Sylvester
-    matrix, cut to their first m+n-2k-1 columns and the column of the j-th
-    power in S_k.  psc_k = s_{k,k} is principal, psc_0 the resultant.  Where
-    the leading coefficients do not vanish, the specialised operands have a
-    gcd of degree k exactly when psc_0..psc_{k-1} vanish and psc_k does not,
-    and S_k specialises to psc_k times that monic gcd (González-Vega & El
-    Kahoui, J. Complexity 12, 1996).  Evaluated like the resultant.
-    """
-    sylvester_matrix(f, g)  # its refusals come first
+    if f.var != g.var or f.poly.variables != g.poly.variables:
+        raise SharedVariableMismatch("views disagree on variable or ring")
     m, n = f.degree, g.degree
-    if not 0 <= j <= k < min(m, n):
-        raise DegreeTooLow(f"s_{k},{j} needs 0 <= j <= k < min(deg f, deg g) = {min(m, n)}")
-    return _minor_grid(f, g, k, j)
+    if m < 0 or n < 0:
+        raise ZeroInput("resultant of the zero polynomial")
+    if m < 1 and n < 1:
+        raise DegenerateInput("both operands constant in the distinguished variable")
+    _sylvester_guard(m + n)
+    (den_f, a), (den_g, b) = _integer_list(f), _integer_list(g)
+    return MultiPoly.const(f.poly.variables,
+                           Fraction(_subresultant_chain(a, b)[0][0], den_f ** n * den_g ** m))
 
 
 def discriminant(f: UniPolyView) -> MultiPoly:
-    """Discriminant in the distinguished variable: the exact quotient
-    ``(-1)^(d(d-1)/2) * Res(f, f') / lc(f)`` with d = deg f.
+    """Discriminant in the distinguished variable, of a view in one
+    variable: ``(-1)^(d(d-1)/2) * Res(f, f') / lc(f)`` with d = deg f >= 2.
 
-    >>> p = parse_poly("x^2 + b*x + c", ("x", "b", "c"))
-    >>> discriminant(UniPolyView(p, "x")).text()
-    'b^2 - 4*c'
+    A lower degree is refused with DegreeTooLow, a Sylvester matrix of f
+    and f' past SYLVESTER_LIMIT rows with DegreeGuardrail and a coefficient
+    in another variable with InvalidParams.  For f = a / den, a an integer
+    list, it is `_uni_discriminant` (a) / den^(2d-2).
+
+    >>> discriminant(UniPolyView(parse_poly("x^3 - 3*x + 2", ("x",)), "x")).text()
+    '0'
+    >>> discriminant(UniPolyView(parse_poly("1/2*x^2 + x - 3", ("x",)), "x")).text()
+    '7'
     """
     d = f.degree
     if d < 2:
         raise DegreeTooLow("discriminant needs degree >= 2")
-    res = exact_div(resultant(f, UniPolyView(f.poly.derivative(f.var), f.var)), f.lc)
-    return res if (d * (d - 1) // 2) % 2 == 0 else -res
+    _sylvester_guard(2 * d - 1)
+    den, cs = _integer_list(f)
+    return MultiPoly.const(f.poly.variables, Fraction(_uni_discriminant(cs), den ** (2 * d - 2)))
 
 
 def squarefree_part(f: Union[MultiPoly, UniPolyView]) -> MultiPoly:
-    """Square-free part with respect to one distinguished variable: the
-    variable of a view, or the one variable a MultiPoly uses (a MultiPoly
-    in more than one is refused with InvalidParams).  The result is
-    ``f / gcd(f, df/dvar)``, content-normalized so it is primitive with a
-    positive leading coefficient.
+    """Square-free part in one distinguished variable: the variable of a
+    view, or the one variable a MultiPoly uses.  A MultiPoly in more than
+    one variable, or a view with a coefficient in another variable, is
+    refused with InvalidParams, and zero with ZeroInput.  The result is
+    ``f / gcd(f, df/dvar)`` (`_uni_gcd`, `_derivative`, `_uni_quo`),
+    primitive with a positive leading coefficient.
+
+    >>> squarefree_part(parse_poly("x^3 - 3*x + 2", ("x",))).text()   # (x - 1)^2 (x + 2)
+    'x^2 + x - 2'
     """
-    if isinstance(f, UniPolyView):
-        poly, var = f.poly, f.var
-    else:
-        poly, used = f, f.used_variables()
-        if len(used) > 1:
-            raise InvalidParams(f"a polynomial in {len(used)} variables needs a UniPolyView")
-        var = used[0] if used else poly.variables[0]
-    if poly.is_zero():
+    view = f if isinstance(f, UniPolyView) else UniPolyView(
+        f, _one_variable(f) or f.variables[0])
+    if view.poly.is_zero():
         raise ZeroInput("square-free part of zero")
-    d = poly.derivative(var)
-    if d.is_zero():
-        # constant in the distinguished variable
-        return poly.primitive()
-    g = poly_gcd(poly, d)
-    return exact_div(poly, g).primitive()
+    _, cs = _integer_list(view)
+    if len(cs) > 1:
+        cs = _uni_quo(cs, _uni_gcd(cs, _derivative(cs)))
+    return _in_variable(view.poly.variables, view.var, _primitive(cs))
+
+
+def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """Gcd of two polynomials of one ring in at most one variable between
+    them (`_uni_gcd`), primitive with a positive leading coefficient; zero
+    only when both are.  The gcd of two nonzero constants is 1 (units are
+    irrelevant over a field).  Polynomials in more than one variable are
+    refused with InvalidParams.
+
+    >>> poly_gcd(parse_poly("x^2 - 1", ("x",)),          # (x - 1)(x + 1)
+    ...          parse_poly("2*x^2 + 4*x + 2", ("x",))).text()  # 2 (x + 1)^2
+    'x + 1'
+    """
+    f._check_ring(g)
+    var = _one_variable(f, g)
+    if var is None:  # constants, perhaps of a ring without variables
+        return MultiPoly.const(f.variables, 1 if f or g else 0)
+    a, b = (_integer_list(UniPolyView(p, var))[1] for p in (f, g))
+    return _in_variable(f.variables, var, _uni_gcd(a, b))
+
+
+def poly_gcd_many(polys: Sequence[MultiPoly]) -> MultiPoly:
+    acc = None
+    for p in polys:
+        acc = p if acc is None else poly_gcd(acc, p)
+        if acc is not None and acc.is_constant() and not acc.is_zero():
+            return MultiPoly.const(p.variables, 1)
+    if acc is None:
+        raise ZeroInput("gcd of an empty family")
+    return acc.primitive() if not acc.is_zero() else acc
+
+
+def radical(f: MultiPoly) -> MultiPoly:
+    """Square-free part of a nonzero polynomial in at most one variable
+    (char 0), primitive: its `squarefree_part`.  Zero is refused with
+    ZeroInput, and more than one variable with InvalidParams.
+
+    >>> radical(parse_poly("4*y^5 - 8*y^4 + 4*y^3", ("x", "y"))).text()   # 4 y^3 (y - 1)^2
+    'y^2 - y'
+    """
+    if f.is_zero():
+        raise ZeroInput("radical of zero")
+    return MultiPoly.const(f.variables, 1) if f.is_constant() else squarefree_part(f)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from dualis.errors import (
     WitnessOnCurve,
 )
 from dualis.exact import MultiPoly, UniPolyView, discriminant, parse_poly
+from references import sympy_expr
 
 CONIC = "y^2 - x*z"
 SPHERE = "x^2 + y^2 + z^2"
@@ -124,28 +125,38 @@ def _chart_form(text):
     })
 
 
+def _sympy_chart_discriminant(text):
+    """SymPy's discriminant in x of the chart form, a polynomial in u and v."""
+    sympy = pytest.importorskip("sympy")
+    psi = _chart_form(text)
+    symbols = sympy.symbols(psi.variables)
+    return sympy.Poly(sympy.discriminant(sympy_expr(psi), symbols[0]), *symbols[1:3])
+
+
 class TestChartDiscriminant:
+    """The chart discriminant: the public discriminant refuses the chart
+    form, whose coefficients lie in u and v, and the served one
+    (`dualgeom._dual_in_chart`) is SymPy's, homogenised in w."""
+
     @pytest.mark.parametrize("text", ["x^5 + y^4*z + x*y*z^3 + z^5", "x^6 + y^6 + z^6"])
     def test_against_sympy(self, text):
-        sympy = pytest.importorskip("sympy")
-        psi = _chart_form(text)
-        symbols = sympy.symbols(psi.variables)
-        expr = sympy.sympify(psi.text().replace("^", "**"),
-                             locals=dict(zip(psi.variables, symbols)))
-        want = sympy.Poly(sympy.discriminant(expr, symbols[0]), *symbols)
-        got = discriminant(UniPolyView(psi, "x"))
-        assert got.total_degree() > 0
-        assert got == MultiPoly(psi.variables, {
-            e: Fraction(int(c.p), int(c.q)) for e, c in want.terms()})
+        with pytest.raises(InvalidParams):
+            discriminant(UniPolyView(_chart_form(text), "x"))
+        want = _sympy_chart_discriminant(text)
+        top = want.total_degree()
+        got = dualgeom._dual_in_chart(parse_poly(text, PRIMAL_VARS))
+        assert top > 0
+        assert got == MultiPoly(DUAL_VARS, {
+            (a, b, top - a - b): Fraction(int(c.p), int(c.q)) for (a, b), c in want.terms()})
 
     @pytest.mark.parametrize("text", DEGREE_LE_3_CORPUS)
     def test_stripped_power_of_w(self, text):
         # the discriminant is a form of degree 2d(d-1), so w divides it
         # 2d(d-1) - deg(chart discriminant) times
         d = curve(text).degree
-        chart = discriminant(UniPolyView(_chart_form(text), "x"))
+        top = _sympy_chart_discriminant(text).total_degree()
         stripped = dict((f.text(), k) for f, k in dual_equation(curve(text)).removed_factors)
-        assert stripped.get("w", 0) == 2 * d * (d - 1) - chart.total_degree()
+        assert stripped.get("w", 0) == 2 * d * (d - 1) - top
 
 
 def _seeded_form(rng, d):

@@ -33,16 +33,12 @@ from dualis.errors import (
 from dualis.exact import (
     MultiPoly,
     UniPolyView,
-    _int_bareiss_determinant,
     _integer_terms,
-    _matching_bound,
-    _minor_matrix,
     parse_poly,
-    resultant,
-    subresultant_coefficient,
-    sylvester_matrix,
     witnesses,
 )
+from references import (chain as sympy_chain, det as sympy_det, minor_matrix, sympy_expr,
+                        sympy_resultant)
 
 XYZ = ("x", "y", "z")
 
@@ -351,9 +347,36 @@ def _in_x(cs):
     return MultiPoly(XYZ, {(i, 0, 0): c for i, c in enumerate(cs)})
 
 
+def _x_list(expr):
+    """A SymPy polynomial in x as its list of Fraction coefficients, trimmed."""
+    import sympy
+
+    cs = [Fraction(str(c)) for c in reversed(sympy.Poly(expr, sympy.Symbol("x")).all_coeffs())]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _jacobi_bound(weights):
+    """The largest sum of weights[i][sigma(i)] over the permutations sigma
+    that meet no None cell, or None when every one meets one (Jacobi's
+    bound on the degree of a determinant), by a dynamic program over the
+    sets of columns the first rows use."""
+    best = {0: 0}
+    for row in weights:
+        step = {}
+        for used, total in best.items():
+            for c, w in enumerate(row):
+                if w is not None and not used >> c & 1 and step.get(used | 1 << c, -1) < total + w:
+                    step[used | 1 << c] = total + w
+        best = step
+    return next(iter(best.values()), None)
+
+
 class TestIntegerFrameKernel:
     """The frame's integer columns, minors and line resultants against the
-    generic MultiPoly kernel of `exact` on the same chart pair."""
+    MultiPoly chart pair of the same frame and SymPy's determinants and
+    resultants."""
 
     @staticmethod
     def _frame(d1, d2):
@@ -376,27 +399,32 @@ class TestIntegerFrameKernel:
         frame, A, B, dA, dB = self._frame(d1, d2)
         assert [_in_x(c) for c in frame.A] == [c * dA for c in A.coeffs]
         assert [_in_x(c) for c in frame.B] == [c * dB for c in B.coeffs]
-        # s_{k,j} has n-k rows of A and m-k rows of B, each scaled by its denominator
-        assert _in_x(frame.coefficient(0, 0)) == resultant(A, B) * (dA ** d2 * dB ** d1)
-        for k in range(1, min(d1, d2)):
+        # s_{k,j} has n-k rows of A and m-k rows of B, each scaled by its
+        # denominator; R = s_{0,0} is the SymPy determinant of the Sylvester
+        # matrix of A and B
+        a, b = ([sympy_expr(c) for c in view.coeffs] for view in (A, B))
+        for k in range(min(d1, d2)):
             for j in range(k + 1):
                 scale = dA ** (d2 - k) * dB ** (d1 - k)
-                assert (_in_x(frame.coefficient(k, j))
-                        == subresultant_coefficient(A, B, k, j) * scale), (k, j)
+                assert frame.coefficient(k, j) == _x_list(
+                    sympy_det(minor_matrix(a, b, k, j)) * scale), (k, j)
         assert (dA, dB) != (1, 1)
 
     @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 2), (4, 3), (5, 4)])
     def test_degree_bound_never_below_the_matching_bound(self, d1, d2):
+        # the frame's bound D on the degree of s_{k,j} is never below
+        # Jacobi's bound of the minor's entry degrees, which is never below
+        # the degree of the minor's SymPy determinant
         _, A, B, _, _ = self._frame(d1, d2)
-        rows = sylvester_matrix(A, B)
         for k in range(min(d1, d2)):
             for j in range(k + 1):
-                columns = list(range(d1 + d2 - 2 * k - 1)) + [d1 + d2 - 1 - k - j]
-                minor = [[row[c] for c in columns] for row in rows[:d2 - k] + rows[d2:d1 + d2 - k]]
-                weights = [[None if e.is_zero() else e.degree_in("x") for e in row]
-                           for row in minor]
-                bound = _matching_bound(weights)
+                minor = minor_matrix(A.coeffs, B.coeffs, k, j)
+                bound = _jacobi_bound([[e.degree_in("x") if e else None for e in row]
+                                       for row in minor])
                 assert bound is None or bound <= (d1 - k) * (d2 - k) + k - j, (k, j)
+                det = _x_list(sympy_det([[sympy_expr(e) if e else 0 for e in row]
+                                         for row in minor]))
+                assert len(det) - 1 <= (-1 if bound is None else bound), (k, j)
 
     @pytest.mark.parametrize("text", [
         "x^4 + y^4 + z^4",                                          # abnormal at every point
@@ -411,9 +439,8 @@ class TestIntegerFrameKernel:
         F = parse_poly(text, XYZ)
         chained = elimination.singular_locus(F)
 
-        def bareiss_chain(a, b):
-            return [[_int_bareiss_determinant(_minor_matrix(a, b, k, j, 0)) for j in range(k + 1)]
-                    for k in range(max(min(len(a), len(b)) - 1, 1))]
+        def bareiss_chain(a, b):  # SymPy's integer determinants are fraction-free elimination
+            return [[int(s) for s in row] for row in sympy_chain(a, b)]
         monkeypatch.setattr(elimination, "_subresultant_chain", bareiss_chain)
         minors = elimination.singular_locus(F)
         frame, reference = chained.frame, minors.frame
@@ -444,9 +471,8 @@ class TestIntegerFrameKernel:
             poly = MultiPoly(XY, {(i, j): c for j, p in enumerate(P) for i, c in enumerate(p)})
             line = MultiPoly(XY, {**{(i, 1): c for i, c in enumerate(a)},
                                   **{(i, 0): c for i, c in enumerate(b)}})
-            want = resultant(UniPolyView(poly, "y"), UniPolyView(line, "y"))
-            got = elimination._line_resultant(P, a, b)
-            assert MultiPoly(XY, {(i, 0): c for i, c in enumerate(got)}) == want, (P, a, b)
+            want = sympy_resultant(poly, line, "y")
+            assert elimination._line_resultant(P, a, b) == _x_list(want), (P, a, b)
 
     @pytest.mark.timed
     def test_smooth_curve_of_degree_ten_within_three_seconds(self):
@@ -842,31 +868,34 @@ def _reference_kind(curve, point):
 
 def _reference_dual(curve):
     """The dual's equation and stripped factors, each singular point's
-    dual line divided out of the chart discriminant by try_exact_div."""
+    dual line divided out of the chart discriminant by SymPy's division."""
+    import sympy
+
     from dualis import curvelab, dualgeom
-    from dualis.exact import try_exact_div
 
     d, dst = curve.degree, dualgeom.dual_ring(curve.variables)
     disc = dualgeom._dual_in_chart(curve.F)
     removed = []
     if disc.total_degree() < 2 * d * (d - 1):
         removed.append((dualgeom._dual_line(dst, (0, 0, 1)), 2 * d * (d - 1) - disc.total_degree()))
+    symbols = sympy.symbols(dst)
+    disc = sympy.Poly(sympy_expr(disc), *symbols)
     for s in curvelab.singular_points(curve):
         line, k = dualgeom._dual_line(dst, s.point), 0
-        quotient = try_exact_div(disc, line)
-        while quotient is not None:
+        quotient, rest = disc.div(sympy.Poly(sympy_expr(line), *symbols))
+        while rest.is_zero:
             disc, k = quotient, k + 1
-            quotient = try_exact_div(disc, line)
+            quotient, rest = disc.div(sympy.Poly(sympy_expr(line), *symbols))
         if k:
             removed.append((line, k))
-    return disc.primitive(), tuple(removed)
+    return MultiPoly(dst, {e: Fraction(str(c)) for e, c in disc.terms()}).primitive(), tuple(removed)
 
 
 class TestRepeatedRootAnalysis:
     """The analysis that seeks singular parts at repeated eliminant roots,
     modulo each part, reads points and kinds over Z and strips the dual
     over Z gives what the full resultants, the Fraction points,
-    apply_matrix and try_exact_div give, in the same frames; and the
+    apply_matrix and SymPy's division give, in the same frames; and the
     schedule of one base per line accepts the frame that a walk of the 39
     swapped shifts accepts."""
 

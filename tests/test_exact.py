@@ -25,18 +25,14 @@ from dualis.exact import (
     UniPolyView,
     _gcd_primes,
     _is_prime,
-    _int_bareiss_determinant,
     _interpolate,
-    _matching_bound,
-    _minor_matrix,
     _derivative,
     _subresultant_chain,
+    _try_uni_quo,
     _uni_discriminant,
     _uni_gcd,
     _uni_quo,
     discriminant,
-    divides,
-    exact_div,
     forms_coprime,
     is_squarefree,
     parse_poly,
@@ -46,24 +42,23 @@ from dualis.exact import (
     radical,
     resultant,
     squarefree_part,
-    subresultant_coefficient,
-    sylvester_matrix,
-    try_exact_div,
     witnesses,
 )
+from references import chain as sympy_chain, det as sympy_det, minor_matrix, specialised
 
 XYZ = ("x", "y", "z")
 UVW = ("u", "v", "w")
 
 
 def test_doctests_pass():
-    # the eight examples in the docstrings of the exact layer, among them
-    # those of the public resultant, discriminant and poly_gcd
+    # the examples in the docstrings of the exact layer, among them one in
+    # one variable for each public eliminant
     tested = {test.name.rpartition(".")[2] for test in doctest.DocTestFinder().find(exact)
               if test.examples}
-    assert {"parse_poly", "resultant", "discriminant", "poly_gcd"} <= tested
+    assert {"parse_poly", "resultant", "discriminant", "squarefree_part", "poly_gcd",
+            "radical"} <= tested
     results = doctest.testmod(exact)
-    assert results.attempted == 8 and results.failed == 0
+    assert results.attempted == 13 and results.failed == 0
 
 
 class TestParsing:
@@ -214,20 +209,34 @@ class TestPolyArithmetic:
         assert not parse_poly("x^2 + y", XYZ).is_homogeneous()
 
     def test_truth_value_and_exact_division(self):
-        # a MultiPoly is a ring element of the subresultant chain: true when
-        # nonzero, and // divides exactly
+        # a MultiPoly is true when nonzero, so a zero polynomial is never
+        # silently true; polynomials are not divided by one another (the
+        # chain runs on integer lists), so // is not defined on them
         f, g, zero = parse_poly("x^2 - y^2", XYZ), parse_poly("2*x + 2*y", XYZ), MultiPoly.zero(XYZ)
         assert f and not zero
-        assert f // g == parse_poly("1/2*x - 1/2*y", XYZ) and zero // g == zero
-        assert f // 2 == f * Fraction(1, 2) and f // Fraction(2, 3) == f * Fraction(3, 2)
-        with pytest.raises(ValueError):
-            g // f
-        with pytest.raises(ZeroInput):
-            f // zero
+        for a, b in ((f, g), (zero, g), (f, 2), (f, Fraction(2, 3)), (f, zero)):
+            with pytest.raises(TypeError):
+                a // b
+
+
+#: the line y = 2, z = 3 on which trivariate inputs become polynomials in x
+ON_LINE = {"y": 2, "z": 3}
+
+
+def _integer_list(poly):
+    """The coefficients of a polynomial in x alone, scaled to coprime integers."""
+    return exact._primitive_ints([poly.terms.get((k, 0, 0), Fraction(0))
+                                  for k in range(poly.degree_in("x") + 1)])
 
 
 class TestDivisionAndGcd:
+    """The served exact quotient of integer lists and the public gcd and
+    radical in one variable, against SymPy; trivariate inputs are refused."""
+
     def test_exact_division_roundtrip(self):
+        # the quotient of seeded products on the line y = 2, z = 3 by either
+        # factor, over Z, where SymPy's division leaves no remainder
+        sympy = pytest.importorskip("sympy")
         rng = random.Random(13)
         checked = 0
         while checked < 30:
@@ -235,17 +244,29 @@ class TestDivisionAndGcd:
             b = _random_poly(rng, XYZ, max_terms=3, max_exp=2)
             if a.is_zero() or b.is_zero():
                 continue
-            prod = a * b
-            assert divides(b, prod)
-            assert exact_div(prod, b) == a
+            a, b = (specialised(p, ON_LINE) for p in (a, b))
+            if a.is_zero() or b.is_zero():
+                continue
+            A, B = _integer_list(a), _integer_list(b)
+            prod = _poly_mul(A, B)
+            assert _uni_quo(prod, B) == A and _try_uni_quo(prod, A) == B
+            x = sympy.Symbol("x")
+            quotient, rest = sympy.div(sympy.Poly(prod[::-1], x), sympy.Poly(B[::-1], x))
+            assert rest.is_zero and quotient.all_coeffs()[::-1] == A
             checked += 1
 
     def test_non_divisible_returns_none(self):
-        a = parse_poly("x^2 + y", XYZ)
-        b = parse_poly("x + 1", XYZ)
-        assert try_exact_div(a, b) is None
+        # x + 1 divides x^2 + y only at y = -1, as SymPy's remainder says
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for y in (-3, -1, 0, 1, 2):
+            quotient = _try_uni_quo([y, 0, 1], [1, 1])
+            rest = sympy.rem(x ** 2 + y, x + 1, x)
+            assert (quotient is None) == (rest != 0)
+            assert quotient is None or quotient == [-1, 1]
 
     def test_gcd_of_known_factorizations(self):
+        sympy = pytest.importorskip("sympy")
         rng = random.Random(17)
         checked = 0
         while checked < 20:
@@ -254,19 +275,33 @@ class TestDivisionAndGcd:
             b = _random_poly(rng, XYZ, max_terms=3, max_exp=2)
             if g.is_zero() or a.is_zero() or b.is_zero() or g.is_constant():
                 continue
+            if len(set((g * a).used_variables() + (g * b).used_variables())) > 1:
+                with pytest.raises(InvalidParams):
+                    poly_gcd(g * a, g * b)
+            g, a, b = (specialised(p, ON_LINE) for p in (g, a, b))
             d = poly_gcd(g * a, g * b)
-            assert divides(g.primitive(), d)
-            assert divides(d, g * a) and divides(d, g * b)
+            for multiple, divisor in ((d, g), (g * a, d), (g * b, d)):
+                assert sympy.rem(_sympy_expr(sympy, multiple), _sympy_expr(sympy, divisor),
+                                 sympy.Symbol("x")) == 0
             checked += 1
 
     def test_gcd_normalization(self):
+        # x + y is the gcd of f and g at every integer y but 0, where f
+        # vanishes: primitive, with a positive leading coefficient
         f = parse_poly("x^2*y - y^3", ("x", "y", "z"))
         g = parse_poly("x^2 + 2*x*y + y^2 - x - y", ("x", "y", "z"))
-        assert poly_gcd(f, g) == parse_poly("x + y", ("x", "y", "z"))
+        with pytest.raises(InvalidParams):
+            poly_gcd(f, g)
+        for y in (-5, 1, 2, 3):
+            assert poly_gcd(*(specialised(p, {"y": y}) for p in (f, g))) == \
+                specialised(parse_poly("x + y", ("x", "y", "z")), {"y": y})
 
     def test_radical_strips_repeated_factors(self):
         f = parse_poly("x^2*y^2 - 2*x*y^3 + y^4", ("x", "y"))  # y^2 (x-y)^2
-        assert radical(f) == parse_poly("x*y - y^2", ("x", "y"))
+        with pytest.raises(InvalidParams):
+            radical(f)
+        for x, want in ((-2, "y^2 + 2*y"), (1, "y^2 - y"), (3, "y^2 - 3*y")):
+            assert radical(specialised(f, {"x": x})) == parse_poly(want, ("x", "y"))
 
     def test_radical_zero_input(self):
         with pytest.raises(ZeroInput):
@@ -274,9 +309,11 @@ class TestDivisionAndGcd:
 
 
 class TestChainGcd:
-    """poly_gcd, read from the subresultant chain over Q[vars], and the
-    radical and square-free parts built on it, against SymPy on pairs
-    f = a*h, g = b*h of ternary forms that share the planted factor h."""
+    """poly_gcd, and the radical and square-free parts in one variable,
+    against SymPy, on pairs f = a*h, g = b*h of ternary forms that share
+    the planted factor h: the forms themselves are refused with
+    InvalidParams, and their restrictions to the line y = 2, z = 3 are
+    polynomials in x that still share h there."""
 
     #: (deg a, deg b, deg h), up to degree 7
     SHAPES = [(1, 1, 1), (2, 2, 1), (1, 3, 2), (3, 3, 2), (4, 3, 2), (3, 4, 3), (4, 4, 3)]
@@ -288,6 +325,9 @@ class TestChainGcd:
         for _ in range(3):
             a, b, h = (_random_form(rng, d, size=9) for d in shape)
             f, g = a * h, b * h
+            with pytest.raises(InvalidParams):
+                poly_gcd(f, g)
+            f, g, h = (specialised(p, ON_LINE) for p in (f, g, h))
             want = _from_sympy(sympy, sympy.gcd(_sympy_expr(sympy, f), _sympy_expr(sympy, g)),
                                XYZ).primitive()
             assert poly_gcd(f, g) == poly_gcd(g, f) == want, (f.text(), g.text())
@@ -296,13 +336,18 @@ class TestChainGcd:
     @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2), (3, 2)],
                              ids=lambda s: "-".join(map(str, s)))
     def test_radical_and_squarefree_part(self, shape):
-        # f = a*h^2, of degree up to 7: its radical in every variable, and its
-        # square-free part in x, a UniPolyView with coefficients in y and z
+        # f = a*h^2, of degree up to 7: refused as a form and as a view in x
+        # with coefficients in y and z; its restriction's radical and
+        # square-free part in x
         sympy = pytest.importorskip("sympy")
         rng = random.Random(sum(d * 10**i for i, d in enumerate(shape)) + 1)
         for _ in range(3):
             a, h = (_random_form(rng, d, size=9) for d in shape)
             f = a * h * h
+            for refused in (lambda: radical(f), lambda: squarefree_part(UniPolyView(f, "x"))):
+                with pytest.raises(InvalidParams):
+                    refused()
+            f = specialised(f, ON_LINE)
             F = _sympy_expr(sympy, f)
             assert radical(f) == _from_sympy(sympy, sympy.sqf_part(F), XYZ).primitive()
             assert squarefree_part(UniPolyView(f, "x")) == _from_sympy(
@@ -310,15 +355,18 @@ class TestChainGcd:
 
     @pytest.mark.timed
     def test_degree_seven_pair_in_seconds(self):
-        # the first nonzero subresultant of two primitive forms of degree 7
-        # sharing a cubic, whose cofactors are coprime quartics
+        # two forms of degree 7 sharing a cubic, whose cofactors are coprime
+        # quartics: refused at once as forms; on the line their gcd is the
+        # cubic's restriction
         rng = random.Random(5)
         a, b, h = (_random_form(rng, d, size=9) for d in (4, 4, 3))
         assert forms_coprime(a, b)
         start = time.perf_counter()
-        common = poly_gcd(a * h, b * h)
+        with pytest.raises(InvalidParams):
+            poly_gcd(a * h, b * h)
+        common = poly_gcd(*(specialised(p * h, ON_LINE) for p in (a, b)))
         assert time.perf_counter() - start < 3
-        assert common == h.primitive()
+        assert common == specialised(h, ON_LINE).primitive()
 
 
 def _linear(coeffs):
@@ -502,8 +550,8 @@ class TestUniPolyView:
     def test_degrees_and_leading_coefficient(self):
         p = parse_poly("y^2*x^3 - z*x + 1", XYZ)
         view = UniPolyView(p, "x")
-        assert view.degree == 3
-        assert view.lc == parse_poly("y^2", XYZ)
+        assert view.degree == 3 and UniPolyView(MultiPoly.zero(XYZ), "x").degree == -1
+        assert view.coeffs[-1] == parse_poly("y^2", XYZ)
 
     def test_coefficients_live_in_remaining_variables(self):
         p = parse_poly("y*x^2 + z", XYZ)
@@ -625,25 +673,32 @@ class TestTrustedResults:
                 _assert_clean(c)
 
     def test_determinants_and_resultants(self):
+        # the seeded operands on the line y = 2, z = 3, where they are
+        # polynomials in x of degrees 4 and 3
         rng = random.Random(59)
         for _ in range(10):
             f = _random_poly(rng, XYZ, max_exp=3) + parse_poly("x^4", XYZ)
             g = _random_poly(rng, XYZ, max_exp=3) + parse_poly("x^3", XYZ)
-            fv, gv = UniPolyView(f, "x"), UniPolyView(g, "x")
+            fv, gv = (UniPolyView(specialised(p, ON_LINE), "x") for p in (f, g))
             _assert_clean(resultant(fv, gv))
-            _assert_clean(subresultant_coefficient(fv, gv, 1, 0))
+            _assert_clean(discriminant(fv))
             _assert_clean(discriminant(gv))
 
     def test_exact_quotients(self):
+        # the square-free part f / gcd(f, f') and the gcd of seeded products
+        # a*b*b and b on the line y = 2, z = 3
         rng = random.Random(61)
         for _ in range(30):
             a = _random_poly(rng, XYZ, max_terms=4, max_exp=3)
             b = _random_poly(rng, XYZ, max_terms=3, max_exp=2)
             if b.is_zero():
                 continue
-            q = try_exact_div(a * b, b)
-            _assert_clean(q)
-            assert q == a
+            a, b = (specialised(p, ON_LINE) for p in (a, b))
+            if (a * b).is_zero():
+                continue
+            for r in (squarefree_part(a * b * b), poly_gcd(a * b * b, b), radical(a * b)):
+                _assert_clean(r)
+            assert poly_gcd(a * b * b, b) == b.primitive()
 
     def test_substitutions(self):
         rng = random.Random(67)
@@ -660,108 +715,53 @@ class TestTrustedResults:
         _assert_clean(parse_poly("x - y", XYZ).substitute({"x": u, "y": u, "z": u}))
 
 
-def _degree_matrix(matrix, var):
-    """Each entry's degree in var; None for a zero entry."""
-    return [[None if e.is_zero() else e.degree_in(var) for e in row] for row in matrix]
-
-
-@pytest.fixture
-def grid_points(monkeypatch):
-    """The points of a public grid: at each, s_{k,j} is read from one
-    subresultant chain or, where a leading coefficient vanishes, taken by
-    Bareiss.  A chain's inner call for swapped operands is not counted."""
-    calls, depth = [], []
-    for name in ("_subresultant_chain", "_int_bareiss_determinant"):
-        def counted(*args, _original=getattr(exact, name)):
-            if not depth:
-                calls.append(len(args[0]))
-            depth.append(1)
-            try:
-                return _original(*args)
-            finally:
-                depth.pop()
-        monkeypatch.setattr(exact, name, counted)
-    return calls
+def _columns_in_x(sympy, columns):
+    """Integer lists in x as SymPy expressions."""
+    x = sympy.Symbol("x")
+    return [sum((c * x ** i for i, c in enumerate(col)), sympy.Integer(0)) for col in columns]
 
 
 class TestDeterminantBound:
-    """Each axis of the interpolation grid is sized by the heaviest perfect
-    matching of the entry degrees, which bounds every Leibniz term."""
-
-    @staticmethod
-    def _random_matrix(rng, ring, size):
-        """Sparse entries, a third of them zero, of unequal degrees."""
-        return [[MultiPoly(ring, {tuple(rng.randint(0, 3) for _ in ring):
-                                  Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                                  for _ in range(rng.choice((0, 1, 2, 3)))})
-                 for _ in range(size)] for _ in range(size)]
-
-    @pytest.mark.parametrize("ring", [("x",), ("x", "y")], ids=["univariate", "bivariate"])
-    def test_bound_never_below_the_sympy_degree(self, ring):
-        sympy = pytest.importorskip("sympy")
-        rng = random.Random(83 + len(ring))
-        symbols = sympy.symbols(ring)
-        checked = tight = 0
-        for size in range(1, 7):
-            for _ in range(8):
-                m = self._random_matrix(rng, ring, size)
-                dm = sympy.Matrix([[_sympy_expr(sympy, e) for e in row] for row in m]).to_DM(
-                    domain=sympy.QQ[symbols])
-                expr = dm.domain.to_sympy(dm.det())
-                det = _from_sympy(sympy, expr, ring)
-                for var, symbol in zip(ring, symbols):
-                    bound = _matching_bound(_degree_matrix(m, var))
-                    if bound is None:
-                        assert det.is_zero()
-                    elif not det.is_zero():
-                        true = sympy.Poly(expr, *symbols).degree(symbol)
-                        assert bound >= true, (m, var)
-                        checked += 1
-                        tight += bound == true
-        # generic coefficients attain the bound
-        assert checked >= 30 and 4 * tight >= 3 * checked
+    """A frame reads s_{k,j} of its integer y-columns at x = 0..D, with
+    D = (m-k)(n-k) + k - j a bound on its degree (`_Frame.coefficient`):
+    the eliminant R = s_{0,0} of two forms of degrees d1 and d2 has degree
+    d1*d2, the SymPy determinant of the Sylvester matrix of the columns."""
 
     @pytest.mark.parametrize("d1, d2", [(1, 1), (2, 1), (2, 3), (3, 3), (4, 2), (5, 4)])
     def test_sylvester_matrix_of_forms_gives_d1_d2(self, d1, d2):
+        sympy = pytest.importorskip("sympy")
         rng = random.Random(10 * d1 + d2)
-        chart = {"x": MultiPoly.var(XYZ, "x"), "y": MultiPoly.var(XYZ, "y"),
-                 "z": MultiPoly.const(XYZ, 1)}
-        views = []
-        for d in (d1, d2):
-            form = MultiPoly(XYZ, {e: rng.choice((-3, -2, -1, 1, 2, 3))
-                                   for e in product(range(d + 1), repeat=3) if sum(e) == d})
-            views.append(UniPolyView(form.substitute(chart), "y"))
-        m = sylvester_matrix(*views)
-        assert _matching_bound(_degree_matrix(m, "x")) == d1 * d2
-        assert _matching_bound(_degree_matrix(m, "z")) == 0
+        forms = [MultiPoly(XYZ, {e: rng.choice((-3, -2, -1, 1, 2, 3))
+                                 for e in product(range(d + 1), repeat=3) if sum(e) == d})
+                 for d in (d1, d2)]
+        frame = elimination._accepted_frame(*forms)
+        R = frame.coefficient(0, 0)
+        want = sympy.Poly(sympy_det(minor_matrix(*(_columns_in_x(sympy, c)
+                                                   for c in (frame.A, frame.B)), 0, 0)),
+                          sympy.Symbol("x"))
+        assert len(R) - 1 == want.degree() == d1 * d2
+        assert R == [int(c) for c in reversed(want.all_coeffs())]
 
-    def test_structurally_singular_matrix_is_zero(self, grid_points):
-        ring = ("x", "s")
-        zero = MultiPoly.zero(ring)
-        rows = [("x + 1", "s^2", "x*s", "3"), ("x^2 - s", "0", "0", "0"),
-                ("2*s", "0", "0", "0"), ("1", "x^3", "s - 1", "x")]
-        m = [[zero if t == "0" else parse_poly(t, ring) for t in row] for row in rows]
-        assert _matching_bound(_degree_matrix(m, "x")) is None
-        # s*x^3 and x^2 share the root 0: the last two columns of their
-        # Sylvester matrix are zero, so the resultant is zero at no grid point
-        f, g = (UniPolyView(parse_poly(t, ring), "x") for t in ("s*x^3", "x^2"))
-        assert _matching_bound(_degree_matrix(sylvester_matrix(f, g), "s")) is None
+    def test_structurally_singular_matrix_is_zero(self):
+        # 2x^3 and x^2 share the root 0 twice: the last two columns of their
+        # Sylvester matrix are zero, and so are S_0 and S_1 of the chain;
+        # s*x^3, with a coefficient in s, is refused
+        f, g = (UniPolyView(parse_poly(t, ("x", "s")), "x") for t in ("2*x^3", "x^2"))
         assert resultant(f, g).is_zero()
-        assert grid_points == []
+        assert sympy_det(minor_matrix([0, 0, 0, 2], [0, 0, 1], 0, 0)) == 0
+        assert _subresultant_chain([0, 0, 0, 2], [0, 0, 1]) == [[0], [0, 0]]
+        with pytest.raises(InvalidParams):
+            resultant(UniPolyView(parse_poly("s*x^3", ("x", "s")), "x"), g)
 
     @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 2), (4, 3)])
-    def test_frame_resultant_takes_d1_d2_plus_one_determinants(self, d1, d2, grid_points):
+    def test_frame_resultant_takes_d1_d2_plus_one_determinants(self, d1, d2):
+        # the accepted frame reads the chain at x = 0..d1*d2 and no further:
+        # every s_{k,j} it reads has a bound below that of R
         rng = random.Random(7 * d1 + d2)
         F, G = _random_form(rng, d1), _random_form(rng, d2)
         frame = elimination._accepted_frame(F, G)
-        chart = {"x": MultiPoly.var(XYZ, "x") + MultiPoly.var(XYZ, "y") * frame.shear,
-                 "y": MultiPoly.var(XYZ, "y"), "z": MultiPoly.const(XYZ, 1)}
-        A, B = (UniPolyView(elimination.apply_matrix(form, frame.base).substitute(chart), "y")
-                for form in (F, G))
-        grid_points.clear()
-        R = resultant(A, B)
-        assert R.degree_in("x") == d1 * d2
-        assert len(grid_points) == d1 * d2 + 1
+        assert len(frame.coefficient(0, 0)) - 1 == d1 * d2
+        assert len(frame._chains) == d1 * d2 + 1
 
 
 def _poly_mul(a, b):
@@ -898,21 +898,17 @@ class TestIntegerQuotient:
             elimination.rational_roots([Fraction(-1), 0, 1])
 
 
-def _bareiss_minor(a, b, k, j):
-    return _int_bareiss_determinant(_minor_matrix(a, b, k, j, 0))
-
-
 class TestSubresultantChain:
-    """exact._subresultant_chain against the Bareiss minors it replaces."""
+    """exact._subresultant_chain against SymPy's determinants of the
+    Sylvester minors it replaces."""
 
     @staticmethod
     def _assert_matches_bareiss(a, b):
-        """The chain of a and b holds every s_{k,j}; for a constant operand
-        it holds the resultant alone."""
+        """The chain of a and b holds every s_{k,j}, each the determinant
+        of its minor (by SymPy, whose integer determinant is fraction-free
+        elimination); for a constant operand it holds the resultant alone."""
         chain = _subresultant_chain(a, b)
-        m, n = len(a) - 1, len(b) - 1
-        assert chain == [[_bareiss_minor(a, b, k, j) for j in range(k + 1)]
-                         for k in range(max(min(m, n), 1))], (a, b)
+        assert chain == sympy_chain(a, b), (a, b)
         return chain
 
     @staticmethod
@@ -965,7 +961,7 @@ class TestSubresultantChain:
         assert _subresultant_chain([3, 2], [5]) == [[5]]
         assert _subresultant_chain([5], [1, 0, 1]) == [[25]]
         assert _subresultant_chain([1, 0, 1], [-2]) == [[4]]
-        assert _subresultant_chain([3, 2], [-1, 4]) == [[_bareiss_minor([3, 2], [-1, 4], 0, 0)]]
+        assert _subresultant_chain([3, 2], [-1, 4]) == [[-14]] == sympy_chain([3, 2], [-1, 4])
         rng = random.Random(89)
         for _ in range(40):
             a, b = _random_ints(rng, 1, 50), _random_ints(rng, rng.randint(1, 6), 50)
@@ -987,11 +983,15 @@ class TestSubresultantChain:
 
 
 class TestChainOverPolynomials:
-    """exact._subresultant_chain on lists of MultiPoly coefficients in a
-    and b holds, at every (k, j), the s_{k,j} that subresultant_coefficient
-    reads on its integer grid."""
+    """exact._subresultant_chain holds, at every (k, j), the s_{k,j} of
+    polynomials in y whose coefficients are affine in a and b, at each
+    integer point (a, b) of a 4x4 grid where neither leading coefficient
+    vanishes: the chain of the specialised operands, scaled to integers,
+    against SymPy's determinants of their minors.  The operands themselves
+    are refused by the public resultant."""
 
     RING = ("y", "a", "b")
+    POINTS = [(a, b) for a in (-2, 0, 1, 3) for b in (-1, 0, 2, 5)]
 
     def _operand(self, rng, degree, step=1):
         """A polynomial in the powers 0, step, 2*step, ... of y up to degree,
@@ -1004,11 +1004,16 @@ class TestChainOverPolynomials:
             if poly.degree_in("y") == degree:
                 return poly
 
+    @staticmethod
+    def _at(view, point):
+        """The coefficients of a view in y at (a, b), as Fractions."""
+        return [c.evaluate({"y": 0, "a": point[0], "b": point[1]}) for c in view.coeffs]
+
     @pytest.mark.parametrize("shape", ["m<n", "m=n", "m>n", "abnormal", "planted"])
     def test_every_coefficient(self, shape):
+        sympy = pytest.importorskip("sympy")
         rng = random.Random({"m<n": 101, "m=n": 103, "m>n": 107, "abnormal": 109,
                              "planted": 113}[shape])
-        zero = MultiPoly.zero(self.RING)
         for _ in range(6):
             if shape == "abnormal":  # polynomials in y^2: every remainder drops two degrees
                 A, B = self._operand(rng, 4, 2), self._operand(rng, rng.choice((2, 4)), 2)
@@ -1020,30 +1025,39 @@ class TestChainOverPolynomials:
                 common = self._operand(rng, rng.randint(1, 2))
                 A, B = A * common, B * common
             Av, Bv = UniPolyView(A, "y"), UniPolyView(B, "y")
-            chain = _subresultant_chain(Av.coeffs, Bv.coeffs)
-            assert [[c or zero for c in s] for s in chain] == [
-                [subresultant_coefficient(Av, Bv, k, j) for j in range(k + 1)]
-                for k in range(min(Av.degree, Bv.degree))], (A.text(), B.text())
-            if shape == "abnormal":
-                assert not chain[1][-1]
-            if shape == "planted":
-                assert not any(chain[0])
+            with pytest.raises(InvalidParams):
+                resultant(Av, Bv)
+            read = 0
+            for point in self.POINTS:
+                a, b = (self._at(view, point) for view in (Av, Bv))
+                if not a[-1] or not b[-1]:
+                    continue
+                den_a, den_b = (math.lcm(*(c.denominator for c in cs)) for cs in (a, b))
+                a, b = [int(c * den_a) for c in a], [int(c * den_b) for c in b]
+                chain = _subresultant_chain(a, b)
+                assert chain == sympy_chain(a, b), (A.text(), B.text(), point)
+                if shape == "abnormal":
+                    assert not chain[1][-1]
+                if shape == "planted":
+                    assert not any(chain[0])
+                read += 1
+            assert read >= 4
 
 
 def _modified_discriminant(cs):
-    """(-1)^(d(d-1)/2) times the Bareiss determinant of the Sylvester
-    matrix of cs = [c0..cd] and its derivative, read as of degree d even
-    where cd vanishes, with the first column, cd in row 0 and d*cd in row
-    d-1, replaced by 1 and d: Res(f, f') / cd where cd != 0."""
+    """(-1)^(d(d-1)/2) times the SymPy determinant of the Sylvester matrix
+    of cs = [c0..cd] and its derivative, read as of degree d even where cd
+    vanishes, with the first column, cd in row 0 and d*cd in row d-1,
+    replaced by 1 and d: Res(f, f') / cd where cd != 0."""
     d = len(cs) - 1
-    matrix = _minor_matrix(cs, _derivative(cs), 0, 0, 0)
+    matrix = minor_matrix(cs, _derivative(cs), 0, 0)
     matrix[0][0], matrix[d - 1][0] = 1, d
-    return (-1) ** (d * (d - 1) // 2) * _int_bareiss_determinant(matrix)
+    return (-1) ** (d * (d - 1) // 2) * sympy_det(matrix)
 
 
 class TestUniDiscriminant:
     """exact._uni_discriminant, the discriminant of a binary form of degree
-    d given as [c0..cd], against the modified Sylvester matrix by Bareiss."""
+    d given as [c0..cd], against the modified Sylvester matrix by SymPy."""
 
     @pytest.mark.parametrize("zeros", [0, 1, 2], ids=["cd", "cd=0", "cd=c(d-1)=0"])
     def test_seeded_lists(self, zeros):

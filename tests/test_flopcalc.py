@@ -1,21 +1,31 @@
 """Identity evaluators, corollaries and the one-unknown solver."""
 
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from dualis.charclass import hypersurface_package, linear_space_package
+from dualis.corpus import build_curve_pair
+from dualis.curvelab import PlaneCurve
+from dualis.elimination import apply_matrix
 from dualis.errors import (
     AmbientMismatch,
     AmbientTooSmall,
+    GuardrailExceeded,
     InconsistentPackage,
     InvalidCounts,
     InvalidParams,
+    IrrationalSingularity,
     KOutOfRange,
     NoFailureFound,
     NonIntegralResult,
+    NotTransversal,
     Overdetermined,
+    ReducibleCurve,
     UncertifiedTransversality,
+    UnsupportedSingularity,
     ZeroCoefficient,
 )
 from dualis.flopcalc import (
@@ -24,6 +34,7 @@ from dualis.flopcalc import (
     INTRO,
     IdentityInstance,
     VarietyInvariants,
+    check_forms,
     check_identity,
     classical_plucker,
     detect_dual_codim,
@@ -429,3 +440,47 @@ class TestRefusals:
                                     chi_cap_dual=0, c0m_dual_1=1, c0m_dual_2=1)
         with pytest.raises(AmbientTooSmall):
             solve_unknown(instance)
+
+
+class TestFlopIdentitySweep:
+    """The flop identity on seeded pairs of moved corpus curves: a line, two
+    conics, the cuspidal cubic and the nodal cubic with rational flexes,
+    each moved by an invertible integer matrix with entries in [-3, 3] and
+    built in-process by `build_curve_pair`.  The paper proves the identity,
+    so both forms must hold, or the pair must be refused with one of
+    REFUSALS; a failure is a defect in dualis, never in the identity."""
+
+    CURVES = ("line_125", "conic_circle", "conic_parabola", "cubic_cusp", "cubic_nodal_rf")
+    REFUSALS = (NotTransversal, ReducibleCurve, IrrationalSingularity, UnsupportedSingularity,
+                GuardrailExceeded)
+    PAIRS = 600
+
+    @staticmethod
+    def _moved(rng, curve):
+        while True:
+            m = tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3))
+            if (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                    - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                    + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])):
+                return PlaneCurve(apply_matrix(curve.F, m))
+
+    def test_both_forms_hold_or_the_pair_is_refused(self):
+        corpus = Path(__file__).resolve().parent.parent / "corpus" / "curves"
+        curves = [PlaneCurve.from_text((corpus / f"{name}.txt").read_text())
+                  for name in self.CURVES]
+        rng = random.Random(18)
+        held = refused = 0
+        for _ in range(self.PAIRS):
+            pair = [self._moved(rng, rng.choice(curves)) for _ in range(2)]
+            try:
+                data = build_curve_pair(*pair)
+            except self.REFUSALS:
+                refused += 1
+                continue
+            reports = check_forms(data.s1, data.s2, data.d1, data.d2, data.chi_cap,
+                                  data.chi_cap_dual)
+            assert all(report.holds for report in reports.values()), (
+                [c.F.text() for c in pair], data.chi_cap, data.chi_cap_dual,
+                {form: report.as_dict() for form, report in reports.items()})
+            held += 1
+        assert held + refused == self.PAIRS and held >= self.PAIRS * 9 // 10

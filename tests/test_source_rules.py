@@ -1,9 +1,17 @@
-"""Rules on the package source that no runtime test would catch."""
+"""Rules on the package source that no runtime test would catch, and the
+reach of the served paths into it."""
 
 import ast
+import contextlib
+import doctest
+import importlib.util
+import io
+import sys
+import tempfile
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "dualis"
+REPO = SOURCE.parent.parent
 
 
 def test_no_assert_statements():
@@ -31,8 +39,9 @@ def _referenced_names(path: Path) -> set:
 
 
 def test_trivariate_gcds_stay_off_the_counting_paths():
-    # square-freeness and coprimality are certified on a pencil of lines;
-    # the trivariate gcd and the radical built on it are public API only
+    # square-freeness and coprimality of forms are certified on a pencil of
+    # lines; the public gcds and the radical take one variable and are
+    # public API only
     gcds = {"poly_gcd", "poly_gcd_many", "radical"}
     found = [
         f"{path.name}: {name}"
@@ -60,10 +69,10 @@ def _functions(path: Path) -> dict:
 def test_one_univariate_gcd():
     # exact._uni_gcd, Brown's modular algorithm with its prime sequence and
     # its gcd modulo p, is the only univariate gcd; the other gcds are the
-    # trivariate public API, and one remainder sequence is left: the
-    # pseudo-remainder, read by the subresultant chain, which runs over Z or
-    # over Q[vars] (a MultiPoly divides exactly through exact_div), and by
-    # the reduction of integer lists modulo a list
+    # public one-variable adapters onto it, and one remainder sequence is
+    # left: the pseudo-remainder of integer lists, read by the subresultant
+    # chain and by the reduction of integer lists modulo a list; no
+    # MultiPoly is divided by another
     gcds = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
                   for name in _functions(path) if "gcd" in name)
     assert gcds == ["exact.py: _gcd_mod", "exact.py: _gcd_primes", "exact.py: _uni_gcd",
@@ -73,8 +82,9 @@ def test_one_univariate_gcd():
     assert remainders == ["exact.py: _uni_prem"]
     assert _readers("_uni_prem") == ["exact.py: _reduced", "exact.py: _subresultant_chain"]
     defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
-    assert not defined & {"_pseudo_rem", "_content_wrt", "_coeff_list", "_from_coeff_list"}
-    assert "exact.py: __floordiv__" in _readers("exact_div")
+    assert not defined & {"_pseudo_rem", "_content_wrt", "_coeff_list", "_from_coeff_list",
+                          "try_exact_div", "exact_div", "divides", "__floordiv__"}
+    assert {"exact.py: poly_gcd", "exact.py: squarefree_part"} <= set(_readers("_uni_gcd"))
     body = {n.id for n in ast.walk(_functions(SOURCE / "exact.py")["_uni_gcd"])
             if isinstance(n, ast.Name)}
     assert {"_gcd_primes", "_gcd_mod", "_try_uni_quo"} <= body
@@ -217,26 +227,41 @@ def test_one_frame_schedule_loop():
         assert _readers(name) == ["elimination.py: _accepted_frame"], name
 
 
+#: the modules of the package, whose attributes are globals read across modules
+MODULES = {path.stem for path in SOURCE.glob("*.py")}
+
+
+def _reads(node, name: str) -> bool:
+    """Does the node read the global name, bare or as an attribute of a
+    module of the package (``elimination._moved``)?"""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            and isinstance(node.value, ast.Name) and node.value.id in MODULES)
+
+
 def _readers(name: str) -> list:
     """Every function, as module: name, whose body reads the global name."""
     return sorted(f"{path.name}: {fn}" for path in sorted(SOURCE.glob("*.py"))
                   for fn, node in _functions(path).items()
-                  if any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node)))
+                  if any(_reads(n, name) for n in ast.walk(node)))
 
 
 def test_one_line_restriction_and_one_coordinate_change():
     # a form is evaluated along a line in exact._restriction alone, which the
     # pencil and line_transversality share; a singular point reaches its
     # chart origin through elimination._moved on F's integer terms, so
-    # curvelab substitutes nothing
+    # curvelab substitutes nothing; values are interpolated on a frame's
+    # sweep, the dual's triangle and a line, and no grid over several
+    # variables is left
     assert _readers("_restriction") == ["curvelab.py: line_transversality",
                                         "exact.py: _on_pencil"]
     assert _readers("_interpolate") == ["dualgeom.py: _dual_in_chart",
-                                        "elimination.py: coefficient",
-                                        "exact.py: _minor_grid", "exact.py: _restriction"]
+                                        "elimination.py: coefficient", "exact.py: _restriction"]
+    assert "curvelab.py: classify_singularity" in _readers("_moved")
     assert "substitute" not in _referenced_names(SOURCE / "curvelab.py")
     defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
-    assert not defined & {"binary_distinct_roots", "_lowest_parts", "_exps", "gradient"}
+    assert not defined & {"binary_distinct_roots", "_lowest_parts", "_exps", "gradient",
+                          "_minor_grid"}
 
 
 def test_one_expansion_and_one_integer_coordinate_change():
@@ -249,7 +274,8 @@ def test_one_expansion_and_one_integer_coordinate_change():
     assert _readers("_expand") == ["dualgeom.py: _dual_in_chart", "elimination.py: _moved",
                                    "exact.py: substitute"]
     assert _readers("_add_product") == ["exact.py: __mul__", "exact.py: _expand"]
-    assert _readers("_moved") == ["elimination.py: _accepted_frame",
+    assert _readers("_moved") == ["curvelab.py: classify_singularity",
+                                  "elimination.py: _accepted_frame",
                                   "elimination.py: _second_moved",
                                   "elimination.py: apply_matrix"]
     assert _readers("polar") == ["elimination.py: _accepted_frame",
@@ -284,12 +310,13 @@ def _index_products(path: Path) -> list:
 
 def test_one_univariate_toolkit():
     # each operation of the integer kernel is written once, in exact: the
-    # s_{k,j} minor layout over any ring, the derivative of a list and of a
-    # list of y-columns, the distinct-roots test and the primality test (the
-    # readers of the interpolation and of the term product are pinned above)
+    # derivative of a list and of a list of y-columns, the distinct-roots
+    # test and the primality test (the readers of the interpolation and of
+    # the term product are pinned above); no Sylvester matrix is laid out,
+    # and no determinant or its degree bound is taken outside the chain
     defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
-    assert not defined & {"_sylvester_minor", "_newton_numerators"}
-    assert _readers("_minor_matrix") == ["exact.py: _minor_grid", "exact.py: sylvester_matrix"]
+    assert not defined & {"_sylvester_minor", "_newton_numerators", "_minor_matrix",
+                          "sylvester_matrix", "_int_bareiss_determinant", "_matching_bound"}
     derivatives = [name for path in sorted(SOURCE.glob("*.py"))
                    for name in _index_products(path)]
     assert derivatives == ["exact.py: _derivative", "exact.py: _y_derivative"]
@@ -301,7 +328,8 @@ def test_one_univariate_toolkit():
                                        "elimination.py: _sqfree_part",
                                        "elimination.py: singular_locus",
                                        "exact.py: _distinct_roots",
-                                       "exact.py: _uni_discriminant"]
+                                       "exact.py: _uni_discriminant",
+                                       "exact.py: squarefree_part"]
     elimination = _referenced_names(SOURCE / "elimination.py")
     assert "isqrt" not in elimination and "_is_prime" in elimination
     primes = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
@@ -310,28 +338,28 @@ def test_one_univariate_toolkit():
 
 
 def test_one_subresultant_chain():
-    # exact._subresultant_chain is the one chain, and every eliminant is read
-    # from it: at each point of a frame, as the discriminant of each list on
-    # the dual's triangle, and at each point of the grid behind the public
-    # resultant and subresultant_coefficient, where Bareiss takes the minor
-    # only where a leading coefficient vanishes; the public discriminant is
-    # the resultant of f and f' over lc(f), which no count and no dual
-    # equation calls; and poly_gcd reads its first nonzero S_k over Q[vars]
+    # exact._subresultant_chain is the one chain, on integer lists, and every
+    # eliminant is read from it: at each point of a frame, as the
+    # discriminant of each list on the dual's triangle and of the public
+    # discriminant, and as the public resultant of two lists in one
+    # variable; no count and no dual equation calls the public eliminants,
+    # and no multivariate layer (grids, Sylvester matrices, Bareiss, exact
+    # division of MultiPolys) is left
     defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
-    assert not defined & {"determinant", "_discriminant_matrix"}
+    assert not defined & {"determinant", "_discriminant_matrix", "_minor_grid", "_minor_matrix",
+                          "sylvester_matrix", "subresultant_coefficient",
+                          "_int_bareiss_determinant", "_matching_bound", "try_exact_div",
+                          "exact_div", "divides", "__floordiv__"}
     chains = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
                     for name in _functions(path) if "subresultant" in name or "chain" in name)
-    assert chains == ["exact.py: _subresultant_chain", "exact.py: subresultant_coefficient"]
+    assert chains == ["exact.py: _subresultant_chain"]
     assert _readers("_subresultant_chain") == ["elimination.py: coefficient",
-                                               "exact.py: _minor_grid",
                                                "exact.py: _subresultant_chain",
                                                "exact.py: _uni_discriminant",
-                                               "exact.py: poly_gcd"]
-    assert _readers("_int_bareiss_determinant") == ["exact.py: _minor_grid"]
+                                               "exact.py: resultant"]
     assert _readers("_uni_discriminant") == ["dualgeom.py: _dual_in_chart",
-                                             "exact.py: _uni_discriminant"]
-    assert _readers("_minor_grid") == ["exact.py: resultant", "exact.py: subresultant_coefficient"]
-    assert "exact.py: discriminant" in _readers("resultant")
+                                             "exact.py: _uni_discriminant",
+                                             "exact.py: discriminant"]
     for name in ("_differences", "_from_differences"):
         assert _readers(name) == ["dualgeom.py: _dual_in_chart", "exact.py: _interpolate"]
     for path in (SOURCE / "dualgeom.py", SOURCE / "elimination.py"):
@@ -510,3 +538,56 @@ def test_every_clock_bound_test_is_marked_timed(pytestconfig):
                    if isinstance(fn, ast.FunctionDef)
                    and any(ast.unparse(d) == "pytest.mark.timed" for d in fn.decorator_list)}
     assert len(clocked) >= 20 and clocked == marked
+
+
+#: MultiPoly methods that no served path runs and that stay for the tests
+TEST_SIDE_METHODS = {
+    # arithmetic and constructors the tests build inputs with
+    "__add__", "__sub__", "__rsub__", "__neg__", "__pow__", "var", "derivative", "substitute",
+    # comparing, hashing, printing and evaluating results in assertions
+    "__eq__", "__hash__", "__repr__", "evaluate",
+    # the truth value: without it a zero polynomial would silently be true
+    "__bool__",
+    # the immutability guards of MultiPoly and UniPolyView, which run on misuse
+    "__setattr__",
+}
+
+
+def _traced_names(module: str) -> set:
+    """The functions of a module that perfbench/tracing.py wraps."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return set(tracing.TRACED[module])
+
+
+def test_every_function_of_exact_runs_on_a_served_path():
+    # a function of exact.py that runs on none of the served paths (every
+    # command of test_cli_outputs in both formats, a run of the shipped
+    # corpus and the module's doctests), is not wrapped by the benchmark's
+    # tracer and is not a method the tests use is dead code
+    import test_cli_outputs
+    from dualis import exact
+    from dualis.cli import run_command
+
+    path = str(Path(exact.__file__).resolve())
+    ran = set()
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == path:
+            ran.add(frame.f_code.co_name)
+
+    sys.setprofile(record)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for command in test_cli_outputs.COMMANDS:
+                for fmt in test_cli_outputs.FORMATS:
+                    run_command(test_cli_outputs._argv(command, fmt, Path(tmp)))
+            run_command(["corpus", "run", str(REPO / "corpus"), "--no-timestamps"])
+            doctest.testmod(exact)
+    finally:
+        sys.setprofile(None)
+    never = set(_functions(SOURCE / "exact.py")) - ran - _traced_names("exact") - TEST_SIDE_METHODS
+    assert not sorted(never)
