@@ -376,9 +376,8 @@ def resolve_chi(spec, packages: dict, where: str, side: str | None = "dual") -> 
 def transversal_slice_line(curve: PlaneCurve) -> MultiPoly:
     """The line that certified the curve square-free, as a linear form: it
     meets the curve in d distinct points (`exact.transversal_line`)."""
-    ring = curve.variables
-    return sum((MultiPoly.var(ring, v) * c for v, c in zip(ring, curve.slice_line)),
-               MultiPoly.zero(ring))
+    return MultiPoly(curve.variables, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                                              curve.slice_line)))
 
 
 def curve_package(curve: PlaneCurve, label: str) -> VarietyInvariants:

@@ -53,8 +53,10 @@ from .exact import (
     MultiPoly,
     _distinct_roots,
     _integer_terms,
+    _primitive_ints,
     _restriction,
     _trim,
+    _value,
     parse_poly,
     transversal_line,
 )
@@ -123,8 +125,10 @@ class PlaneCurve:
         return self.F.variables
 
     def contains(self, point) -> bool:
-        """Does the curve pass through the point, three ints or Fractions?"""
-        return self.F.evaluate(dict(zip(self.variables, _checked_point(point)))) == 0
+        """Does the curve pass through the point, three ints or Fractions?
+        F is a form, so it vanishes at the point exactly when it vanishes at
+        the coprime integers proportional to it."""
+        return _value(_integer_terms(self.F)[1], _primitive_ints(_checked_point(point))) == 0
 
     def __repr__(self):
         return f"PlaneCurve({self.F.text()!r})"

@@ -289,27 +289,26 @@ def _chart_columns(terms: dict) -> list:
             for j in range(d + 1)]
 
 
-def _line_resultant(P: Sequence[list], a: list, b: list, modulus: Optional[list] = None) -> list:
-    """Res_y(P, a*y + b) for P = [p_0..p_m] in y and a != 0, all integer
+def _line_resultant(P: Sequence[list], a: list, b: list, modulus: list) -> list:
+    """Res_y(P, a*y + b) modulo the list ``modulus`` of degree >= 1, times
+    a nonzero rational, for P = [p_0..p_m] in y and a != 0, all integer
     lists in x.  Over the root -b/a of the line, Res(a*y + b, P) =
     a^m P(-b/a), and swapping the operands costs (-1)^m:
     Res(P, a*y + b) = sum_j p_j b^j (-a)^(m-j), taken by Horner's rule.
 
-    With a modulus, the resultant modulo it, times a nonzero rational: the
-    sum is a polynomial identity, so the columns may be reduced by one
+    The sum is a polynomial identity, so the columns may be reduced by one
     common scale, a and b by another, and the accumulator with the power
     of b by a third at each step (`exact._reduced`).  A top column that
     vanishes there only multiplies the sum by a power of a."""
-    if modulus:
-        P, (a, b) = _reduced(P, modulus), _reduced([a, b], modulus)
+    P, (a, b) = _reduced(P, modulus), _reduced([a, b], modulus)
     neg = [-c for c in a]
     acc, power = P[0], [1]
     for p in P[1:]:
         power = _mul(power, b)
         acc = _add(_mul(acc, neg), _mul(p, power))
-        if modulus and len(acc) >= 2 * len(modulus):
+        if len(acc) >= 2 * len(modulus):
             acc, power = _reduced([acc, power], modulus)
-    return _reduced([acc], modulus)[0] if modulus else acc
+    return _reduced([acc], modulus)[0]
 
 
 class _Frame:

@@ -14,13 +14,14 @@ A :class:`MultiPoly` is a sparse multivariate polynomial over the rationals:
 Zero coefficients are never stored, so two polynomials are equal as values
 exactly when their representations are equal.  Printing uses graded
 lexicographic order (total degree first, then lex on exponents), which makes
-``parse(print(p)) == p`` a fixed point.  The public constructor validates
-its input; the ring's own results, clean by construction, are stored through
-the private ``MultiPoly._trusted`` without a second pass.  Every
-substitution, chart and change of coordinates runs through one integer
-expansion, `_expand`: ``MultiPoly.substitute`` scales the polynomial and
-its images to integers and divides by the common denominator once, and
-`elimination` moves integer terms ({exponents: int}) with it directly.
+``parse(print(p)) == p`` a fixed point.  A MultiPoly is a container: it is
+parsed, printed, multiplied, compared and made primitive, and every
+computation on it runs on its integer terms ({exponents: int}).  The public
+constructor validates its input; the module's own results, clean by
+construction, are stored through the private ``MultiPoly._trusted`` without
+a second pass.  Every change of coordinates and the dual's chart run
+through one integer expansion, `_expand`, which `elimination` and
+`dualgeom` call on integer terms.
 
 On top of the polynomial ring the module provides the elimination kernel,
 on integer lists: every eliminant is read from one subresultant chain
@@ -58,8 +59,7 @@ univariate gcd, Brown's modular algorithm (J. ACM 18, 1971), which works
 modulo primes just below 2^30, one digit of a Python int each, checks
 its candidate by trial division over Z and returns a
 primitive gcd; a constant image modulo one prime proves a constant gcd,
-which is the usual case.  ``MultiPoly.evaluate`` at a point of ints
-runs over the integers too, with one division at the end.
+which is the usual case.
 """
 
 from __future__ import annotations
@@ -105,7 +105,6 @@ BIDUAL_DEGREE_CAP = 3
 EXPONENT_DIGITS = 6
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 #: the refusal of an integer too long to print, which leaves the value out
@@ -181,9 +180,10 @@ def _add_product(acc: dict, a: dict, b: dict) -> dict:
 def _expand(terms: dict, images: Sequence[dict], width: int) -> dict:
     """The integer terms of sum_e c_e prod_i images[i]^e_i, zeros dropped,
     for integer polynomials ({exponents: int}) whose images live in a ring
-    of ``width`` variables: the one expansion behind every substitution and
-    change of coordinates.  Each image's powers are built once, up to the
-    largest exponent used, and every term is expanded into one accumulator.
+    of ``width`` variables: the one expansion behind every change of
+    coordinates and the dual's chart.  Each image's powers are built once,
+    up to the largest exponent used, and every term is expanded into one
+    accumulator.
     """
     one = {(0,) * width: 1}
     powers = []   # per image: its powers 0..top
@@ -257,14 +257,6 @@ class MultiPoly:
             return cls.zero(variables)
         return cls(variables, {(0,) * len(variables): value})
 
-    @classmethod
-    def var(cls, variables: Sequence[str], name: str) -> "MultiPoly":
-        variables = tuple(variables)
-        if name not in variables:
-            raise UnknownVariableError(f"{name!r} not among {variables}")
-        exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exps: _ONE})
-
     # --- basic predicates ---
 
     def is_zero(self) -> bool:
@@ -306,39 +298,13 @@ class MultiPoly:
         except ValueError:
             raise UnknownVariableError(f"{name!r} not among {self.variables}") from None
 
-    # --- ring operations ---
+    # --- products and comparison ---
 
     def _check_ring(self, other: "MultiPoly"):
         if self.variables != other.variables:
             raise SharedVariableMismatch(
                 f"variable mismatch: {self.variables} vs {other.variables}"
             )
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.variables, other)
-        self._check_ring(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, _ZERO) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return MultiPoly._trusted(self.variables, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.variables, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -350,18 +316,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.const(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -369,59 +323,6 @@ class MultiPoly:
 
     def __hash__(self):
         return hash((self.variables, frozenset(self.terms.items())))
-
-    # --- calculus and evaluation ---
-
-    def derivative(self, name: str) -> "MultiPoly":
-        i = self._index(name)
-        # distinct monomials stay distinct when one exponent drops by one
-        return MultiPoly._trusted(self.variables, {
-            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.terms.items() if e[i]})
-
-    def evaluate(self, point: Mapping[str, Union[int, Fraction]]) -> Fraction:
-        """Evaluate at a full rational point.  The terms, scaled to integers,
-        are summed once and divided by their common denominator at the end;
-        at a point of ints the sum stays over the integers."""
-        vals = [val if type(val) is int else Fraction(val) for val in (point[v] for v in self.variables)]
-        den, scaled = _integer_terms(self)
-        total = 0
-        for e, c in scaled.items():
-            for val, exp in zip(vals, e):
-                if exp:
-                    c *= val**exp
-            total += c
-        return Fraction(total) / den
-
-    def substitute(self, mapping: Mapping[str, "MultiPoly"]) -> "MultiPoly":
-        """Substitute polynomials for variables.
-
-        Every variable of ``self`` must be mapped; all images must live in a
-        common ring, which becomes the ring of the result.
-
-        The expansion runs over the integers (`_expand`): ``self`` and each
-        image are scaled to integer numerators, the coefficient of a term
-        whose i-th exponent is k is lifted by den_i^(top_i - k) to the
-        common denominator den(self) * prod den(image_i)^top_i, top_i the
-        largest exponent of variable i, and that is divided out once.
-        """
-        images = [mapping[v] for v in self.variables]
-        ring = images[0].variables
-        for p in images:
-            if p.variables != ring:
-                raise SharedVariableMismatch("substitution images disagree on ring")
-        den, scaled = _integer_terms(self)
-        bases = []
-        lifts = []    # per image: den_i^(top - k), lifting power k to the common denominator
-        for i, image in enumerate(images):
-            top = max((e[i] for e in scaled), default=0)
-            den_i, base = _integer_terms(image)
-            bases.append(base)
-            lifts.append([den_i ** (top - k) for k in range(top + 1)])
-            den *= den_i ** top
-        lifted = {e: c * math.prod(lift[k] for lift, k in zip(lifts, e))
-                  for e, c in scaled.items()}
-        return MultiPoly._trusted(ring, {e: Fraction(c, den)
-                                         for e, c in _expand(lifted, bases, len(ring)).items()})
 
     # --- leading data, content, normalization ---
 
@@ -1021,21 +922,23 @@ def squarefree_part(f: Union[MultiPoly, UniPolyView]) -> MultiPoly:
     """Square-free part in one distinguished variable: the variable of a
     view, or the one variable a MultiPoly uses.  A MultiPoly in more than
     one variable, or a view with a coefficient in another variable, is
-    refused with InvalidParams, and zero with ZeroInput.  The result is
-    ``f / gcd(f, df/dvar)`` (`_uni_gcd`, `_derivative`, `_uni_quo`),
-    primitive with a positive leading coefficient.
+    refused with InvalidParams, and zero with ZeroInput.  A nonzero
+    constant, perhaps of a ring without variables, gives 1; otherwise the
+    result is ``f / gcd(f, df/dvar)`` (`_uni_gcd`, `_derivative`,
+    `_uni_quo`), primitive with a positive leading coefficient.
 
     >>> squarefree_part(parse_poly("x^3 - 3*x + 2", ("x",))).text()   # (x - 1)^2 (x + 2)
     'x^2 + x - 2'
     """
-    view = f if isinstance(f, UniPolyView) else UniPolyView(
-        f, _one_variable(f) or f.variables[0])
-    if view.poly.is_zero():
+    poly = f.poly if isinstance(f, UniPolyView) else f
+    if poly.is_zero():
         raise ZeroInput("square-free part of zero")
+    if poly.is_constant():
+        return MultiPoly.const(poly.variables, 1)
+    view = f if isinstance(f, UniPolyView) else UniPolyView(f, _one_variable(f))
     _, cs = _integer_list(view)
-    if len(cs) > 1:
-        cs = _uni_quo(cs, _uni_gcd(cs, _derivative(cs)))
-    return _in_variable(view.poly.variables, view.var, _primitive(cs))
+    return _in_variable(poly.variables, view.var,
+                        _primitive(_uni_quo(cs, _uni_gcd(cs, _derivative(cs)))))
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -1058,14 +961,15 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 def poly_gcd_many(polys: Sequence[MultiPoly]) -> MultiPoly:
+    """The `poly_gcd` of a family, folded from poly_gcd(p, p) of its first
+    member p, so every member is checked as a pair is.  An empty family is
+    refused with ZeroInput."""
     acc = None
     for p in polys:
-        acc = p if acc is None else poly_gcd(acc, p)
-        if acc is not None and acc.is_constant() and not acc.is_zero():
-            return MultiPoly.const(p.variables, 1)
+        acc = poly_gcd(p if acc is None else acc, p)
     if acc is None:
         raise ZeroInput("gcd of an empty family")
-    return acc.primitive() if not acc.is_zero() else acc
+    return acc
 
 
 def radical(f: MultiPoly) -> MultiPoly:
@@ -1078,7 +982,7 @@ def radical(f: MultiPoly) -> MultiPoly:
     """
     if f.is_zero():
         raise ZeroInput("radical of zero")
-    return MultiPoly.const(f.variables, 1) if f.is_constant() else squarefree_part(f)
+    return squarefree_part(f)
 
 
 # ---------------------------------------------------------------------------

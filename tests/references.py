@@ -3,8 +3,11 @@
 The kernel reads every subresultant coefficient s_{k,j} of two lists from
 one subresultant chain.  These references lay out the minor of the
 Sylvester matrix that defines s_{k,j} and take its determinant with SymPy,
-and specialise polynomials in several variables to one.
+specialise polynomials in several variables to one, and carry polynomials
+to SymPy and back.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -46,11 +49,11 @@ def chain(a, b):
 
 
 def specialised(poly, values):
-    """poly with the variables in values replaced by those numbers: a
-    polynomial in the other variables, in the same ring."""
-    ring = poly.variables
-    return poly.substitute({v: MultiPoly.const(ring, values[v]) if v in values
-                            else MultiPoly.var(ring, v) for v in ring})
+    """poly with the variables in values replaced by those numbers, by
+    SymPy: a polynomial in the other variables, in the same ring."""
+    sympy = pytest.importorskip("sympy")
+    return _from_sympy(sympy_expr(poly).subs({sympy.Symbol(v): sympy.Rational(str(c))
+                                              for v, c in values.items()}), poly.variables)
 
 
 def sympy_expr(poly):
@@ -62,14 +65,44 @@ def sympy_expr(poly):
                        for e, c in poly.terms.items()))
 
 
+def sympy_poly(poly, order=None):
+    """A MultiPoly as a SymPy Poly over QQ in symbols named as its
+    variables, or as the variables in ``order``, a permutation of them."""
+    sympy = pytest.importorskip("sympy")
+    order = poly.variables if order is None else tuple(order)
+    index = [poly.variables.index(v) for v in order]
+    terms = {tuple(e[i] for i in index): sympy.Rational(c.numerator, c.denominator)
+             for e, c in poly.terms.items()}
+    return sympy.Poly.from_dict(terms, *sympy.symbols(order), domain="QQ")
+
+
+def sympy_polar(poly, w):
+    """The polar sum_i w_i dF/dx_i of poly at the point w (ints or
+    Fractions), from SymPy's partial derivatives."""
+    sympy = pytest.importorskip("sympy")
+    F = sympy_poly(poly)
+    return _from_sympy(sum((F.diff(s) * sympy.Rational(str(c)) for s, c in zip(F.gens, w)),
+                           F * 0), poly.variables)
+
+
 def sympy_resultant(f, g, var):
     """Res(f, g) in var by sympy.resultant, called with the operand of
     higher degree first and the sign of the swap applied: SymPy 1.14 gives
     the opposite sign for some lower odd degrees first, such as degrees 1
     and 3 (Res(y, 6y^3 + 7) = 7, where SymPy gives -7)."""
     sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol(var)
-    F, G = (sympy.Poly(sympy_expr(p), x) for p in (f, g))
+    order = (var,) + tuple(v for v in f.variables if v != var)
+    F, G = (sympy_poly(p, order) for p in (f, g))
+    if len(order) > 1:  # polynomials in var over the polynomials in the others
+        F, G = (P.eject(*P.gens[1:]) for P in (F, G))
     if F.degree() >= G.degree():
         return sympy.resultant(F, G)
     return (-1) ** (F.degree() * G.degree()) * sympy.resultant(G, F)
+
+
+def _from_sympy(expr, variables):
+    """A SymPy expression, polynomial in symbols named as the variables, as
+    a MultiPoly in that ring."""
+    sympy = pytest.importorskip("sympy")
+    poly = sympy.Poly(expr, *sympy.symbols(variables))
+    return MultiPoly(variables, {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms()})

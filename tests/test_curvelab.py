@@ -37,6 +37,7 @@ from dualis.errors import (
     ZeroInput,
 )
 from dualis.exact import MultiPoly, _integer_terms, _restriction, _trim, is_squarefree, parse_poly
+from references import _from_sympy, sympy_expr
 
 SMOOTH_CONIC = "x^2 + y^2 + z^2"
 CIRCLE = "x^2 + y^2 - z^2"
@@ -75,6 +76,15 @@ class TestConstruction:
             with pytest.raises(DegreeGuardrail):
                 PlaneCurve.from_text(text)
         assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("text", ["x^64 + y^64 + z^64", "x^40*y^30 + z^70"])
+    def test_over_the_guardrail_refused_before_the_certificate(self, text, monkeypatch):
+        # degree 64 and more is refused before the square-free certificate
+        def certificate(F):
+            raise AssertionError("transversal_line called")
+        monkeypatch.setattr(curvelab, "transversal_line", certificate)
+        with pytest.raises(DegreeGuardrail, match="Sylvester guardrail"):
+            PlaneCurve.from_text(text)
 
     @pytest.mark.timed
     def test_long_input_refused_quickly(self):
@@ -383,6 +393,11 @@ class TestClassification:
     def test_fraction_point_accepted(self):
         assert classify_singularity(curve(NODAL), (0, 0, Fraction(1, 3))).kind == NODE
         assert curve(NODAL).contains([0, Fraction(0), 5])
+        # F is a form, so a point and its multiples are on it together:
+        # (-1/2, 0, 1/2) and (-1, 0, 1) are, (1/2, 1/3, 1) is not
+        assert curve(NODAL).contains((Fraction(-1, 2), 0, Fraction(1, 2)))
+        assert not curve(NODAL).contains((Fraction(1, 2), Fraction(1, 3), 1))
+        assert curve("1/2*x^2 - 3/4*y^2 + z^2").contains((Fraction(2), 2, 1))
 
     @pytest.mark.parametrize("point, multiplicity", [((1, 1, 1), 0), ((1, 0, -1), 1)],
                              ids=["off-the-curve", "smooth"])
@@ -559,6 +574,8 @@ class TestLineTransversalityAgainstSympy:
         # which `_line_basis` returns as the first point of the line
         # (-p2, b, p0): the restriction loses one degree at P, and loses two
         # on the tangent line, which fails
+        sympy = pytest.importorskip("sympy")
+        symbols = sympy.symbols(PRIMAL_VARS)
         rng = random.Random(29)
         passed = tangents = 0
         while tangents < 6:
@@ -567,9 +584,11 @@ class TestLineTransversalityAgainstSympy:
             G, H = (MultiPoly(PRIMAL_VARS, {(a, b, d - a - b): rng.randint(-4, 4)
                                             for a in range(d + 1) for b in range(d + 1 - a)})
                     for _ in range(2))
-            at = dict(zip(PRIMAL_VARS, P))
-            F = H * G.evaluate(at) - G * H.evaluate(at)
-            grad = [F.derivative(v).evaluate(at) for v in PRIMAL_VARS]
+            at = dict(zip(symbols, P))
+            g, h = sympy_expr(G), sympy_expr(H)
+            expr = h * g.subs(at) - g * h.subs(at)
+            F = _from_sympy(expr, PRIMAL_VARS)
+            grad = [expr.diff(s).subs(at) for s in symbols]
             if F.is_zero() or not grad[2] or not is_squarefree(F):
                 continue
             c = PlaneCurve(F)
@@ -633,6 +652,9 @@ class TestSliceLine:
         line = corpus.transversal_slice_line(c)
         assert line_transversality(c, line)
         assert _sympy_meets_in_distinct_points(text, c.slice_line)
+        # the form's coefficients are the certificate's, as they are
+        assert [line.terms.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] == list(
+            c.slice_line)
 
     @pytest.mark.parametrize("text", [SIX_LINES, FOUR_LINES], ids=["six-lines", "four-lines"])
     def test_slice_line_of_irrational_crossings(self, text):

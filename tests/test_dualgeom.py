@@ -32,7 +32,7 @@ from dualis.errors import (
     WitnessOnCurve,
 )
 from dualis.exact import MultiPoly, UniPolyView, discriminant, parse_poly
-from references import sympy_expr
+from references import _from_sympy, sympy_expr, sympy_polar
 
 CONIC = "y^2 - x*z"
 SPHERE = "x^2 + y^2 + z^2"
@@ -115,14 +115,13 @@ def _quadric_dual_oracle(text):
 
 def _chart_form(text):
     """F(x, 1, -(u*x + v)): the binary form whose discriminant in x is the
-    dual discriminant on the chart w = 1."""
+    dual discriminant on the chart w = 1, by SymPy."""
+    sympy = pytest.importorskip("sympy")
     ring = ("x",) + DUAL_VARS
-    x = MultiPoly.var(ring, "x")
-    return parse_poly(text, PRIMAL_VARS).substitute({
-        "x": x,
-        "y": MultiPoly.const(ring, 1),
-        "z": -(MultiPoly.var(ring, "u") * x + MultiPoly.var(ring, "v")),
-    })
+    x, u, v, _ = sympy.symbols(ring)
+    y, z = sympy.symbols("y z")
+    return _from_sympy(sympy_expr(parse_poly(text, PRIMAL_VARS)).subs({y: 1, z: -(u * x + v)}),
+                       ring)
 
 
 def _sympy_chart_discriminant(text):
@@ -176,7 +175,7 @@ def _seeded_chart_forms():
     term free of y, whose lc(psi) vanishes identically."""
     rng = random.Random(20261019)
     forms = [_seeded_form(rng, d).text() for d in (2, 3, 3, 4, 4, 5)]
-    y = MultiPoly.var(PRIMAL_VARS, "y")
+    y = parse_poly("y", PRIMAL_VARS)
     return forms + [LC_VANISHES, "x^4 + y^4 + z^4", "x^5 + y^5 + 2*z^5"] + [
         (y * _seeded_form(rng, d)).text() for d in (2, 3, 3, 4)]
 
@@ -254,14 +253,13 @@ class TestDualEquation:
         assert got.d_dual == 3
         assert got.D == parse_poly("4*u^3 + 27*v^2*w", DUAL_VARS)
         # Gauss-map oracle: the tangent line at [s^2 t : s^3 : t^3] is
-        # [-3 s t^2 : 2 t^3 : s^3]; the dual equation must vanish on it
-        st = ("s", "t")
-        images = {
-            "u": parse_poly("-3*s*t^2", st),
-            "v": parse_poly("2*t^3", st),
-            "w": parse_poly("s^3", st),
-        }
-        assert got.D.substitute(images).is_zero()
+        # [-3 s t^2 : 2 t^3 : s^3]; the dual equation must vanish on it,
+        # as SymPy expands it
+        sympy = pytest.importorskip("sympy")
+        s, t = sympy.symbols("s t")
+        u, v, w = sympy.symbols(DUAL_VARS)
+        images = {u: -3 * s * t ** 2, v: 2 * t ** 3, w: s ** 3}
+        assert sympy.expand(sympy_expr(got.D).subs(images, simultaneous=True)) == 0
 
     def test_cusp_strips_ninth_power_of_w(self):
         got = dual_equation(curve(CUSPIDAL))
@@ -419,8 +417,7 @@ class TestDualDegreeOracle:
         monkeypatch.setattr(elimination, "forms_coprime", refused)
         c = curve("2*x^2*y^2 + y^2*z^2 + z^2*x^2 - x^2*y*z - x*y^2*z - x*y*z^2")
         assert dual_degree_oracle(c, witness=witness) == 6
-        polar = sum((c.F.derivative(v) * k for v, k in zip("xyz", (3, 1, 1))),
-                    MultiPoly.zero(c.F.variables))
+        polar = sympy_polar(c.F, (3, 1, 1))
         with pytest.raises(AssertionError, match="forms_coprime"):
             elimination.distinct_intersection_count(c.F, polar)
 

@@ -37,8 +37,8 @@ from dualis.exact import (
     parse_poly,
     witnesses,
 )
-from references import (chain as sympy_chain, det as sympy_det, minor_matrix, sympy_expr,
-                        sympy_resultant)
+from references import (_from_sympy, chain as sympy_chain, det as sympy_det, minor_matrix,
+                        specialised, sympy_expr, sympy_polar, sympy_resultant)
 
 XYZ = ("x", "y", "z")
 
@@ -125,15 +125,13 @@ class TestBinaryForms:
         # the integer terms of each form at z = 0, y = 1, as untrimmed lists
         # in x: den(F) * F(x, 1, 0), also when the restriction vanishes
         rng = random.Random(83)
-        sub = {"x": MultiPoly.var(XYZ, "x"), "y": MultiPoly.const(XYZ, 1),
-               "z": MultiPoly.zero(XYZ)}
         forms = [_random_form(rng, rng.randint(1, 4)) for _ in range(40)]
         forms.append(parse_poly("x*z - 1/2*y*z", XYZ))
         got = elimination._infinity_restriction([_integer_terms(F)[1] for F in forms])
         assert len(got) == len(forms) and not any(got[-1])
         for F, cs in zip(forms, got):
             assert len(cs) == F.total_degree() + 1
-            assert _in_x(cs) == F.substitute(sub) * _integer_terms(F)[0], F.text()
+            assert _in_x(cs) == specialised(F, {"y": 1, "z": 0}) * _integer_terms(F)[0], F.text()
 
 
 class TestNormalizePoint:
@@ -202,7 +200,7 @@ class TestCounting:
         # several bases, which must be skipped; the polar of (1, 2, 5) meets
         # it in the 3 nodes and 6 tangency points
         f = parse_poly("2*x^2*y^2 + y^2*z^2 + z^2*x^2 - x^2*y*z - x*y^2*z - x*y*z^2", XYZ)
-        polar = f.derivative("x") + f.derivative("y") * 2 + f.derivative("z") * 5
+        polar = sympy_polar(f, (1, 2, 5))
         assert distinct_intersection_count(f, polar) == 9
 
     def test_polar_is_the_weighted_sum_of_partials(self):
@@ -215,7 +213,7 @@ class TestCounting:
             for w, point in [((1, 2, 5), (1, 2, 5)), ((0, 1, 0), (0, 1, 0)),
                              ((-3, 0, 7), (-3, 0, 7)),
                              ((Fraction(1, 2), -2, Fraction(5, 3)), (3, -12, 10))]:
-                want = sum((F.derivative(v) * c for v, c in zip(XYZ, w)), MultiPoly.zero(XYZ))
+                want = sympy_polar(F, w)
                 got = elimination.polar(_integer_terms(F)[1], point)
                 assert MultiPoly(XYZ, got) * want.content() == want, (F.text(), w)
 
@@ -279,7 +277,7 @@ class TestCounting:
         big = parse_poly("x^33 + y^33 + z^33", XYZ)
         cases = [(parse_poly("2", XYZ), parse_poly("3", XYZ), DegenerateInput),
                  (parse_poly("x^2 + y*z - z", XYZ), parse_poly("x - y", XYZ), InvalidParams),
-                 (big, big.derivative("x"), DegreeGuardrail)]
+                 (big, parse_poly("33*x^32", XYZ), DegreeGuardrail)]
         for f, g, refusal in cases:
             with pytest.raises(refusal):
                 distinct_intersection_count(f, g)
@@ -347,6 +345,16 @@ def _in_x(cs):
     return MultiPoly(XYZ, {(i, 0, 0): c for i, c in enumerate(cs)})
 
 
+def _sympy_line_resultant(P, a, b):
+    """Res_y(P, a*y + b) of integer lists in x, P = [p_0..p_m] in y with
+    p_m nonzero, by references.sympy_resultant, as an integer list."""
+    XY = ("x", "y")
+    poly = MultiPoly(XY, {(i, j): c for j, p in enumerate(P) for i, c in enumerate(p)})
+    line = MultiPoly(XY, {**{(i, 1): c for i, c in enumerate(a)},
+                          **{(i, 0): c for i, c in enumerate(b)}})
+    return [int(c) for c in _x_list(sympy_resultant(poly, line, "y"))]
+
+
 def _x_list(expr):
     """A SymPy polynomial in x as its list of Fraction coefficients, trimmed."""
     import sympy
@@ -384,13 +392,16 @@ class TestIntegerFrameKernel:
         A, B as views in y with the common denominators dA, dB of the
         forms: the pair enters the frame as integer terms, so the columns
         are dA*A and dB*B over Z."""
+        sympy = pytest.importorskip("sympy")
         rng = random.Random(100 * d1 + d2)
         F, G = _random_form(rng, d1), _random_form(rng, d2)
         frame = elimination._accepted_frame(F, G)
-        chart = {"x": MultiPoly.var(XYZ, "x") + MultiPoly.var(XYZ, "y") * frame.shear,
-                 "y": MultiPoly.var(XYZ, "y"), "z": MultiPoly.const(XYZ, 1)}
+        # the chart z = 1 of the shear x -> x + shear*y, by SymPy
+        x, y, z = sympy.symbols(XYZ)
+        chart = {x: x + frame.shear * y, z: 1}
         moved = [apply_matrix(form, frame.base) for form in (F, G)]
-        A, B = (UniPolyView(form.substitute(chart), "y") for form in moved)
+        A, B = (UniPolyView(_from_sympy(sympy_expr(form).subs(chart, simultaneous=True), XYZ),
+                            "y") for form in moved)
         dA, dB = (_integer_terms(form)[0] for form in (F, G))
         return frame, A, B, dA, dB
 
@@ -454,8 +465,12 @@ class TestIntegerFrameKernel:
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_line_resultant_closed_form(self, m):
+        # modulo x^2 + 1, x - 2 and SymPy's resultant itself (where it is
+        # not constant), the remainder of SymPy's resultant times a nonzero
+        # rational
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
         rng = random.Random(m)
-        XY = ("x", "y")
 
         def ints(nonzero=False):
             while True:
@@ -468,11 +483,15 @@ class TestIntegerFrameKernel:
         for _ in range(6):
             P = [ints() for _ in range(m)] + [ints(nonzero=True)]
             a, b = ints(nonzero=True), ints()
-            poly = MultiPoly(XY, {(i, j): c for j, p in enumerate(P) for i, c in enumerate(p)})
-            line = MultiPoly(XY, {**{(i, 1): c for i, c in enumerate(a)},
-                                  **{(i, 0): c for i, c in enumerate(b)}})
-            want = sympy_resultant(poly, line, "y")
-            assert elimination._line_resultant(P, a, b) == _x_list(want), (P, a, b)
+            want = _sympy_line_resultant(P, a, b)
+            for modulus in ([1, 0, 1], [-2, 1], want):
+                if len(modulus) < 2:
+                    continue
+                rest = _x_list(sympy.rem(sympy.Poly(want[::-1], x, domain="QQ"),
+                                         sympy.Poly(modulus[::-1], x, domain="QQ")).as_expr())
+                got = elimination._line_resultant(P, a, b, modulus)
+                assert len(got) == len(rest) and all(
+                    g * rest[-1] == r * got[-1] for g, r in zip(got, rest)), (P, a, b, modulus)
 
     @pytest.mark.timed
     def test_smooth_curve_of_degree_ten_within_three_seconds(self):
@@ -591,10 +610,9 @@ def _cross(u, v):
 
 
 def _line_product(lines):
-    x, y, z = (MultiPoly.var(XYZ, v) for v in XYZ)
     out = MultiPoly.const(XYZ, 1)
-    for a, b, c in lines:
-        out = out * (x * a + y * b + z * c)
+    for line in lines:
+        out = out * MultiPoly(XYZ, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), line)))
     return out
 
 
@@ -617,14 +635,14 @@ class TestPolarInTheFrame:
         assert all(self._det(elimination._shear(t)) == 1 for t in range(-50, 200))
 
     def test_polar_in_the_frame_is_the_moved_polar(self):
-        # the reference is built from F's partials and moved by apply_matrix
+        # the reference is built from F's partials by SymPy and moved by
+        # apply_matrix
         rng = random.Random(41)
         for d in (1, 2, 3, 4):
             F = _random_form(rng, d)
             terms = _integer_terms(F)[1]
             for w in [(1, 2, 5), (3, -7, 2), (-2, 1, 1)]:
-                reference = sum((F.derivative(v) * c for v, c in zip(XYZ, w)),
-                                MultiPoly.zero(XYZ))
+                reference = sympy_polar(F, w)
                 assert not reference.is_zero(), (F.text(), w)
                 for base, t in product(elimination._BASES, range(4)):
                     m = mat_mul(base, elimination._shear(t))
@@ -661,7 +679,7 @@ class TestFrameCertificate:
 
     def test_generic_frame_certifies_at_once(self, monkeypatch):
         f = parse_poly("2*x^2*y^2 + y^2*z^2 + z^2*x^2 - x^2*y*z - x*y^2*z - x*y*z^2", XYZ)
-        polar = f.derivative("x") + f.derivative("y") * 2 + f.derivative("z") * 5
+        polar = sympy_polar(f, (1, 2, 5))
         frames = []
         step = elimination._pair_frame_count
 
@@ -818,13 +836,14 @@ def _reference_frame(F, second):
 
 def _reference_parts(frame):
     """Each class's singular part from the full line resultants of the
-    partials, trimmed of zero top columns, and a gcd with the class."""
+    partials, trimmed of zero top columns, by SymPy, and a gcd with the
+    class."""
     from functools import reduce
     from dualis.exact import _derivative, _uni_gcd, _y_derivative
 
     partials = [P[:max(j for j, p in enumerate(P) if p) + 1]
                 for P in ([_derivative(c) for c in frame.A], _y_derivative(frame.A)) if any(P)]
-    return {k: reduce(_uni_gcd, (elimination._line_resultant(P, *frame.line(k)) for P in partials),
+    return {k: reduce(_uni_gcd, (_sympy_line_resultant(P, *frame.line(k)) for P in partials),
                       phi)
             for k, phi in frame.classes.items()}
 

@@ -39,12 +39,14 @@ from dualis.exact import (
     parse_rational,
     point_off,
     poly_gcd,
+    poly_gcd_many,
     radical,
     resultant,
     squarefree_part,
     witnesses,
 )
-from references import chain as sympy_chain, det as sympy_det, minor_matrix, specialised
+from references import (_from_sympy, chain as sympy_chain, det as sympy_det, minor_matrix,
+                        specialised, sympy_expr, sympy_polar, sympy_poly)
 
 XYZ = ("x", "y", "z")
 UVW = ("u", "v", "w")
@@ -181,28 +183,23 @@ class TestRationalArithmetic:
 
 class TestPolyArithmetic:
     def test_ring_axioms_on_random_triples(self):
+        # the product is commutative and associative, and it is SymPy's
         rng = random.Random(11)
         for _ in range(40):
             a = _random_poly(rng, XYZ)
             b = _random_poly(rng, XYZ)
             c = _random_poly(rng, XYZ)
-            assert (a + b) + c == a + (b + c)
-            assert a * (b + c) == a * b + a * c
+            assert (a * b) * c == a * (b * c)
             assert a * b == b * a
+            assert a * b == _from_sympy(sympy_poly(a) * sympy_poly(b), XYZ)
 
     def test_no_zero_terms_stored(self):
-        p = parse_poly("x + y", XYZ) - parse_poly("y", XYZ)
+        # the constructor drops zero coefficients, and a product drops the
+        # terms that cancel: (x + y)(x - y) has no x*y term
+        assert MultiPoly(XYZ, {(1, 0, 0): 1, (0, 1, 0): 0}).terms == {(1, 0, 0): 1}
+        p = parse_poly("x + y", XYZ) * parse_poly("x - y", XYZ)
         assert all(c != 0 for c in p.terms.values())
-        assert p == parse_poly("x", XYZ)
-
-    def test_substitution_and_evaluation(self):
-        p = parse_poly("x^2*y - z", XYZ)
-        val = p.evaluate({"x": Fraction(2), "y": Fraction(1, 2), "z": Fraction(-1)})
-        assert val == Fraction(3)
-
-    def test_derivative(self):
-        p = parse_poly("x^3 + x*y^2", XYZ)
-        assert p.derivative("x") == parse_poly("3*x^2 + y^2", XYZ)
+        assert p == parse_poly("x^2 - y^2", XYZ)
 
     def test_homogeneous(self):
         assert parse_poly("x^2 + y*z", XYZ).is_homogeneous()
@@ -221,6 +218,15 @@ class TestPolyArithmetic:
 
 #: the line y = 2, z = 3 on which trivariate inputs become polynomials in x
 ON_LINE = {"y": 2, "z": 3}
+
+
+def _plus(f, g):
+    """The sum of two polynomials of one ring, through the public
+    constructor: MultiPoly has no addition."""
+    terms = dict(f.terms)
+    for e, c in g.terms.items():
+        terms[e] = terms.get(e, 0) + c
+    return MultiPoly(f.variables, terms)
 
 
 def _integer_list(poly):
@@ -281,7 +287,7 @@ class TestDivisionAndGcd:
             g, a, b = (specialised(p, ON_LINE) for p in (g, a, b))
             d = poly_gcd(g * a, g * b)
             for multiple, divisor in ((d, g), (g * a, d), (g * b, d)):
-                assert sympy.rem(_sympy_expr(sympy, multiple), _sympy_expr(sympy, divisor),
+                assert sympy.rem(sympy_expr(multiple), sympy_expr(divisor),
                                  sympy.Symbol("x")) == 0
             checked += 1
 
@@ -307,6 +313,40 @@ class TestDivisionAndGcd:
         with pytest.raises(ZeroInput):
             radical(MultiPoly.zero(XYZ))
 
+    def test_constants(self):
+        # two nonzero constants have gcd 1 and two zeros gcd 0, also in a
+        # ring without variables, where a constant's square-free part and
+        # radical are 1 too; zero has no square-free part
+        none = ()
+        assert poly_gcd(MultiPoly.const(XYZ, 6), MultiPoly.const(XYZ, Fraction(4, 3))) \
+            == MultiPoly.const(XYZ, 1)
+        assert poly_gcd(MultiPoly.zero(XYZ), MultiPoly.zero(XYZ)) == MultiPoly.zero(XYZ)
+        assert poly_gcd(MultiPoly(none, {(): 3}), MultiPoly(none, {(): 5})) \
+            == MultiPoly.const(none, 1)
+        for f in (MultiPoly(none, {(): 3}), MultiPoly.const(XYZ, Fraction(-2, 3))):
+            assert squarefree_part(f) == radical(f) == MultiPoly.const(f.variables, 1)
+        for zero in (MultiPoly.zero(XYZ), UniPolyView(MultiPoly.zero(XYZ), "x"),
+                     MultiPoly.zero(none)):
+            with pytest.raises(ZeroInput, match="square-free part of zero"):
+                squarefree_part(zero)
+
+    def test_gcd_of_a_family(self):
+        # every member is checked as a pair of it is: one member alone, or
+        # one after the gcd has become constant
+        xy, x = parse_poly("x*y", XYZ), parse_poly("x", XYZ)
+        for refused in (lambda: poly_gcd(xy, xy), lambda: poly_gcd_many([xy]),
+                        lambda: poly_gcd_many([x, parse_poly("x + 1", XYZ), xy])):
+            with pytest.raises(InvalidParams):
+                refused()
+        assert poly_gcd_many([parse_poly("-2*x^2 + 2", XYZ)]) == parse_poly("x^2 - 1", XYZ)
+        assert poly_gcd_many([parse_poly(t, XYZ) for t in ("x^2 - 1", "2*x + 2", "3*x^2 + 3*x")]) \
+            == parse_poly("x + 1", XYZ)
+        assert poly_gcd_many([x, parse_poly("x + 1", XYZ), parse_poly("2*x", XYZ)]) \
+            == MultiPoly.const(XYZ, 1)
+        assert poly_gcd_many([MultiPoly.zero(XYZ)]) == MultiPoly.zero(XYZ)
+        with pytest.raises(ZeroInput):
+            poly_gcd_many([])
+
 
 class TestChainGcd:
     """poly_gcd, and the radical and square-free parts in one variable,
@@ -328,8 +368,7 @@ class TestChainGcd:
             with pytest.raises(InvalidParams):
                 poly_gcd(f, g)
             f, g, h = (specialised(p, ON_LINE) for p in (f, g, h))
-            want = _from_sympy(sympy, sympy.gcd(_sympy_expr(sympy, f), _sympy_expr(sympy, g)),
-                               XYZ).primitive()
+            want = _from_sympy(sympy.gcd(sympy_expr(f), sympy_expr(g)), XYZ).primitive()
             assert poly_gcd(f, g) == poly_gcd(g, f) == want, (f.text(), g.text())
             assert want.total_degree() >= h.total_degree()
 
@@ -348,10 +387,10 @@ class TestChainGcd:
                 with pytest.raises(InvalidParams):
                     refused()
             f = specialised(f, ON_LINE)
-            F = _sympy_expr(sympy, f)
-            assert radical(f) == _from_sympy(sympy, sympy.sqf_part(F), XYZ).primitive()
+            F = sympy_expr(f)
+            assert radical(f) == _from_sympy(sympy.sqf_part(F), XYZ).primitive()
             assert squarefree_part(UniPolyView(f, "x")) == _from_sympy(
-                sympy, sympy.quo(F, sympy.gcd(F, F.diff("x"))), XYZ).primitive()
+                sympy.quo(F, sympy.gcd(F, F.diff("x"))), XYZ).primitive()
 
     @pytest.mark.timed
     def test_degree_seven_pair_in_seconds(self):
@@ -370,7 +409,7 @@ class TestChainGcd:
 
 
 def _linear(coeffs):
-    return sum((MultiPoly.var(XYZ, v) * c for v, c in zip(XYZ, coeffs)), MultiPoly.zero(XYZ))
+    return MultiPoly(XYZ, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), coeffs)))
 
 
 def _random_form(rng, degree, size=4):
@@ -430,7 +469,8 @@ class TestPencilCertificates:
         assert reached_grid >= 10 and planted >= 10
 
     def test_squarefree_is_coprimality_with_the_polar(self):
-        # is_squarefree reads the polar of its pencil centre off as f_a'
+        # is_squarefree reads the polar of its pencil centre off as f_a';
+        # the polar itself is SymPy's
         rng = random.Random(37)
         for _ in range(20):
             factors = [_random_form(rng, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
@@ -438,7 +478,7 @@ class TestPencilCertificates:
                 factors.append(rng.choice(factors))
             F = reduce(lambda a, b: a * b, factors)
             p = point_off([F])
-            polar = sum((F.derivative(v) * c for v, c in zip(XYZ, p)), MultiPoly.zero(XYZ))
+            polar = sympy_polar(F, p)
             assert point_off([F, polar]) == p
             assert is_squarefree(F) == forms_coprime(F, polar), F.text()
 
@@ -465,27 +505,30 @@ class TestPencilCertificates:
         assert shared >= 10
 
     def test_point_search_reaches_the_grid(self):
+        sympy = pytest.importorskip("sympy")
         lines = _witness_lines(random.Random(3))
         W = reduce(lambda a, b: a * b, lines)
         p = point_off([W])
-        assert p not in WITNESS_SEQUENCE and W.evaluate(dict(zip(XYZ, p))) != 0
+        assert p not in WITNESS_SEQUENCE and sympy_expr(W).subs(zip(sympy.symbols(XYZ), p)) != 0
         assert is_squarefree(W) and not is_squarefree(W * lines[2])
         assert forms_coprime(W, _linear([1, 1, 1]))
         assert not forms_coprime(lines[0] * lines[1], lines[1] * lines[2])
 
     def test_conic_tangent_to_the_first_two_lines(self):
-        # L0*L1 - x^2 is a smooth conic; the lines L0, L1 through p touch it
-        # where x = 0, so the certificate needs line 2 = d(d-1)
-        conic = self.LINE_0 * self.LINE_1 - _linear([1, 0, 0]) ** 2
+        # L0*L1 - x^2 = (z - 5x)(z - 3x - y) - x^2 is a smooth conic; the
+        # lines L0, L1 through p touch it where x = 0, so the certificate
+        # needs line 2 = d(d-1)
+        x = _linear([1, 0, 0])
+        conic = parse_poly("14*x^2 + 5*x*y - 8*x*z - y*z + z^2", XYZ)
         assert point_off([conic]) == WITNESS_SEQUENCE[0]
         assert is_squarefree(conic)
-        assert not is_squarefree(conic * _linear([1, 0, 0]) ** 2)
+        assert not is_squarefree(conic * x * x)
 
     def test_line_pair_meeting_on_the_first_line(self):
         # x + z and x - z meet at [0:1:0], on line 0, so the certificate
         # needs line 1 = d1*d2
         f, g = _linear([1, 0, 1]), _linear([1, 0, -1])
-        assert self.LINE_0.evaluate({"x": 0, "y": 1, "z": 0}) == 0
+        assert not exact._value(exact._integer_terms(self.LINE_0)[1], (0, 1, 0))
         assert point_off([f, g]) == WITNESS_SEQUENCE[0]
         assert forms_coprime(f, g)
         assert not forms_coprime(f * g, g * _linear([1, 1, 1]))
@@ -541,7 +584,8 @@ class TestPencilCertificates:
         # square factor fails, each at the cost of one univariate gcd
         f = parse_poly("x^7*y + y^7*z + z^7*x + x^3*y^3*z^2", XYZ)
         start = time.perf_counter()
-        assert not is_squarefree(f * _linear([1, 2, 3]) ** 2 * _linear([1, 0, 1]))
+        square = _linear([1, 2, 3]) * _linear([1, 2, 3])
+        assert not is_squarefree(f * square * _linear([1, 0, 1]))
         assert is_squarefree(f)
         assert time.perf_counter() - start < 1.0
 
@@ -567,38 +611,41 @@ CHART = ("x", "u", "v")
 
 def _random_image(rng, kind):
     """A seeded image in CHART of the given kind."""
-    gens = [MultiPoly.var(CHART, v) for v in CHART]
     if kind == "zero":
         return MultiPoly.zero(CHART)
     if kind == "constant":
         return MultiPoly.const(CHART, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
     if kind == "chart":
-        return -(gens[1] * gens[0] + gens[2])
+        return parse_poly("-u*x - v", CHART)
     coeffs = [Fraction(rng.randint(-5, 5), 1 if kind == "integer" else rng.randint(1, 6))
               for _ in CHART]
-    image = sum((g * c for g, c in zip(gens, coeffs)), MultiPoly.zero(CHART))
+    terms = dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), coeffs))
     if kind == "affine":
-        image = image + Fraction(rng.randint(-7, 7), rng.randint(1, 4))
-    return image
-
-
-def _sympy_expr(sympy, poly):
-    symbols = sympy.symbols(poly.variables)
-    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
-                       * sympy.Mul(*(s ** k for s, k in zip(symbols, e)))
-                       for e, c in poly.terms.items()))
-
-
-def _from_sympy(sympy, expr, variables):
-    poly = sympy.Poly(expr, *sympy.symbols(variables))
-    return MultiPoly(variables, {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms()})
+        terms[(0, 0, 0)] = Fraction(rng.randint(-7, 7), rng.randint(1, 4))
+    return MultiPoly(CHART, terms)
 
 
 IMAGE_KINDS = ("integer", "rational", "affine", "chart", "zero", "constant")
 
 
 class TestSubstitution:
-    """`MultiPoly.substitute` against SymPy's expansion."""
+    """The one expansion, `exact._expand`, of integer terms at integer
+    images against SymPy's expansion (`elimination._moved`, the expansion
+    at the rows of a matrix, is checked in test_elimination)."""
+
+    @staticmethod
+    def _check(sympy, F, images):
+        """_expand of F's integer terms at the images' integer numerators,
+        against SymPy's simultaneous substitution (the images themselves
+        contain x)."""
+        terms = exact._integer_terms(F)[1]
+        bases = [exact._integer_terms(image)[1] for image in images]
+        want = sympy.expand(sympy_expr(MultiPoly(F.variables, terms)).subs(
+            {sympy.Symbol(v): sympy_expr(MultiPoly(CHART, base))
+             for v, base in zip(F.variables, bases)}, simultaneous=True))
+        got = exact._expand(terms, bases, len(CHART))
+        assert all(type(c) is int and c for c in got.values())
+        assert MultiPoly(CHART, got) == _from_sympy(want, CHART), F.text()
 
     def test_against_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -608,37 +655,16 @@ class TestSubstitution:
             F = _random_poly(rng, XYZ, max_terms=8, max_exp=3)
             kinds = [rng.choice(IMAGE_KINDS) for _ in XYZ]
             kinds_seen.update(kinds)
-            images = {v: _random_image(rng, k) for v, k in zip(XYZ, kinds)}
-            # simultaneous: the images themselves contain x
-            want = sympy.expand(_sympy_expr(sympy, F).subs(
-                {sympy.Symbol(v): _sympy_expr(sympy, p) for v, p in images.items()},
-                simultaneous=True))
-            assert F.substitute(images) == _from_sympy(sympy, want, CHART), (F.text(), kinds)
+            self._check(sympy, F, [_random_image(rng, k) for k in kinds])
         assert kinds_seen == set(IMAGE_KINDS)
 
     def test_dual_chart_of_a_form(self):
+        # x -> x, y -> 1, z -> -(u*x + v): the images of dualgeom's chart
         sympy = pytest.importorskip("sympy")
         rng = random.Random(43)
-        x, u, v = (MultiPoly.var(CHART, n) for n in CHART)
-        chart = {"x": x, "y": MultiPoly.const(CHART, 1), "z": -(u * x + v)}
+        chart = [parse_poly(t, CHART) for t in ("x", "1", "-u*x - v")]
         for degree in (2, 3, 4):
-            F = _random_form(rng, degree)
-            X, U, V = sympy.symbols(CHART)
-            want = sympy.expand(_sympy_expr(sympy, F).subs(
-                {sympy.Symbol("y"): 1, sympy.Symbol("z"): -(U * X + V)}))
-            assert F.substitute(chart) == _from_sympy(sympy, want, CHART)
-
-    def test_images_in_different_rings_refused(self):
-        F = parse_poly("x*y + z", XYZ)
-        images = {"x": parse_poly("u", UVW), "y": parse_poly("v", UVW),
-                  "z": parse_poly("x", CHART)}
-        with pytest.raises(SharedVariableMismatch):
-            F.substitute(images)
-
-    def test_unmapped_variable_refused(self):
-        F = parse_poly("x*y + z", XYZ)
-        with pytest.raises(KeyError):
-            F.substitute({"x": parse_poly("u", UVW), "y": parse_poly("v", UVW)})
+            self._check(sympy, _random_form(rng, degree), chart)
 
 
 def _assert_clean(r):
@@ -660,11 +686,9 @@ class TestTrustedResults:
         for _ in range(40):
             a, b = _random_poly(rng, XYZ), _random_poly(rng, XYZ)
             q = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            for r in (a + b, a - b, a + (-a), -a, a * q, a * 0, a * b, a * (b - b),
-                      a.derivative("y"), b.derivative("z")):
+            for r in (a * q, a * 0, a * b, a * MultiPoly.zero(XYZ), a.primitive()):
                 _assert_clean(r)
-        x, y = MultiPoly.var(XYZ, "x"), MultiPoly.var(XYZ, "y")
-        _assert_clean((x + y) * (x - y))  # the x*y terms cancel
+        _assert_clean(parse_poly("x + y", XYZ) * parse_poly("x - y", XYZ))  # the x*y terms cancel
 
     def test_univariate_view_coefficients(self):
         rng = random.Random(53)
@@ -677,8 +701,8 @@ class TestTrustedResults:
         # polynomials in x of degrees 4 and 3
         rng = random.Random(59)
         for _ in range(10):
-            f = _random_poly(rng, XYZ, max_exp=3) + parse_poly("x^4", XYZ)
-            g = _random_poly(rng, XYZ, max_exp=3) + parse_poly("x^3", XYZ)
+            f = _plus(_random_poly(rng, XYZ, max_exp=3), parse_poly("x^4", XYZ))
+            g = _plus(_random_poly(rng, XYZ, max_exp=3), parse_poly("x^3", XYZ))
             fv, gv = (UniPolyView(specialised(p, ON_LINE), "x") for p in (f, g))
             _assert_clean(resultant(fv, gv))
             _assert_clean(discriminant(fv))
@@ -701,18 +725,27 @@ class TestTrustedResults:
             assert poly_gcd(a * b * b, b) == b.primitive()
 
     def test_substitutions(self):
+        # the one expansion, of integer terms at integer images, drops the
+        # terms that cancel and commutes with evaluation
         rng = random.Random(67)
         for _ in range(40):
             F = _random_poly(rng, XYZ, max_terms=8)
-            images = {v: _random_image(rng, rng.choice(IMAGE_KINDS)) for v in XYZ}
-            r = F.substitute(images)
-            _assert_clean(r)
-            # substitution commutes with evaluation
-            point = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for v in CHART}
-            at = {v: p.evaluate(point) for v, p in images.items()}
-            assert r.evaluate(point) == F.evaluate(at)
-        u = parse_poly("u", CHART)
-        _assert_clean(parse_poly("x - y", XYZ).substitute({"x": u, "y": u, "z": u}))
+            bases = [exact._integer_terms(_random_image(rng, rng.choice(IMAGE_KINDS)))[1]
+                     for _ in XYZ]
+            terms = exact._integer_terms(F)[1]
+            r = exact._expand(terms, bases, len(CHART))
+            assert all(type(c) is int and c for c in r.values())
+            point = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in CHART]
+            assert _evaluate(r, point) == _evaluate(terms, [_evaluate(b, point) for b in bases])
+        u = {(0, 1, 0): 1}
+        assert exact._expand({(1, 0, 0): 1, (0, 1, 0): -1}, [u, u, u], len(CHART)) == {}
+
+
+def _evaluate(terms, point):
+    """The value of terms ({exponents: coefficient}) at a point of ints or
+    Fractions, as a Fraction."""
+    return sum((c * math.prod(Fraction(p) ** k for p, k in zip(point, e))
+                for e, c in terms.items()), Fraction(0))
 
 
 def _columns_in_x(sympy, columns):
@@ -1005,9 +1038,13 @@ class TestChainOverPolynomials:
                 return poly
 
     @staticmethod
-    def _at(view, point):
-        """The coefficients of a view in y at (a, b), as Fractions."""
-        return [c.evaluate({"y": 0, "a": point[0], "b": point[1]}) for c in view.coeffs]
+    def _at(poly, point):
+        """The coefficients in y of a polynomial in RING at (a, b), as
+        Fractions, the top one kept where it vanishes."""
+        cs = [Fraction(0)] * (poly.degree_in("y") + 1)
+        for (i, j, k), c in poly.terms.items():
+            cs[i] += c * point[0] ** j * point[1] ** k
+        return cs
 
     @pytest.mark.parametrize("shape", ["m<n", "m=n", "m>n", "abnormal", "planted"])
     def test_every_coefficient(self, shape):
@@ -1029,7 +1066,7 @@ class TestChainOverPolynomials:
                 resultant(Av, Bv)
             read = 0
             for point in self.POINTS:
-                a, b = (self._at(view, point) for view in (Av, Bv))
+                a, b = (self._at(p, point) for p in (A, B))
                 if not a[-1] or not b[-1]:
                     continue
                 den_a, den_b = (math.lcm(*(c.denominator for c in cs)) for cs in (a, b))
@@ -1081,27 +1118,17 @@ class TestUniDiscriminant:
 
 
 class TestEvaluation:
-    """MultiPoly.evaluate sums integer terms at a point of ints."""
-
-    @staticmethod
-    def _reference(poly, point):
-        total = Fraction(0)
-        for e, c in poly.terms.items():
-            for v, k in zip(poly.variables, e):
-                c *= Fraction(point[v]) ** k
-            total += c
-        return total
+    """exact._value sums integer terms at a point of ints, over the
+    integers."""
 
     def test_against_fraction_evaluation(self):
         rng = random.Random(61)
         for _ in range(60):
             poly = _random_poly(rng, XYZ)
-            ints = {v: rng.randint(-5, 5) for v in XYZ}
-            rationals = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for v in XYZ}
-            mixed = {**ints, "y": rationals["y"]}
-            for point in (ints, rationals, mixed):
-                value = poly.evaluate(point)
-                assert type(value) is Fraction and value == self._reference(poly, point)
+            point = [rng.randint(-5, 5) for _ in XYZ]
+            den, terms = exact._integer_terms(poly)
+            value = exact._value(terms, point)
+            assert type(value) is int and value == den * _evaluate(poly.terms, point)
 
     def test_zero_polynomial(self):
-        assert MultiPoly.zero(XYZ).evaluate({"x": 1, "y": 2, "z": 3}) == 0
+        assert exact._value({}, (1, 2, 3)) == 0

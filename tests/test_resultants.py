@@ -26,8 +26,8 @@ from dualis.exact import (
     resultant,
     squarefree_part,
 )
-from references import (chain as sympy_chain, det as sympy_det, minor_matrix, specialised,
-                        sympy_expr, sympy_resultant)
+from references import (_from_sympy, chain as sympy_chain, det as sympy_det, minor_matrix,
+                        specialised, sympy_expr, sympy_resultant)
 
 X = ("x",)
 
@@ -39,12 +39,11 @@ def _res(ftext, gtext, variables=X, var="x"):
 
 
 def _product_of_roots_oracle(roots_f, gtext):
-    """Res(f, g) = lc(f)^deg(g) prod g(alpha) for monic f with known roots."""
-    g = parse_poly(gtext, X)
-    total = Fraction(1)
-    for alpha in roots_f:
-        total *= g.evaluate({"x": Fraction(alpha)})
-    return total
+    """Res(f, g) = lc(f)^deg(g) prod g(alpha) for monic f with known roots,
+    each g(alpha) by SymPy."""
+    sympy = pytest.importorskip("sympy")
+    g = sympy_expr(parse_poly(gtext, X))
+    return Fraction(str(sympy.Mul(*(g.subs(sympy.Symbol("x"), alpha) for alpha in roots_f))))
 
 
 class TestResultant:
@@ -245,7 +244,11 @@ class TestEvaluationPath:
 
 def _fibre(P, point):
     """The coefficients in y of P at the point, scaled to integers."""
-    return _integers([c.evaluate({**point, "y": 0}) for c in UniPolyView(P, "y").coeffs])[1]
+    cs = [Fraction(0)] * (P.degree_in("y") + 1)
+    for e, c in P.terms.items():
+        named = dict(zip(P.variables, e))
+        cs[named.pop("y")] += c * math.prod(point[v] ** k for v, k in named.items())
+    return _integers(cs)[1]
 
 
 def _sympy_gcd(a, b):
@@ -268,28 +271,24 @@ class TestFirstSubresultant:
 
     FIBRES = range(-4, 5)
 
-    def _random_in_x(self, rng, ring, deg):
-        x = MultiPoly.var(ring, "x")
-        return sum((x ** k * rng.randint(-3, 3) for k in range(deg + 1)),
-                   MultiPoly.zero(ring))
+    def _random_in_x(self, rng, x, deg):
+        return sum(x ** k * rng.randint(-3, 3) for k in range(deg + 1))
 
-    def _random_monic_y(self, rng, ring, deg):
-        y = MultiPoly.var(ring, "y")
-        return y ** deg + sum((y ** k * rng.randint(-4, 4) for k in range(deg)),
-                              MultiPoly.zero(ring))
+    def _random_monic_y(self, rng, y, deg):
+        return y ** deg + sum(y ** k * rng.randint(-4, 4) for k in range(deg))
 
-    def _planted_pair(self, rng, ring, m, n, a, shared):
+    def _planted_pair(self, rng, m, n, a, shared):
         """A, B of y-degrees m, n with constant y-leading coefficients whose
-        fibres at x = a share a factor of degree `shared`."""
-        y = MultiPoly.var(ring, "y")
-        x = MultiPoly.var(ring, "x")
-        common = self._random_monic_y(rng, ring, shared)
+        fibres at x = a share a factor of degree `shared`, as SymPy
+        expressions in x and y."""
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+        common = self._random_monic_y(rng, y, shared)
         out = []
         for d in (m, n):
-            tail = sum((y ** k * self._random_in_x(rng, ring, 2) for k in range(d)),
-                       MultiPoly.zero(ring))
+            tail = sum(y ** k * self._random_in_x(rng, x, 2) for k in range(d))
             lead = rng.choice([-3, -2, -1, 1, 2, 3])
-            out.append(common * self._random_monic_y(rng, ring, d - shared) * lead
+            out.append(common * self._random_monic_y(rng, y, d - shared) * lead
                        + (x - a) * tail)
         return out
 
@@ -313,23 +312,24 @@ class TestFirstSubresultant:
         seen = set()
         for trial in range(10):
             a = rng.choice(self.FIBRES)
-            A, B = self._planted_pair(rng, ring, m, n, a, 2 if trial % 2 else 1)
+            A, B = (_from_sympy(p, ring)
+                    for p in self._planted_pair(rng, m, n, a, 2 if trial % 2 else 1))
             seen |= self._check_fibres(A, B, [{"x": b} for b in self.FIBRES])
         assert {0, 1, 2} <= seen
 
     def test_planted_fibres_second_free_variable(self):
         # a free variable s besides x: the fibres are taken at points (x, s)
+        sympy = pytest.importorskip("sympy")
         rng = random.Random(7)
         ring = ("x", "y", "s")
-        s = MultiPoly.var(ring, "s")
+        x, y, s = sympy.symbols(ring)
         seen = set()
         for trial in range(6):
             a = rng.choice(self.FIBRES)
             m, n = (3, 2) if trial % 3 else (2, 2)
-            A, B = self._planted_pair(rng, ring, m, n, a, 2 if trial % 2 else 1)
-            x, y = MultiPoly.var(ring, "x"), MultiPoly.var(ring, "y")
-            A = A + s * y * (x - a) * rng.randint(1, 3)
-            B = B - s * s * (x - a)
+            A, B = self._planted_pair(rng, m, n, a, 2 if trial % 2 else 1)
+            A = _from_sympy(A + s * y * (x - a) * rng.randint(1, 3), ring)
+            B = _from_sympy(B - s * s * (x - a), ring)
             seen |= self._check_fibres(
                 A, B, [{"x": b, "s": s0} for b in self.FIBRES for s0 in (-1, 0, 2)])
         assert {0, 1, 2} <= seen
@@ -377,7 +377,7 @@ class TestSubresultantCoefficients:
         for trial in range(12):
             m, n = rng.choice([(4, 4), (5, 4), (4, 5)])
             a = rng.choice(TestFirstSubresultant.FIBRES)
-            A, B = planted_pair(rng, ring, m, n, a, 1 + trial % 3)
+            A, B = (_from_sympy(p, ring) for p in planted_pair(rng, m, n, a, 1 + trial % 3))
             with pytest.raises(InvalidParams):
                 resultant(UniPolyView(A, "y"), UniPolyView(B, "y"))
             fa, fb = _fibre(A, {"x": a}), _fibre(B, {"x": a})
@@ -612,6 +612,7 @@ class TestSquarefreePart:
         assert squarefree_part(parse_poly("x^3", X)) == parse_poly("x", X)
 
     def test_idempotent(self):
+        sympy = pytest.importorskip("sympy")
         rng = random.Random(37)
         checked = 0
         while checked < 25:
@@ -620,7 +621,8 @@ class TestSquarefreePart:
                 continue
             once = squarefree_part(f)
             assert squarefree_part(once) == once
-            g = poly_gcd(once, once.derivative("x"))
+            derivative = _from_sympy(sympy.diff(sympy_expr(once), "x"), X)
+            g = poly_gcd(once, derivative)
             assert g.is_constant()
             checked += 1
 

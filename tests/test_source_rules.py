@@ -4,8 +4,10 @@ reach of the served paths into it."""
 import ast
 import contextlib
 import doctest
+import functools
 import importlib.util
 import io
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -14,12 +16,18 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "dualis"
 REPO = SOURCE.parent.parent
 
 
+@functools.lru_cache(maxsize=None)
+def _tree(path: Path) -> ast.Module:
+    """The syntax tree of a file, parsed once; the rules only read it."""
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def test_no_assert_statements():
     # python -O strips asserts, so internal checks raise typed errors instead
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SOURCE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for node in ast.walk(_tree(path))
         if isinstance(node, ast.Assert)
     ]
     assert not found
@@ -28,7 +36,7 @@ def test_no_assert_statements():
 def _referenced_names(path: Path) -> set:
     """Every identifier a module uses, imports or reads as an attribute."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -60,9 +68,10 @@ def test_trusted_construction_stays_in_exact():
     assert not found
 
 
+@functools.lru_cache(maxsize=None)
 def _functions(path: Path) -> dict:
     """Every function a module defines, by name."""
-    return {node.name: node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+    return {node.name: node for node in ast.walk(_tree(path))
             if isinstance(node, ast.FunctionDef)}
 
 
@@ -120,7 +129,7 @@ def test_one_chart_per_dual_curve():
                         "slice_line", "substitute"}
     defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
     assert "mat_transpose" not in defined
-    tree = ast.parse(path.read_text())
+    tree = _tree(path)
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))
                 for n in ast.walk(node)
                 if isinstance(n, ast.Name) and n.id == "_dual_in_chart"]
@@ -143,7 +152,7 @@ def test_singular_analysis_is_read_by_field_name():
     assert counts == ["elimination.py: certified_singular_count"]
     found = []
     for path in sorted(SOURCE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = _tree(path)
         records = {target.id for node in ast.walk(tree)
                    if isinstance(node, ast.Assign) and _analysis_call(node.value)
                    for target in node.targets if isinstance(target, ast.Name)}
@@ -162,7 +171,7 @@ def test_singular_analysis_is_read_by_field_name():
 def _compared_attributes(path: Path) -> set:
     """Every attribute name that appears as an operand of a comparison."""
     return {operand.attr
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            for node in ast.walk(_tree(path))
             if isinstance(node, ast.Compare)
             for operand in [node.left, *node.comparators]
             if isinstance(operand, ast.Attribute)}
@@ -188,7 +197,7 @@ def test_frame_search_stays_on_integer_lists():
     # minors at cached points, its line resultants a closed form, so the
     # generic MultiPoly kernel, and the Fraction arithmetic in it, stays out
     # of the frame search
-    tree = ast.parse((SOURCE / "elimination.py").read_text())
+    tree = _tree(SOURCE / "elimination.py")
     kernel = {"resultant", "subresultant_coefficient", "determinant", "substitute",
               "UniPolyView", "apply_matrix"}
     integer = kernel | {"Fraction", "MultiPoly"}
@@ -265,14 +274,14 @@ def test_one_line_restriction_and_one_coordinate_change():
 
 
 def test_one_expansion_and_one_integer_coordinate_change():
-    # every substitution and change of coordinates runs through the one
-    # expansion exact._expand; bases, shears and apply_matrix move integer
-    # terms through elimination._moved, and the frame search moves the
-    # first form in _accepted_frame and the second member of a pair in
-    # _second_moved alone, for a base, a shear and a hint; a polar is never
-    # moved, but taken in each frame from the moved first form
-    assert _readers("_expand") == ["dualgeom.py: _dual_in_chart", "elimination.py: _moved",
-                                   "exact.py: substitute"]
+    # every change of coordinates and the dual's chart run through the one
+    # expansion exact._expand, on integer terms, read by _dual_in_chart and
+    # _moved alone; bases, shears and apply_matrix move integer terms
+    # through elimination._moved, and the frame search moves the first form
+    # in _accepted_frame and the second member of a pair in _second_moved
+    # alone, for a base, a shear and a hint; a polar is never moved, but
+    # taken in each frame from the moved first form
+    assert _readers("_expand") == ["dualgeom.py: _dual_in_chart", "elimination.py: _moved"]
     assert _readers("_add_product") == ["exact.py: __mul__", "exact.py: _expand"]
     assert _readers("_moved") == ["curvelab.py: classify_singularity",
                                   "elimination.py: _accepted_frame",
@@ -370,7 +379,7 @@ def test_one_subresultant_chain():
 def _int_constants(path: Path) -> dict:
     """Every name a module binds to an int literal at its top level."""
     return {target.id: node.value.value
-            for node in ast.parse(path.read_text(), filename=str(path)).body
+            for node in _tree(path).body
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
             and type(node.value.value) is int
             for target in node.targets if isinstance(target, ast.Name)}
@@ -398,7 +407,7 @@ def test_one_degree_budget():
     # the dual-degree checks read the table, not a literal
     found = []
     for name in ("dualgeom.py", "corpus.py"):
-        tree = ast.parse((SOURCE / name).read_text())
+        tree = _tree(SOURCE / name)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Compare):
                 continue
@@ -445,7 +454,7 @@ def test_one_list_evaluation():
                                "elimination.py: _root_candidates",
                                "elimination.py: coefficient", "elimination.py: point",
                                "elimination.py: rational_roots"]
-    tree = ast.parse((SOURCE / "dualgeom.py").read_text())
+    tree = _tree(SOURCE / "dualgeom.py")
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "_at"]
 
@@ -465,7 +474,7 @@ def test_one_json_reader_and_one_json_writer():
     # the CLI, the report and the package files go through them
     for name, owner in (("loads", "corpus.py: load_json"), ("dumps", "corpus.py: json_text")):
         uses = [f"{path.name}:{node.lineno}" for path in sorted(SOURCE.glob("*.py"))
-                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                for node in ast.walk(_tree(path))
                 if isinstance(node, ast.Attribute) and node.attr == name
                 or isinstance(node, ast.Name) and node.id == name]
         assert len(uses) == 1 and _users(name) == [owner], name
@@ -494,7 +503,7 @@ def test_singular_analysis_stays_on_integers():
     # terms, so neither reads the Fraction MultiPoly kernel
     assert _readers("_reduced") == ["elimination.py: _line_resultant"]
     calls = [node for path in sorted(SOURCE.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             for node in ast.walk(_tree(path))
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_line_resultant"]
     assert len(calls) == 2
     # P, a, b and the modulus, or P, the line as one starred pair, and the modulus
@@ -510,7 +519,7 @@ def test_singular_analysis_stays_on_integers():
 def _clocked_tests(path: Path) -> list:
     """The tests of a module that assert a time.perf_counter bound, in their
     own body or through a helper function of the module, as (name, node)."""
-    functions = [node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+    functions = [node for node in ast.walk(_tree(path))
                  if isinstance(node, ast.FunctionDef)]
 
     def reads(node, names):
@@ -534,49 +543,108 @@ def test_every_clock_bound_test_is_marked_timed(pytestconfig):
             continue
         clocked |= {f"{path.name}:{fn.lineno}" for fn in _clocked_tests(path)}
         marked |= {f"{path.name}:{fn.lineno}"
-                   for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                   for fn in ast.walk(_tree(path))
                    if isinstance(fn, ast.FunctionDef)
                    and any(ast.unparse(d) == "pytest.mark.timed" for d in fn.decorator_list)}
     assert len(clocked) >= 20 and clocked == marked
 
 
+#: the ring arithmetic MultiPoly no longer has: it is a container, and every
+#: computation runs on its integer terms
+DELETED_ARITHMETIC = {"var", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__pow__",
+                      "derivative", "evaluate", "substitute"}
+
+
+def test_multipoly_is_a_container():
+    # MultiPoly defines none of the deleted arithmetic, as a method or as an
+    # alias, and no module calls it: a MultiPoly is parsed, printed,
+    # multiplied, compared and made primitive
+    cls = next(node for node in ast.walk(_tree(SOURCE / "exact.py"))
+               if isinstance(node, ast.ClassDef) and node.name == "MultiPoly")
+    members = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)} | {
+        target.id for node in cls.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)}
+    assert {"__mul__", "__rmul__", "__eq__", "primitive", "text"} <= members
+    assert not members & DELETED_ARITHMETIC
+    calls = sorted(f"{path.name}:{node.lineno}" for path in sorted(SOURCE.glob("*.py"))
+                   for node in ast.walk(_tree(path))
+                   if isinstance(node, ast.Attribute) and (
+                       node.attr in DELETED_ARITHMETIC - {"var"}
+                       or node.attr == "var" and getattr(node.value, "id", None) == "MultiPoly"))
+    assert not calls
+
+
 #: MultiPoly methods that no served path runs and that stay for the tests
 TEST_SIDE_METHODS = {
-    # arithmetic and constructors the tests build inputs with
-    "__add__", "__sub__", "__rsub__", "__neg__", "__pow__", "var", "derivative", "substitute",
-    # comparing, hashing, printing and evaluating results in assertions
-    "__eq__", "__hash__", "__repr__", "evaluate",
+    # comparing, hashing and printing results in assertions
+    "__hash__", "__repr__",
     # the truth value: without it a zero polynomial would silently be true
     "__bool__",
     # the immutability guards of MultiPoly and UniPolyView, which run on misuse
     "__setattr__",
 }
 
+#: the other functions of the package that no served path runs and that stay
+UNSERVED = {
+    # the immutability guard and the text of a curve
+    "curvelab": {"PlaneCurve.__setattr__", "PlaneCurve.__repr__",
+                 # public API, whose reader is the tests
+                 "PlaneCurve.contains"},
+    # the refusal of a malformed manifest field, which no shipped case has
+    "errors": {"SchemaError.__init__"},
+    # the console entry point, and the parser it and run_command share,
+    # built with its helpers when the module is imported
+    "cli": {"main", "_build_parser", "_build_parser.<locals>.group",
+            "_build_parser.<locals>.leaf"},
+}
 
-def _traced_names(module: str) -> set:
-    """The functions of a module that perfbench/tracing.py wraps."""
+
+def _traced_names() -> dict:
+    """The functions of each module that perfbench/tracing.py wraps."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
                                                   REPO / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return set(tracing.TRACED[module])
+    return tracing.TRACED
 
 
-def test_every_function_of_exact_runs_on_a_served_path():
-    # a function of exact.py that runs on none of the served paths (every
+def _qualified_functions(path: Path) -> dict:
+    """Every function a module defines, as {(first line of its code, name):
+    qualified name (``Class.method``, ``outer.<locals>.inner``)}; the code
+    of a decorated function starts at its first decorator."""
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[first, child.name] = prefix + child.name
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+    visit(_tree(path), "")
+    return found
+
+
+def test_every_function_runs_on_a_served_path():
+    # a function of src/dualis that runs on none of the served paths (every
     # command of test_cli_outputs in both formats, a run of the shipped
-    # corpus and the module's doctests), is not wrapped by the benchmark's
-    # tracer and is not a method the tests use is dead code
+    # corpus that also writes its report, the four demos and the doctests
+    # of exact), is not wrapped by the benchmark's tracer and is on neither
+    # list above is dead code
     import test_cli_outputs
     from dualis import exact
     from dualis.cli import run_command
 
-    path = str(Path(exact.__file__).resolve())
+    paths = {str(path.resolve()): path for path in SOURCE.glob("*.py")}
     ran = set()
 
     def record(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == path:
-            ran.add(frame.f_code.co_name)
+        code = frame.f_code
+        if event == "call" and code.co_filename in paths:
+            ran.add((paths[code.co_filename].stem, code.co_firstlineno, code.co_name))
 
     sys.setprofile(record)
     try:
@@ -585,9 +653,22 @@ def test_every_function_of_exact_runs_on_a_served_path():
             for command in test_cli_outputs.COMMANDS:
                 for fmt in test_cli_outputs.FORMATS:
                     run_command(test_cli_outputs._argv(command, fmt, Path(tmp)))
-            run_command(["corpus", "run", str(REPO / "corpus"), "--no-timestamps"])
+            run_command(["corpus", "run", str(REPO / "corpus"), "--no-timestamps",
+                         "--out", str(Path(tmp) / "report.json")])
+            for demo in sorted((REPO / "demos").glob("*.py")):
+                runpy.run_path(str(demo), run_name="__main__")
             doctest.testmod(exact)
     finally:
         sys.setprofile(None)
-    never = set(_functions(SOURCE / "exact.py")) - ran - _traced_names("exact") - TEST_SIDE_METHODS
-    assert not sorted(never)
+    traced = _traced_names()
+    never = []
+    for path in sorted(SOURCE.glob("*.py")):
+        module = path.stem
+        allowed = set(traced.get(module, ())) | UNSERVED.get(module, set())
+        if module == "exact":
+            allowed |= {f"{cls}.{name}" for cls in ("MultiPoly", "UniPolyView")
+                        for name in TEST_SIDE_METHODS}
+        never += [f"{path.name}: {name}"
+                  for (line, short), name in sorted(_qualified_functions(path).items())
+                  if (module, line, short) not in ran and name not in allowed]
+    assert not never
