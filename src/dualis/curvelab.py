@@ -32,7 +32,6 @@ share; it and every other degree cap are in the one table in `exact`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import elimination
 from .errors import (
@@ -53,6 +52,7 @@ from .exact import (
     MultiPoly,
     _distinct_roots,
     _integer_terms,
+    _is_scalar,
     _primitive_ints,
     _restriction,
     _trim,
@@ -73,8 +73,7 @@ def _checked_point(point, role: str = "point") -> tuple:
     """The point as a tuple, refused unless it is a projective point: three
     ints or Fractions, not all zero."""
     coords = tuple(point) if isinstance(point, (tuple, list)) else ()
-    if len(coords) != 3 or not all(isinstance(c, (int, Fraction)) and not isinstance(c, bool)
-                                   for c in coords):
+    if len(coords) != 3 or not all(map(_is_scalar, coords)):
         raise InvalidParams(f"{role} {point!r} is not three ints or Fractions")
     if not any(coords):
         raise InvalidParams(f"{role} (0, 0, 0) is not a projective point")

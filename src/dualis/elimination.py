@@ -51,14 +51,20 @@ point, and gives the second form after the move (`_second_moved`), for a
 base, a shear and a hint alike, so F is expanded once per base and once
 per shear, and never for a hinted frame, which holds F's terms.  A frame
 holds the pair as integer y-columns, one list in x per power of y, of the
-moved terms at z = 1 (`_chart_columns`).  Their values at x = 0, 1, 2,
-... are taken once per frame and cached as their subresultant chain
-(`exact._subresultant_chain`): one sweep serves the eliminant R = s_{0,0}
-and every s_{k,j}, each read from the chain at each point and rebuilt by
-`exact._interpolate` (Collins, J. ACM 18, 1971).  In an accepted frame
-the y-degree of each operand is its total degree, so cell (i, c) of a
-minor has x-degree at most c - i; every permutation then weighs the
-same, and
+moved terms at z = 1 (`_chart_columns`).  The y-leading coefficients
+are constants, so the subresultant chain (`exact._subresultant_chain`) of
+the columns' values at a point is the chain of the columns there, and it
+holds the eliminant R = s_{0,0} and every s_{k,j} at that point.  A
+small frame takes one chain, at x = 2^K with K past the bit length of a
+bound on every coefficient, and reads each s_{k,j} off its value as
+signed base-2^K digits (`exact._digits`; Kronecker substitution, as in
+Harvey, J. Symb. Comput. 44, 2009): one chain on long integers, which
+CPython multiplies in C.  A large frame, whose R packs into more than
+`exact._PACKED_BITS` bits, takes the chain at x = 0, 1, 2, ... instead,
+and rebuilds each s_{k,j} by `exact._interpolate` (Collins, J. ACM 18,
+1971).  In an accepted frame the y-degree of each operand is its total
+degree, so cell (i, c) of a minor has x-degree at most c - i; every
+permutation then weighs the same, and
 deg s_{k,j} <= (m-k)(n-k) + k - j, with deg R <= mn.  Resultants against
 a line L_k = a*y + b, for the k-th-power test and the singular parts,
 take the closed form Res_y(P, L_k) = sum_j p_j b^j (-a)^(m-j) for
@@ -71,7 +77,7 @@ arithmetic enters the frame search.
 The public `apply_matrix` is the same coordinate change on a `MultiPoly`.
 The square-free part is written once (`_sqfree_part`), for the frame step
 and `rational_roots`.  Every list is evaluated by `exact._at`, at the
-points of a frame's sweep, at a root alpha for its point and at each root
+points of a frame's chains, at a root alpha for its point and at each root
 candidate, modulo the lifted modulus or, on an integer list scaled to be
 monic, exactly at an integer.  No gcd of forms is taken
 here: a pair is proved coprime on a pencil of lines
@@ -103,7 +109,9 @@ from .errors import (
 from .exact import (
     MultiPoly,
     _at,
+    _PACKED_BITS,
     _derivative,
+    _digits,
     _expand,
     _integer_terms,
     _interpolate,
@@ -321,8 +329,8 @@ class _Frame:
     Phi_k the fibres meet at one point, the root beta of
     L_k = k*s_kk*y + s_{k,k-1}."""
 
-    __slots__ = ("terms", "A", "B", "base", "shear", "classes", "repeated", "_chains",
-                 "_coefficients")
+    __slots__ = ("terms", "A", "B", "base", "shear", "classes", "repeated", "_width",
+                 "_chains", "_coefficients")
 
     def __init__(self, Fm: dict, Gm: dict, base: Matrix, shear: int):
         self.terms = Fm
@@ -330,7 +338,13 @@ class _Frame:
         self.base, self.shear = base, shear
         self.classes: dict = {}
         self.repeated: list = [1]
-        self._chains: list = []       # the subresultant chain of the columns at x = 0, 1, 2, ...
+        m, n = len(self.A) - 1, len(self.B) - 1
+        norms = [sum(abs(c) for col in cols for c in col) for cols in (self.A, self.B)]
+        width = (norms[0] ** n * norms[1] ** m).bit_length() + 1
+        self._width = width if width * (m * n + 1) <= _PACKED_BITS else 0
+        # the subresultant chain of the columns at x = 2^width, or, for a
+        # width of 0, at x = 0, 1, 2, ...
+        self._chains: list = []
         self._coefficients: dict = {}
 
     def count(self) -> int:
@@ -341,21 +355,42 @@ class _Frame:
         """s_{k,j} of the columns, an integer list in x, computed once; R is
         s_{0,0}, and at the lower operand's degree S_k is that operand.
 
-        Cell (i, c) of the minor holds a y-coefficient of x-degree at most
-        c - i, so every term of the determinant has degree at most
-        D = (m-k)(n-k) + k - j, and the minors at x = 0..D fix its integer
-        coefficients.  Each point caches the subresultant chain of the
-        operands' values there, which holds every s_{k,j} at once."""
+        The y-leading coefficients are constants, so the chain of the
+        columns' values at a point x = v is the chain of the columns at v:
+        each chain, cached, holds every s_{k,j}(v) at once.  A small frame
+        takes one chain, at v = 2^K for K = bitlen(|A|^n |B|^m) + 1, |.|
+        the sum of the absolute values of all coefficients of the columns,
+        and reads each s_{k,j} off as the signed base-2^K digits of its
+        value (`exact._digits`).  That is exact: s_{k,j} is a minor whose
+        n-k rows of A and m-k rows of B each hold distinct y-coefficients
+        of one operand, so its coefficient sum is at most the permanent of
+        the coefficient sums of its cells (|pq| <= |p||q|), which is at
+        most the product of the row sums, |A|^(n-k) |B|^(m-k) < 2^(K-1).
+
+        That chain runs on integers of up to K(mn+1) bits, the packed size
+        of R, and a larger frame sweeps: its chains at x = 0..D run on
+        small values.  Cell (i, c) of the minor holds a y-coefficient of
+        x-degree at most c - i, so every term of the determinant has degree
+        at most D = (m-k)(n-k) + k - j, and the minors at x = 0..D fix its
+        integer coefficients (`exact._interpolate`).  On the frames of
+        random forms of degree 2-12 and their polars, with coefficients of
+        2-512 bits, the one chain read R, s_{1,1} and s_{1,0} 1.35-9.8x
+        faster at every packed size up to 7,524 bits, 1.06-1.7x faster from
+        12,051 to 16,289 bits, and slower from 18,039 bits on (0.91x, and
+        0.05x at 897,351 bits), so frames up to `exact._PACKED_BITS` = 8192
+        bits take it."""
         if (k, j) not in self._coefficients:
             m, n = len(self.A) - 1, len(self.B) - 1
             if k and k == min(m, n):
                 s = (self.A if m <= n else self.B)[j]
             else:
                 bound = (m - k) * (n - k) + k - j
-                for v in range(len(self._chains), bound + 1):
+                points = [1 << self._width] if self._width else range(bound + 1)
+                for v in points[len(self._chains):]:
                     self._chains.append(_subresultant_chain([_at(c, v) for c in self.A],
                                                             [_at(c, v) for c in self.B]))
-                s = _trim(_interpolate([chain[k][j] for chain in self._chains[:bound + 1]]))
+                values = [chain[k][j] for chain in self._chains[:len(points)]]
+                s = _digits(values[0], self._width) if self._width else _trim(_interpolate(values))
             self._coefficients[k, j] = s
         return self._coefficients[k, j]
 
@@ -539,12 +574,21 @@ def _accepted_frame(F: MultiPoly, G, hint: Optional[tuple] = None) -> _Frame:
     failed hint costs one base test and one frame at most.  The base test
     is shear-independent, so the hint's own terms serve it, and nothing the
     schedule has rejected, an unusable base or a (base, shear) frame, is
-    tried again.
+    tried again.  The polar at the given point is taken when the schedule
+    first needs it, at the identity or at a span test, so an accepted hint
+    takes one polar, its own; it is zero exactly when the hint's is, as a
+    coordinate change keeps a form zero or nonzero.
     """
     form = isinstance(G, MultiPoly)
     f = _integer_terms(F)[1]
-    h = _integer_terms(G)[1] if form else polar(f, G)  # the second form, as given
-    if F.is_zero() or not h:
+    g = _integer_terms(G)[1] if form else G  # the second member, as given
+    h = g if form else None  # the second form, as given; a polar waits until needed
+    if hint is not None:
+        base, t, terms = hint
+        hinted = (terms, *_second_moved(g, mat_mul(base, _shear(t)), terms))
+    elif not form:
+        h = polar(f, g)
+    if F.is_zero() or not (h if hint is None else hinted[2]):
         raise ZeroInput("zero polynomial in curve pair")
     d1 = _ternary_form(F)  # the degree bounds of the frame need forms
     d2 = _ternary_form(G) if form else d1 - 1
@@ -552,25 +596,26 @@ def _accepted_frame(F: MultiPoly, G, hint: Optional[tuple] = None) -> _Frame:
         raise DegenerateInput("both forms are constant")
     _sylvester_guard(d1 + d2)
     t_limit = d1 * d2 * (d1 * d2 - 1) // 2 + 1 + d1 + d2 + 8
-    g = h if form else G
     coprime = not form
     # entries (base, t0, shears, pair): pair is F's terms, the second member
     # and the second form, moved to the base and the shear t0, or None when
-    # the base is still to move them; the identity moves nothing
-    schedule = ((base, 0, range(t_limit), (f, g, h) if base == _IDENT else None)
-                for base in _BASES)
+    # the base is still to move them
+    schedule = ((base, 0, range(t_limit), None) for base in _BASES)
     if hint is not None:
-        base, t, terms = hint
-        pair = (terms, *_second_moved(g, mat_mul(base, _shear(t)), terms))
-        schedule = chain([(base, t, (t,), pair)], schedule)
+        schedule = chain([(base, t, (t,), hinted)], schedule)
     rejected = set()  # unusable bases, and rejected (base, shear) frames
     for base, t0, shears, pair in schedule:
         if base in rejected:
             continue
-        # a common zero at the base's spanning points leaves the pair unmoved
-        if pair is None and not _zero_on_span(f, h, base):
-            Fb = _moved(f, base)
-            pair = (Fb, *_second_moved(g, base, Fb))
+        if pair is None:
+            if h is None:
+                h = polar(f, g)
+            if base == _IDENT:  # the identity moves nothing
+                pair = (f, g, h)
+            # a common zero at the base's spanning points leaves the pair unmoved
+            elif not _zero_on_span(f, h, base):
+                Fb = _moved(f, base)
+                pair = (Fb, *_second_moved(g, base, Fb))
         if pair is not None:
             Fb, gb, Gb = pair
             lf, lg = _infinity_restriction([Fb, Gb])

@@ -202,6 +202,19 @@ def _expand(terms: dict, images: Sequence[dict], width: int) -> dict:
     return {e: c for e, c in acc.items() if c}
 
 
+def _is_scalar(value) -> bool:
+    """Is value an exact scalar: an int or a Fraction, and not a bool?"""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
+def _scalar(value) -> Fraction:
+    """An exact scalar as a Fraction; anything else, a float or a bool
+    among them, is refused with InvalidParams."""
+    if not _is_scalar(value):
+        raise InvalidParams(f"coefficient {value!r} is not an int or a Fraction")
+    return Fraction(value)
+
+
 class MultiPoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
@@ -217,7 +230,7 @@ class MultiPoly:
         nvars = len(variables)
         for exps, coeff in terms.items():
             if type(coeff) is not Fraction:
-                coeff = Fraction(coeff)
+                coeff = _scalar(coeff)
             if not coeff:
                 continue
             exps = tuple(map(int, exps))
@@ -252,7 +265,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, variables: Sequence[str], value) -> "MultiPoly":
-        value = Fraction(value)
+        value = _scalar(value)
         if value == 0:
             return cls.zero(variables)
         return cls(variables, {(0,) * len(variables): value})
@@ -307,9 +320,11 @@ class MultiPoly:
             )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return MultiPoly._trusted(self.variables,
                                       {e: c * other for e, c in self.terms.items() if other})
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check_ring(other)
         return MultiPoly._trusted(self.variables, {
             e: c for e, c in _add_product({}, self.terms, other.terms).items() if c})
@@ -788,6 +803,28 @@ def _interpolate(values: list) -> list:
     """[c0..cB] of the polynomial of degree <= B with integer coefficients
     and values v at 0..B."""
     return _from_differences(_differences(values))
+
+
+#: the largest packed size, in bits, of a frame's eliminant that is read
+#: from one chain at x = 2^K rather than from a sweep (`_Frame.coefficient`)
+_PACKED_BITS = 8192
+
+
+def _digits(n: int, k: int) -> list:
+    """The trimmed integer list [c0..cD] with value n at x = 2^k, for
+    coefficients |c| < 2^(k-1): the signed base-2^k digits of n (Kronecker
+    substitution).  The least residue r of n modulo 2^k is c0 when
+    r < 2^(k-1) and r - 2^k otherwise, and the rest is (n - c0) / 2^k."""
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    digits = []
+    while n:
+        c = n & mask
+        n >>= k
+        if c >= half:
+            c -= mask + 1
+            n += 1
+        digits.append(c)
+    return digits
 
 
 def _at(cs: Sequence[int], v, w: int = 1):

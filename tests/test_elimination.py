@@ -605,6 +605,23 @@ class TestFrameHint:
         assert hinted_bases == [True] + bases and hinted_frames == [False] + frames[1:]
 
 
+    def test_accepted_hint_takes_one_polar(self, monkeypatch):
+        # the polar at the given witness waits until the schedule needs it,
+        # so a hinted frame that is accepted takes its own polar alone, and
+        # the analysis, which starts at the identity, takes that one
+        polars = []
+        polar = elimination.polar
+        monkeypatch.setattr(elimination, "polar",
+                            lambda terms, w: polars.append(w) or polar(terms, w))
+        for text in (TRINODAL, TRICUSPIDAL, "x^4 + y^4 + z^4", "y^2*z - x^3 - x^2*z"):
+            F = parse_poly(text, XYZ)
+            hint, second = self._check(F)
+            polars.clear()
+            hinted = elimination._accepted_frame(F, second, hint)
+            assert (hinted.base, hinted.shear, hinted.terms) == hint, text
+            assert len(polars) == 1, text
+
+
 def _cross(u, v):
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
@@ -1005,3 +1022,56 @@ class TestRepeatedRootReach:
         locus = elimination.singular_locus(D)
         assert time.perf_counter() - start < 20.0
         assert (locus.count, locus.points) == (count, points)
+        # a frame this large reads its minors from a sweep, not one chain
+        assert not locus.frame._width
+
+
+class TestPackedChainReach:
+    """Which side of `exact._PACKED_BITS` known inputs fall on: a frame
+    whose eliminant packs into few bits takes one chain at x = 2^K, a
+    larger one a sweep (`_Frame.coefficient`)."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every frame built, in order."""
+        frames = []
+
+        class Recorded(elimination._Frame):
+            def __init__(self, *args):
+                super().__init__(*args)
+                frames.append(self)
+        monkeypatch.setattr(elimination, "_Frame", Recorded)
+        return frames
+
+    def test_corpus_and_reference_quartics_take_one_chain(self, built, tmp_path):
+        import contextlib
+        import io
+        from pathlib import Path
+
+        from dualis import dualgeom
+        from dualis.cli import run_command
+        from dualis.curvelab import PlaneCurve
+
+        corpus = Path(__file__).resolve().parent.parent / "corpus"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_command(["corpus", "run", str(corpus), "--no-timestamps",
+                                "--out", str(tmp_path / "report.json")]) == 0
+        assert len(built) > 40 and all(frame._width for frame in built)
+        built.clear()
+        # each reference quartic as given and one seeded generic copy
+        rng = random.Random(3)
+        forms = []
+        for text in (TRINODAL, TRICUSPIDAL, "x^4 + y^4 + z^4"):
+            forms.append(parse_poly(text, XYZ))
+            while len(forms) % 2:
+                m = tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3))
+                if sum(a * b for a, b in zip(m[0], _cross(m[1], m[2]))):
+                    forms.append(apply_matrix(forms[-1], m))
+        for F in forms:
+            dualgeom.dual_degree_oracle(PlaneCurve(F))
+        assert len(built) >= 12 and all(frame._width for frame in built)
+
+    def test_octic_with_a_200_digit_coefficient_takes_the_sweep(self):
+        F = parse_poly(f"y^3*z^5 + x^2*y*z^5 - x^4*y^4 + {10 ** 200}*x^5*y^2*z", XYZ)
+        locus = elimination.singular_locus(F)
+        assert not locus.frame._width and locus.count == 3

@@ -215,6 +215,35 @@ class TestPolyArithmetic:
             with pytest.raises(TypeError):
                 a // b
 
+    @pytest.mark.parametrize("coeff", [0.1, 2.0, True, False, "1/2", None, 1j],
+                             ids=["float", "integral-float", "true", "false", "text", "none",
+                                  "complex"])
+    def test_only_exact_coefficients_enter(self, coeff):
+        # a float would store its binary expansion and a bool would pass for
+        # an int, so the constructor and const refuse every coefficient but
+        # an int or a Fraction, as a point's coordinates are refused
+        with pytest.raises(InvalidParams):
+            MultiPoly(XYZ, {(1, 0, 0): coeff})
+        with pytest.raises(InvalidParams):
+            MultiPoly.const(XYZ, coeff)
+        assert MultiPoly(XYZ, {(1, 0, 0): 3, (0, 1, 0): Fraction(1, 2)}) == parse_poly(
+            "3*x + 1/2*y", XYZ)
+        assert MultiPoly.const(XYZ, Fraction(-2, 4)) == parse_poly("-1/2", XYZ)
+        assert MultiPoly.const(XYZ, 0) == MultiPoly.zero(XYZ)
+
+    @pytest.mark.parametrize("other", [0.5, "x", None, True, [1]],
+                             ids=["float", "text", "none", "bool", "list"])
+    def test_product_with_an_unsupported_operand(self, other):
+        # __mul__ and __rmul__ return NotImplemented, so Python raises its
+        # TypeError on either side; ints and Fractions scale on both sides
+        f = parse_poly("x", XYZ)
+        with pytest.raises(TypeError):
+            f * other
+        with pytest.raises(TypeError):
+            other * f
+        assert 2 * f == f * 2 == parse_poly("2*x", XYZ)
+        assert f * Fraction(1, 3) == Fraction(1, 3) * f == parse_poly("1/3*x", XYZ)
+
 
 #: the line y = 2, z = 3 on which trivariate inputs become polynomials in x
 ON_LINE = {"y": 2, "z": 3}
@@ -755,7 +784,8 @@ def _columns_in_x(sympy, columns):
 
 
 class TestDeterminantBound:
-    """A frame reads s_{k,j} of its integer y-columns at x = 0..D, with
+    """A frame reads s_{k,j} of its integer y-columns off one chain at
+    x = 2^K, or, past the packed bound, at x = 0..D, with
     D = (m-k)(n-k) + k - j a bound on its degree (`_Frame.coefficient`):
     the eliminant R = s_{0,0} of two forms of degrees d1 and d2 has degree
     d1*d2, the SymPy determinant of the Sylvester matrix of the columns."""
@@ -786,15 +816,51 @@ class TestDeterminantBound:
         with pytest.raises(InvalidParams):
             resultant(UniPolyView(parse_poly("s*x^3", ("x", "s")), "x"), g)
 
-    @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 2), (4, 3)])
-    def test_frame_resultant_takes_d1_d2_plus_one_determinants(self, d1, d2):
-        # the accepted frame reads the chain at x = 0..d1*d2 and no further:
-        # every s_{k,j} it reads has a bound below that of R
-        rng = random.Random(7 * d1 + d2)
-        F, G = _random_form(rng, d1), _random_form(rng, d2)
-        frame = elimination._accepted_frame(F, G)
-        assert len(frame.coefficient(0, 0)) - 1 == d1 * d2
-        assert len(frame._chains) == d1 * d2 + 1
+    #: the nodal cubic and a second cubic with a node at its node: that root
+    #: of R carries a fibre gcd of degree 2, the class Phi_2
+    NODAL_PAIR = ("y^2*z - x^3 - x^2*z", "y^2*z - 2*x^3 - {c}*x^2*z")
+
+    @staticmethod
+    def _pairs(size, c):
+        rng = random.Random(size)
+        pairs = [(_random_form(rng, d1, size), _random_form(rng, d2, size))
+                 for d1, d2 in [(2, 2), (3, 2), (4, 3)]]
+        return pairs + [tuple(parse_poly(t.format(c=c), XYZ) for t in TestDeterminantBound.NODAL_PAIR)]
+
+    @pytest.mark.parametrize("packed", [True, False], ids=["packed", "sweep"])
+    def test_frame_reads_every_minor_on_its_path(self, packed):
+        # small heights take one chain at x = 2^K, and the same degrees with
+        # heights past exact._PACKED_BITS a sweep of d1*d2 + 1 chains; every
+        # s_{k,j} either path reads is the SymPy determinant of its minor
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        classes = set()
+        for F, G in self._pairs(4, 3) if packed else self._pairs(2**600, 10**100):
+            frame = elimination._accepted_frame(F, G)
+            m, n = len(frame.A) - 1, len(frame.B) - 1
+            assert bool(frame._width) is packed
+            A, B = (_columns_in_x(sympy, c) for c in (frame.A, frame.B))
+            for k in range(min(m, n)):
+                for j in range(k + 1):
+                    want = sympy.Poly(sympy_det(minor_matrix(A, B, k, j)), x)
+                    got = [int(c) for c in reversed(want.all_coeffs())] if want else []
+                    assert frame.coefficient(k, j) == got, (F.text(), G.text(), k, j)
+            assert len(frame._chains) == (1 if packed else m * n + 1)
+            classes |= set(frame.classes)
+        assert 2 in classes
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 64, 100])
+    def test_digits_round_trip(self, k):
+        # the signed base-2^k digits of a list's value at 2^k give the list
+        # back when every |c| < 2^(k-1): zero, negative digits, and the
+        # extremes +-(2^(k-1) - 1) next to each other and at the top
+        top = 2 ** (k - 1) - 1
+        rng = random.Random(k)
+        lists = [[], [top], [-top], [0, 0, -1], [top, -top, top, -top], [-top, 0, top],
+                 [rng.randint(-top, top) for _ in range(9)] + [-top]]
+        for cs in lists:
+            assert exact._digits(exact._at(cs, 2 ** k), k) == cs
+        assert exact._digits(0, k) == []
 
 
 def _poly_mul(a, b):

@@ -376,6 +376,17 @@ def test_one_subresultant_chain():
                     "_minor_matrix", "_discriminant_matrix"} & _referenced_names(path), path.name
 
 
+def test_one_digit_reader():
+    # a small frame reads every s_{k,j} off one chain at x = 2^K through the
+    # one signed digit reader, exact._digits, beside _interpolate, and the
+    # packed bound that picks that chain over the sweep is read there alone
+    readers = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
+                     for name in _functions(path) if "digit" in name)
+    assert readers == ["exact.py: _digits"]
+    assert _readers("_digits") == ["elimination.py: coefficient"]
+    assert _readers("_PACKED_BITS") == ["elimination.py: __init__"]
+
+
 def _int_constants(path: Path) -> dict:
     """Every name a module binds to an int literal at its top level."""
     return {target.id: node.value.value
