@@ -816,6 +816,18 @@ class TestDeterminantBound:
         with pytest.raises(InvalidParams):
             resultant(UniPolyView(parse_poly("s*x^3", ("x", "s")), "x"), g)
 
+    @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 2), (4, 3)])
+    def test_frame_resultant_takes_d1_d2_plus_one_determinants(self, d1, d2):
+        # with heights past exact._PACKED_BITS the accepted frame reads the
+        # chain at x = 0..d1*d2 and no further: every s_{k,j} it reads has a
+        # bound below that of R; with small heights it reads one chain
+        rng = random.Random(7 * d1 + d2)
+        for size, chains in [(2**600, d1 * d2 + 1), (4, 1)]:
+            F, G = _random_form(rng, d1, size), _random_form(rng, d2, size)
+            frame = elimination._accepted_frame(F, G)
+            assert len(frame.coefficient(0, 0)) - 1 == d1 * d2
+            assert len(frame._chains) == chains
+
     #: the nodal cubic and a second cubic with a node at its node: that root
     #: of R carries a fibre gcd of degree 2, the class Phi_2
     NODAL_PAIR = ("y^2*z - x^3 - x^2*z", "y^2*z - 2*x^3 - {c}*x^2*z")
