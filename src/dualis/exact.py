@@ -17,9 +17,12 @@ lexicographic order (total degree first, then lex on exponents), which makes
 ``parse(print(p)) == p`` a fixed point.  A MultiPoly is a container: it is
 parsed, printed, multiplied, compared and made primitive, and every
 computation on it runs on its integer terms ({exponents: int}).  The public
-constructor validates its input; the module's own results, clean by
-construction, are stored through the private ``MultiPoly._trusted`` without
-a second pass.  Every change of coordinates and the dual's chart run
+constructor takes int or Fraction coefficients and int exponents, no bool.
+The module's own results, clean by construction, are stored through the
+private ``MultiPoly._trusted`` without a second pass; so is `parse_poly`'s,
+which reads the text in one pass of one token rule (`_TOKEN`, whose named
+group gives a token's kind) and shares its number literal with
+`parse_rational`.  Every change of coordinates and the dual's chart run
 through one integer expansion, `_expand`, which `elimination` and
 `dualgeom` call on integer terms.
 
@@ -131,7 +134,19 @@ def _clipped(text: str) -> str:
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
-_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+#: the number literal of `_TOKEN` and `_RATIONAL`: digits, or p/q with no whitespace
+_NUMBER = r"\d+(?:/\d+)?"
+_RATIONAL = re.compile(rf"[+-]?{_NUMBER}")
+
+
+def _literal(text: str, shown: str) -> Fraction:
+    """The Fraction of ``text``, a signed `_NUMBER`; a zero denominator or
+    digits past int's limit are refused with PolySyntaxError naming ``shown``."""
+    num, _, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den or 1))
+    except (ValueError, ZeroDivisionError):
+        raise PolySyntaxError(f"bad rational literal {_clipped(shown)}") from None
 
 
 def parse_rational(text: str) -> Fraction:
@@ -148,12 +163,9 @@ def parse_rational(text: str) -> Fraction:
     dualis.errors.PolySyntaxError: bad rational literal '1e5'
     """
     stripped = text.strip()
-    try:
-        if _RATIONAL.fullmatch(stripped):
-            return Fraction(stripped)
-    except (ValueError, ZeroDivisionError):  # a zero denominator, or digits past int's limit
-        pass
-    raise PolySyntaxError(f"bad rational literal {_clipped(text)}")
+    if not _RATIONAL.fullmatch(stripped):
+        raise PolySyntaxError(f"bad rational literal {_clipped(text)}")
+    return _literal(stripped, text)
 
 
 def _grad_lex_key(exps: Exponents):
@@ -231,12 +243,12 @@ class MultiPoly:
         for exps, coeff in terms.items():
             if type(coeff) is not Fraction:
                 coeff = _scalar(coeff)
-            if not coeff:
-                continue
-            exps = tuple(map(int, exps))
+            exps = tuple(exps)
+            if any(type(k) is not int for k in exps):  # a float, a bool, a digit string
+                raise InvalidParams(f"exponents {exps!r} are not all ints")
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for variables {variables}")
-            if exps in clean:  # distinct keys that convert to one exponent tuple
+            if exps in clean:  # distinct keys with one exponent tuple: range(2), (0, 1)
                 coeff += clean.pop(exps)
             if coeff:
                 clean[exps] = coeff
@@ -406,88 +418,71 @@ class MultiPoly:
 # parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z][A-Za-z0-9_]*|\^|\*|\+|-)")
+_TOKEN = re.compile(
+    rf"\s*(?:(?P<number>{_NUMBER})|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^]))")
 
 
 def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
     """Parse the polynomial grammar.
 
-    Terms are separated by ``+``/``-``; a term is ``coeff``,
-    ``coeff*monomial`` or ``monomial``; ``coeff`` is an integer or ``p/q``;
-    a monomial is ``var``, ``var^k`` or products joined by ``*``.
-    Whitespace is insignificant.
+    Terms are separated by ``+``/``-``, and a run of signs is one sign
+    (``--x`` is ``x``).  A term is a product of factors joined by ``*``: a
+    number, digits or ``p/q``, anywhere in it (``x*2*y``), or a variable,
+    ``var`` or ``var^k``, which multiplies when repeated (``x*x`` is
+    ``x^2``); ``k`` has at most `EXPONENT_DIGITS` significant digits, leading
+    zeros ignored.  Names match ``[A-Za-z][A-Za-z0-9_]*`` and must be among
+    ``variables``.  Whitespace may stand between tokens but not inside one
+    (``3 / 4*x`` is refused).  Terms that cancel are dropped.
 
     >>> parse_poly("3/2*u*v - w^2", ("u", "v", "w")).text()
     '3/2*u*v - w^2'
     """
-    variables = tuple(variables)
-    tokens = []
-    pos = 0
-    stripped = text.strip()
+    variables, stripped = tuple(variables), text.strip()
     if not stripped:
         raise PolySyntaxError("empty input")
+    tokens, pos = [], 0
     while pos < len(stripped):
-        m = _TOKEN.match(stripped, pos)
-        if not m:
+        if not (m := _TOKEN.match(stripped, pos)):
             raise PolySyntaxError(f"unexpected character at {stripped[pos:pos+10]!r}")
-        tokens.append(m.group(1))
+        tokens.append((m.lastgroup, m[m.lastgroup]))
         pos = m.end()
-
-    terms: dict = {}
-    i = 0
-    n = len(tokens)
-    first = True
-    while i < n:
-        sign = 1
-        saw_sign = False
-        while i < n and tokens[i] in "+-":
-            if tokens[i] == "-":
-                sign = -sign
-            saw_sign = True
+    tokens.append(("end", ""))  # the sentinel at which every loop below stops
+    terms, i = {}, 0
+    while tokens[i][0] != "end":  # one term per pass
+        start, coeff, exps = i, Fraction(1), [0] * len(variables)
+        while tokens[i][1] in ("+", "-"):
+            coeff = -coeff if tokens[i][1] == "-" else coeff
             i += 1
-        if i >= n:
+        if tokens[i][0] == "end":
             raise PolySyntaxError("dangling sign")
-        if not first and not saw_sign:
-            raise PolySyntaxError(f"missing +/- before {_clipped(tokens[i])}")
-        first = False
-
-        coeff = Fraction(sign)
-        exps = [0] * len(variables)
-        expect_factor = True
-        while True:
-            if not expect_factor:
-                break
-            if i >= n:
-                raise PolySyntaxError("term ended unexpectedly")
-            tok = tokens[i]
-            if re.fullmatch(r"\d+/\d+|\d+", tok):
-                coeff *= parse_rational(tok)
-                i += 1
-            elif re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
+        if start and i == start:
+            raise PolySyntaxError(f"missing +/- before {_clipped(tokens[i][1])}")
+        more = True
+        while more:  # one factor per pass, which leaves i on its last token
+            kind, tok = tokens[i]
+            if kind == "number":
+                coeff *= _literal(tok, tok)
+            elif kind == "name":
                 if tok not in variables:
                     raise UnknownVariableError(f"unknown variable {_clipped(tok)}")
                 k = 1
-                i += 1
-                if i < n and tokens[i] == "^":
-                    i += 1
-                    if i >= n or not re.fullmatch(r"\d+", tokens[i]):
+                if tokens[i + 1][1] == "^":
+                    i += 2
+                    kind, digits = tokens[i][0], tokens[i][1].lstrip("0")
+                    if kind != "number" or "/" in digits:
                         raise PolySyntaxError("expected integer exponent after '^'")
-                    digits = tokens[i].lstrip("0")
                     if len(digits) > EXPONENT_DIGITS:
                         raise PolySyntaxError(
                             f"exponent of {len(digits)} digits exceeds {EXPONENT_DIGITS} digits")
                     k = int(digits or "0")
-                    i += 1
                 exps[variables.index(tok)] += k
             else:
-                raise PolySyntaxError(f"unexpected token {_clipped(tok)}")
-            if i < n and tokens[i] == "*":
-                i += 1
-                expect_factor = True
-            else:
-                expect_factor = False
-        terms[tuple(exps)] = terms.get(tuple(exps), 0) + coeff
-    return MultiPoly(variables, terms)
+                raise PolySyntaxError(f"unexpected token {_clipped(tok)}" if tok
+                                      else "term ended unexpectedly")
+            more = tokens[i + 1][1] == "*"
+            i += 2 if more else 1
+        terms[tuple(exps)] = terms.get(tuple(exps), _ZERO) + coeff
+    return MultiPoly._trusted(variables, {e: c for e, c in terms.items() if c})
 
 
 # ---------------------------------------------------------------------------

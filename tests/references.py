@@ -1,17 +1,24 @@
-"""Test-side references for the integer eliminant kernel of `dualis.exact`.
+"""Test-side references for the integer eliminant kernel and the parser of
+`dualis.exact`.
 
 The kernel reads every subresultant coefficient s_{k,j} of two lists from
 one subresultant chain.  These references lay out the minor of the
 Sylvester matrix that defines s_{k,j} and take its determinant with SymPy,
 specialise polynomials in several variables to one, and carry polynomials
-to SymPy and back.
+to SymPy and back.  The parser's reference is the two-pass parser that
+`exact.parse_poly` replaced, kept verbatim with its rational reader: it
+tokenizes, classifies each token again by pattern and builds through the
+public constructor.
 """
 
+import re
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
-from dualis.exact import MultiPoly
+from dualis.errors import PolySyntaxError, UnknownVariableError
+from dualis.exact import EXPONENT_DIGITS, MultiPoly, _clipped
 
 
 def minor_matrix(a, b, k, j):
@@ -106,3 +113,105 @@ def _from_sympy(expr, variables):
     sympy = pytest.importorskip("sympy")
     poly = sympy.Poly(expr, *sympy.symbols(variables))
     return MultiPoly(variables, {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms()})
+
+
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse ``p`` or ``p/q`` into a Fraction: an optional sign, digits,
+    and an optional "/" followed by digits, with surrounding whitespace.
+    Anything else, such as exponent notation, decimals or digit separators,
+    is refused with PolySyntaxError.
+    """
+    stripped = text.strip()
+    try:
+        if _RATIONAL.fullmatch(stripped):
+            return Fraction(stripped)
+    except (ValueError, ZeroDivisionError):  # a zero denominator, or digits past int's limit
+        pass
+    raise PolySyntaxError(f"bad rational literal {_clipped(text)}")
+
+
+_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z][A-Za-z0-9_]*|\^|\*|\+|-)")
+
+
+def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
+    """Parse the polynomial grammar.
+
+    Terms are separated by ``+``/``-``; a term is ``coeff``,
+    ``coeff*monomial`` or ``monomial``; ``coeff`` is an integer or ``p/q``;
+    a monomial is ``var``, ``var^k`` or products joined by ``*``.
+    Whitespace is insignificant.
+
+    >>> parse_poly("3/2*u*v - w^2", ("u", "v", "w")).text()
+    '3/2*u*v - w^2'
+    """
+    variables = tuple(variables)
+    tokens = []
+    pos = 0
+    stripped = text.strip()
+    if not stripped:
+        raise PolySyntaxError("empty input")
+    while pos < len(stripped):
+        m = _TOKEN.match(stripped, pos)
+        if not m:
+            raise PolySyntaxError(f"unexpected character at {stripped[pos:pos+10]!r}")
+        tokens.append(m.group(1))
+        pos = m.end()
+
+    terms: dict = {}
+    i = 0
+    n = len(tokens)
+    first = True
+    while i < n:
+        sign = 1
+        saw_sign = False
+        while i < n and tokens[i] in "+-":
+            if tokens[i] == "-":
+                sign = -sign
+            saw_sign = True
+            i += 1
+        if i >= n:
+            raise PolySyntaxError("dangling sign")
+        if not first and not saw_sign:
+            raise PolySyntaxError(f"missing +/- before {_clipped(tokens[i])}")
+        first = False
+
+        coeff = Fraction(sign)
+        exps = [0] * len(variables)
+        expect_factor = True
+        while True:
+            if not expect_factor:
+                break
+            if i >= n:
+                raise PolySyntaxError("term ended unexpectedly")
+            tok = tokens[i]
+            if re.fullmatch(r"\d+/\d+|\d+", tok):
+                coeff *= parse_rational(tok)
+                i += 1
+            elif re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
+                if tok not in variables:
+                    raise UnknownVariableError(f"unknown variable {_clipped(tok)}")
+                k = 1
+                i += 1
+                if i < n and tokens[i] == "^":
+                    i += 1
+                    if i >= n or not re.fullmatch(r"\d+", tokens[i]):
+                        raise PolySyntaxError("expected integer exponent after '^'")
+                    digits = tokens[i].lstrip("0")
+                    if len(digits) > EXPONENT_DIGITS:
+                        raise PolySyntaxError(
+                            f"exponent of {len(digits)} digits exceeds {EXPONENT_DIGITS} digits")
+                    k = int(digits or "0")
+                    i += 1
+                exps[variables.index(tok)] += k
+            else:
+                raise PolySyntaxError(f"unexpected token {_clipped(tok)}")
+            if i < n and tokens[i] == "*":
+                i += 1
+                expect_factor = True
+            else:
+                expect_factor = False
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + coeff
+    return MultiPoly(variables, terms)

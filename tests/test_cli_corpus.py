@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -563,6 +564,28 @@ class TestMalformedInput:
                              ids=["empty", "dangling-product", "power-without-base"])
     def test_incomplete_polynomial(self, text, capsys):
         self._refused(["curve", "analyze", "--poly", text], capsys, error="PolySyntaxError")
+
+    def test_curve_texts_with_one_token_mutated(self, capsys):
+        # 600 seeded mutations of the shipped curve texts, each one token
+        # inserted, deleted or replaced, through the three curve leaves: every
+        # run exits 0 or 2, a refusal prints an error on stderr and nothing on
+        # stdout, and no exception escapes run_command
+        texts = [read_file(path).strip() for path in sorted((REPO_CORPUS / "curves").glob("*.txt"))]
+        mutants = ["x", "y", "z", "2", "1/2", "0", "^", "*", "+", "-", "^7", "/", "9" * 50]
+        rng = random.Random(11)
+        codes = []
+        for _ in range(600):
+            tokens = re.findall(r"\s*(?:\d+|[A-Za-z]\w*|\S)", rng.choice(texts))
+            edit = rng.choice(("insert", "delete", "replace"))
+            k = rng.randrange(len(tokens) + (edit == "insert"))
+            tokens[k:k + (edit != "insert")] = [] if edit == "delete" else [rng.choice(mutants)]
+            for leaf in ("analyze", "dual", "dual-degree"):
+                codes.append(run_command(["curve", leaf, f"--poly={''.join(tokens)}"]))
+                captured = capsys.readouterr()
+                assert codes[-1] in (0, 2) and "Traceback" not in captured.err
+                if codes[-1] == 2:
+                    assert captured.out == "" and captured.err.startswith("error: ")
+        assert codes.count(0) > 50 and codes.count(2) > 1500
 
     def test_missing_file(self, tmp_path, capsys):
         self._refused(["plucker", "solve", "--file", str(tmp_path / "none.json")], capsys,

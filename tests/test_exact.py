@@ -46,7 +46,8 @@ from dualis.exact import (
     witnesses,
 )
 from references import (_from_sympy, chain as sympy_chain, det as sympy_det, minor_matrix,
-                        specialised, sympy_expr, sympy_polar, sympy_poly)
+                        parse_poly as reference_parse_poly, specialised, sympy_expr, sympy_polar,
+                        sympy_poly)
 
 XYZ = ("x", "y", "z")
 UVW = ("u", "v", "w")
@@ -152,6 +153,70 @@ class TestParsing:
         assert parse_poly(MultiPoly.zero(XYZ).text(), XYZ).is_zero()
 
 
+#: the edge tokens of the parser's differential test, with their weights:
+#: the run of 4,400 digits is an exponent past EXPONENT_DIGITS after "^" and
+#: a coefficient past int's digit limit elsewhere; it is the slowest to
+#: parse, so it is drawn rarely
+EDGE_TOKENS = {"x": 20, "y": 20, "z": 20, "t": 5, "xx": 5, "0": 10, "00": 5, "13": 10,
+               "3/4": 10, "1/0": 5, "/": 5, "^": 5, "^0007": 10, "*": 20, "+": 15, "-": 15,
+               " ": 10, ".": 5, "_": 5, "9" * 4400: 1, "\u0663": 5}
+
+
+def _parse_outcome(parse, text):
+    """What a parser makes of text: the ring and the terms with the type of
+    each coefficient, or the type and message of its refusal."""
+    try:
+        p = parse(text, XYZ)
+    except (PolySyntaxError, UnknownVariableError) as exc:
+        return type(exc), str(exc)
+    return p.variables, {e: (type(c), c) for e, c in p.terms.items()}
+
+
+class TestParserReference:
+    """parse_poly reads the language of the two-pass parser it replaced
+    (`references.parse_poly`), with the same terms and the same refusals."""
+
+    def test_edge_token_strings(self):
+        # 50,000 seeded strings of one to six edge tokens, joined without
+        # separators, so that tokens also merge ("x" "13" is the name x13)
+        rng = random.Random(39)
+        lengths = rng.choices(range(1, 7), k=50_000)
+        drawn = iter(rng.choices(list(EDGE_TOKENS), list(EDGE_TOKENS.values()), k=sum(lengths)))
+        outcomes = []
+        for text in ("".join(islice(drawn, n)) for n in lengths):
+            outcome = _parse_outcome(parse_poly, text)
+            assert outcome == _parse_outcome(reference_parse_poly, text), text
+            outcomes.append(outcome[0])
+        # every refusal and a share of parsed polynomials were reached
+        assert outcomes.count(XYZ) > 2000
+        assert {PolySyntaxError, UnknownVariableError} <= set(outcomes)
+
+    @pytest.mark.parametrize("text, same_as", [
+        ("\u0663*x", "3*x"), ("--x", "x"), ("+-+x - -y", "-x + y"), ("x*2*y", "2*x*y"),
+        ("x*x", "x^2"), ("x^0007*y^0", "x^7"), ("x - x + y", "y"), ("1/2*x + 1/2*x", "x"),
+    ], ids=["unicode-digit", "sign-run", "mixed-signs", "number-mid-product", "repeated-variable",
+            "leading-zeros", "cancelled-term", "added-terms"])
+    def test_grammar_examples(self, text, same_as):
+        # the examples of the grammar in README "File formats", each read
+        # as the reference reads it
+        p = parse_poly(text, XYZ)
+        assert p == parse_poly(same_as, XYZ) == reference_parse_poly(text, XYZ)
+        assert all(type(c) is Fraction and c for c in p.terms.values())
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 / 4*x", "unexpected character at ' / 4"), ("3/ 4*x", "unexpected character"),
+        ("x^3/4", "expected integer exponent"), ("x^y", "expected integer exponent"),
+        ("x +", "dangling sign"), ("x y", "missing \\+/- before 'y'"),
+        ("2^3", "missing \\+/- before '\\^'"), ("1/0*x", "bad rational literal '1/0'"),
+    ], ids=["spaced-fraction", "space-after-slash", "fractional-exponent", "named-exponent",
+            "dangling-sign", "missing-sign", "power-of-a-number", "zero-denominator"])
+    def test_refusals_name_the_fault(self, text, message):
+        with pytest.raises(PolySyntaxError, match=message):
+            parse_poly(text, XYZ)
+        with pytest.raises(PolySyntaxError, match=message):
+            reference_parse_poly(text, XYZ)
+
+
 def _random_poly(rng, variables, max_terms=6, max_exp=4, max_coeff=9):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
@@ -230,6 +295,31 @@ class TestPolyArithmetic:
             "3*x + 1/2*y", XYZ)
         assert MultiPoly.const(XYZ, Fraction(-2, 4)) == parse_poly("-1/2", XYZ)
         assert MultiPoly.const(XYZ, 0) == MultiPoly.zero(XYZ)
+
+    @pytest.mark.parametrize("exps", [(1.5, 0, 0), (2.0, 0, 0), (True, 0, 0), (1, False, 0),
+                                      (0, "2", 0), (Fraction(1), 0, 0), (None, 0, 0)],
+                             ids=["float", "integral-float", "true", "false", "digit-string",
+                                  "fraction", "none"])
+    def test_only_int_exponents_enter(self, exps):
+        # as with coefficients, the constructor refuses every exponent but an
+        # int: a float, a bool or a digit string used to pass through int()
+        for coeff in (1, 0):  # a zero coefficient does not hide its exponents
+            with pytest.raises(InvalidParams, match="are not all ints"):
+                MultiPoly(XYZ, {exps: coeff})
+
+    @pytest.mark.parametrize("exps", [(1, 0), (1, 0, 0, 0), (1, -1, 0)],
+                             ids=["short", "long", "negative"])
+    def test_exponent_vector_of_the_wrong_shape(self, exps):
+        for coeff in (1, 0):
+            with pytest.raises(ValueError, match="bad exponent vector") as info:
+                MultiPoly(XYZ, {exps: coeff})
+            assert type(info.value) is ValueError
+
+    def test_keys_with_one_exponent_tuple_are_added(self):
+        # distinct keys can still give one exponent tuple, so the constructor
+        # adds their coefficients
+        assert MultiPoly(XYZ, {range(3): 1, (0, 1, 2): 2}).terms == {(0, 1, 2): Fraction(3)}
+        assert MultiPoly(XYZ, {range(3): 1, (0, 1, 2): -1}).is_zero()
 
     @pytest.mark.parametrize("other", [0.5, "x", None, True, [1]],
                              ids=["float", "text", "none", "bool", "list"])
@@ -718,6 +808,15 @@ class TestTrustedResults:
             for r in (a * q, a * 0, a * b, a * MultiPoly.zero(XYZ), a.primitive()):
                 _assert_clean(r)
         _assert_clean(parse_poly("x + y", XYZ) * parse_poly("x - y", XYZ))  # the x*y terms cancel
+
+    def test_parsed_polynomials(self):
+        # the parser builds through _trusted, after dropping the terms that
+        # cancel and adding the terms with equal exponents
+        rng = random.Random(71)
+        for _ in range(40):
+            _assert_clean(parse_poly(_random_poly(rng, XYZ).text(), XYZ))
+        for text in ("x - x", "x - x + 2*y - y", "1/2*x*y + 1/2*y*x - 0*z", "3 - 3 + 0"):
+            _assert_clean(parse_poly(text, XYZ))
 
     def test_univariate_view_coefficients(self):
         rng = random.Random(53)

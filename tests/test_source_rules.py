@@ -60,12 +60,44 @@ def test_trivariate_gcds_stay_off_the_counting_paths():
     assert not found
 
 
+def _callees(node) -> set:
+    """The callee of every call in a node, as source text (``MultiPoly._trusted``)."""
+    return {ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
+
+
 def test_trusted_construction_stays_in_exact():
     # MultiPoly._trusted skips validation; only the ring's own results,
-    # clean by construction, may use it
+    # clean by construction, may use it: the product, the univariate view's
+    # coefficients and the parser's terms
     found = [path.name for path in sorted(SOURCE.glob("*.py"))
              if path.name != "exact.py" and "_trusted" in _referenced_names(path)]
     assert not found
+    tree = _tree(SOURCE / "exact.py")
+    methods = [(f"{cls.name}.{fn.name}", fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    functions = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    assert sorted(name for name, fn in methods + functions
+                  if "MultiPoly._trusted" in _callees(fn)) == [
+        "MultiPoly.__mul__", "UniPolyView.__init__", "parse_poly"]
+
+
+def test_one_number_literal_and_one_token_rule():
+    # the number literal of the polynomial and rational grammars is spelled
+    # once, as exact._NUMBER, and both token rules read it; parse_poly reads
+    # each token's kind from its group without matching it again, and hands
+    # its terms to MultiPoly._trusted instead of the validating constructor
+    tree = _tree(SOURCE / "exact.py")
+    rules = {target.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets if isinstance(target, ast.Name)}
+    digit_patterns = [n.value for n in ast.walk(tree)
+                      if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                      and "\\d" in n.value]
+    assert digit_patterns == [rules["_NUMBER"].value]
+    for name in ("_TOKEN", "_RATIONAL"):
+        assert any(_reads(n, "_NUMBER") for n in ast.walk(rules[name])), name
+    called = _callees(_functions(SOURCE / "exact.py")["parse_poly"])
+    assert not {name for name in called if name.endswith("fullmatch")}
+    assert "MultiPoly._trusted" in called and "MultiPoly" not in called
 
 
 @functools.lru_cache(maxsize=None)
