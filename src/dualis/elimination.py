@@ -70,9 +70,11 @@ a line L_k = a*y + b, for the k-th-power test and the singular parts,
 take the closed form Res_y(P, L_k) = sum_j p_j b^j (-a)^(m-j) for
 P = sum_j p_j y^j of degree m: Res(L_k, P) = a^m P(-b/a), and swapping
 operands of degrees 1 and m costs (-1)^m (`_line_resultant`), modulo the
-class or part it is tested on (`exact._reduced`).  Gcds are
-the certified modular gcd of `exact`, and a quotient by a primitive
-divisor is exact over the integers (Gauss's lemma), so no Fraction
+class or part it is tested on (`exact._reduced`).  Every gcd is the one
+certified gcd of `exact` (`_uni_gcd`: the integer gcd of the values at
+x = 2^K read as digits, or Brown's modular algorithm past a digit width),
+which returns both cofactors with the gcd, so the square-free part and
+each class are read from it with no second division, and no Fraction
 arithmetic enters the frame search.
 The public `apply_matrix` is the same coordinate change on a `MultiPoly`.
 The square-free part is written once (`_sqfree_part`), for the frame step
@@ -92,14 +94,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from math import gcd
 from typing import Optional, Sequence
 
 from .errors import (
     ChartExhausted,
     DegenerateInput,
-    GuardrailExceeded,
     InvalidParams,
     InvariantViolation,
     NotTransversal,
@@ -124,7 +125,6 @@ from .exact import (
     _ternary_form,
     _trim,
     _uni_gcd,
-    _uni_quo,
     _value,
     _y_derivative,
     forms_coprime,
@@ -199,10 +199,6 @@ def _add(a: Sequence[int], b: Sequence[int]) -> list:
     return _trim([c + d for c, d in zip(a, b)] + list(a[len(b):]))
 
 
-#: primes tried as the modulus of the p-adic root search
-_PRIMES = tuple(filter(_is_prime, range(2, 1000)))
-
-
 def _root_candidates(f: list) -> set:
     """Integers among which cn*r lies for every rational root r of f.
 
@@ -212,11 +208,13 @@ def _root_candidates(f: list) -> set:
     cn and at which f has no multiple root, the root reduces to a simple root
     r; Newton's iteration lifts r to a modulus m > 2|cn*c0|, where the residue
     of cn*r nearest zero is cn*u/v itself (Loos, SIAM J. Comput. 12, 1983).
+    The primes are walked in order, found lazily: only the finitely many
+    that divide cn times the discriminant of f are skipped, so the walk ends.
     """
     lead = f[-1]
     bound = 2 * abs(lead * f[0])
     der = _derivative(f)
-    for p in _PRIMES:
+    for p in filter(_is_prime, count(2)):
         if lead % p == 0:
             continue
         residues = [r for r in range(p) if not _at(f, r) % p]
@@ -231,7 +229,6 @@ def _root_candidates(f: list) -> set:
             c = lead * r % m
             candidates.add(c - m if 2 * c > m else c)
         return candidates
-    raise GuardrailExceeded(f"no prime below {_PRIMES[-1] + 1} keeps the roots simple")
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
@@ -265,9 +262,10 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple:
 def _sqfree_part(cs: list) -> tuple:
     """(f / g, g) for a trimmed nonzero integer list f and g = gcd(f, f'):
     its distinct linear factors, over the integers (the gcd is primitive),
-    and its repeated ones, each once less often than in f."""
-    g = _uni_gcd(cs, _derivative(cs))
-    return _uni_quo(cs, g), g
+    and its repeated ones, each once less often than in f.  The quotient is
+    the cofactor that `exact._uni_gcd` returns with g."""
+    g, quotient, _ = _uni_gcd(cs, _derivative(cs))
+    return quotient, g
 
 
 def normalize_point(coords: Sequence[Fraction]) -> tuple:
@@ -434,7 +432,8 @@ def _pair_frame_count(Fm: dict, Gm: dict, base: Matrix, t: int) -> Optional[_Fra
     x -> x + t*y, where both y-leading coefficients are nonzero constants
     (`_accepted_frame` skips the other shears); the frame passes to the
     chart z = 1.  R's repeated roots, gcd(R, R'), are kept as
-    ``frame.repeated``: the square-free step takes that gcd anyway.
+    ``frame.repeated``: the square-free step takes that gcd anyway.  Each
+    class is the cofactor of the gcd that splits it off (`exact._uni_gcd`).
     The y-leading coefficients are constants, so specialising x commutes
     with the subresultants: over a root of R the fibres have a gcd of
     degree k exactly where psc_1..psc_{k-1} vanish and psc_k does not, and
@@ -458,8 +457,7 @@ def _pair_frame_count(Fm: dict, Gm: dict, base: Matrix, t: int) -> Optional[_Fra
     for k in range(1, min(m, n) + 1):
         if len(rem) == 1:
             break
-        common = _uni_gcd(rem, frame.coefficient(k, k))
-        phi, rem = _uni_quo(rem, common), common
+        rem, phi, _ = _uni_gcd(rem, frame.coefficient(k, k))
         if len(phi) > 1:
             if k >= 2 and not frame.is_power(k, phi):
                 return None  # some fibre of this class carries two points
@@ -489,7 +487,7 @@ def _base_usable(f: list, g: list) -> bool:
     """
     if not any(f) or not any(g) or f[-1] == g[-1] == 0:
         return False
-    return len(_uni_gcd(f, g)) == 1
+    return len(_uni_gcd(f, g)[0]) == 1
 
 
 def _zero_on_span(f: dict, h: dict, m: Matrix) -> bool:
@@ -699,11 +697,11 @@ def singular_locus(F: MultiPoly) -> SingularLocus:
     partials = ([_derivative(col) for col in frame.A], _y_derivative(frame.A))
     parts = {}
     for k, phi in frame.classes.items():
-        part = _uni_gcd(phi, frame.repeated)
+        part = _uni_gcd(phi, frame.repeated)[0]
         for P in partials:
             if len(part) == 1:
                 break
-            part = _uni_gcd(part, _line_resultant(P, *frame.line(k), part))
+            part = _uni_gcd(part, _line_resultant(P, *frame.line(k), part))[0]
         parts[k] = part
     return SingularLocus(frame, w, parts, rational_system_points(frame, parts))
 

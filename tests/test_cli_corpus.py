@@ -1,6 +1,7 @@
 """Harness contracts: file schemas, corpus loading, CLI exit codes, determinism."""
 
 import json
+import math
 import os
 import random
 import re
@@ -285,6 +286,22 @@ class TestCli:
         code = run_command(["curve", "analyze", "--poly", "x^9 + y^9 + z^9",
                             "--max-degree", "99"])
         assert code == 2
+
+    @pytest.mark.parametrize("bound", [6, 50, 1000])
+    def test_node_at_a_product_of_primes(self, bound, capsys):
+        # y^2*x - (P*x - z)^3 - (P*x - z)^2*x, P the product of the primes
+        # below the bound (30 below 6), has one node, at (1 : 0 : P); at the
+        # bound 1000 the root search of its singular part walks past every
+        # prime below 1000, as each divides the leading coefficient
+        P = math.prod(p for p in range(2, bound) if all(p % q for q in range(2, p)))
+        poly = (f"-{P ** 3 + P ** 2}*x^3 + {3 * P ** 2 + 2 * P}*x^2*z - {3 * P + 1}*x*z^2"
+                " + x*y^2 + z^3")
+        assert run_command(["curve", "analyze", "--poly", poly, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["report"]["delta"], data["report"]["kappa"]) == (1, 0)
+        assert [(p["point"], p["kind"]) for p in data["singular_points"]] == [([1, 0, P], "Node")]
+        assert run_command(["curve", "dual-degree", "--poly", poly]) == 0
+        assert capsys.readouterr().out.strip() == "4"
 
     @pytest.mark.timed
     def test_octic_with_a_200_digit_coefficient_dual_degree(self, capsys):

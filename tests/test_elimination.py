@@ -4,7 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -22,7 +22,6 @@ from dualis.errors import (
     ChartExhausted,
     DegenerateInput,
     DegreeGuardrail,
-    GuardrailExceeded,
     InvalidParams,
     InvariantViolation,
     NonGenericWitness,
@@ -41,6 +40,9 @@ from references import (_from_sympy, chain as sympy_chain, det as sympy_det, min
                         specialised, sympy_expr, sympy_polar, sympy_resultant)
 
 XYZ = ("x", "y", "z")
+
+#: the primes below 1000, by trial division
+PRIMES_BELOW_1000 = [p for p in range(2, 1000) if all(p % q for q in range(2, p))]
 
 
 class TestRationalRoots:
@@ -82,10 +84,14 @@ class TestRationalRoots:
         roots, leftover = self._roots("x^2 - 200022*x + 10002200057")
         assert roots == [100003, 100019] and leftover == 0
 
-    def test_refused_when_no_prime_keeps_the_roots_simple(self, monkeypatch):
-        monkeypatch.setattr(elimination, "_PRIMES", (2,))
-        with pytest.raises(GuardrailExceeded):
-            self._roots("x^2 - 200022*x + 10002200057")  # (x + 1)^2 modulo 2
+    def test_roots_past_every_prime_below_1000(self):
+        # every prime below 1000 divides the leading coefficient P of
+        # P*x - 1 and of (P*x - 1)(P*x + 3)^2, so the p-adic search walks
+        # on to the prime 1009
+        P = prod(PRIMES_BELOW_1000)
+        assert rational_roots([-1, P]) == ([Fraction(1, P)], 0)
+        assert rational_roots([-9, 3 * P, 5 * P ** 2, P ** 3]) == (
+            [Fraction(-3, P), Fraction(1, P)], 0)
 
     def test_planted_roots_against_sympy(self):
         # rational roots u/v with 20-40-digit u and v, some repeated, a zero
@@ -860,8 +866,8 @@ def _reference_parts(frame):
 
     partials = [P[:max(j for j, p in enumerate(P) if p) + 1]
                 for P in ([_derivative(c) for c in frame.A], _y_derivative(frame.A)) if any(P)]
-    return {k: reduce(_uni_gcd, (_sympy_line_resultant(P, *frame.line(k)) for P in partials),
-                      phi)
+    return {k: reduce(lambda g, r: _uni_gcd(g, r)[0],
+                      (_sympy_line_resultant(P, *frame.line(k)) for P in partials), phi)
             for k, phi in frame.classes.items()}
 
 

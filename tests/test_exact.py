@@ -31,7 +31,6 @@ from dualis.exact import (
     _try_uni_quo,
     _uni_discriminant,
     _uni_gcd,
-    _uni_quo,
     discriminant,
     forms_coprime,
     is_squarefree,
@@ -61,7 +60,7 @@ def test_doctests_pass():
     assert {"parse_poly", "resultant", "discriminant", "squarefree_part", "poly_gcd",
             "radical"} <= tested
     results = doctest.testmod(exact)
-    assert results.attempted == 13 and results.failed == 0
+    assert results.attempted == 16 and results.failed == 0
 
 
 class TestParsing:
@@ -374,7 +373,7 @@ class TestDivisionAndGcd:
                 continue
             A, B = _integer_list(a), _integer_list(b)
             prod = _poly_mul(A, B)
-            assert _uni_quo(prod, B) == A and _try_uni_quo(prod, A) == B
+            assert _try_uni_quo(prod, B) == A and _try_uni_quo(prod, A) == B
             x = sympy.Symbol("x")
             quotient, rest = sympy.div(sympy.Poly(prod[::-1], x), sympy.Poly(B[::-1], x))
             assert rest.is_zero and quotient.all_coeffs()[::-1] == A
@@ -1007,9 +1006,16 @@ def bounded_primes(monkeypatch):
     monkeypatch.setattr(exact, "_gcd_primes", lambda: islice(_gcd_primes(), 40))
 
 
-@pytest.mark.usefixtures("bounded_primes")
+@pytest.fixture
+def modular_route(monkeypatch):
+    """_uni_gcd with no K allowed on the packed route, so every gcd of
+    nonconstant operands takes the modular route."""
+    monkeypatch.setattr(exact, "_GCD_DIGIT_BITS", 0)
+
+
+@pytest.mark.usefixtures("bounded_primes", "modular_route")
 class TestModularGcd:
-    """exact._uni_gcd, Brown's modular algorithm, against SymPy."""
+    """exact._uni_gcd's modular route, Brown's algorithm, against SymPy."""
 
     @pytest.mark.parametrize("kind", ["constant", "full-degree", "repeated"])
     def test_against_sympy_on_planted_factors(self, kind):
@@ -1027,7 +1033,7 @@ class TestModularGcd:
             else:
                 a, b = _poly_mul(a, common), _poly_mul(_poly_mul(b, common), common)
             a, b = _poly_mul(a, common), _poly_mul(b, common)
-            assert _uni_gcd(a, b) == _uni_gcd(b, a) == _sympy_gcd(sympy, a, b), (a, b)
+            assert _uni_gcd(a, b)[0] == _uni_gcd(b, a)[0] == _sympy_gcd(sympy, a, b), (a, b)
 
     def test_coefficients_beyond_the_spelled_out_primes(self):
         # a common factor with 100-digit coefficients needs more than the
@@ -1037,8 +1043,8 @@ class TestModularGcd:
         common = _random_ints(rng, 4, 10**100)
         a = _poly_mul(common, _random_ints(rng, 3, 10**100))
         b = _poly_mul(common, _random_ints(rng, 5, 10**100))
-        assert _uni_gcd(a, b) == _sympy_gcd(sympy, a, b)
-        assert len(_uni_gcd(a, b)) == 5
+        assert _uni_gcd(a, b)[0] == _sympy_gcd(sympy, a, b)
+        assert len(_uni_gcd(a, b)[0]) == 5
 
     def test_leading_coefficients_divisible_by_the_first_primes(self):
         sympy = pytest.importorskip("sympy")
@@ -1049,21 +1055,89 @@ class TestModularGcd:
             common = _random_ints(rng, 2, 99)
             a = _poly_mul(common, _random_ints(rng, 2, 99)[:-1] + [lead_a])
             b = _poly_mul(common, _random_ints(rng, 3, 99)[:-1] + [lead_b])
-            assert _uni_gcd(a, b) == _sympy_gcd(sympy, a, b)
+            assert _uni_gcd(a, b)[0] == _sympy_gcd(sympy, a, b)
 
     def test_pair_unlucky_by_degree_at_the_first_prime(self):
         p = next(_gcd_primes())
         # x - 1 and x + p - 1 agree modulo p
-        assert _uni_gcd([-1, 1], [p - 1, 1]) == [1]
+        assert _uni_gcd([-1, 1], [p - 1, 1])[0] == [1]
         # a common factor 2x + 3 under the same coincidence: the first
         # prime's image has degree 2, the second's the true degree 1
-        assert _uni_gcd(_poly_mul([-1, 1], [3, 2]), _poly_mul([p - 1, 1], [3, 2])) == [3, 2]
+        assert _uni_gcd(_poly_mul([-1, 1], [3, 2]), _poly_mul([p - 1, 1], [3, 2]))[0] == [3, 2]
 
     def test_normalisation_and_zero_operands(self):
-        assert _uni_gcd([0, -4, -6], [0, 0]) == [0, 2, 3]
-        assert _uni_gcd([0, 0, 0], [5]) == [1]
-        assert _uni_gcd([], [0]) == []
-        assert _uni_gcd([6, 4], [-9, -6]) == [3, 2]
+        assert _uni_gcd([0, -4, -6], [0, 0]) == ([0, 2, 3], [-2], [])
+        assert _uni_gcd([0, 0, 0], [5]) == ([1], [], [5])
+        assert _uni_gcd([], [0]) == ([], [], [])
+        assert _uni_gcd([6, 4], [-9, -6]) == ([3, 2], [2], [-3])
+
+
+def _sympy_cofactors(sympy, a, b):
+    """(g, a / g, b / g) for integer lists not both zero: g their gcd by
+    SymPy (`_sympy_gcd`), each quotient by SymPy's division, which must
+    leave no remainder."""
+    x = sympy.Symbol("x")
+    g = _sympy_gcd(sympy, a, b)
+    quotients = []
+    for cs in (a, b):
+        q, r = sympy.div(sympy.Poly(cs[::-1] or [0], x, domain="ZZ"),
+                         sympy.Poly(g[::-1], x, domain="ZZ"))
+        assert r.is_zero
+        quotients.append([int(c) for c in q.all_coeffs()[::-1]] if not q.is_zero else [])
+    return (g, *quotients)
+
+
+class TestGcdReference:
+    """exact._uni_gcd and its cofactors against SymPy's gcd and division,
+    on both routes."""
+
+    @staticmethod
+    def _routes(monkeypatch) -> list:
+        """Record the route of each gcd: "packed" for each packed
+        candidate, "modular" for each image modulo a prime."""
+        seen = []
+        for name, route in (("_digits", "packed"), ("_gcd_mod", "modular")):
+            inner = getattr(exact, name)
+            monkeypatch.setattr(exact, name, lambda *args, inner=inner, route=route:
+                                seen.append(route) or inner(*args))
+        return seen
+
+    def test_seeded_pairs_with_planted_factors(self, monkeypatch):
+        # a common factor times cofactors, each operand with a content, a
+        # sign and a power of x; coefficients of 9 or 10^9 stay packed, a
+        # factor of 10^300 on both cofactors passes exact._GCD_DIGIT_BITS and
+        # takes the modular route; a zero or a constant operand takes
+        # neither
+        sympy = pytest.importorskip("sympy")
+        seen = self._routes(monkeypatch)
+        rng = random.Random(61)
+        counts = {}
+        for n in range(60):
+            size = (9, 10**9, 10**300)[n % 3]
+            common = _random_ints(rng, rng.randint(0, 4), rng.choice((9, 10**9)))
+            a, b = (_poly_mul(common, [0] * rng.randint(0, 2) + _random_ints(
+                        rng, rng.randint(0, 5), size)) for _ in range(2))
+            a, b = ([rng.choice((-6, -1, 1, 15)) * c for c in cs] for cs in (a, b))
+            if n % 10 == 9:
+                b = rng.choice(([], [0, 0], [rng.choice((-4, 3))]))
+            del seen[:]
+            expected = _sympy_cofactors(sympy, a, b)
+            assert _uni_gcd(a, b) == expected, (a, b)
+            assert _uni_gcd(b, a) == (expected[0], expected[2], expected[1]), (a, b)
+            route = "modular" if "modular" in seen else "packed" if seen else "none"
+            counts[route] = counts.get(route, 0) + 1
+        assert min(counts.get(route, 0) for route in ("packed", "modular", "none")) >= 5, counts
+        assert _uni_gcd([0], []) == ([], [], [])
+
+    def test_a_refused_candidate_doubles_k(self, monkeypatch):
+        # (9x - 5)(5x + 6) and 2 (9x - 5)(3x - 4), found by a seeded search:
+        # at xi = 2^7 the integer gcd is (9*128 - 5) * 38, whose digits are
+        # no divisor; at 2^14 the candidate is 9x - 5
+        sympy = pytest.importorskip("sympy")
+        seen = self._routes(monkeypatch)
+        a, b = [-30, 29, 45], [40, -102, 54]
+        assert _uni_gcd(a, b) == _sympy_cofactors(sympy, a, b) == ([-5, 9], [6, 5], [-8, 6])
+        assert seen == ["packed", "packed"]
 
 
 class TestPrimeSequence:
@@ -1089,21 +1163,32 @@ class TestPrimeSequence:
 
 class TestIntegerQuotient:
     def test_exact_quotient(self):
-        assert _uni_quo(_poly_mul([3, 2], [-1, 0, 5]), [3, 2]) == [-1, 0, 5]
-        assert not any(_uni_quo([0, 0], [3, 2]))
+        assert _try_uni_quo(_poly_mul([3, 2], [-1, 0, 5]), [3, 2]) == [-1, 0, 5]
+        assert not any(_try_uni_quo([0, 0], [3, 2]))
 
     @pytest.mark.parametrize("a, b", [
         ([1, 0, 1], [1, 1]),
         ([1, 3], [1, 2]),
         ([2, 4, 2], [1, 2, 1, 0, 5]),
     ], ids=["remainder", "non-integral", "longer-divisor"])
-    def test_non_divisor_raises(self, a, b):
-        with pytest.raises(InvariantViolation):
-            _uni_quo(a, b)
+    def test_non_divisor_gives_none(self, a, b):
+        assert _try_uni_quo(a, b) is None
 
+    @pytest.mark.usefixtures("bounded_primes")
     def test_gcd_returning_a_non_divisor_is_caught(self, monkeypatch):
-        # x^2 - 1 by a "gcd" x + 2, which does not divide it
-        monkeypatch.setattr(elimination, "_uni_gcd", lambda a, b: [2, 1])
+        # x^2 - 1 and 2x have the gcd 1; a candidate x + 2, which divides
+        # neither, is refused on the packed route, which then doubles K up
+        # to the bound and hands over to the modular route; refused there
+        # too, at every prime, it leaves the caller a typed error and no
+        # answer built on it
+        digits = []
+        monkeypatch.setattr(exact, "_digits", lambda n, k: digits.append(k) or [2, 1])
+        assert _uni_gcd([-1, 0, 1], [0, 2]) == ([1], [-1, 0, 1], [0, 2])
+        assert len(digits) > 1 and digits[-1] <= exact._GCD_DIGIT_BITS < 2 * digits[-1]
+        assert elimination.rational_roots([Fraction(-1), 0, 1]) == ([-1, 1], 0)
+        monkeypatch.setattr(exact, "_gcd_mod", lambda a, b, p: [2, 1])
+        with pytest.raises(InvariantViolation):
+            _uni_gcd([-1, 0, 1], [0, 2])
         with pytest.raises(InvariantViolation):
             elimination.rational_roots([Fraction(-1), 0, 1])
 

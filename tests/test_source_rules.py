@@ -108,12 +108,15 @@ def _functions(path: Path) -> dict:
 
 
 def test_one_univariate_gcd():
-    # exact._uni_gcd, Brown's modular algorithm with its prime sequence and
-    # its gcd modulo p, is the only univariate gcd; the other gcds are the
-    # public one-variable adapters onto it, and one remainder sequence is
-    # left: the pseudo-remainder of integer lists, read by the subresultant
-    # chain and by the reduction of integer lists modulo a list; no
-    # MultiPoly is divided by another
+    # exact._uni_gcd is the only univariate gcd, and it holds both routes:
+    # the packed one (the integer gcd of the values at 2^K, read by the
+    # signed digit reader, up to its digit bound) and Brown's modular one
+    # with its prime sequence and its gcd modulo p, each candidate checked
+    # by the one trial division; the other gcds are the public one-variable
+    # adapters onto it, and one remainder sequence is left: the
+    # pseudo-remainder of integer lists, read by the subresultant chain and
+    # by the reduction of integer lists modulo a list; no MultiPoly is
+    # divided by another
     gcds = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
                   for name in _functions(path) if "gcd" in name)
     assert gcds == ["exact.py: _gcd_mod", "exact.py: _gcd_primes", "exact.py: _uni_gcd",
@@ -128,7 +131,23 @@ def test_one_univariate_gcd():
     assert {"exact.py: poly_gcd", "exact.py: squarefree_part"} <= set(_readers("_uni_gcd"))
     body = {n.id for n in ast.walk(_functions(SOURCE / "exact.py")["_uni_gcd"])
             if isinstance(n, ast.Name)}
-    assert {"_gcd_primes", "_gcd_mod", "_try_uni_quo"} <= body
+    assert {"_gcd_primes", "_gcd_mod", "_try_uni_quo", "_digits", "_at",
+            "_GCD_DIGIT_BITS"} <= body
+    assert "math.gcd" in _callees(_functions(SOURCE / "exact.py")["_uni_gcd"])
+
+
+def test_cofactors_come_with_the_gcd():
+    # _uni_gcd returns the quotients of its operands by the gcd, which its
+    # certificate computed, so no function divides by a gcd it has just
+    # taken: the trial division is read by _uni_gcd alone, and the
+    # quotient that raised on a remainder is gone
+    defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
+    assert "_uni_quo" not in defined
+    assert _readers("_try_uni_quo") == ["exact.py: _uni_gcd"]
+    takers = set(_readers("_uni_gcd")) - {"exact.py: _uni_gcd"}
+    assert {"elimination.py: _pair_frame_count", "elimination.py: _sqfree_part",
+            "exact.py: squarefree_part"} <= takers
+    assert not takers & (set(_readers("_uni_quo")) | set(_readers("_try_uni_quo")))
 
 
 def test_one_witness_walk_one_polar_builder_no_line_schedule():
@@ -411,12 +430,15 @@ def test_one_subresultant_chain():
 def test_one_digit_reader():
     # a small frame reads every s_{k,j} off one chain at x = 2^K through the
     # one signed digit reader, exact._digits, beside _interpolate, and the
-    # packed bound that picks that chain over the sweep is read there alone
+    # packed bound that picks that chain over the sweep is read there alone;
+    # the gcd reads its packed candidate through the same reader, and its
+    # own bound on K is read by the gcd alone
     readers = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
                      for name in _functions(path) if "digit" in name)
     assert readers == ["exact.py: _digits"]
-    assert _readers("_digits") == ["elimination.py: coefficient"]
+    assert _readers("_digits") == ["elimination.py: coefficient", "exact.py: _uni_gcd"]
     assert _readers("_PACKED_BITS") == ["elimination.py: __init__"]
+    assert _readers("_GCD_DIGIT_BITS") == ["exact.py: _uni_gcd"]
 
 
 def _int_constants(path: Path) -> dict:
@@ -496,7 +518,7 @@ def test_one_list_evaluation():
     assert _readers("_at") == ["dualgeom.py: _dual_in_chart", "elimination.py: _accepted_frame",
                                "elimination.py: _root_candidates",
                                "elimination.py: coefficient", "elimination.py: point",
-                               "elimination.py: rational_roots"]
+                               "elimination.py: rational_roots", "exact.py: _uni_gcd"]
     tree = _tree(SOURCE / "dualgeom.py")
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "_at"]
