@@ -8,11 +8,14 @@ with coordinates (u, v, w), w != 0, meets the curve where the binary form
 
 vanishes, so the lines meeting C with a repeated contact are cut out by the
 discriminant of phi(x, 1) in x, a form of degree 2d(d-1) in (u, v, w).  It
-is computed on the chart w = 1, with two free variables, from its values
-on the triangle u + v <= d(d-1) (`_dual_in_chart`, one discriminant of an
-integer list per point, read from its subresultant chain), and
-homogenised back.  It also picks up extraneous components with known
-provenance, which are stripped in a fixed order:
+is computed on the chart w = 1, with two free variables, and homogenised
+back (`_dual_in_chart`).  A small chart takes one discriminant of an
+integer list, at the Kronecker point u = 2^(K(D+1)), v = 2^K, D = d(d-1),
+and reads its coefficients off as signed base-2^K digits, K past a bound
+on their size; a larger one takes one discriminant per point of the
+triangle u + v <= D and interpolates.  Each discriminant is read from a
+subresultant chain.  The discriminant also picks up extraneous components
+with known provenance, which are stripped in a fixed order:
 
     1. the lines through the chart's centre of projection, w = 0, to the
        power 2d(d-1) minus the degree of the chart discriminant, which is
@@ -71,8 +74,10 @@ from .exact import (  # WITNESS_SEQUENCE is re-exported for callers
     SYLVESTER_LIMIT,
     WITNESS_SEQUENCE,
     MultiPoly,
+    _PACKED_BITS,
     _at,
     _differences,
+    _digits,
     _expand,
     _from_differences,
     _integer_terms,
@@ -148,18 +153,47 @@ def _dual_in_chart(F: MultiPoly) -> MultiPoly:
     lc(psi) vanishes identically, and Delta = c^2 disc_x psi, c the
     coefficient of x^(d-1), as Disc(y*g) = c^2 Disc(g).
 
-    So Delta is fixed by its values on the triangle u, v >= 0, u + v <= D.
-    psi's integer terms are F's, expanded once by `exact._expand`.  At each
-    point its d+1 coefficient polynomials give an integer list, and Delta
-    there is the list's discriminant as a binary form of degree d
-    (`exact._uni_discriminant`): read from the subresultant chain, and
-    where lc(psi) vanishes, from the chain of the list without its roots
-    at infinity.  Newton's form on the triangle,
+    psi's integer terms are F's, expanded once by `exact._expand`, and
+    Delta is read from them on one of two routes; either gives the same
+    `MultiPoly`.
+
+    A small chart reads all of Delta from one discriminant, at the
+    Kronecker point u = 2^(K(D+1)), v = 2^K: psi's coefficients are
+    evaluated there, c u^a v^b giving c 2^(K(a(D+1) + b)), and the
+    discriminant of those d+1 integers as a binary form of degree d
+    (`exact._uni_discriminant`; the last is 0 exactly when lc(psi) is) is
+    Delta's value there, as the discriminant is an integer polynomial in
+    the coefficients.  Delta has total degree at most D, so its signed
+    base-2^K digits (`exact._digits`) are its coefficients, digit n that
+    of u^i v^k for (i, k) = divmod(n, D+1), once every coefficient is below
+    2^(K-1) in absolute value.  That holds for K = bitlen((d |psi|)^(2d-2))
+    + 1, |.| the sum of the absolute values of all integer coefficients.
+    The partials of the binary form f = y^d psi(x/y) are binary forms of
+    degree d-1 with |f_x|, |f_y| <= d |psi|, and Res(f_x, f_y) =
+    (-1)^(d(d-1)/2) d^(d-2) Disc(f) for every binary form of degree d, its
+    leading coefficient zero or not (checked against SymPy's Sylvester
+    determinant for d = 2..6 in the tests).  |.| is submultiplicative over
+    Z[u, v], so the permanent of the 2d-2 rows of the Sylvester matrix
+    bounds |Disc(f)| <= |Res(f_x, f_y)| by the product of the row sums,
+    |f_x|^(d-1) |f_y|^(d-1) <= (d |psi|)^(2d-2) < 2^(K-1).
+
+    That discriminant runs on integers of up to K(D+1)^2 bits, and a larger
+    chart takes the triangle u, v >= 0, u + v <= D, whose values fix
+    Delta.  At each point psi's d+1 coefficient polynomials give an integer
+    list, and Delta there is the list's discriminant, read from the
+    subresultant chain, and where lc(psi) vanishes, from the chain of the
+    list without its roots at infinity.  Newton's form on the triangle,
     sum_{i+j<=D} Delta_u^i Delta_v^j Delta(0, 0) C(u, i) C(v, j), reads
     only those values: forward differences in v along each row give
     g_j(u) = Delta_v^j Delta(u, 0), of degree at most D - j, which
     `_interpolate` rebuilds from u = 0..D-j; the coefficient of u^i is
-    then a polynomial in v given by its forward differences.
+    then a polynomial in v given by its forward differences.  The packed
+    route wins on small charts and loses on large ones (the table at
+    `exact._PACKED_BITS`), so charts up to its 8192 bits take it, as
+    frames do: every chart of the shipped corpus and of the Fermat, Klein,
+    trinodal and tricuspidal quartics (5,746-6,929 bits).  Every curve of
+    degree 5 or more takes the triangle: |psi| >= 1, so the packed size is
+    at least (bitlen(d^(2d-2)) + 1)(D+1)^2, 8,820 bits at d = 5.
     """
     dst = dual_ring(F.variables)
     d = F.total_degree()
@@ -167,21 +201,30 @@ def _dual_in_chart(F: MultiPoly) -> MultiPoly:
     den, terms = _integer_terms(F)
     # psi's integer terms (i, a, b): c x^i u^a v^b, for x, y, z -> x, 1, -(u*x + v)
     psi = _expand(terms, [{(1, 0, 0): 1}, {(0, 0, 0): 1}, {(1, 1, 0): -1, (0, 0, 1): -1}], 3)
-    parts = [[] for _ in range(d + 1)]    # per power of x: its terms (a, b, c), c u^a v^b
-    for (i, a, b), c in psi.items():
-        parts[i].append((a, b, c))
-    heads = []                            # per u: the forward differences in v of Delta(u, v)
-    for u in range(D + 1):
-        in_v = [[0] * (d + 1) for _ in range(d + 1)]   # psi's coefficients at u, as lists in v
-        for cs, part in zip(in_v, parts):
-            for a, b, c in part:
-                cs[b] += c * u ** a
-        heads.append(_differences([_uni_discriminant([_at(c, v) for c in in_v])
-                                   for v in range(D + 1 - u)]))
-    along_u = [_interpolate([row[j] for row in heads[:D + 1 - j]]) for j in range(D + 1)]
     scale = den ** (2 * d - 2)
-    coeffs = {(i, k): Fraction(c, scale) for i in range(D + 1)
-              for k, c in enumerate(_from_differences([g[i] for g in along_u[:D + 1 - i]])) if c}
+    K = ((d * sum(map(abs, psi.values()))) ** (2 * d - 2)).bit_length() + 1
+    if K * (D + 1) ** 2 <= _PACKED_BITS:
+        packed = [0] * (d + 1)            # psi's coefficients at u = 2^(K(D+1)), v = 2^K
+        for (i, a, b), c in psi.items():
+            packed[i] += c << K * (a * (D + 1) + b)
+        coeffs = {divmod(n, D + 1): Fraction(c, scale)
+                  for n, c in enumerate(_digits(_uni_discriminant(packed), K)) if c}
+    else:
+        parts = [[] for _ in range(d + 1)]    # per power of x: its terms (a, b, c), c u^a v^b
+        for (i, a, b), c in psi.items():
+            parts[i].append((a, b, c))
+        heads = []                            # per u: the forward differences in v of Delta(u, v)
+        for u in range(D + 1):
+            in_v = [[0] * (d + 1) for _ in range(d + 1)]   # psi's coefficients at u, as lists in v
+            for cs, part in zip(in_v, parts):
+                for a, b, c in part:
+                    cs[b] += c * u ** a
+            heads.append(_differences([_uni_discriminant([_at(c, v) for c in in_v])
+                                       for v in range(D + 1 - u)]))
+        along_u = [_interpolate([row[j] for row in heads[:D + 1 - j]]) for j in range(D + 1)]
+        coeffs = {(i, k): Fraction(c, scale) for i in range(D + 1)
+                  for k, c in enumerate(_from_differences([g[i] for g in along_u[:D + 1 - i]]))
+                  if c}
     # restore w to the chart discriminant's own degree: the discriminant is a
     # form of degree 2d(d-1), so the rest of that degree is a power of w
     top = max((i + k for i, k in coeffs), default=0)

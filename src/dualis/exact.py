@@ -860,7 +860,24 @@ def _interpolate(values: list) -> list:
 
 
 #: the largest packed size, in bits, of a frame's eliminant that is read
-#: from one chain at x = 2^K rather than from a sweep (`_Frame.coefficient`)
+#: from one chain at x = 2^K rather than from a sweep
+#: (`elimination._Frame.coefficient`), and of a dual's chart discriminant
+#: that is read from one discriminant at u = 2^(K(D+1)), v = 2^K rather
+#: than from the triangle (`dualgeom._dual_in_chart`).  The chart's
+#: crossover, on dense forms of degree d with coefficients of h bits, min
+#: of 5-9 runs in one process (Python 3.11, a shared two-core Xeon),
+#: triangle -> packed:
+#:
+#:   d  h    bits    ms              d  h    bits    ms
+#:   2  64   1,233   0.157 -> 0.080  3  32   7,350   0.668 -> 0.655
+#:   2  200  3,681   0.149 -> 0.125  3  48  10,535   0.695 -> 1.131
+#:   2  300  5,472   0.160 -> 0.168  4  1    8,788   2.308 -> 1.934
+#:   2  440  7,992   0.168 -> 0.261  4  2    9,633   2.245 -> 2.129
+#:   3  1    1,323   0.569 -> 0.172  4  4   10,816   2.303 -> 2.513
+#:   3  16   4,263   0.623 -> 0.345  5  1   34,839   7.530 -> 29.69
+#:
+#: and the Fermat quartic's chart, at 6,591 bits, 1.83 -> 0.63 ms.  Conics
+#: cross over near 5,000 bits, at a loss of at most 0.1 ms a chart.
 _PACKED_BITS = 8192
 
 

@@ -930,6 +930,23 @@ class TestModuleEntryPoint:
         assert done.stdout.strip() == b"56"
 
     @pytest.mark.timed
+    def test_octic_dual_in_time(self, monkeypatch, capsys):
+        # the octic's chart packs into about 500,000 bits, far past
+        # exact._PACKED_BITS, so it takes the triangle: one discriminant per
+        # point of u + v <= 56 and no digits read
+        lists, read = [], []
+        disc, digits = dualgeom._uni_discriminant, dualgeom._digits
+        monkeypatch.setattr(dualgeom, "_uni_discriminant", lambda cs: lists.append(cs) or disc(cs))
+        monkeypatch.setattr(dualgeom, "_digits", lambda n, k: read.append(k) or digits(n, k))
+        start = time.perf_counter()
+        code = run_command(["curve", "dual", "--poly", self.OCTIC, "--max-degree", "8",
+                            "--format", "json"])
+        assert time.perf_counter() - start < self.FORMER_HANG_S
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["degree"] == 56
+        assert len(lists) == 57 * 58 // 2 and read == []
+
+    @pytest.mark.timed
     @pytest.mark.parametrize("poly", [
         "x^" + "9" * 4400 + " + y^2*z",     # int() refuses more than 4300 digits
         "9" * 5000 + "/0*x^2 + y^2*z",

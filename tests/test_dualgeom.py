@@ -1,5 +1,6 @@
 """Dual curves against independent oracles: quadric inversion, Gauss maps, polars."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -31,7 +32,7 @@ from dualis.errors import (
     NonGenericWitness,
     WitnessOnCurve,
 )
-from dualis.exact import MultiPoly, UniPolyView, discriminant, parse_poly
+from dualis.exact import MultiPoly, UniPolyView, _uni_discriminant, discriminant, parse_poly
 from references import _from_sympy, sympy_expr, sympy_polar
 
 CONIC = "y^2 - x*z"
@@ -184,13 +185,25 @@ def _seeded_chart_forms():
 LC_VANISHES = "x^3 - x*z^2 - y^2*z"
 
 
+@pytest.fixture
+def triangle_route(monkeypatch):
+    """dualgeom._dual_in_chart with no packed size allowed, so that the
+    chart takes the triangle: a function of F, beside the served route."""
+    def chart(F):
+        with monkeypatch.context() as patch:
+            patch.setattr(dualgeom, "_PACKED_BITS", 0)
+            return dualgeom._dual_in_chart(F)
+    return chart
+
+
 class TestTriangleDiscriminant:
-    """dualgeom._dual_in_chart, by the subresultant chain on the triangle
-    u + v <= d(d-1), against SymPy's discriminant of the chart form."""
+    """dualgeom._dual_in_chart, by the subresultant chain at the Kronecker
+    point and on the triangle u + v <= d(d-1), against SymPy's
+    discriminant of the chart form."""
 
     @pytest.mark.parametrize("text", _seeded_chart_forms(),
                              ids=lambda text: f"degree{parse_poly(text, PRIMAL_VARS).total_degree()}")
-    def test_against_sympy(self, text, monkeypatch):
+    def test_against_sympy(self, text, monkeypatch, triangle_route):
         sympy = pytest.importorskip("sympy")
         lists, abnormal = [], []
         disc, chain = dualgeom._uni_discriminant, exact._subresultant_chain
@@ -208,15 +221,23 @@ class TestTriangleDiscriminant:
         want = sympy.Poly(sympy.discriminant(expr, symbols[0]), *symbols[1:3])
         F = parse_poly(text, PRIMAL_VARS)
         d = F.total_degree()
-        if all(e[1] for e in F.terms):
+        y_divides = all(e[1] for e in F.terms)
+        if y_divides:
             # F = y*g: psi has degree d - 1 in x, and Disc(y*g) = c_{d-1}^2 Disc(g)
             c = sympy.Poly(expr, symbols[0]).coeff_monomial(symbols[0] ** (d - 1))
             want = sympy.Poly(c ** 2 * want.as_expr(), *symbols[1:3])
         top = want.total_degree()
-        got = dualgeom._dual_in_chart(F)
-        assert 0 < top <= d * (d - 1)
-        assert got == MultiPoly(DUAL_VARS, {
+        want = MultiPoly(DUAL_VARS, {
             (a, b, top - a - b): Fraction(int(c.p), int(c.q)) for (a, b), c in want.terms()})
+        assert 0 < top <= d * (d - 1)
+        # packed, with every size allowed: one list, whose last entry, lc(psi)
+        # at the Kronecker point, is 0 exactly when lc(psi) is
+        monkeypatch.setattr(dualgeom, "_PACKED_BITS", math.inf)
+        assert dualgeom._dual_in_chart(F) == want
+        assert len(lists) == 1 and (lists[0][-1] == 0) == y_divides
+        lists.clear()
+        abnormal.clear()
+        assert triangle_route(F) == want
         # one list per triangle point; psi has a root at infinity on the rows
         # u where lc(psi) = sum over the y-free terms of c (-u)^(z-exponent)
         # vanishes, and nowhere else
@@ -226,10 +247,75 @@ class TestTriangleDiscriminant:
         assert len([cs for cs in lists if not cs[-1]]) == sum(d * (d - 1) + 1 - u for u in rows)
         if text == LC_VANISHES:
             assert rows == [1]
-        if all(e[1] for e in F.terms):
+        if y_divides:
             assert all(cs[-1] == 0 for cs in lists)
         if text == "x^4 + y^4 + z^4":
             assert any(abnormal)  # psi = (1 + u^4) x^4 + 1 at v = 0 drops degrees
+
+
+def _sylvester_resultant(p, q):
+    """SymPy's determinant of the Sylvester matrix of the integer lists p
+    and q read at their formal degrees, rows of p first, each row from the
+    highest coefficient down."""
+    sympy = pytest.importorskip("sympy")
+    m, n = len(p) - 1, len(q) - 1
+    rows = [[0] * i + p[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + q[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    return int(sympy.Matrix(rows).det())
+
+
+def _packed_size(F):
+    """(K, K (D+1)^2) of the chart of F, from SymPy's chart form: K =
+    bitlen((d |psi|)^(2d-2)) + 1, |psi| the sum of its absolute integer
+    coefficients."""
+    d = F.total_degree()
+    norm = int(sum(abs(c) for c in _chart_form(F.text()).terms.values()))
+    K = ((d * norm) ** (2 * d - 2)).bit_length() + 1
+    return K, K * (d * (d - 1) + 1) ** 2
+
+
+class TestPackedChartBound:
+    """The bound that lets one discriminant at u = 2^(K(D+1)), v = 2^K
+    stand for the chart discriminant: Res(f_x, f_y) = (-1)^(d(d-1)/2)
+    d^(d-2) Disc(f) for binary forms f of degree d, so every coefficient of
+    Delta is below (d |psi|)^(2d-2) < 2^(K-1)."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_resultant_of_the_partials(self, d):
+        rng = random.Random(300 + d)
+        for n in range(12):
+            cs = [rng.randint(-9, 9) for _ in range(d + 1)]
+            if n % 3 == 0:
+                cs[-1] = 0  # a root at infinity; twice over where c_{d-1} = 0 too
+            fx = [i * c for i, c in enumerate(cs)][1:]
+            fy = [(d - i) * c for i, c in enumerate(cs)][:-1]
+            want = (-1) ** (d * (d - 1) // 2) * d ** (d - 2) * _uni_discriminant(cs)
+            assert _sylvester_resultant(fx, fy) == want, cs
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_forms_just_under_the_packed_bound(self, d, monkeypatch, triangle_route):
+        # seeded forms with coefficients up to 2^h, h up to about the height
+        # at which charts of degree d pass exact._PACKED_BITS, kept when
+        # their packed size lies in the last eighth below it
+        rng = random.Random(70 + d)
+        monomials = [e for e in product(range(d + 1), repeat=3) if sum(e) == d]
+        read = []
+        digits = dualgeom._digits
+        monkeypatch.setattr(dualgeom, "_digits", lambda n, k: read.append(k) or digits(n, k))
+        kept = 0
+        while kept < 3:
+            height = 2 ** rng.randint(0, {2: 450, 3: 40, 4: 4}[d])
+            support = rng.sample(monomials, rng.randint(2, len(monomials)))
+            F = MultiPoly(PRIMAL_VARS, {e: rng.randint(-height, height) or 1 for e in support})
+            K, size = _packed_size(F)
+            if not exact._PACKED_BITS * 7 // 8 < size <= exact._PACKED_BITS:
+                continue
+            read.clear()
+            got = dualgeom._dual_in_chart(F)
+            assert read == [K]
+            assert got == triangle_route(F) and read == [K]   # the triangle reads no digits
+            assert all(c.denominator == 1 and abs(c) < 2 ** (K - 1) for c in got.terms.values())
+            kept += 1
 
 
 class TestDualEquation:

@@ -428,16 +428,19 @@ def test_one_subresultant_chain():
 
 
 def test_one_digit_reader():
-    # a small frame reads every s_{k,j} off one chain at x = 2^K through the
-    # one signed digit reader, exact._digits, beside _interpolate, and the
-    # packed bound that picks that chain over the sweep is read there alone;
-    # the gcd reads its packed candidate through the same reader, and its
-    # own bound on K is read by the gcd alone
+    # a small frame reads every s_{k,j} off one chain at x = 2^K, and a
+    # small chart its discriminant off one value at u = 2^(K(D+1)),
+    # v = 2^K, through the one signed digit reader, exact._digits, beside
+    # _interpolate, and the packed bound that picks them over the sweep and
+    # the triangle is read there alone; the gcd reads its packed candidate
+    # through the same reader, and its own bound on K is read by the gcd
+    # alone
     readers = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
                      for name in _functions(path) if "digit" in name)
     assert readers == ["exact.py: _digits"]
-    assert _readers("_digits") == ["elimination.py: coefficient", "exact.py: _uni_gcd"]
-    assert _readers("_PACKED_BITS") == ["elimination.py: __init__"]
+    assert _readers("_digits") == ["dualgeom.py: _dual_in_chart", "elimination.py: coefficient",
+                                   "exact.py: _uni_gcd"]
+    assert _readers("_PACKED_BITS") == ["dualgeom.py: _dual_in_chart", "elimination.py: __init__"]
     assert _readers("_GCD_DIGIT_BITS") == ["exact.py: _uni_gcd"]
 
 
