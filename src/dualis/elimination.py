@@ -42,14 +42,15 @@ composed with x-shears) and only reports a number it can certify:
 The frame search runs on integers alone.  Each form enters it once, as
 integer terms ({exponents: int}, `exact._integer_terms`), and every base
 and every x-shear is an integer coordinate change of those terms
-(`_moved`, through the one expansion `exact._expand`).  A pair of F and
+(`_moved`: one value of the terms at a packed point, read back as signed
+digits by `exact._digits`, as the frame's chain is).  A pair of F and
 the polar P_w of a point moves F alone: every base and shear M has
 determinant +-1, so M^-1 w is an integer point and
 P_w(F)(M v) = P_{M^-1 w}(F(M v)); each frame takes the polar of its moved
 F there (`polar`).  One helper moves a pair's second member, a form or a
 point, and gives the second form after the move (`_second_moved`), for a
-base, a shear and a hint alike, so F is expanded once per base and once
-per shear, and never for a hinted frame, which holds F's terms.  A frame
+base, a shear and a hint alike, so F is moved once per base and once per
+shear, and never for a hinted frame, which holds F's terms.  A frame
 holds the pair as integer y-columns, one list in x per power of y, of the
 moved terms at z = 1 (`_chart_columns`).  The y-leading coefficients
 are constants, so the subresultant chain (`exact._subresultant_chain`) of
@@ -92,6 +93,7 @@ be certified the routine raises.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
@@ -113,7 +115,6 @@ from .exact import (
     _PACKED_BITS,
     _derivative,
     _digits,
-    _expand,
     _integer_terms,
     _interpolate,
     _is_prime,
@@ -145,19 +146,48 @@ _IDENT: Matrix = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _moved(terms: dict, m: Matrix) -> dict:
-    """The integer terms of F(M v), for the integer terms of a ternary F
-    (`_integer_terms`) and an integer matrix M: variable i goes to row i of
-    M, as integer terms over the unit exponents, the rows of the identity.
-    The identity returns the terms themselves, which no caller changes."""
+    """The integer terms of G(v) = F(M v), for the integer terms of a
+    ternary form F of degree d (`_integer_terms`) and an integer matrix M:
+    variable i goes to row i of M.  The identity returns the terms
+    themselves, which no caller changes.
+
+    G is read from one value: F's terms at M (X, Y, 1), X = 2^(K(d+1)) and
+    Y = 2^K (`exact._value`), are G(X, Y, 1), whose signed base-2^K digits
+    (`exact._digits`) are G's coefficients, digit n that of x^i y^j
+    z^(d-i-j) for (i, j) = divmod(n, d+1).  That is exact: with |.| the sum
+    of the absolute values of the coefficients, which is submultiplicative,
+    the term c_e prod_i row_i(v)^(e_i) has |.| at most |c_e| r^d, r =
+    max_i |row_i|, so every coefficient of G is at most |F| r^d < 2^(K-1)
+    in absolute value for K = bitlen(|F| r^d) + 1, and j <= d keeps the
+    digits of distinct terms apart.
+
+    >>> _moved({(2, 0, 0): 1, (0, 1, 1): -1}, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+    {(0, 1, 1): -1, (0, 2, 0): 1, (1, 1, 0): 2, (2, 0, 0): 1}
+    """
     if m == _IDENT:
         return terms
-    return _expand(terms, [{u: c for u, c in zip(_IDENT, row) if c} for row in m], 3)
+    d = sum(next(iter(terms)))
+    r = max(sum(map(abs, row)) for row in m)
+    k = (sum(map(abs, terms.values())) * r ** d).bit_length() + 1
+    x, y = 1 << k * (d + 1), 1 << k
+    point = [row[0] * x + row[1] * y + row[2] for row in m]
+    moved = {}
+    for n, c in enumerate(_digits(_value(terms, point), k)):
+        if c:
+            i, j = divmod(n, d + 1)
+            moved[i, j, d - i - j] = c
+    return moved
 
 
 def apply_matrix(poly: MultiPoly, m: Matrix) -> MultiPoly:
-    """Coordinate change: returns G with G(v) = F(M v)."""
+    """Coordinate change: returns G with G(v) = F(M v), for F in three
+    variables; each homogeneous part of F moves on its own (`_moved`)."""
     den, terms = _integer_terms(poly)
-    return MultiPoly(poly.variables, {e: Fraction(c, den) for e, c in _moved(terms, m).items()})
+    parts: dict = {}
+    for e, c in terms.items():
+        parts.setdefault(sum(e), {})[e] = c
+    return MultiPoly(poly.variables, {e: Fraction(c, den) for part in parts.values()
+                                      for e, c in _moved(part, m).items()})
 
 
 def _shear(t: int) -> Matrix:
@@ -530,7 +560,7 @@ def _second_moved(second, m: Matrix, Fm: dict) -> tuple:
     moved integer terms, as both, or, for the point w of the first form's
     polar, the integer point m^-1 w and the polar of Fm there (see
     `_accepted_frame`)."""
-    if isinstance(second, dict):
+    if isinstance(second, Mapping):
         moved = _moved(second, m)
         return moved, moved
     u = _preimage(m, second)

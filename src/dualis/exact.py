@@ -22,9 +22,12 @@ The module's own results, clean by construction, are stored through the
 private ``MultiPoly._trusted`` without a second pass; so is `parse_poly`'s,
 which reads the text in one pass of one token rule (`_TOKEN`, whose named
 group gives a token's kind) and shares its number literal with
-`parse_rational`.  Every change of coordinates and the dual's chart run
-through one integer expansion, `_expand`, which `elimination` and
-`dualgeom` call on integer terms.
+`parse_rational`.  A polynomial's integer terms are computed once and kept
+on it (`_integer_terms`).  The dual's chart runs through one integer
+expansion, `_expand`, which `dualgeom` calls on integer terms; a change of
+coordinates (`elimination._moved`) and a form along a line (`_restriction`)
+are each one value of the integer terms at a packed integer point
+(`_value`), read back as signed base-2^K digits (`_digits`).
 
 On top of the polynomial ring the module provides the elimination kernel,
 on integer lists: every eliminant is read from one subresultant chain
@@ -179,9 +182,14 @@ def _grad_lex_key(exps: Exponents):
 
 def _integer_terms(poly: "MultiPoly") -> tuple:
     """(den, {exponents: int}): the coefficients of poly times the least
-    common denominator den of all of them."""
-    den = math.lcm(*(c.denominator for c in poly.terms.values()))
-    return den, {e: c.numerator * (den // c.denominator) for e, c in poly.terms.items()}
+    common denominator den of all of them.  They are computed once per
+    polynomial and kept in its ``_integer`` slot, which nothing else writes,
+    so every caller shares one dict and only reads it."""
+    if poly._integer is None:
+        den = math.lcm(*(c.denominator for c in poly.terms.values()))
+        object.__setattr__(poly, "_integer", (den, {
+            e: c.numerator * (den // c.denominator) for e, c in poly.terms.items()}))
+    return poly._integer
 
 
 def _add_product(acc: dict, a: dict, b: dict) -> dict:
@@ -197,10 +205,9 @@ def _add_product(acc: dict, a: dict, b: dict) -> dict:
 def _expand(terms: dict, images: Sequence[dict], width: int) -> dict:
     """The integer terms of sum_e c_e prod_i images[i]^e_i, zeros dropped,
     for integer polynomials ({exponents: int}) whose images live in a ring
-    of ``width`` variables: the one expansion behind every change of
-    coordinates and the dual's chart.  Each image's powers are built once,
-    up to the largest exponent used, and every term is expanded into one
-    accumulator.
+    of ``width`` variables: the one expansion behind the dual's chart.  Each
+    image's powers are built once, up to the largest exponent used, and
+    every term is expanded into one accumulator.
     """
     one = {(0,) * width: 1}
     powers = []   # per image: its powers 0..top
@@ -239,7 +246,7 @@ class MultiPoly:
     polynomials, so values are safe to share between threads.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_integer")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Fraction]):
         variables = tuple(variables)
@@ -259,6 +266,7 @@ class MultiPoly:
                 clean[exps] = coeff
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_integer", None)  # filled by `_integer_terms` alone
 
     @classmethod
     def _trusted(cls, variables: tuple, terms: dict) -> "MultiPoly":
@@ -269,6 +277,7 @@ class MultiPoly:
         poly = object.__new__(cls)
         object.__setattr__(poly, "variables", variables)
         object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "_integer", None)
         return poly
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -1148,17 +1157,24 @@ def _restriction(terms: dict, p: Sequence[int], q: Sequence[int]) -> list:
     nonzero ternary form F of degree d (`_integer_terms(F)[1]`) and integer
     points p and q.
 
-    The one evaluation of a form along a line, at s = 0..d over the
-    integers, interpolated.  The list is not trimmed: entry d, the scaled
-    F(p), is zero exactly when p lies on the curve.
+    The one evaluation of a form along a line: F's terms at the one point
+    S*p + q, S = 2^K (`_value`), read as signed base-2^K digits (`_digits`).
+    That is exact: with |.| the sum of the absolute values of the
+    coefficients, which is submultiplicative, each term c_e prod_i
+    (p_i s + q_i)^(e_i) has |.| at most |c_e| r^d, r = max_i (|p_i| + |q_i|),
+    so every c_k is at most |F| r^d < 2^(K-1) in absolute value for
+    K = bitlen(|F| r^d) + 1.  The list is padded to length d + 1 and not
+    trimmed: entry d, the scaled F(p), is zero exactly when p lies on the
+    curve.
+
+    >>> _restriction({(2, 0, 0): 1, (0, 1, 1): -1}, (1, 1, 1), (0, 0, 1))
+    [0, -1, 0]
     """
     d = sum(next(iter(terms)))
-    values = []
-    for s in range(d + 1):
-        point = [s * pc + qc for pc, qc in zip(p, q)]
-        x, y, z = ([r ** m for m in range(d + 1)] for r in point)
-        values.append(sum(c * x[e[0]] * y[e[1]] * z[e[2]] for e, c in terms.items()))
-    return _interpolate(values)
+    r = max(abs(a) + abs(b) for a, b in zip(p, q))
+    k = (sum(map(abs, terms.values())) * r ** d).bit_length() + 1
+    cs = _digits(_value(terms, [(a << k) + b for a, b in zip(p, q)]), k)
+    return cs + [0] * (d + 1 - len(cs))
 
 
 def _on_pencil(forms: Sequence[MultiPoly]):

@@ -8,7 +8,11 @@ specialise polynomials in several variables to one, and carry polynomials
 to SymPy and back.  The parser's reference is the two-pass parser that
 `exact.parse_poly` replaced, kept verbatim with its rational reader: it
 tokenizes, classifies each token again by pattern and builds through the
-public constructor.
+public constructor.  The references of a ternary form's coordinate change
+and of its restriction to a line are the kernels that `_moved` and
+`_restriction` replaced, kept verbatim: the expansion of the terms at the
+rows of the matrix (`exact._expand`), and the values at s = 0..d,
+interpolated (`exact._interpolate`).
 """
 
 import re
@@ -18,7 +22,9 @@ from typing import Sequence
 import pytest
 
 from dualis.errors import PolySyntaxError, UnknownVariableError
-from dualis.exact import EXPONENT_DIGITS, MultiPoly, _clipped
+from dualis.exact import EXPONENT_DIGITS, MultiPoly, _clipped, _expand, _interpolate
+
+_IDENT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def minor_matrix(a, b, k, j):
@@ -215,3 +221,31 @@ def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
                 expect_factor = False
         terms[tuple(exps)] = terms.get(tuple(exps), 0) + coeff
     return MultiPoly(variables, terms)
+
+
+def moved(terms: dict, m) -> dict:
+    """The integer terms of F(M v), for the integer terms of a ternary F
+    (`_integer_terms`) and an integer matrix M: variable i goes to row i of
+    M, as integer terms over the unit exponents, the rows of the identity.
+    The identity returns the terms themselves, which no caller changes."""
+    if m == _IDENT:
+        return terms
+    return _expand(terms, [{u: c for u, c in zip(_IDENT, row) if c} for row in m], 3)
+
+
+def restriction(terms: dict, p: Sequence[int], q: Sequence[int]) -> list:
+    """The integer list [c0..cd] of F(s*p + q), for the integer terms of a
+    nonzero ternary form F of degree d (`_integer_terms(F)[1]`) and integer
+    points p and q.
+
+    The one evaluation of a form along a line, at s = 0..d over the
+    integers, interpolated.  The list is not trimmed: entry d, the scaled
+    F(p), is zero exactly when p lies on the curve.
+    """
+    d = sum(next(iter(terms)))
+    values = []
+    for s in range(d + 1):
+        point = [s * pc + qc for pc, qc in zip(p, q)]
+        x, y, z = ([r ** m for m in range(d + 1)] for r in point)
+        values.append(sum(c * x[e[0]] * y[e[1]] * z[e[2]] for e, c in terms.items()))
+    return _interpolate(values)

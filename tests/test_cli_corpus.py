@@ -5,6 +5,7 @@ import math
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -513,9 +514,10 @@ class TestCli:
 
     def test_work_budget_of_one_corpus_run(self, monkeypatch):
         # a deterministic budget of one run of the shipped corpus: frames
-        # built and integer expansions (a form moved, a chart form
-        # expanded); a search that moved and tested every base and shear
-        # took 66 and 92, this one takes 45 and 56.  A base's restrictions
+        # built and integer expansions (a form moved by a matrix other than
+        # the identity, a chart form expanded); a search that moved and
+        # tested every base and shear took 66 and 92, this one takes 45 and
+        # 56 (45 moves and 11 charts).  A base's restrictions
         # to z = 0 are taken once, for its base test and its shears (47
         # each).  No MultiPoly is divided by another: exact has no such
         # division
@@ -533,9 +535,16 @@ class TestCli:
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, counted)
+        moved = elimination._moved
+
+        def counted_move(terms, m):
+            if m != elimination._IDENT:
+                counts["_moved"] = counts.get("_moved", 0) + 1
+            return moved(terms, m)
+        monkeypatch.setattr(elimination, "_moved", counted_move)
         run_corpus(REPO_CORPUS, include_timing=False)
         assert counts.get("_pair_frame_count", 0) <= 45
-        assert counts.get("_expand", 0) <= 56
+        assert counts.get("_moved", 0) + counts.get("_expand", 0) <= 56
         assert not hasattr(exact, "try_exact_div")
         assert counts["_infinity_restriction"] == counts["_base_usable"]
 
@@ -603,6 +612,64 @@ class TestMalformedInput:
                 if codes[-1] == 2:
                     assert captured.out == "" and captured.err.startswith("error: ")
         assert codes.count(0) > 50 and codes.count(2) > 1500
+
+    #: huge, negative, zero and malformed integers for the plucker classical
+    #: and chi leaves, each with the exit code it gets: a result with more
+    #: digits than Python prints (4300) is refused, and so is an argument
+    #: that int() does not read (4,400 digits among them)
+    HOSTILE_INTEGERS = [
+        (["plucker", "classical", "-d", str(10 ** 50)], 0),
+        (["plucker", "classical", "-d", str(10 ** 50), "--nodes", str(10 ** 99),
+          "--cusps", str(10 ** 98)], 0),
+        (["plucker", "classical", "-d", "3" * 4000], 2),
+        (["plucker", "classical", "-d", "7" * 4400], 2),
+        (["plucker", "classical", "-d", "-3"], 2),
+        (["plucker", "classical", "-d", "0"], 2),
+        (["plucker", "classical", "-d", "4", "--nodes", "-" + str(10 ** 50)], 2),
+        (["plucker", "classical", "-d", "4", "--cusps", "1e5"], 2),
+        (["chi", "std", "--kind", "pn", "-n", str(10 ** 50)], 0),
+        (["chi", "std", "--kind", "quadric", "-n", "9" * 4300], 2),
+        (["chi", "std", "--kind", "pn", "-n", "0"], 0),
+        (["chi", "std", "--kind", "grassmannian", "-n", str(10 ** 50), "-k", "2"], 2),
+        (["chi", "std", "--kind", "grassmannian", "-n", "6", "-k", "-" + "7" * 4400], 2),
+        (["chi", "std", "--kind", "pn", "-n", "0x10"], 2),
+        (["chi", "ci", "-n", str(10 ** 50), "--degrees", "3"], 2),
+        (["chi", "ci", "-n", "4", "--degrees", "2", "0"], 2),
+        (["chi", "ci", "-n", "4", "--degrees", "3.5"], 2),
+        (["chi", "ci", "-n", "40", "--degrees"] + ["1000"] * 39, 0),
+        (["chi", "package", "-n", "3", "-d", str(10 ** 50)], 2),
+        (["chi", "package", "-n", "-" + str(10 ** 50), "-d", "2"], 2),
+        (["chi", "package", "-n", "x", "-d", "2"], 2),
+    ]
+
+    def test_hostile_integers_on_plucker_and_chi(self, capsys):
+        # each probe, in both formats, exits with its code within a 2 s
+        # SIGALRM budget and without a traceback, and a refusal prints an
+        # error or a usage on stderr and nothing on stdout; the alarm raises
+        # a BaseException, which no handler of run_command turns into an
+        # exit code (a TimeoutError is an OSError, refused with exit 2)
+        class Overran(BaseException):
+            pass
+
+        def overran(signum, frame):
+            raise Overran("a hostile integer overran its budget")
+        previous = signal.signal(signal.SIGALRM, overran)
+        try:
+            for argv, want in self.HOSTILE_INTEGERS:
+                for fmt in ("text", "json"):
+                    signal.setitimer(signal.ITIMER_REAL, 2.0)
+                    code = run_command(argv + ["--format", fmt])
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                    captured = capsys.readouterr()
+                    shown = [arg[:12] for arg in argv]
+                    assert code == want and "Traceback" not in captured.err, (shown, fmt)
+                    if code == 2:
+                        assert captured.out == "" and captured.err.startswith(("error: ", "usage: "))
+                    else:
+                        assert captured.out and not captured.err
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_missing_file(self, tmp_path, capsys):
         self._refused(["plucker", "solve", "--file", str(tmp_path / "none.json")], capsys,

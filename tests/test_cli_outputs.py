@@ -10,11 +10,15 @@ import contextlib
 import io
 import json
 import re
+import runpy
+import sys
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
 
+from dualis import exact
 from dualis.cli import run_command
 
 DATA = Path(__file__).resolve().parent / "data" / "cli"
@@ -109,6 +113,43 @@ def test_every_leaf_command_is_pinned():
 @pytest.mark.parametrize("leaf", _leaf_commands())
 def test_help_lists_the_pinned_options(leaf, pinned):
     assert _options(leaf) == pinned["options"][leaf]
+
+
+def test_no_served_path_writes_cached_integer_terms(pinned, monkeypatch, tmp_path):
+    # a polynomial's integer terms are computed once and shared by every
+    # caller (exact._integer_terms), so no caller may change them: handed
+    # out as read-only views, they serve every pinned command in both
+    # formats, a run of the shipped corpus and the demos, with the same
+    # outputs
+    integer_terms = exact._integer_terms
+    handed = []
+
+    def read_only(poly):
+        den, terms = integer_terms(poly)
+        handed.append(poly)
+        return den, types.MappingProxyType(terms)
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dualis") and vars(module).get("_integer_terms") is integer_terms:
+            monkeypatch.setattr(module, "_integer_terms", read_only)
+            patched.add(name)
+    assert {"dualis.curvelab", "dualis.dualgeom", "dualis.elimination", "dualis.exact"} <= patched
+    for command in COMMANDS:
+        for fmt in FORMATS:
+            code, out = _run(_argv(command, fmt, tmp_path))
+            want = pinned["outputs"][f"{command} --format {fmt}"]
+            assert (code, out) == (want["code"], want["stdout"]), command
+    repo = Path(__file__).resolve().parent.parent
+    code, out = _run(["corpus", "run", str(repo / "corpus"), "--format", "json",
+                      "--no-timestamps"])
+    assert (code, out) == (0, (DATA.parent / "corpus_report.json").read_text())
+    demos = json.loads((DATA.parent / "demo_outputs.json").read_text())
+    for demo in sorted((repo / "demos").glob("*.py")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(demo), run_name="__main__")
+        assert out.getvalue() == demos[demo.name], demo.name
+    assert handed
 
 
 def test_package_file_matches_its_json_output(tmp_path):

@@ -567,16 +567,20 @@ class TestDualDegreeOracle:
     def test_repeated_oracle_expands_nothing(self, text, monkeypatch):
         # the check frame starts from the analysis frame's moved F and takes
         # its polar there, so a repeated oracle moves no form, and tests one
-        # base and one frame
+        # base and one frame; a move is a call of elimination._moved with a
+        # matrix other than the identity, which moves nothing
         from dualis import elimination
 
         c = curve(text)
         want = dual_degree_oracle(c)
         calls = []
-        expand = exact._expand
-        for module in (exact, elimination, dualgeom):
-            monkeypatch.setattr(module, "_expand",
-                                lambda *args: calls.append("_expand") or expand(*args))
+        moved = elimination._moved
+
+        def spy(terms, m):
+            if m != elimination._IDENT:
+                calls.append("_moved")
+            return moved(terms, m)
+        monkeypatch.setattr(elimination, "_moved", spy)
         for name in ("_base_usable", "_pair_frame_count"):
             step = getattr(elimination, name)
             monkeypatch.setattr(elimination, name,
@@ -585,7 +589,7 @@ class TestDualDegreeOracle:
         assert dual_degree_oracle(c) == want
         assert sorted(calls) == ["_base_usable", "_pair_frame_count"]
         # a fresh curve's analysis moves F, and the counter sees it
-        assert dual_degree_oracle(curve(text)) == want and "_expand" in calls
+        assert dual_degree_oracle(curve(text)) == want and "_moved" in calls
 
     def test_witness_given_as_fractions(self):
         assert dual_degree_oracle(curve(NODAL), witness=(Fraction(1, 2), 1, Fraction(5, 2))) == 4

@@ -32,10 +32,12 @@ from dualis.errors import (
 from dualis.exact import (
     MultiPoly,
     UniPolyView,
+    _add_product,
     _integer_terms,
     parse_poly,
     witnesses,
 )
+import references
 from references import (_from_sympy, chain as sympy_chain, det as sympy_det, minor_matrix,
                         specialised, sympy_expr, sympy_polar, sympy_resultant)
 
@@ -193,6 +195,118 @@ class TestMatrices:
             assert apply_matrix(F, elimination._IDENT) == F
 
 
+def _height_terms(rng, degree, bits):
+    """The integer terms of a seeded ternary form with coefficients of up to
+    about ``bits`` bits."""
+    return _integer_terms(_random_form(rng, degree, 1 << bits))[1]
+
+
+def _inverse(m):
+    """The integer inverse of a matrix of determinant +-1, column by column."""
+    return tuple(zip(*(elimination._preimage(m, unit) for unit in elimination._IDENT)))
+
+
+@pytest.fixture
+def digit_reads(monkeypatch):
+    """Every (K, digits) that elimination._digits reads, in order."""
+    reads = []
+    digits = elimination._digits
+    monkeypatch.setattr(elimination, "_digits",
+                        lambda n, k: reads.append((k, digits(n, k))) or reads[-1][1])
+    return reads
+
+
+class TestPackedCoordinateChange:
+    """elimination._moved, one value of a form's integer terms at
+    M (2^(K(d+1)), 2^K, 1) read as digits, against the expansion it
+    replaced (`references.moved`), with every read checked: the moved
+    form's coefficients lie below 2^(K-1), so each digit is exact."""
+
+    @staticmethod
+    def _check(terms, m, reads):
+        want = references.moved(terms, m)
+        reads.clear()
+        got = elimination._moved(terms, m)
+        assert got == want, (terms, m)
+        assert all(type(c) is int and c for c in got.values())
+        if m != elimination._IDENT:
+            ((k, digits),) = reads
+            assert all(abs(c) < 1 << (k - 1) for c in want.values())
+            placed = [0] * len(digits)  # digit i(d+1) + j holds x^i y^j z^(d-i-j)
+            for (i, j, l), c in want.items():
+                placed[i * (i + j + l + 1) + j] = c
+            assert digits == placed
+        return got
+
+    def test_bases_shears_and_hints(self, digit_reads):
+        # every base with shears 0..12, the hint's composed matrix, and the
+        # frame search's shear of a base-moved form by t - t0
+        rng = random.Random(43)
+        for degree in (1, 2, 3, 4):
+            terms = _height_terms(rng, degree, 8)
+            for base in elimination._BASES:
+                Fb = self._check(terms, base, digit_reads)
+                for t in range(13):
+                    self._check(terms, mat_mul(base, elimination._shear(t)), digit_reads)
+                    self._check(Fb, elimination._shear(t - rng.randint(0, 12)), digit_reads)
+
+    def test_classification_matrices(self, digit_reads):
+        # classify_singularity's matrices, the identity with column k
+        # replaced by a point, with zero and negative entries
+        rng = random.Random(47)
+        points = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-3, 0, 2), (5, -7, 0), (0, -1, -1),
+                  (2, 3, -5), (-1, -1, -1), (0, 1000, -999)]
+        for degree in (2, 3, 4, 5):
+            terms = _height_terms(rng, degree, 16)
+            for point in points:
+                k = next(n for n, c in enumerate(point) if c)
+                m = tuple(tuple(point[r] if col == k else int(r == col) for col in range(3))
+                          for r in range(3))
+                self._check(terms, m, digit_reads)
+
+    def test_degrees_and_heights(self, digit_reads):
+        # degrees 1-8 at 1-2,000 bits, under seeded matrices with entries in
+        # -9..9, singular ones among them, and the degree-12 dual of the
+        # Fermat quartic
+        rng = random.Random(53)
+        for degree in range(1, 9):
+            for bits in (1, 64, 2000):
+                terms = _height_terms(rng, degree, bits)
+                for _ in range(2):
+                    m = tuple(tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3))
+                    self._check(terms, m, digit_reads)
+        from dualis.curvelab import PlaneCurve
+        from dualis.dualgeom import dual_equation
+        dual = dual_equation(PlaneCurve(parse_poly("x^4 + y^4 + z^4", XYZ))).D
+        assert dual.total_degree() == 12
+        terms = _integer_terms(dual)[1]
+        for m in (elimination._BASES[5], mat_mul(elimination._BASES[1], elimination._shear(7)),
+                  ((2, -1, 0), (0, 1, -3), (1, 0, -1))):
+            self._check(terms, m, digit_reads)
+
+    def test_images_that_cancel(self, digit_reads):
+        # a sparse G moved by M^-1 is a dense F, and F moved by M cancels
+        # back to G; a singular matrix can cancel a form to zero
+        rng = random.Random(59)
+        for degree in (2, 3, 5, 8):
+            G = {(degree, 0, 0): 1, (0, degree - 1, 1): -rng.randint(1, 1 << 40)}
+            for base in elimination._BASES[::3]:
+                m = mat_mul(base, elimination._shear(rng.randint(0, 12)))
+                F = references.moved(G, _inverse(m))
+                assert len(F) > len(G)
+                assert self._check(F, m, digit_reads) == G
+            power = line = {(1, 0, 0): 1, (0, 1, 0): -1}  # (x - y)^degree
+            for _ in range(degree - 1):
+                power = {e: c for e, c in _add_product({}, power, line).items() if c}
+            assert self._check(power, ((1, 0, 0), (1, 0, 0), (0, 0, 1)), digit_reads) == {}
+
+    def test_apply_matrix_moves_each_homogeneous_part(self):
+        assert apply_matrix(MultiPoly.zero(XYZ), ((1, 2, 0), (0, 1, 0), (0, 0, 1))).is_zero()
+        f = parse_poly("x^2 - 3*y + 1/2", XYZ)
+        assert apply_matrix(f, ((1, 2, 0), (0, 1, 0), (0, 0, 1))) == parse_poly(
+            "x^2 + 4*x*y + 4*y^2 - 3*y + 1/2", XYZ)
+
+
 class TestCounting:
     def test_distinct_count_with_tangency(self):
         # line z = y is tangent to the circle-conic at [0:1:1] and crosses
@@ -336,10 +450,11 @@ class TestCounting:
         assert time.perf_counter() - start < 5.0
 
 
-def _random_form(rng, degree):
-    """A nonzero ternary form with small coefficients, some of them fractions."""
+def _random_form(rng, degree, size=4):
+    """A nonzero ternary form with numerators up to size, some of the
+    coefficients fractions over 2 or 3."""
     while True:
-        form = MultiPoly(XYZ, {e: Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+        form = MultiPoly(XYZ, {e: Fraction(rng.randint(-size, size), rng.choice((1, 1, 2, 3)))
                                for e in product(range(degree + 1), repeat=3)
                                if sum(e) == degree and rng.random() < 0.6})
         if not form.is_zero():

@@ -44,6 +44,7 @@ from dualis.exact import (
     squarefree_part,
     witnesses,
 )
+import references
 from references import (_from_sympy, chain as sympy_chain, det as sympy_det, minor_matrix,
                         parse_poly as reference_parse_poly, specialised, sympy_expr, sympy_polar,
                         sympy_poly)
@@ -54,13 +55,16 @@ UVW = ("u", "v", "w")
 
 def test_doctests_pass():
     # the examples in the docstrings of the exact layer, among them one in
-    # one variable for each public eliminant
+    # one variable for each public eliminant and one of a form along a line,
+    # and the one of elimination, a coordinate change of a form
     tested = {test.name.rpartition(".")[2] for test in doctest.DocTestFinder().find(exact)
               if test.examples}
     assert {"parse_poly", "resultant", "discriminant", "squarefree_part", "poly_gcd",
-            "radical"} <= tested
+            "radical", "_restriction"} <= tested
     results = doctest.testmod(exact)
-    assert results.attempted == 16 and results.failed == 0
+    assert results.attempted == 17 and results.failed == 0
+    results = doctest.testmod(elimination)
+    assert results.attempted == 1 and results.failed == 0
 
 
 class TestParsing:
@@ -1377,6 +1381,69 @@ class TestUniDiscriminant:
         assert _uni_discriminant([-4, 0, 1]) == 16
         assert _uni_discriminant([-4, 0, 1, 0]) == 16
         assert _uni_discriminant([1, 2, 1]) == 0 == _uni_discriminant([0, 0, 1, 0])
+
+
+class TestPackedRestriction:
+    """exact._restriction, one value of a form's integer terms at
+    S*p + q, S = 2^K, read as digits, against the values at s = 0..d,
+    interpolated, that it replaced (`references.restriction`), with every
+    read checked: the restriction's coefficients lie below 2^(K-1)."""
+
+    @staticmethod
+    def _check(terms, p, q, monkeypatch):
+        reads = []
+        digits = exact._digits
+        monkeypatch.setattr(exact, "_digits",
+                            lambda n, k: reads.append((k, digits(n, k))) or reads[-1][1])
+        want = references.restriction(terms, p, q)
+        got = exact._restriction(terms, p, q)
+        monkeypatch.setattr(exact, "_digits", digits)
+        assert got == want and len(got) == sum(next(iter(terms))) + 1, (terms, p, q)
+        assert all(type(c) is int for c in got)
+        ((k, read),) = reads
+        assert all(abs(c) < 1 << (k - 1) for c in want)
+        assert read == exact._trim(want)
+        return got
+
+    def test_degrees_heights_and_points(self, monkeypatch):
+        # degrees 1-8 at 1-2,000 bits, on small points with zero and
+        # negative coordinates and on points past 2^64
+        rng = random.Random(67)
+        for degree in range(1, 9):
+            for bits in (1, 64, 2000):
+                terms = exact._integer_terms(_random_form(rng, degree, 1 << bits))[1]
+                for size in (3, 1 << 64, 1 << 70):
+                    p, q = ([rng.randint(-size, size) for _ in range(3)] for _ in range(2))
+                    self._check(terms, p, q, monkeypatch)
+                self._check(terms, [0, 0, 1], [1, -1, 0], monkeypatch)
+
+    def test_point_on_the_curve_keeps_the_top_entry(self, monkeypatch):
+        # F = L*G with L vanishing at p: entry d, the scaled F(p), is zero
+        # and stays in the list
+        rng = random.Random(71)
+        for degree in (1, 2, 4, 7):
+            for size in (5, 1 << 64):
+                p = [rng.randint(-size, size) for _ in range(3)]
+                line = MultiPoly(XYZ, {(1, 0, 0): p[1], (0, 1, 0): -p[0]})  # p1*x - p0*y
+                if line.is_zero():
+                    continue
+                F = line if degree == 1 else line * _random_form(rng, degree - 1, 1 << 30)
+                terms = exact._integer_terms(F)[1]
+                q = [rng.randint(-size, size) for _ in range(3)]
+                got = self._check(terms, p, q, monkeypatch)
+                assert got[-1] == 0
+        # x*y - z^2 along (s, s, s + 1) through (1, 1, 1): -2s - 1, then 0
+        assert exact._restriction({(1, 1, 0): 1, (0, 0, 2): -1}, (1, 1, 1), (0, 0, 1)) == [-1, -2, 0]
+
+    def test_degree_twelve_dual(self, monkeypatch):
+        from dualis.curvelab import PlaneCurve
+        from dualis.dualgeom import dual_equation
+        dual = dual_equation(PlaneCurve(parse_poly("x^4 + y^4 + z^4", XYZ))).D
+        terms = exact._integer_terms(dual)[1]
+        rng = random.Random(73)
+        for size in (7, 1 << 64):
+            p, q = ([rng.randint(-size, size) for _ in range(3)] for _ in range(2))
+            self._check(terms, p, q, monkeypatch)
 
 
 class TestEvaluation:

@@ -81,6 +81,34 @@ def test_trusted_construction_stays_in_exact():
         "MultiPoly.__mul__", "UniPolyView.__init__", "parse_poly"]
 
 
+def test_integer_terms_are_cached_by_one_writer():
+    # a polynomial's integer terms live in its private _integer slot, which
+    # both MultiPoly constructors clear and exact._integer_terms alone fills
+    # and reads; nothing else names the slot
+    writers, readers, names = [], [], 0
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = _tree(path)
+        functions = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)] + [
+            (f"{cls.name}.{fn.name}", fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+        for name, fn in functions:
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Call) and ast.unparse(n.func) == "object.__setattr__" \
+                        and ast.unparse(n.args[1]) == "'_integer'":
+                    writers.append(f"{path.name}: {name}")
+                elif isinstance(n, ast.Attribute) and n.attr == "_integer":
+                    readers.append(f"{path.name}: {name}")
+        names += sum(isinstance(n, ast.Attribute) and n.attr == "_integer"
+                     or isinstance(n, ast.Constant) and n.value == "_integer"
+                     for n in ast.walk(tree))
+    assert sorted(writers) == ["exact.py: MultiPoly.__init__", "exact.py: MultiPoly._trusted",
+                               "exact.py: _integer_terms"]
+    assert set(readers) == {"exact.py: _integer_terms"}
+    from dualis.exact import MultiPoly
+    assert "_integer" in MultiPoly.__slots__
+    assert names == len(writers) + len(readers) + 1  # and the entry in __slots__
+
+
 def test_one_number_literal_and_one_token_rule():
     # the number literal of the polynomial and rational grammars is spelled
     # once, as exact._NUMBER, and both token rules read it; parse_poly reads
@@ -311,12 +339,12 @@ def test_one_line_restriction_and_one_coordinate_change():
     # pencil and line_transversality share; a singular point reaches its
     # chart origin through elimination._moved on F's integer terms, so
     # curvelab substitutes nothing; values are interpolated on a frame's
-    # sweep, the dual's triangle and a line, and no grid over several
-    # variables is left
+    # sweep and the dual's triangle alone, a line reads its restriction off
+    # one packed value, and no grid over several variables is left
     assert _readers("_restriction") == ["curvelab.py: line_transversality",
                                         "exact.py: _on_pencil"]
     assert _readers("_interpolate") == ["dualgeom.py: _dual_in_chart",
-                                        "elimination.py: coefficient", "exact.py: _restriction"]
+                                        "elimination.py: coefficient"]
     assert "curvelab.py: classify_singularity" in _readers("_moved")
     assert "substitute" not in _referenced_names(SOURCE / "curvelab.py")
     defined = {name for path in sorted(SOURCE.glob("*.py")) for name in _functions(path)}
@@ -325,14 +353,14 @@ def test_one_line_restriction_and_one_coordinate_change():
 
 
 def test_one_expansion_and_one_integer_coordinate_change():
-    # every change of coordinates and the dual's chart run through the one
-    # expansion exact._expand, on integer terms, read by _dual_in_chart and
-    # _moved alone; bases, shears and apply_matrix move integer terms
-    # through elimination._moved, and the frame search moves the first form
-    # in _accepted_frame and the second member of a pair in _second_moved
-    # alone, for a base, a shear and a hint; a polar is never moved, but
-    # taken in each frame from the moved first form
-    assert _readers("_expand") == ["dualgeom.py: _dual_in_chart", "elimination.py: _moved"]
+    # the dual's chart runs through the one expansion exact._expand, on
+    # integer terms, read by _dual_in_chart alone; bases, shears,
+    # classify_singularity and apply_matrix move integer terms through
+    # elimination._moved, one packed value, and the frame search moves the
+    # first form in _accepted_frame and the second member of a pair in
+    # _second_moved alone, for a base, a shear and a hint; a polar is never
+    # moved, but taken in each frame from the moved first form
+    assert _readers("_expand") == ["dualgeom.py: _dual_in_chart"]
     assert _readers("_add_product") == ["exact.py: __mul__", "exact.py: _expand"]
     assert _readers("_moved") == ["curvelab.py: classify_singularity",
                                   "elimination.py: _accepted_frame",
@@ -432,13 +460,16 @@ def test_one_digit_reader():
     # small chart its discriminant off one value at u = 2^(K(D+1)),
     # v = 2^K, through the one signed digit reader, exact._digits, beside
     # _interpolate, and the packed bound that picks them over the sweep and
-    # the triangle is read there alone; the gcd reads its packed candidate
-    # through the same reader, and its own bound on K is read by the gcd
-    # alone
+    # the triangle is read there alone; a coordinate change reads a moved
+    # form off one value at M (2^(K(d+1)), 2^K, 1) and a line its restriction
+    # off one value at s = 2^K, with no bound, as neither has a second
+    # route; the gcd reads its packed candidate through the same reader, and
+    # its own bound on K is read by the gcd alone
     readers = sorted(f"{path.name}: {name}" for path in sorted(SOURCE.glob("*.py"))
                      for name in _functions(path) if "digit" in name)
     assert readers == ["exact.py: _digits"]
-    assert _readers("_digits") == ["dualgeom.py: _dual_in_chart", "elimination.py: coefficient",
+    assert _readers("_digits") == ["dualgeom.py: _dual_in_chart", "elimination.py: _moved",
+                                   "elimination.py: coefficient", "exact.py: _restriction",
                                    "exact.py: _uni_gcd"]
     assert _readers("_PACKED_BITS") == ["dualgeom.py: _dual_in_chart", "elimination.py: __init__"]
     assert _readers("_GCD_DIGIT_BITS") == ["exact.py: _uni_gcd"]
